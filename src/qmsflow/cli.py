@@ -172,6 +172,10 @@ def cmd_metric(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    if args.segments < 1:
+        raise InputError(f"--segments must be at least 1, got {args.segments}")
+    if args.budget < 0:
+        raise InputError(f"--budget must be nonnegative, got {args.budget}")
     spec, l, sigma = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("geodesic needs a jump specification input")
@@ -292,11 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("geodesic", help="transport-distance upper bound between states")
+    p = sub.add_parser("geodesic", help="transport distance between states: sqrt of the minimized "
+                       "K-segment midpoint action, which approaches the continuum "
+                       "value from below as K grows")
     p.add_argument("--input", required=True)
     p.add_argument("--rho0", required=True)
     p.add_argument("--rho1", help="default: the invariant state")
-    p.add_argument("--segments", type=int, default=16)
+    p.add_argument("--segments", type=int, default=16, help="K, the number of path segments")
     p.add_argument("--budget", type=int, default=400, help="iteration budget")
     add_common(p)
     p.set_defaults(func=cmd_geodesic)

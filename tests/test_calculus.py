@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qmsflow.calculus import (
     grad,
     laplacian,
     log_mean,
+    log_mean_dx,
     partial_deriv,
     rho_div,
     rho_mult,
@@ -263,6 +266,46 @@ class TestLogMean:
         assert np.allclose(lm, log_mean(ys, xs))
         assert np.all(lm >= np.minimum(xs, ys) - 1e-12)
         assert np.all(lm <= 0.5 * (xs + ys) + 1e-12)
+
+
+def _log_mean_dx_reference(x: float, y: float):
+    """dLM/dx at 60 digits: the closed form and a central difference."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = Decimal(x), Decimal(y)
+
+        def lm(a):
+            return (a - y) / (a.ln() - y.ln()) if a != y else a
+
+        h = Decimal("1e-16") * x
+        difference = (lm(x + h) - lm(x - h)) / (2 * h)
+        if x == y:
+            closed = Decimal("0.5")
+        else:
+            big_l = (x / y).ln()
+            closed = (big_l - (x - y) / x) / (big_l * big_l)
+        return float(closed), float(difference)
+
+
+class TestLogMeanDx:
+    # relative gaps on both sides of the series/closed-form switch at 1e-2
+    GAPS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.999e-2, 1.001e-2, 0.3, 3.0)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_matches_high_precision(self, gap):
+        for y in (1e-6, 0.37, 5.0):
+            for x in (y * (1.0 + gap), y / (1.0 + gap)):
+                closed, difference = _log_mean_dx_reference(x, y)
+                assert closed == pytest.approx(difference, rel=1e-20)
+                assert float(log_mean_dx(x, y)) == pytest.approx(closed, rel=1e-12)
+
+    def test_diagonal_limit_and_symmetry_relation(self, rng):
+        assert float(log_mean_dx(2.0, 2.0)) == 0.5
+        xs = rng.uniform(0.1, 5.0, size=50)
+        ys = rng.uniform(0.1, 5.0, size=50)
+        # LM is 1-homogeneous: x dLM/dx + y dLM/dy = LM
+        euler = xs * log_mean_dx(xs, ys) + ys * log_mean_dx(ys, xs)
+        assert np.allclose(euler, log_mean(xs, ys), rtol=1e-12)
 
 
 def test_grad_annihilates_exactly_commutant(rng):

@@ -218,6 +218,25 @@ class TestMetricGeodesicRestrict:
         assert not report["converged"]
         assert report["distance"] > 0
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--segments", "0", "--segments"), ("--segments", "-3", "--segments"),
+         ("--budget", "-1", "--budget")],
+    )
+    def test_geodesic_bad_counts_exit_two(self, fermi_spec_file, tmp_path, capsys,
+                                          flag, value, message):
+        rho_path = tmp_path / "rho.json"
+        rho_path.write_text(dump_json(density_to_json(fermi_ou(1, 1.0, [1.0]).spec.sigma)))
+        out = tmp_path / "geo.json"
+        code = main(
+            ["geodesic", "--input", fermi_spec_file, "--rho0", str(rho_path),
+             flag, value, "--output", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_restrict_rates(self, fermi_spec_file, tmp_path):
         out = tmp_path / "rates.json"
         assert main(["restrict", "--input", fermi_spec_file, "--output", str(out)]) == 0
