@@ -28,9 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import choi, dag, hs_inner
+from .linalg import choi, dag
 from .states import DensityState, ModularData, build_modular_basis
-from .generators import GeneratorSpec, build_generator, certify_detailed_balance
+from .generators import (
+    CertificationReport,
+    GeneratorSpec,
+    build_generator,
+    certify_detailed_balance,
+)
 
 __all__ = [
     "GKSMatrix",
@@ -42,6 +47,7 @@ __all__ = [
 
 BLOCK_RTOL = 1e-10
 DROP_RTOL = 1e-10
+PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,11 +96,15 @@ def gks_matrix(
     if check_orthonormal:
         if np.linalg.norm(basis[0] - np.eye(n)) > 1e-9:
             raise ValueError("first basis element must be the identity")
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
-                g = hs_inner(basis[a], basis[b], normalized=True)
-                if abs(g - (1.0 if a == b else 0.0)) > 1e-9:
-                    raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
+        shapes = {np.shape(f) for f in basis}
+        if shapes != {(n, n)}:
+            raise ValueError(f"basis elements must be {n} x {n}, got shapes {sorted(shapes)}")
+        flat = np.array(basis, dtype=complex).reshape(big, big)
+        gram = np.conj(flat) @ flat.T / n  # gram[a, b] = <F_a, F_b>, normalized
+        bad = np.argwhere(np.triu(np.abs(gram - np.eye(big)) > 1e-9))
+        if bad.size:
+            a, b = (int(i) for i in bad[0])
+            raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
     x = _basis_rowvecs(basis)
     c = dag(x) @ choi(k) @ x / (n * n)
     return GKSMatrix(list(basis), c, None if omegas is None else np.asarray(omegas))
@@ -197,6 +207,8 @@ def extract_canonical(
     modular: ModularData | None = None,
     drop_rtol: float = DROP_RTOL,
     require_dbc: bool = True,
+    certification: CertificationReport | None = None,
+    psd_tol: float = PSD_TOL,
 ) -> tuple[GeneratorSpec, ExtractionReport]:
     """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
 
@@ -209,16 +221,22 @@ def extract_canonical(
     is written as the exact adjoint.  Eigenvalues at or below
     ``drop_rtol`` times the largest are dropped together with their
     vectors.
+
+    With ``require_dbc`` the input must pass GNS certification (the
+    caller's ``certification`` of ``l`` and ``sigma`` when given, so its
+    tolerance holds; else one at the default tolerance), the reduced
+    coefficient positivity check at ``psd_tol``, and the block-structure
+    guard.
     """
     l = np.asarray(l, dtype=complex)
     if require_dbc:
-        cert = certify_detailed_balance(l, sigma)
+        cert = certification if certification is not None else certify_detailed_balance(l, sigma)
         if not cert.gns_dbc:
             raise ValueError(
                 "generator is not GNS-self-adjoint for sigma "
                 f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
             )
-        cp_ok, min_eig = _cp_precheck(l)
+        cp_ok, min_eig = _cp_precheck(l, psd_tol)
         if not cp_ok:
             raise ValueError(
                 f"generator is not conditionally completely positive "
@@ -334,7 +352,7 @@ def extract_canonical(
     return spec, report
 
 
-def _cp_precheck(l: np.ndarray) -> tuple[bool, float]:
+def _cp_precheck(l: np.ndarray, psd_tol: float) -> tuple[bool, float]:
     from .generators import check_complete_positivity
 
-    return check_complete_positivity(l, cross_check_times=())
+    return check_complete_positivity(l, psd_tol=psd_tol, cross_check_times=())

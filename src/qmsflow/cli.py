@@ -130,7 +130,9 @@ def cmd_inspect(args) -> int:
     ok = cert.gns_dbc and cp_ok
     if ok:
         try:
-            extracted, ext_report = extract_canonical(l, sigma)
+            extracted, ext_report = extract_canonical(
+                l, sigma, certification=cert, psd_tol=tols["psd"]
+            )
             report["canonical"] = ext_report.as_dict()
             report["canonical"]["jump_count"] = extracted.njumps
             report["canonical"]["omegas"] = sorted(float(w) for w in extracted.omegas())

@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import apply_super, commutator_super, dag
 from .states import DensityState
-from .generators import GeneratorSpec, build_adjoint, build_generator, dual_semigroup
+from .generators import GeneratorSpec, build_adjoint, build_generator, dual_orbit
 
 __all__ = [
     "relative_entropy",
@@ -152,9 +152,7 @@ def entropy_trajectory(
     d0 = relative_entropy(rho0, spec.sigma)
     p0 = entropy_production(spec, rho0, adjoint=l_adj)
     out = []
-    for t in grid:
-        pt = dual_semigroup(l_adj, t, spec.sigma)
-        rho_t = apply_super(pt, rho0.rho)
+    for t, rho_t in zip(grid, dual_orbit(l_adj, rho0.rho, grid, spec.sigma)):
         rho_t = 0.5 * (rho_t + dag(rho_t))
         rho_t = DensityState.from_matrix(rho_t / np.trace(rho_t).real)
         d = relative_entropy(rho_t, spec.sigma)
@@ -180,10 +178,14 @@ def talagrand_check(
 ) -> dict:
     """Transport-distance bound d(rho, sigma) <= sqrt(2 D / lambda).
 
-    The left side is the discretized-action upper bound, so a relative
-    allowance absorbs its discretization error.  Returns the verdict and
-    the measured quantities; solver non-convergence is reported, not
-    asserted.
+    The left side, reported as ``distance_upper``, is the square root of
+    the minimised K-segment midpoint action (see
+    :func:`qmsflow.transport.geodesic_distance`).  It bounds only the
+    discrete problem from above and approaches the continuum distance from
+    below as ``segments`` grows, so a pass is not a certificate; a
+    relative allowance absorbs the discretization error.  Returns the
+    verdict and the measured quantities; solver non-convergence is
+    reported, not asserted.
     """
     from .transport import geodesic_distance
 

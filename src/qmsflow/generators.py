@@ -34,6 +34,7 @@ from .linalg import (
     star_swap_residual,
     super_of_left,
     super_of_right,
+    unvec,
     vec,
 )
 from .states import (
@@ -56,6 +57,7 @@ __all__ = [
     "ergodicity",
     "semigroup",
     "dual_semigroup",
+    "dual_orbit",
     "restrict_to_commutative",
     "modular_subalgebra",
 ]
@@ -201,10 +203,17 @@ class CertificationReport:
         }
 
 
-def _self_adjointness_residual(l: np.ndarray, omega_w: np.ndarray) -> float:
-    """Relative size of Omega L - L^+ Omega, zero iff L is Omega-symmetric."""
+def _self_adjointness_residual(
+    l: np.ndarray, omega_w: np.ndarray, l_norm: float | None = None
+) -> float:
+    """Relative size of Omega L - L^+ Omega, zero iff L is Omega-symmetric.
+
+    ``l_norm`` is the operator 2-norm of L when the caller already has it.
+    """
+    if l_norm is None:
+        l_norm = np.linalg.norm(l, 2)
     lhs = omega_w @ l - dag(l) @ omega_w
-    scale = np.linalg.norm(omega_w, 2) * max(np.linalg.norm(l, 2), 1e-300)
+    scale = np.linalg.norm(omega_w, 2) * max(l_norm, 1e-300)
     return _rel_opnorm(lhs, scale)
 
 
@@ -224,18 +233,19 @@ def certify_detailed_balance(
     """
     l = check_finite(l, "superoperator")
     n = sigma.dim
-    s_res = {}
-    for s in s_grid:
-        s_res[float(s)] = _self_adjointness_residual(l, weight_superoperator_s(sigma, s))
-    bkm = _self_adjointness_residual(l, weight_superoperator_f(sigma, bkm_weight))
+    l_norm = np.linalg.norm(l, 2)
+
+    def s_residual(s: float) -> float:
+        return _self_adjointness_residual(l, weight_superoperator_s(sigma, s), l_norm)
+
+    s_res = {float(s): s_residual(s) for s in s_grid}
+    bkm = _self_adjointness_residual(l, weight_superoperator_f(sigma, bkm_weight), l_norm)
     delta = modular_superoperator(sigma)
-    mod_comm = _rel_opnorm(
-        l @ delta - delta @ l, np.linalg.norm(l, 2) * np.linalg.norm(delta, 2)
-    )
+    mod_comm = _rel_opnorm(l @ delta - delta @ l, l_norm * np.linalg.norm(delta, 2))
     star = star_swap_residual(l)
-    unital = float(np.linalg.norm(l @ vec(np.eye(n))) / max(np.linalg.norm(l, 2), 1e-300))
-    gns = s_res.get(1.0, _self_adjointness_residual(l, weight_superoperator_s(sigma, 1.0)))
-    kms = s_res.get(0.5, _self_adjointness_residual(l, weight_superoperator_s(sigma, 0.5)))
+    unital = float(np.linalg.norm(l @ vec(np.eye(n))) / max(l_norm, 1e-300))
+    gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
+    kms = s_res[0.5] if 0.5 in s_res else s_residual(0.5)
     return CertificationReport(
         dim=n,
         s_residuals=s_res,
@@ -332,19 +342,37 @@ def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:
     return commutant_dimension(spec.jump_ops(), spec.dim, tol)
 
 
-def _kms_symmetric_exp(l: np.ndarray, sigma: DensityState, t: float) -> np.ndarray:
-    """exp(tL) through the Hermitian conjugation Omega^{1/2} L Omega^{-1/2}.
+@dataclass(frozen=True)
+class _KMSFactor:
+    """exp(tL) = w_half_inv V e^{t vals} V^* w_half for a KMS-symmetric L.
 
-    Valid whenever L is KMS-symmetric for sigma; the conjugated matrix is
-    Hermitian so a stable eigensolve replaces the general Pade route.
+    The conjugation Omega^{1/2} L Omega^{-1/2} by the KMS weight is then
+    Hermitian, so one stable eigensolve replaces the general Pade route at
+    every time.
     """
+
+    vals: np.ndarray
+    vecs: np.ndarray
+    w_half: np.ndarray
+    w_half_inv: np.ndarray
+
+    def propagator(self, t: float) -> np.ndarray:
+        core = (self.vecs * np.exp(t * self.vals)) @ dag(self.vecs)
+        return self.w_half_inv @ core @ self.w_half
+
+
+def _kms_factor(l: np.ndarray, sigma: DensityState | None) -> _KMSFactor | None:
+    """Spectral factor of L when it is KMS-symmetric for sigma, else None."""
+    if sigma is None:
+        return None
+    if not _self_adjointness_residual(l, weight_superoperator_s(sigma, 0.5)) < 1e-8:
+        return None
     w_half = sharp(sigma.power(0.25), sigma.power(0.25))
     w_half_inv = sharp(sigma.power(-0.25), sigma.power(-0.25))
     h = w_half @ l @ w_half_inv
     h = 0.5 * (h + dag(h))
     vals, vecs = np.linalg.eigh(h)
-    core = (vecs * np.exp(t * vals)) @ dag(vecs)
-    return w_half_inv @ core @ w_half
+    return _KMSFactor(vals, vecs, w_half, w_half_inv)
 
 
 def semigroup(l: np.ndarray, t: float, sigma: DensityState | None = None) -> np.ndarray:
@@ -357,10 +385,9 @@ def semigroup(l: np.ndarray, t: float, sigma: DensityState | None = None) -> np.
     if t < 0:
         raise ValueError("t must be nonnegative")
     l = check_finite(l, "superoperator")
-    if sigma is not None:
-        kms = _self_adjointness_residual(l, weight_superoperator_s(sigma, 0.5))
-        if kms < 1e-8:
-            return _kms_symmetric_exp(l, sigma, t)
+    factor = _kms_factor(l, sigma)
+    if factor is not None:
+        return factor.propagator(t)
     return scipy.linalg.expm(t * l)
 
 
@@ -369,11 +396,33 @@ def dual_semigroup(l_adj: np.ndarray, t: float, sigma: DensityState | None = Non
     if t < 0:
         raise ValueError("t must be nonnegative")
     l_adj = check_finite(l_adj, "superoperator")
-    if sigma is not None:
-        kms = _self_adjointness_residual(dag(l_adj), weight_superoperator_s(sigma, 0.5))
-        if kms < 1e-8:
-            return dag(_kms_symmetric_exp(dag(l_adj), sigma, t))
+    factor = _kms_factor(dag(l_adj), sigma)
+    if factor is not None:
+        return dag(factor.propagator(t))
     return scipy.linalg.expm(t * l_adj)
+
+
+def dual_orbit(
+    l_adj: np.ndarray, rho0: np.ndarray, times, sigma: DensityState | None = None
+) -> list:
+    """States exp(t L^+)(rho0) at each of ``times``, routed as :func:`semigroup`.
+
+    The spectral route factors once for the whole grid and then costs one
+    n^2 x n^2 matrix-vector product per time:
+    vec(rho_t) = (w_half^* V)(e^{t vals} * (V^* w_half_inv^* vec(rho0))).
+    """
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
+        raise ValueError("t must be nonnegative")
+    l_adj = check_finite(l_adj, "superoperator")
+    rho0 = np.asarray(rho0, dtype=complex)
+    n = rho0.shape[0]
+    factor = _kms_factor(dag(l_adj), sigma)
+    if factor is None:
+        return [apply_super(scipy.linalg.expm(t * l_adj), rho0) for t in times]
+    left = dag(factor.w_half) @ factor.vecs
+    coeffs = dag(factor.vecs) @ (dag(factor.w_half_inv) @ vec(rho0))
+    return [unvec(left @ (np.exp(t * factor.vals) * coeffs), n) for t in times]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "unvec",
     "dag",
     "hs_inner",
-    "hs_norm",
     "sharp",
     "apply_super",
     "super_of_left",
@@ -37,7 +36,6 @@ __all__ = [
     "hermitian_eig",
     "spectral_calculus",
     "check_finite",
-    "is_star_preserving_residual",
     "star_swap_residual",
     "traceless_hermitian_basis",
 ]
@@ -90,10 +88,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray, normalized: bool = False) -> complex:
     return val
 
 
-def hs_norm(a: np.ndarray, normalized: bool = False) -> float:
-    return float(np.sqrt(max(hs_inner(a, a, normalized).real, 0.0)))
-
-
 def sharp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Superoperator of the two-sided multiplication X |-> A X B.
 
@@ -134,19 +128,14 @@ def choi(s: np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij K(E_ij) (x) E_ij of the superoperator K.
 
     The result is an n^2 x n^2 matrix; K is completely positive iff the
-    Choi matrix is positive semidefinite.
+    Choi matrix is positive semidefinite.  Entry (a n + i, b n + j) is
+    K(E_ij)[a, b] = S[a + b n, i + j n], so the matrix is an index
+    reshuffle of S.
     """
     s = np.asarray(s, dtype=complex)
     big = s.shape[0]
     n = int(round(np.sqrt(big)))
-    out = np.zeros((n * n, n * n), dtype=complex)
-    eij = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            eij[i, j] = 1.0
-            out += np.kron(apply_super(s, eij), eij)
-            eij[i, j] = 0.0
-    return out
+    return s.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(big, big)
 
 
 @dataclass(frozen=True)
@@ -233,16 +222,12 @@ def traceless_hermitian_basis(n: int) -> list:
     return basis
 
 
-def is_star_preserving_residual(s: np.ndarray) -> float:
+def star_swap_residual(s: np.ndarray) -> float:
     """Relative deviation of a superoperator from K(X^*) = K(X)^*.
 
     With column stacking, vec(X^dag) = P conj(vec X) where P swaps the
     (i, k) index pair, so star preservation is exactly P S P = conj(S).
     """
-    return star_swap_residual(s)
-
-
-def star_swap_residual(s: np.ndarray) -> float:
     s = np.asarray(s, dtype=complex)
     big = s.shape[0]
     n = int(round(np.sqrt(big)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,16 @@ from qmsflow.models import random_dbc_spec, random_density
 from qmsflow.states import DensityState, ModularData, build_modular_basis
 
 from conftest import random_matrix
+
+
+def first_nonorthonormal_pair(basis):
+    """Reference: the pairwise loop, upper triangle in row-major order."""
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            g = hs_inner(basis[a], basis[b], normalized=True)
+            if abs(g - (1.0 if a == b else 0.0)) > 1e-9:
+                return a, b
+    return None
 
 
 def identity_anchored_basis(n):
@@ -66,6 +78,30 @@ class TestGKSMatrix:
     def test_rejects_bad_basis(self, rng):
         with pytest.raises(ValueError, match="orthonormal|identity"):
             gks_matrix(np.eye(4), [np.eye(2), np.eye(2), np.eye(2), np.eye(2)])
+
+    @pytest.mark.parametrize("case", ["scaled", "overlap", "duplicate", "noisy", "two_noisy"])
+    def test_orthonormality_error_names_first_pair(self, rng, case):
+        basis = identity_anchored_basis(3)
+        if case == "scaled":
+            basis[4] = 1.5 * basis[4]
+        elif case == "overlap":
+            basis[6] = basis[6] + 1e-6 * basis[2]
+        elif case == "duplicate":
+            basis[5] = basis[3]
+        elif case == "noisy":
+            basis[8] = basis[8] + 1e-7 * random_matrix(rng, 3)
+        else:
+            for k in rng.choice(np.arange(1, 9), 2, replace=False):
+                basis[k] = basis[k] + 1e-5 * random_matrix(rng, 3)
+        a, b = first_nonorthonormal_pair(basis)
+        with pytest.raises(ValueError, match=re.escape(f"not orthonormal at pair ({a}, {b})")):
+            gks_matrix(np.eye(9), basis)
+
+    def test_orthonormality_within_tolerance_accepted(self, rng):
+        basis = identity_anchored_basis(3)
+        basis[7] = basis[7] + 1e-12 * random_matrix(rng, 3)
+        assert first_nonorthonormal_pair(basis) is None
+        gks_matrix(np.eye(9), basis)
 
 
 class TestReducedGKS:

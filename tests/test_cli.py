@@ -102,6 +102,38 @@ class TestInspect:
         assert report["certification"]["kms_only"]
         assert report["certification"]["s_residuals"]["0.5"] < 1e-10
 
+    def test_gns_tolerance_reaches_extraction(self, tmp_path):
+        # L of Fermi m=1 against sigma with its (0, 0) entry moved by 3e-8
+        # relative: GNS residual ~7e-9, so it passes at gns_flag=1e-6 and
+        # extraction must not re-certify at the default 1e-9
+        from qmsflow.generators import build_generator
+
+        model = fermi_ou(1, 1.0, [1.0])
+        sigma = model.spec.sigma.rho.copy()
+        sigma[0, 0] *= 1 + 3e-8
+        sigma /= np.trace(sigma).real
+        path = tmp_path / "perturbed.json"
+        path.write_text(dump_json({
+            "dim": 2,
+            "sigma": matrix_to_json(sigma),
+            "superoperator": matrix_to_json(build_generator(model.spec)),
+        }))
+        out = tmp_path / "report.json"
+        code = main(["inspect", "--input", str(path), "--tol", "gns_flag=1e-6",
+                     "--output", str(out)])
+        report = json.loads(out.read_text())
+        assert 1e-9 < report["certification"]["s_residuals"]["1.0"] < 1e-6
+        assert report["certification"]["gns_dbc"]
+        assert "canonical_error" not in report
+        assert report["canonical"]["jump_count"] == 2
+        assert code == 0
+
+        code = main(["inspect", "--input", str(path), "--output", str(out)])
+        report = json.loads(out.read_text())
+        assert not report["certification"]["gns_dbc"]
+        assert "canonical" not in report
+        assert code == 1
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

@@ -10,7 +10,8 @@ from qmsflow.entropy import (
     relative_entropy,
     talagrand_check,
 )
-from qmsflow.linalg import dag, hs_inner
+from qmsflow.generators import build_generator, dual_orbit, dual_semigroup
+from qmsflow.linalg import apply_super, dag, hs_inner
 from qmsflow.models import random_dbc_spec, random_density
 from qmsflow.states import DensityState
 
@@ -209,6 +210,36 @@ class TestTrajectory:
         d0, d1 = rows[0].entropy, rows[1].entropy
         slope = (np.log(d1) - np.log(d0)) / h
         assert slope == pytest.approx(-2 * lam, rel=1e-2)
+
+    @pytest.mark.parametrize("model", ["fermi_m2", "random4"])
+    def test_factored_flow_matches_per_time_semigroup(self, fermi_m2, rng, model):
+        spec = fermi_m2.spec if model == "fermi_m2" else random_dbc_spec(4, rng)
+        rho0 = random_density(4, rng)
+        grid = np.linspace(0.0, 3.0, 13)
+        l_adj = dag(build_generator(spec))
+        orbit = dual_orbit(l_adj, rho0.rho, grid, spec.sigma)
+        rows = entropy_trajectory(spec, rho0, grid)
+        for t, rho_t, row in zip(grid, orbit, rows):
+            ref = apply_super(dual_semigroup(l_adj, t, spec.sigma), rho0.rho)
+            assert np.linalg.norm(rho_t - ref) <= 1e-12
+            ref = DensityState.from_matrix(0.5 * (ref + dag(ref)) / np.trace(ref).real)
+            assert abs(row.entropy - relative_entropy(ref, spec.sigma)) <= 1e-12
+            assert abs(row.production - entropy_production(spec, ref, adjoint=l_adj)) <= 1e-12
+
+    @pytest.mark.parametrize("points", [1, 5, 31])
+    def test_one_superoperator_eigensolve(self, fermi_m2, rng, monkeypatch, points):
+        # the spectral route factors once per trajectory, not per grid time
+        eigh = np.linalg.eigh
+        big = []
+
+        def counting_eigh(a, *args, **kwargs):
+            if np.shape(a) == (16, 16):
+                big.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        entropy_trajectory(fermi_m2.spec, random_density(4, rng), np.linspace(0, 2, points))
+        assert len(big) == 1
 
     def test_rejects_descending_grid(self, fermi_m1, rng):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from qmsflow.generators import (
     certify_detailed_balance,
     check_complete_positivity,
     commutant_dimension,
+    dual_orbit,
     dual_semigroup,
     ergodicity,
     modular_subalgebra,
@@ -145,6 +146,40 @@ class TestCertification:
         assert rep.kms_only
         assert not rep.gns_dbc
 
+    @pytest.mark.parametrize("case", ["dbc", "kms_only", "not_dbc"])
+    def test_grid_without_half_and_one(self, rng, case):
+        if case == "dbc":
+            spec = random_dbc_spec(3, rng)
+            l, sigma = build_generator(spec), spec.sigma
+        elif case == "kms_only":
+            u = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+            l, sigma, _ = kms_counterexample(u, [1.0, 1.0] / np.sqrt(2), [1.0, 2.0] / np.sqrt(5))
+        else:
+            l, sigma = random_matrix(rng, 9), random_density(3, rng)
+        full = certify_detailed_balance(l, sigma).as_dict()
+        partial = certify_detailed_balance(l, sigma, s_grid=(0.0, 0.25)).as_dict()
+        assert partial["s_residuals"] == {k: full["s_residuals"][k] for k in ("0.0", "0.25")}
+        del full["s_residuals"], partial["s_residuals"]
+        assert partial == full
+
+    def test_one_operator_norm_of_l(self, rng, monkeypatch):
+        # the 2-norm of L is an SVD; certification takes it once and reuses it
+        spec = random_dbc_spec(3, rng)
+        l = build_generator(spec)
+        norm = np.linalg.norm
+        calls = []
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.shape(x) == l.shape and np.array_equal(x, l):
+                calls.append(1)
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        certify_detailed_balance(l, spec.sigma)
+        assert len(calls) == 1
+        certify_detailed_balance(l, spec.sigma, s_grid=(0.0,))
+        assert len(calls) == 2
+
     def test_modular_operator_self_adjoint_every_s(self, rng):
         sigma = random_density(3, rng)
         delta = modular_superoperator(sigma)
@@ -275,6 +310,22 @@ class TestSemigroup:
         lhs = dual_semigroup(dag(l), 0.8, spec.sigma)
         rhs = scipy.linalg.expm(0.8 * dag(l))
         assert np.linalg.norm(lhs - rhs) < 1e-11 * np.linalg.norm(rhs)
+
+    def test_dual_orbit_pade_route(self, rng):
+        # without sigma, or for L that is not KMS-symmetric, every time is
+        # one Pade exponential applied to rho0, as in dual_semigroup
+        l_adj = random_matrix(rng, 9)
+        rho0 = random_density(3, rng).rho
+        times = [0.0, 0.3, 1.1]
+        expect = [apply_super(scipy.linalg.expm(t * l_adj), rho0) for t in times]
+        for sigma in (None, random_density(3, rng)):
+            got = dual_orbit(l_adj, rho0, times, sigma)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+    def test_dual_orbit_rejects_negative_time(self, rng):
+        spec = random_dbc_spec(2, rng)
+        with pytest.raises(ValueError):
+            dual_orbit(build_adjoint(spec), spec.sigma.rho, [0.0, -0.1], spec.sigma)
 
 
 class TestRestriction:

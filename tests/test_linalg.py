@@ -80,6 +80,24 @@ def test_sharp_of_orthonormal_bases_is_orthonormal(rng):
     assert np.linalg.norm(gram - np.eye(len(supers))) < 1e-12
 
 
+def kronecker_sum_choi(s):
+    """Reference Choi matrix: the defining sum over matrix units E_ij."""
+    n = int(round(np.sqrt(s.shape[0])))
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            eij = np.zeros((n, n), dtype=complex)
+            eij[i, j] = 1.0
+            out += np.kron(apply_super(s, eij), eij)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_choi_is_kronecker_sum(rng, n):
+    s = random_matrix(rng, n * n)
+    assert np.array_equal(choi(s), kronecker_sum_choi(s))
+
+
 def test_choi_identity_is_rank_one():
     n = 3
     c = choi(np.eye(n * n))
