@@ -102,19 +102,22 @@ def dirichlet_form(spec: GeneratorSpec, s: float, b: np.ndarray, a: np.ndarray) 
 def log_mean(x, y):
     """Logarithmic mean LM(x, y) = (x - y)/(log x - log y), LM(x, x) = x.
 
-    Near coincidence the closed form cancels catastrophically, so the
-    series LM = m (1 - d^2/12 + ...) with m = (x+y)/2, d = (x-y)/m is used
-    when |x - y| <= 1e-9 max(x, y).
+    The denominator is log1p(g) with g = (hi - lo)/lo the relative gap,
+    which keeps full precision where log hi - log lo would cancel (and is
+    log hi - log lo only where g overflows).  When |x - y| <= 1e-9 max(x, y)
+    the series LM = m (1 - d^2/12 + ...), m = (x+y)/2, d = (x-y)/m, equals
+    m to double precision, so m is returned.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    close = np.abs(x - y) <= 1e-9 * np.maximum(x, y)
-    m = 0.5 * (x + y)
-    d = np.where(m > 0, (x - y) / np.where(m > 0, m, 1.0), 0.0)
-    series = m * (1.0 - d * d / 12.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (x - y) / (np.log(x) - np.log(y))
-    return np.where(close, series, exact)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    diff = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log1p(diff / lo)
+        if np.isinf(log_ratio).any():
+            log_ratio = np.where(np.isinf(log_ratio), np.log(hi) - np.log(lo), log_ratio)
+        exact = diff / log_ratio
+    return np.where(diff <= 1e-9 * hi, 0.5 * (x + y), exact)
 
 
 def log_mean_dx(x, y):

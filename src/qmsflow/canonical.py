@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import choi, dag
+from .linalg import choi, dag, star_swap_residual, vec
 from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
     CertificationReport,
     GeneratorSpec,
     build_generator,
     certify_detailed_balance,
+    check_complete_positivity,
 )
 
 __all__ = [
@@ -111,22 +112,28 @@ def gks_matrix(
 
 
 def reduced_gks_psd(
-    l: np.ndarray, basis, psd_tol: float = 1e-10
+    l: np.ndarray, basis, psd_tol: float = 1e-10, l_norm: float | None = None
 ) -> tuple[bool, np.ndarray]:
-    """PSD verdict and spectrum of the reduced coefficient block of L."""
-    from .linalg import star_swap_residual, vec
+    """PSD verdict and spectrum of the reduced coefficient block of L.
 
-    big = np.asarray(l).shape[0]
-    n = int(round(np.sqrt(big)))
-    scale = max(np.linalg.norm(l, 2), 1e-300)
-    if np.linalg.norm(np.asarray(l) @ vec(np.eye(n))) > 1e-8 * scale:
+    L must annihilate the identity and preserve adjoints (ValueError
+    otherwise).  The block passes when its smallest eigenvalue is at least
+    ``-psd_tol`` times its largest |eigenvalue|, so the verdict does not
+    depend on the units of L.  ``l_norm`` is the operator 2-norm of L when
+    the caller already has it.
+    """
+    l = np.asarray(l)
+    n = int(round(np.sqrt(l.shape[0])))
+    scale = max(np.linalg.norm(l, 2) if l_norm is None else l_norm, 1e-300)
+    if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
         raise ValueError("superoperator does not annihilate the identity")
-    if star_swap_residual(np.asarray(l)) > 1e-8:
+    if star_swap_residual(l) > 1e-8:
         raise ValueError("superoperator is not star-preserving")
     red = gks_matrix(l, basis).reduced()
     evals = np.linalg.eigvalsh(0.5 * (red + dag(red)))
-    top = float(evals[-1]) if evals.size else 0.0
-    return bool(evals.size == 0 or evals[0] >= -psd_tol * max(1.0, top)), evals
+    if evals.size == 0:
+        return True, evals
+    return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), evals
 
 
 @dataclass
@@ -209,6 +216,7 @@ def extract_canonical(
     require_dbc: bool = True,
     certification: CertificationReport | None = None,
     psd_tol: float = PSD_TOL,
+    complete_positivity: tuple[bool, float] | None = None,
 ) -> tuple[GeneratorSpec, ExtractionReport]:
     """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
 
@@ -225,18 +233,28 @@ def extract_canonical(
     With ``require_dbc`` the input must pass GNS certification (the
     caller's ``certification`` of ``l`` and ``sigma`` when given, so its
     tolerance holds; else one at the default tolerance), the reduced
-    coefficient positivity check at ``psd_tol``, and the block-structure
-    guard.
+    coefficient positivity check at ``psd_tol`` (the caller's
+    ``complete_positivity`` verdict and minimum eigenvalue from
+    :func:`qmsflow.generators.check_complete_positivity` when given), and
+    the block-structure guard.  The round-trip error is relative to
+    ||L||, taken from the certification when there is one.
     """
     l = np.asarray(l, dtype=complex)
+    cert = certification
+    if require_dbc and cert is None:
+        cert = certify_detailed_balance(l, sigma)
+    l_norm = np.linalg.norm(l, 2) if cert is None else cert.l_norm
     if require_dbc:
-        cert = certification if certification is not None else certify_detailed_balance(l, sigma)
         if not cert.gns_dbc:
             raise ValueError(
                 "generator is not GNS-self-adjoint for sigma "
                 f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
             )
-        cp_ok, min_eig = _cp_precheck(l, psd_tol)
+        if complete_positivity is None:
+            complete_positivity = check_complete_positivity(
+                l, psd_tol=psd_tol, cross_check_times=(), l_norm=l_norm
+            )
+        cp_ok, min_eig = complete_positivity
         if not cp_ok:
             raise ValueError(
                 f"generator is not conditionally completely positive "
@@ -337,7 +355,7 @@ def extract_canonical(
 
     spec = GeneratorSpec.create(sigma, jumps, validate=False)
     rebuilt = build_generator(spec)
-    rt = float(np.linalg.norm(rebuilt - l, 2) / max(np.linalg.norm(l, 2), 1e-300))
+    rt = float(np.linalg.norm(rebuilt - l, 2) / max(l_norm, 1e-300))
     report = ExtractionReport(
         block_residual=block_res,
         pairing_residual=pair_res,
@@ -350,9 +368,3 @@ def extract_canonical(
         roundtrip_error=rt,
     )
     return spec, report
-
-
-def _cp_precheck(l: np.ndarray, psd_tol: float) -> tuple[bool, float]:
-    from .generators import check_complete_positivity
-
-    return check_complete_positivity(l, psd_tol=psd_tol, cross_check_times=())

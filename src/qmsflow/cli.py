@@ -67,12 +67,15 @@ def _load_json(path: str):
 
 
 def _load_spec_or_superop(path: str):
-    """Returns (spec or None, generator superoperator, sigma)."""
+    """Returns (spec, None, sigma) for jump data, (None, superoperator, sigma) otherwise.
+
+    Commands that need the dense generator of a spec build it themselves.
+    """
     obj = _load_json(path)
     try:
         if "jumps" in obj:
             spec = spec_from_json(obj)
-            return spec, build_generator(spec), spec.sigma
+            return spec, None, spec.sigma
         if "superoperator" in obj:
             l = matrix_from_json(obj["superoperator"])
             sigma = density_from_json({"rho": obj["sigma"]})
@@ -116,10 +119,12 @@ def _parse_tols(pairs):
 def cmd_inspect(args) -> int:
     tols = _parse_tols(args.tol)
     spec, l, sigma = _load_spec_or_superop(args.input)
+    if l is None:
+        l = build_generator(spec)
     cert = certify_detailed_balance(l, sigma, tol=tols["gns_flag"])
     report = {"certification": cert.as_dict()}
     try:
-        cp_ok, min_eig = check_complete_positivity(l, psd_tol=tols["psd"])
+        cp_ok, min_eig = check_complete_positivity(l, psd_tol=tols["psd"], l_norm=cert.l_norm)
     except ValueError as exc:
         cp_ok, min_eig = False, float("nan")
         report["cp_error"] = str(exc)
@@ -131,7 +136,8 @@ def cmd_inspect(args) -> int:
     if ok:
         try:
             extracted, ext_report = extract_canonical(
-                l, sigma, certification=cert, psd_tol=tols["psd"]
+                l, sigma, certification=cert, psd_tol=tols["psd"],
+                complete_positivity=(cp_ok, min_eig),
             )
             report["canonical"] = ext_report.as_dict()
             report["canonical"]["jump_count"] = extracted.njumps
@@ -144,7 +150,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    spec, l, sigma = _load_spec_or_superop(args.input)
+    spec, _, _ = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("evolve needs a jump specification input")
     rho0 = density_from_json(_load_json(args.rho0)) if args.rho0 else spec.sigma
@@ -156,7 +162,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    spec, l, sigma = _load_spec_or_superop(args.input)
+    spec, _, _ = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("metric needs a jump specification input")
     rho = density_from_json(_load_json(args.rho)) if args.rho else spec.sigma
@@ -178,7 +184,7 @@ def cmd_geodesic(args) -> int:
         raise InputError(f"--segments must be at least 1, got {args.segments}")
     if args.budget < 0:
         raise InputError(f"--budget must be nonnegative, got {args.budget}")
-    spec, l, sigma = _load_spec_or_superop(args.input)
+    spec, _, _ = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("geodesic needs a jump specification input")
     rho0 = density_from_json(_load_json(args.rho0))
@@ -191,7 +197,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    spec, l, sigma = _load_spec_or_superop(args.input)
+    spec, _, _ = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("restrict needs a jump specification input")
     if args.projections:

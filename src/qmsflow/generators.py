@@ -39,6 +39,7 @@ from .linalg import (
 )
 from .states import (
     DensityState,
+    _weight_kernel_f,
     bkm_weight,
     modular_superoperator,
     weight_superoperator_f,
@@ -139,17 +140,21 @@ def build_generator(spec: GeneratorSpec) -> np.ndarray:
     """Superoperator of L(A) = sum_j e^{-omega_j/2}(V^*[A,V] + [V^*,A]V).
 
     Expanded per jump this is 2 V^* A V - {V^* V, A} times e^{-omega/2}.
+    Entry ((p, q), (r, s)) of sum_j c_j sharp(V_j^*, V_j) is
+    sum_j c_j V_j[r, p] conj(V_j[s, q]), an index realignment of one
+    (n^2 x J)(J x n^2) product, and the anticommutators collapse to
+    {K, A} with K = sum_j e^{-omega_j/2} V_j^* V_j.
     """
     n = spec.dim
     big = n * n
-    out = np.zeros((big, big), dtype=complex)
+    c = np.exp(-spec.omegas() / 2.0)
+    vs = np.array(spec.jump_ops(), dtype=complex).reshape(-1, n, n)
+    flat = vs.reshape(-1, big)
+    sandwich = flat.T @ (c[:, None] * np.conj(flat))
+    sandwich = sandwich.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(big, big)
+    k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
     eye = np.eye(n)
-    for v, w in spec.jumps:
-        vv = dag(v) @ v
-        out += np.exp(-w / 2.0) * (
-            2.0 * sharp(dag(v), v) - sharp(vv, eye) - sharp(eye, vv)
-        )
-    return out
+    return 2.0 * sandwich - sharp(k, eye) - sharp(eye, k)
 
 
 def build_adjoint(spec: GeneratorSpec) -> np.ndarray:
@@ -175,6 +180,12 @@ def _rel_opnorm(x: np.ndarray, scale: float) -> float:
     return float(np.linalg.norm(x, 2) / max(scale, 1e-300))
 
 
+def _hermitian_opnorm(h: np.ndarray) -> float:
+    """2-norm of a Hermitian matrix: its spectral radius, by an eigensolve."""
+    evals = np.linalg.eigvalsh(h)
+    return float(max(-evals[0], evals[-1])) if evals.size else 0.0
+
+
 @dataclass
 class CertificationReport:
     """Residuals of the detailed-balance battery for one superoperator."""
@@ -187,6 +198,7 @@ class CertificationReport:
     unital_residual: float
     gns_dbc: bool
     kms_only: bool
+    l_norm: float  # 2-norm of the certified superoperator, the residuals' scale
     tolerance: float = GNS_FLAG_TOL
 
     def as_dict(self) -> dict:
@@ -204,17 +216,25 @@ class CertificationReport:
 
 
 def _self_adjointness_residual(
-    l: np.ndarray, omega_w: np.ndarray, l_norm: float | None = None
+    l: np.ndarray,
+    omega_w: np.ndarray,
+    l_norm: float | None = None,
+    omega_norm: float | None = None,
 ) -> float:
     """Relative size of Omega L - L^+ Omega, zero iff L is Omega-symmetric.
 
-    ``l_norm`` is the operator 2-norm of L when the caller already has it.
+    The weight Omega is Hermitian, so with X = Omega L the residual is the
+    anti-Hermitian X - X^*, whose 2-norm is the spectral radius of the
+    Hermitian i(X - X^*).  ``l_norm`` and ``omega_norm`` are the operator
+    2-norms of L and Omega when the caller already has them.
     """
     if l_norm is None:
         l_norm = np.linalg.norm(l, 2)
-    lhs = omega_w @ l - dag(l) @ omega_w
-    scale = np.linalg.norm(omega_w, 2) * max(l_norm, 1e-300)
-    return _rel_opnorm(lhs, scale)
+    if omega_norm is None:
+        omega_norm = _hermitian_opnorm(omega_w)
+    x = omega_w @ l
+    scale = omega_norm * max(l_norm, 1e-300)
+    return _hermitian_opnorm(1j * (x - dag(x))) / max(scale, 1e-300)
 
 
 def certify_detailed_balance(
@@ -230,18 +250,30 @@ def certify_detailed_balance(
     star preservation.  The GNS flag is set when the s = 1 residual is
     below ``tol``; ``kms_only`` flags maps that are KMS-symmetric without
     commuting with the modular operator.
+
+    The weights' 2-norms follow from sigma's spectrum: lam_max for every
+    Omega_s, the largest kernel entry f(lam_i/lam_k) lam_k for Omega_f and
+    lam_max/lam_min for Delta_sigma.  Only ||L|| and the modular
+    commutator, which is not normal, take an SVD.
     """
     l = check_finite(l, "superoperator")
     n = sigma.dim
     l_norm = np.linalg.norm(l, 2)
+    lam = sigma.eigenvalues
+    lam_max = float(lam[-1])
 
     def s_residual(s: float) -> float:
-        return _self_adjointness_residual(l, weight_superoperator_s(sigma, s), l_norm)
+        return _self_adjointness_residual(l, weight_superoperator_s(sigma, s), l_norm, lam_max)
 
     s_res = {float(s): s_residual(s) for s in s_grid}
-    bkm = _self_adjointness_residual(l, weight_superoperator_f(sigma, bkm_weight), l_norm)
+    bkm = _self_adjointness_residual(
+        l,
+        weight_superoperator_f(sigma, bkm_weight),
+        l_norm,
+        float(np.max(_weight_kernel_f(sigma, bkm_weight))),
+    )
     delta = modular_superoperator(sigma)
-    mod_comm = _rel_opnorm(l @ delta - delta @ l, l_norm * np.linalg.norm(delta, 2))
+    mod_comm = _rel_opnorm(l @ delta - delta @ l, l_norm * lam_max / float(lam[0]))
     star = star_swap_residual(l)
     unital = float(np.linalg.norm(l @ vec(np.eye(n))) / max(l_norm, 1e-300))
     gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
@@ -255,6 +287,7 @@ def certify_detailed_balance(
         unital_residual=unital,
         gns_dbc=bool(gns < tol),
         kms_only=bool(kms < tol and mod_comm > 100 * tol),
+        l_norm=float(l_norm),
         tolerance=tol,
     )
 
@@ -289,41 +322,53 @@ def check_complete_positivity(
     l: np.ndarray,
     psd_tol: float = 1e-10,
     cross_check_times=(0.01, 0.1, 1.0),
+    l_norm: float | None = None,
 ) -> tuple[bool, float]:
     """Conditional complete positivity of a unital, star-preserving L.
 
     Tests positivity of the reduced coefficient matrix of L in an
     identity-anchored orthonormal basis (the generated semigroup is CP iff
-    that block is PSD), and cross-checks that the Choi matrices of
-    exp(t L) at a few times have no eigenvalue below the tolerance.
-    Returns (verdict, minimum eigenvalue of the reduced block).
+    that block is PSD; see :func:`qmsflow.canonical.reduced_gks_psd`), and
+    cross-checks that the Choi matrices of exp(t L) at a few times have no
+    eigenvalue below the tolerance.  ``l_norm`` is the operator 2-norm of
+    L when the caller already has it.  Returns (verdict, minimum eigenvalue
+    of the reduced block).
     """
-    from .canonical import gks_matrix
+    from .canonical import reduced_gks_psd
 
     l = check_finite(l, "superoperator")
-    big = l.shape[0]
-    n = int(round(np.sqrt(big)))
-    scale = max(np.linalg.norm(l, 2), 1e-300)
-    if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
-        raise ValueError("superoperator does not annihilate the identity")
-    if star_swap_residual(l) > 1e-8:
-        raise ValueError("superoperator is not star-preserving")
-
-    basis = _identity_anchored_basis(n)
-    c = gks_matrix(l, basis).matrix
-    reduced = c[1:, 1:]
-    evals = np.linalg.eigvalsh(0.5 * (reduced + dag(reduced)))
-    min_eig = float(evals[0])
-    verdict = min_eig >= -psd_tol * max(1.0, float(evals[-1]) if evals.size else 1.0)
+    n = int(round(np.sqrt(l.shape[0])))
+    verdict, evals = reduced_gks_psd(l, _identity_anchored_basis(n), psd_tol, l_norm=l_norm)
+    min_eig = float(evals[0]) if evals.size else 0.0
 
     if verdict:
-        for t in cross_check_times:
-            ch = choi(scipy.linalg.expm(t * l))
-            lo = float(np.linalg.eigvalsh(0.5 * (ch + dag(ch)))[0])
-            if lo < -1e-8 * max(1.0, np.linalg.norm(ch, 2)):
+        for prop in _propagators(l, cross_check_times):
+            ch = choi(prop)
+            # exp(tL) preserves adjoints, so its Choi matrix is Hermitian and
+            # its 2-norm is the spectral radius
+            ch_evals = np.linalg.eigvalsh(0.5 * (ch + dag(ch)))
+            if ch_evals[0] < -1e-8 * max(1.0, -ch_evals[0], ch_evals[-1]):
                 verdict = False
                 break
     return bool(verdict), min_eig
+
+
+def _propagators(l: np.ndarray, times):
+    """Yields exp(t L) for each of ``times`` in order.
+
+    Where t is a positive integer multiple k <= 100 of the previous time,
+    exp(t L) is that time's propagator to the power k (repeated squaring,
+    whose round-off grows like k); elsewhere it is a Pade exponential.
+    """
+    prev_t, prev = 0.0, None
+    for t in map(float, times):
+        k = round(t / prev_t) if prev_t > 0 else 0
+        if 1 <= k <= 100 and abs(t - k * prev_t) <= 1e-12 * t:
+            prop = np.linalg.matrix_power(prev, k)
+        else:
+            prop = scipy.linalg.expm(t * l)
+        yield prop
+        prev_t, prev = t, prop
 
 
 def commutant_dimension(ops, dim: int, tol: float = 1e-9) -> int:
@@ -365,7 +410,8 @@ def _kms_factor(l: np.ndarray, sigma: DensityState | None) -> _KMSFactor | None:
     """Spectral factor of L when it is KMS-symmetric for sigma, else None."""
     if sigma is None:
         return None
-    if not _self_adjointness_residual(l, weight_superoperator_s(sigma, 0.5)) < 1e-8:
+    kms = weight_superoperator_s(sigma, 0.5)  # 2-norm lam_max, as in certification
+    if not _self_adjointness_residual(l, kms, omega_norm=float(sigma.eigenvalues[-1])) < 1e-8:
         return None
     w_half = sharp(sigma.power(0.25), sigma.power(0.25))
     w_half_inv = sharp(sigma.power(-0.25), sigma.power(-0.25))

@@ -271,12 +271,18 @@ def vec_kernel(kernel: np.ndarray) -> np.ndarray:
     return np.asarray(kernel).reshape(-1, order="F")
 
 
+def _weight_kernel_f(sigma: DensityState, f) -> np.ndarray:
+    """Entries f(lam_i/lam_k) lam_k of Omega_f in sigma's eigenbasis.
+
+    Omega_f is diagonal there, so these are its eigenvalues.
+    """
+    lam = sigma.eigenvalues
+    ratios = lam[:, None] / lam[None, :]
+    return np.vectorize(f)(ratios) * lam[None, :]  # right multiplication contributes lam_k
+
+
 def weight_superoperator_f(sigma: DensityState, f) -> np.ndarray:
     """Superoperator Omega_f = R_sigma f(Delta_sigma) for <A, B>_f."""
-    lam = sigma.eigenvalues
     u = sigma.eigenvectors
-    ratios = lam[:, None] / lam[None, :]
-    fvals = np.vectorize(f)(ratios)
-    kernel = fvals * lam[None, :]  # right multiplication contributes lam_k
     w = sharp(dag(u), u)  # X |-> U^* X U
-    return dag(w) @ (np.diag(vec_kernel(kernel)) @ w)
+    return dag(w) @ (np.diag(vec_kernel(_weight_kernel_f(sigma, f))) @ w)

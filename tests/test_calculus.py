@@ -268,6 +268,32 @@ class TestLogMean:
         assert np.all(lm <= 0.5 * (xs + ys) + 1e-12)
 
 
+def _log_mean_reference(x: float, y: float) -> float:
+    """LM(x, y) at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, y = Decimal(x), Decimal(y)
+        return float((x - y) / (x.ln() - y.ln()) if x != y else x)
+
+
+class TestLogMeanPrecision:
+    # log x - log y cancels just above the series switch at 1e-9
+    GAPS = (0.0, 1e-12, 1e-9, 2e-9, 1e-7, 1e-3, 0.5)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_matches_high_precision(self, gap):
+        for y in (1e-6, 0.3, 7.0):
+            for x in (y * (1.0 + gap), y / (1.0 + gap)):
+                want = _log_mean_reference(x, y)
+                assert float(log_mean(x, y)) == pytest.approx(want, rel=1e-14)
+                assert float(log_mean(y, x)) == pytest.approx(want, rel=1e-14)
+
+    def test_gap_beyond_float_range(self):
+        # (x - y)/y overflows; the logarithms are taken separately
+        want = _log_mean_reference(1.0, 1e-320)
+        assert float(log_mean(1.0, 1e-320)) == pytest.approx(want, rel=1e-14)
+
+
 def _log_mean_dx_reference(x: float, y: float):
     """dLM/dx at 60 digits: the closed form and a central difference."""
     with localcontext() as ctx:

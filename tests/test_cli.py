@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qmsflow import cli, entropy, generators
 from qmsflow.cli import main
 from qmsflow.models import fermi_ou
 from qmsflow.serialize import (
@@ -134,6 +135,34 @@ class TestInspect:
         assert "canonical" not in report
         assert code == 1
 
+    def test_one_norm_of_l_and_one_reduced_eigensolve(self, tmp_path, monkeypatch):
+        # certification takes ||L|| once and passes it on; extraction reuses
+        # the complete-positivity verdict of the reduced block
+        spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
+        path = tmp_path / "fermi2.json"
+        path.write_text(dump_json(spec_to_json(spec)))
+        l = generators.build_generator(spec)
+        norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
+        norms, reduced = [], []
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.shape(x) == l.shape and np.array_equal(x, l):
+                norms.append(1)
+            return norm(x, ord, *args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            if np.shape(a) == (15, 15):
+                reduced.append(1)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        out = tmp_path / "report.json"
+        assert main(["inspect", "--input", str(path), "--output", str(out)]) == 0
+        assert "canonical" in json.loads(out.read_text())
+        assert len(norms) == 1
+        assert len(reduced) == 1
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -194,6 +223,22 @@ class TestEvolve:
 
     def test_bad_grid_exit_two(self, fermi_spec_file):
         assert main(["evolve", "--input", fermi_spec_file, "--grid", "nope"]) == 2
+
+    def test_one_generator_build(self, fermi_spec_file, tmp_path, monkeypatch):
+        build = generators.build_generator
+        calls = []
+
+        def counting(spec):
+            calls.append(1)
+            return build(spec)
+
+        for mod in (cli, entropy, generators):
+            monkeypatch.setattr(mod, "build_generator", counting)
+        out = tmp_path / "traj.csv"
+        assert main(
+            ["evolve", "--input", fermi_spec_file, "--grid", "0:1:5", "--output", str(out)]
+        ) == 0
+        assert len(calls) == 1
 
 
 class TestMetricGeodesicRestrict:

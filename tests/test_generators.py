@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qmsflow.canonical import reduced_gks_psd
 from qmsflow.generators import (
     GeneratorSpec,
+    _identity_anchored_basis,
+    _propagators,
+    _self_adjointness_residual,
     build_adjoint,
     build_generator,
     certify_detailed_balance,
@@ -16,14 +20,22 @@ from qmsflow.generators import (
     restrict_to_commutative,
     semigroup,
 )
-from qmsflow.linalg import apply_super, commutator_super, dag, vec
+from qmsflow.linalg import apply_super, commutator_super, dag, sharp, vec
 from qmsflow.models import (
     hypercube_projections,
     kms_counterexample,
     random_dbc_spec,
     random_density,
 )
-from qmsflow.states import DensityState, inner_s, modular_superoperator
+from qmsflow.states import (
+    DensityState,
+    _weight_kernel_f,
+    bkm_weight,
+    inner_s,
+    modular_superoperator,
+    weight_superoperator_f,
+    weight_superoperator_s,
+)
 
 from conftest import random_matrix
 
@@ -33,6 +45,54 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def tracial(n):
     return DensityState.from_matrix(np.eye(n) / n)
+
+
+def kron_sum_generator(spec):
+    """Reference L: the per-jump sum of Kronecker products."""
+    n = spec.dim
+    out = np.zeros((n * n, n * n), dtype=complex)
+    eye = np.eye(n)
+    for v, w in spec.jumps:
+        vv = dag(v) @ v
+        out += np.exp(-w / 2.0) * (2.0 * sharp(dag(v), v) - sharp(vv, eye) - sharp(eye, vv))
+    return out
+
+
+def svd_residual(l, omega):
+    """Reference: ||Omega L - L^+ Omega||_2 / (||Omega||_2 ||L||_2), every norm an SVD."""
+    lhs = omega @ l - dag(l) @ omega
+    return np.linalg.norm(lhs, 2) / (np.linalg.norm(omega, 2) * np.linalg.norm(l, 2))
+
+
+def counting_svds(monkeypatch):
+    """Records each SVD: np.linalg.svd and np.linalg.norm(x, 2) of a matrix."""
+    norm, svd = np.linalg.norm, np.linalg.svd
+    calls = []
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            calls.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    def counting_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def counting_expm(monkeypatch):
+    expm = scipy.linalg.expm
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(1)
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    return calls
 
 
 class TestGeneratorSpec:
@@ -59,6 +119,19 @@ class TestBuildGenerator:
     def test_empty_jump_list_gives_zero(self, rng):
         spec = GeneratorSpec.create(random_density(3, rng), [])
         assert np.allclose(build_generator(spec), 0.0)
+
+    @pytest.mark.parametrize("case", ["fermi_m2", "random_5", "no_jumps"])
+    def test_matches_kron_sum(self, rng, fermi_m2, case):
+        if case == "fermi_m2":
+            spec = fermi_m2.spec
+        elif case == "random_5":
+            spec = random_dbc_spec(5, rng)
+        else:
+            spec = GeneratorSpec.create(random_density(3, rng), [])
+        l = build_generator(spec)
+        ref = kron_sum_generator(spec)
+        assert np.linalg.norm(l - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(build_adjoint(spec) - dag(l)) <= 1e-14 * np.linalg.norm(ref)
 
     def test_pauli_x_double_commutator(self):
         spec = GeneratorSpec.create(tracial(2), [(PAULI_X, 0.0)])
@@ -180,6 +253,53 @@ class TestCertification:
         certify_detailed_balance(l, spec.sigma, s_grid=(0.0,))
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("case", ["kms_only", "random_1e-6", "random_1", "random_1e6"])
+    def test_residuals_match_svd_reference(self, rng, case):
+        if case == "kms_only":
+            u = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+            l, sigma, _ = kms_counterexample(u, [1.0, 1.0] / np.sqrt(2), [1.0, 2.0] / np.sqrt(5))
+        else:
+            l, sigma = float(case.split("_")[1]) * random_matrix(rng, 9), random_density(3, rng)
+        rep = certify_detailed_balance(l, sigma)
+        got = dict(rep.s_residuals)
+        ref = {s: svd_residual(l, weight_superoperator_s(sigma, s)) for s in got}
+        got["bkm"] = rep.bkm_residual
+        ref["bkm"] = svd_residual(l, weight_superoperator_f(sigma, bkm_weight))
+        got["direct"] = _self_adjointness_residual(l, weight_superoperator_s(sigma, 0.25))
+        ref["direct"] = ref[0.25]
+        delta = modular_superoperator(sigma)
+        got["modular"] = rep.modular_commutation
+        ref["modular"] = np.linalg.norm(l @ delta - delta @ l, 2) / (
+            np.linalg.norm(l, 2) * np.linalg.norm(delta, 2)
+        )
+        assert max(ref.values()) > 1e-2
+        for key, want in ref.items():
+            if want > 1e-6:
+                assert got[key] == pytest.approx(want, rel=1e-12), key
+            else:  # the KMS residual of the counterexample is round-off
+                assert max(got[key], want) < 1e-12, key
+
+    def test_weight_norms_in_closed_form(self, rng):
+        sigma = random_density(5, rng)
+        lam = sigma.eigenvalues
+        for s in (0.0, 0.25, 0.5, 0.75, 1.0):
+            omega = weight_superoperator_s(sigma, s)
+            assert lam[-1] == pytest.approx(np.linalg.norm(omega, 2), rel=1e-13)
+        omega = weight_superoperator_f(sigma, bkm_weight)
+        bkm = np.max(_weight_kernel_f(sigma, bkm_weight))
+        assert bkm == pytest.approx(np.linalg.norm(omega, 2), rel=1e-13)
+        delta = modular_superoperator(sigma)
+        assert lam[-1] / lam[0] == pytest.approx(np.linalg.norm(delta, 2), rel=1e-13)
+
+    def test_two_svds(self, rng, monkeypatch):
+        # ||L|| and the modular commutator, which is not normal; every other
+        # 2-norm is an eigensolve or in closed form
+        spec = random_dbc_spec(3, rng)
+        l = build_generator(spec)
+        calls = counting_svds(monkeypatch)
+        certify_detailed_balance(l, spec.sigma)
+        assert len(calls) <= 2
+
     def test_modular_operator_self_adjoint_every_s(self, rng):
         sigma = random_density(3, rng)
         delta = modular_superoperator(sigma)
@@ -227,6 +347,44 @@ class TestCompletePositivity:
         x = random_matrix(rng, 2)
         with pytest.raises(ValueError):
             check_complete_positivity(np.eye(4) + 0 * x[0, 0])
+
+    def test_verdict_independent_of_units(self, fermi_m1):
+        # Fermi m=1 minus 12 times the dissipator 2 V^* A V - {V^* V, A} of
+        # the lowering operator: rejected at every scale
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        jump = GeneratorSpec.create(tracial(2), [(lower, 0.0)], validate=False)
+        l = build_generator(fermi_m1.spec) - 12.0 * build_generator(jump)
+        for scale in (1.0, 1e-6, 1e-9, 1e-12):
+            ok, min_eig = check_complete_positivity(scale * l)
+            assert not ok, scale
+            assert min_eig < -scale
+            ok, evals = reduced_gks_psd(scale * l, _identity_anchored_basis(2))
+            assert not ok, scale
+
+    def test_one_pade_exponential_and_no_svd(self, rng, monkeypatch):
+        # exp(0.1 L) and exp(L) are powers of exp(0.01 L); the Choi 2-norm is
+        # the spectral radius and ||L|| comes from the caller
+        l = build_generator(random_dbc_spec(3, rng))
+        l_norm = np.linalg.norm(l, 2)
+        pade = counting_expm(monkeypatch)
+        svds = counting_svds(monkeypatch)
+        assert check_complete_positivity(l, l_norm=l_norm)[0]
+        assert len(pade) == 1
+        assert svds == []
+
+    @pytest.mark.parametrize(
+        "times, pade",
+        [((0.01, 0.1, 1.0), 1), ((0.01, 0.025, 0.1), 2), ((0.0, 0.5, 1.5), 2), ((1e-3, 1.0), 2)],
+    )
+    def test_propagators_match_pade(self, rng, monkeypatch, times, pade):
+        l = build_generator(random_dbc_spec(4, rng))
+        expm = scipy.linalg.expm
+        calls = counting_expm(monkeypatch)
+        props = list(_propagators(l, times))
+        assert len(calls) == pade
+        for t, prop in zip(times, props):
+            ref = expm(t * l)
+            assert np.linalg.norm(prop - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestErgodicity:
