@@ -28,7 +28,8 @@ from .generators import (
     CertificationReport,
     GeneratorSpec,
     RateMatrix,
-    build_adjoint,
+    apply_dual,
+    apply_generator,
     build_generator,
     certify_detailed_balance,
     check_complete_positivity,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import choi, dag, star_swap_residual, vec
-from .states import DensityState, ModularData, build_modular_basis
+from .states import DensityState, ModularData, _group_indices, build_modular_basis
 from .generators import (
     CertificationReport,
     GeneratorSpec,
@@ -164,19 +164,6 @@ class ExtractionReport:
         }
 
 
-def _omega_blocks(omegas: np.ndarray, rtol: float) -> list:
-    """Indices grouped by Bohr frequency, ascending."""
-    scale = max(float(np.max(np.abs(omegas))), 1.0)
-    order = np.argsort(omegas)
-    blocks: list[list[int]] = []
-    for pos in order:
-        if blocks and abs(omegas[pos] - omegas[blocks[-1][-1]]) <= rtol * scale:
-            blocks[-1].append(int(pos))
-        else:
-            blocks.append([int(pos)])
-    return blocks
-
-
 def _gks_residuals(c: np.ndarray, omegas: np.ndarray, pairing: np.ndarray) -> tuple:
     scale = max(float(np.max(np.abs(c))), 1e-300)
     eo = np.exp(omegas)
@@ -228,7 +215,9 @@ def extract_canonical(
     corresponding unit combination of basis elements; the -omega partner
     is written as the exact adjoint.  Eigenvalues at or below
     ``drop_rtol`` times the largest are dropped together with their
-    vectors.
+    vectors; the report lists those above the round-off of assembling
+    and eigensolving the blocks, the superoperator dimension n^2 times
+    machine epsilon times the largest.
 
     With ``require_dbc`` the input must pass GNS certification (the
     caller's ``certification`` of ``l`` and ``sigma`` when given, so its
@@ -287,7 +276,7 @@ def extract_canonical(
     c_red = 0.5 * (c_red + paired)
     c_red = 0.5 * (c_red + dag(c_red))
 
-    blocks = _omega_blocks(omegas[1:], BLOCK_RTOL)
+    blocks = _group_indices(omegas[1:], BLOCK_RTOL)
     # positions within the reduced index set (offset by the identity slot)
     block_map: dict[float, list[int]] = {}
     block_vals: list[float] = []
@@ -303,6 +292,7 @@ def extract_canonical(
         return cands[0]
 
     overall = max(float(np.max(np.abs(c_red.real))), 1e-300)
+    listed_floor = l.shape[0] * np.finfo(float).eps * overall
     jumps: list[tuple[np.ndarray, float]] = []
     dropped: list[float] = []
     block_sizes: dict[float, int] = {}
@@ -320,7 +310,7 @@ def extract_canonical(
             count = 0
             for k in range(len(d) - 1, -1, -1):
                 if d[k] <= drop_rtol * overall:
-                    if abs(d[k]) > 0:
+                    if abs(d[k]) > listed_floor:
                         dropped.append(float(d[k]))
                     continue
                 vmat = sum(vv[b, k] * mod.basis[idx[b]] for b in range(len(idx)))
@@ -338,7 +328,7 @@ def extract_canonical(
             count = 0
             for k in range(len(d) - 1, -1, -1):
                 if d[k] <= drop_rtol * overall:
-                    if abs(d[k]) > 0:
+                    if abs(d[k]) > listed_floor:
                         dropped.append(float(d[k]))
                     continue
                 vmat = sum(

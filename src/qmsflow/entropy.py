@@ -5,7 +5,8 @@ Entropy production is measured with the unnormalized trace,
 
     production(rho) = -Tr[ L^+(rho) (log rho - log sigma) ] ,
 
-so that it equals minus the time derivative of D(rho_t || sigma) along
+with L^+(rho) applied from the jumps (no n^2 x n^2 matrix), so that it
+equals minus the time derivative of D(rho_t || sigma) along
 the dual semigroup, and also the squared transport-metric norm of the
 entropy gradient.  When the superoperator commutators satisfy
 
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_super, commutator_super, dag
+from .linalg import commutator_super, dag
 from .states import DensityState
-from .generators import GeneratorSpec, build_adjoint, build_generator, dual_orbit
+from .generators import GeneratorSpec, apply_dual, build_generator, dual_orbit
 
 __all__ = [
     "relative_entropy",
@@ -47,12 +48,9 @@ def relative_entropy(rho: DensityState, sigma: DensityState) -> float:
     return float(max(val, 0.0)) if val > -1e-12 else float(val)
 
 
-def entropy_production(
-    spec: GeneratorSpec, rho: DensityState, adjoint: np.ndarray | None = None
-) -> float:
+def entropy_production(spec: GeneratorSpec, rho: DensityState) -> float:
     """-Tr[L^+(rho)(log rho - log sigma)], nonnegative under detailed balance."""
-    l_adj = build_adjoint(spec) if adjoint is None else adjoint
-    rho_dot = apply_super(l_adj, rho.rho)
+    rho_dot = apply_dual(spec, rho.rho)
     val = -np.trace(rho_dot @ (rho.log() - spec.sigma.log())).real
     return float(val)
 
@@ -147,16 +145,15 @@ def entropy_trajectory(
     grid = [float(t) for t in time_grid]
     if any(t < 0 for t in grid) or any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("time grid must be ascending and nonnegative")
-    l = build_generator(spec)
-    l_adj = dag(l)
+    l_adj = dag(build_generator(spec))
     d0 = relative_entropy(rho0, spec.sigma)
-    p0 = entropy_production(spec, rho0, adjoint=l_adj)
+    p0 = entropy_production(spec, rho0)
     out = []
     for t, rho_t in zip(grid, dual_orbit(l_adj, rho0.rho, grid, spec.sigma)):
         rho_t = 0.5 * (rho_t + dag(rho_t))
         rho_t = DensityState.from_matrix(rho_t / np.trace(rho_t).real)
         d = relative_entropy(rho_t, spec.sigma)
-        p = entropy_production(spec, rho_t, adjoint=l_adj)
+        p = entropy_production(spec, rho_t)
         row = TrajectorySample(
             t=t,
             entropy=d,

@@ -1,5 +1,5 @@
-"""Detailed-balance Lindblad generators: construction from jump data,
-adjoints, semigroups, certification, and restriction to commutative
+"""Detailed-balance Lindblad generators: construction and application from
+jump data, semigroups, certification, and restriction to commutative
 subalgebras.
 
 A generator specification consists of an invariant state sigma and jumps
@@ -11,11 +11,16 @@ with the set closed under adjoints (V_j^* appears with frequency
 -omega_j).  The generator acting on observables is
 
     L(A) = sum_j e^{-omega_j/2} ( V_j^* [A, V_j] + [V_j^*, A] V_j )
+         = 2 sum_j c_j V_j^* A V_j - K A - A K ,
 
-and its Hilbert-Schmidt adjoint, generating the evolution of states, is
+with c_j = e^{-omega_j/2} and K = sum_j c_j V_j^* V_j, and its
+Hilbert-Schmidt adjoint, generating the evolution of states, is
 
-    L^+(rho) = sum_j ( e^{-omega_j/2} [V_j rho, V_j^*]
-                     + e^{+omega_j/2} [V_j^*, rho V_j] ) .
+    L^+(rho) = 2 sum_j c_j V_j rho V_j^* - K rho - rho K .
+
+:func:`apply_generator` and :func:`apply_dual` evaluate these from the
+jumps; the dense n^2 x n^2 matrix of :func:`build_generator` is for the
+exponential and for the checks that take an arbitrary superoperator.
 """
 
 from __future__ import annotations
@@ -29,11 +34,10 @@ from .linalg import (
     apply_super,
     check_finite,
     choi,
+    commutator_super,
     dag,
     sharp,
     star_swap_residual,
-    super_of_left,
-    super_of_right,
     unvec,
     vec,
 )
@@ -41,6 +45,7 @@ from .states import (
     DensityState,
     _weight_kernel_f,
     bkm_weight,
+    build_modular_basis,
     modular_superoperator,
     weight_superoperator_f,
     weight_superoperator_s,
@@ -51,13 +56,13 @@ __all__ = [
     "RateMatrix",
     "CertificationReport",
     "build_generator",
-    "build_adjoint",
+    "apply_generator",
+    "apply_dual",
     "certify_detailed_balance",
     "check_complete_positivity",
     "commutant_dimension",
     "ergodicity",
     "semigroup",
-    "dual_semigroup",
     "dual_orbit",
     "restrict_to_commutative",
     "modular_subalgebra",
@@ -136,6 +141,15 @@ class GeneratorSpec:
         return self
 
 
+def _jump_stack(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights c_j = e^{-omega_j/2}, jumps stacked as (J, n, n), and K."""
+    n = spec.dim
+    c = np.exp(-spec.omegas() / 2.0)
+    vs = np.array(spec.jump_ops(), dtype=complex).reshape(-1, n, n)
+    k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
+    return c, vs, k
+
+
 def build_generator(spec: GeneratorSpec) -> np.ndarray:
     """Superoperator of L(A) = sum_j e^{-omega_j/2}(V^*[A,V] + [V^*,A]V).
 
@@ -147,33 +161,32 @@ def build_generator(spec: GeneratorSpec) -> np.ndarray:
     """
     n = spec.dim
     big = n * n
-    c = np.exp(-spec.omegas() / 2.0)
-    vs = np.array(spec.jump_ops(), dtype=complex).reshape(-1, n, n)
+    c, vs, k = _jump_stack(spec)
     flat = vs.reshape(-1, big)
     sandwich = flat.T @ (c[:, None] * np.conj(flat))
     sandwich = sandwich.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(big, big)
-    k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
     eye = np.eye(n)
     return 2.0 * sandwich - sharp(k, eye) - sharp(eye, k)
 
 
-def build_adjoint(spec: GeneratorSpec) -> np.ndarray:
-    """Superoperator of L^+(rho) per the commutator form above.
+def apply_generator(spec: GeneratorSpec, a: np.ndarray) -> np.ndarray:
+    """L(A) = 2 sum_j c_j V_j^* A V_j - K A - A K, from the jumps."""
+    c, vs, k = _jump_stack(spec)
+    a = np.asarray(a, dtype=complex)
+    sandwich = np.tensordot(c, np.conj(vs).transpose(0, 2, 1) @ a @ vs, axes=1)
+    return 2.0 * sandwich - k @ a - a @ k
 
-    Given adjoint closure of the jump set this equals the conjugate
-    transpose of :func:`build_generator` exactly.
+
+def apply_dual(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
+    """L^+(rho) = 2 sum_j c_j V_j rho V_j^* - K rho - rho K, from the jumps.
+
+    The Hilbert-Schmidt adjoint of :func:`apply_generator`: c_j is real
+    and K Hermitian, so Tr[A^* L^+(rho)] = Tr[L(A)^* rho] for any jumps.
     """
-    n = spec.dim
-    big = n * n
-    out = np.zeros((big, big), dtype=complex)
-    eye = np.eye(n)
-    for v, w in spec.jumps:
-        vd = dag(v)
-        # [V rho, V^*] = V rho V^* - V^* V rho
-        out += np.exp(-w / 2.0) * (sharp(v, vd) - sharp(vd @ v, eye))
-        # [V^*, rho V] = V^* rho V - rho V V^*
-        out += np.exp(+w / 2.0) * (sharp(vd, v) - sharp(eye, v @ vd))
-    return out
+    c, vs, k = _jump_stack(spec)
+    rho = np.asarray(rho, dtype=complex)
+    sandwich = np.tensordot(c, vs @ rho @ np.conj(vs).transpose(0, 2, 1), axes=1)
+    return 2.0 * sandwich - k @ rho - rho @ k
 
 
 def _rel_opnorm(x: np.ndarray, scale: float) -> float:
@@ -292,32 +305,6 @@ def certify_detailed_balance(
     )
 
 
-def _identity_anchored_basis(n: int) -> list:
-    """Orthonormal basis of the normalized HS space with the identity first.
-
-    Matrix units scaled by sqrt(n), with the diagonal ones rotated by a
-    Helmert-style real orthogonal matrix so the first element is 1.
-    """
-    from .states import _helmert_rows
-
-    h = _helmert_rows(n)
-    basis = []
-    diag_units = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = np.sqrt(n)
-        diag_units.append(m)
-    for k in range(n):
-        basis.append(sum(h[k, i] * diag_units[i] for i in range(n)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = np.zeros((n, n), dtype=complex)
-                m[i, j] = np.sqrt(n)
-                basis.append(m)
-    return basis
-
-
 def check_complete_positivity(
     l: np.ndarray,
     psd_tol: float = 1e-10,
@@ -326,9 +313,10 @@ def check_complete_positivity(
 ) -> tuple[bool, float]:
     """Conditional complete positivity of a unital, star-preserving L.
 
-    Tests positivity of the reduced coefficient matrix of L in an
-    identity-anchored orthonormal basis (the generated semigroup is CP iff
-    that block is PSD; see :func:`qmsflow.canonical.reduced_gks_psd`), and
+    Tests positivity of the reduced coefficient matrix of L in the modular
+    basis of the maximally mixed state, an orthonormal basis with the
+    identity first (the generated semigroup is CP iff that block is PSD;
+    see :func:`qmsflow.canonical.reduced_gks_psd`), and
     cross-checks that the Choi matrices of exp(t L) at a few times have no
     eigenvalue below the tolerance.  ``l_norm`` is the operator 2-norm of
     L when the caller already has it.  Returns (verdict, minimum eigenvalue
@@ -338,7 +326,8 @@ def check_complete_positivity(
 
     l = check_finite(l, "superoperator")
     n = int(round(np.sqrt(l.shape[0])))
-    verdict, evals = reduced_gks_psd(l, _identity_anchored_basis(n), psd_tol, l_norm=l_norm)
+    basis = build_modular_basis(DensityState.from_matrix(np.eye(n) / n)).basis
+    verdict, evals = reduced_gks_psd(l, basis, psd_tol, l_norm=l_norm)
     min_eig = float(evals[0]) if evals.size else 0.0
 
     if verdict:
@@ -375,8 +364,7 @@ def commutant_dimension(ops, dim: int, tol: float = 1e-9) -> int:
     """Dimension of {X : [V, X] = 0 for all V} via a stacked null space."""
     if not ops:
         return dim * dim
-    blocks = [super_of_left(v) - super_of_right(v) for v in ops]
-    stacked = np.vstack(blocks)
+    stacked = np.vstack([commutator_super(v) for v in ops])
     svals = np.linalg.svd(stacked, compute_uv=False)
     scale = max(float(svals[0]), 1.0)
     return int(np.sum(svals <= tol * scale))
@@ -437,17 +425,6 @@ def semigroup(l: np.ndarray, t: float, sigma: DensityState | None = None) -> np.
     return scipy.linalg.expm(t * l)
 
 
-def dual_semigroup(l_adj: np.ndarray, t: float, sigma: DensityState | None = None) -> np.ndarray:
-    """exp(t L^+) acting on states; same routing as :func:`semigroup`."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    l_adj = check_finite(l_adj, "superoperator")
-    factor = _kms_factor(dag(l_adj), sigma)
-    if factor is not None:
-        return dag(factor.propagator(t))
-    return scipy.linalg.expm(t * l_adj)
-
-
 def dual_orbit(
     l_adj: np.ndarray, rho0: np.ndarray, times, sigma: DensityState | None = None
 ) -> list:
@@ -496,15 +473,18 @@ def restrict_to_commutative(
     spec: GeneratorSpec,
     projections,
     invariance_tol: float = 1e-10,
-    generator: np.ndarray | None = None,
 ) -> RateMatrix:
     """Jump rates Q_kl = Tr[E_k L(E_l)] / Tr[E_k] of the restricted chain.
 
     ``projections`` must be mutually orthogonal projections summing to the
-    identity whose span is invariant under the dual generator.  The
-    stationary vector is sigma_k = Tr[sigma E_k] and classical detailed
-    balance sigma_k Q_kl = sigma_l Q_lk is inherited from the quantum
-    detailed balance condition.
+    identity whose span is invariant under the dual generator: each
+    residual of L^+(E_k) off the span must be at most ``invariance_tol``
+    times ||K||_F, K = sum_j e^{-omega_j/2} V_j^* V_j.  That scale bounds
+    the round-off of the terms of L^+(E_k) that cancel and goes with the
+    units of L, so neither decides the verdict.  The stationary vector is
+    sigma_k = Tr[sigma E_k] and classical detailed balance
+    sigma_k Q_kl = sigma_l Q_lk is inherited from the quantum detailed
+    balance condition.
     """
     n = spec.dim
     projections = [check_finite(e, "projection") for e in projections]
@@ -521,30 +501,27 @@ def restrict_to_commutative(
             if np.linalg.norm(projections[m] @ e) > 1e-10:
                 raise ValueError(f"projections {m} and {k} are not orthogonal")
 
-    l = build_generator(spec) if generator is None else generator
-    l_adj = dag(l)
     traces = np.array([float(np.trace(e).real) for e in projections])
 
     # invariance of the span under the dual generator
-    for k, e in enumerate(projections):
-        image = apply_super(l_adj, e)
+    images = [apply_dual(spec, e) for e in projections]
+    scale = np.linalg.norm(_jump_stack(spec)[2])
+    for k, image in enumerate(images):
         inside = sum(
             (np.trace(projections[m] @ image) / traces[m]) * projections[m]
             for m in range(len(projections))
         )
         resid = np.linalg.norm(image - inside)
-        if resid > invariance_tol * max(1.0, np.linalg.norm(l, 2)):
+        if resid > invariance_tol * scale:
             raise ValueError(
                 f"span of projections is not invariant under the dual generator "
                 f"(projection {k}, residual {resid:.3e})"
             )
 
-    m = len(projections)
-    q = np.zeros((m, m))
-    for k in range(m):
-        for ell in range(m):
-            val = np.trace(projections[k] @ apply_super(l, projections[ell]))
-            q[k, ell] = val.real / traces[k]
+    # Tr[E_k L(E_l)] = Tr[L^+(E_k) E_l]: E_k and L^+(E_k) are Hermitian
+    q = np.array(
+        [[np.trace(image @ e).real for e in projections] for image in images]
+    ) / traces[:, None]
     stationary = np.array(
         [float(np.trace(spec.sigma.rho @ e).real) for e in projections]
     )

@@ -26,6 +26,7 @@ from .linalg import (
     hermitian_eig,
     hs_inner,
     sharp,
+    vec,
 )
 
 __all__ = [
@@ -266,11 +267,6 @@ def weight_superoperator_s(sigma: DensityState, s: float) -> np.ndarray:
     return sharp(sigma.power(1.0 - s), sigma.power(s))
 
 
-def vec_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Column-stacked ordering of an entrywise superoperator kernel."""
-    return np.asarray(kernel).reshape(-1, order="F")
-
-
 def _weight_kernel_f(sigma: DensityState, f) -> np.ndarray:
     """Entries f(lam_i/lam_k) lam_k of Omega_f in sigma's eigenbasis.
 
@@ -285,4 +281,4 @@ def weight_superoperator_f(sigma: DensityState, f) -> np.ndarray:
     """Superoperator Omega_f = R_sigma f(Delta_sigma) for <A, B>_f."""
     u = sigma.eigenvectors
     w = sharp(dag(u), u)  # X |-> U^* X U
-    return dag(w) @ (np.diag(vec_kernel(_weight_kernel_f(sigma, f))) @ w)
+    return dag(w) @ (vec(_weight_kernel_f(sigma, f))[:, None] * w)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import dag, traceless_hermitian_basis
 from .states import DensityState
-from .generators import GeneratorSpec, RateMatrix, build_adjoint, ergodicity
+from .generators import GeneratorSpec, RateMatrix, apply_dual, ergodicity
 from .calculus import grad, log_mean, log_mean_dx, rho_mult, divergence
 
 __all__ = [
@@ -233,10 +233,7 @@ def riemannian_gradient_flow_check(spec: GeneratorSpec, rho: DensityState) -> di
     and the mismatch of the energy identity
     Tr[(log rho - log sigma) L^+ rho] = -g(L^+ rho, L^+ rho).
     """
-    l_adj = build_adjoint(spec)
-    from .linalg import apply_super
-
-    rho_dot = apply_super(l_adj, rho.rho)
+    rho_dot = apply_dual(spec, rho.rho)
     rho_dot = 0.5 * (rho_dot + dag(rho_dot))
     entropy_grad = rho.log() - spec.sigma.log()
     fld = [rho_mult(rho, w, d) for (_, w), d in zip(spec.jumps, grad(spec, entropy_grad))]
@@ -473,11 +470,10 @@ def metric_monotonicity_check(
     if t < 0:
         raise ValueError("t must be nonnegative")
     from .calculus import rho_div
-    from .generators import build_generator, dual_semigroup
+    from .generators import build_generator, semigroup
     from .linalg import apply_super, hs_inner
 
-    l = build_generator(spec)
-    pt_dual = dual_semigroup(dag(l), t, spec.sigma)
+    pt_dual = dag(semigroup(build_generator(spec), t, spec.sigma))
     rho_t = apply_super(pt_dual, rho.rho)
     rho_t = 0.5 * (rho_t + dag(rho_t))
     rho_t = DensityState.from_matrix(rho_t / np.trace(rho_t).real)

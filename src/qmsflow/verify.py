@@ -134,9 +134,8 @@ def check_dirichlet_positivity(rng):
     for _ in range(6):
         n = int(rng.integers(2, 6))
         spec = models.random_dbc_spec(n, rng)
-        l = generators.build_generator(spec)
         a = _rand_matrix(rng, n)
-        val = -states.inner_s(spec.sigma, 0.5, a, apply_super(l, a)).real
+        val = -states.inner_s(spec.sigma, 0.5, a, generators.apply_generator(spec, a)).real
         low = min(low, val)
     return low > -1e-11, f"lowest Dirichlet value {low:.3e}"
 
@@ -310,14 +309,13 @@ def check_energy_identity(rng):
     model = models.fermi_ou(1, 1.2, [1.0])
     spec = model.spec
     l = generators.build_generator(spec)
-    l_adj = dag(l)
     for _ in range(3):
         rho0 = models.random_density(2, rng)
         t = float(rng.uniform(0.05, 0.5))
         h = 1e-5
         ds = []
         for tt in (t - h, t, t + h):
-            pt = generators.dual_semigroup(l_adj, tt, spec.sigma)
+            pt = dag(generators.semigroup(l, tt, spec.sigma))
             rt = apply_super(pt, rho0.rho)
             rt = DensityState.from_matrix(0.5 * (rt + dag(rt)))
             ds.append(entropy.relative_entropy(rt, spec.sigma))
@@ -325,7 +323,7 @@ def check_energy_identity(rng):
                 rho_t = rt
         dd = (ds[2] - ds[0]) / (2 * h)
         dec = transport.continuity_solve(
-            spec, rho_t, apply_super(l_adj, rho_t.rho), check_ergodic=False
+            spec, rho_t, generators.apply_dual(spec, rho_t.rho), check_ergodic=False
         )
         worst = max(worst, abs(dd + dec.metric_value))
     return worst < 1e-6, f"worst energy identity mismatch {worst:.3e}"

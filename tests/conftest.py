@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmsflow.linalg import dag, sharp
 from qmsflow.models import fermi_ou, fermi_ou_infinite, depolarizing
 
 
@@ -36,3 +37,14 @@ def depolarizing_n2():
 
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def kron_sum_generator(spec):
+    """Reference L: the per-jump sum of Kronecker products."""
+    n = spec.dim
+    out = np.zeros((n * n, n * n), dtype=complex)
+    eye = np.eye(n)
+    for v, w in spec.jumps:
+        vv = dag(v) @ v
+        out += np.exp(-w / 2.0) * (2.0 * sharp(dag(v), v) - sharp(vv, eye) - sharp(eye, vv))
+    return out

@@ -6,10 +6,10 @@ import pytest
 from qmsflow.canonical import extract_canonical, gks_matrix, reduced_gks_psd
 from qmsflow.generators import GeneratorSpec, build_generator
 from qmsflow.linalg import commutator_super, dag, hs_inner, sharp
-from qmsflow.models import random_dbc_spec, random_density
+from qmsflow.models import fermi_ou, random_dbc_spec, random_density
 from qmsflow.states import DensityState, ModularData, build_modular_basis
 
-from conftest import random_matrix
+from conftest import kron_sum_generator, random_matrix
 
 
 def first_nonorthonormal_pair(basis):
@@ -23,9 +23,8 @@ def first_nonorthonormal_pair(basis):
 
 
 def identity_anchored_basis(n):
-    from qmsflow.generators import _identity_anchored_basis
-
-    return _identity_anchored_basis(n)
+    """Modular basis of the maximally mixed state: orthonormal, identity first."""
+    return build_modular_basis(DensityState.from_matrix(np.eye(n) / n)).basis
 
 
 class TestGKSMatrix:
@@ -263,6 +262,25 @@ class TestExtraction:
         extracted, report = extract_canonical(build_generator(spec), sigma)
         assert report.roundtrip_error < 1e-9
         assert extracted.njumps == 2
+
+    def test_dropped_eigenvalues_independent_of_build(self):
+        # round-off below the block eigensolve's floor is not listed, so two
+        # builds of the same L that differ in the last bits report alike
+        model = fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2])
+        reports = [
+            extract_canonical(build(model.spec), model.spec.sigma)[1].dropped_eigenvalues
+            for build in (build_generator, kron_sum_generator)
+        ]
+        assert reports[0] == reports[1]
+
+    def test_negative_dropped_eigenvalue_listed(self, fermi_m1):
+        # minus three number-operator dissipators leave a negative
+        # eigenvalue in the zero-frequency block
+        sigma = fermi_m1.spec.sigma
+        number = GeneratorSpec.create(sigma, [(fermi_m1.number_ops[0], 0.0)])
+        l = build_generator(fermi_m1.spec) - 3.0 * build_generator(number)
+        _, report = extract_canonical(l, sigma, require_dbc=False)
+        assert min(report.dropped_eigenvalues) < -0.1
 
     def test_extraction_of_dropped_rank(self, rng):
         # two linearly dependent jumps in one block collapse to one

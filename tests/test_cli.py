@@ -5,7 +5,7 @@ import pytest
 
 from qmsflow import cli, entropy, generators
 from qmsflow.cli import main
-from qmsflow.models import fermi_ou
+from qmsflow.models import fermi_ou, random_dbc_spec
 from qmsflow.serialize import (
     density_from_json,
     density_to_json,
@@ -325,6 +325,32 @@ class TestMetricGeodesicRestrict:
         assert sorted([rates[0, 1], rates[1, 0]]) == pytest.approx(
             sorted([np.exp(0.5), np.exp(-0.5)]), abs=1e-10
         )
+
+
+    def test_restrict_without_dense_generator(self, tmp_path, monkeypatch):
+        # invariance and rates come from the jumps: no n^2 x n^2 L, no SVD
+        spec = random_dbc_spec(16, np.random.default_rng(7), ergodic=True)
+        path = tmp_path / "spec.json"
+        path.write_text(dump_json(spec_to_json(spec)))
+        norm, build = np.linalg.norm, generators.build_generator
+        calls = []
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append("norm")
+            return norm(x, ord, *args, **kwargs)
+
+        def counting_build(spec):
+            calls.append("build_generator")
+            return build(spec)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        for mod in (cli, generators):
+            monkeypatch.setattr(mod, "build_generator", counting_build)
+        out = tmp_path / "rates.json"
+        assert main(["restrict", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["size"] == 16
+        assert calls == []
 
 
 class TestZoo:

@@ -1,27 +1,29 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmsflow.canonical import reduced_gks_psd
 from qmsflow.generators import (
     GeneratorSpec,
-    _identity_anchored_basis,
     _propagators,
     _self_adjointness_residual,
-    build_adjoint,
+    apply_dual,
+    apply_generator,
     build_generator,
     certify_detailed_balance,
     check_complete_positivity,
     commutant_dimension,
     dual_orbit,
-    dual_semigroup,
     ergodicity,
     modular_subalgebra,
     restrict_to_commutative,
     semigroup,
 )
-from qmsflow.linalg import apply_super, commutator_super, dag, sharp, vec
+from qmsflow.linalg import apply_super, commutator_super, dag, unvec, vec
 from qmsflow.models import (
+    fermi_ou,
     hypercube_projections,
     kms_counterexample,
     random_dbc_spec,
@@ -31,13 +33,14 @@ from qmsflow.states import (
     DensityState,
     _weight_kernel_f,
     bkm_weight,
+    build_modular_basis,
     inner_s,
     modular_superoperator,
     weight_superoperator_f,
     weight_superoperator_s,
 )
 
-from conftest import random_matrix
+from conftest import kron_sum_generator, random_matrix
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,17 +48,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def tracial(n):
     return DensityState.from_matrix(np.eye(n) / n)
-
-
-def kron_sum_generator(spec):
-    """Reference L: the per-jump sum of Kronecker products."""
-    n = spec.dim
-    out = np.zeros((n * n, n * n), dtype=complex)
-    eye = np.eye(n)
-    for v, w in spec.jumps:
-        vv = dag(v) @ v
-        out += np.exp(-w / 2.0) * (2.0 * sharp(dag(v), v) - sharp(vv, eye) - sharp(eye, vv))
-    return out
 
 
 def svd_residual(l, omega):
@@ -131,7 +123,6 @@ class TestBuildGenerator:
         l = build_generator(spec)
         ref = kron_sum_generator(spec)
         assert np.linalg.norm(l - ref) <= 1e-14 * np.linalg.norm(ref)
-        assert np.linalg.norm(build_adjoint(spec) - dag(l)) <= 1e-14 * np.linalg.norm(ref)
 
     def test_pauli_x_double_commutator(self):
         spec = GeneratorSpec.create(tracial(2), [(PAULI_X, 0.0)])
@@ -163,24 +154,52 @@ class TestBuildGenerator:
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
-class TestBuildAdjoint:
+class TestApplyDual:
+    @pytest.mark.parametrize("case", ["fermi_m2", "random_5", "no_jumps"])
+    def test_matches_kron_sum(self, rng, fermi_m2, case):
+        if case == "fermi_m2":
+            spec = fermi_m2.spec
+        elif case == "random_5":
+            spec = random_dbc_spec(5, rng)
+        else:
+            spec = GeneratorSpec.create(random_density(3, rng), [])
+        ref = kron_sum_generator(spec)
+        for _ in range(3):
+            x = random_matrix(rng, spec.dim)
+            for got, want in (
+                (apply_generator(spec, x), apply_super(ref, x)),
+                (apply_dual(spec, x), apply_super(dag(ref), x)),
+            ):
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(ref) * np.linalg.norm(x)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
+    def test_hilbert_schmidt_duality(self, seed, n):
+        # Tr[A^* L^+(rho)] = Tr[L(A)^* rho] for arbitrary complex A, rho
+        rng = np.random.default_rng(seed)
+        spec = random_dbc_spec(n, rng)
+        a, rho = random_matrix(rng, n), random_matrix(rng, n)
+        lhs = np.vdot(a, apply_dual(spec, rho))
+        rhs = np.vdot(apply_generator(spec, a), rho)
+        scale = np.linalg.norm(kron_sum_generator(spec)) * np.linalg.norm(a) * np.linalg.norm(rho)
+        assert abs(lhs - rhs) <= 1e-14 * scale
+
     def test_preserves_invariant_state(self, rng):
         for _ in range(5):
             spec = random_dbc_spec(int(rng.integers(2, 6)), rng)
-            l_adj = build_adjoint(spec)
-            resid = np.linalg.norm(apply_super(l_adj, spec.sigma.rho))
-            assert resid < 1e-11 * max(1.0, np.linalg.norm(l_adj))
+            resid = np.linalg.norm(apply_dual(spec, spec.sigma.rho))
+            assert resid < 1e-11 * max(1.0, np.linalg.norm(build_generator(spec)))
 
     def test_traceless_range(self, rng):
         spec = random_dbc_spec(3, rng)
-        l_adj = build_adjoint(spec)
         x = random_matrix(rng, 3)
-        assert abs(np.trace(apply_super(l_adj, x))) < 1e-12
+        assert abs(np.trace(apply_dual(spec, x))) < 1e-12
 
     def test_is_hs_adjoint_and_involutive(self, rng):
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
-        l_adj = build_adjoint(spec)
+        # the matrix of apply_dual, one matrix unit per column
+        l_adj = np.array([vec(apply_dual(spec, unvec(e, 3))) for e in np.eye(9)]).T
         assert np.linalg.norm(l_adj - dag(l)) < 1e-13 * np.linalg.norm(l)
         assert np.linalg.norm(dag(l_adj) - l) < 1e-13 * np.linalg.norm(l)
 
@@ -188,10 +207,9 @@ class TestBuildAdjoint:
         # L+ applied to the slow diagonal direction lands in the
         # eigenspace with eigenvalue -2 cosh(beta e / 2)
         model = fermi_m1
-        l_adj = build_adjoint(model.spec)
         x = model.number_perp[0] - np.exp(-2.0) * model.number_ops[0]
-        image = apply_super(l_adj, x)
-        back = apply_super(l_adj, image)
+        image = apply_dual(model.spec, x)
+        back = apply_dual(model.spec, image)
         rate = 2 * np.cosh(1.0)
         assert np.linalg.norm(back + rate * image) < 1e-10 * np.linalg.norm(image)
 
@@ -358,7 +376,7 @@ class TestCompletePositivity:
             ok, min_eig = check_complete_positivity(scale * l)
             assert not ok, scale
             assert min_eig < -scale
-            ok, evals = reduced_gks_psd(scale * l, _identity_anchored_basis(2))
+            ok, evals = reduced_gks_psd(scale * l, build_modular_basis(tracial(2)).basis)
             assert not ok, scale
 
     def test_one_pade_exponential_and_no_svd(self, rng, monkeypatch):
@@ -465,13 +483,13 @@ class TestSemigroup:
     def test_dual_matches_transpose_route(self, rng):
         spec = random_dbc_spec(2, rng)
         l = build_generator(spec)
-        lhs = dual_semigroup(dag(l), 0.8, spec.sigma)
+        lhs = dag(semigroup(l, 0.8, spec.sigma))
         rhs = scipy.linalg.expm(0.8 * dag(l))
         assert np.linalg.norm(lhs - rhs) < 1e-11 * np.linalg.norm(rhs)
 
     def test_dual_orbit_pade_route(self, rng):
         # without sigma, or for L that is not KMS-symmetric, every time is
-        # one Pade exponential applied to rho0, as in dual_semigroup
+        # one Pade exponential applied to rho0
         l_adj = random_matrix(rng, 9)
         rho0 = random_density(3, rng).rho
         times = [0.0, 0.3, 1.1]
@@ -483,7 +501,7 @@ class TestSemigroup:
     def test_dual_orbit_rejects_negative_time(self, rng):
         spec = random_dbc_spec(2, rng)
         with pytest.raises(ValueError):
-            dual_orbit(build_adjoint(spec), spec.sigma.rho, [0.0, -0.1], spec.sigma)
+            dual_orbit(dag(build_generator(spec)), spec.sigma.rho, [0.0, -0.1], spec.sigma)
 
 
 class TestRestriction:
@@ -512,8 +530,7 @@ class TestRestriction:
         p /= p.sum()
         traces = [float(np.trace(e).real) for e in projs]
         rho = sum(pk / tk * e for pk, tk, e in zip(p, traces, projs))
-        l_adj = build_adjoint(fermi_m1.spec)
-        image = apply_super(l_adj, rho)
+        image = apply_dual(fermi_m1.spec, rho)
         pdot_quantum = [float(np.trace(e @ image).real) for e in projs]
         pdot_classical = rate.rates.T @ p
         assert np.allclose(pdot_quantum, pdot_classical, atol=1e-12)
@@ -525,6 +542,33 @@ class TestRestriction:
         projs = [np.outer(q[:, i], np.conj(q[:, i])) for i in range(2)]
         with pytest.raises(ValueError, match="invariant"):
             restrict_to_commutative(spec, projs)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+    def test_verdict_independent_of_units(self, rng, c):
+        # jumps V -> sqrt(c) V scale L by c: the hypercube is accepted with
+        # rates scaled by c, projections on a random basis are rejected
+        model = fermi_ou(2, 1.0, [1.0, 2.0])
+        spec = GeneratorSpec.create(
+            model.spec.sigma, [(np.sqrt(c) * v, w) for v, w in model.spec.jumps]
+        )
+        base = restrict_to_commutative(model.spec, hypercube_projections(model))
+        rate = restrict_to_commutative(spec, hypercube_projections(model))
+        assert np.linalg.norm(rate.rates - c * base.rates) <= 1e-13 * c * np.linalg.norm(base.rates)
+        q, _ = np.linalg.qr(random_matrix(rng, 4))
+        projs = [np.outer(q[:, i], np.conj(q[:, i])) for i in range(4)]
+        with pytest.raises(ValueError, match="invariant"):
+            restrict_to_commutative(spec, projs)
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+    def test_pure_dephasing_accepted(self, rng, c):
+        # zero-frequency jumps commute with sigma, so L^+ vanishes on the
+        # modular subalgebra; in a non-diagonal eigenbasis the images are
+        # round-off, which the floor must not read as a residual
+        base = random_dbc_spec(4, rng, n_offdiag=0)
+        spec = GeneratorSpec.create(base.sigma, [(np.sqrt(c) * v, w) for v, w in base.jumps])
+        rate = restrict_to_commutative(spec, modular_subalgebra(spec.sigma))
+        k_norm = c * np.linalg.norm(sum(v @ v for v, _ in base.jumps))
+        assert np.max(np.abs(rate.rates)) <= 1e-13 * k_norm
 
     def test_rejects_non_projections(self, fermi_m1):
         with pytest.raises(ValueError, match="not an orthogonal projection"):

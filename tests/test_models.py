@@ -268,10 +268,9 @@ class TestDepolarizing:
         assert evals[0] < -1.0
 
     def test_invariant_state(self, depolarizing_n2):
-        from qmsflow.generators import build_adjoint
+        from qmsflow.generators import apply_dual
 
-        l_adj = build_adjoint(depolarizing_n2)
-        resid = np.linalg.norm(apply_super(l_adj, depolarizing_n2.sigma.rho))
+        resid = np.linalg.norm(apply_dual(depolarizing_n2, depolarizing_n2.sigma.rho))
         assert resid < 1e-12
 
     def test_ergodic_and_extractable(self, depolarizing_n2):
