@@ -285,27 +285,19 @@ def extract_canonical(
         block_vals.append(val)
         block_map[val] = [i + 1 for i in idx_list]
 
-    def find_partner(val: float) -> float:
-        cands = [w for w in block_vals if abs(w + val) <= 1e-8 * max(1.0, abs(val))]
-        if not cands:
-            raise ValueError(f"no conjugate block for frequency {val}")
-        return cands[0]
-
     overall = max(float(np.max(np.abs(c_red.real))), 1e-300)
     listed_floor = l.shape[0] * np.finfo(float).eps * overall
     jumps: list[tuple[np.ndarray, float]] = []
     dropped: list[float] = []
     block_sizes: dict[float, int] = {}
-    done = set()
-    for val in block_vals:
-        if val in done:
-            continue
-        idx = block_map[val]
-        sub = c_red[np.ix_(idx, idx)]
+    # the modular frequencies come in +-omega pairs, so the sorted blocks
+    # mirror each other: the first half (to the zero block) covers them all
+    for pos, val in enumerate(block_vals[: (len(block_vals) + 1) // 2]):
         if abs(val) <= 1e-12 * max(1.0, om_scale):
             # zero-frequency block: real symmetric in a self-adjoint basis,
             # so real eigenvectors give self-adjoint jumps directly
-            sub_r = sub.real
+            idx = block_map[val]
+            sub_r = c_red[np.ix_(idx, idx)].real
             d, vv = np.linalg.eigh(0.5 * (sub_r + sub_r.T))
             count = 0
             for k in range(len(d) - 1, -1, -1):
@@ -318,10 +310,11 @@ def extract_canonical(
                 jumps.append((scale * vmat, 0.0))
                 count += 1
             block_sizes[0.0] = block_sizes.get(0.0, 0) + count
-            done.add(val)
         else:
-            partner = find_partner(val)
-            pos_val = val if val > 0 else partner
+            partner = block_vals[len(block_vals) - 1 - pos]
+            if abs(val + partner) > 1e-8 * max(1.0, abs(val)):
+                raise ValueError(f"no conjugate block for frequency {val}")
+            pos_val = partner  # val < 0 in the first half
             pidx = block_map[pos_val]
             sub_p = c_red[np.ix_(pidx, pidx)]
             d, vv = np.linalg.eigh(0.5 * (sub_p + dag(sub_p)))
@@ -340,8 +333,6 @@ def extract_canonical(
                 count += 1
             block_sizes[pos_val] = count
             block_sizes[-pos_val] = count
-            done.add(val)
-            done.add(partner)
 
     spec = GeneratorSpec.create(sigma, jumps, validate=False)
     rebuilt = build_generator(spec)

@@ -145,11 +145,10 @@ def entropy_trajectory(
     grid = [float(t) for t in time_grid]
     if any(t < 0 for t in grid) or any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("time grid must be ascending and nonnegative")
-    l_adj = dag(build_generator(spec))
     d0 = relative_entropy(rho0, spec.sigma)
     p0 = entropy_production(spec, rho0)
     out = []
-    for t, rho_t in zip(grid, dual_orbit(l_adj, rho0.rho, grid, spec.sigma)):
+    for t, rho_t in zip(grid, dual_orbit(spec, rho0.rho, grid)):
         rho_t = 0.5 * (rho_t + dag(rho_t))
         rho_t = DensityState.from_matrix(rho_t / np.trace(rho_t).real)
         d = relative_entropy(rho_t, spec.sigma)

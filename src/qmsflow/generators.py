@@ -19,8 +19,10 @@ Hilbert-Schmidt adjoint, generating the evolution of states, is
     L^+(rho) = 2 sum_j c_j V_j rho V_j^* - K rho - rho K .
 
 :func:`apply_generator` and :func:`apply_dual` evaluate these from the
-jumps; the dense n^2 x n^2 matrix of :func:`build_generator` is for the
-exponential and for the checks that take an arbitrary superoperator.
+jumps, and :func:`ergodicity` and :func:`dual_orbit` eigensolve L block by
+block over Bohr frequencies, built from the jumps as well; the dense
+n^2 x n^2 matrix of :func:`build_generator` is for the checks that take an
+arbitrary superoperator.
 """
 
 from __future__ import annotations
@@ -31,18 +33,17 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (
-    apply_super,
     check_finite,
     choi,
-    commutator_super,
     dag,
     sharp,
     star_swap_residual,
-    unvec,
     vec,
 )
 from .states import (
+    BOHR_RTOL,
     DensityState,
+    _group_indices,
     _weight_kernel_f,
     bkm_weight,
     build_modular_basis,
@@ -60,7 +61,6 @@ __all__ = [
     "apply_dual",
     "certify_detailed_balance",
     "check_complete_positivity",
-    "commutant_dimension",
     "ergodicity",
     "semigroup",
     "dual_orbit",
@@ -70,6 +70,7 @@ __all__ = [
 
 JUMP_EIGEN_TOL = 1e-10
 STAR_CLOSURE_TOL = 1e-9
+KMS_SYMMETRY_TOL = 1e-8
 GNS_FLAG_TOL = 1e-9
 
 
@@ -189,10 +190,6 @@ def apply_dual(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     return 2.0 * sandwich - k @ rho - rho @ k
 
 
-def _rel_opnorm(x: np.ndarray, scale: float) -> float:
-    return float(np.linalg.norm(x, 2) / max(scale, 1e-300))
-
-
 def _hermitian_opnorm(h: np.ndarray) -> float:
     """2-norm of a Hermitian matrix: its spectral radius, by an eigensolve."""
     evals = np.linalg.eigvalsh(h)
@@ -215,17 +212,10 @@ class CertificationReport:
     tolerance: float = GNS_FLAG_TOL
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "s_residuals": {str(k): v for k, v in self.s_residuals.items()},
-            "bkm_residual": self.bkm_residual,
-            "modular_commutation": self.modular_commutation,
-            "star_preservation": self.star_preservation,
-            "unital_residual": self.unital_residual,
-            "gns_dbc": self.gns_dbc,
-            "kms_only": self.kms_only,
-            "tolerance": self.tolerance,
-        }
+        """The fields in declaration order, without ``l_norm``."""
+        out = {k: v for k, v in vars(self).items() if k != "l_norm"}
+        out["s_residuals"] = {str(k): v for k, v in self.s_residuals.items()}
+        return out
 
 
 def _self_adjointness_residual(
@@ -286,7 +276,8 @@ def certify_detailed_balance(
         float(np.max(_weight_kernel_f(sigma, bkm_weight))),
     )
     delta = modular_superoperator(sigma)
-    mod_comm = _rel_opnorm(l @ delta - delta @ l, l_norm * lam_max / float(lam[0]))
+    mod_scale = max(l_norm * lam_max / float(lam[0]), 1e-300)
+    mod_comm = float(np.linalg.norm(l @ delta - delta @ l, 2) / mod_scale)
     star = star_swap_residual(l)
     unital = float(np.linalg.norm(l @ vec(np.eye(n))) / max(l_norm, 1e-300))
     gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
@@ -360,92 +351,109 @@ def _propagators(l: np.ndarray, times):
         prev_t, prev = t, prop
 
 
-def commutant_dimension(ops, dim: int, tol: float = 1e-9) -> int:
-    """Dimension of {X : [V, X] = 0 for all V} via a stacked null space."""
-    if not ops:
-        return dim * dim
-    stacked = np.vstack([commutator_super(v) for v in ops])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    scale = max(float(svals[0]), 1.0)
-    return int(np.sum(svals <= tol * scale))
+def _bohr_factor(spec: GeneratorSpec) -> tuple[np.ndarray, list]:
+    """L block by block over Bohr frequencies, built from the jumps.
+
+    With U^* sigma U = diag(lam), tilde X = U^* X U and E_cd = |c><d|,
+
+        L(E_cd)_ab = 2 sum_j c_j conj(tilde V_j[c, a]) tilde V_j[d, b]
+                     - tilde K_ac delta_bd - delta_ac tilde K_db ,
+
+    which vanishes unless E_ab and E_cd share the Bohr frequency
+    log lam_a - log lam_b, because every tilde V_j lives on the units of
+    frequency -omega_j.  A jump with more than ``JUMP_EIGEN_TOL`` of its
+    Frobenius mass off that block raises ValueError, so no coupling is
+    dropped.  Scaling E_ab by (lam_a lam_b)^{1/4} makes each block
+    Hermitian (KMS symmetry); blocks further than ``KMS_SYMMETRY_TOL``
+    from Hermitian, in Frobenius norm relative to L's, raise ValueError.
+    Returns U and, per block size, the stacked blocks' unit indices
+    a n + b, weights and weighted eigenpairs.
+    """
+    n, lam, u = spec.dim, spec.sigma.eigenvalues, spec.sigma.eigenvectors
+    c, vs, k = _jump_stack(spec)
+    omegas = spec.omegas()
+    freq = np.subtract.outer(np.log(lam), np.log(lam)).ravel()
+    # each jump's frequency -omega_j is grouped with the units, so it lands
+    # in the block of units sharing it, or alone when no unit does
+    groups = _group_indices(np.concatenate([freq, -omegas]), BOHR_RTOL)
+    label = np.empty(freq.size + omegas.size, dtype=int)
+    by_size: dict[int, list] = {}  # the units of each block, by block size
+    for g, members in enumerate(groups):
+        label[members] = g
+        units = [i for i in members if i < freq.size]
+        if units:
+            by_size.setdefault(len(units), []).append(units)
+    flat = (dag(u) @ vs @ u).reshape(len(vs), n * n)  # rows: tilde V_j, row-major
+    off_block = label[None, : freq.size] != label[freq.size :, None]
+    off = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
+    off /= np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
+    if np.any(off > JUMP_EIGEN_TOL):
+        j = int(np.argmax(off))
+        raise ValueError(
+            f"jump {j} is not a modular eigenvector: {off[j]:.3e} of its mass "
+            f"lies off the Bohr block of frequency {-omegas[j]:.6g}"
+        )
+    kt = dag(u) @ k @ u
+    blocks, asym, scale = [], 0.0, 0.0
+    for units in map(np.array, by_size.values()):
+        a, b = np.divmod(units, n)
+        ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
+        ca, db = cq * n + ap, dq * n + bp  # flat positions of [c, a] and [d, b]
+        sandwich = np.zeros(ca.shape, dtype=complex)
+        for cj, v in zip(c, flat):
+            sandwich += cj * np.conj(v[ca]) * v[db]
+        block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
+        weights = (lam[a] * lam[b]) ** 0.25
+        h = weights[:, :, None] * block / weights[:, None, :]
+        h_adj = np.conj(h).transpose(0, 2, 1)
+        asym, scale = asym + np.linalg.norm(h - h_adj) ** 2, scale + np.linalg.norm(h) ** 2
+        vals, vecs = np.linalg.eigh(0.5 * (h + h_adj))
+        blocks.append((units, weights, vals, vecs))
+    if asym > KMS_SYMMETRY_TOL**2 * scale:  # the jumps are not closed under adjoints
+        rel = np.sqrt(asym / scale)
+        raise ValueError(f"L is not KMS-symmetric: weighted Bohr blocks {rel:.3e} off Hermitian")
+    return u, blocks
 
 
 def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:
-    """Commutant dimension of the jump set; 1 means ergodic."""
-    return commutant_dimension(spec.jump_ops(), spec.dim, tol)
+    """Dimension of the null space of L, the commutant of the jumps; 1 means ergodic.
 
-
-@dataclass(frozen=True)
-class _KMSFactor:
-    """exp(tL) = w_half_inv V e^{t vals} V^* w_half for a KMS-symmetric L.
-
-    The conjugation Omega^{1/2} L Omega^{-1/2} by the KMS weight is then
-    Hermitian, so one stable eigensolve replaces the general Pade route at
-    every time.
+    Counts the eigenvalues mu of the weighted Bohr blocks of L with
+    |mu| <= ``tol`` times the largest |mu|: the tolerance measures
+    eigenvalues of L, so the count does not change when L is rescaled.
     """
-
-    vals: np.ndarray
-    vecs: np.ndarray
-    w_half: np.ndarray
-    w_half_inv: np.ndarray
-
-    def propagator(self, t: float) -> np.ndarray:
-        core = (self.vecs * np.exp(t * self.vals)) @ dag(self.vecs)
-        return self.w_half_inv @ core @ self.w_half
+    _, blocks = _bohr_factor(spec)
+    mu = np.abs(np.concatenate([vals.ravel() for _, _, vals, _ in blocks]))
+    return int(np.sum(mu <= tol * mu.max()))
 
 
-def _kms_factor(l: np.ndarray, sigma: DensityState | None) -> _KMSFactor | None:
-    """Spectral factor of L when it is KMS-symmetric for sigma, else None."""
-    if sigma is None:
-        return None
-    kms = weight_superoperator_s(sigma, 0.5)  # 2-norm lam_max, as in certification
-    if not _self_adjointness_residual(l, kms, omega_norm=float(sigma.eigenvalues[-1])) < 1e-8:
-        return None
-    w_half = sharp(sigma.power(0.25), sigma.power(0.25))
-    w_half_inv = sharp(sigma.power(-0.25), sigma.power(-0.25))
-    h = w_half @ l @ w_half_inv
-    h = 0.5 * (h + dag(h))
-    vals, vecs = np.linalg.eigh(h)
-    return _KMSFactor(vals, vecs, w_half, w_half_inv)
-
-
-def semigroup(l: np.ndarray, t: float, sigma: DensityState | None = None) -> np.ndarray:
-    """exp(tL) for t >= 0.
-
-    With ``sigma`` supplied and L KMS-symmetric for it (the detailed
-    balance case), a spectral route through the KMS weighting is used;
-    otherwise scaling-and-squaring Pade.
-    """
+def semigroup(l: np.ndarray, t: float) -> np.ndarray:
+    """exp(tL) for t >= 0 by scaling-and-squaring Pade, for any superoperator L."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    l = check_finite(l, "superoperator")
-    factor = _kms_factor(l, sigma)
-    if factor is not None:
-        return factor.propagator(t)
-    return scipy.linalg.expm(t * l)
+    return scipy.linalg.expm(t * check_finite(l, "superoperator"))
 
 
-def dual_orbit(
-    l_adj: np.ndarray, rho0: np.ndarray, times, sigma: DensityState | None = None
-) -> list:
-    """States exp(t L^+)(rho0) at each of ``times``, routed as :func:`semigroup`.
+def dual_orbit(spec: GeneratorSpec, x: np.ndarray, times) -> list:
+    """exp(t L^+)(x) at each of ``times``, for any n x n matrix x.
 
-    The spectral route factors once for the whole grid and then costs one
-    n^2 x n^2 matrix-vector product per time:
-    vec(rho_t) = (w_half^* V)(e^{t vals} * (V^* w_half_inv^* vec(rho0))).
+    One eigensolve per Bohr block serves the whole grid: on a block with
+    weights w and eigenpairs (mu, Q), exp(t L^+) maps the coefficients of
+    tilde x to w Q e^{t mu} Q^* (tilde x / w).
     """
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("t must be nonnegative")
-    l_adj = check_finite(l_adj, "superoperator")
-    rho0 = np.asarray(rho0, dtype=complex)
-    n = rho0.shape[0]
-    factor = _kms_factor(dag(l_adj), sigma)
-    if factor is None:
-        return [apply_super(scipy.linalg.expm(t * l_adj), rho0) for t in times]
-    left = dag(factor.w_half) @ factor.vecs
-    coeffs = dag(factor.vecs) @ (dag(factor.w_half_inv) @ vec(rho0))
-    return [unvec(left @ (np.exp(t * factor.vals) * coeffs), n) for t in times]
+    u, blocks = _bohr_factor(spec)
+    xt = (dag(u) @ check_finite(x, "matrix") @ u).ravel()
+    coeffs = [np.einsum("kqp,kq->kp", np.conj(q), xt[units] / w) for units, w, _, q in blocks]
+    out = []
+    for t in times:
+        flat = np.zeros_like(xt)
+        for (units, w, mu, q), y in zip(blocks, coeffs):
+            flat[units] = w * np.einsum("kpq,kq->kp", q, np.exp(t * mu) * y)
+        out.append(u @ flat.reshape(u.shape) @ dag(u))
+    return out
 
 
 @dataclass(frozen=True)
@@ -476,8 +484,8 @@ def restrict_to_commutative(
 ) -> RateMatrix:
     """Jump rates Q_kl = Tr[E_k L(E_l)] / Tr[E_k] of the restricted chain.
 
-    ``projections`` must be mutually orthogonal projections summing to the
-    identity whose span is invariant under the dual generator: each
+    ``projections`` must be nonzero, mutually orthogonal projections
+    summing to the identity whose span is invariant under L^+: each
     residual of L^+(E_k) off the span must be at most ``invariance_tol``
     times ||K||_F, K = sum_j e^{-omega_j/2} V_j^* V_j.  That scale bounds
     the round-off of the terms of L^+(E_k) that cancel and goes with the
@@ -497,6 +505,8 @@ def restrict_to_commutative(
     for k, e in enumerate(projections):
         if np.linalg.norm(e @ e - e) > 1e-10 or np.linalg.norm(e - dag(e)) > 1e-10:
             raise ValueError(f"input {k} is not an orthogonal projection")
+        if np.trace(e).real < 0.5:  # the rank; the rates divide by it
+            raise ValueError(f"projection {k} is zero")
         for m in range(k):
             if np.linalg.norm(projections[m] @ e) > 1e-10:
                 raise ValueError(f"projections {m} and {k} are not orthogonal")

@@ -470,14 +470,13 @@ def metric_monotonicity_check(
     if t < 0:
         raise ValueError("t must be nonnegative")
     from .calculus import rho_div
-    from .generators import build_generator, semigroup
-    from .linalg import apply_super, hs_inner
+    from .generators import dual_orbit
+    from .linalg import hs_inner
 
-    pt_dual = dag(semigroup(build_generator(spec), t, spec.sigma))
-    rho_t = apply_super(pt_dual, rho.rho)
+    (rho_t,) = dual_orbit(spec, rho.rho, [t])
     rho_t = 0.5 * (rho_t + dag(rho_t))
     rho_t = DensityState.from_matrix(rho_t / np.trace(rho_t).real)
-    a_t = apply_super(pt_dual, np.asarray(a, dtype=complex))
+    (a_t,) = dual_orbit(spec, a, [t])
     lhs = hs_inner(a_t, rho_div(rho_t, omega, a_t)).real
     rhs = hs_inner(a, rho_div(rho, omega, np.asarray(a, dtype=complex))).real
     return bool(lhs <= rhs + slack * max(1.0, abs(rhs))), float(lhs), float(rhs)

@@ -225,20 +225,27 @@ class TestEvolve:
         assert main(["evolve", "--input", fermi_spec_file, "--grid", "nope"]) == 2
 
     def test_one_generator_build(self, fermi_spec_file, tmp_path, monkeypatch):
-        build = generators.build_generator
+        # the flow runs on the Bohr blocks built from the jumps: no dense
+        # generator and no Kronecker product
+        kron, build = np.kron, generators.build_generator
         calls = []
 
-        def counting(spec):
-            calls.append(1)
+        def counting_kron(*args, **kwargs):
+            calls.append("kron")
+            return kron(*args, **kwargs)
+
+        def counting_build(spec):
+            calls.append("build_generator")
             return build(spec)
 
+        monkeypatch.setattr(np, "kron", counting_kron)
         for mod in (cli, entropy, generators):
-            monkeypatch.setattr(mod, "build_generator", counting)
+            monkeypatch.setattr(mod, "build_generator", counting_build)
         out = tmp_path / "traj.csv"
         assert main(
             ["evolve", "--input", fermi_spec_file, "--grid", "0:1:5", "--output", str(out)]
         ) == 0
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestMetricGeodesicRestrict:
@@ -326,6 +333,18 @@ class TestMetricGeodesicRestrict:
             sorted([np.exp(0.5), np.exp(-0.5)]), abs=1e-10
         )
 
+    def test_restrict_zero_projection_exit_two(self, fermi_spec_file, tmp_path, capsys):
+        proj_path = tmp_path / "projs.json"
+        proj_path.write_text(dump_json([matrix_to_json(np.eye(2)), matrix_to_json(np.zeros((2, 2)))]))
+        out = tmp_path / "rates.json"
+        code = main(
+            ["restrict", "--input", fermi_spec_file, "--projections", str(proj_path),
+             "--output", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "projection 1 is zero" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_restrict_without_dense_generator(self, tmp_path, monkeypatch):
         # invariance and rates come from the jumps: no n^2 x n^2 L, no SVD

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qmsflow.calculus import partial_deriv, rho_mult
 from qmsflow.entropy import (
@@ -11,7 +12,7 @@ from qmsflow.entropy import (
     talagrand_check,
 )
 from qmsflow import entropy, generators
-from qmsflow.generators import build_generator, dual_orbit, semigroup
+from qmsflow.generators import _bohr_factor, build_generator, dual_orbit
 from qmsflow.linalg import apply_super, dag, hs_inner
 from qmsflow.models import random_dbc_spec, random_density
 from qmsflow.states import DensityState
@@ -239,10 +240,10 @@ class TestTrajectory:
         rho0 = random_density(4, rng)
         grid = np.linspace(0.0, 3.0, 13)
         l = build_generator(spec)
-        orbit = dual_orbit(dag(l), rho0.rho, grid, spec.sigma)
+        orbit = dual_orbit(spec, rho0.rho, grid)
         rows = entropy_trajectory(spec, rho0, grid)
         for t, rho_t, row in zip(grid, orbit, rows):
-            ref = apply_super(dag(semigroup(l, t, spec.sigma)), rho0.rho)
+            ref = apply_super(scipy.linalg.expm(t * dag(l)), rho0.rho)
             assert np.linalg.norm(rho_t - ref) <= 1e-12
             ref = DensityState.from_matrix(0.5 * (ref + dag(ref)) / np.trace(ref).real)
             assert abs(row.entropy - relative_entropy(ref, spec.sigma)) <= 1e-12
@@ -250,18 +251,18 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("points", [1, 5, 31])
     def test_one_superoperator_eigensolve(self, fermi_m2, rng, monkeypatch, points):
-        # the spectral route factors once per trajectory, not per grid time
-        eigh = np.linalg.eigh
-        big = []
+        # the Bohr blocks of L are eigensolved once per trajectory, not per
+        # grid time, and none is the whole n^2 x n^2 superoperator
+        factors = []
 
-        def counting_eigh(a, *args, **kwargs):
-            if np.shape(a) == (16, 16):
-                big.append(1)
-            return eigh(a, *args, **kwargs)
+        def counting_factor(spec):
+            factors.append(_bohr_factor(spec))
+            return factors[-1]
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(generators, "_bohr_factor", counting_factor)
         entropy_trajectory(fermi_m2.spec, random_density(4, rng), np.linspace(0, 2, points))
-        assert len(big) == 1
+        assert len(factors) == 1
+        assert all(vecs.shape[-1] < 16 for _, _, _, vecs in factors[0][1])
 
     def test_rejects_descending_grid(self, fermi_m1, rng):
         with pytest.raises(ValueError):

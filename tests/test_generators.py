@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,6 @@ from qmsflow.generators import (
     build_generator,
     certify_detailed_balance,
     check_complete_positivity,
-    commutant_dimension,
     dual_orbit,
     ergodicity,
     modular_subalgebra,
@@ -23,6 +24,7 @@ from qmsflow.generators import (
 )
 from qmsflow.linalg import apply_super, commutator_super, dag, unvec, vec
 from qmsflow.models import (
+    depolarizing,
     fermi_ou,
     hypercube_projections,
     kms_counterexample,
@@ -421,6 +423,7 @@ class TestErgodicity:
         assert ergodicity(spec) == 9
 
     def test_matches_generator_null_space(self, rng):
+        # null(L) is the commutant of the jumps: three independent counts agree
         for _ in range(4):
             spec = random_dbc_spec(int(rng.integers(2, 5)), rng)
             l = build_generator(spec)
@@ -428,41 +431,42 @@ class TestErgodicity:
             null_dim = int(
                 np.sum(np.abs(evals) < 1e-9 * max(1.0, np.max(np.abs(evals))))
             )
-            assert null_dim == ergodicity(spec)
-
-    def test_commutant_dimension_no_ops(self):
-        assert commutant_dimension([], 3) == 9
+            stacked = np.vstack([commutator_super(v) for v in spec.jump_ops()])
+            svals = np.linalg.svd(stacked, compute_uv=False)
+            commutant = int(np.sum(svals <= 1e-9 * svals[0]))
+            assert null_dim == commutant == ergodicity(spec)
 
 
 class TestSemigroup:
     def test_time_zero_is_identity(self, rng):
         spec = random_dbc_spec(3, rng)
-        assert np.allclose(semigroup(build_generator(spec), 0.0, spec.sigma), np.eye(9))
+        assert np.allclose(semigroup(build_generator(spec), 0.0), np.eye(9))
 
     def test_unital(self, rng):
         spec = random_dbc_spec(3, rng)
-        p = semigroup(build_generator(spec), 0.7, spec.sigma)
+        p = semigroup(build_generator(spec), 0.7)
         assert np.linalg.norm(apply_super(p, np.eye(3)) - np.eye(3)) < 1e-12
 
     def test_semigroup_law(self, rng):
         spec = random_dbc_spec(2, rng)
         l = build_generator(spec)
-        lhs = semigroup(l, 0.9, spec.sigma)
-        rhs = semigroup(l, 0.5, spec.sigma) @ semigroup(l, 0.4, spec.sigma)
+        lhs = semigroup(l, 0.9)
+        rhs = semigroup(l, 0.5) @ semigroup(l, 0.4)
         assert np.linalg.norm(lhs - rhs) < 1e-10 * np.linalg.norm(lhs)
 
     def test_spectral_path_matches_pade(self, rng):
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
-        spectral = semigroup(l, 0.6, spec.sigma)
-        pade = scipy.linalg.expm(0.6 * l)
-        assert np.linalg.norm(spectral - pade) < 1e-11 * np.linalg.norm(pade)
+        for x in (random_matrix(rng, 3), random_density(3, rng).rho):
+            (spectral,) = dual_orbit(spec, x, [0.6])
+            pade = apply_super(scipy.linalg.expm(0.6 * dag(l)), x)
+            assert np.linalg.norm(spectral - pade) < 1e-11 * np.linalg.norm(pade)
 
     def test_fermi_krawtchouk_decay(self, fermi_m1):
         l = build_generator(fermi_m1.spec)
         k11 = fermi_m1.krawtchouk([(1, 1)])
         t = 0.37
-        evolved = apply_super(semigroup(l, t, fermi_m1.spec.sigma), k11)
+        evolved = apply_super(semigroup(l, t), k11)
         expect = np.exp(-2 * np.cosh(1.0) * t) * k11
         assert np.linalg.norm(evolved - expect) < 1e-12
 
@@ -472,7 +476,7 @@ class TestSemigroup:
         spec = random_dbc_spec(2, rng)
         l = build_generator(spec)
         for t in (0.01, 0.1, 1.0):
-            c = choi(semigroup(l, t, spec.sigma))
+            c = choi(semigroup(l, t))
             assert np.min(np.linalg.eigvalsh(0.5 * (c + dag(c)))) > -1e-11
 
     def test_rejects_negative_time(self, rng):
@@ -483,25 +487,119 @@ class TestSemigroup:
     def test_dual_matches_transpose_route(self, rng):
         spec = random_dbc_spec(2, rng)
         l = build_generator(spec)
-        lhs = dag(semigroup(l, 0.8, spec.sigma))
+        lhs = dag(semigroup(l, 0.8))
         rhs = scipy.linalg.expm(0.8 * dag(l))
         assert np.linalg.norm(lhs - rhs) < 1e-11 * np.linalg.norm(rhs)
 
-    def test_dual_orbit_pade_route(self, rng):
-        # without sigma, or for L that is not KMS-symmetric, every time is
-        # one Pade exponential applied to rho0
-        l_adj = random_matrix(rng, 9)
-        rho0 = random_density(3, rng).rho
-        times = [0.0, 0.3, 1.1]
-        expect = [apply_super(scipy.linalg.expm(t * l_adj), rho0) for t in times]
-        for sigma in (None, random_density(3, rng)):
-            got = dual_orbit(l_adj, rho0, times, sigma)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+    def test_pade_for_any_superoperator(self, rng):
+        # an arbitrary superoperator, not KMS-symmetric for any state: each
+        # time is one Pade exponential
+        l = random_matrix(rng, 9)
+        for t in (0.0, 0.3, 1.1):
+            assert np.array_equal(semigroup(l, t), scipy.linalg.expm(t * l))
 
     def test_dual_orbit_rejects_negative_time(self, rng):
         spec = random_dbc_spec(2, rng)
         with pytest.raises(ValueError):
-            dual_orbit(dag(build_generator(spec)), spec.sigma.rho, [0.0, -0.1], spec.sigma)
+            dual_orbit(spec, spec.sigma.rho, [0.0, -0.1])
+
+
+@functools.cache
+def _covariance_model(name):
+    if name == "fermi_m1":
+        return fermi_ou(1, 2.0, [1.0]).spec
+    if name == "fermi_m2":
+        return fermi_ou(2, 1.0, [1.0, 2.0]).spec
+    if name == "depolarizing_n3":
+        return depolarizing(3)
+    return random_dbc_spec(4, np.random.default_rng(4))
+
+
+COVARIANCE_MODELS = ["fermi_m1", "fermi_m2", "depolarizing_n3", "random4"]
+COVARIANCE_SETTINGS = settings(max_examples=16, deadline=None, derandomize=True, database=None)
+
+
+def _assert_orbits_close(got, expect, rtol=1e-12):
+    for a, b in zip(got, expect, strict=True):
+        assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+class TestDualOrbit:
+    """ergodicity and exp(t L^+) under changes that leave L alone or transform it."""
+
+    @pytest.mark.parametrize("name", COVARIANCE_MODELS)
+    def test_matches_pade_of_dense_dual(self, rng, name):
+        spec = _covariance_model(name)
+        l_adj = dag(build_generator(spec))
+        x = random_matrix(rng, spec.dim)
+        times = [0.0, 0.05, 0.7, 3.0]
+        expect = [apply_super(scipy.linalg.expm(t * l_adj), x) for t in times]
+        _assert_orbits_close(dual_orbit(spec, x, times), expect)
+
+    @COVARIANCE_SETTINGS
+    @given(
+        name=st.sampled_from(COVARIANCE_MODELS),
+        c=st.sampled_from([1e-20, 1e-10, 1.0, 1e10]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaling(self, name, c, seed):
+        # jumps sqrt(c) V give c L: the same orbit at times t / c
+        spec = _covariance_model(name)
+        scaled = GeneratorSpec.create(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
+        rng = np.random.default_rng(seed)
+        x, times = random_matrix(rng, spec.dim), rng.uniform(0.0, 2.0, 3)
+        assert ergodicity(scaled) == ergodicity(spec)
+        _assert_orbits_close(dual_orbit(scaled, x, times / c), dual_orbit(spec, x, times))
+
+    @COVARIANCE_SETTINGS
+    @given(name=st.sampled_from(COVARIANCE_MODELS), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_conjugation(self, name, seed):
+        spec = _covariance_model(name)
+        rng = np.random.default_rng(seed)
+        w, _ = np.linalg.qr(random_matrix(rng, spec.dim))
+        sigma = DensityState.from_matrix(w @ spec.sigma.rho @ dag(w))
+        rotated = GeneratorSpec.create(sigma, [(w @ v @ dag(w), om) for v, om in spec.jumps])
+        x, times = random_matrix(rng, spec.dim), rng.uniform(0.0, 2.0, 3)
+        assert ergodicity(rotated) == ergodicity(spec)
+        expect = [w @ y @ dag(w) for y in dual_orbit(spec, x, times)]
+        _assert_orbits_close(dual_orbit(rotated, w @ x @ dag(w), times), expect)
+
+    @COVARIANCE_SETTINGS
+    @given(name=st.sampled_from(COVARIANCE_MODELS), seed=st.integers(0, 2**32 - 1))
+    def test_reordered_and_split_jumps(self, name, seed):
+        # a permutation of the jumps, or V -> (V/sqrt2, V/sqrt2), is the same L
+        spec = _covariance_model(name)
+        rng = np.random.default_rng(seed)
+        permuted = [spec.jumps[i] for i in rng.permutation(spec.njumps)]
+        split = [(v / np.sqrt(2.0), w) for v, w in spec.jumps for _ in range(2)]
+        x, times = random_matrix(rng, spec.dim), rng.uniform(0.0, 2.0, 3)
+        expect = dual_orbit(spec, x, times)
+        for jumps in (permuted, split):
+            other = GeneratorSpec.create(spec.sigma, jumps)
+            assert ergodicity(other) == ergodicity(spec)
+            _assert_orbits_close(dual_orbit(other, x, times), expect)
+
+    @pytest.mark.parametrize(
+        "jumps, match",
+        [
+            # mixes two Bohr blocks
+            ([(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0)] * 2, "not a modular eigenvector"),
+            # right block, wrong frequency
+            (
+                [(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0), (np.array([[0.0, 0.0], [1.0, 0.0]]), 0.0)],
+                "not a modular eigenvector",
+            ),
+            # a modular eigenvector without its adjoint
+            ([(np.array([[0.0, 1.0], [0.0, 0.0]]), -np.log(7.0 / 3.0))], "not KMS-symmetric"),
+        ],
+    )
+    def test_rejects_non_eigenvector_jump(self, jumps, match):
+        sigma = DensityState.from_matrix(np.diag([0.7, 0.3]).astype(complex))
+        spec = GeneratorSpec.create(sigma, jumps, validate=False)
+        with pytest.raises(ValueError, match=match):
+            ergodicity(spec)
+        with pytest.raises(ValueError, match=match):
+            dual_orbit(spec, sigma.rho, [1.0])
 
 
 class TestRestriction:
@@ -577,6 +675,12 @@ class TestRestriction:
     def test_rejects_wrong_dimension(self, fermi_m1):
         with pytest.raises(ValueError, match="shape"):
             restrict_to_commutative(fermi_m1.spec, [np.eye(3)])
+
+    def test_rejects_zero_projection(self, fermi_m1):
+        # [I, 0] passes every projection test, but the rates divide by the
+        # trace of each projection
+        with pytest.raises(ValueError, match="projection 1 is zero"):
+            restrict_to_commutative(fermi_m1.spec, [np.eye(2), np.zeros((2, 2))])
 
 
 class TestModularSubalgebra:

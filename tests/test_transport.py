@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmsflow.calculus import divergence, grad, log_mean, rho_div, rho_mult
-from qmsflow.generators import apply_dual, build_generator, semigroup
-from qmsflow.linalg import apply_super, dag, hs_inner, traceless_hermitian_basis, vec
+from qmsflow.generators import apply_dual, dual_orbit
+from qmsflow.linalg import dag, hs_inner, traceless_hermitian_basis, vec
 from qmsflow.models import fermi_ou, hypercube_restriction, random_dbc_spec, random_density
 from qmsflow.states import DensityState
 from qmsflow.transport import (
@@ -530,16 +530,14 @@ class TestExactGradients:
 
 def test_energy_identity_along_flow(fermi_m1_unit, rng):
     spec = fermi_m1_unit.spec
-    l = build_generator(spec)
     from qmsflow.entropy import relative_entropy
 
     rho0 = random_density(2, rng)
     for t in (0.1, 0.6):
         h = 1e-5
         entropies = []
-        for tt in (t - h, t, t + h):
-            pt = dag(semigroup(l, tt, spec.sigma))
-            rt = apply_super(pt, rho0.rho)
+        grid = (t - h, t, t + h)
+        for tt, rt in zip(grid, dual_orbit(spec, rho0.rho, grid)):
             rt = DensityState.from_matrix(0.5 * (rt + dag(rt)))
             entropies.append(relative_entropy(rt, spec.sigma))
             if tt == t:
