@@ -38,7 +38,7 @@ from .generators import (
     restrict_to_commutative,
     semigroup,
 )
-from .canonical import GKSMatrix, extract_canonical, gks_matrix, reduced_gks_psd
+from .canonical import GKSMatrix, extract_canonical, gks_matrix
 from .calculus import (
     dirichlet_form,
     divergence,

@@ -10,9 +10,10 @@ Any superoperator K on n x n matrices expands over an orthonormal basis
 The coefficient matrix is Hermitian iff K preserves self-adjointness, and
 for unital star-preserving generators the positivity of the reduced block
 (identity row and column removed) decides complete positivity of the
-generated semigroup.  When the basis is a modular basis for sigma and the
-generator is GNS-self-adjoint, the coefficient matrix is block diagonal
-over Bohr frequencies:
+generated semigroup (:func:`qmsflow.generators.check_complete_positivity`).
+When the basis is a modular basis for sigma and the generator is
+GNS-self-adjoint, the coefficient matrix is block diagonal over the Bohr
+blocks the modular basis records:
 
     e^{omega_a} c_{a,b} = c_{a,b} e^{omega_b}      (block structure)
     c_{a,b} = e^{-omega_a} c_{b',a'}               (adjoint pairing)
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import choi, dag, star_swap_residual, vec
-from .states import DensityState, ModularData, _group_indices, build_modular_basis
+from .linalg import choi, dag
+from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
     CertificationReport,
     GeneratorSpec,
@@ -41,12 +42,10 @@ from .generators import (
 __all__ = [
     "GKSMatrix",
     "gks_matrix",
-    "reduced_gks_psd",
     "ExtractionReport",
     "extract_canonical",
 ]
 
-BLOCK_RTOL = 1e-10
 DROP_RTOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -111,31 +110,6 @@ def gks_matrix(
     return GKSMatrix(list(basis), c, None if omegas is None else np.asarray(omegas))
 
 
-def reduced_gks_psd(
-    l: np.ndarray, basis, psd_tol: float = 1e-10, l_norm: float | None = None
-) -> tuple[bool, np.ndarray]:
-    """PSD verdict and spectrum of the reduced coefficient block of L.
-
-    L must annihilate the identity and preserve adjoints (ValueError
-    otherwise).  The block passes when its smallest eigenvalue is at least
-    ``-psd_tol`` times its largest |eigenvalue|, so the verdict does not
-    depend on the units of L.  ``l_norm`` is the operator 2-norm of L when
-    the caller already has it.
-    """
-    l = np.asarray(l)
-    n = int(round(np.sqrt(l.shape[0])))
-    scale = max(np.linalg.norm(l, 2) if l_norm is None else l_norm, 1e-300)
-    if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
-        raise ValueError("superoperator does not annihilate the identity")
-    if star_swap_residual(l) > 1e-8:
-        raise ValueError("superoperator is not star-preserving")
-    red = gks_matrix(l, basis).reduced()
-    evals = np.linalg.eigvalsh(0.5 * (red + dag(red)))
-    if evals.size == 0:
-        return True, evals
-    return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), evals
-
-
 @dataclass
 class ExtractionReport:
     """Residual diagnostics of a canonical-form extraction."""
@@ -164,19 +138,19 @@ class ExtractionReport:
         }
 
 
-def _gks_residuals(c: np.ndarray, omegas: np.ndarray, pairing: np.ndarray) -> tuple:
+def _gks_residuals(
+    c: np.ndarray, omegas: np.ndarray, pairing: np.ndarray, offblock_mask: np.ndarray
+) -> tuple:
     scale = max(float(np.max(np.abs(c))), 1e-300)
     eo = np.exp(omegas)
     block = np.max(np.abs(eo[:, None] * c - c * eo[None, :])) / (
-        scale * max(float(np.max(eo)), 1.0)
+        scale * float(np.max(eo))
     )
     paired = np.exp(-omegas)[:, None] * c[np.ix_(pairing, pairing)].T
     pairing_res = float(np.max(np.abs(c - paired)) / scale)
     offblock = 0.0
-    om_scale = max(float(np.max(np.abs(omegas))), 1.0)
-    mask = np.abs(omegas[:, None] - omegas[None, :]) > 1e-8 * om_scale
-    if np.any(mask):
-        offblock = float(np.max(np.abs(c[mask])) / scale)
+    if np.any(offblock_mask):
+        offblock = float(np.max(np.abs(c[offblock_mask])) / scale)
     return float(block), pairing_res, offblock
 
 
@@ -207,17 +181,22 @@ def extract_canonical(
 ) -> tuple[GeneratorSpec, ExtractionReport]:
     """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
 
-    The reduced coefficient matrix over a modular basis is Hermitized,
-    entries outside the Bohr-frequency blocks are zeroed (they are below
+    The blocks are the modular basis's own (``ModularData.block_labels``,
+    from :func:`qmsflow.states.bohr_groups`), so no frequency is compared
+    here.  The reduced coefficient matrix over the modular basis is
+    Hermitized, entries outside the Bohr blocks are zeroed (they are below
     tolerance for valid input), the adjoint-pairing symmetry is enforced,
-    and each block is eigensolved.  Eigenvalues d of the block at
-    frequency omega give jumps sqrt(d e^{omega/2} / 2) V with V the
-    corresponding unit combination of basis elements; the -omega partner
-    is written as the exact adjoint.  Eigenvalues at or below
-    ``drop_rtol`` times the largest are dropped together with their
-    vectors; the report lists those above the round-off of assembling
-    and eigensolving the blocks, the superoperator dimension n^2 times
-    machine epsilon times the largest.
+    and each block is eigensolved once per conjugate pair, on its
+    omega >= 0 member (the partner found through ``conj_pairing``).
+    Eigenvalues d of the block at frequency omega give jumps
+    sqrt(d e^{omega/2} / 2) V with V the corresponding unit combination of
+    basis elements; the -omega partner is written as the exact adjoint,
+    and the omega = 0 block, real symmetric in its self-adjoint elements,
+    gives self-adjoint jumps.  Eigenvalues at or below ``drop_rtol`` times
+    the largest are dropped together with their vectors; the report lists
+    those above the round-off of assembling and eigensolving the blocks,
+    the superoperator dimension n^2 times machine epsilon times the
+    largest.
 
     With ``require_dbc`` the input must pass GNS certification (the
     caller's ``certification`` of ``l`` and ``sigma`` when given, so its
@@ -240,9 +219,7 @@ def extract_canonical(
                 f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
             )
         if complete_positivity is None:
-            complete_positivity = check_complete_positivity(
-                l, psd_tol=psd_tol, cross_check_times=(), l_norm=l_norm
-            )
+            complete_positivity = check_complete_positivity(l, psd_tol=psd_tol, l_norm=l_norm)
         cp_ok, min_eig = complete_positivity
         if not cp_ok:
             raise ValueError(
@@ -251,11 +228,12 @@ def extract_canonical(
             )
 
     mod = modular if modular is not None else build_modular_basis(sigma)
-    gks = gks_matrix(l, mod.basis, check_orthonormal=False, omegas=mod.bohr_frequencies)
+    omegas, labels = mod.bohr_frequencies, mod.block_labels
+    gks = gks_matrix(l, mod.basis, check_orthonormal=False, omegas=omegas)
     c = gks.matrix
-    omegas = mod.bohr_frequencies
+    offblock = labels[:, None] != labels[None, :]
     herm_res = gks.hermiticity_residual()
-    block_res, pair_res, offblock_res = _gks_residuals(c, omegas, mod.conj_pairing)
+    block_res, pair_res, offblock_res = _gks_residuals(c, omegas, mod.conj_pairing, offblock)
     h, h_hat = _hamiltonian_parts(c, mod.basis)
 
     if require_dbc and max(block_res, pair_res, offblock_res) > 1e-6:
@@ -269,70 +247,47 @@ def extract_canonical(
     c_red[0, :] = 0.0
     c_red[:, 0] = 0.0
     c_red = 0.5 * (c_red + dag(c_red))
-    om_scale = max(float(np.max(np.abs(omegas))), 1.0)
-    mask = np.abs(omegas[:, None] - omegas[None, :]) > 1e-8 * om_scale
-    c_red[mask] = 0.0
+    c_red[offblock] = 0.0
     paired = np.exp(-omegas)[:, None] * c_red[np.ix_(mod.conj_pairing, mod.conj_pairing)].T
     c_red = 0.5 * (c_red + paired)
     c_red = 0.5 * (c_red + dag(c_red))
-
-    blocks = _group_indices(omegas[1:], BLOCK_RTOL)
-    # positions within the reduced index set (offset by the identity slot)
-    block_map: dict[float, list[int]] = {}
-    block_vals: list[float] = []
-    for idx_list in blocks:
-        val = float(np.mean(omegas[1:][idx_list]))
-        block_vals.append(val)
-        block_map[val] = [i + 1 for i in idx_list]
 
     overall = max(float(np.max(np.abs(c_red.real))), 1e-300)
     listed_floor = l.shape[0] * np.finfo(float).eps * overall
     jumps: list[tuple[np.ndarray, float]] = []
     dropped: list[float] = []
     block_sizes: dict[float, int] = {}
-    # the modular frequencies come in +-omega pairs, so the sorted blocks
-    # mirror each other: the first half (to the zero block) covers them all
-    for pos, val in enumerate(block_vals[: (len(block_vals) + 1) // 2]):
-        if abs(val) <= 1e-12 * max(1.0, om_scale):
-            # zero-frequency block: real symmetric in a self-adjoint basis,
-            # so real eigenvectors give self-adjoint jumps directly
-            idx = block_map[val]
-            sub_r = c_red[np.ix_(idx, idx)].real
-            d, vv = np.linalg.eigh(0.5 * (sub_r + sub_r.T))
-            count = 0
-            for k in range(len(d) - 1, -1, -1):
-                if d[k] <= drop_rtol * overall:
-                    if abs(d[k]) > listed_floor:
-                        dropped.append(float(d[k]))
-                    continue
-                vmat = sum(vv[b, k] * mod.basis[idx[b]] for b in range(len(idx)))
-                scale = np.sqrt(d[k] / 2.0)
-                jumps.append((scale * vmat, 0.0))
-                count += 1
-            block_sizes[0.0] = block_sizes.get(0.0, 0) + count
-        else:
-            partner = block_vals[len(block_vals) - 1 - pos]
-            if abs(val + partner) > 1e-8 * max(1.0, abs(val)):
-                raise ValueError(f"no conjugate block for frequency {val}")
-            pos_val = partner  # val < 0 in the first half
-            pidx = block_map[pos_val]
-            sub_p = c_red[np.ix_(pidx, pidx)]
-            d, vv = np.linalg.eigh(0.5 * (sub_p + dag(sub_p)))
-            count = 0
-            for k in range(len(d) - 1, -1, -1):
-                if d[k] <= drop_rtol * overall:
-                    if abs(d[k]) > listed_floor:
-                        dropped.append(float(d[k]))
-                    continue
-                vmat = sum(
-                    np.conj(vv[b, k]) * mod.basis[pidx[b]] for b in range(len(pidx))
-                )
-                scale = np.sqrt(d[k] * np.exp(pos_val / 2.0) / 2.0)
-                jumps.append((scale * vmat, pos_val))
-                jumps.append((scale * dag(vmat), -pos_val))
-                count += 1
-            block_sizes[pos_val] = count
-            block_sizes[-pos_val] = count
+    reduced = np.arange(mod.size) > 0  # the identity is not a jump direction
+    zero = labels[0]
+    # labels ascend with frequency, so the labels up to the zero block's
+    # meet each conjugate pair of blocks once; a pair is solved on its
+    # omega >= 0 member
+    for g in range(zero + 1):
+        members = np.flatnonzero(reduced & (labels == g))
+        if members.size == 0:
+            continue
+        idx = np.flatnonzero(reduced & (labels == labels[mod.conj_pairing[members[0]]]))
+        omega, sub = float(np.mean(omegas[idx])), c_red[np.ix_(idx, idx)]
+        if g == zero:
+            # real symmetric in a self-adjoint basis, so real eigenvectors
+            # give self-adjoint jumps directly
+            sub = sub.real
+        d, vv = np.linalg.eigh(0.5 * (sub + dag(sub)))
+        count = 0
+        for k in range(len(d) - 1, -1, -1):
+            if d[k] <= drop_rtol * overall:
+                if abs(d[k]) > listed_floor:
+                    dropped.append(float(d[k]))
+                continue
+            vmat = sum(np.conj(vv[b, k]) * mod.basis[idx[b]] for b in range(len(idx)))
+            scale = np.sqrt(d[k] * np.exp(omega / 2.0) / 2.0)
+            jumps.append((scale * vmat, omega))
+            if g != zero:
+                jumps.append((scale * dag(vmat), -omega))
+            count += 1
+        block_sizes[omega] = count
+        if g != zero:
+            block_sizes[-omega] = count
 
     spec = GeneratorSpec.create(sigma, jumps, validate=False)
     rebuilt = build_generator(spec)

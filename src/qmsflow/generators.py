@@ -28,24 +28,23 @@ arbitrary superoperator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import (
     check_finite,
-    choi,
     dag,
     sharp,
     star_swap_residual,
     vec,
 )
 from .states import (
-    BOHR_RTOL,
     DensityState,
-    _group_indices,
     _weight_kernel_f,
     bkm_weight,
+    bohr_groups,
     build_modular_basis,
     modular_superoperator,
     weight_superoperator_f,
@@ -103,6 +102,21 @@ class GeneratorSpec:
     def omegas(self) -> np.ndarray:
         return np.array([w for _, w in self.jumps])
 
+    @cached_property
+    def jump_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights c_j = e^{-omega_j/2}, jumps stacked as (J, n, n), and K.
+
+        K = sum_j c_j V_j^* V_j.  Built on first use and kept with the
+        spec, read-only, so every application of L or L^+ shares one build.
+        """
+        n = self.dim
+        c = np.exp(-self.omegas() / 2.0)
+        vs = np.array(self.jump_ops(), dtype=complex).reshape(-1, n, n)
+        k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
+        for arr in (c, vs, k):
+            arr.flags.writeable = False
+        return c, vs, k
+
     def validate(self, eigen_tol: float = JUMP_EIGEN_TOL, star_tol: float = STAR_CLOSURE_TOL):
         """Check the modular-eigenvector and adjoint-closure invariants.
 
@@ -142,15 +156,6 @@ class GeneratorSpec:
         return self
 
 
-def _jump_stack(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights c_j = e^{-omega_j/2}, jumps stacked as (J, n, n), and K."""
-    n = spec.dim
-    c = np.exp(-spec.omegas() / 2.0)
-    vs = np.array(spec.jump_ops(), dtype=complex).reshape(-1, n, n)
-    k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
-    return c, vs, k
-
-
 def build_generator(spec: GeneratorSpec) -> np.ndarray:
     """Superoperator of L(A) = sum_j e^{-omega_j/2}(V^*[A,V] + [V^*,A]V).
 
@@ -162,7 +167,7 @@ def build_generator(spec: GeneratorSpec) -> np.ndarray:
     """
     n = spec.dim
     big = n * n
-    c, vs, k = _jump_stack(spec)
+    c, vs, k = spec.jump_stack
     flat = vs.reshape(-1, big)
     sandwich = flat.T @ (c[:, None] * np.conj(flat))
     sandwich = sandwich.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(big, big)
@@ -172,7 +177,7 @@ def build_generator(spec: GeneratorSpec) -> np.ndarray:
 
 def apply_generator(spec: GeneratorSpec, a: np.ndarray) -> np.ndarray:
     """L(A) = 2 sum_j c_j V_j^* A V_j - K A - A K, from the jumps."""
-    c, vs, k = _jump_stack(spec)
+    c, vs, k = spec.jump_stack
     a = np.asarray(a, dtype=complex)
     sandwich = np.tensordot(c, np.conj(vs).transpose(0, 2, 1) @ a @ vs, axes=1)
     return 2.0 * sandwich - k @ a - a @ k
@@ -184,7 +189,7 @@ def apply_dual(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     The Hilbert-Schmidt adjoint of :func:`apply_generator`: c_j is real
     and K Hermitian, so Tr[A^* L^+(rho)] = Tr[L(A)^* rho] for any jumps.
     """
-    c, vs, k = _jump_stack(spec)
+    c, vs, k = spec.jump_stack
     rho = np.asarray(rho, dtype=complex)
     sandwich = np.tensordot(c, vs @ rho @ np.conj(vs).transpose(0, 2, 1), axes=1)
     return 2.0 * sandwich - k @ rho - rho @ k
@@ -297,58 +302,37 @@ def certify_detailed_balance(
 
 
 def check_complete_positivity(
-    l: np.ndarray,
-    psd_tol: float = 1e-10,
-    cross_check_times=(0.01, 0.1, 1.0),
-    l_norm: float | None = None,
+    l: np.ndarray, psd_tol: float = 1e-10, l_norm: float | None = None
 ) -> tuple[bool, float]:
-    """Conditional complete positivity of a unital, star-preserving L.
+    """Complete positivity of exp(tL) for every t >= 0, for a unital, star-preserving L.
 
-    Tests positivity of the reduced coefficient matrix of L in the modular
-    basis of the maximally mixed state, an orthonormal basis with the
-    identity first (the generated semigroup is CP iff that block is PSD;
-    see :func:`qmsflow.canonical.reduced_gks_psd`), and
-    cross-checks that the Choi matrices of exp(t L) at a few times have no
-    eigenvalue below the tolerance.  ``l_norm`` is the operator 2-norm of
-    L when the caller already has it.  Returns (verdict, minimum eigenvalue
-    of the reduced block).
+    The semigroup is completely positive exactly when the reduced
+    coefficient block of L (identity row and column removed) is positive
+    semidefinite (Gorini-Kossakowski-Sudarshan, Lindblad), so that block
+    is the verdict and no propagator exp(tL) is formed.  Every orthonormal
+    basis with the identity first gives the block the same spectrum; the
+    modular basis of the maximally mixed state is used.  The block passes
+    when its smallest eigenvalue is at least ``-psd_tol`` times its largest
+    |eigenvalue|, so the verdict does not depend on the units of L.  L must
+    annihilate the identity and preserve adjoints (ValueError otherwise).
+    ``l_norm`` is the operator 2-norm of L when the caller already has it.
+    Returns (verdict, minimum eigenvalue of the reduced block).
     """
-    from .canonical import reduced_gks_psd
+    from .canonical import gks_matrix
 
     l = check_finite(l, "superoperator")
     n = int(round(np.sqrt(l.shape[0])))
+    scale = max(np.linalg.norm(l, 2) if l_norm is None else l_norm, 1e-300)
+    if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
+        raise ValueError("superoperator does not annihilate the identity")
+    if star_swap_residual(l) > 1e-8:
+        raise ValueError("superoperator is not star-preserving")
     basis = build_modular_basis(DensityState.from_matrix(np.eye(n) / n)).basis
-    verdict, evals = reduced_gks_psd(l, basis, psd_tol, l_norm=l_norm)
-    min_eig = float(evals[0]) if evals.size else 0.0
-
-    if verdict:
-        for prop in _propagators(l, cross_check_times):
-            ch = choi(prop)
-            # exp(tL) preserves adjoints, so its Choi matrix is Hermitian and
-            # its 2-norm is the spectral radius
-            ch_evals = np.linalg.eigvalsh(0.5 * (ch + dag(ch)))
-            if ch_evals[0] < -1e-8 * max(1.0, -ch_evals[0], ch_evals[-1]):
-                verdict = False
-                break
-    return bool(verdict), min_eig
-
-
-def _propagators(l: np.ndarray, times):
-    """Yields exp(t L) for each of ``times`` in order.
-
-    Where t is a positive integer multiple k <= 100 of the previous time,
-    exp(t L) is that time's propagator to the power k (repeated squaring,
-    whose round-off grows like k); elsewhere it is a Pade exponential.
-    """
-    prev_t, prev = 0.0, None
-    for t in map(float, times):
-        k = round(t / prev_t) if prev_t > 0 else 0
-        if 1 <= k <= 100 and abs(t - k * prev_t) <= 1e-12 * t:
-            prop = np.linalg.matrix_power(prev, k)
-        else:
-            prop = scipy.linalg.expm(t * l)
-        yield prop
-        prev_t, prev = t, prop
+    red = gks_matrix(l, basis, check_orthonormal=False).reduced()
+    evals = np.linalg.eigvalsh(0.5 * (red + dag(red)))
+    if evals.size == 0:
+        return True, 0.0
+    return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), float(evals[0])
 
 
 def _bohr_factor(spec: GeneratorSpec) -> tuple[np.ndarray, list]:
@@ -361,7 +345,8 @@ def _bohr_factor(spec: GeneratorSpec) -> tuple[np.ndarray, list]:
 
     which vanishes unless E_ab and E_cd share the Bohr frequency
     log lam_a - log lam_b, because every tilde V_j lives on the units of
-    frequency -omega_j.  A jump with more than ``JUMP_EIGEN_TOL`` of its
+    frequency -omega_j.  The blocks are those of
+    :func:`qmsflow.states.bohr_groups`, the grouping the modular basis uses.  A jump with more than ``JUMP_EIGEN_TOL`` of its
     Frobenius mass off that block raises ValueError, so no coupling is
     dropped.  Scaling E_ab by (lam_a lam_b)^{1/4} makes each block
     Hermitian (KMS symmetry); blocks further than ``KMS_SYMMETRY_TOL``
@@ -370,21 +355,20 @@ def _bohr_factor(spec: GeneratorSpec) -> tuple[np.ndarray, list]:
     a n + b, weights and weighted eigenpairs.
     """
     n, lam, u = spec.dim, spec.sigma.eigenvalues, spec.sigma.eigenvectors
-    c, vs, k = _jump_stack(spec)
-    omegas = spec.omegas()
-    freq = np.subtract.outer(np.log(lam), np.log(lam)).ravel()
+    c, vs, k = spec.jump_stack
+    omegas, nn = spec.omegas(), n * n
     # each jump's frequency -omega_j is grouped with the units, so it lands
     # in the block of units sharing it, or alone when no unit does
-    groups = _group_indices(np.concatenate([freq, -omegas]), BOHR_RTOL)
-    label = np.empty(freq.size + omegas.size, dtype=int)
+    groups = bohr_groups(spec.sigma, -omegas)
+    label = np.empty(nn + omegas.size, dtype=int)
     by_size: dict[int, list] = {}  # the units of each block, by block size
     for g, members in enumerate(groups):
         label[members] = g
-        units = [i for i in members if i < freq.size]
+        units = [i for i in members if i < nn]
         if units:
             by_size.setdefault(len(units), []).append(units)
-    flat = (dag(u) @ vs @ u).reshape(len(vs), n * n)  # rows: tilde V_j, row-major
-    off_block = label[None, : freq.size] != label[freq.size :, None]
+    flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
+    off_block = label[None, :nn] != label[nn:, None]
     off = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
     off /= np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
     if np.any(off > JUMP_EIGEN_TOL):
@@ -515,7 +499,7 @@ def restrict_to_commutative(
 
     # invariance of the span under the dual generator
     images = [apply_dual(spec, e) for e in projections]
-    scale = np.linalg.norm(_jump_stack(spec)[2])
+    scale = np.linalg.norm(spec.jump_stack[2])
     for k, image in enumerate(images):
         inside = sum(
             (np.trace(projections[m] @ image) / traces[m]) * projections[m]

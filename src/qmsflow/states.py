@@ -35,6 +35,7 @@ __all__ = [
     "modular_apply",
     "modular_shift",
     "modular_superoperator",
+    "bohr_groups",
     "build_modular_basis",
     "inner_s",
     "inner_f",
@@ -118,14 +119,18 @@ class ModularData:
     product, starts with the identity, is closed under adjoints via the
     index involution ``conj_pairing`` (F_{a'} = F_a^*, omega_{a'} =
     -omega_a), and satisfies Delta_sigma F_a = e^{-omega_a} F_a.
-    Ordering: the identity first, then ascending Bohr frequency with the
-    originating eigenvector pair (i, j) as tie-breaker.
+    ``block_labels`` gives each element its Bohr block from
+    :func:`bohr_groups`: labels ascend with frequency, and the identity's
+    label is the omega = 0 block.  Ordering: the identity first, then
+    ascending Bohr frequency with the originating eigenvector pair (i, j)
+    as tie-breaker.
     """
 
     sigma: DensityState
     bohr_frequencies: np.ndarray
     basis: list = field(repr=False)
     conj_pairing: np.ndarray
+    block_labels: np.ndarray
 
     @property
     def size(self) -> int:
@@ -145,6 +150,22 @@ def _group_indices(values: np.ndarray, rtol: float) -> list:
     return groups
 
 
+def bohr_groups(sigma: DensityState, extra=()) -> list:
+    """Blocks of sigma's Bohr frequencies: the one grouping of frequencies.
+
+    Position a n + b stands for log lam_a - log lam_b, which is -omega for
+    the unit |eta_a><eta_b| on sigma's eigenvectors; positions from n^2 on
+    stand for the values of ``extra``.  Sorted values whose gaps are at
+    most ``BOHR_RTOL`` times the largest |value| (at least 1) share a
+    block.  Blocks come in ascending frequency, their members in ascending
+    value.  Two eigenvalues of sigma count as degenerate when their
+    frequency shares the block of 0.
+    """
+    loglam = np.log(sigma.eigenvalues)
+    freq = np.subtract.outer(loglam, loglam).ravel()
+    return _group_indices(np.concatenate([freq, np.asarray(extra, dtype=float)]), BOHR_RTOL)
+
+
 def _helmert_rows(m: int) -> np.ndarray:
     """Real orthogonal m x m matrix whose first row is (1, ..., 1)/sqrt(m)."""
     h = np.zeros((m, m))
@@ -156,35 +177,40 @@ def _helmert_rows(m: int) -> np.ndarray:
     return h
 
 
-def build_modular_basis(sigma: DensityState, rtol: float = BOHR_RTOL) -> ModularData:
+def build_modular_basis(sigma: DensityState) -> ModularData:
     """Construct a modular basis for ``sigma``.
 
     Starting from the rank-one units sqrt(n) |eta_i><eta_j| on the
-    eigenvectors of sigma, eigenvalues of sigma are merged up to round-off
-    before pairing.  Within the omega = 0 block every element is made
+    eigenvectors of sigma (eigenvalues ascending), the grouping of
+    :func:`bohr_groups` decides everything that depends on a tolerance:
+    neighbouring eigenvalues whose Bohr frequency shares the block of 0 are
+    merged, on log lam at ``BOHR_RTOL``, and each element is labelled with
+    its frequency's block.  Within the omega = 0 block every element is made
     self-adjoint: the diagonal units are rotated by a Helmert-style real
     orthogonal matrix whose first output is the identity, and off-diagonal
-    units inside degenerate eigenspaces are replaced by their real and
+    units inside merged eigenspaces are replaced by their real and
     imaginary symmetrizations.  For omega != 0 the units are kept as
-    adjoint-conjugate pairs.
+    adjoint-conjugate pairs, at the difference of their eigenspaces' mean
+    log-eigenvalues.
     """
     n = sigma.dim
-    lam = sigma.eigenvalues
     u = sigma.eigenvectors
-    loglam = np.log(lam)
+    loglam = np.log(sigma.eigenvalues)
 
-    eig_groups = _group_indices(lam, rtol=1e-12)
-    group_of = np.empty(n, dtype=int)
-    for g, members in enumerate(eig_groups):
-        for i in members:
-            group_of[i] = g
-    # representative log-eigenvalue per merged group
-    group_log = np.array([np.mean(loglam[members]) for members in eig_groups])
+    label = np.empty(n * n, dtype=int)
+    for g, members in enumerate(bohr_groups(sigma)):
+        label[members] = g
+    label = label.reshape(n, n)  # label[i, j]: block of log lam_i - log lam_j
+    zero = label[0, 0]
+    steps = label[np.arange(n - 1), np.arange(1, n)] != zero
+    group_of = np.concatenate([[0], np.cumsum(steps)])
+    # representative log-eigenvalue per merged eigenspace
+    group_log = np.array([np.mean(loglam[group_of == g]) for g in range(group_of[-1] + 1)])
 
     def unit(i: int, j: int) -> np.ndarray:
         return np.sqrt(n) * np.outer(u[:, i], np.conj(u[:, j]))
 
-    entries: list[tuple[float, tuple, np.ndarray, tuple]] = []
+    entries: list[tuple[float, tuple, np.ndarray, tuple, int]] = []
     # key = (omega, (i, j)); partner key recorded for adjoint pairing
 
     # omega = 0 block, diagonal part: Helmert rotation anchored at identity
@@ -192,7 +218,7 @@ def build_modular_basis(sigma: DensityState, rtol: float = BOHR_RTOL) -> Modular
     diag_units = [unit(i, i) for i in range(n)]
     for k in range(n):
         mat = sum(h[k, i] * diag_units[i] for i in range(n))
-        entries.append((0.0, (-1, k), mat, (-1, k)))
+        entries.append((0.0, (-1, k), mat, (-1, k), zero))
 
     # off-diagonal units
     for i in range(n):
@@ -205,11 +231,11 @@ def build_modular_basis(sigma: DensityState, rtol: float = BOHR_RTOL) -> Modular
                     f = unit(i, j)
                     fs = (f + dag(f)) / np.sqrt(2.0)
                     fa = 1j * (f - dag(f)) / np.sqrt(2.0)
-                    entries.append((0.0, (i, j), fs, (i, j)))
-                    entries.append((0.0, (j, i), fa, (j, i)))
+                    entries.append((0.0, (i, j), fs, (i, j), zero))
+                    entries.append((0.0, (j, i), fa, (j, i), zero))
             else:
                 omega = float(group_log[group_of[j]] - group_log[group_of[i]])
-                entries.append((omega, (i, j), unit(i, j), (j, i)))
+                entries.append((omega, (i, j), unit(i, j), (j, i), label[j, i]))
 
     entries.sort(key=lambda e: (e[0], e[1]))
     # identity first, then ascending omega with lexicographic tie-break
@@ -220,7 +246,8 @@ def build_modular_basis(sigma: DensityState, rtol: float = BOHR_RTOL) -> Modular
     omegas = np.array([e[0] for e in entries])
     keys = {e[1]: pos for pos, e in enumerate(entries)}
     pairing = np.array([keys[e[3]] for e in entries], dtype=int)
-    return ModularData(sigma, omegas, basis, pairing)
+    labels = np.array([e[4] for e in entries], dtype=int)
+    return ModularData(sigma, omegas, basis, pairing, labels)
 
 
 def inner_s(sigma: DensityState, s: float, a: np.ndarray, b: np.ndarray) -> complex:

@@ -188,9 +188,10 @@ def continuity_solve(
 ) -> TangentDecomposition:
     """Solve rho-dot = -div([rho]_omega grad U) for traceless Hermitian U."""
     rho_dot = np.asarray(rho_dot, dtype=complex)
-    if np.linalg.norm(rho_dot - dag(rho_dot)) > 1e-9 * max(1.0, np.linalg.norm(rho_dot)):
+    size = np.linalg.norm(rho_dot)
+    if np.linalg.norm(rho_dot - dag(rho_dot)) > 1e-9 * size:
         raise ValueError("rho_dot must be Hermitian")
-    if abs(np.trace(rho_dot)) > 1e-9 * max(1.0, np.linalg.norm(rho_dot)):
+    if abs(np.trace(rho_dot)) > 1e-9 * size:
         raise ValueError("rho_dot must be traceless")
     if check_ergodic:
         _require_ergodic(spec)
@@ -233,8 +234,11 @@ def riemannian_gradient_flow_check(spec: GeneratorSpec, rho: DensityState) -> di
     and the mismatch of the energy identity
     Tr[(log rho - log sigma) L^+ rho] = -g(L^+ rho, L^+ rho).
     """
+    # L^+(rho) is traceless Hermitian; only round-off is removed here, which
+    # at a fixed point is all of rho_dot
     rho_dot = apply_dual(spec, rho.rho)
     rho_dot = 0.5 * (rho_dot + dag(rho_dot))
+    rho_dot -= np.trace(rho_dot).real / spec.dim * np.eye(spec.dim)
     entropy_grad = rho.log() - spec.sigma.log()
     fld = [rho_mult(rho, w, d) for (_, w), d in zip(spec.jumps, grad(spec, entropy_grad))]
     div_fld = divergence(spec, fld)

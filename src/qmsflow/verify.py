@@ -188,8 +188,7 @@ def check_offblock_vanishing(rng):
         l = generators.build_generator(spec)
         md = states.build_modular_basis(spec.sigma)
         c = canonical.gks_matrix(l, md.basis, check_orthonormal=False)
-        om = md.bohr_frequencies
-        mask = np.abs(om[:, None] - om[None, :]) > 1e-8 * max(1.0, np.max(np.abs(om)))
+        mask = md.block_labels[:, None] != md.block_labels[None, :]
         if np.any(mask):
             worst = max(worst, float(np.max(np.abs(c.matrix[mask]))) / max(np.max(np.abs(c.matrix)), 1e-300))
     return worst < 1e-10, f"worst off-block coefficient {worst:.3e}"
@@ -211,6 +210,7 @@ def check_extraction_uniqueness(rng):
             md.bohr_frequencies[perm],
             [md.basis[i] for i in perm],
             np.array([perm.index(md.conj_pairing[i]) for i in perm]),
+            md.block_labels[perm],
         )
         ex2, _ = canonical.extract_canonical(l, spec.sigma, modular=md2)
         l1 = generators.build_generator(ex1)

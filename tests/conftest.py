@@ -48,3 +48,25 @@ def kron_sum_generator(spec):
         vv = dag(v) @ v
         out += np.exp(-w / 2.0) * (2.0 * sharp(dag(v), v) - sharp(vv, eye) - sharp(eye, vv))
     return out
+
+
+def near_degenerate_spec(gap):
+    """sigma = diag(0.3, 0.3(1 + gap), 0.4 - 0.3 gap) with four independent jumps.
+
+    The omega = 0 jump E_01 + i E_10 comes with its adjoint (the same
+    dissipator), E_02 and E_20 sit at +-log(lam_2/lam_0), and diag(1, -1, 0)
+    completes the set, so the canonical form has four jumps.
+    """
+    from qmsflow.generators import GeneratorSpec
+    from qmsflow.states import DensityState
+
+    lam = np.array([0.3, 0.3 * (1 + gap), 0.4 - 0.3 * gap])
+    unit = np.eye(3, dtype=complex)
+
+    def e(i, j):
+        return np.outer(unit[i], unit[j])
+
+    w = float(np.log(lam[2] / lam[0]))
+    v = e(0, 1) + 1j * e(1, 0)
+    jumps = [(v, 0.0), (dag(v), 0.0), (e(0, 2), w), (e(2, 0), -w), (np.diag([1.0, -1.0, 0.0]), 0.0)]
+    return GeneratorSpec.create(DensityState.from_matrix(np.diag(lam).astype(complex)), jumps)

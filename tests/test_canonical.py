@@ -3,13 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from qmsflow.canonical import extract_canonical, gks_matrix, reduced_gks_psd
-from qmsflow.generators import GeneratorSpec, build_generator
+from qmsflow.canonical import extract_canonical, gks_matrix
+from qmsflow.generators import GeneratorSpec, build_generator, check_complete_positivity
 from qmsflow.linalg import commutator_super, dag, hs_inner, sharp
 from qmsflow.models import fermi_ou, random_dbc_spec, random_density
 from qmsflow.states import DensityState, ModularData, build_modular_basis
 
-from conftest import kron_sum_generator, random_matrix
+from conftest import kron_sum_generator, near_degenerate_spec, random_matrix
 
 
 def first_nonorthonormal_pair(basis):
@@ -104,25 +104,27 @@ class TestGKSMatrix:
 
 
 class TestReducedGKS:
+    """The reduced coefficient block decides complete positivity."""
+
     def test_zoo_generators_psd(self, rng, fermi_m2):
         l = build_generator(fermi_m2.spec)
-        basis = identity_anchored_basis(4)
-        ok, evals = reduced_gks_psd(l, basis)
+        ok, min_eig = check_complete_positivity(l)
         assert ok
-        assert evals[0] > -1e-12
+        assert min_eig > -1e-12
 
     def test_negated_double_commutator_fails(self, rng):
         x = random_matrix(rng, 2)
         v = x + dag(x)
         c = commutator_super(v)
-        ok, evals = reduced_gks_psd(c @ c, identity_anchored_basis(2))
+        ok, min_eig = check_complete_positivity(c @ c)
         assert not ok
-        assert evals[0] < -1e-8
+        assert min_eig < -1e-8
 
     def test_identity_map_zero_reduced_block(self):
-        ok, evals = reduced_gks_psd(np.zeros((4, 4)), identity_anchored_basis(2))
+        ok, min_eig = check_complete_positivity(np.zeros((4, 4)))
         assert ok
-        assert np.allclose(evals, 0.0)
+        assert min_eig == pytest.approx(0.0, abs=1e-8)
+        assert np.allclose(gks_matrix(np.zeros((4, 4)), identity_anchored_basis(2)).reduced(), 0.0)
 
 
 class TestExtraction:
@@ -232,6 +234,7 @@ class TestExtraction:
             md.bohr_frequencies[perm],
             [md.basis[i] for i in perm],
             np.array([perm.index(int(md.conj_pairing[i])) for i in perm]),
+            md.block_labels[perm],
         )
         ex2, _ = extract_canonical(l, spec.sigma, modular=md2)
         gap = np.linalg.norm(
@@ -248,9 +251,9 @@ class TestExtraction:
             assert extracted.njumps <= n * n - 1
 
     def test_near_degenerate_sigma_window(self, rng):
-        # eigenvalue gap between the merge tolerance and the frequency
-        # grouping tolerance: the tiny +-omega units share a block with
-        # the zero modes and must still extract cleanly
+        # eigenvalues 3e-11 apart (relative) are merged, so the tiny
+        # +-omega units become self-adjoint zero modes and the jumps
+        # between them come back as two omega = 0 jumps
         lam = np.array([0.3, 0.3 * (1 + 3e-11), 0.4 - 0.3 * 3e-11])
         q, _ = np.linalg.qr(random_matrix(rng, 3))
         sigma = DensityState.from_matrix((q * (lam / lam.sum())) @ dag(q))
@@ -262,6 +265,17 @@ class TestExtraction:
         extracted, report = extract_canonical(build_generator(spec), sigma)
         assert report.roundtrip_error < 1e-9
         assert extracted.njumps == 2
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-13, 5e-12, 2e-11, 5e-11])
+    def test_near_degenerate_sigma_merged_once(self, gap):
+        # one grouping decides both the merged eigenvalues and the blocks:
+        # E_01 and E_10 become self-adjoint omega = 0 elements, never a
+        # complex pair inside the zero block
+        spec = near_degenerate_spec(gap)
+        l = build_generator(spec)
+        extracted, report = extract_canonical(l, spec.sigma)
+        assert report.roundtrip_error <= 1e-9
+        assert extracted.njumps == 4
 
     def test_dropped_eigenvalues_independent_of_build(self):
         # round-off below the block eigensolve's floor is not listed, so two

@@ -1,11 +1,19 @@
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmsflow import cli, entropy, generators
 from qmsflow.cli import main
-from qmsflow.models import fermi_ou, random_dbc_spec
+from qmsflow.generators import GeneratorSpec
+from qmsflow.linalg import dag
+from qmsflow.models import depolarizing, fermi_ou, random_dbc_spec
+from qmsflow.states import DensityState
 from qmsflow.serialize import (
     density_from_json,
     density_to_json,
@@ -15,7 +23,7 @@ from qmsflow.serialize import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import random_matrix
+from conftest import near_degenerate_spec, random_matrix
 
 
 @pytest.fixture
@@ -163,6 +171,15 @@ class TestInspect:
         assert len(norms) == 1
         assert len(reduced) == 1
 
+    @pytest.mark.parametrize("gap", [0.0, 1e-13, 5e-12, 2e-11, 5e-11])
+    def test_near_degenerate_sigma_canonical_form(self, gap):
+        code, report = _inspect(near_degenerate_spec(gap))
+        assert code == 0
+        assert report["certification"]["gns_dbc"]
+        assert report["completely_positive"]
+        assert report["canonical"]["roundtrip_error"] <= 1e-9
+        assert report["canonical"]["jump_count"] == 4
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")
@@ -173,6 +190,80 @@ class TestInspect:
 
     def test_missing_file_exit_two(self):
         assert main(["inspect", "--input", "/nonexistent/x.json"]) == 2
+
+
+def _inspect(spec):
+    """Exit code and JSON report of ``qmsflow inspect`` on ``spec``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "spec.json", Path(tmp) / "report.json"
+        path.write_text(dump_json(spec_to_json(spec)))
+        code = main(["inspect", "--input", str(path), "--output", str(out)])
+        return code, json.loads(out.read_text())
+
+
+def _verdicts(code, report):
+    """The parts of an inspect report that no change of units, basis or jump listing may move."""
+    return {
+        "code": code,
+        "gns_dbc": report["certification"]["gns_dbc"],
+        "completely_positive": report["completely_positive"],
+        "ergodicity": report["ergodicity"],
+        "jump_count": report["canonical"]["jump_count"],
+        "block_sizes": sorted(report["canonical"]["block_sizes"].values()),
+    }
+
+
+INSPECT_MODELS = ["fermi_m1", "fermi_m2", "depolarizing_n3", "random4"]
+INSPECT_SETTINGS = settings(max_examples=16, deadline=None, derandomize=True, database=None)
+
+
+@functools.cache
+def _inspect_model(name):
+    if name == "fermi_m1":
+        spec = fermi_ou(1, 2.0, [1.0]).spec
+    elif name == "fermi_m2":
+        spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
+    elif name == "depolarizing_n3":
+        spec = depolarizing(3)
+    else:
+        spec = random_dbc_spec(4, np.random.default_rng(4))
+    return spec, _verdicts(*_inspect(spec))
+
+
+class TestInspectCovariance:
+    """inspect verdicts under changes that leave L alone or transform it."""
+
+    @INSPECT_SETTINGS
+    @given(name=st.sampled_from(INSPECT_MODELS), c=st.sampled_from([1e-10, 1.0, 1e10]))
+    def test_scaling(self, name, c):
+        # jumps sqrt(c) V give c L
+        spec, expect = _inspect_model(name)
+        scaled = GeneratorSpec.create(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
+        assert _verdicts(*_inspect(scaled)) == expect
+
+    @INSPECT_SETTINGS
+    @given(name=st.sampled_from(INSPECT_MODELS), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_conjugation(self, name, seed):
+        spec, expect = _inspect_model(name)
+        w, _ = np.linalg.qr(random_matrix(np.random.default_rng(seed), spec.dim))
+        sigma = DensityState.from_matrix(w @ spec.sigma.rho @ dag(w))
+        rotated = GeneratorSpec.create(sigma, [(w @ v @ dag(w), om) for v, om in spec.jumps])
+        assert _verdicts(*_inspect(rotated)) == expect
+
+    @INSPECT_SETTINGS
+    @given(name=st.sampled_from(INSPECT_MODELS), seed=st.integers(0, 2**32 - 1))
+    def test_reordered_jumps(self, name, seed):
+        spec, expect = _inspect_model(name)
+        order = np.random.default_rng(seed).permutation(spec.njumps)
+        permuted = GeneratorSpec.create(spec.sigma, [spec.jumps[i] for i in order])
+        assert _verdicts(*_inspect(permuted)) == expect
+
+    @pytest.mark.parametrize("name", INSPECT_MODELS)
+    def test_split_jumps(self, name):
+        # V -> (V/sqrt2, V/sqrt2) is the same L
+        spec, expect = _inspect_model(name)
+        split = [(v / np.sqrt(2.0), w) for v, w in spec.jumps for _ in range(2)]
+        assert _verdicts(*_inspect(GeneratorSpec.create(spec.sigma, split))) == expect
 
 
 class TestEvolve:

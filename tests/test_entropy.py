@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from qmsflow.entropy import (
     talagrand_check,
 )
 from qmsflow import entropy, generators
-from qmsflow.generators import _bohr_factor, build_generator, dual_orbit
+from qmsflow.generators import GeneratorSpec, _bohr_factor, build_generator, dual_orbit
 from qmsflow.linalg import apply_super, dag, hs_inner
 from qmsflow.models import random_dbc_spec, random_density
 from qmsflow.states import DensityState
@@ -263,6 +265,24 @@ class TestTrajectory:
         entropy_trajectory(fermi_m2.spec, random_density(4, rng), np.linspace(0, 2, points))
         assert len(factors) == 1
         assert all(vecs.shape[-1] < 16 for _, _, _, vecs in factors[0][1])
+
+    @pytest.mark.parametrize("points", [1, 5, 31])
+    def test_one_jump_stack_build(self, fermi_m2, rng, monkeypatch, points):
+        # the weights, the (J, n, n) jump stack and K are built once per
+        # spec and shared by the Bohr blocks and every production
+        stack = GeneratorSpec.__dict__["jump_stack"]
+        builds = []
+
+        def counting_stack(spec):
+            builds.append(1)
+            return stack.func(spec)
+
+        counting = functools.cached_property(counting_stack)
+        counting.__set_name__(GeneratorSpec, "jump_stack")
+        monkeypatch.setattr(GeneratorSpec, "jump_stack", counting)
+        spec = GeneratorSpec.create(fermi_m2.spec.sigma, fermi_m2.spec.jumps)
+        entropy_trajectory(spec, random_density(4, rng), np.linspace(0, 2, points))
+        assert len(builds) == 1
 
     def test_rejects_descending_grid(self, fermi_m1, rng):
         with pytest.raises(ValueError):

@@ -6,10 +6,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmsflow.canonical import reduced_gks_psd
 from qmsflow.generators import (
     GeneratorSpec,
-    _propagators,
     _self_adjointness_residual,
     apply_dual,
     apply_generator,
@@ -22,7 +20,7 @@ from qmsflow.generators import (
     restrict_to_commutative,
     semigroup,
 )
-from qmsflow.linalg import apply_super, commutator_super, dag, unvec, vec
+from qmsflow.linalg import apply_super, choi, commutator_super, dag, unvec, vec
 from qmsflow.models import (
     depolarizing,
     fermi_ou,
@@ -35,7 +33,6 @@ from qmsflow.states import (
     DensityState,
     _weight_kernel_f,
     bkm_weight,
-    build_modular_basis,
     inner_s,
     modular_superoperator,
     weight_superoperator_f,
@@ -378,33 +375,36 @@ class TestCompletePositivity:
             ok, min_eig = check_complete_positivity(scale * l)
             assert not ok, scale
             assert min_eig < -scale
-            ok, evals = reduced_gks_psd(scale * l, build_modular_basis(tracial(2)).basis)
-            assert not ok, scale
 
     def test_one_pade_exponential_and_no_svd(self, rng, monkeypatch):
-        # exp(0.1 L) and exp(L) are powers of exp(0.01 L); the Choi 2-norm is
-        # the spectral radius and ||L|| comes from the caller
+        # the reduced block is the verdict: no exponential at all, and
+        # ||L|| comes from the caller
         l = build_generator(random_dbc_spec(3, rng))
         l_norm = np.linalg.norm(l, 2)
         pade = counting_expm(monkeypatch)
         svds = counting_svds(monkeypatch)
         assert check_complete_positivity(l, l_norm=l_norm)[0]
-        assert len(pade) == 1
+        assert pade == []
         assert svds == []
 
-    @pytest.mark.parametrize(
-        "times, pade",
-        [((0.01, 0.1, 1.0), 1), ((0.01, 0.025, 0.1), 2), ((0.0, 0.5, 1.5), 2), ((1e-3, 1.0), 2)],
-    )
-    def test_propagators_match_pade(self, rng, monkeypatch, times, pade):
-        l = build_generator(random_dbc_spec(4, rng))
-        expm = scipy.linalg.expm
-        calls = counting_expm(monkeypatch)
-        props = list(_propagators(l, times))
-        assert len(calls) == pade
-        for t, prop in zip(times, props):
-            ref = expm(t * l)
-            assert np.linalg.norm(prop - ref) <= 1e-12 * np.linalg.norm(ref)
+    def test_verdict_matches_choi_of_propagators(self, rng, fermi_m1):
+        # oracle: exp(tL) is CP iff its Choi matrix is PSD, sampled at
+        # three times, against the verdict of the reduced block alone
+        x = random_matrix(rng, 2)
+        flip = commutator_super(x + dag(x))
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        jump = GeneratorSpec.create(tracial(2), [(lower, 0.0)], validate=False)
+        cases = [build_generator(random_dbc_spec(n, rng)) for n in (2, 3, 4)]
+        cases += [flip @ flip, build_generator(fermi_m1.spec) - 12.0 * build_generator(jump)]
+        verdicts = []
+        for l in cases:
+            choi_psd = True
+            for t in (0.01, 0.1, 1.0):
+                evals = np.linalg.eigvalsh(choi(scipy.linalg.expm(t * l)))
+                choi_psd &= bool(evals[0] >= -1e-8 * max(-evals[0], evals[-1]))
+            assert check_complete_positivity(l)[0] == choi_psd
+            verdicts.append(choi_psd)
+        assert verdicts == [True, True, True, False, False]
 
 
 class TestErgodicity:

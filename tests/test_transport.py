@@ -127,6 +127,20 @@ class TestContinuitySolve:
             continuity_solve(spec, spec.sigma, np.eye(2))
 
 
+    @pytest.mark.parametrize(
+        "rho_dot, match",
+        [
+            (1e-10 * np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+            (1e-10 * np.diag([1.0, 0.0]), "traceless"),
+        ],
+    )
+    def test_input_checks_relative_to_rho_dot(self, rng, rho_dot, match):
+        # a small rho_dot is judged against its own size, not against 1
+        spec = random_dbc_spec(2, rng, ergodic=True)
+        with pytest.raises(ValueError, match=match):
+            continuity_solve(spec, spec.sigma, rho_dot)
+
+
 class TestMetricTensor:
     def test_full_rank_for_ergodic(self, rng):
         spec = random_dbc_spec(3, rng, ergodic=True)
