@@ -192,11 +192,12 @@ def extract_canonical(
     sqrt(d e^{omega/2} / 2) V with V the corresponding unit combination of
     basis elements; the -omega partner is written as the exact adjoint,
     and the omega = 0 block, real symmetric in its self-adjoint elements,
-    gives self-adjoint jumps.  Eigenvalues at or below ``drop_rtol`` times
-    the largest are dropped together with their vectors; the report lists
-    those above the round-off of assembling and eigensolving the blocks,
-    the superoperator dimension n^2 times machine epsilon times the
-    largest.
+    gives self-adjoint jumps.  An eigenvalue d is dropped together with
+    its vector when d e^{omega/2}, the jump's squared norm, is at most
+    ``drop_rtol`` times the largest |e^{omega_a/2} c_ab| of the reduced
+    matrix, a scale a block and its conjugate partner share; the report
+    lists those above the round-off of the blocks, the superoperator
+    dimension n^2 times machine epsilon times the largest |c_ab|.
 
     With ``require_dbc`` the input must pass GNS certification (the
     caller's ``certification`` of ``l`` and ``sigma`` when given, so its
@@ -254,6 +255,8 @@ def extract_canonical(
 
     overall = max(float(np.max(np.abs(c_red.real))), 1e-300)
     listed_floor = l.shape[0] * np.finfo(float).eps * overall
+    # d e^{omega/2} is a jump's squared norm, alike for a block and its partner
+    weighted = max(float(np.max(np.abs(np.exp(omegas / 2.0)[:, None] * c_red))), 1e-300)
     jumps: list[tuple[np.ndarray, float]] = []
     dropped: list[float] = []
     block_sizes: dict[float, int] = {}
@@ -275,7 +278,7 @@ def extract_canonical(
         d, vv = np.linalg.eigh(0.5 * (sub + dag(sub)))
         count = 0
         for k in range(len(d) - 1, -1, -1):
-            if d[k] <= drop_rtol * overall:
+            if d[k] * np.exp(omega / 2.0) <= drop_rtol * weighted:
                 if abs(d[k]) > listed_floor:
                     dropped.append(float(d[k]))
                 continue
@@ -289,7 +292,7 @@ def extract_canonical(
         if g != zero:
             block_sizes[-omega] = count
 
-    spec = GeneratorSpec.create(sigma, jumps, validate=False)
+    spec = GeneratorSpec.create(sigma, jumps)
     rebuilt = build_generator(spec)
     rt = float(np.linalg.norm(rebuilt - l, 2) / max(l_norm, 1e-300))
     report = ExtractionReport(

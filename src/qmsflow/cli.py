@@ -42,7 +42,7 @@ from .serialize import (
     write_text_atomic,
 )
 from .transport import geodesic_distance, metric_tensor
-from .linalg import traceless_hermitian_basis
+from .linalg import check_finite, traceless_hermitian_basis
 from .verify import run_suite
 
 DEFAULT_TOLERANCES = {
@@ -72,13 +72,20 @@ def _load_spec_or_superop(path: str):
     Commands that need the dense generator of a spec build it themselves.
     """
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError("input must be a JSON object")
     try:
         if "jumps" in obj:
             spec = spec_from_json(obj)
             return spec, None, spec.sigma
         if "superoperator" in obj:
-            l = matrix_from_json(obj["superoperator"])
+            if "sigma" not in obj:
+                raise InputError("superoperator input must carry 'sigma'")
+            l = check_finite(matrix_from_json(obj["superoperator"]), "superoperator")
             sigma = density_from_json({"rho": obj["sigma"]})
+            if l.shape[0] != sigma.dim**2:
+                raise InputError(f"superoperator is {l.shape[0]} x {l.shape[0]}, not n^2 x n^2 "
+                                 f"for sigma of dim n = {sigma.dim}")
             return None, l, sigma
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -19,10 +19,11 @@ Hilbert-Schmidt adjoint, generating the evolution of states, is
     L^+(rho) = 2 sum_j c_j V_j rho V_j^* - K rho - rho K .
 
 :func:`apply_generator` and :func:`apply_dual` evaluate these from the
-jumps, and :func:`ergodicity` and :func:`dual_orbit` eigensolve L block by
-block over Bohr frequencies, built from the jumps as well; the dense
-n^2 x n^2 matrix of :func:`build_generator` is for the checks that take an
-arbitrary superoperator.
+jumps.  :meth:`GeneratorSpec.create` builds L block by block over Bohr
+frequencies from the jumps, once, which checks the spec, and
+:func:`ergodicity` and :func:`dual_orbit` eigensolve those blocks once;
+the dense n^2 x n^2 matrix of :func:`build_generator` is for the checks
+that take an arbitrary superoperator.
 """
 
 from __future__ import annotations
@@ -68,24 +69,30 @@ __all__ = [
 ]
 
 JUMP_EIGEN_TOL = 1e-10
-STAR_CLOSURE_TOL = 1e-9
 KMS_SYMMETRY_TOL = 1e-8
 GNS_FLAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Invariant state plus modular-eigenvector jump data."""
+    """Invariant state plus modular-eigenvector jump data, checked by
+    :meth:`create` or, after the plain constructor, at the first read of
+    :attr:`bohr_blocks`."""
 
     sigma: DensityState
     jumps: tuple  # tuple of (V_j: ndarray, omega_j: float)
 
     @classmethod
-    def create(cls, sigma: DensityState, jumps, validate: bool = True) -> "GeneratorSpec":
+    def create(cls, sigma: DensityState, jumps) -> "GeneratorSpec":
+        """The spec, checked once (ValueError): jump shapes, finite omegas, :attr:`bohr_blocks`."""
         packed = tuple((check_finite(v, "jump operator"), float(w)) for v, w in jumps)
+        for k, (v, w) in enumerate(packed):
+            if v.shape != sigma.rho.shape:
+                raise ValueError(f"jump {k} has shape {v.shape}, expected {sigma.rho.shape}")
+            if not np.isfinite(w):
+                raise ValueError(f"jump {k} has non-finite omega {w}")
         spec = cls(sigma, packed)
-        if validate:
-            spec.validate()
+        spec.bohr_blocks  # building the blocks is the check
         return spec
 
     @property
@@ -117,43 +124,86 @@ class GeneratorSpec:
             arr.flags.writeable = False
         return c, vs, k
 
-    def validate(self, eigen_tol: float = JUMP_EIGEN_TOL, star_tol: float = STAR_CLOSURE_TOL):
-        """Check the modular-eigenvector and adjoint-closure invariants.
+    @cached_property
+    def bohr_blocks(self) -> tuple[np.ndarray, list]:
+        """L block by block over Bohr frequencies, built from the jumps.
 
-        Raises ValueError describing the worst offender.
+        With U^* sigma U = diag(lam), tilde X = U^* X U and E_cd = |c><d|,
+
+            L(E_cd)_ab = 2 sum_j c_j conj(tilde V_j[c, a]) tilde V_j[d, b]
+                         - tilde K_ac delta_bd - delta_ac tilde K_db ,
+
+        which vanishes unless E_ab and E_cd share the Bohr frequency
+        log lam_a - log lam_b, because every tilde V_j lives on the units
+        of frequency -omega_j.  The blocks are those of
+        :func:`qmsflow.states.bohr_groups`, the grouping the modular basis
+        uses.  A jump with more than ``JUMP_EIGEN_TOL`` of its Frobenius
+        mass off that block raises ValueError, so no coupling is dropped.
+        Scaling E_ab by (lam_a lam_b)^{1/4} makes each block Hermitian
+        (KMS symmetry); blocks further than ``KMS_SYMMETRY_TOL`` from
+        Hermitian, in Frobenius norm relative to L's, raise ValueError.
+        This is the one structural check of a spec, made by :meth:`create`.
+        Returns U and, per block size, the stacked blocks' unit indices
+        a n + b, weights and Hermitian weighted blocks, all read-only.
         """
-        sig = self.sigma
-        worst = (0.0, "")
-        for k, (v, w) in enumerate(self.jumps):
-            if v.shape != sig.rho.shape:
-                raise ValueError(f"jump {k} has shape {v.shape}, expected {sig.rho.shape}")
-            resid = np.linalg.norm(sig.rho @ v @ sig.power(-1.0) - np.exp(-w) * v)
-            rel = resid / max(np.linalg.norm(v), 1e-300)
-            if rel > worst[0]:
-                worst = (rel, f"jump {k}: |Delta_sigma V - e^(-omega) V| = {rel:.3e} relative")
-        if worst[0] > eigen_tol:
-            raise ValueError("modular eigenvector condition violated: " + worst[1])
+        n, lam, u = self.dim, self.sigma.eigenvalues, self.sigma.eigenvectors
+        c, vs, k = self.jump_stack
+        omegas, nn = self.omegas(), n * n
+        # each jump's frequency -omega_j is grouped with the units, so it lands
+        # in the block of units sharing it, or alone when no unit does
+        groups = bohr_groups(self.sigma, -omegas)
+        label = np.empty(nn + omegas.size, dtype=int)
+        by_size: dict[int, list] = {}  # the units of each block, by block size
+        for g, members in enumerate(groups):
+            label[members] = g
+            units = [i for i in members if i < nn]
+            if units:
+                by_size.setdefault(len(units), []).append(units)
+        flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
+        off_block = label[None, :nn] != label[nn:, None]
+        off = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
+        off /= np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
+        if np.any(off > JUMP_EIGEN_TOL):
+            j = int(np.argmax(off))
+            raise ValueError(
+                f"jump {j} is not a modular eigenvector: {off[j]:.3e} of its mass "
+                f"lies off the Bohr block of frequency {-omegas[j]:.6g}"
+            )
+        kt, weighted_conj = dag(u) @ k @ u, c[:, None] * np.conj(flat)
+        blocks, asym, scale = [], 0.0, 0.0
+        for units in map(np.array, by_size.values()):
+            a, b = np.divmod(units, n)
+            ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
+            ca, db = cq * n + ap, dq * n + bp  # flat positions of [c, a] and [d, b]
+            sandwich = np.zeros(ca.shape, dtype=complex)
+            for cv, v in zip(weighted_conj, flat):
+                sandwich += cv[ca] * v[db]
+            block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
+            weights = (lam[a] * lam[b]) ** 0.25
+            h = weights[:, :, None] * block / weights[:, None, :]
+            h_adj = np.conj(h).transpose(0, 2, 1)
+            asym, scale = asym + np.linalg.norm(h - h_adj) ** 2, scale + np.linalg.norm(h) ** 2
+            h = 0.5 * (h + h_adj)
+            for arr in (units, weights, h):
+                arr.flags.writeable = False
+            blocks.append((units, weights, h))
+        if asym > KMS_SYMMETRY_TOL**2 * scale:
+            rel = np.sqrt(asym / scale)
+            raise ValueError(
+                f"L is not KMS-symmetric (the jumps are not closed under adjoints): "
+                f"weighted Bohr blocks {rel:.3e} off Hermitian"
+            )
+        return u, blocks
 
-        # adjoint closure must pair the jumps bijectively (self-pairs allowed)
-        unconsumed = set(range(self.njumps))
-        while unconsumed:
-            k = min(unconsumed)
-            v, w = self.jumps[k]
-            best = None
-            for m in unconsumed:
-                vm, wm = self.jumps[m]
-                err = np.linalg.norm(vm - dag(v)) / max(np.linalg.norm(v), 1e-300)
-                err += abs(wm + w) / max(1.0, abs(w))
-                if best is None or err < best[1]:
-                    best = (m, err)
-            if best is None or best[1] > star_tol:
-                raise ValueError(
-                    f"jump set not closed under adjoints: no partner for jump {k} "
-                    f"(best mismatch {best[1] if best else float('inf'):.3e})"
-                )
-            unconsumed.discard(k)
-            unconsumed.discard(best[0])
-        return self
+    @cached_property
+    def bohr_factor(self) -> tuple[np.ndarray, list]:
+        """U and, per block size, unit indices, weights and eigenpairs of the
+        :attr:`bohr_blocks`, eigensolved on first use and kept read-only."""
+        u, blocks = self.bohr_blocks
+        factor = [(units, w, *np.linalg.eigh(h)) for units, w, h in blocks]
+        for _, _, vals, vecs in factor:
+            vals.flags.writeable = vecs.flags.writeable = False
+        return u, factor
 
 
 def build_generator(spec: GeneratorSpec) -> np.ndarray:
@@ -335,70 +385,6 @@ def check_complete_positivity(
     return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), float(evals[0])
 
 
-def _bohr_factor(spec: GeneratorSpec) -> tuple[np.ndarray, list]:
-    """L block by block over Bohr frequencies, built from the jumps.
-
-    With U^* sigma U = diag(lam), tilde X = U^* X U and E_cd = |c><d|,
-
-        L(E_cd)_ab = 2 sum_j c_j conj(tilde V_j[c, a]) tilde V_j[d, b]
-                     - tilde K_ac delta_bd - delta_ac tilde K_db ,
-
-    which vanishes unless E_ab and E_cd share the Bohr frequency
-    log lam_a - log lam_b, because every tilde V_j lives on the units of
-    frequency -omega_j.  The blocks are those of
-    :func:`qmsflow.states.bohr_groups`, the grouping the modular basis uses.  A jump with more than ``JUMP_EIGEN_TOL`` of its
-    Frobenius mass off that block raises ValueError, so no coupling is
-    dropped.  Scaling E_ab by (lam_a lam_b)^{1/4} makes each block
-    Hermitian (KMS symmetry); blocks further than ``KMS_SYMMETRY_TOL``
-    from Hermitian, in Frobenius norm relative to L's, raise ValueError.
-    Returns U and, per block size, the stacked blocks' unit indices
-    a n + b, weights and weighted eigenpairs.
-    """
-    n, lam, u = spec.dim, spec.sigma.eigenvalues, spec.sigma.eigenvectors
-    c, vs, k = spec.jump_stack
-    omegas, nn = spec.omegas(), n * n
-    # each jump's frequency -omega_j is grouped with the units, so it lands
-    # in the block of units sharing it, or alone when no unit does
-    groups = bohr_groups(spec.sigma, -omegas)
-    label = np.empty(nn + omegas.size, dtype=int)
-    by_size: dict[int, list] = {}  # the units of each block, by block size
-    for g, members in enumerate(groups):
-        label[members] = g
-        units = [i for i in members if i < nn]
-        if units:
-            by_size.setdefault(len(units), []).append(units)
-    flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
-    off_block = label[None, :nn] != label[nn:, None]
-    off = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
-    off /= np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
-    if np.any(off > JUMP_EIGEN_TOL):
-        j = int(np.argmax(off))
-        raise ValueError(
-            f"jump {j} is not a modular eigenvector: {off[j]:.3e} of its mass "
-            f"lies off the Bohr block of frequency {-omegas[j]:.6g}"
-        )
-    kt = dag(u) @ k @ u
-    blocks, asym, scale = [], 0.0, 0.0
-    for units in map(np.array, by_size.values()):
-        a, b = np.divmod(units, n)
-        ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
-        ca, db = cq * n + ap, dq * n + bp  # flat positions of [c, a] and [d, b]
-        sandwich = np.zeros(ca.shape, dtype=complex)
-        for cj, v in zip(c, flat):
-            sandwich += cj * np.conj(v[ca]) * v[db]
-        block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
-        weights = (lam[a] * lam[b]) ** 0.25
-        h = weights[:, :, None] * block / weights[:, None, :]
-        h_adj = np.conj(h).transpose(0, 2, 1)
-        asym, scale = asym + np.linalg.norm(h - h_adj) ** 2, scale + np.linalg.norm(h) ** 2
-        vals, vecs = np.linalg.eigh(0.5 * (h + h_adj))
-        blocks.append((units, weights, vals, vecs))
-    if asym > KMS_SYMMETRY_TOL**2 * scale:  # the jumps are not closed under adjoints
-        rel = np.sqrt(asym / scale)
-        raise ValueError(f"L is not KMS-symmetric: weighted Bohr blocks {rel:.3e} off Hermitian")
-    return u, blocks
-
-
 def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:
     """Dimension of the null space of L, the commutant of the jumps; 1 means ergodic.
 
@@ -406,7 +392,7 @@ def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:
     |mu| <= ``tol`` times the largest |mu|: the tolerance measures
     eigenvalues of L, so the count does not change when L is rescaled.
     """
-    _, blocks = _bohr_factor(spec)
+    _, blocks = spec.bohr_factor
     mu = np.abs(np.concatenate([vals.ravel() for _, _, vals, _ in blocks]))
     return int(np.sum(mu <= tol * mu.max()))
 
@@ -428,7 +414,7 @@ def dual_orbit(spec: GeneratorSpec, x: np.ndarray, times) -> list:
     times = [float(t) for t in times]
     if any(t < 0 for t in times):
         raise ValueError("t must be nonnegative")
-    u, blocks = _bohr_factor(spec)
+    u, blocks = spec.bohr_factor
     xt = (dag(u) @ check_finite(x, "matrix") @ u).ravel()
     coeffs = [np.einsum("kqp,kq->kp", np.conj(q), xt[units] / w) for units, w, _, q in blocks]
     out = []
@@ -522,15 +508,16 @@ def restrict_to_commutative(
     return RateMatrix(q, stationary)
 
 
-def modular_subalgebra(sigma: DensityState, degeneracy_rtol: float = 1e-10) -> list:
+def modular_subalgebra(sigma: DensityState) -> list:
     """Minimal projections generating the fixed algebra of Delta_sigma.
 
     Only supports nondegenerate sigma, where the fixed algebra is the span
-    of the rank-one spectral projections; degenerate input is rejected.
+    of the rank-one spectral projections.  Degenerate input, two
+    eigenvalues whose Bohr frequency shares the block of 0 in
+    :func:`qmsflow.states.bohr_groups`, is rejected.
     """
-    lam = sigma.eigenvalues
-    gaps = np.diff(np.sort(lam))
-    if np.any(gaps <= degeneracy_rtol * float(np.max(np.abs(lam)))):
+    zero = next(g for g in bohr_groups(sigma) if 0 in g)  # position 0: frequency 0
+    if len(zero) > sigma.dim:  # more than the diagonal units
         raise ValueError("sigma has (numerically) degenerate eigenvalues")
     u = sigma.eigenvectors
     return [np.outer(u[:, i], np.conj(u[:, i])) for i in range(sigma.dim)]

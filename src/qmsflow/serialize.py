@@ -55,8 +55,8 @@ def density_to_json(state: DensityState) -> dict:
 
 
 def density_from_json(obj) -> DensityState:
-    if "rho" not in obj:
-        raise ValueError("density JSON must carry a 'rho' field")
+    if not isinstance(obj, dict) or "rho" not in obj:
+        raise ValueError("density JSON must be an object carrying a 'rho' field")
     rho = matrix_from_json(obj["rho"])
     if "dim" in obj and int(obj["dim"]) != rho.shape[0]:
         raise ValueError(
@@ -75,14 +75,19 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     }
 
 
-def spec_from_json(obj, validate: bool = True) -> GeneratorSpec:
-    if "sigma" not in obj or "jumps" not in obj:
-        raise ValueError("spec JSON must carry 'sigma' and 'jumps'")
+def spec_from_json(obj) -> GeneratorSpec:
+    """The spec of ``obj``, checked by :meth:`GeneratorSpec.create`."""
+    if not isinstance(obj, dict) or "sigma" not in obj or "jumps" not in obj:
+        raise ValueError("spec JSON must be an object carrying 'sigma' and 'jumps'")
+    if not isinstance(obj["jumps"], list):
+        raise ValueError("spec JSON 'jumps' must be a list")
     sigma = DensityState.from_matrix(matrix_from_json(obj["sigma"]))
-    jumps = [
-        (matrix_from_json(j["V"]), float(j["omega"])) for j in obj["jumps"]
-    ]
-    return GeneratorSpec.create(sigma, jumps, validate=validate)
+    jumps = []
+    for k, j in enumerate(obj["jumps"]):
+        if not isinstance(j, dict) or "V" not in j or not isinstance(j.get("omega"), (int, float)):
+            raise ValueError(f"jump {k} must be an object carrying 'V' and a number 'omega'")
+        jumps.append((matrix_from_json(j["V"]), float(j["omega"])))
+    return GeneratorSpec.create(sigma, jumps)
 
 
 def rate_matrix_to_json(rate: RateMatrix, extra: dict | None = None) -> dict:

@@ -180,11 +180,7 @@ def _solve_metric_system(m: np.ndarray, b: np.ndarray, jitter: float = 1e-12) ->
 
 
 def continuity_solve(
-    spec: GeneratorSpec,
-    rho: DensityState,
-    rho_dot: np.ndarray,
-    check_ergodic: bool = True,
-    workspace: _MetricWorkspace | None = None,
+    spec: GeneratorSpec, rho: DensityState, rho_dot: np.ndarray
 ) -> TangentDecomposition:
     """Solve rho-dot = -div([rho]_omega grad U) for traceless Hermitian U."""
     rho_dot = np.asarray(rho_dot, dtype=complex)
@@ -193,9 +189,8 @@ def continuity_solve(
         raise ValueError("rho_dot must be Hermitian")
     if abs(np.trace(rho_dot)) > 1e-9 * size:
         raise ValueError("rho_dot must be traceless")
-    if check_ergodic:
-        _require_ergodic(spec)
-    ws = workspace if workspace is not None else _MetricWorkspace(spec)
+    _require_ergodic(spec)
+    ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
     b = ws.coords(rho_dot)
     x = _solve_metric_system(m, b)
@@ -233,6 +228,8 @@ def riemannian_gradient_flow_check(spec: GeneratorSpec, rho: DensityState) -> di
 
     and the mismatch of the energy identity
     Tr[(log rho - log sigma) L^+ rho] = -g(L^+ rho, L^+ rho).
+    The metric g is that of ``continuity_solve``, so a spec that is not
+    ergodic raises ``ValueError``.
     """
     # L^+(rho) is traceless Hermitian; only round-off is removed here, which
     # at a fixed point is all of rho_dot
@@ -245,7 +242,7 @@ def riemannian_gradient_flow_check(spec: GeneratorSpec, rho: DensityState) -> di
     denom = max(float(np.linalg.norm(rho_dot)), 1e-300)
     residual = float(np.linalg.norm(rho_dot - div_fld) / denom)
 
-    dec = continuity_solve(spec, rho, rho_dot, check_ergodic=False)
+    dec = continuity_solve(spec, rho, rho_dot)
     lhs = float(np.trace(entropy_grad @ rho_dot).real)
     energy_mismatch = abs(lhs + dec.metric_value)
     return {

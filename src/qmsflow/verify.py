@@ -321,9 +321,7 @@ def check_energy_identity(rng):
         ds = [entropy.relative_entropy(r, spec.sigma) for r in states_t]
         rho_t = states_t[1]
         dd = (ds[2] - ds[0]) / (2 * h)
-        dec = transport.continuity_solve(
-            spec, rho_t, generators.apply_dual(spec, rho_t.rho), check_ergodic=False
-        )
+        dec = transport.continuity_solve(spec, rho_t, generators.apply_dual(spec, rho_t.rho))
         worst = max(worst, abs(dd + dec.metric_value))
     return worst < 1e-6, f"worst energy identity mismatch {worst:.3e}"
 

@@ -162,11 +162,16 @@ class TestExtraction:
             for k in range(j):
                 ip = hs_inner(ops[j], ops[k], normalized=True) / (norms[j] * norms[k])
                 assert abs(ip) < 1e-9
-        # star closure is exact by construction
-        spec_validated = GeneratorSpec.create(
-            extracted.sigma, extracted.jumps, validate=True
-        )
-        assert spec_validated.njumps == extracted.njumps
+        # star closure: each jump's adjoint is a jump at -omega, and the
+        # omega = 0 jumps are self-adjoint
+        for v, w in extracted.jumps:
+            if abs(w) <= 1e-9:
+                assert np.linalg.norm(v - dag(v)) <= 1e-9 * np.linalg.norm(v)
+            assert any(
+                np.linalg.norm(v2 - dag(v)) <= 1e-9 * np.linalg.norm(v)
+                and abs(w2 + w) <= 1e-9
+                for v2, w2 in extracted.jumps
+            )
 
     def test_fermi_two_modes(self, fermi_m2):
         l = build_generator(fermi_m2.spec)

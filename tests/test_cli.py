@@ -191,6 +191,60 @@ class TestInspect:
     def test_missing_file_exit_two(self):
         assert main(["inspect", "--input", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "name",
+        ["no_V", "no_omega", "jumps_not_list", "jump_not_object",
+         "superoperator_without_sigma", "superoperator_wrong_size", "omega_nan"],
+    )
+    def test_malformed_wire_format_exit_two(self, tmp_path, capsys, name):
+        obj = spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
+        if name == "no_V":
+            del obj["jumps"][0]["V"]
+        elif name == "no_omega":
+            del obj["jumps"][0]["omega"]
+        elif name == "jumps_not_list":
+            obj["jumps"] = {"V": obj["sigma"], "omega": 0.0}
+        elif name == "jump_not_object":
+            obj["jumps"][0] = [obj["sigma"], 0.0]
+        elif name == "superoperator_without_sigma":
+            obj = {"dim": 2, "superoperator": matrix_to_json(np.eye(4))}
+        elif name == "superoperator_wrong_size":
+            obj = {"dim": 2, "sigma": obj["sigma"], "superoperator": matrix_to_json(np.eye(3))}
+        else:
+            for jump in obj["jumps"]:
+                jump["omega"] = float("nan")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["inspect", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and len(err) > len("input error: \n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["spec", "superoperator"])
+    @pytest.mark.parametrize("lam0", [1e-12, 1e-10])
+    def test_extreme_sigma_ratio_canonical_form(self, tmp_path, lam0, kind):
+        # sigma = diag(lam0, 1/2 - lam0, 1/2) with the exact pair
+        # (E02, omega), (E20, -omega): the spec loads, and extraction keeps
+        # the +-omega pair although the -omega block's entries are e^omega,
+        # about 1/lam0, times the +omega block's
+        lam = np.array([lam0, 0.5 - lam0, 0.5])
+        e02 = np.zeros((3, 3))
+        e02[0, 2] = 1.0
+        omega = float(np.log(lam[2] / lam[0]))
+        sigma = DensityState.from_matrix(np.diag(lam).astype(complex))
+        spec = GeneratorSpec(sigma, ((e02.astype(complex), omega), (e02.T.astype(complex), -omega)))
+        obj = {"dim": 3, "sigma": matrix_to_json(sigma.rho)}
+        if kind == "spec":
+            obj["jumps"] = [{"V": matrix_to_json(v), "omega": w} for v, w in spec.jumps]
+        else:
+            obj["superoperator"] = matrix_to_json(generators.build_generator(spec))
+        path, out = tmp_path / "in.json", tmp_path / "report.json"
+        path.write_text(dump_json(obj))
+        assert main(["inspect", "--input", str(path), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["canonical"]["jump_count"] == 2
+        assert report["canonical"]["roundtrip_error"] <= 1e-9
+
 
 def _inspect(spec):
     """Exit code and JSON report of ``qmsflow inspect`` on ``spec``."""
@@ -260,10 +314,14 @@ class TestInspectCovariance:
 
     @pytest.mark.parametrize("name", INSPECT_MODELS)
     def test_split_jumps(self, name):
-        # V -> (V/sqrt2, V/sqrt2) is the same L
+        # V -> (V/sqrt2, V/sqrt2), for every jump or only the first with
+        # V^* left whole, is the same L
         spec, expect = _inspect_model(name)
         split = [(v / np.sqrt(2.0), w) for v, w in spec.jumps for _ in range(2)]
-        assert _verdicts(*_inspect(GeneratorSpec.create(spec.sigma, split))) == expect
+        (v, w), rest = spec.jumps[0], list(spec.jumps[1:])
+        split_first = [(v / np.sqrt(2.0), w)] * 2 + rest
+        for jumps in (split, split_first):
+            assert _verdicts(*_inspect(GeneratorSpec.create(spec.sigma, jumps))) == expect
 
 
 class TestEvolve:

@@ -14,10 +14,11 @@ from qmsflow.entropy import (
     talagrand_check,
 )
 from qmsflow import entropy, generators
-from qmsflow.generators import GeneratorSpec, _bohr_factor, build_generator, dual_orbit
-from qmsflow.linalg import apply_super, dag, hs_inner
+from qmsflow.generators import GeneratorSpec, build_generator, dual_orbit
+from qmsflow.linalg import apply_super, dag, hs_inner, traceless_hermitian_basis
 from qmsflow.models import random_dbc_spec, random_density
 from qmsflow.states import DensityState
+from qmsflow.transport import continuity_solve, geodesic_distance, metric_tensor
 
 from conftest import random_matrix
 
@@ -253,18 +254,36 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("points", [1, 5, 31])
     def test_one_superoperator_eigensolve(self, fermi_m2, rng, monkeypatch, points):
-        # the Bohr blocks of L are eigensolved once per trajectory, not per
-        # grid time, and none is the whole n^2 x n^2 superoperator
-        factors = []
+        # create builds the spec's Bohr blocks once, which checks it; the
+        # first spectral routine eigensolves them once, and every spectral
+        # and transport routine reads the eigenpairs from the spec; no block
+        # is the whole n^2 x n^2 superoperator
+        builds = {"bohr_blocks": 0, "bohr_factor": 0}
 
-        def counting_factor(spec):
-            factors.append(_bohr_factor(spec))
-            return factors[-1]
+        def counting(name):
+            prop = GeneratorSpec.__dict__[name]
 
-        monkeypatch.setattr(generators, "_bohr_factor", counting_factor)
-        entropy_trajectory(fermi_m2.spec, random_density(4, rng), np.linspace(0, 2, points))
-        assert len(factors) == 1
-        assert all(vecs.shape[-1] < 16 for _, _, _, vecs in factors[0][1])
+            def build(spec):
+                builds[name] += 1
+                return prop.func(spec)
+
+            wrapped = functools.cached_property(build)
+            wrapped.__set_name__(GeneratorSpec, name)
+            monkeypatch.setattr(GeneratorSpec, name, wrapped)
+
+        counting("bohr_blocks")
+        counting("bohr_factor")
+        spec = GeneratorSpec.create(fermi_m2.spec.sigma, fermi_m2.spec.jumps)
+        assert builds == {"bohr_blocks": 1, "bohr_factor": 0}
+        rho = random_density(4, rng)
+        generators.ergodicity(spec)
+        dual_orbit(spec, rho.rho, np.linspace(0, 2, points))
+        entropy_trajectory(spec, rho, np.linspace(0, 2, points))
+        continuity_solve(spec, rho, generators.apply_dual(spec, rho.rho))
+        metric_tensor(spec, rho, traceless_hermitian_basis(4))
+        geodesic_distance(spec, rho, spec.sigma, segments=2, max_iter=5)
+        assert builds == {"bohr_blocks": 1, "bohr_factor": 1}
+        assert all(vecs.shape[-1] < 16 for _, _, _, vecs in spec.bohr_factor[1])
 
     @pytest.mark.parametrize("points", [1, 5, 31])
     def test_one_jump_stack_build(self, fermi_m2, rng, monkeypatch, points):

@@ -369,7 +369,7 @@ class TestCompletePositivity:
         # Fermi m=1 minus 12 times the dissipator 2 V^* A V - {V^* V, A} of
         # the lowering operator: rejected at every scale
         lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        jump = GeneratorSpec.create(tracial(2), [(lower, 0.0)], validate=False)
+        jump = GeneratorSpec(tracial(2), ((lower, 0.0),))  # not detailed balance
         l = build_generator(fermi_m1.spec) - 12.0 * build_generator(jump)
         for scale in (1.0, 1e-6, 1e-9, 1e-12):
             ok, min_eig = check_complete_positivity(scale * l)
@@ -393,7 +393,7 @@ class TestCompletePositivity:
         x = random_matrix(rng, 2)
         flip = commutator_super(x + dag(x))
         lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        jump = GeneratorSpec.create(tracial(2), [(lower, 0.0)], validate=False)
+        jump = GeneratorSpec(tracial(2), ((lower, 0.0),))  # not detailed balance
         cases = [build_generator(random_dbc_spec(n, rng)) for n in (2, 3, 4)]
         cases += [flip @ flip, build_generator(fermi_m1.spec) - 12.0 * build_generator(jump)]
         verdicts = []
@@ -567,14 +567,17 @@ class TestDualOrbit:
     @COVARIANCE_SETTINGS
     @given(name=st.sampled_from(COVARIANCE_MODELS), seed=st.integers(0, 2**32 - 1))
     def test_reordered_and_split_jumps(self, name, seed):
-        # a permutation of the jumps, or V -> (V/sqrt2, V/sqrt2), is the same L
+        # a permutation of the jumps, or V -> (V/sqrt2, V/sqrt2) for every
+        # jump or only the first, leaving V^* whole, is the same L
         spec = _covariance_model(name)
         rng = np.random.default_rng(seed)
         permuted = [spec.jumps[i] for i in rng.permutation(spec.njumps)]
         split = [(v / np.sqrt(2.0), w) for v, w in spec.jumps for _ in range(2)]
+        (v, w), rest = spec.jumps[0], list(spec.jumps[1:])
+        split_first = [(v / np.sqrt(2.0), w)] * 2 + rest
         x, times = random_matrix(rng, spec.dim), rng.uniform(0.0, 2.0, 3)
         expect = dual_orbit(spec, x, times)
-        for jumps in (permuted, split):
+        for jumps in (permuted, split, split_first):
             other = GeneratorSpec.create(spec.sigma, jumps)
             assert ergodicity(other) == ergodicity(spec)
             _assert_orbits_close(dual_orbit(other, x, times), expect)
@@ -595,7 +598,10 @@ class TestDualOrbit:
     )
     def test_rejects_non_eigenvector_jump(self, jumps, match):
         sigma = DensityState.from_matrix(np.diag([0.7, 0.3]).astype(complex))
-        spec = GeneratorSpec.create(sigma, jumps, validate=False)
+        with pytest.raises(ValueError, match=match):
+            GeneratorSpec.create(sigma, jumps)
+        # the blocks are the check wherever they are first read
+        spec = GeneratorSpec(sigma, tuple(jumps))
         with pytest.raises(ValueError, match=match):
             ergodicity(spec)
         with pytest.raises(ValueError, match=match):
@@ -704,6 +710,14 @@ class TestModularSubalgebra:
         sigma = DensityState.from_matrix(np.diag([0.4, 0.4, 0.2]).astype(complex))
         with pytest.raises(ValueError, match="degenerate"):
             modular_subalgebra(sigma)
+
+    def test_accepts_tiny_distinct_eigenvalues(self):
+        # 1e-12 apart but log 2 apart in frequency: the Bohr grouping, not
+        # an absolute gap, decides degeneracy
+        sigma = DensityState.from_matrix(np.diag([1e-12, 2e-12, 1.0 - 3e-12]).astype(complex))
+        projs = modular_subalgebra(sigma)
+        assert len(projs) == 3
+        assert np.allclose(sum(projs), np.eye(3), atol=1e-12)
 
 
 def test_dirichlet_positivity(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmsflow.generators import (
+    GeneratorSpec,
     build_generator,
     certify_detailed_balance,
     ergodicity,
@@ -328,7 +329,7 @@ class TestRandomSpecs:
     def test_validates(self, rng):
         for _ in range(5):
             spec = random_dbc_spec(int(rng.integers(2, 6)), rng)
-            spec.validate()
+            GeneratorSpec.create(spec.sigma, spec.jumps)
 
     def test_ergodic_flag(self, rng):
         for _ in range(5):

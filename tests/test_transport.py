@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qmsflow.calculus import divergence, grad, log_mean, rho_div, rho_mult
-from qmsflow.generators import apply_dual, dual_orbit
+from qmsflow.generators import GeneratorSpec, apply_dual, dual_orbit
 from qmsflow.linalg import dag, hs_inner, traceless_hermitian_basis, vec
 from qmsflow.models import fermi_ou, hypercube_restriction, random_dbc_spec, random_density
 from qmsflow.states import DensityState
@@ -188,6 +188,12 @@ class TestGradientFlowIdentity:
         rho = random_density(4, rng)
         res = riemannian_gradient_flow_check(fermi_m2.spec, rho)
         assert res["gradient_flow_residual"] < 1e-8
+
+    def test_rejects_non_ergodic(self, fermi_m2, rng):
+        # one number operator as the only jump leaves a nontrivial commutant
+        spec = GeneratorSpec.create(fermi_m2.spec.sigma, [(fermi_m2.number_ops[0], 0.0)])
+        with pytest.raises(ValueError, match="ergodic"):
+            riemannian_gradient_flow_check(spec, random_density(4, rng))
 
 
 class TestGeodesics:
