@@ -20,7 +20,10 @@ blocks the modular basis records:
 
 Diagonalizing each block and splitting the eigenvalues over conjugate
 blocks yields jumps (V_j, omega_j) with the modular-eigenvector property,
-trace zero, and normalized-trace orthonormality.
+trace zero, and normalized-trace orthonormality.  For a generator given by
+its jumps the blocks are the jumps' Gram blocks
+(:attr:`qmsflow.generators.GeneratorSpec.gks_blocks`), and no n^2 x n^2
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
     CertificationReport,
     GeneratorSpec,
+    JumpGKS,
+    _block_distance,
+    _label_stacks,
+    _largest_singular_value,
+    _unweighted_blocks,
     build_generator,
     certify_detailed_balance,
     check_complete_positivity,
@@ -169,108 +177,57 @@ def _hamiltonian_parts(c: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
     return h, h_hat
 
 
-def extract_canonical(
-    l: np.ndarray,
-    sigma: DensityState,
-    modular: ModularData | None = None,
-    drop_rtol: float = DROP_RTOL,
-    require_dbc: bool = True,
-    certification: CertificationReport | None = None,
-    psd_tol: float = PSD_TOL,
-    complete_positivity: tuple[bool, float] | None = None,
-) -> tuple[GeneratorSpec, ExtractionReport]:
-    """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
+def _paired_blocks(blocks: list, mod: ModularData) -> list:
+    """Per block-size stack, the adjoint-pairing image e^{-omega_a} c_{b',a'}
+    of the reduced coefficient blocks (a, b in a block, ' the conjugate
+    element, whose block has the same size)."""
+    out = []
+    for members, values in blocks:
+        which, place = np.empty(mod.size, dtype=int), np.empty(mod.size, dtype=int)
+        which[members] = np.arange(len(members))[:, None]  # the block within the stack
+        place[members] = np.arange(members.shape[1])
+        partner = mod.conj_pairing[members]
+        image = values[which[partner[:, :1, None]], place[partner][:, None, :], place[partner][:, :, None]]
+        out.append(np.exp(-mod.bohr_frequencies[members])[:, :, None] * image)
+    return out
 
-    The blocks are the modular basis's own (``ModularData.block_labels``,
-    from :func:`qmsflow.states.bohr_groups`), so no frequency is compared
-    here.  The reduced coefficient matrix over the modular basis is
-    Hermitized, entries outside the Bohr blocks are zeroed (they are below
-    tolerance for valid input), the adjoint-pairing symmetry is enforced,
-    and each block is eigensolved once per conjugate pair, on its
-    omega >= 0 member (the partner found through ``conj_pairing``).
-    Eigenvalues d of the block at frequency omega give jumps
-    sqrt(d e^{omega/2} / 2) V with V the corresponding unit combination of
-    basis elements; the -omega partner is written as the exact adjoint,
-    and the omega = 0 block, real symmetric in its self-adjoint elements,
-    gives self-adjoint jumps.  An eigenvalue d is dropped together with
-    its vector when d e^{omega/2}, the jump's squared norm, is at most
-    ``drop_rtol`` times the largest |e^{omega_a/2} c_ab| of the reduced
-    matrix, a scale a block and its conjugate partner share; the report
-    lists those above the round-off of the blocks, the superoperator
-    dimension n^2 times machine epsilon times the largest |c_ab|.
 
-    With ``require_dbc`` the input must pass GNS certification (the
-    caller's ``certification`` of ``l`` and ``sigma`` when given, so its
-    tolerance holds; else one at the default tolerance), the reduced
-    coefficient positivity check at ``psd_tol`` (the caller's
-    ``complete_positivity`` verdict and minimum eigenvalue from
-    :func:`qmsflow.generators.check_complete_positivity` when given), and
-    the block-structure guard.  The round-trip error is relative to
-    ||L||, taken from the certification when there is one.
+def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
+    """Jumps from the Hermitian reduced coefficient blocks over ``mod``.
+
+    ``blocks`` holds, per block size, the element indices of each label's
+    reduced elements and their blocks.  The adjoint-pairing symmetry is
+    enforced on each block, and each block is eigensolved once per
+    conjugate pair, on its omega >= 0 member.  Returns (jumps, dropped
+    eigenvalues, block sizes).
     """
-    l = np.asarray(l, dtype=complex)
-    cert = certification
-    if require_dbc and cert is None:
-        cert = certify_detailed_balance(l, sigma)
-    l_norm = np.linalg.norm(l, 2) if cert is None else cert.l_norm
-    if require_dbc:
-        if not cert.gns_dbc:
-            raise ValueError(
-                "generator is not GNS-self-adjoint for sigma "
-                f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
-            )
-        if complete_positivity is None:
-            complete_positivity = check_complete_positivity(l, psd_tol=psd_tol, l_norm=l_norm)
-        cp_ok, min_eig = complete_positivity
-        if not cp_ok:
-            raise ValueError(
-                f"generator is not conditionally completely positive "
-                f"(reduced coefficient matrix has eigenvalue {min_eig:.3e})"
-            )
-
-    mod = modular if modular is not None else build_modular_basis(sigma)
     omegas, labels = mod.bohr_frequencies, mod.block_labels
-    gks = gks_matrix(l, mod.basis, check_orthonormal=False, omegas=omegas)
-    c = gks.matrix
-    offblock = labels[:, None] != labels[None, :]
-    herm_res = gks.hermiticity_residual()
-    block_res, pair_res, offblock_res = _gks_residuals(c, omegas, mod.conj_pairing, offblock)
-    h, h_hat = _hamiltonian_parts(c, mod.basis)
-
-    if require_dbc and max(block_res, pair_res, offblock_res) > 1e-6:
-        raise ValueError(
-            "coefficient matrix violates the modular block structure: "
-            f"block {block_res:.3e}, pairing {pair_res:.3e}, off-block {offblock_res:.3e}"
-        )
-
-    # reduced matrix, symmetrized: Hermitian part, block support, pairing
-    c_red = c.copy()
-    c_red[0, :] = 0.0
-    c_red[:, 0] = 0.0
-    c_red = 0.5 * (c_red + dag(c_red))
-    c_red[offblock] = 0.0
-    paired = np.exp(-omegas)[:, None] * c_red[np.ix_(mod.conj_pairing, mod.conj_pairing)].T
-    c_red = 0.5 * (c_red + paired)
-    c_red = 0.5 * (c_red + dag(c_red))
-
-    overall = max(float(np.max(np.abs(c_red.real))), 1e-300)
-    listed_floor = l.shape[0] * np.finfo(float).eps * overall
+    sym = []
+    for (_, values), image in zip(blocks, _paired_blocks(blocks, mod)):
+        half = 0.5 * (values + image)
+        sym.append(0.5 * (half + np.conj(half).transpose(0, 2, 1)))
+    overall = max([float(np.max(np.abs(b.real))) for b in sym] + [1e-300])
+    listed_floor = mod.size * np.finfo(float).eps * overall
     # d e^{omega/2} is a jump's squared norm, alike for a block and its partner
-    weighted = max(float(np.max(np.abs(np.exp(omegas / 2.0)[:, None] * c_red))), 1e-300)
+    weighted = max(
+        [float(np.max(np.abs(np.exp(omegas[m] / 2.0)[:, :, None] * b))) for (m, _), b in zip(blocks, sym)]
+        + [1e-300]
+    )
+    where = {int(labels[m[0]]): (s, r) for s, (members, _) in enumerate(blocks) for r, m in enumerate(members)}
     jumps: list[tuple[np.ndarray, float]] = []
     dropped: list[float] = []
     block_sizes: dict[float, int] = {}
-    reduced = np.arange(mod.size) > 0  # the identity is not a jump direction
     zero = labels[0]
     # labels ascend with frequency, so the labels up to the zero block's
     # meet each conjugate pair of blocks once; a pair is solved on its
     # omega >= 0 member
     for g in range(zero + 1):
-        members = np.flatnonzero(reduced & (labels == g))
-        if members.size == 0:
+        if g not in where:
             continue
-        idx = np.flatnonzero(reduced & (labels == labels[mod.conj_pairing[members[0]]]))
-        omega, sub = float(np.mean(omegas[idx])), c_red[np.ix_(idx, idx)]
+        s, r = where[g]
+        s, r = where[int(labels[mod.conj_pairing[blocks[s][0][r, 0]]])]  # the partner's block
+        idx, sub = blocks[s][0][r], sym[s][r]
+        omega = float(np.mean(omegas[idx]))
         if g == zero:
             # real symmetric in a self-adjoint basis, so real eigenvectors
             # give self-adjoint jumps directly
@@ -291,19 +248,153 @@ def extract_canonical(
         block_sizes[omega] = count
         if g != zero:
             block_sizes[-omega] = count
+    return jumps, dropped, block_sizes
 
+
+def _jump_gks_residuals(gks: JumpGKS) -> tuple:
+    """Hermiticity, block, pairing and off-block residuals of a spec's GKS
+    coefficients over the entries :func:`qmsflow.generators._jump_gks`
+    forms (identity row and column, reduced blocks); the off-block
+    residual is its bound on the entries off the blocks, an upper bound."""
+    mod, row, col, blocks = gks.modular, gks.row, gks.col, gks.blocks
+    omegas, pairing = mod.bohr_frequencies, mod.conj_pairing
+    values = [v for _, v in blocks]
+    scale = max([float(np.max(np.abs(x))) for x in [row, col, *values]] + [1e-300])
+    eo = np.exp(omegas)
+    gaps = [np.abs(row - row * eo), np.abs(eo * col - col)]  # omega_0 = 0
+    gaps += [np.abs(eo[m][:, :, None] * v - v * eo[m][:, None, :]) for m, v in blocks]
+    block = max(float(np.max(g)) for g in gaps) / (scale * float(np.max(eo)))
+    pair = [np.abs(row - col[pairing]), np.abs(col - np.exp(-omegas) * row[pairing])]
+    pair += [np.abs(v - image) for v, image in zip(values, _paired_blocks(blocks, mod))]
+    herm2 = 2.0 * np.linalg.norm(row[1:] - np.conj(col[1:])) ** 2 + abs(row[0] - np.conj(row[0])) ** 2
+    herm2 += sum(np.linalg.norm(v - np.conj(v).transpose(0, 2, 1)) ** 2 for v in values)
+    norm2 = np.linalg.norm(row) ** 2 + np.linalg.norm(col[1:]) ** 2
+    norm2 += sum(np.linalg.norm(v) ** 2 for v in values)
+    herm = float(np.sqrt(herm2 / max(norm2, 1e-300)))
+    return herm, float(block), max(float(np.max(p)) for p in pair) / scale, gks.offblock / scale
+
+
+def extract_canonical(
+    l,
+    sigma: DensityState,
+    modular: ModularData | None = None,
+    drop_rtol: float = DROP_RTOL,
+    require_dbc: bool = True,
+    certification: CertificationReport | None = None,
+    psd_tol: float = PSD_TOL,
+    complete_positivity: tuple[bool, float] | None = None,
+) -> tuple[GeneratorSpec, ExtractionReport]:
+    """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
+
+    ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
+    is ``sigma``; the input kind picks the producer of the reduced
+    coefficient blocks over the modular basis, and one loop turns the
+    blocks into jumps.  A superoperator's blocks come from its coefficient
+    matrix (:func:`gks_matrix`): it is Hermitized, and entries outside the
+    Bohr blocks are zeroed (they are below tolerance for valid input).  A
+    spec's blocks are its jumps' Gram blocks over its own modular basis
+    (:attr:`GeneratorSpec.gks_blocks`; passing ``modular`` with a spec is
+    a ValueError), and no n^2 x n^2 matrix is formed.
+
+    The blocks are the modular basis's own (``ModularData.block_labels``,
+    from :func:`qmsflow.states.bohr_groups`), so no frequency is compared
+    here.  The adjoint-pairing symmetry is enforced, and each block is
+    eigensolved once per conjugate pair, on its omega >= 0 member (the
+    partner found through ``conj_pairing``).  Eigenvalues d of the block at
+    frequency omega give jumps sqrt(d e^{omega/2} / 2) V with V the
+    corresponding unit combination of basis elements; the -omega partner
+    is written as the exact adjoint, and the omega = 0 block, real
+    symmetric in its self-adjoint elements, gives self-adjoint jumps.  An
+    eigenvalue d is dropped together with its vector when d e^{omega/2},
+    the jump's squared norm, is at most ``drop_rtol`` times the largest
+    |e^{omega_a/2} c_ab| of the reduced matrix, a scale a block and its
+    conjugate partner share; the report lists those above the round-off of
+    the blocks, the superoperator dimension n^2 times machine epsilon times
+    the largest |c_ab|.
+
+    With ``require_dbc`` the input must pass GNS certification (the
+    caller's ``certification`` of ``l`` and ``sigma`` when given, so its
+    tolerance holds; else one at the default tolerance), the reduced
+    coefficient positivity check at ``psd_tol`` (the caller's
+    ``complete_positivity`` verdict and minimum eigenvalue from
+    :func:`qmsflow.generators.check_complete_positivity` when given), and
+    the block-structure guard.  The round-trip error is relative to
+    ||L||, taken from the certification when there is one; for a spec it
+    compares the two specs' Bohr blocks (:func:`_block_distance`) and is
+    an upper bound, and ||L|| is that of its Bohr blocks.
+    """
+    is_spec = isinstance(l, GeneratorSpec)
+    if is_spec and sigma is not l.sigma:
+        raise ValueError("a spec is extracted against its own sigma")
+    if is_spec and modular is not None:
+        raise ValueError("a spec is extracted over its own modular basis")
+    if not is_spec:
+        l = np.asarray(l, dtype=complex)
+    cert = certification
+    if require_dbc and cert is None:
+        cert = certify_detailed_balance(l, sigma)
+    if cert is not None:
+        l_norm = cert.l_norm
+    elif is_spec:
+        l_norm = _largest_singular_value(x for _, x in _unweighted_blocks(l))
+    else:
+        l_norm = np.linalg.norm(l, 2)
+    if require_dbc:
+        if not cert.gns_dbc:
+            raise ValueError(
+                "generator is not GNS-self-adjoint for sigma "
+                f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
+            )
+        if complete_positivity is None:
+            complete_positivity = check_complete_positivity(l, psd_tol=psd_tol, l_norm=l_norm)
+        cp_ok, min_eig = complete_positivity
+        if not cp_ok:
+            raise ValueError(
+                f"generator is not conditionally completely positive "
+                f"(reduced coefficient matrix has eigenvalue {min_eig:.3e})"
+            )
+
+    if is_spec:
+        gks = l.gks_blocks
+        mod, blocks, (h_norm, h_hat_norm) = gks.modular, gks.blocks, gks.hamiltonian_norms
+        herm_res, block_res, pair_res, offblock_res = _jump_gks_residuals(gks)
+    else:
+        mod = modular if modular is not None else build_modular_basis(sigma)
+        omegas, labels = mod.bohr_frequencies, mod.block_labels
+        gks = gks_matrix(l, mod.basis, check_orthonormal=False, omegas=omegas)
+        c = gks.matrix
+        offblock = labels[:, None] != labels[None, :]
+        herm_res = gks.hermiticity_residual()
+        block_res, pair_res, offblock_res = _gks_residuals(c, omegas, mod.conj_pairing, offblock)
+        h, h_hat = _hamiltonian_parts(c, mod.basis)
+        h_norm, h_hat_norm = float(np.linalg.norm(h)), float(np.linalg.norm(h_hat))
+        herm = 0.5 * (c + dag(c))  # the reduced blocks of its Hermitian part
+        blocks = [
+            (m + 1, herm[m[:, :, None] + 1, m[:, None, :] + 1])
+            for m in _label_stacks(labels[1:]).values()
+        ]
+
+    if require_dbc and max(block_res, pair_res, offblock_res) > 1e-6:
+        raise ValueError(
+            "coefficient matrix violates the modular block structure: "
+            f"block {block_res:.3e}, pairing {pair_res:.3e}, off-block {offblock_res:.3e}"
+        )
+
+    jumps, dropped, block_sizes = _canonical_jumps(blocks, mod, drop_rtol)
     spec = GeneratorSpec.create(sigma, jumps)
-    rebuilt = build_generator(spec)
-    rt = float(np.linalg.norm(rebuilt - l, 2) / max(l_norm, 1e-300))
+    if is_spec:
+        rt = _block_distance(l, spec) / max(l_norm, 1e-300)
+    else:
+        rt = float(np.linalg.norm(build_generator(spec) - l, 2) / max(l_norm, 1e-300))
     report = ExtractionReport(
         block_residual=block_res,
         pairing_residual=pair_res,
         offblock_residual=offblock_res,
         hermiticity_residual=herm_res,
-        hamiltonian_norm=float(np.linalg.norm(h)),
-        hamiltonian_hat_norm=float(np.linalg.norm(h_hat)),
+        hamiltonian_norm=h_norm,
+        hamiltonian_hat_norm=h_hat_norm,
         dropped_eigenvalues=dropped,
         block_sizes=block_sizes,
-        roundtrip_error=rt,
+        roundtrip_error=float(rt),
     )
     return spec, report

@@ -17,7 +17,6 @@ from . import serialize
 from .canonical import extract_canonical
 from .entropy import entropy_trajectory
 from .generators import (
-    build_generator,
     certify_detailed_balance,
     check_complete_positivity,
     ergodicity,
@@ -43,6 +42,7 @@ from .serialize import (
 )
 from .transport import geodesic_distance, metric_tensor
 from .linalg import check_finite, traceless_hermitian_basis
+from .states import DensityState
 from .verify import run_suite
 
 DEFAULT_TOLERANCES = {
@@ -67,10 +67,7 @@ def _load_json(path: str):
 
 
 def _load_spec_or_superop(path: str):
-    """Returns (spec, None, sigma) for jump data, (None, superoperator, sigma) otherwise.
-
-    Commands that need the dense generator of a spec build it themselves.
-    """
+    """Returns (spec, None, sigma) for jump data, (None, superoperator, sigma) otherwise."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
@@ -90,6 +87,26 @@ def _load_spec_or_superop(path: str):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     raise InputError("input must carry either 'jumps' or 'superoperator'")
+
+
+def _load_side_file(path: str, spec, parse):
+    """Parses a --rho0/--rho/--rho1/--projections file with ``parse`` into a
+    DensityState or a list of matrices; malformed content and a dimension
+    other than the spec's are input errors."""
+    try:
+        obj = parse(_load_json(path))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    for m in [obj.rho] if isinstance(obj, DensityState) else obj:
+        if m.shape != (spec.dim, spec.dim):
+            raise InputError(f"{path}: a {m.shape[0]} x {m.shape[1]} matrix for a spec of dim {spec.dim}")
+    return obj
+
+
+def _projections_from_json(obj) -> list:
+    if not isinstance(obj, list):
+        raise ValueError("projections JSON must be a list of matrices")
+    return [matrix_from_json(p) for p in obj]
 
 
 def _write_output(args, text: str):
@@ -126,12 +143,12 @@ def _parse_tols(pairs):
 def cmd_inspect(args) -> int:
     tols = _parse_tols(args.tol)
     spec, l, sigma = _load_spec_or_superop(args.input)
-    if l is None:
-        l = build_generator(spec)
-    cert = certify_detailed_balance(l, sigma, tol=tols["gns_flag"])
+    # the input kind picks the route: a spec on its Bohr blocks, a superoperator densely
+    generator = l if spec is None else spec
+    cert = certify_detailed_balance(generator, sigma, tol=tols["gns_flag"])
     report = {"certification": cert.as_dict()}
     try:
-        cp_ok, min_eig = check_complete_positivity(l, psd_tol=tols["psd"], l_norm=cert.l_norm)
+        cp_ok, min_eig = check_complete_positivity(generator, psd_tol=tols["psd"], l_norm=cert.l_norm)
     except ValueError as exc:
         cp_ok, min_eig = False, float("nan")
         report["cp_error"] = str(exc)
@@ -143,7 +160,7 @@ def cmd_inspect(args) -> int:
     if ok:
         try:
             extracted, ext_report = extract_canonical(
-                l, sigma, certification=cert, psd_tol=tols["psd"],
+                generator, sigma, certification=cert, psd_tol=tols["psd"],
                 complete_positivity=(cp_ok, min_eig),
             )
             report["canonical"] = ext_report.as_dict()
@@ -160,7 +177,7 @@ def cmd_evolve(args) -> int:
     spec, _, _ = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("evolve needs a jump specification input")
-    rho0 = density_from_json(_load_json(args.rho0)) if args.rho0 else spec.sigma
+    rho0 = _load_side_file(args.rho0, spec, density_from_json) if args.rho0 else spec.sigma
     grid = _parse_grid(args.grid)
     lam = args.decay_rate
     rows = entropy_trajectory(spec, rho0, grid, lam=lam)
@@ -172,7 +189,7 @@ def cmd_metric(args) -> int:
     spec, _, _ = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("metric needs a jump specification input")
-    rho = density_from_json(_load_json(args.rho)) if args.rho else spec.sigma
+    rho = _load_side_file(args.rho, spec, density_from_json) if args.rho else spec.sigma
     basis = traceless_hermitian_basis(spec.dim)
     g = metric_tensor(spec, rho, basis)
     evals = np.linalg.eigvalsh(g)
@@ -194,8 +211,8 @@ def cmd_geodesic(args) -> int:
     spec, _, _ = _load_spec_or_superop(args.input)
     if spec is None:
         raise InputError("geodesic needs a jump specification input")
-    rho0 = density_from_json(_load_json(args.rho0))
-    rho1 = density_from_json(_load_json(args.rho1)) if args.rho1 else spec.sigma
+    rho0 = _load_side_file(args.rho0, spec, density_from_json)
+    rho1 = _load_side_file(args.rho1, spec, density_from_json) if args.rho1 else spec.sigma
     res = geodesic_distance(spec, rho0, rho1, segments=args.segments, max_iter=args.budget)
     out = res.as_dict()
     out["path"] = [serialize.matrix_to_json(p) for p in res.path]
@@ -208,7 +225,7 @@ def cmd_restrict(args) -> int:
     if spec is None:
         raise InputError("restrict needs a jump specification input")
     if args.projections:
-        projs = [matrix_from_json(p) for p in _load_json(args.projections)]
+        projs = _load_side_file(args.projections, spec, _projections_from_json)
     else:
         from .generators import modular_subalgebra
 

@@ -21,9 +21,12 @@ Hilbert-Schmidt adjoint, generating the evolution of states, is
 :func:`apply_generator` and :func:`apply_dual` evaluate these from the
 jumps.  :meth:`GeneratorSpec.create` builds L block by block over Bohr
 frequencies from the jumps, once, which checks the spec, and
-:func:`ergodicity` and :func:`dual_orbit` eigensolve those blocks once;
-the dense n^2 x n^2 matrix of :func:`build_generator` is for the checks
-that take an arbitrary superoperator.
+:func:`ergodicity` and :func:`dual_orbit` eigensolve those blocks once.
+:func:`certify_detailed_balance` and :func:`check_complete_positivity`
+take a spec or a superoperator, and the input kind picks the route: a
+spec is checked on its Bohr blocks and its jumps' GKS blocks, with no
+n^2 x n^2 matrix; the dense matrix of :func:`build_generator` is for
+the checks that take an arbitrary superoperator and for test oracles.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .linalg import (
 )
 from .states import (
     DensityState,
+    ModularData,
     _weight_kernel_f,
     bkm_weight,
     bohr_groups,
@@ -56,6 +60,7 @@ __all__ = [
     "GeneratorSpec",
     "RateMatrix",
     "CertificationReport",
+    "JumpGKS",
     "build_generator",
     "apply_generator",
     "apply_dual",
@@ -125,7 +130,7 @@ class GeneratorSpec:
         return c, vs, k
 
     @cached_property
-    def bohr_blocks(self) -> tuple[np.ndarray, list]:
+    def bohr_blocks(self) -> tuple[np.ndarray, list, float]:
         """L block by block over Bohr frequencies, built from the jumps.
 
         With U^* sigma U = diag(lam), tilde X = U^* X U and E_cd = |c><d|,
@@ -143,8 +148,18 @@ class GeneratorSpec:
         (KMS symmetry); blocks further than ``KMS_SYMMETRY_TOL`` from
         Hermitian, in Frobenius norm relative to L's, raise ValueError.
         This is the one structural check of a spec, made by :meth:`create`.
-        Returns U and, per block size, the stacked blocks' unit indices
-        a n + b, weights and Hermitian weighted blocks, all read-only.
+
+        Returns U; per block size, the stacked blocks' unit indices a n + b,
+        weights and weighted blocks as built (not symmetrised, so a GNS
+        defect of the jumps stays visible), all read-only; and a bound on
+        the part of L off the blocks, in 2-norm and Frobenius norm,
+
+            2 (1 + sqrt(n)) sum_j c_j e_j (2 ||V_j||_F + e_j) ,
+
+        with e_j the Frobenius norm of tilde V_j off its block.  It holds
+        whenever the jumps' parts on their blocks give a block-diagonal L,
+        that is unless ``BOHR_RTOL`` chains frequencies into blocks wider
+        than the gaps between them.
         """
         n, lam, u = self.dim, self.sigma.eigenvalues, self.sigma.eigenvectors
         c, vs, k = self.jump_stack
@@ -161,14 +176,16 @@ class GeneratorSpec:
                 by_size.setdefault(len(units), []).append(units)
         flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
         off_block = label[None, :nn] != label[nn:, None]
-        off = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
-        off /= np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
+        off_mass = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
+        mass = np.linalg.norm(flat, axis=1)
+        off = off_mass / np.maximum(mass, 1e-300)
         if np.any(off > JUMP_EIGEN_TOL):
             j = int(np.argmax(off))
             raise ValueError(
                 f"jump {j} is not a modular eigenvector: {off[j]:.3e} of its mass "
                 f"lies off the Bohr block of frequency {-omegas[j]:.6g}"
             )
+        offblock = float(2.0 * (1.0 + np.sqrt(n)) * np.sum(c * off_mass * (2.0 * mass + off_mass)))
         kt, weighted_conj = dag(u) @ k @ u, c[:, None] * np.conj(flat)
         blocks, asym, scale = [], 0.0, 0.0
         for units in map(np.array, by_size.values()):
@@ -181,9 +198,8 @@ class GeneratorSpec:
             block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
             weights = (lam[a] * lam[b]) ** 0.25
             h = weights[:, :, None] * block / weights[:, None, :]
-            h_adj = np.conj(h).transpose(0, 2, 1)
-            asym, scale = asym + np.linalg.norm(h - h_adj) ** 2, scale + np.linalg.norm(h) ** 2
-            h = 0.5 * (h + h_adj)
+            asym += np.linalg.norm(h - np.conj(h).transpose(0, 2, 1)) ** 2
+            scale += np.linalg.norm(h) ** 2
             for arr in (units, weights, h):
                 arr.flags.writeable = False
             blocks.append((units, weights, h))
@@ -193,17 +209,108 @@ class GeneratorSpec:
                 f"L is not KMS-symmetric (the jumps are not closed under adjoints): "
                 f"weighted Bohr blocks {rel:.3e} off Hermitian"
             )
-        return u, blocks
+        return u, blocks, offblock
 
     @cached_property
     def bohr_factor(self) -> tuple[np.ndarray, list]:
         """U and, per block size, unit indices, weights and eigenpairs of the
-        :attr:`bohr_blocks`, eigensolved on first use and kept read-only."""
-        u, blocks = self.bohr_blocks
-        factor = [(units, w, *np.linalg.eigh(h)) for units, w, h in blocks]
+        Hermitian parts of the :attr:`bohr_blocks`, eigensolved on first use
+        and kept read-only."""
+        u, blocks, _ = self.bohr_blocks
+        factor = [
+            (units, w, *np.linalg.eigh(0.5 * (h + np.conj(h).transpose(0, 2, 1))))
+            for units, w, h in blocks
+        ]
         for _, _, vals, vecs in factor:
             vals.flags.writeable = vecs.flags.writeable = False
         return u, factor
+
+    @cached_property
+    def gks_blocks(self) -> "JumpGKS":
+        """L's GKS coefficients over sigma's modular basis, from the jumps:
+        :func:`_jump_gks` on :func:`qmsflow.states.build_modular_basis`, built
+        on first use and kept with the spec."""
+        return _jump_gks(self, build_modular_basis(self.sigma))
+
+
+def _label_stacks(labels: np.ndarray) -> dict:
+    """Indices sharing a label, as one (blocks, size) array per block size,
+    blocks in ascending label order."""
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    sizes = np.diff(np.append(starts, labels.size))
+    return {int(m): order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)}
+
+
+@dataclass(frozen=True)
+class JumpGKS:
+    """L's GKS coefficients c_ab over a modular basis, from the jumps
+    (:func:`_jump_gks`); the entries off the blocks are bounded, not formed."""
+
+    modular: ModularData
+    row: np.ndarray  # c_0b
+    col: np.ndarray  # c_a0
+    blocks: list  # per block size: element indices (blocks, size) and reduced blocks
+    offblock: float  # bound on every |c_ab| off the blocks
+    hamiltonian_norms: tuple  # Frobenius norms of the two Hamiltonian candidates
+
+
+def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
+    """GKS coefficients c_ab of L over ``modular``, from the jumps alone.
+
+    With x_ja = <F_a, V_j> = Tr[F_a^* V_j]/n and K = sum_b kappa_b F_b,
+    expanding L(A) = 2 sum_j c_j V_j^* A V_j - K A - A K over F_a^* A F_b
+    gives
+
+        c_ab = 2 sum_j c_j conj(x_ja) x_jb - kappa_b delta_a0 - kappa_a' delta_b0
+
+    (F_a' = F_a^*).  The reduced block (a, b > 0) is the Gram matrix of
+    the jumps' traceless coefficients, positive semidefinite and, since
+    each V_j lives on one Bohr block, block diagonal over the modular
+    basis's ``block_labels``; it is kept per label, blocks of equal size
+    stacked in label order.  The coefficients are read on sigma's
+    eigenvectors, where each element is a few units
+    (``ModularData.eigen``): x_ja = sum_k conj(coefs_k) tilde V_j[units_k] / n
+    over the element's k.  The identity row and column are exact, and so
+    are the Hamiltonian candidates sum_b (c_0b F_b - c_b0 F_b^*)/2i and
+    sum_b (c_0b F_b^* - c_b0 F_b)/2i built from them.  The bound on the
+    entries off the blocks is 2 sum_j c_j |x_j| |x_j off its heaviest
+    block|, or the largest identity-row or -column entry off the block of
+    0, whichever is larger.
+    """
+    n, (c, vs, k) = spec.dim, spec.jump_stack
+    u = modular.sigma.eigenvectors
+    targets = (dag(u) @ np.concatenate([vs, k[None]]) @ u).reshape(-1, n * n)  # jumps, then K
+    labels, pairing = modular.block_labels, modular.conj_pairing
+    owner, units, coefs = modular.eigen
+    first = np.flatnonzero(np.diff(owner, prepend=-1))  # each element's first entry
+    x = np.add.reduceat(targets[:, units] * np.conj(coefs), first, axis=1) / n
+    xj, kappa, t = x[:-1], x[-1], x[:-1, 0]  # t_j = Tr V_j / n
+    row = 2.0 * (c * np.conj(t)) @ xj - kappa
+    col = 2.0 * (c * t) @ np.conj(xj) - kappa[pairing]
+    row[0] = col[0] = 2.0 * np.sum(c * np.abs(t) ** 2) - kappa[0] - kappa[pairing[0]]
+
+    def combine(y):  # U^* (sum_{b > 0} y_b F_b) U
+        out = np.zeros(n * n, dtype=complex)
+        np.add.at(out, units, np.where(owner > 0, y[owner], 0.0) * coefs)
+        return out.reshape(n, n)
+
+    h = combine(row) - dag(combine(np.conj(col)))
+    h_hat = dag(combine(np.conj(row))) - combine(col)
+    blocks = []
+    for members in _label_stacks(labels[1:]).values():  # the reduced elements
+        xg = xj[:, members + 1].transpose(1, 0, 2)  # (blocks, jumps, size)
+        blocks.append((members + 1, 2.0 * np.conj(xg).transpose(0, 2, 1) @ (c[:, None] * xg)))
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    mass = np.add.reduceat(np.abs(xj[:, order]) ** 2, starts, axis=1)
+    norms = np.sqrt(mass.sum(axis=1))
+    mass[np.arange(len(mass)), np.argmax(mass, axis=1)] = 0.0
+    bound = 2.0 * float(np.sum(c * norms * np.sqrt(mass.sum(axis=1))))
+    off_zero = labels != labels[0]  # the identity's label is the block of 0
+    edge = max(np.max(np.abs(row[off_zero]), initial=0.0), np.max(np.abs(col[off_zero]), initial=0.0))
+    hamiltonian = (float(np.linalg.norm(h)) / 2.0, float(np.linalg.norm(h_hat)) / 2.0)
+    return JumpGKS(modular, row, col, blocks, max(bound, float(edge)), hamiltonian)
 
 
 def build_generator(spec: GeneratorSpec) -> np.ndarray:
@@ -246,9 +353,68 @@ def apply_dual(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_opnorm(h: np.ndarray) -> float:
-    """2-norm of a Hermitian matrix: its spectral radius, by an eigensolve."""
+    """2-norm of a Hermitian matrix, or the largest of a stack: the spectral
+    radius, by an eigensolve."""
     evals = np.linalg.eigvalsh(h)
-    return float(max(-evals[0], evals[-1])) if evals.size else 0.0
+    return float(max(-evals[..., 0].min(), evals[..., -1].max())) if evals.size else 0.0
+
+
+def _unit_positions(blocks: list, nn: int) -> np.ndarray:
+    """Rows: size group, block and position in the block of each unit a n + b."""
+    index = np.empty((3, nn), dtype=int)
+    for g, (units, *_) in enumerate(blocks):
+        index[0, units] = g
+        index[1, units] = np.arange(units.shape[0])[:, None]
+        index[2, units] = np.arange(units.shape[1])
+    return index
+
+
+def _block_entries(values: list, index: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Entries at units (rows, cols) of the block-diagonal matrix stored per
+    size group as ``values`` (blocks located by ``index``), zero off its
+    blocks, and the mask of the entries on them."""
+    grp, blk, pos = index
+    rows, cols = np.broadcast_arrays(rows, cols)
+    on = (grp[rows] == grp[cols]) & (blk[rows] == blk[cols])
+    out = np.zeros(rows.shape, dtype=complex)
+    for g, v in enumerate(values):
+        sel = on & (grp[rows] == g)
+        out[sel] = v[blk[rows[sel]], pos[rows[sel]], pos[cols[sel]]]
+    return out, on
+
+
+def _unweighted_blocks(spec: GeneratorSpec) -> list:
+    """The Bohr blocks of L itself, per size group: (unit indices, blocks)."""
+    _, blocks, _ = spec.bohr_blocks
+    return [(units, h * w[:, None, :] / w[:, :, None]) for units, w, h in blocks]
+
+
+def _largest_singular_value(stacks) -> float:
+    return max((float(np.linalg.svd(x, compute_uv=False).max()) for x in stacks), default=0.0)
+
+
+def _block_distance(spec: GeneratorSpec, other: GeneratorSpec) -> float:
+    """Upper bound on ||L - L_other||_2 from the two specs' Bohr blocks.
+
+    The blocks of L - L_other on ``spec``'s blocks, where ``other``'s
+    entries are taken from its own blocks, give the largest singular value
+    of any block; both specs' off-block bounds are added.  ``other``'s
+    blocks must each lie inside one of ``spec``'s (ValueError otherwise),
+    so every entry of L_other left out is off its own blocks.
+    """
+    nn = spec.dim**2
+    mine, theirs = _unweighted_blocks(spec), _unweighted_blocks(other)
+    index = _unit_positions(mine, nn)
+    for units, _ in theirs:
+        where = index[:2, units]
+        if np.any(where != where[:, :, :1]):
+            raise ValueError("the Bohr blocks of the two generators do not nest")
+    their_index, their_values = _unit_positions(theirs, nn), [x for _, x in theirs]
+    diffs = [
+        _block_entries(their_values, their_index, units[:, :, None], units[:, None, :])[0] - x
+        for units, x in mine
+    ]
+    return _largest_singular_value(diffs) + spec.bohr_blocks[2] + other.bohr_blocks[2]
 
 
 @dataclass
@@ -265,10 +431,16 @@ class CertificationReport:
     kms_only: bool
     l_norm: float  # 2-norm of the certified superoperator, the residuals' scale
     tolerance: float = GNS_FLAG_TOL
+    # for a spec: the bound on ||L - L_0||_2 / ||L_0||_2, L_0 the Bohr blocks
+    # of L, that makes every residual an upper bound; None for a superoperator
+    offblock_bound: float | None = None
 
     def as_dict(self) -> dict:
-        """The fields in declaration order, without ``l_norm``."""
+        """The fields in declaration order, without ``l_norm`` and without
+        ``offblock_bound`` when it is None."""
         out = {k: v for k, v in vars(self).items() if k != "l_norm"}
+        if self.offblock_bound is None:
+            del out["offblock_bound"]
         out["s_residuals"] = {str(k): v for k, v in self.s_residuals.items()}
         return out
 
@@ -296,7 +468,7 @@ def _self_adjointness_residual(
 
 
 def certify_detailed_balance(
-    l: np.ndarray,
+    l,
     sigma: DensityState,
     s_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
     tol: float = GNS_FLAG_TOL,
@@ -309,11 +481,18 @@ def certify_detailed_balance(
     below ``tol``; ``kms_only`` flags maps that are KMS-symmetric without
     commuting with the modular operator.
 
-    The weights' 2-norms follow from sigma's spectrum: lam_max for every
+    ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
+    is ``sigma``, which :func:`_certify_blocks` certifies on its Bohr
+    blocks with residuals that are upper bounds.  For a superoperator the
+    weights' 2-norms follow from sigma's spectrum: lam_max for every
     Omega_s, the largest kernel entry f(lam_i/lam_k) lam_k for Omega_f and
     lam_max/lam_min for Delta_sigma.  Only ||L|| and the modular
     commutator, which is not normal, take an SVD.
     """
+    if isinstance(l, GeneratorSpec):
+        if sigma is not l.sigma:
+            raise ValueError("a spec is certified against its own sigma")
+        return _certify_blocks(l, s_grid, tol)
     l = check_finite(l, "superoperator")
     n = sigma.dim
     l_norm = np.linalg.norm(l, 2)
@@ -335,6 +514,12 @@ def certify_detailed_balance(
     mod_comm = float(np.linalg.norm(l @ delta - delta @ l, 2) / mod_scale)
     star = star_swap_residual(l)
     unital = float(np.linalg.norm(l @ vec(np.eye(n))) / max(l_norm, 1e-300))
+    return _report(n, s_res, s_residual, bkm, mod_comm, star, unital, float(l_norm), tol)
+
+
+def _report(n, s_res, s_residual, bkm, mod_comm, star, unital, l_norm, tol, offblock=None):
+    """The certification report of these residuals, with the GNS and KMS
+    verdicts from the s = 1 and s = 1/2 residuals."""
     gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
     kms = s_res[0.5] if 0.5 in s_res else s_residual(0.5)
     return CertificationReport(
@@ -346,13 +531,77 @@ def certify_detailed_balance(
         unital_residual=unital,
         gns_dbc=bool(gns < tol),
         kms_only=bool(kms < tol and mod_comm > 100 * tol),
-        l_norm=float(l_norm),
+        l_norm=l_norm,
         tolerance=tol,
+        offblock_bound=offblock,
+    )
+
+
+def _certify_blocks(spec: GeneratorSpec, s_grid, tol: float) -> CertificationReport:
+    """The certification of a spec on the Bohr blocks L_B of L, no n^2 x n^2 matrix.
+
+    In sigma's eigenbasis every weight is diagonal on the units E_ab
+    (Omega_s: lam_a^{1-s} lam_b^s; Omega_BKM: f(lam_a/lam_b) lam_b;
+    Delta_sigma: lam_a/lam_b).  So for the block-diagonal part L_0 of L
+    each weighted residual is the largest Hermitian spectral radius of
+    i(D_B L_B - L_B^* D_B) over the blocks, batched by block size; the
+    modular commutator is the largest singular value of L_B Delta_B -
+    Delta_B L_B (frequencies in a block differ by up to ``BOHR_RTOL``);
+    the star residual pairs each block with the block of its transposed
+    units (an entry whose partner lies off the blocks counts twice); the
+    unital residual is L_0(1) on the block of 0.  The scale is ||L_0||_2,
+    the largest singular value of any block, which is at most ||L||_2.
+    The bound eta on ||L - L_0|| of :attr:`GeneratorSpec.bohr_blocks`
+    enters each residual as the most it can move it (2 eta for the
+    weighted, modular and star residuals, sqrt(n) eta for the unital one),
+    so every residual is an upper bound on that of L itself and a verdict
+    can only be stricter than the dense route's.  The report carries
+    eta / ||L_0||_2 as ``offblock_bound``.
+    """
+    n, sigma = spec.dim, spec.sigma
+    lam = sigma.eigenvalues
+    lam_max = float(lam[-1])
+    _, blocks, eta = spec.bohr_blocks
+    ls = _unweighted_blocks(spec)
+    l_norm = _largest_singular_value(x for _, x in ls)
+    scale = max(l_norm, 1e-300)
+
+    def weighted(kernel: np.ndarray, norm: float) -> float:
+        worst = 0.0
+        for units, x in ls:
+            dx = kernel.ravel()[units][:, :, None] * x
+            worst = max(worst, _hermitian_opnorm(1j * (dx - np.conj(dx).transpose(0, 2, 1))))
+        return worst / (norm * scale) + 2.0 * eta / scale
+
+    def s_residual(s: float) -> float:
+        return weighted(np.outer(lam ** (1.0 - s), lam**s), lam_max)
+
+    s_res = {float(s): s_residual(s) for s in s_grid}
+    kernel = _weight_kernel_f(sigma, bkm_weight)
+    bkm = weighted(kernel, float(np.max(kernel)))
+    ratio = np.outer(lam, 1.0 / lam).ravel()
+    commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, x in ls)
+    mod_comm = _largest_singular_value(commutators) / (scale * lam_max / float(lam[0]))
+    mod_comm += 2.0 * eta / scale
+    index, values = _unit_positions(blocks, n * n), [x for _, x in ls]
+    diff2 = norm2 = 0.0
+    for units, x in ls:
+        mirror = (units % n) * n + units // n  # E_ab -> E_ba, the adjoint
+        paired, on = _block_entries(values, index, mirror[:, :, None], mirror[:, None, :])
+        diff2 += np.linalg.norm(x - np.conj(paired)) ** 2 + np.linalg.norm(x[~on]) ** 2
+        norm2 += np.linalg.norm(x) ** 2
+    star = (np.sqrt(diff2) + 2.0 * eta) / max(np.sqrt(norm2), 1e-300)
+    g, b = index[:2, 0]  # E_00 lies in the block of 0, with every E_aa
+    units, x = ls[g]
+    unital = np.linalg.norm(x[b][:, units[b] % (n + 1) == 0].sum(axis=1))
+    unital = (unital + np.sqrt(n) * eta) / scale
+    return _report(
+        n, s_res, s_residual, bkm, mod_comm, float(star), float(unital), l_norm, tol, eta / scale
     )
 
 
 def check_complete_positivity(
-    l: np.ndarray, psd_tol: float = 1e-10, l_norm: float | None = None
+    l, psd_tol: float = 1e-10, l_norm: float | None = None
 ) -> tuple[bool, float]:
     """Complete positivity of exp(tL) for every t >= 0, for a unital, star-preserving L.
 
@@ -360,14 +609,33 @@ def check_complete_positivity(
     coefficient block of L (identity row and column removed) is positive
     semidefinite (Gorini-Kossakowski-Sudarshan, Lindblad), so that block
     is the verdict and no propagator exp(tL) is formed.  Every orthonormal
-    basis with the identity first gives the block the same spectrum; the
-    modular basis of the maximally mixed state is used.  The block passes
-    when its smallest eigenvalue is at least ``-psd_tol`` times its largest
-    |eigenvalue|, so the verdict does not depend on the units of L.  L must
-    annihilate the identity and preserve adjoints (ValueError otherwise).
-    ``l_norm`` is the operator 2-norm of L when the caller already has it.
+    basis with the identity first gives the block the same spectrum.  For
+    a :class:`GeneratorSpec` the block is the Gram matrix of the jumps'
+    coefficients over sigma's modular basis, block diagonal over Bohr
+    frequencies (:attr:`GeneratorSpec.gks_blocks`), and is eigensolved
+    block by block; such an L is unital and star-preserving by
+    construction.  A superoperator's block is taken over the modular basis
+    of the maximally mixed state.  The block passes when its smallest
+    eigenvalue is at least ``-psd_tol`` times its largest |eigenvalue|, so
+    the verdict does not depend on the units of L.  A superoperator must
+    annihilate the identity and preserve adjoints (ValueError otherwise);
+    ``l_norm`` is its operator 2-norm when the caller already has it.
     Returns (verdict, minimum eigenvalue of the reduced block).
     """
+    if isinstance(l, GeneratorSpec):
+        stacks = [b for _, b in l.gks_blocks.blocks]
+        parts = [np.linalg.eigvalsh(0.5 * (b + np.conj(b).transpose(0, 2, 1))).ravel() for b in stacks]
+        evals = np.sort(np.concatenate(parts)) if parts else np.zeros(0)
+    else:
+        evals = _reduced_gks_spectrum(l, l_norm)
+    if evals.size == 0:
+        return True, 0.0
+    return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), float(evals[0])
+
+
+def _reduced_gks_spectrum(l: np.ndarray, l_norm: float | None) -> np.ndarray:
+    """Eigenvalues of a superoperator's reduced GKS block, after checking
+    that it annihilates the identity and preserves adjoints."""
     from .canonical import gks_matrix
 
     l = check_finite(l, "superoperator")
@@ -379,10 +647,7 @@ def check_complete_positivity(
         raise ValueError("superoperator is not star-preserving")
     basis = build_modular_basis(DensityState.from_matrix(np.eye(n) / n)).basis
     red = gks_matrix(l, basis, check_orthonormal=False).reduced()
-    evals = np.linalg.eigvalsh(0.5 * (red + dag(red)))
-    if evals.size == 0:
-        return True, 0.0
-    return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), float(evals[0])
+    return np.linalg.eigvalsh(0.5 * (red + dag(red)))
 
 
 def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:

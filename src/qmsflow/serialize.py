@@ -58,7 +58,11 @@ def density_from_json(obj) -> DensityState:
     if not isinstance(obj, dict) or "rho" not in obj:
         raise ValueError("density JSON must be an object carrying a 'rho' field")
     rho = matrix_from_json(obj["rho"])
-    if "dim" in obj and int(obj["dim"]) != rho.shape[0]:
+    try:
+        dim = int(obj.get("dim", rho.shape[0]))
+    except (TypeError, ValueError, OverflowError) as exc:  # null, "two", NaN, Infinity
+        raise ValueError(f"declared dim {obj['dim']!r} is not an integer") from exc
+    if dim != rho.shape[0]:
         raise ValueError(
             f"declared dim {obj['dim']} does not match matrix dim {rho.shape[0]}"
         )

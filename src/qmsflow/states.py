@@ -121,9 +121,11 @@ class ModularData:
     -omega_a), and satisfies Delta_sigma F_a = e^{-omega_a} F_a.
     ``block_labels`` gives each element its Bohr block from
     :func:`bohr_groups`: labels ascend with frequency, and the identity's
-    label is the omega = 0 block.  Ordering: the identity first, then
-    ascending Bohr frequency with the originating eigenvector pair (i, j)
-    as tie-breaker.
+    label is the omega = 0 block.  ``eigen`` = (owner, units, coefs) gives
+    each element on sigma's eigenvectors, U^* F_a U = sum of coefs[k]
+    |eta_i><eta_j| over the k with owner[k] = a and units[k] = i n + j,
+    sorted by owner.  Ordering: the identity first, then ascending Bohr
+    frequency with the originating eigenvector pair (i, j) as tie-breaker.
     """
 
     sigma: DensityState
@@ -131,10 +133,27 @@ class ModularData:
     basis: list = field(repr=False)
     conj_pairing: np.ndarray
     block_labels: np.ndarray
+    eigen: tuple = field(repr=False)
 
     @property
     def size(self) -> int:
         return len(self.basis)
+
+    def reordered(self, perm) -> "ModularData":
+        """The same basis with element ``perm[k]`` at position k (the
+        identity must stay first)."""
+        perm = np.asarray(perm)
+        inv = np.argsort(perm)
+        owner, units, coefs = self.eigen
+        order = np.argsort(inv[owner], kind="stable")
+        return ModularData(
+            self.sigma,
+            self.bohr_frequencies[perm],
+            [self.basis[i] for i in perm],
+            inv[self.conj_pairing[perm]],
+            self.block_labels[perm],
+            (inv[owner][order], units[order], coefs[order]),
+        )
 
 
 def _group_indices(values: np.ndarray, rtol: float) -> list:
@@ -210,15 +229,18 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
     def unit(i: int, j: int) -> np.ndarray:
         return np.sqrt(n) * np.outer(u[:, i], np.conj(u[:, j]))
 
-    entries: list[tuple[float, tuple, np.ndarray, tuple, int]] = []
-    # key = (omega, (i, j)); partner key recorded for adjoint pairing
+    entries: list[tuple[float, tuple, np.ndarray, tuple, int, tuple]] = []
+    # key = (omega, (i, j)); partner key recorded for adjoint pairing; last,
+    # the element's units i n + j and coefficients on sigma's eigenvectors
+    root_n, root_half_n = np.sqrt(n), np.sqrt(n / 2.0)
 
     # omega = 0 block, diagonal part: Helmert rotation anchored at identity
     h = _helmert_rows(n)
     diag_units = [unit(i, i) for i in range(n)]
     for k in range(n):
         mat = sum(h[k, i] * diag_units[i] for i in range(n))
-        entries.append((0.0, (-1, k), mat, (-1, k), zero))
+        d = np.flatnonzero(h[k])
+        entries.append((0.0, (-1, k), mat, (-1, k), zero, (d * (n + 1), root_n * h[k, d])))
 
     # off-diagonal units
     for i in range(n):
@@ -231,11 +253,12 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
                     f = unit(i, j)
                     fs = (f + dag(f)) / np.sqrt(2.0)
                     fa = 1j * (f - dag(f)) / np.sqrt(2.0)
-                    entries.append((0.0, (i, j), fs, (i, j), zero))
-                    entries.append((0.0, (j, i), fa, (j, i), zero))
+                    pair = [i * n + j, j * n + i]
+                    entries.append((0.0, (i, j), fs, (i, j), zero, (pair, (root_half_n, root_half_n))))
+                    entries.append((0.0, (j, i), fa, (j, i), zero, (pair, (1j * root_half_n, -1j * root_half_n))))
             else:
                 omega = float(group_log[group_of[j]] - group_log[group_of[i]])
-                entries.append((omega, (i, j), unit(i, j), (j, i), label[j, i]))
+                entries.append((omega, (i, j), unit(i, j), (j, i), label[j, i], ([i * n + j], [root_n])))
 
     entries.sort(key=lambda e: (e[0], e[1]))
     # identity first, then ascending omega with lexicographic tie-break
@@ -247,7 +270,11 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
     keys = {e[1]: pos for pos, e in enumerate(entries)}
     pairing = np.array([keys[e[3]] for e in entries], dtype=int)
     labels = np.array([e[4] for e in entries], dtype=int)
-    return ModularData(sigma, omegas, basis, pairing, labels)
+    sizes = [len(e[5][0]) for e in entries]
+    owner = np.repeat(np.arange(len(entries)), sizes)
+    units = np.concatenate([e[5][0] for e in entries]).astype(int)
+    coefs = np.concatenate([e[5][1] for e in entries]).astype(complex)
+    return ModularData(sigma, omegas, basis, pairing, labels, (owner, units, coefs))
 
 
 def inner_s(sigma: DensityState, s: float, a: np.ndarray, b: np.ndarray) -> complex:

@@ -466,7 +466,9 @@ def metric_monotonicity_check(
 ) -> tuple[bool, float, float]:
     """Contraction of <A, [rho]_omega^{-1} A> under the dual semigroup.
 
-    Returns (passed, evolved value, initial value).
+    Passes when the evolved value exceeds the initial one by at most
+    ``slack`` times the initial value, so the verdict does not depend on
+    the scale of A.  Returns (passed, evolved value, initial value).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -480,7 +482,7 @@ def metric_monotonicity_check(
     (a_t,) = dual_orbit(spec, a, [t])
     lhs = hs_inner(a_t, rho_div(rho_t, omega, a_t)).real
     rhs = hs_inner(a, rho_div(rho, omega, np.asarray(a, dtype=complex))).real
-    return bool(lhs <= rhs + slack * max(1.0, abs(rhs))), float(lhs), float(rhs)
+    return bool(lhs <= rhs + slack * abs(rhs)), float(lhs), float(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,7 @@ def check_extraction_uniqueness(rng):
         ex1, _ = canonical.extract_canonical(l, spec.sigma, modular=md)
         # permuted basis (identity stays first)
         perm = [0] + [1 + int(i) for i in rng.permutation(len(md.basis) - 1)]
-        md2 = states.ModularData(
-            md.sigma,
-            md.bohr_frequencies[perm],
-            [md.basis[i] for i in perm],
-            np.array([perm.index(md.conj_pairing[i]) for i in perm]),
-            md.block_labels[perm],
-        )
+        md2 = md.reordered(perm)
         ex2, _ = canonical.extract_canonical(l, spec.sigma, modular=md2)
         l1 = generators.build_generator(ex1)
         l2 = generators.build_generator(ex2)

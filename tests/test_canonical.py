@@ -3,11 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from qmsflow.canonical import extract_canonical, gks_matrix
+from qmsflow.canonical import _hamiltonian_parts, extract_canonical, gks_matrix
 from qmsflow.generators import GeneratorSpec, build_generator, check_complete_positivity
 from qmsflow.linalg import commutator_super, dag, hs_inner, sharp
 from qmsflow.models import fermi_ou, random_dbc_spec, random_density
-from qmsflow.states import DensityState, ModularData, build_modular_basis
+from qmsflow.states import DensityState, build_modular_basis
 
 from conftest import kron_sum_generator, near_degenerate_spec, random_matrix
 
@@ -234,12 +234,9 @@ class TestExtraction:
         md = build_modular_basis(spec.sigma)
         ex1, _ = extract_canonical(l, spec.sigma, modular=md)
         perm = [0] + [1 + int(i) for i in rng.permutation(md.size - 1)]
-        md2 = ModularData(
-            md.sigma,
-            md.bohr_frequencies[perm],
-            [md.basis[i] for i in perm],
-            np.array([perm.index(int(md.conj_pairing[i])) for i in perm]),
-            md.block_labels[perm],
+        md2 = md.reordered(perm)
+        assert np.array_equal(
+            md2.conj_pairing, [perm.index(int(md.conj_pairing[i])) for i in perm]
         )
         ex2, _ = extract_canonical(l, spec.sigma, modular=md2)
         gap = np.linalg.norm(
@@ -247,6 +244,8 @@ class TestExtraction:
         ) / np.linalg.norm(l, 2)
         assert gap < 1e-9
         assert ex1.njumps == ex2.njumps
+        with pytest.raises(ValueError, match="own modular basis"):
+            extract_canonical(spec, spec.sigma, modular=md)
 
     def test_jump_count_bound(self, rng):
         for _ in range(4):
@@ -313,3 +312,40 @@ class TestExtraction:
         extracted, report = extract_canonical(build_generator(spec), sigma)
         assert extracted.njumps == 2
         assert report.roundtrip_error < 1e-10
+
+
+def _traceful_spec():
+    """Non-GNS jumps with trace parts over the maximally mixed state (degenerate)."""
+    w = random_matrix(np.random.default_rng(5), 3)
+    return GeneratorSpec(DensityState.from_matrix(np.eye(3) / 3), ((w, 0.0), (dag(w) + np.eye(3), 0.0)))
+
+
+class TestJumpGKS:
+    """The GKS coefficients of a spec from its jumps; gks_matrix of the dense L is the oracle."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+         lambda: random_dbc_spec(6, np.random.default_rng(3), n_zero=3),
+         lambda: near_degenerate_spec(5e-11),
+         _traceful_spec],
+    )
+    def test_matches_dense_coefficients(self, make):
+        spec = make()
+        gks = spec.gks_blocks
+        md = gks.modular
+        c = gks_matrix(build_generator(spec), md.basis, check_orthonormal=False).matrix
+        scale = np.max(np.abs(c))
+        assert np.allclose(gks.row, c[0], rtol=0, atol=1e-14 * scale)
+        assert np.allclose(gks.col, c[:, 0], rtol=0, atol=1e-14 * scale)
+        on_blocks = np.zeros(c.shape, dtype=bool)
+        for members, blocks in gks.blocks:
+            rows, cols = members[:, :, None], members[:, None, :]
+            assert np.allclose(blocks, c[rows, cols], rtol=0, atol=1e-14 * scale)
+            on_blocks[rows, cols] = True
+        on_blocks[0, :] = on_blocks[:, 0] = True
+        assert np.max(np.abs(c[~on_blocks]), initial=0.0) <= gks.offblock + 1e-14 * scale
+        h, h_hat = _hamiltonian_parts(c, md.basis)
+        assert gks.hamiltonian_norms == pytest.approx(
+            (np.linalg.norm(h), np.linalg.norm(h_hat)), rel=1e-9, abs=1e-14 * scale
+        )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmsflow import cli, entropy, generators
+from qmsflow import canonical, entropy, generators
 from qmsflow.cli import main
 from qmsflow.generators import GeneratorSpec
 from qmsflow.linalg import dag
@@ -61,6 +61,11 @@ class TestSerialization:
         bad = {"dim": 2, "rho": matrix_to_json(np.eye(2))}
         with pytest.raises(ValueError, match="trace"):
             density_from_json(bad)
+
+    @pytest.mark.parametrize("dim", [None, [2], 3, "two", float("inf"), float("nan")])
+    def test_density_rejects_bad_dim(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            density_from_json({"dim": dim, "rho": matrix_to_json(np.eye(2) / 2)})
 
     def test_matrix_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -144,12 +149,15 @@ class TestInspect:
         assert code == 1
 
     def test_one_norm_of_l_and_one_reduced_eigensolve(self, tmp_path, monkeypatch):
-        # certification takes ||L|| once and passes it on; extraction reuses
-        # the complete-positivity verdict of the reduced block
+        # on superoperator input certification takes ||L|| once and passes it
+        # on; extraction reuses the complete-positivity verdict of the
+        # reduced block
         spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
-        path = tmp_path / "fermi2.json"
-        path.write_text(dump_json(spec_to_json(spec)))
         l = generators.build_generator(spec)
+        path = tmp_path / "fermi2.json"
+        path.write_text(dump_json(
+            {"dim": 4, "sigma": matrix_to_json(spec.sigma.rho), "superoperator": matrix_to_json(l)}
+        ))
         norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
         norms, reduced = [], []
 
@@ -227,13 +235,8 @@ class TestInspect:
         # (E02, omega), (E20, -omega): the spec loads, and extraction keeps
         # the +-omega pair although the -omega block's entries are e^omega,
         # about 1/lam0, times the +omega block's
-        lam = np.array([lam0, 0.5 - lam0, 0.5])
-        e02 = np.zeros((3, 3))
-        e02[0, 2] = 1.0
-        omega = float(np.log(lam[2] / lam[0]))
-        sigma = DensityState.from_matrix(np.diag(lam).astype(complex))
-        spec = GeneratorSpec(sigma, ((e02.astype(complex), omega), (e02.T.astype(complex), -omega)))
-        obj = {"dim": 3, "sigma": matrix_to_json(sigma.rho)}
+        spec = _extreme_ratio_spec(lam0)
+        obj = {"dim": 3, "sigma": matrix_to_json(spec.sigma.rho)}
         if kind == "spec":
             obj["jumps"] = [{"V": matrix_to_json(v), "omega": w} for v, w in spec.jumps]
         else:
@@ -246,11 +249,16 @@ class TestInspect:
         assert report["canonical"]["roundtrip_error"] <= 1e-9
 
 
-def _inspect(spec):
-    """Exit code and JSON report of ``qmsflow inspect`` on ``spec``."""
+def _inspect(spec, dense=False):
+    """Exit code and JSON report of ``qmsflow inspect`` on ``spec``, or with
+    ``dense`` on its superoperator."""
+    obj = spec_to_json(spec)
+    if dense:
+        obj = {"dim": spec.dim, "sigma": obj["sigma"],
+               "superoperator": matrix_to_json(generators.build_generator(spec))}
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "spec.json", Path(tmp) / "report.json"
-        path.write_text(dump_json(spec_to_json(spec)))
+        path.write_text(dump_json(obj))
         code = main(["inspect", "--input", str(path), "--output", str(out)])
         return code, json.loads(out.read_text())
 
@@ -285,7 +293,8 @@ def _inspect_model(name):
 
 
 class TestInspectCovariance:
-    """inspect verdicts under changes that leave L alone or transform it."""
+    """inspect verdicts, on the spec route, under changes that leave L alone
+    or transform it."""
 
     @INSPECT_SETTINGS
     @given(name=st.sampled_from(INSPECT_MODELS), c=st.sampled_from([1e-10, 1.0, 1e10]))
@@ -322,6 +331,154 @@ class TestInspectCovariance:
         split_first = [(v / np.sqrt(2.0), w)] * 2 + rest
         for jumps in (split, split_first):
             assert _verdicts(*_inspect(GeneratorSpec.create(spec.sigma, jumps))) == expect
+
+
+def _extreme_ratio_spec(lam0):
+    """sigma = diag(lam0, 1/2 - lam0, 1/2) with the exact pair (E02, omega), (E20, -omega)."""
+    lam = np.array([lam0, 0.5 - lam0, 0.5])
+    e02 = np.zeros((3, 3), dtype=complex)
+    e02[0, 2] = 1.0
+    omega = float(np.log(lam[2] / lam[0]))
+    sigma = DensityState.from_matrix(np.diag(lam).astype(complex))
+    return GeneratorSpec(sigma, ((e02, omega), (e02.T.copy(), -omega)))
+
+
+ROUTE_SPECS = {
+    "fermi_m1": lambda: fermi_ou(1, 2.0, [1.0]).spec,
+    "fermi_m2": lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+    "depolarizing_n3": lambda: depolarizing(3),
+    "random4": lambda: random_dbc_spec(4, np.random.default_rng(4)),
+    "random16": lambda: random_dbc_spec(16, np.random.default_rng([1, 1]), ergodic=True),
+    "near_degenerate": lambda: near_degenerate_spec(5e-11),
+    "extreme_ratio": lambda: _extreme_ratio_spec(1e-12),
+}
+
+CERT_RESIDUALS = ["bkm_residual", "modular_commutation", "star_preservation", "unital_residual"]
+
+
+def _offblock_spec(base, rel):
+    """``base`` with rel of every jump's Frobenius mass moved off its Bohr
+    block: a traceless diagonal shift for omega != 0 (its adjoint partner
+    shifted to match), a Hermitian hop between two eigenvectors of sigma
+    of different eigenvalue for omega = 0."""
+    n, u = base.dim, base.sigma.eigenvectors
+    diag, hop = np.zeros((n, n)), np.zeros((n, n))
+    diag[0, 0], diag[1, 1] = 1.0, -1.0
+    hop[0, n - 1] = hop[n - 1, 0] = 1.0
+    jumps, done = list(base.jumps), set()
+    for i, (v, w) in enumerate(jumps):
+        if i in done:
+            continue
+        shift = rel * np.linalg.norm(v) * (u @ (diag if w != 0 else hop) @ dag(u)) / np.sqrt(2.0)
+        jumps[i] = (v + shift, w)
+        done.add(i)
+        if w != 0:
+            k = next(k for k, (x, om) in enumerate(jumps)
+                     if k not in done and om == -w and np.allclose(x, dag(v)))
+            jumps[k] = (dag(v + shift), -w)
+            done.add(k)
+    return GeneratorSpec.create(base.sigma, jumps)
+
+
+def _route_fields(code, report):
+    cert, canon = report["certification"], report.get("canonical", {})
+    return {
+        "code": code,
+        "gns_dbc": cert["gns_dbc"],
+        "kms_only": cert["kms_only"],
+        "completely_positive": report["completely_positive"],
+        "jump_count": canon.get("jump_count"),
+        "omegas": canon.get("omegas"),
+        "block_sizes": canon.get("block_sizes"),
+    }
+
+
+class TestInspectRoutes:
+    """A spec is inspected on its Bohr blocks; its dense superoperator is the oracle."""
+
+    @pytest.mark.parametrize("name", list(ROUTE_SPECS))
+    def test_spec_route_matches_dense(self, name):
+        spec = ROUTE_SPECS[name]()
+        (code, report), (dense_code, dense) = _inspect(spec), _inspect(spec, dense=True)
+        assert _route_fields(code, report) == _route_fields(dense_code, dense)
+        assert code == 0
+        assert report["canonical"]["roundtrip_error"] <= 1e-9
+        assert dense["canonical"]["roundtrip_error"] <= 1e-9
+        assert "offblock_bound" in report["certification"]
+        assert "offblock_bound" not in dense["certification"]
+
+    @pytest.mark.parametrize("eps, gns", [(1e-9, True), (3e-9, False), (5e-9, False)])
+    def test_gns_defect_of_the_jumps_seen_on_both_routes(self, eps, gns):
+        # Fermi m=1 with its second jump scaled by 1 + eps passes create's
+        # KMS check but is not GNS-symmetric; symmetrised blocks would hide it
+        jumps = list(fermi_ou(1, 1.0, [1.0]).spec.jumps)
+        v, w = jumps[1]
+        spec = GeneratorSpec.create(fermi_ou(1, 1.0, [1.0]).spec.sigma, [jumps[0], ((1 + eps) * v, w)])
+        for dense in (False, True):
+            report = _inspect(spec, dense=dense)[1]["certification"]
+            assert report["gns_dbc"] == gns
+            assert report["s_residuals"]["1.0"] > 0.25 * eps
+
+    @pytest.mark.parametrize(
+        "name, rel, spec_gns",
+        [("random4", 1e-11, True), ("random4", 0.99e-10, False), ("fermi_m2", 0.99e-10, False)],
+    )
+    def test_offblock_mass_makes_every_residual_an_upper_bound(self, name, rel, spec_gns):
+        # rel of every jump's mass moved off its Bohr block, adjoints to
+        # match: the spec loads, and each block-route residual bounds the
+        # dense one from above.  Near create's limit (JUMP_EIGEN_TOL = 1e-10)
+        # the bound alone passes GNS_FLAG_TOL, so the spec route says
+        # not GNS and exits 1 where the superoperator passes
+        spec = _offblock_spec(ROUTE_SPECS[name](), rel)
+        assert spec.bohr_blocks[2] > 0
+        (code, report), (dense_code, dense) = _inspect(spec), _inspect(spec, dense=True)
+        mine, theirs = report["certification"], dense["certification"]
+        assert (code, mine["gns_dbc"]) == ((0, True) if spec_gns else (1, False))
+        assert (dense_code, theirs["gns_dbc"]) == (0, True)
+        for s, value in theirs["s_residuals"].items():
+            assert mine["s_residuals"][s] >= value
+        for key in CERT_RESIDUALS:
+            assert mine[key] >= theirs[key]
+        if spec_gns:
+            assert report["canonical"]["roundtrip_error"] >= dense["canonical"]["roundtrip_error"]
+
+    def test_no_dense_matrix_on_the_spec_route(self, tmp_path, monkeypatch):
+        # no n^2 x n^2 generator, GKS matrix or Choi matrix, and no
+        # eigensolve, SVD or 2-norm of an array with n^2 rows
+        from qmsflow import linalg
+
+        spec = random_dbc_spec(16, np.random.default_rng(7), ergodic=True)
+        path = tmp_path / "spec.json"
+        path.write_text(dump_json(spec_to_json(spec)))
+        calls = []
+
+        def counting(name, fn, big=lambda *args, **kwargs: True):
+            def wrapped(*args, **kwargs):
+                if big(*args, **kwargs):
+                    calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def dense(x, *args, **kwargs):
+            return np.ndim(x) >= 2 and np.shape(x)[-2] >= 256
+
+        for mod in (canonical, generators):
+            monkeypatch.setattr(mod, "build_generator", counting("build_generator", generators.build_generator))
+        monkeypatch.setattr(canonical, "gks_matrix", counting("gks_matrix", canonical.gks_matrix))
+        for mod in (canonical, linalg):
+            monkeypatch.setattr(mod, "choi", counting("choi", linalg.choi))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh, dense))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd, dense))
+        norm = np.linalg.norm
+
+        def norm_2(x, ord=None, *args, **kwargs):
+            return ord == 2 and dense(x)
+
+        monkeypatch.setattr(np.linalg, "norm", counting("norm", norm, norm_2))
+        out = tmp_path / "report.json"
+        assert main(["inspect", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["canonical"]["jump_count"] == spec.njumps
+        assert calls == []
 
 
 class TestEvolve:
@@ -388,7 +545,7 @@ class TestEvolve:
             return build(spec)
 
         monkeypatch.setattr(np, "kron", counting_kron)
-        for mod in (cli, entropy, generators):
+        for mod in (canonical, entropy, generators):
             monkeypatch.setattr(mod, "build_generator", counting_build)
         out = tmp_path / "traj.csv"
         assert main(
@@ -513,12 +670,41 @@ class TestMetricGeodesicRestrict:
             return build(spec)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        for mod in (cli, generators):
+        for mod in (canonical, generators):
             monkeypatch.setattr(mod, "build_generator", counting_build)
         out = tmp_path / "rates.json"
         assert main(["restrict", "--input", str(path), "--output", str(out)]) == 0
         assert json.loads(out.read_text())["size"] == 16
         assert calls == []
+
+
+SIDE_FILE_FLAGS = [("evolve", "--rho0"), ("metric", "--rho"), ("geodesic", "--rho0"),
+                   ("geodesic", "--rho1"), ("restrict", "--projections")]
+
+
+@pytest.mark.parametrize("command, flag", SIDE_FILE_FLAGS)
+@pytest.mark.parametrize("defect", ["malformed", "invalid", "wrong_dim"])
+def test_side_file_errors_exit_two(fermi_spec_file, tmp_path, capsys, command, flag, defect):
+    # a state or projection file that does not parse, is not a state or a
+    # projection list, or has another dimension than the dim-2 spec
+    if defect == "malformed":
+        content = {"a": 1}
+    elif flag == "--projections":
+        content = [[[[1, 0], [0, 0], [0, 0]]]] if defect == "invalid" else [matrix_to_json(np.eye(3))]
+    elif defect == "invalid":
+        content = {"rho": matrix_to_json(np.diag([1.0, 0.0]))}  # singular
+    else:
+        content = density_to_json(DensityState.from_matrix(np.eye(3) / 3))
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(content))
+    good.write_text(dump_json(density_to_json(DensityState.from_matrix(np.diag([0.4, 0.6])))))
+    argv = [command, "--input", fermi_spec_file, flag, str(bad), "--output", str(tmp_path / "out")]
+    if command == "geodesic" and flag == "--rho1":
+        argv += ["--rho0", str(good)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestZoo:

@@ -339,6 +339,53 @@ class TestCertification:
                 assert resid < 1e-9
 
 
+class TestBlockRoute:
+    """A spec's certification and distances from its Bohr blocks; the dense L is the oracle."""
+
+    @pytest.mark.parametrize("eps", [0.0, 5e-9])
+    def test_certification_bounds_the_dense_one(self, rng, eps):
+        # eps scales the first jump, a GNS defect the KMS check lets through
+        for _ in range(4):
+            spec = random_dbc_spec(int(rng.integers(2, 6)), rng)
+            (v, w), rest = spec.jumps[0], list(spec.jumps[1:])
+            spec = GeneratorSpec.create(spec.sigma, [((1 + eps) * v, w)] + rest)
+            blocks = certify_detailed_balance(spec, spec.sigma)
+            dense = certify_detailed_balance(build_generator(spec), spec.sigma)
+            assert blocks.l_norm <= dense.l_norm * (1 + 1e-12)
+            assert blocks.l_norm == pytest.approx(dense.l_norm, rel=1e-12)
+            assert blocks.gns_dbc == dense.gns_dbc and blocks.kms_only == dense.kms_only
+            pairs = [(blocks.s_residuals[s], dense.s_residuals[s]) for s in dense.s_residuals]
+            pairs += [(blocks.bkm_residual, dense.bkm_residual),
+                      (blocks.modular_commutation, dense.modular_commutation)]
+            for mine, theirs in pairs:
+                assert mine >= theirs - 1e-14
+                assert mine <= theirs + 1e-12 + 1e-6 * theirs
+
+    def test_spec_needs_its_own_sigma(self, rng):
+        spec = random_dbc_spec(3, rng)
+        with pytest.raises(ValueError, match="own sigma"):
+            certify_detailed_balance(spec, random_density(3, rng))
+
+    def test_distance_needs_nested_blocks(self):
+        # a jump frequency between two Bohr frequencies 1.5e-10 apart merges
+        # their blocks, so the exact spec's blocks nest in the merged one's
+        # and not the other way round
+        from qmsflow.generators import _block_distance
+
+        f = 0.5
+        lam = np.array([1.0, np.exp(f), np.exp(2 * f + 1.5e-10)])
+        sigma = DensityState.from_matrix(np.diag(lam / lam.sum()).astype(complex))
+        e10 = np.zeros((3, 3), dtype=complex)
+        e10[1, 0] = 1.0
+        exact = GeneratorSpec.create(sigma, [(e10, -f), (e10.T.copy(), f)])
+        merged = GeneratorSpec.create(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
+        assert len(merged.bohr_blocks[1]) != len(exact.bohr_blocks[1])
+        l_gap = np.linalg.norm(build_generator(merged) - build_generator(exact), 2)
+        assert l_gap <= _block_distance(merged, exact) <= l_gap + 1e-14
+        with pytest.raises(ValueError, match="nest"):
+            _block_distance(exact, merged)
+
+
 class TestCompletePositivity:
     def test_built_generators_pass(self, rng):
         spec = random_dbc_spec(3, rng)

@@ -105,6 +105,26 @@ class TestModularBasis:
         for al, f in enumerate(md.basis):
             assert np.allclose(md.basis[md.conj_pairing[al]], dag(f), atol=1e-12)
 
+    @pytest.mark.parametrize("spectrum", [[0.1, 0.2, 0.3, 0.4], [0.3, 0.3, 0.3, 0.1], [0.25] * 4])
+    def test_eigen_coordinates(self, rng, spectrum):
+        q, _ = np.linalg.qr(random_matrix(rng, 4))
+        sigma = DensityState.from_matrix((q * spectrum) @ dag(q))
+        md = build_modular_basis(sigma)
+        owner, units, coefs = md.eigen
+        assert np.all(np.diff(owner) >= 0)
+        u = sigma.eigenvectors
+        for a, f in enumerate(md.basis):
+            tilde = np.zeros(16, dtype=complex)
+            np.add.at(tilde, units[owner == a], coefs[owner == a])
+            assert np.allclose(u @ tilde.reshape(4, 4) @ dag(u), f, rtol=0, atol=1e-13)
+        perm = [0, *rng.permutation(np.arange(1, md.size))]
+        moved = md.reordered(perm)
+        assert np.all(np.diff(moved.eigen[0]) >= 0)
+        for k, a in enumerate(perm):
+            assert np.array_equal(moved.basis[k], md.basis[a])
+            assert np.array_equal(moved.eigen[2][moved.eigen[0] == k], coefs[owner == a])
+            assert moved.basis[moved.conj_pairing[k]] is md.basis[md.conj_pairing[a]]
+
     def test_expansion_roundtrip(self, rng):
         sigma = random_density(4, rng)
         md = build_modular_basis(sigma)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qmsflow import generators
 from qmsflow.calculus import divergence, grad, log_mean, rho_div, rho_mult
 from qmsflow.generators import GeneratorSpec, apply_dual, dual_orbit
 from qmsflow.linalg import dag, hs_inner, traceless_hermitian_basis, vec
@@ -283,6 +284,24 @@ class TestMonotonicity:
             t = float(rng.uniform(0, 2))
             ok, lhs, rhs = metric_monotonicity_check(fermi_m1_unit.spec, rho, a, omega, t)
             assert ok
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_inflated_flow_rejected_at_every_scale(self, fermi_m1_unit, rng, monkeypatch, scale):
+        # an evolved A 1% too large breaks contraction whatever the size of A
+        rho = random_density(2, rng)
+        a = scale * random_matrix(rng, 2)
+        ok, lhs, rhs = metric_monotonicity_check(fermi_m1_unit.spec, rho, a, 0.3, 0.5)
+        assert ok and 0.0 < lhs <= rhs
+        orbit = generators.dual_orbit
+
+        def inflated(spec, x, times):
+            out = orbit(spec, x, times)
+            return [1.01 * y for y in out] if x is a else out
+
+        monkeypatch.setattr(generators, "dual_orbit", inflated)
+        ok, lhs, rhs = metric_monotonicity_check(fermi_m1_unit.spec, rho, a, 0.3, 0.0)
+        assert not ok
+        assert lhs == pytest.approx(1.01**2 * rhs, rel=1e-9)
 
     def test_joint_convexity_midpoint(self, rng):
         # (rho, A) |-> <A, [rho]_w^{-1} A> at the midpoint never exceeds
