@@ -150,13 +150,17 @@ class HermitianSpectrum:
         return (u * self.eigenvalues) @ dag(u)
 
     def apply(self, f) -> np.ndarray:
-        """Matrix function f applied through the eigendecomposition."""
+        """Matrix function f applied through the eigendecomposition.
+
+        The values of f are used as real numbers only when all their
+        imaginary parts are exactly zero, so a small imaginary f is kept.
+        """
         u = self.eigenvectors
         with np.errstate(all="ignore"):
             fvals = np.asarray([f(x) for x in self.eigenvalues], dtype=complex)
         if not np.all(np.isfinite(fvals)):
             raise ValueError("function is not finite on the spectrum")
-        if np.allclose(fvals.imag, 0.0):
+        if not np.any(fvals.imag):
             fvals = fvals.real
         return (u * fvals) @ dag(u)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -40,14 +41,25 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """The n x n complex matrix of n rows of n [re, im] cells; each cell
+    holds exactly two JSON numbers (booleans are not numbers) within double
+    range."""
     try:
-        rows = [[complex(cell[0], cell[1]) for cell in row] for row in obj]
-    except (TypeError, IndexError) as exc:
+        n = len(obj)
+        cells = list(chain.from_iterable(obj))
+        shaped = set(map(len, obj)) == {n} and set(map(len, cells)) == {2}
+    except TypeError as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    a = np.array(rows, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix JSON is not square: shape {a.shape}")
-    return a
+    if not shaped:
+        raise ValueError("matrix JSON is not n rows of n [re, im] cells")
+    parts = list(chain.from_iterable(cells))
+    if not set(map(type, parts)) <= {int, float}:
+        raise ValueError("matrix JSON cells must hold two numbers")
+    try:
+        values = np.array(parts, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"matrix JSON entry out of double range: {exc}") from exc
+    return values.view(complex).reshape(n, n)
 
 
 def density_to_json(state: DensityState) -> dict:

@@ -51,10 +51,16 @@ BOHR_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityState:
-    """Strictly positive Hermitian matrix of unit trace with cached spectrum."""
+    """Strictly positive Hermitian matrix of unit trace with cached spectrum.
+
+    Matrix functions of the state (``power``, ``log``, ``modular_kernel``)
+    are computed once, on first use, and cached on the state; the arrays
+    returned are the cached ones and are read-only.
+    """
 
     rho: np.ndarray
     spectrum: HermitianSpectrum
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "DensityState":
@@ -63,7 +69,7 @@ class DensityState:
         if rho.shape != (n, n):
             raise ValueError("density matrix must be square")
         herm_err = float(np.linalg.norm(rho - dag(rho)))
-        if herm_err > HERMITICITY_TOL * max(1.0, float(np.linalg.norm(rho))):
+        if herm_err > HERMITICITY_TOL * float(np.linalg.norm(rho)):
             raise ValueError(f"not Hermitian: |rho - rho^*| = {herm_err:.3e}")
         trace_err = abs(complex(np.trace(rho)) - 1.0)
         if trace_err > TRACE_TOL:
@@ -86,11 +92,24 @@ class DensityState:
     def eigenvectors(self) -> np.ndarray:
         return self.spectrum.eigenvectors
 
+    def _cached(self, key, compute) -> np.ndarray:
+        value = self._cache.get(key)
+        if value is None:
+            value = compute()
+            value.setflags(write=False)
+            self._cache[key] = value
+        return value
+
     def power(self, p: float) -> np.ndarray:
-        return self.spectrum.apply(lambda x: x**p)
+        return self._cached(("power", p), lambda: self.spectrum.apply(lambda x: x**p))
 
     def log(self) -> np.ndarray:
-        return self.spectrum.apply(np.log)
+        return self._cached(("log",), lambda: self.spectrum.apply(np.log))
+
+    def modular_kernel(self, f) -> np.ndarray:
+        """Entries f(lam_i/lam_k): f of the modular operator in the eigenbasis."""
+        lam = self.eigenvalues
+        return self._cached(("kernel", f), lambda: np.vectorize(f)(lam[:, None] / lam[None, :]))
 
 
 def modular_apply(sigma: DensityState, a: np.ndarray) -> np.ndarray:
@@ -302,10 +321,8 @@ def inner_f(sigma: DensityState, f, a: np.ndarray, b: np.ndarray) -> complex:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    lam = sigma.eigenvalues
     u = sigma.eigenvectors
-    ratios = lam[:, None] / lam[None, :]
-    fvals = np.vectorize(f)(ratios)
+    fvals = sigma.modular_kernel(f)
     if np.any(fvals <= 0.0):
         raise ValueError("f is not positive on the spectrum of the modular operator")
     b_tilde = dag(u) @ b @ u
@@ -327,8 +344,7 @@ def _weight_kernel_f(sigma: DensityState, f) -> np.ndarray:
     Omega_f is diagonal there, so these are its eigenvalues.
     """
     lam = sigma.eigenvalues
-    ratios = lam[:, None] / lam[None, :]
-    return np.vectorize(f)(ratios) * lam[None, :]  # right multiplication contributes lam_k
+    return sigma.modular_kernel(f) * lam[None, :]  # right multiplication contributes lam_k
 
 
 def weight_superoperator_f(sigma: DensityState, f) -> np.ndarray:

@@ -308,7 +308,11 @@ class _PathProblem:
         states = self.states(y)
         return float(np.min(np.linalg.eigvalsh(states)))
 
-    def _segments(self, coords: np.ndarray):
+    def evaluate(self, y: np.ndarray):
+        """Segment data of the path with interior coordinates ``y``: the
+        increments, the solutions x = M^{-1} delta and the midpoints'
+        spectral data, from which the action and its gradient are read."""
+        coords = self.full_coords(y)
         states = self.states(coords)
         mids = 0.5 * (states[:-1] + states[1:])
         deltas = coords[1:] - coords[:-1]
@@ -317,15 +321,16 @@ class _PathProblem:
         sol = np.linalg.solve(m, deltas[..., None])[..., 0]
         return deltas, sol, lam, u, ker, t
 
-    def segment_actions(self, coords: np.ndarray) -> np.ndarray:
-        deltas, sol = self._segments(coords)[:2]
+    def segment_actions(self, evaluation) -> np.ndarray:
+        deltas, sol = evaluation[:2]
         return self.k * np.einsum("ka,ka->k", deltas, sol)
 
-    def action(self, y: np.ndarray) -> float:
-        return float(np.sum(self.segment_actions(self.full_coords(y))))
+    def action(self, evaluation) -> float:
+        return float(np.sum(self.segment_actions(evaluation)))
 
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        """Exact gradient of the action in the interior coordinates.
+    def gradient(self, evaluation) -> np.ndarray:
+        """Exact gradient of the action in the interior coordinates, read
+        from the path's :meth:`evaluate`.
 
         Segment k contributes K delta^T M(m)^{-1} delta with x = M^{-1} delta:
         2K x in delta and -K x^T (dM) x in its midpoint m. The latter is
@@ -333,7 +338,7 @@ class _PathProblem:
         X = sum_c x_c B_c, a first divided difference of the kernel in the
         eigenbasis of m (Daleckii-Krein).
         """
-        _, x, lam, u, ker, t = self._segments(self.full_coords(y))
+        _, x, lam, u, ker, t = evaluation
         kk, nj = ker.shape[:2]
         n = self.n
         # Y_j in the eigenbasis of each midpoint, (K, J, n, n)
@@ -375,9 +380,14 @@ def _log_mean_divided_difference(x1, x2, y, lm1, lm2):
 
 
 def _minimize_path(problem, y, max_iter, floor):
-    """Projected descent with Barzilai-Borwein steps and backtracking."""
-    action = problem.action(y)
-    g = problem.gradient(y)
+    """Projected descent with Barzilai-Borwein steps and backtracking.
+
+    Each point is evaluated once: the accepted candidate's evaluation gives
+    its gradient and, at the end, is returned with it.
+    """
+    evaluation = problem.evaluate(y)
+    action = problem.action(evaluation)
+    g = problem.gradient(evaluation)
     step = 1.0 / max(np.linalg.norm(g), 1.0)
     history = []
     prev_y = None
@@ -396,22 +406,23 @@ def _minimize_path(problem, y, max_iter, floor):
         for _ in range(60):
             cand = y - t * g
             if problem.min_eigenvalue(cand) >= floor:
-                cand_action = problem.action(cand)
+                cand_evaluation = problem.evaluate(cand)
+                cand_action = problem.action(cand_evaluation)
                 if cand_action < action:
                     accepted = True
                     break
             t *= 0.5
         if not accepted:
             # no decrease along the gradient at any feasible step
-            return y, action, iterations, True
+            return y, evaluation, action, iterations, True
         prev_y, prev_g = y, g
         drop = action - cand_action
-        y, action = cand, cand_action
-        g = problem.gradient(y)
+        y, evaluation, action = cand, cand_evaluation, cand_action
+        g = problem.gradient(evaluation)
         history.append(drop)
         if len(history) >= CONVERGENCE_SPAN and sum(history[-CONVERGENCE_SPAN:]) < CONVERGENCE_DROP:
-            return y, action, iterations, True
-    return y, action, iterations, False
+            return y, evaluation, action, iterations, True
+    return y, evaluation, action, iterations, False
 
 
 def geodesic_distance(
@@ -440,12 +451,13 @@ def geodesic_distance(
     problem = _PathProblem(ws, rho0.rho, rho1.rho, segments)
     y = problem.initial()
     if y.size == 0:
-        seg = problem.segment_actions(problem.full_coords(y))
+        seg = problem.segment_actions(problem.evaluate(y))
         return GeodesicResult(float(np.sqrt(seg.sum())), float(seg.sum()), seg, 0, True, [rho0.rho, rho1.rho])
-    y, action, iterations, converged = _minimize_path(problem, y, max_iter, positivity_floor)
-    coords = problem.full_coords(y)
-    seg = problem.segment_actions(coords)
-    path = [np.asarray(s) for s in problem.states(coords)]
+    y, evaluation, action, iterations, converged = _minimize_path(
+        problem, y, max_iter, positivity_floor
+    )
+    seg = problem.segment_actions(evaluation)
+    path = [np.asarray(s) for s in problem.states(problem.full_coords(y))]
     return GeodesicResult(
         distance=float(np.sqrt(max(action, 0.0))),
         action=float(action),
@@ -533,8 +545,10 @@ class _ChainProblem:
             return np.inf
         return float(np.min(y))
 
-    def _potentials(self, full: np.ndarray):
-        """Per segment: increments dp, midpoint edge masses and u = L(mid)^+ dp."""
+    def evaluate(self, y: np.ndarray):
+        """Per segment of the path with interior points ``y``: increments dp,
+        midpoint edge masses and u = L(mid)^+ dp."""
+        full = self.full(y)
         mids = 0.5 * (full[:-1] + full[1:])
         dps = full[1:] - full[:-1]
         out_mass = mids[:, self.tail] * self.q_out
@@ -546,21 +560,22 @@ class _ChainProblem:
         u = np.linalg.solve(lap, dps[..., None])[..., 0]
         return dps, out_mass, in_mass, u
 
-    def segment_actions(self, full: np.ndarray) -> np.ndarray:
-        dps, _, _, u = self._potentials(full)
+    def segment_actions(self, evaluation) -> np.ndarray:
+        dps, _, _, u = evaluation
         return self.k * np.einsum("kx,kx->k", dps, u)
 
-    def action(self, y: np.ndarray) -> float:
-        return float(np.sum(self.segment_actions(self.full(y))))
+    def action(self, evaluation) -> float:
+        return float(np.sum(self.segment_actions(evaluation)))
 
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        """Exact gradient, projected onto mean-zero directions.
+    def gradient(self, evaluation) -> np.ndarray:
+        """Exact gradient from :meth:`evaluate`, projected onto mean-zero
+        directions.
 
         Segment k contributes K dp^T L(mid)^+ dp: 2K u in dp and
         -K sum_xy (u_x - u_y)^2 dw_xy in its midpoint, where
         w_xy = LM(p_x Q_xy, p_y Q_yx).
         """
-        _, out_mass, in_mass, u = self._potentials(self.full(y))
+        _, out_mass, in_mass, u = evaluation
         flux = (u @ self.incidence.T) ** 2
         d_out = flux * self.q_out * log_mean_dx(out_mass, in_mass)
         d_in = flux * self.q_in * log_mean_dx(in_mass, out_mass)
@@ -592,11 +607,13 @@ def classical_transport_distance(
     problem = _ChainProblem(rates.rates, p0, p1, segments)
     y = problem.initial()
     if y.size == 0:
-        seg = problem.segment_actions(problem.full(y))
+        seg = problem.segment_actions(problem.evaluate(y))
         return GeodesicResult(float(np.sqrt(seg.sum())), float(seg.sum()), seg, 0, True, [p0, p1])
-    y, action, iterations, converged = _minimize_path(problem, y, max_iter, POSITIVITY_FLOOR)
+    y, evaluation, action, iterations, converged = _minimize_path(
+        problem, y, max_iter, POSITIVITY_FLOOR
+    )
+    seg = problem.segment_actions(evaluation)
     full = problem.full(y)
-    seg = problem.segment_actions(full)
     return GeodesicResult(
         distance=float(np.sqrt(max(action, 0.0))),
         action=float(action),

@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -202,7 +205,8 @@ class TestInspect:
     @pytest.mark.parametrize(
         "name",
         ["no_V", "no_omega", "jumps_not_list", "jump_not_object",
-         "superoperator_without_sigma", "superoperator_wrong_size", "omega_nan"],
+         "superoperator_without_sigma", "superoperator_wrong_size", "omega_nan",
+         "cell_three_entries", "cell_out_of_range", "cell_boolean"],
     )
     def test_malformed_wire_format_exit_two(self, tmp_path, capsys, name):
         obj = spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
@@ -218,6 +222,12 @@ class TestInspect:
             obj = {"dim": 2, "superoperator": matrix_to_json(np.eye(4))}
         elif name == "superoperator_wrong_size":
             obj = {"dim": 2, "sigma": obj["sigma"], "superoperator": matrix_to_json(np.eye(3))}
+        elif name == "cell_three_entries":
+            obj["sigma"][0][0].append(7)
+        elif name == "cell_out_of_range":
+            obj["jumps"][0]["V"][0][1] = [10**400, 0]
+        elif name == "cell_boolean":
+            obj["sigma"][0][1] = [False, False]
         else:
             for jump in obj["jumps"]:
                 jump["omega"] = float("nan")
@@ -683,12 +693,22 @@ SIDE_FILE_FLAGS = [("evolve", "--rho0"), ("metric", "--rho"), ("geodesic", "--rh
 
 
 @pytest.mark.parametrize("command, flag", SIDE_FILE_FLAGS)
-@pytest.mark.parametrize("defect", ["malformed", "invalid", "wrong_dim"])
+@pytest.mark.parametrize("defect", ["malformed", "invalid", "wrong_dim",
+                                    "long_cell", "huge_cell", "bool_cell"])
 def test_side_file_errors_exit_two(fermi_spec_file, tmp_path, capsys, command, flag, defect):
     # a state or projection file that does not parse, is not a state or a
-    # projection list, or has another dimension than the dim-2 spec
+    # projection list, has another dimension than the dim-2 spec, or has a
+    # matrix cell that is not two numbers of double range
     if defect == "malformed":
         content = {"a": 1}
+    elif defect.endswith("_cell"):
+        cell = {"long_cell": [0.0, 0.0, 7], "huge_cell": [10**400, 0], "bool_cell": [False, False]}
+        if flag == "--projections":
+            content = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
+            content[0][0][1] = cell[defect]
+        else:
+            content = density_to_json(DensityState.from_matrix(np.diag([0.4, 0.6])))
+            content["rho"][0][1] = cell[defect]
     elif flag == "--projections":
         content = [[[[1, 0], [0, 0], [0, 0]]]] if defect == "invalid" else [matrix_to_json(np.eye(3))]
     elif defect == "invalid":
@@ -747,6 +767,16 @@ class TestVerify:
         assert main(["verify", "--seed", "42", "--output", str(out1)]) == 0
         assert main(["verify", "--seed", "42", "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_python_dash_m(self, tmp_path):
+        # `python -m qmsflow` runs the same command line as `qmsflow`
+        out = tmp_path / "v.txt"
+        assert main(["verify", "--seed", "42", "--output", str(out)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        run = subprocess.run([sys.executable, "-m", "qmsflow", "verify", "--seed", "42"],
+                             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == out.read_text()
 
     def test_seed_changes_details(self, tmp_path):
         out1 = tmp_path / "v1.txt"

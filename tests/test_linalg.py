@@ -170,6 +170,13 @@ def test_spectral_rejects_log_of_indefinite():
         spectral_calculus(np.diag([1.0, -1.0]).astype(complex), np.log)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_spectral_keeps_small_imaginary_values(scale):
+    # f(x) = i x is purely imaginary at every scale, however small
+    a = scale * np.diag([1.0, 2.0])
+    assert np.allclose(spectral_calculus(a, lambda x: 1j * x), 1j * a, rtol=1e-14, atol=0)
+
+
 def test_hermitian_eig_reconstruction(rng):
     x = random_matrix(rng, 5)
     a = x + dag(x)

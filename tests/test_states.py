@@ -36,6 +36,61 @@ class TestDensityState:
         with pytest.raises(ValueError, match="positive"):
             DensityState.from_matrix(np.diag([1.0, 0.0]).astype(complex))
 
+    def test_hermiticity_tolerance_relative_to_norm(self):
+        # |rho| = 1/4 at the maximally mixed dim-16 state, so a defect of
+        # 5.7e-13 lies between 1e-12 |rho| and 1e-12
+        rho, unit = np.eye(16, dtype=complex) / 16, np.zeros((16, 16))
+        unit[0, 1] = 1.0  # |rho - rho^*| = sqrt(2) c for rho + c unit
+        assert np.linalg.norm(rho) == pytest.approx(0.25)
+        DensityState.from_matrix(rho + 1e-13 * unit)
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityState.from_matrix(rho + 4e-13 * unit)
+
+
+class TestMatrixFunctionCache:
+    def test_computed_once_and_read_only(self, rng):
+        state = random_density(4, rng)
+        for get in (lambda: state.power(0.3), state.log, lambda: state.modular_kernel(bkm_weight)):
+            first = get()
+            assert get() is first
+            with pytest.raises(ValueError, match="read-only"):
+                first[0, 0] = 0.0
+        assert state.power(0.3) is not state.power(0.7)
+
+    def test_same_values_as_spectral_calculus(self, rng):
+        state = random_density(5, rng)
+        for p in (-1.0, -0.5, 0.3, 1.0):
+            fresh = state.spectrum.apply(lambda x: x**p)
+            assert np.array_equal(state.power(p), fresh)
+        assert np.array_equal(state.log(), state.spectrum.apply(np.log))
+        lam = state.eigenvalues
+        assert np.array_equal(state.modular_kernel(np.sqrt), np.sqrt(lam[:, None] / lam[None, :]))
+
+    def test_cache_is_per_state_and_not_in_repr(self, rng):
+        state = random_density(3, rng)
+        copy = DensityState(state.rho, state.spectrum)
+        state.power(0.5)
+        assert "_cache" not in repr(state)
+        assert copy._cache == {} and state._cache != {}
+
+    def test_one_eigen_application_per_state_and_exponent(self, monkeypatch):
+        # across verify seeds 1..4, each (spectrum, function) pair is
+        # applied once: 884 applications, where recomputing made 11,932
+        from qmsflow.linalg import HermitianSpectrum
+        from qmsflow.verify import run_suite
+
+        apply, seen, keys = HermitianSpectrum.apply, [], []
+
+        def recording_apply(spectrum, f):
+            seen.append(spectrum)  # keeps ids unique while the suite runs
+            keys.append((id(spectrum), complex(f(2.0))))  # f(2) tells exponents apart
+            return apply(spectrum, f)
+
+        monkeypatch.setattr(HermitianSpectrum, "apply", recording_apply)
+        for seed in range(1, 5):
+            assert run_suite(seed)[0]
+        assert 0 < len(keys) == len(set(keys))
+
 
 class TestModularOperator:
     def test_fixes_commuting_elements(self, rng):
