@@ -25,6 +25,8 @@ the unnormalized trace.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .linalg import commutator_super, dag, sharp
@@ -39,6 +41,10 @@ __all__ = [
     "dirichlet_form",
     "log_mean",
     "log_mean_dx",
+    "log_mean_dxx",
+    "log_mean_dxy",
+    "kernel_divided_differences",
+    "kernel_second_divided_differences",
     "tilted_kernel",
     "rho_mult",
     "rho_div",
@@ -138,6 +144,154 @@ def log_mean_dx(x, y):
         lg = np.log(x / y)
         exact = (lg - (x - y) / x) / (lg * lg)
     return np.where(close, series, exact)
+
+
+def _log_mean_curvature(x, y):
+    """(m/2) (artanh s - s)/artanh(s)^3 with m = (x+y)/2, s = (x-y)/(x+y).
+
+    Both second partials of LM are this factor over a product of x and y.
+    When |x - y| <= 0.1 max(x, y) the ratio is the series P(s^2)/Q(s^2)^3
+    of artanh s - s = s^3 P and artanh s = s Q, truncated where the next
+    term is below 1e-18 relative; otherwise it is the closed form with
+    L = log(x/y) = 2 artanh s (log x - log y where x/y leaves float range),
+    whose cancellation leaves ~5e-13 relative error just above the switch.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    close = np.abs(x - y) <= 0.1 * np.maximum(x, y)
+    m = 0.5 * (x + y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        r = ((x - y) / (x + y)) ** 2
+        p = 1 / 3 + r * (1 / 5 + r * (1 / 7 + r * (1 / 9 + r * (1 / 11 + r * (1 / 13 + r / 15)))))
+        q = 1 + r * (1 / 3 + r * (1 / 5 + r * (1 / 7 + r * (1 / 9 + r * (1 / 11 + r / 13)))))
+        series = 0.5 * m * p / q**3
+        lg = np.log(x / y)
+        if not np.isfinite(lg[~close]).all():
+            lg = np.where(np.isfinite(lg), lg, np.log(x) - np.log(y))
+        exact = ((x + y) * lg - 2.0 * (x - y)) / lg**3
+    return np.where(close, series, exact)
+
+
+def log_mean_dxx(x, y):
+    """Second partial derivative of LM(x, y) in x, (2(x-y) - (x+y)L)/(x^2 L^3)
+    with L = log(x/y); -1/(6x) at x = y.  Negative: LM is concave.
+
+    LM is 1-homogeneous, so x LM_xx + y LM_xy = 0, and LM_yy(x, y) is
+    ``log_mean_dxx(y, x)``.  Near coincidence the closed form cancels and
+    the series of :func:`_log_mean_curvature` replaces it.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return -_log_mean_curvature(x, y) / (x * x)
+
+
+def log_mean_dxy(x, y):
+    """Mixed second partial of LM(x, y), ((x+y)L - 2(x-y))/(x y L^3) with
+    L = log(x/y); 1/(6x) at x = y.  Equals -(x/y) ``log_mean_dxx(x, y)``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _log_mean_curvature(x, y) / (x * y)
+
+
+def _first_difference(x1, x2, y, lm1, lm2):
+    """(LM(x1, y) - LM(x2, y))/(x1 - x2) from lm1 = LM(x1, y), lm2 = LM(x2, y).
+
+    Within a relative gap of 1e-5 the difference quotient cancels, and the
+    derivative at the midpoint (error ~gap^2) replaces it.
+    """
+    close = np.abs(x1 - x2) <= 1e-5 * np.maximum(x1, x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = (lm1 - lm2) / (x1 - x2)
+    return np.where(close, log_mean_dx(0.5 * (x1 + x2), y), quotient)
+
+
+def kernel_divided_differences(lam, omegas, ker):
+    """First divided differences of the kernels phi_j(s, r) =
+    LM(e^{omega_j/2} s, e^{-omega_j/2} r) of [rho]_{omega_j} over the
+    eigenvalues ``lam`` (B, n) of a batch of states, given the kernels
+    ``ker`` (B, J, n, n).  Returns two (B, J, i, l, k) arrays,
+
+        left  = (phi(lam_i, lam_k) - phi(lam_l, lam_k))/(lam_i - lam_l),
+        right = (phi(lam_i, lam_l) - phi(lam_i, lam_k))/(lam_l - lam_k),
+
+    the first-order Daleckii-Krein data of rho |-> [rho]_omega.
+    """
+    up = np.exp(omegas / 2.0)[None, :, None]
+    down = np.exp(-omegas / 2.0)[None, :, None]
+    s, r = up * lam[:, None, :], down * lam[:, None, :]
+    left = up[..., None, None] * _first_difference(
+        s[:, :, :, None, None], s[:, :, None, :, None], r[:, :, None, None, :],
+        ker[:, :, :, None, :], ker[:, :, None, :, :],
+    )
+    right = down[..., None, None] * _first_difference(
+        r[:, :, None, :, None], r[:, :, None, None, :], s[:, :, :, None, None],
+        ker[:, :, :, :, None], ker[:, :, :, None, :],
+    )
+    return left, right
+
+
+# relative eigenvalue gap below which a second divided difference is its
+# confluent limit at the mean of its nodes (error ~gap^2) instead of a
+# quotient of first ones (error ~1e-11/gap): either is within about 1e-7
+# relative at the switch
+CONFLUENT_GAP = 1e-3
+
+
+@lru_cache(maxsize=None)
+def _sorted_triples(n: int):
+    """For every index triple (a, b, c) < n, the same indices sorted."""
+    return np.sort(np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij")), axis=0)
+
+
+def _second_difference(lam, first, tilt, other_tilt):
+    """phi[lam_a, lam_b, lam_c; lam_d] over (B, J, a, b, c, d), the second
+    divided difference in s of phi(s, r) = LM(tilt s, other_tilt r), from
+    its first ones ``first`` (B, J, a, b, d) over (lam_a, lam_b) at lam_d.
+    Eigenvalues come sorted, so sorting a triple by index puts its widest
+    gap at the ends, and the quotient divides by it."""
+    n = first.shape[2]
+    lo, mid, hi = _sorted_triples(n)
+    spread = lam[:, hi] - lam[:, lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (first[:, :, mid, hi] - first[:, :, lo, mid]) / spread[:, None, ..., None]
+    close = np.nonzero(spread <= CONFLUENT_GAP * lam[:, hi])
+    mean = (lam[:, lo] + lam[:, mid] + lam[:, hi])[close][:, None, None] / 3.0
+    out[close[0], :, close[1], close[2], close[3]] = 0.5 * tilt**2 * log_mean_dxx(
+        tilt * mean, other_tilt * lam[close[0]][:, None, :]
+    )
+    return out
+
+
+def kernel_second_divided_differences(lam, omegas, left, right):
+    """Second divided differences of the kernels of
+    :func:`kernel_divided_differences`, from its output, as three
+    (B, J, i, l, p, k) arrays:
+
+        phi[lam_i, lam_l, lam_p; lam_k]    (both in s),
+        phi[lam_i, lam_l; lam_p, lam_k]    (mixed),
+        phi[lam_i; lam_l, lam_p, lam_k]    (both in r).
+
+    The mixed one is a quotient across whichever pair is not confluent,
+    and LM_xy at the pairs' means when both are.
+    """
+    up = np.exp(omegas / 2.0)[None, :, None]
+    down = np.exp(-omegas / 2.0)[None, :, None]
+    in_s = _second_difference(lam, left, up, down)
+    in_r = _second_difference(lam, right.transpose(0, 1, 3, 4, 2), down, up)
+    gaps = lam[:, :, None] - lam[:, None, :]
+    close = np.abs(gaps) <= CONFLUENT_GAP * np.maximum(lam[:, :, None], lam[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        across_r = (left[..., :, None] - left[..., None, :]) / gaps[:, None, None, None]
+        across_s = (right[:, :, :, None] - right[:, :, None, :]) / gaps[:, None, :, :, None, None]
+    mixed = np.where(close[:, None, None, None], across_s, across_r)
+    b, i, l, p, k = np.nonzero(close[:, :, :, None, None] & close[:, None, None, :, :])
+    # the tilts' product is 1, up to round-off
+    mixed[b, :, i, l, p, k] = log_mean_dxy(
+        up[0, :, 0] * 0.5 * (lam[b, i] + lam[b, l])[:, None],
+        down[0, :, 0] * 0.5 * (lam[b, p] + lam[b, k])[:, None],
+    )
+    return in_s, mixed, in_r.transpose(0, 1, 5, 2, 3, 4)
 
 
 def tilted_kernel(rho: DensityState, omega: float) -> np.ndarray:

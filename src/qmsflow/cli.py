@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", required=True)
     p.add_argument("--rho1", help="default: the invariant state")
     p.add_argument("--segments", type=int, default=16, help="K, the number of path segments")
-    p.add_argument("--budget", type=int, default=400, help="iteration budget")
+    p.add_argument("--budget", type=int, default=400, help="Newton step budget")
     add_common(p)
     p.set_defaults(func=cmd_geodesic)
 

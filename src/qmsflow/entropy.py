@@ -181,7 +181,8 @@ def talagrand_check(
     below as ``segments`` grows, so a pass is not a certificate; a
     relative allowance absorbs the discretization error.  Returns the
     verdict and the measured quantities; solver non-convergence is
-    reported, not asserted.
+    reported, not asserted, and ``decrement`` is the solver's estimate of
+    how far its action is above the discrete minimum.
     """
     from .transport import geodesic_distance
 
@@ -198,4 +199,5 @@ def talagrand_check(
         "tightness": geo.distance / bound if bound > 0 else 0.0,
         "converged": geo.converged,
         "iterations": geo.iterations,
+        "decrement": geo.decrement,
     }

@@ -147,6 +147,13 @@ def _svd_commutant_dim(spec):
     return int(np.sum(svals <= 1e-9 * svals[0]))
 
 
+def _null_count(evals):
+    """Eigenvalues at most 1e-9 times the largest |eigenvalue|: the
+    numerical null dimension, a count that L -> cL does not change."""
+    mags = np.abs(evals)
+    return int(np.sum(mags <= 1e-9 * np.max(mags)))
+
+
 def check_null_matches_commutant(rng):
     ok = True
     details = []
@@ -158,8 +165,7 @@ def check_null_matches_commutant(rng):
     ]
     for spec in zoo:
         l = generators.build_generator(spec)
-        evals = np.linalg.eigvals(l)
-        null_dim = int(np.sum(np.abs(evals) < 1e-9 * max(1.0, np.max(np.abs(evals)))))
+        null_dim = _null_count(np.linalg.eigvals(l))
         com = _svd_commutant_dim(spec)
         details.append(f"{null_dim}={com}")
         ok = ok and null_dim == com == generators.ergodicity(spec)

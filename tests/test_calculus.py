@@ -11,6 +11,8 @@ from qmsflow.calculus import (
     laplacian,
     log_mean,
     log_mean_dx,
+    log_mean_dxx,
+    log_mean_dxy,
     partial_deriv,
     rho_div,
     rho_mult,
@@ -332,6 +334,60 @@ class TestLogMeanDx:
         # LM is 1-homogeneous: x dLM/dx + y dLM/dy = LM
         euler = xs * log_mean_dx(xs, ys) + ys * log_mean_dx(ys, xs)
         assert np.allclose(euler, log_mean(xs, ys), rtol=1e-12)
+
+
+def _log_mean_second_reference(x: float, y: float):
+    """(LM_xx, LM_xy) at 80 digits: the closed forms, and the same from
+    central second differences."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x, y = Decimal(x), Decimal(y)
+
+        def lm(a, b):
+            return (a - b) / (a.ln() - b.ln()) if a != b else a
+
+        if x == y:
+            closed = (-1 / (6 * x), 1 / (6 * x))
+        else:
+            big_l = (x / y).ln()
+            c = ((x + y) * big_l - 2 * (x - y)) / big_l**3
+            closed = (-c / (x * x), c / (x * y))
+        hx, hy = Decimal("1e-20") * x, Decimal("1e-20") * y
+        dxx = (lm(x + hx, y) - 2 * lm(x, y) + lm(x - hx, y)) / (hx * hx)
+        dxy = (lm(x + hx, y + hy) - lm(x + hx, y - hy) - lm(x - hx, y + hy)
+               + lm(x - hx, y - hy)) / (4 * hx * hy)
+        return [float(v) for v in closed], [float(v) for v in (dxx, dxy)]
+
+
+class TestLogMeanSecondPartials:
+    # relative gaps on both sides of the series/closed-form switch, which
+    # is at |x - y| = 0.1 max(x, y), a gap of 1/9
+    GAPS = (0.0, 1e-12, 1e-9, 1e-5, 1e-2, 0.111, 0.112, 0.5, 3.0)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_matches_high_precision(self, gap):
+        for y in (1e-6, 0.37, 5.0):
+            for x in (y * (1.0 + gap), y / (1.0 + gap)):
+                closed, difference = _log_mean_second_reference(x, y)
+                assert closed == pytest.approx(difference, rel=1e-15)
+                assert float(log_mean_dxx(x, y)) == pytest.approx(closed[0], rel=1e-12)
+                assert float(log_mean_dxy(x, y)) == pytest.approx(closed[1], rel=1e-12)
+                assert float(log_mean_dxy(y, x)) == pytest.approx(closed[1], rel=1e-12)
+
+    def test_gap_beyond_float_range(self):
+        # x/y overflows; the logarithms are taken separately.  LM_xy is
+        # about 1.8e314 here, beyond float range, so it rounds to inf
+        closed, _ = _log_mean_second_reference(1.0, 1e-320)
+        assert float(log_mean_dxx(1.0, 1e-320)) == pytest.approx(closed[0], rel=1e-12)
+        assert float(log_mean_dxy(1.0, 1e-320)) == closed[1] == np.inf
+
+    def test_homogeneity_and_concavity(self, rng):
+        xs = rng.uniform(0.1, 5.0, size=50)
+        ys = rng.uniform(0.1, 5.0, size=50)
+        dxx = log_mean_dxx(xs, ys)
+        # LM is 1-homogeneous, so (x, y) spans the null space of its Hessian
+        assert np.allclose(xs * dxx + ys * log_mean_dxy(xs, ys), 0.0, atol=1e-12 * np.abs(dxx).max())
+        assert np.all(dxx < 0) and np.all(log_mean_dxx(ys, xs) < 0)
 
 
 def test_grad_annihilates_exactly_commutant(rng):

@@ -324,6 +324,8 @@ class TestTalagrand:
             res = talagrand_check(fermi_m1_unit.spec, rho, lam, segments=32)
             assert res["passed"]
             assert 0.0 < res["tightness"] <= 1.05
+            assert res["converged"]
+            assert 0.0 <= res["decrement"] <= 1e-12 * res["distance_upper"] ** 2
 
     def test_rejects_nonpositive_rate(self, fermi_m1_unit, rng):
         with pytest.raises(ValueError):
