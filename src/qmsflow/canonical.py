@@ -23,7 +23,10 @@ blocks yields jumps (V_j, omega_j) with the modular-eigenvector property,
 trace zero, and normalized-trace orthonormality.  For a generator given by
 its jumps the blocks are the jumps' Gram blocks
 (:attr:`qmsflow.generators.GeneratorSpec.gks_blocks`), and no n^2 x n^2
-matrix is formed.
+matrix is formed; a superoperator's are cut from its coefficient matrix
+read on sigma's eigenvectors (:func:`qmsflow.generators._superoperator_gks`).
+:func:`gks_matrix` over dense basis elements is the reference both are
+tested against.
 """
 
 from __future__ import annotations
@@ -33,16 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import choi, dag
-from .states import DensityState, ModularData, build_modular_basis
+from .states import DensityState, ModularData
 from .generators import (
     CertificationReport,
     GeneratorSpec,
     JumpGKS,
     _block_distance,
-    _label_stacks,
+    _input_blocks,
     _largest_singular_value,
-    _unweighted_blocks,
-    build_generator,
     certify_detailed_balance,
     check_complete_positivity,
 )
@@ -64,7 +65,6 @@ class GKSMatrix:
 
     basis: list
     matrix: np.ndarray
-    omegas: np.ndarray | None = None  # Bohr frequencies when basis is modular
 
     @property
     def size(self) -> int:
@@ -86,16 +86,13 @@ def _basis_rowvecs(basis) -> np.ndarray:
     return np.array(cols).T
 
 
-def gks_matrix(
-    k: np.ndarray, basis, check_orthonormal: bool = True, omegas=None
-) -> GKSMatrix:
+def gks_matrix(k: np.ndarray, basis, check_orthonormal: bool = True) -> GKSMatrix:
     """Coefficient matrix of the superoperator ``k`` over ``basis``.
 
     The basis must be orthonormal in the normalized Hilbert-Schmidt inner
     product with the identity as its first element.  Computed through the
     Choi matrix:  c = X^+ C(K) X / n^2 with X the column matrix of
-    row-major flattenings of F_a^*.  For a modular basis, pass its Bohr
-    frequencies through ``omegas`` so they travel with the coefficients.
+    row-major flattenings of F_a^*.
     """
     big = np.asarray(k).shape[0]
     n = int(round(np.sqrt(big)))
@@ -115,7 +112,7 @@ def gks_matrix(
             raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
     x = _basis_rowvecs(basis)
     c = dag(x) @ choi(k) @ x / (n * n)
-    return GKSMatrix(list(basis), c, None if omegas is None else np.asarray(omegas))
+    return GKSMatrix(list(basis), c)
 
 
 @dataclass
@@ -144,37 +141,6 @@ class ExtractionReport:
             "block_sizes": {str(k): v for k, v in self.block_sizes.items()},
             "roundtrip_error": self.roundtrip_error,
         }
-
-
-def _gks_residuals(
-    c: np.ndarray, omegas: np.ndarray, pairing: np.ndarray, offblock_mask: np.ndarray
-) -> tuple:
-    scale = max(float(np.max(np.abs(c))), 1e-300)
-    eo = np.exp(omegas)
-    block = np.max(np.abs(eo[:, None] * c - c * eo[None, :])) / (
-        scale * float(np.max(eo))
-    )
-    paired = np.exp(-omegas)[:, None] * c[np.ix_(pairing, pairing)].T
-    pairing_res = float(np.max(np.abs(c - paired)) / scale)
-    offblock = 0.0
-    if np.any(offblock_mask):
-        offblock = float(np.max(np.abs(c[offblock_mask])) / scale)
-    return float(block), pairing_res, offblock
-
-
-def _hamiltonian_parts(c: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
-    """The two Hamiltonian candidates built from the identity row/column.
-
-    Both vanish for GNS-self-adjoint generators; their norms are reported
-    as extraction diagnostics.
-    """
-    m = len(basis)
-    h = np.zeros_like(basis[0])
-    h_hat = np.zeros_like(basis[0])
-    for b in range(1, m):
-        h = h + (c[0, b] * basis[b] - c[b, 0] * dag(basis[b])) / 2j
-        h_hat = h_hat + (c[0, b] * dag(basis[b]) - c[b, 0] * basis[b]) / 2j
-    return h, h_hat
 
 
 def _paired_blocks(blocks: list, mod: ModularData) -> list:
@@ -252,10 +218,11 @@ def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
 
 
 def _jump_gks_residuals(gks: JumpGKS) -> tuple:
-    """Hermiticity, block, pairing and off-block residuals of a spec's GKS
-    coefficients over the entries :func:`qmsflow.generators._jump_gks`
-    forms (identity row and column, reduced blocks); the off-block
-    residual is its bound on the entries off the blocks, an upper bound."""
+    """Hermiticity, block, pairing and off-block residuals of GKS
+    coefficients in the :class:`qmsflow.generators.JumpGKS` layout, over
+    its identity row and column and reduced blocks; the off-block residual
+    is its ``offblock``: an upper bound for a spec, exact for a
+    superoperator."""
     mod, row, col, blocks = gks.modular, gks.row, gks.col, gks.blocks
     omegas, pairing = mod.bohr_frequencies, mod.conj_pairing
     values = [v for _, v in blocks]
@@ -287,14 +254,13 @@ def extract_canonical(
     """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
 
     ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
-    is ``sigma``; the input kind picks the producer of the reduced
-    coefficient blocks over the modular basis, and one loop turns the
-    blocks into jumps.  A superoperator's blocks come from its coefficient
-    matrix (:func:`gks_matrix`): it is Hermitized, and entries outside the
-    Bohr blocks are zeroed (they are below tolerance for valid input).  A
-    spec's blocks are its jumps' Gram blocks over its own modular basis
-    (:attr:`GeneratorSpec.gks_blocks`; passing ``modular`` with a spec is
-    a ValueError), and no n^2 x n^2 matrix is formed.
+    is ``sigma``.  :func:`qmsflow.generators._input_blocks` gives L's
+    blocks and the producer of its GKS coefficients over ``modular``
+    (default: sigma's own modular basis): a spec's are its jumps' Gram
+    blocks, with no n^2 x n^2 matrix formed; a superoperator's are cut from
+    its coefficient matrix, and its entries outside the Bohr blocks are
+    left out (they are below tolerance for valid input).  One loop turns
+    the reduced blocks into jumps.
 
     The blocks are the modular basis's own (``ModularData.block_labels``,
     from :func:`qmsflow.states.bohr_groups`), so no frequency is compared
@@ -319,26 +285,16 @@ def extract_canonical(
     ``complete_positivity`` verdict and minimum eigenvalue from
     :func:`qmsflow.generators.check_complete_positivity` when given), and
     the block-structure guard.  The round-trip error is relative to
-    ||L||, taken from the certification when there is one; for a spec it
-    compares the two specs' Bohr blocks (:func:`_block_distance`) and is
-    an upper bound, and ||L|| is that of its Bohr blocks.
+    ||L||, taken from the certification when there is one, else the
+    largest singular value of L's blocks.  It compares L's blocks with the
+    extracted spec's Bohr blocks (:func:`qmsflow.generators._block_distance`)
+    and is an upper bound, for a superoperator too.
     """
-    is_spec = isinstance(l, GeneratorSpec)
-    if is_spec and sigma is not l.sigma:
-        raise ValueError("a spec is extracted against its own sigma")
-    if is_spec and modular is not None:
-        raise ValueError("a spec is extracted over its own modular basis")
-    if not is_spec:
-        l = np.asarray(l, dtype=complex)
+    blocks, eta, gks_over = _input_blocks(l, sigma)
     cert = certification
     if require_dbc and cert is None:
         cert = certify_detailed_balance(l, sigma)
-    if cert is not None:
-        l_norm = cert.l_norm
-    elif is_spec:
-        l_norm = _largest_singular_value(x for _, x in _unweighted_blocks(l))
-    else:
-        l_norm = np.linalg.norm(l, 2)
+    l_norm = cert.l_norm if cert is not None else _largest_singular_value(x for _, x in blocks)
     if require_dbc:
         if not cert.gns_dbc:
             raise ValueError(
@@ -354,38 +310,17 @@ def extract_canonical(
                 f"(reduced coefficient matrix has eigenvalue {min_eig:.3e})"
             )
 
-    if is_spec:
-        gks = l.gks_blocks
-        mod, blocks, (h_norm, h_hat_norm) = gks.modular, gks.blocks, gks.hamiltonian_norms
-        herm_res, block_res, pair_res, offblock_res = _jump_gks_residuals(gks)
-    else:
-        mod = modular if modular is not None else build_modular_basis(sigma)
-        omegas, labels = mod.bohr_frequencies, mod.block_labels
-        gks = gks_matrix(l, mod.basis, check_orthonormal=False, omegas=omegas)
-        c = gks.matrix
-        offblock = labels[:, None] != labels[None, :]
-        herm_res = gks.hermiticity_residual()
-        block_res, pair_res, offblock_res = _gks_residuals(c, omegas, mod.conj_pairing, offblock)
-        h, h_hat = _hamiltonian_parts(c, mod.basis)
-        h_norm, h_hat_norm = float(np.linalg.norm(h)), float(np.linalg.norm(h_hat))
-        herm = 0.5 * (c + dag(c))  # the reduced blocks of its Hermitian part
-        blocks = [
-            (m + 1, herm[m[:, :, None] + 1, m[:, None, :] + 1])
-            for m in _label_stacks(labels[1:]).values()
-        ]
-
+    gks = gks_over(modular)
+    herm_res, block_res, pair_res, offblock_res = _jump_gks_residuals(gks)
     if require_dbc and max(block_res, pair_res, offblock_res) > 1e-6:
         raise ValueError(
             "coefficient matrix violates the modular block structure: "
             f"block {block_res:.3e}, pairing {pair_res:.3e}, off-block {offblock_res:.3e}"
         )
 
-    jumps, dropped, block_sizes = _canonical_jumps(blocks, mod, drop_rtol)
+    jumps, dropped, block_sizes = _canonical_jumps(gks.blocks, gks.modular, drop_rtol)
     spec = GeneratorSpec.create(sigma, jumps)
-    if is_spec:
-        rt = _block_distance(l, spec) / max(l_norm, 1e-300)
-    else:
-        rt = float(np.linalg.norm(build_generator(spec) - l, 2) / max(l_norm, 1e-300))
+    h_norm, h_hat_norm = gks.hamiltonian_norms
     report = ExtractionReport(
         block_residual=block_res,
         pairing_residual=pair_res,
@@ -395,6 +330,6 @@ def extract_canonical(
         hamiltonian_hat_norm=h_hat_norm,
         dropped_eigenvalues=dropped,
         block_sizes=block_sizes,
-        roundtrip_error=float(rt),
+        roundtrip_error=_block_distance(blocks, eta, spec) / max(l_norm, 1e-300),
     )
     return spec, report

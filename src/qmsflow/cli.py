@@ -143,7 +143,7 @@ def _parse_tols(pairs):
 def cmd_inspect(args) -> int:
     tols = _parse_tols(args.tol)
     spec, l, sigma = _load_spec_or_superop(args.input)
-    # the input kind picks the route: a spec on its Bohr blocks, a superoperator densely
+    # one route for both input kinds: a spec on its Bohr blocks, a superoperator as one block
     generator = l if spec is None else spec
     cert = certify_detailed_balance(generator, sigma, tol=tols["gns_flag"])
     report = {"certification": cert.as_dict()}

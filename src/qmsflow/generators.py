@@ -23,10 +23,11 @@ jumps.  :meth:`GeneratorSpec.create` builds L block by block over Bohr
 frequencies from the jumps, once, which checks the spec, and
 :func:`ergodicity` and :func:`dual_orbit` eigensolve those blocks once.
 :func:`certify_detailed_balance` and :func:`check_complete_positivity`
-take a spec or a superoperator, and the input kind picks the route: a
-spec is checked on its Bohr blocks and its jumps' GKS blocks, with no
-n^2 x n^2 matrix; the dense matrix of :func:`build_generator` is for
-the checks that take an arbitrary superoperator and for test oracles.
+take a spec or a superoperator, and both go through one set of block
+routines: a spec on its Bohr blocks and its jumps' GKS blocks, with no
+n^2 x n^2 matrix, and a superoperator rotated into sigma's eigenbasis
+(:func:`_rotated`) as one block of all n^2 units.  The dense matrix of
+:func:`build_generator` is for test oracles and for ``verify``.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ from .states import (
     bkm_weight,
     bohr_groups,
     build_modular_basis,
-    modular_superoperator,
-    weight_superoperator_f,
-    weight_superoperator_s,
 )
 
 __all__ = [
@@ -245,7 +243,8 @@ def _label_stacks(labels: np.ndarray) -> dict:
 @dataclass(frozen=True)
 class JumpGKS:
     """L's GKS coefficients c_ab over a modular basis, from the jumps
-    (:func:`_jump_gks`); the entries off the blocks are bounded, not formed."""
+    (:func:`_jump_gks`), where the entries off the blocks are bounded, not
+    formed, or from a superoperator (:func:`_superoperator_gks`)."""
 
     modular: ModularData
     row: np.ndarray  # c_0b
@@ -253,6 +252,23 @@ class JumpGKS:
     blocks: list  # per block size: element indices (blocks, size) and reduced blocks
     offblock: float  # bound on every |c_ab| off the blocks
     hamiltonian_norms: tuple  # Frobenius norms of the two Hamiltonian candidates
+
+
+def _hamiltonian_norms(modular: ModularData, row: np.ndarray, col: np.ndarray) -> tuple:
+    """Frobenius norms of the Hamiltonian candidates sum_b (c_0b F_b - c_b0 F_b^*)/2i
+    and sum_b (c_0b F_b^* - c_b0 F_b)/2i, from the identity row and column,
+    with each F_b read on sigma's eigenvectors (``ModularData.eigen``)."""
+    n = modular.sigma.dim
+    owner, units, coefs = modular.eigen
+
+    def combine(y):  # U^* (sum_{b > 0} y_b F_b) U
+        out = np.zeros(n * n, dtype=complex)
+        np.add.at(out, units, np.where(owner > 0, y[owner], 0.0) * coefs)
+        return out.reshape(n, n)
+
+    h = combine(row) - dag(combine(np.conj(col)))
+    h_hat = dag(combine(np.conj(row))) - combine(col)
+    return float(np.linalg.norm(h)) / 2.0, float(np.linalg.norm(h_hat)) / 2.0
 
 
 def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
@@ -272,8 +288,7 @@ def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
     eigenvectors, where each element is a few units
     (``ModularData.eigen``): x_ja = sum_k conj(coefs_k) tilde V_j[units_k] / n
     over the element's k.  The identity row and column are exact, and so
-    are the Hamiltonian candidates sum_b (c_0b F_b - c_b0 F_b^*)/2i and
-    sum_b (c_0b F_b^* - c_b0 F_b)/2i built from them.  The bound on the
+    are the Hamiltonian candidates built from them.  The bound on the
     entries off the blocks is 2 sum_j c_j |x_j| |x_j off its heaviest
     block|, or the largest identity-row or -column entry off the block of
     0, whichever is larger.
@@ -289,14 +304,6 @@ def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
     row = 2.0 * (c * np.conj(t)) @ xj - kappa
     col = 2.0 * (c * t) @ np.conj(xj) - kappa[pairing]
     row[0] = col[0] = 2.0 * np.sum(c * np.abs(t) ** 2) - kappa[0] - kappa[pairing[0]]
-
-    def combine(y):  # U^* (sum_{b > 0} y_b F_b) U
-        out = np.zeros(n * n, dtype=complex)
-        np.add.at(out, units, np.where(owner > 0, y[owner], 0.0) * coefs)
-        return out.reshape(n, n)
-
-    h = combine(row) - dag(combine(np.conj(col)))
-    h_hat = dag(combine(np.conj(row))) - combine(col)
     blocks = []
     for members in _label_stacks(labels[1:]).values():  # the reduced elements
         xg = xj[:, members + 1].transpose(1, 0, 2)  # (blocks, jumps, size)
@@ -309,8 +316,47 @@ def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
     bound = 2.0 * float(np.sum(c * norms * np.sqrt(mass.sum(axis=1))))
     off_zero = labels != labels[0]  # the identity's label is the block of 0
     edge = max(np.max(np.abs(row[off_zero]), initial=0.0), np.max(np.abs(col[off_zero]), initial=0.0))
-    hamiltonian = (float(np.linalg.norm(h)) / 2.0, float(np.linalg.norm(h_hat)) / 2.0)
-    return JumpGKS(modular, row, col, blocks, max(bound, float(edge)), hamiltonian)
+    return JumpGKS(modular, row, col, blocks, max(bound, float(edge)), _hamiltonian_norms(modular, row, col))
+
+
+def _rotated(l, sigma: DensityState) -> np.ndarray:
+    """A superoperator L on the units E_ab = |eta_a><eta_b| of sigma's
+    eigenvectors: entry (a n + b, c n + d) is (U^* L(U E_cd U^*) U)_ab, that
+    is W^* L W with W = conj(U) (x) U re-indexed from column stacking,
+    formed without a Kronecker product.  ValueError unless L is n^2 x n^2
+    for sigma's n."""
+    l = check_finite(l, "superoperator")
+    n, u = sigma.dim, sigma.eigenvectors
+    if l.shape != (n * n, n * n):
+        raise ValueError(
+            f"superoperator has shape {l.shape}, expected {(n * n, n * n)} for sigma of dim {n}"
+        )
+    t = dag(u) @ l.reshape(n, n, n, n) @ u  # L[i + k n, j + l n] at [k, i, l, j] -> [k, i, d, c]
+    t = u.T @ t.transpose(2, 3, 0, 1) @ np.conj(u)  # -> [d, c, b, a]
+    return t.transpose(3, 2, 1, 0).reshape(n * n, n * n)
+
+
+def _superoperator_gks(lt: np.ndarray, modular: ModularData) -> JumpGKS:
+    """GKS coefficients c_ab over ``modular`` of ``lt``, a superoperator as
+    :func:`_rotated` gives it on ``modular.sigma``, in the layout of
+    :func:`_jump_gks`: c = X^* C X / n^2 (:func:`qmsflow.canonical.gks_matrix`)
+    with C the Choi matrix of ``lt`` and column a of X the few units of
+    U^* F_a^* U (``ModularData.eigen``).  ``offblock`` is the largest
+    |c_ab| off the labels, exact."""
+    n = modular.sigma.dim
+    nn = n * n
+    owner, units, coefs = modular.eigen
+    first = np.flatnonzero(np.diff(owner, prepend=-1))  # each element's first entry
+    adjoint = (units % n) * n + units // n  # U^* F_a^* U holds conj(coefs) there
+    choi_t = lt.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(nn, nn)
+    half = np.add.reduceat(choi_t[:, adjoint] * np.conj(coefs), first, axis=1)
+    c = np.add.reduceat(coefs[:, None] * half[adjoint], first, axis=0) / nn
+    labels = modular.block_labels
+    blocks = [
+        (m + 1, c[m[:, :, None] + 1, m[:, None, :] + 1]) for m in _label_stacks(labels[1:]).values()
+    ]
+    offblock = float(np.max(np.abs(c[labels[:, None] != labels[None, :]]), initial=0.0))
+    return JumpGKS(modular, c[0], c[:, 0], blocks, offblock, _hamiltonian_norms(modular, c[0], c[:, 0]))
 
 
 def build_generator(spec: GeneratorSpec) -> np.ndarray:
@@ -356,7 +402,7 @@ def _hermitian_opnorm(h: np.ndarray) -> float:
     """2-norm of a Hermitian matrix, or the largest of a stack: the spectral
     radius, by an eigensolve."""
     evals = np.linalg.eigvalsh(h)
-    return float(max(-evals[..., 0].min(), evals[..., -1].max())) if evals.size else 0.0
+    return float(np.abs(evals).max()) if evals.size else 0.0
 
 
 def _unit_positions(blocks: list, nn: int) -> np.ndarray:
@@ -389,22 +435,48 @@ def _unweighted_blocks(spec: GeneratorSpec) -> list:
     return [(units, h * w[:, None, :] / w[:, :, None]) for units, w, h in blocks]
 
 
+def _input_blocks(l, sigma: DensityState) -> tuple:
+    """L's blocks over the units of sigma's eigenvectors, the bound eta on
+    the part of L off them, and the producer of its GKS coefficients over a
+    modular basis of sigma (``None``: sigma's own).  A spec, whose own
+    state must be ``sigma`` (ValueError otherwise), gives its Bohr blocks,
+    its off-block bound and :func:`_jump_gks`; a superoperator gives one
+    block of all n^2 units (:func:`_rotated`), eta = 0 and
+    :func:`_superoperator_gks`."""
+    if isinstance(l, GeneratorSpec):
+        if sigma is not l.sigma:
+            raise ValueError("a spec is checked against its own sigma")
+        return (
+            _unweighted_blocks(l),
+            l.bohr_blocks[2],
+            lambda modular: l.gks_blocks if modular is None else _jump_gks(l, modular),
+        )
+    lt, nn = _rotated(l, sigma), sigma.dim**2
+    return (
+        [(np.arange(nn).reshape(1, nn), lt[None])],
+        0.0,
+        lambda modular: _superoperator_gks(lt, build_modular_basis(sigma) if modular is None else modular),
+    )
+
+
 def _largest_singular_value(stacks) -> float:
     return max((float(np.linalg.svd(x, compute_uv=False).max()) for x in stacks), default=0.0)
 
 
-def _block_distance(spec: GeneratorSpec, other: GeneratorSpec) -> float:
-    """Upper bound on ||L - L_other||_2 from the two specs' Bohr blocks.
+def _block_distance(blocks: list, eta: float, other: GeneratorSpec) -> float:
+    """Upper bound on ||L - L_other||_2 from the blocks of L
+    (:func:`_input_blocks`), the bound ``eta`` on L off them, and
+    ``other``'s Bohr blocks.
 
-    The blocks of L - L_other on ``spec``'s blocks, where ``other``'s
-    entries are taken from its own blocks, give the largest singular value
-    of any block; both specs' off-block bounds are added.  ``other``'s
-    blocks must each lie inside one of ``spec``'s (ValueError otherwise),
-    so every entry of L_other left out is off its own blocks.
+    The blocks of L - L_other on L's blocks, where ``other``'s entries are
+    taken from its own blocks, give the largest singular value of any
+    block; ``eta`` and ``other``'s off-block bound are added.  ``other``'s
+    blocks must each lie inside one of L's (ValueError otherwise), so every
+    entry of L_other left out is off its own blocks.
     """
-    nn = spec.dim**2
-    mine, theirs = _unweighted_blocks(spec), _unweighted_blocks(other)
-    index = _unit_positions(mine, nn)
+    nn = other.dim**2
+    theirs = _unweighted_blocks(other)
+    index = _unit_positions(blocks, nn)
     for units, _ in theirs:
         where = index[:2, units]
         if np.any(where != where[:, :, :1]):
@@ -412,9 +484,9 @@ def _block_distance(spec: GeneratorSpec, other: GeneratorSpec) -> float:
     their_index, their_values = _unit_positions(theirs, nn), [x for _, x in theirs]
     diffs = [
         _block_entries(their_values, their_index, units[:, :, None], units[:, None, :])[0] - x
-        for units, x in mine
+        for units, x in blocks
     ]
-    return _largest_singular_value(diffs) + spec.bohr_blocks[2] + other.bohr_blocks[2]
+    return _largest_singular_value(diffs) + eta + other.bohr_blocks[2]
 
 
 @dataclass
@@ -429,18 +501,15 @@ class CertificationReport:
     unital_residual: float
     gns_dbc: bool
     kms_only: bool
-    l_norm: float  # 2-norm of the certified superoperator, the residuals' scale
+    l_norm: float  # 2-norm of the certified blocks of L, the residuals' scale
     tolerance: float = GNS_FLAG_TOL
-    # for a spec: the bound on ||L - L_0||_2 / ||L_0||_2, L_0 the Bohr blocks
-    # of L, that makes every residual an upper bound; None for a superoperator
-    offblock_bound: float | None = None
+    # the bound on ||L - L_0||_2 / ||L_0||_2, L_0 the blocks of L, that makes
+    # every residual an upper bound; 0 for a superoperator, certified whole
+    offblock_bound: float = 0.0
 
     def as_dict(self) -> dict:
-        """The fields in declaration order, without ``l_norm`` and without
-        ``offblock_bound`` when it is None."""
+        """The fields in declaration order, without ``l_norm``."""
         out = {k: v for k, v in vars(self).items() if k != "l_norm"}
-        if self.offblock_bound is None:
-            del out["offblock_bound"]
         out["s_residuals"] = {str(k): v for k, v in self.s_residuals.items()}
         return out
 
@@ -482,87 +551,42 @@ def certify_detailed_balance(
     commuting with the modular operator.
 
     ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
-    is ``sigma``, which :func:`_certify_blocks` certifies on its Bohr
-    blocks with residuals that are upper bounds.  For a superoperator the
-    weights' 2-norms follow from sigma's spectrum: lam_max for every
-    Omega_s, the largest kernel entry f(lam_i/lam_k) lam_k for Omega_f and
-    lam_max/lam_min for Delta_sigma.  Only ||L|| and the modular
-    commutator, which is not normal, take an SVD.
+    is ``sigma``; either way :func:`_certify_blocks` certifies the blocks
+    of :func:`_input_blocks`.  For a spec those are its Bohr blocks and the
+    residuals are upper bounds; a superoperator is one block and its
+    residuals are those of L itself.
     """
-    if isinstance(l, GeneratorSpec):
-        if sigma is not l.sigma:
-            raise ValueError("a spec is certified against its own sigma")
-        return _certify_blocks(l, s_grid, tol)
-    l = check_finite(l, "superoperator")
-    n = sigma.dim
-    l_norm = np.linalg.norm(l, 2)
-    lam = sigma.eigenvalues
-    lam_max = float(lam[-1])
-
-    def s_residual(s: float) -> float:
-        return _self_adjointness_residual(l, weight_superoperator_s(sigma, s), l_norm, lam_max)
-
-    s_res = {float(s): s_residual(s) for s in s_grid}
-    bkm = _self_adjointness_residual(
-        l,
-        weight_superoperator_f(sigma, bkm_weight),
-        l_norm,
-        float(np.max(_weight_kernel_f(sigma, bkm_weight))),
-    )
-    delta = modular_superoperator(sigma)
-    mod_scale = max(l_norm * lam_max / float(lam[0]), 1e-300)
-    mod_comm = float(np.linalg.norm(l @ delta - delta @ l, 2) / mod_scale)
-    star = star_swap_residual(l)
-    unital = float(np.linalg.norm(l @ vec(np.eye(n))) / max(l_norm, 1e-300))
-    return _report(n, s_res, s_residual, bkm, mod_comm, star, unital, float(l_norm), tol)
+    blocks, eta, _ = _input_blocks(l, sigma)
+    return _certify_blocks(sigma, blocks, eta, s_grid, tol)
 
 
-def _report(n, s_res, s_residual, bkm, mod_comm, star, unital, l_norm, tol, offblock=None):
-    """The certification report of these residuals, with the GNS and KMS
-    verdicts from the s = 1 and s = 1/2 residuals."""
-    gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
-    kms = s_res[0.5] if 0.5 in s_res else s_residual(0.5)
-    return CertificationReport(
-        dim=n,
-        s_residuals=s_res,
-        bkm_residual=bkm,
-        modular_commutation=mod_comm,
-        star_preservation=star,
-        unital_residual=unital,
-        gns_dbc=bool(gns < tol),
-        kms_only=bool(kms < tol and mod_comm > 100 * tol),
-        l_norm=l_norm,
-        tolerance=tol,
-        offblock_bound=offblock,
-    )
-
-
-def _certify_blocks(spec: GeneratorSpec, s_grid, tol: float) -> CertificationReport:
-    """The certification of a spec on the Bohr blocks L_B of L, no n^2 x n^2 matrix.
+def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: float) -> CertificationReport:
+    """The certification of L from its blocks L_B over the units of sigma's
+    eigenvectors (``ls``: unit indices and blocks, per block size) and the
+    bound eta on ||L - L_0||_2, L_0 the block-diagonal part.
 
     In sigma's eigenbasis every weight is diagonal on the units E_ab
     (Omega_s: lam_a^{1-s} lam_b^s; Omega_BKM: f(lam_a/lam_b) lam_b;
-    Delta_sigma: lam_a/lam_b).  So for the block-diagonal part L_0 of L
-    each weighted residual is the largest Hermitian spectral radius of
-    i(D_B L_B - L_B^* D_B) over the blocks, batched by block size; the
-    modular commutator is the largest singular value of L_B Delta_B -
-    Delta_B L_B (frequencies in a block differ by up to ``BOHR_RTOL``);
-    the star residual pairs each block with the block of its transposed
-    units (an entry whose partner lies off the blocks counts twice); the
-    unital residual is L_0(1) on the block of 0.  The scale is ||L_0||_2,
-    the largest singular value of any block, which is at most ||L||_2.
-    The bound eta on ||L - L_0|| of :attr:`GeneratorSpec.bohr_blocks`
-    enters each residual as the most it can move it (2 eta for the
-    weighted, modular and star residuals, sqrt(n) eta for the unital one),
-    so every residual is an upper bound on that of L itself and a verdict
-    can only be stricter than the dense route's.  The report carries
-    eta / ||L_0||_2 as ``offblock_bound``.
+    Delta_sigma: lam_a/lam_b), so no weight superoperator is formed.  For
+    L_0 each weighted residual is the largest Hermitian spectral radius of
+    i(D_B L_B - L_B^* D_B) over the blocks, batched by block size, scaled
+    by the weight's 2-norm (lam_max for every Omega_s, the largest kernel
+    entry for Omega_BKM); the modular commutator is the largest singular
+    value of L_B Delta_B - Delta_B L_B (frequencies in a block differ by up
+    to ``BOHR_RTOL``), scaled by lam_max/lam_min; the star residual pairs
+    each block with the block of its transposed units (an entry whose
+    partner lies off the blocks counts twice); the unital residual is
+    L_0(1) on the block of 0.  The scale is ||L_0||_2, the largest singular
+    value of any block, which is at most ||L||_2.  eta enters each residual
+    as the most it can move it (2 eta for the weighted, modular and star
+    residuals, sqrt(n) eta for the unital one), so every residual is an
+    upper bound on that of L itself.  The report carries eta / ||L_0||_2 as
+    ``offblock_bound``.  Only ||L_0|| and the modular commutator, which is
+    not normal, take an SVD.
     """
-    n, sigma = spec.dim, spec.sigma
+    n = sigma.dim
     lam = sigma.eigenvalues
     lam_max = float(lam[-1])
-    _, blocks, eta = spec.bohr_blocks
-    ls = _unweighted_blocks(spec)
     l_norm = _largest_singular_value(x for _, x in ls)
     scale = max(l_norm, 1e-300)
 
@@ -583,7 +607,7 @@ def _certify_blocks(spec: GeneratorSpec, s_grid, tol: float) -> CertificationRep
     commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, x in ls)
     mod_comm = _largest_singular_value(commutators) / (scale * lam_max / float(lam[0]))
     mod_comm += 2.0 * eta / scale
-    index, values = _unit_positions(blocks, n * n), [x for _, x in ls]
+    index, values = _unit_positions(ls, n * n), [x for _, x in ls]
     diff2 = norm2 = 0.0
     for units, x in ls:
         mirror = (units % n) * n + units // n  # E_ab -> E_ba, the adjoint
@@ -595,8 +619,20 @@ def _certify_blocks(spec: GeneratorSpec, s_grid, tol: float) -> CertificationRep
     units, x = ls[g]
     unital = np.linalg.norm(x[b][:, units[b] % (n + 1) == 0].sum(axis=1))
     unital = (unital + np.sqrt(n) * eta) / scale
-    return _report(
-        n, s_res, s_residual, bkm, mod_comm, float(star), float(unital), l_norm, tol, eta / scale
+    gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
+    kms = s_res[0.5] if 0.5 in s_res else s_residual(0.5)
+    return CertificationReport(
+        dim=n,
+        s_residuals=s_res,
+        bkm_residual=bkm,
+        modular_commutation=mod_comm,
+        star_preservation=float(star),
+        unital_residual=float(unital),
+        gns_dbc=bool(gns < tol),
+        kms_only=bool(kms < tol and mod_comm > 100 * tol),
+        l_norm=l_norm,
+        tolerance=tol,
+        offblock_bound=eta / scale,
     )
 
 
@@ -614,40 +650,34 @@ def check_complete_positivity(
     coefficients over sigma's modular basis, block diagonal over Bohr
     frequencies (:attr:`GeneratorSpec.gks_blocks`), and is eigensolved
     block by block; such an L is unital and star-preserving by
-    construction.  A superoperator's block is taken over the modular basis
-    of the maximally mixed state.  The block passes when its smallest
-    eigenvalue is at least ``-psd_tol`` times its largest |eigenvalue|, so
-    the verdict does not depend on the units of L.  A superoperator must
-    annihilate the identity and preserve adjoints (ValueError otherwise);
-    ``l_norm`` is its operator 2-norm when the caller already has it.
-    Returns (verdict, minimum eigenvalue of the reduced block).
+    construction.  A superoperator's block is taken whole, over the
+    modular basis of the maximally mixed state, which is one block
+    (:func:`_superoperator_gks`), so the verdict is exact for any L.  The
+    block passes when its smallest eigenvalue is at least ``-psd_tol``
+    times its largest |eigenvalue|, so the verdict does not depend on the
+    units of L.  A superoperator must be n^2 x n^2, annihilate the
+    identity and preserve adjoints (ValueError otherwise); ``l_norm`` is
+    its operator 2-norm when the caller already has it.  Returns (verdict,
+    minimum eigenvalue of the reduced block).
     """
     if isinstance(l, GeneratorSpec):
-        stacks = [b for _, b in l.gks_blocks.blocks]
-        parts = [np.linalg.eigvalsh(0.5 * (b + np.conj(b).transpose(0, 2, 1))).ravel() for b in stacks]
-        evals = np.sort(np.concatenate(parts)) if parts else np.zeros(0)
+        gks = l.gks_blocks
     else:
-        evals = _reduced_gks_spectrum(l, l_norm)
+        l = check_finite(l, "superoperator")
+        n = max(1, round(l.size**0.25))  # an n^2 x n^2 matrix has n^4 entries
+        mixed = DensityState.from_matrix(np.eye(n) / n)
+        lt = _rotated(l, mixed)
+        scale = max(np.linalg.norm(l, 2) if l_norm is None else l_norm, 1e-300)
+        if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
+            raise ValueError("superoperator does not annihilate the identity")
+        if star_swap_residual(l) > 1e-8:
+            raise ValueError("superoperator is not star-preserving")
+        gks = _superoperator_gks(lt, build_modular_basis(mixed))
+    parts = [np.linalg.eigvalsh(0.5 * (b + np.conj(b).transpose(0, 2, 1))).ravel() for _, b in gks.blocks]
+    evals = np.sort(np.concatenate(parts)) if parts else np.zeros(0)
     if evals.size == 0:
         return True, 0.0
     return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), float(evals[0])
-
-
-def _reduced_gks_spectrum(l: np.ndarray, l_norm: float | None) -> np.ndarray:
-    """Eigenvalues of a superoperator's reduced GKS block, after checking
-    that it annihilates the identity and preserves adjoints."""
-    from .canonical import gks_matrix
-
-    l = check_finite(l, "superoperator")
-    n = int(round(np.sqrt(l.shape[0])))
-    scale = max(np.linalg.norm(l, 2) if l_norm is None else l_norm, 1e-300)
-    if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
-        raise ValueError("superoperator does not annihilate the identity")
-    if star_swap_residual(l) > 1e-8:
-        raise ValueError("superoperator is not star-preserving")
-    basis = build_modular_basis(DensityState.from_matrix(np.eye(n) / n)).basis
-    red = gks_matrix(l, basis, check_orthonormal=False).reduced()
-    return np.linalg.eigvalsh(0.5 * (red + dag(red)))
 
 
 def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:

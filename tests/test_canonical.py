@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from qmsflow.canonical import _hamiltonian_parts, extract_canonical, gks_matrix
+from qmsflow.canonical import extract_canonical, gks_matrix
 from qmsflow.generators import GeneratorSpec, build_generator, check_complete_positivity
 from qmsflow.linalg import commutator_super, dag, hs_inner, sharp
 from qmsflow.models import fermi_ou, random_dbc_spec, random_density
@@ -20,6 +20,17 @@ def first_nonorthonormal_pair(basis):
             if abs(g - (1.0 if a == b else 0.0)) > 1e-9:
                 return a, b
     return None
+
+
+def _hamiltonian_parts(c: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the two Hamiltonian candidates sum_b (c_0b F_b - c_b0 F_b^*)/2i
+    and sum_b (c_0b F_b^* - c_b0 F_b)/2i over dense basis elements."""
+    h = np.zeros_like(basis[0])
+    h_hat = np.zeros_like(basis[0])
+    for b in range(1, len(basis)):
+        h = h + (c[0, b] * basis[b] - c[b, 0] * dag(basis[b])) / 2j
+        h_hat = h_hat + (c[0, b] * dag(basis[b]) - c[b, 0] * basis[b]) / 2j
+    return h, h_hat
 
 
 def identity_anchored_basis(n):
@@ -244,8 +255,17 @@ class TestExtraction:
         ) / np.linalg.norm(l, 2)
         assert gap < 1e-9
         assert ex1.njumps == ex2.njumps
-        with pytest.raises(ValueError, match="own modular basis"):
-            extract_canonical(spec, spec.sigma, modular=md)
+        # a spec's jumps give its coefficients over any modular basis of sigma
+        ex3, _ = extract_canonical(spec, spec.sigma, modular=md2)
+        gap = np.linalg.norm(build_generator(ex3) - l, 2) / np.linalg.norm(l, 2)
+        assert gap < 1e-9
+        assert ex3.njumps == ex1.njumps
+
+    @pytest.mark.parametrize("shape", [(9, 9), (5, 5), (4, 16)])
+    def test_wrong_size_superoperator_named(self, shape):
+        sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
+        with pytest.raises(ValueError, match=re.escape(f"superoperator has shape {shape}, expected (4, 4)")):
+            extract_canonical(np.zeros(shape), sigma)
 
     def test_jump_count_bound(self, rng):
         for _ in range(4):
@@ -345,6 +365,35 @@ class TestJumpGKS:
             on_blocks[rows, cols] = True
         on_blocks[0, :] = on_blocks[:, 0] = True
         assert np.max(np.abs(c[~on_blocks]), initial=0.0) <= gks.offblock + 1e-14 * scale
+        h, h_hat = _hamiltonian_parts(c, md.basis)
+        assert gks.hamiltonian_norms == pytest.approx(
+            (np.linalg.norm(h), np.linalg.norm(h_hat)), rel=1e-9, abs=1e-14 * scale
+        )
+
+    @pytest.mark.parametrize("case", ["fermi_m2", "random_dbc", "near_degenerate", "random_l"])
+    def test_superoperator_coefficients_match_dense(self, case):
+        # the one-block route reads a superoperator's coefficients on sigma's
+        # eigenvectors; off the labels its bound is the exact largest entry
+        from qmsflow.generators import _rotated, _superoperator_gks
+
+        rng = np.random.default_rng(11)
+        if case == "random_l":
+            sigma, l = random_density(3, rng), random_matrix(rng, 9)
+        else:
+            spec = {"fermi_m2": lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+                    "random_dbc": lambda: random_dbc_spec(4, rng),
+                    "near_degenerate": lambda: near_degenerate_spec(5e-11)}[case]()
+            sigma, l = spec.sigma, build_generator(spec)
+        md = build_modular_basis(sigma)
+        gks = _superoperator_gks(_rotated(l, sigma), md)
+        c = gks_matrix(l, md.basis, check_orthonormal=False).matrix
+        scale = np.max(np.abs(c))
+        assert np.allclose(gks.row, c[0], rtol=0, atol=1e-14 * scale)
+        assert np.allclose(gks.col, c[:, 0], rtol=0, atol=1e-14 * scale)
+        for members, blocks in gks.blocks:
+            assert np.allclose(blocks, c[members[:, :, None], members[:, None, :]], rtol=0, atol=1e-14 * scale)
+        off = md.block_labels[:, None] != md.block_labels[None, :]
+        assert gks.offblock == pytest.approx(np.max(np.abs(c[off]), initial=0.0), rel=0, abs=1e-14 * scale)
         h, h_hat = _hamiltonian_parts(c, md.basis)
         assert gks.hamiltonian_norms == pytest.approx(
             (np.linalg.norm(h), np.linalg.norm(h_hat)), rel=1e-9, abs=1e-14 * scale

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -154,33 +155,46 @@ class TestInspect:
     def test_one_norm_of_l_and_one_reduced_eigensolve(self, tmp_path, monkeypatch):
         # on superoperator input certification takes ||L|| once and passes it
         # on; extraction reuses the complete-positivity verdict of the
-        # reduced block
+        # reduced block.  Counted on n^2 = 16 rows, stacked or not: SVDs and
+        # 2-norms (||L||, the modular commutator, the round trip), Hermitian
+        # eigensolves of 16 x 16 (the five s-residuals and BKM), and the
+        # 15 x 15 reduced block
         spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
         l = generators.build_generator(spec)
         path = tmp_path / "fermi2.json"
         path.write_text(dump_json(
             {"dim": 4, "sigma": matrix_to_json(spec.sigma.rho), "superoperator": matrix_to_json(l)}
         ))
-        norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
-        norms, reduced = [], []
+        norm, svd, eigvalsh, eigh = np.linalg.norm, np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh
+        calls = []
 
-        def counting_norm(x, ord=None, *args, **kwargs):
-            if ord == 2 and np.shape(x) == l.shape and np.array_equal(x, l):
-                norms.append(1)
-            return norm(x, ord, *args, **kwargs)
+        def counting(name, fn, counted):
+            def wrapped(x, *args, **kwargs):
+                if np.ndim(x) >= 2 and counted(x, *args, **kwargs):
+                    calls.append((name, np.shape(x)[-2:]))
+                return fn(x, *args, **kwargs)
+            return wrapped
 
-        def counting_eigvalsh(a, *args, **kwargs):
-            if np.shape(a) == (15, 15):
-                reduced.append(1)
-            return eigvalsh(a, *args, **kwargs)
+        def norm_2(x, ord=None, *args, **kwargs):
+            return ord == 2 and np.shape(x)[-2] == 16
 
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(np.linalg, "norm", counting("svd", norm, norm_2))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", svd, lambda x, *a, **k: np.shape(x)[-2] == 16))
+        for name, fn in (("eigvalsh", eigvalsh), ("eigh", eigh)):
+            monkeypatch.setattr(np.linalg, name, counting("eig", fn, lambda *a, **k: True))
         out = tmp_path / "report.json"
         assert main(["inspect", "--input", str(path), "--output", str(out)]) == 0
         assert "canonical" in json.loads(out.read_text())
-        assert len(norms) == 1
-        assert len(reduced) == 1
+        assert len([c for c in calls if c[0] == "svd"]) <= 3
+        assert calls.count(("eig", (16, 16))) <= 6
+        assert calls.count(("eig", (15, 15))) == 1
+
+    def test_identity_superoperator_has_no_negative_zero(self):
+        # every weighted residual of the identity map is zero, printed as 0.0
+        sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
+        code, report = _inspect_superoperator(np.eye(4), sigma)
+        assert code == 1 and report["certification"]["s_residuals"]["1.0"] == 0.0
+        assert not re.search(r"-0\.0(?=[,\]}])", json.dumps(report))
 
     @pytest.mark.parametrize("gap", [0.0, 1e-13, 5e-12, 2e-11, 5e-11])
     def test_near_degenerate_sigma_canonical_form(self, gap):
@@ -262,10 +276,17 @@ class TestInspect:
 def _inspect(spec, dense=False):
     """Exit code and JSON report of ``qmsflow inspect`` on ``spec``, or with
     ``dense`` on its superoperator."""
-    obj = spec_to_json(spec)
     if dense:
-        obj = {"dim": spec.dim, "sigma": obj["sigma"],
-               "superoperator": matrix_to_json(generators.build_generator(spec))}
+        return _inspect_superoperator(generators.build_generator(spec), spec.sigma)
+    return _inspect_json(spec_to_json(spec))
+
+
+def _inspect_superoperator(l, sigma):
+    return _inspect_json({"dim": sigma.dim, "sigma": matrix_to_json(sigma.rho),
+                          "superoperator": matrix_to_json(l)})
+
+
+def _inspect_json(obj):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "spec.json", Path(tmp) / "report.json"
         path.write_text(dump_json(obj))
@@ -279,7 +300,7 @@ def _verdicts(code, report):
         "code": code,
         "gns_dbc": report["certification"]["gns_dbc"],
         "completely_positive": report["completely_positive"],
-        "ergodicity": report["ergodicity"],
+        "ergodicity": report.get("ergodicity"),  # absent on superoperator input
         "jump_count": report["canonical"]["jump_count"],
         "block_sizes": sorted(report["canonical"]["block_sizes"].values()),
     }
@@ -341,6 +362,31 @@ class TestInspectCovariance:
         split_first = [(v / np.sqrt(2.0), w)] * 2 + rest
         for jumps in (split, split_first):
             assert _verdicts(*_inspect(GeneratorSpec.create(spec.sigma, jumps))) == expect
+
+
+class TestInspectCovarianceSuperoperator:
+    """inspect verdicts on superoperator input, which is rotated into
+    sigma's eigenbasis, under L -> cL and unitary conjugation."""
+
+    @pytest.mark.parametrize("c", [1e-10, 1e10])
+    @pytest.mark.parametrize("name", INSPECT_MODELS)
+    def test_scaling(self, name, c):
+        spec, _ = _inspect_model(name)
+        l = generators.build_generator(spec)
+        expect = _verdicts(*_inspect_superoperator(l, spec.sigma))
+        assert _verdicts(*_inspect_superoperator(c * l, spec.sigma)) == expect
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", INSPECT_MODELS)
+    def test_unitary_conjugation(self, name, seed):
+        # X -> w X w^* has the superoperator conj(w) (x) w in column stacking
+        spec, _ = _inspect_model(name)
+        l = generators.build_generator(spec)
+        expect = _verdicts(*_inspect_superoperator(l, spec.sigma))
+        w, _ = np.linalg.qr(random_matrix(np.random.default_rng(seed), spec.dim))
+        big = np.kron(np.conj(w), w)
+        sigma = DensityState.from_matrix(w @ spec.sigma.rho @ dag(w))
+        assert _verdicts(*_inspect_superoperator(big @ l @ dag(big), sigma)) == expect
 
 
 def _extreme_ratio_spec(lam0):
@@ -415,7 +461,7 @@ class TestInspectRoutes:
         assert report["canonical"]["roundtrip_error"] <= 1e-9
         assert dense["canonical"]["roundtrip_error"] <= 1e-9
         assert "offblock_bound" in report["certification"]
-        assert "offblock_bound" not in dense["certification"]
+        assert dense["certification"]["offblock_bound"] == 0.0
 
     @pytest.mark.parametrize("eps, gns", [(1e-9, True), (3e-9, False), (5e-9, False)])
     def test_gns_defect_of_the_jumps_seen_on_both_routes(self, eps, gns):
@@ -472,8 +518,8 @@ class TestInspectRoutes:
         def dense(x, *args, **kwargs):
             return np.ndim(x) >= 2 and np.shape(x)[-2] >= 256
 
-        for mod in (canonical, generators):
-            monkeypatch.setattr(mod, "build_generator", counting("build_generator", generators.build_generator))
+        assert not hasattr(canonical, "build_generator")
+        monkeypatch.setattr(generators, "build_generator", counting("build_generator", generators.build_generator))
         monkeypatch.setattr(canonical, "gks_matrix", counting("gks_matrix", canonical.gks_matrix))
         for mod in (canonical, linalg):
             monkeypatch.setattr(mod, "choi", counting("choi", linalg.choi))
@@ -555,7 +601,7 @@ class TestEvolve:
             return build(spec)
 
         monkeypatch.setattr(np, "kron", counting_kron)
-        for mod in (canonical, entropy, generators):
+        for mod in (entropy, generators):
             monkeypatch.setattr(mod, "build_generator", counting_build)
         out = tmp_path / "traj.csv"
         assert main(
@@ -681,8 +727,7 @@ class TestMetricGeodesicRestrict:
             return build(spec)
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        for mod in (canonical, generators):
-            monkeypatch.setattr(mod, "build_generator", counting_build)
+        monkeypatch.setattr(generators, "build_generator", counting_build)
         out = tmp_path / "rates.json"
         assert main(["restrict", "--input", str(path), "--output", str(out)]) == 0
         assert json.loads(out.read_text())["size"] == 16

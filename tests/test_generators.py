@@ -55,19 +55,24 @@ def svd_residual(l, omega):
     return np.linalg.norm(lhs, 2) / (np.linalg.norm(omega, 2) * np.linalg.norm(l, 2))
 
 
-def counting_svds(monkeypatch):
-    """Records each SVD: np.linalg.svd and np.linalg.norm(x, 2) of a matrix."""
+def counting_svds(monkeypatch, rows=None):
+    """Records each SVD: np.linalg.svd and np.linalg.norm(x, 2) of a matrix;
+    with ``rows``, only of matrices, stacked or not, with that many rows."""
     norm, svd = np.linalg.norm, np.linalg.svd
     calls = []
 
+    def counted(x):
+        return rows is None or (np.ndim(x) >= 2 and np.shape(x)[-2] == rows)
+
     def counting_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
+        if ord == 2 and np.ndim(x) == 2 and counted(x):
             calls.append("norm")
         return norm(x, ord, *args, **kwargs)
 
-    def counting_svd(*args, **kwargs):
-        calls.append("svd")
-        return svd(*args, **kwargs)
+    def counting_svd(x, *args, **kwargs):
+        if counted(x):
+            calls.append("svd")
+        return svd(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -236,6 +241,11 @@ class TestCertification:
         assert rep.kms_only
         assert not rep.gns_dbc
 
+    def test_wrong_size_superoperator_named(self):
+        sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
+        with pytest.raises(ValueError, match=r"superoperator has shape \(9, 9\), expected \(4, 4\)"):
+            certify_detailed_balance(np.zeros((9, 9)), sigma)
+
     @pytest.mark.parametrize("case", ["dbc", "kms_only", "not_dbc"])
     def test_grid_without_half_and_one(self, rng, case):
         if case == "dbc":
@@ -253,22 +263,16 @@ class TestCertification:
         assert partial == full
 
     def test_one_operator_norm_of_l(self, rng, monkeypatch):
-        # the 2-norm of L is an SVD; certification takes it once and reuses it
+        # the 2-norm of L is an SVD; certification takes it once and reuses
+        # it, also for the s = 1 and s = 1/2 verdicts off the grid: two SVDs
+        # of n^2-row arrays, ||L|| and the modular commutator
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
-        norm = np.linalg.norm
-        calls = []
-
-        def counting_norm(x, ord=None, *args, **kwargs):
-            if ord == 2 and np.shape(x) == l.shape and np.array_equal(x, l):
-                calls.append(1)
-            return norm(x, ord, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        calls = counting_svds(monkeypatch, rows=9)
         certify_detailed_balance(l, spec.sigma)
-        assert len(calls) == 1
-        certify_detailed_balance(l, spec.sigma, s_grid=(0.0,))
         assert len(calls) == 2
+        certify_detailed_balance(l, spec.sigma, s_grid=(0.0,))
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("case", ["kms_only", "random_1e-6", "random_1", "random_1e6"])
     def test_residuals_match_svd_reference(self, rng, case):
@@ -307,6 +311,12 @@ class TestCertification:
         assert bkm == pytest.approx(np.linalg.norm(omega, 2), rel=1e-13)
         delta = modular_superoperator(sigma)
         assert lam[-1] / lam[0] == pytest.approx(np.linalg.norm(delta, 2), rel=1e-13)
+
+    def test_zero_residual_is_positive_zero(self):
+        # the spectral radius of a zero matrix is +0.0, not -0.0
+        sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
+        resid = _self_adjointness_residual(np.eye(4), weight_superoperator_s(sigma, 0.5))
+        assert resid == 0.0 and not np.signbit(resid)
 
     def test_two_svds(self, rng, monkeypatch):
         # ||L|| and the modular commutator, which is not normal; every other
@@ -370,7 +380,7 @@ class TestBlockRoute:
         # a jump frequency between two Bohr frequencies 1.5e-10 apart merges
         # their blocks, so the exact spec's blocks nest in the merged one's
         # and not the other way round
-        from qmsflow.generators import _block_distance
+        from qmsflow.generators import _block_distance, _input_blocks
 
         f = 0.5
         lam = np.array([1.0, np.exp(f), np.exp(2 * f + 1.5e-10)])
@@ -381,9 +391,21 @@ class TestBlockRoute:
         merged = GeneratorSpec.create(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
         assert len(merged.bohr_blocks[1]) != len(exact.bohr_blocks[1])
         l_gap = np.linalg.norm(build_generator(merged) - build_generator(exact), 2)
-        assert l_gap <= _block_distance(merged, exact) <= l_gap + 1e-14
+        assert l_gap <= _block_distance(*_input_blocks(merged, sigma)[:2], exact) <= l_gap + 1e-14
         with pytest.raises(ValueError, match="nest"):
-            _block_distance(exact, merged)
+            _block_distance(*_input_blocks(exact, sigma)[:2], merged)
+
+    def test_superoperator_distance_bounds_the_dense_one(self, rng):
+        # a superoperator is one block, so the distance is exact up to the
+        # other spec's off-block bound
+        from qmsflow.generators import _block_distance, _input_blocks
+
+        spec = random_dbc_spec(3, rng)
+        other = GeneratorSpec.create(spec.sigma, [(1.1 * v, w) for v, w in spec.jumps])
+        l = build_generator(spec)
+        gap = np.linalg.norm(build_generator(other) - l, 2)
+        got = _block_distance(*_input_blocks(l, spec.sigma)[:2], other)
+        assert gap - 1e-14 * gap <= got <= gap + other.bohr_blocks[2] + 1e-14 * gap
 
 
 class TestCompletePositivity:
@@ -406,6 +428,12 @@ class TestCompletePositivity:
         ok, min_eig = check_complete_positivity(np.zeros((9, 9)))
         assert ok
         assert min_eig == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("size", [5, 8])
+    def test_wrong_size_superoperator_named(self, size):
+        # 5 is no square; 8 is, but 8 x 8 is no n^2 x n^2
+        with pytest.raises(ValueError, match=rf"superoperator has shape \({size}, {size}\), expected"):
+            check_complete_positivity(np.zeros((size, size)))
 
     def test_rejects_non_unital(self, rng):
         x = random_matrix(rng, 2)
