@@ -303,14 +303,18 @@ def tilted_kernel(rho: DensityState, omega: float) -> np.ndarray:
 
 
 def rho_mult(rho: DensityState, omega: float, a: np.ndarray) -> np.ndarray:
-    """Tilted noncommutative multiplication [rho]_omega(A)."""
+    """Tilted noncommutative multiplication [rho]_omega(A).
+
+    ``a`` may be a stack (..., n, n): the map acts on the last two axes.
+    """
     u = rho.eigenvectors
     a_tilde = dag(u) @ np.asarray(a, dtype=complex) @ u
     return u @ (tilted_kernel(rho, omega) * a_tilde) @ dag(u)
 
 
 def rho_div(rho: DensityState, omega: float, a: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`rho_mult`, entrywise 1/kernel in the eigenbasis."""
+    """Inverse of :func:`rho_mult`, entrywise 1/kernel in the eigenbasis;
+    stacks as in :func:`rho_mult`."""
     u = rho.eigenvectors
     a_tilde = dag(u) @ np.asarray(a, dtype=complex) @ u
     return u @ (a_tilde / tilted_kernel(rho, omega)) @ dag(u)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import choi, dag
-from .states import DensityState, ModularData
+from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
     CertificationReport,
     GeneratorSpec,
@@ -291,6 +291,8 @@ def extract_canonical(
     and is an upper bound, for a superoperator too.
     """
     blocks, eta, gks_over = _input_blocks(l, sigma)
+    if modular is None and not isinstance(l, GeneratorSpec):
+        modular = build_modular_basis(sigma)  # one basis for complete positivity and extraction
     cert = certification
     if require_dbc and cert is None:
         cert = certify_detailed_balance(l, sigma)
@@ -302,7 +304,9 @@ def extract_canonical(
                 f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
             )
         if complete_positivity is None:
-            complete_positivity = check_complete_positivity(l, psd_tol=psd_tol, l_norm=l_norm)
+            complete_positivity = check_complete_positivity(
+                l, psd_tol=psd_tol, l_norm=l_norm, modular=modular
+            )
         cp_ok, min_eig = complete_positivity
         if not cp_ok:
             raise ValueError(

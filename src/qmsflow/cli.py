@@ -42,7 +42,7 @@ from .serialize import (
 )
 from .transport import geodesic_distance, metric_tensor
 from .linalg import check_finite, traceless_hermitian_basis
-from .states import DensityState
+from .states import DensityState, build_modular_basis
 from .verify import run_suite
 
 DEFAULT_TOLERANCES = {
@@ -147,8 +147,12 @@ def cmd_inspect(args) -> int:
     generator = l if spec is None else spec
     cert = certify_detailed_balance(generator, sigma, tol=tols["gns_flag"])
     report = {"certification": cert.as_dict()}
+    # a superoperator's complete positivity and extraction share sigma's modular basis
+    modular = build_modular_basis(sigma) if spec is None else None
     try:
-        cp_ok, min_eig = check_complete_positivity(generator, psd_tol=tols["psd"], l_norm=cert.l_norm)
+        cp_ok, min_eig = check_complete_positivity(
+            generator, psd_tol=tols["psd"], l_norm=cert.l_norm, modular=modular
+        )
     except ValueError as exc:
         cp_ok, min_eig = False, float("nan")
         report["cp_error"] = str(exc)
@@ -160,7 +164,7 @@ def cmd_inspect(args) -> int:
     if ok:
         try:
             extracted, ext_report = extract_canonical(
-                generator, sigma, certification=cert, psd_tol=tols["psd"],
+                generator, sigma, modular=modular, certification=cert, psd_tol=tols["psd"],
                 complete_positivity=(cp_ok, min_eig),
             )
             report["canonical"] = ext_report.as_dict()

@@ -74,6 +74,13 @@ __all__ = [
 JUMP_EIGEN_TOL = 1e-10
 KMS_SYMMETRY_TOL = 1e-8
 GNS_FLAG_TOL = 1e-9
+# Largest Bohr block, in units E_ab, that :attr:`GeneratorSpec.bohr_blocks`
+# builds.  Building a block of |B| units takes about 93 |B|^2 bytes
+# (measured peak RSS of ``create`` on the maximally mixed state, one block
+# of n^2 units: +97 MB at |B| = 1024, +381 MB at |B| = 2025), so this
+# limit keeps a spec's load under about 0.4 GB; the maximally mixed state
+# passes up to dim 45.
+MAX_BOHR_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,9 @@ class GeneratorSpec:
         Scaling E_ab by (lam_a lam_b)^{1/4} makes each block Hermitian
         (KMS symmetry); blocks further than ``KMS_SYMMETRY_TOL`` from
         Hermitian, in Frobenius norm relative to L's, raise ValueError.
-        This is the one structural check of a spec, made by :meth:`create`.
+        A block of more than ``MAX_BOHR_BLOCK`` units raises ValueError before
+        any block is allocated.  This is the one structural check of a spec,
+        made by :meth:`create`.
 
         Returns U; per block size, the stacked blocks' unit indices a n + b,
         weights and weighted blocks as built (not symmetrised, so a GNS
@@ -172,6 +181,11 @@ class GeneratorSpec:
             units = [i for i in members if i < nn]
             if units:
                 by_size.setdefault(len(units), []).append(units)
+        if max(by_size) > MAX_BOHR_BLOCK:
+            raise ValueError(
+                f"sigma's largest Bohr block has {max(by_size)} units; at most "
+                f"{MAX_BOHR_BLOCK} are built (MAX_BOHR_BLOCK)"
+            )
         flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
         off_block = label[None, :nn] != label[nn:, None]
         off_mass = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
@@ -336,13 +350,11 @@ def _rotated(l, sigma: DensityState) -> np.ndarray:
     return t.transpose(3, 2, 1, 0).reshape(n * n, n * n)
 
 
-def _superoperator_gks(lt: np.ndarray, modular: ModularData) -> JumpGKS:
+def _superoperator_coefficients(lt: np.ndarray, modular: ModularData) -> np.ndarray:
     """GKS coefficients c_ab over ``modular`` of ``lt``, a superoperator as
-    :func:`_rotated` gives it on ``modular.sigma``, in the layout of
-    :func:`_jump_gks`: c = X^* C X / n^2 (:func:`qmsflow.canonical.gks_matrix`)
-    with C the Choi matrix of ``lt`` and column a of X the few units of
-    U^* F_a^* U (``ModularData.eigen``).  ``offblock`` is the largest
-    |c_ab| off the labels, exact."""
+    :func:`_rotated` gives it on ``modular.sigma``: c = X^* C X / n^2
+    (:func:`qmsflow.canonical.gks_matrix`) with C the Choi matrix of ``lt``
+    and column a of X the few units of U^* F_a^* U (``ModularData.eigen``)."""
     n = modular.sigma.dim
     nn = n * n
     owner, units, coefs = modular.eigen
@@ -350,7 +362,14 @@ def _superoperator_gks(lt: np.ndarray, modular: ModularData) -> JumpGKS:
     adjoint = (units % n) * n + units // n  # U^* F_a^* U holds conj(coefs) there
     choi_t = lt.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(nn, nn)
     half = np.add.reduceat(choi_t[:, adjoint] * np.conj(coefs), first, axis=1)
-    c = np.add.reduceat(coefs[:, None] * half[adjoint], first, axis=0) / nn
+    return np.add.reduceat(coefs[:, None] * half[adjoint], first, axis=0) / nn
+
+
+def _superoperator_gks(lt: np.ndarray, modular: ModularData) -> JumpGKS:
+    """:func:`_superoperator_coefficients` in the layout of :func:`_jump_gks`,
+    cut by the labels; ``offblock`` is the largest |c_ab| off the labels,
+    exact."""
+    c = _superoperator_coefficients(lt, modular)
     labels = modular.block_labels
     blocks = [
         (m + 1, c[m[:, :, None] + 1, m[:, None, :] + 1]) for m in _label_stacks(labels[1:]).values()
@@ -637,7 +656,7 @@ def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: floa
 
 
 def check_complete_positivity(
-    l, psd_tol: float = 1e-10, l_norm: float | None = None
+    l, psd_tol: float = 1e-10, l_norm: float | None = None, modular: ModularData | None = None
 ) -> tuple[bool, float]:
     """Complete positivity of exp(tL) for every t >= 0, for a unital, star-preserving L.
 
@@ -650,9 +669,11 @@ def check_complete_positivity(
     coefficients over sigma's modular basis, block diagonal over Bohr
     frequencies (:attr:`GeneratorSpec.gks_blocks`), and is eigensolved
     block by block; such an L is unital and star-preserving by
-    construction.  A superoperator's block is taken whole, over the
-    modular basis of the maximally mixed state, which is one block
-    (:func:`_superoperator_gks`), so the verdict is exact for any L.  The
+    construction.  A superoperator's block is taken whole, all n^2 - 1
+    elements of ``modular`` as one block (:func:`_superoperator_coefficients`),
+    so the verdict is exact for any L; ``modular`` is the caller's modular
+    basis of some state (a spec's own basis is used for a spec), and
+    without it the maximally mixed state's is built.  The
     block passes when its smallest eigenvalue is at least ``-psd_tol``
     times its largest |eigenvalue|, so the verdict does not depend on the
     units of L.  A superoperator must be n^2 x n^2, annihilate the
@@ -661,19 +682,21 @@ def check_complete_positivity(
     minimum eigenvalue of the reduced block).
     """
     if isinstance(l, GeneratorSpec):
-        gks = l.gks_blocks
+        blocks = [b for _, b in l.gks_blocks.blocks]
     else:
         l = check_finite(l, "superoperator")
-        n = max(1, round(l.size**0.25))  # an n^2 x n^2 matrix has n^4 entries
-        mixed = DensityState.from_matrix(np.eye(n) / n)
-        lt = _rotated(l, mixed)
+        if modular is None:
+            n = max(1, round(l.size**0.25))  # an n^2 x n^2 matrix has n^4 entries
+            modular = build_modular_basis(DensityState.from_matrix(np.eye(n) / n))
+        lt = _rotated(l, modular.sigma)
+        n = modular.sigma.dim
         scale = max(np.linalg.norm(l, 2) if l_norm is None else l_norm, 1e-300)
         if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
             raise ValueError("superoperator does not annihilate the identity")
         if star_swap_residual(l) > 1e-8:
             raise ValueError("superoperator is not star-preserving")
-        gks = _superoperator_gks(lt, build_modular_basis(mixed))
-    parts = [np.linalg.eigvalsh(0.5 * (b + np.conj(b).transpose(0, 2, 1))).ravel() for _, b in gks.blocks]
+        blocks = [_superoperator_coefficients(lt, modular)[None, 1:, 1:]]
+    parts = [np.linalg.eigvalsh(0.5 * (b + np.conj(b).transpose(0, 2, 1))).ravel() for b in blocks]
     evals = np.sort(np.concatenate(parts)) if parts else np.zeros(0)
     if evals.size == 0:
         return True, 0.0

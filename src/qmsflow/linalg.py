@@ -72,20 +72,24 @@ def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray, normalized: bool = False) -> complex:
+def hs_inner(a: np.ndarray, b: np.ndarray, normalized: bool = False):
     """Hilbert-Schmidt inner product Tr[A^* B], conjugate-linear in A.
 
-    With ``normalized`` the trace is divided by the dimension, making the
+    The last two axes are contracted and must agree (ValueError otherwise);
+    the leading axes broadcast by numpy's rules, so stacks give the Gram
+    matrix hs_inner(a[:, None], b[None]).  Two matrices give a Python
+    complex, anything else an array of the broadcast leading shape.  With
+    ``normalized`` the trace is divided by the dimension, making the
     identity a unit vector.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
+    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    val = complex(np.sum(np.conj(a) * b))
+    val = np.sum(np.conj(a) * b, axis=(-2, -1))
     if normalized:
-        val /= a.shape[0]
-    return val
+        val = val / a.shape[-2]
+    return complex(val) if val.ndim == 0 else val
 
 
 def sharp(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -296,13 +296,31 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
     return ModularData(sigma, omegas, basis, pairing, labels, (owner, units, coefs))
 
 
-def inner_s(sigma: DensityState, s: float, a: np.ndarray, b: np.ndarray) -> complex:
-    """Weighted inner product Tr[sigma^s A^* sigma^{1-s} B] for s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s = {s} outside [0, 1]")
+def _operands(sigma: DensityState, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as complex arrays whose last two axes are sigma's
+    (n, n) (ValueError otherwise)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return complex(np.trace(sigma.power(s) @ dag(a) @ sigma.power(1.0 - s) @ b))
+    if a.shape[-2:] != sigma.rho.shape or b.shape[-2:] != sigma.rho.shape:
+        raise ValueError(
+            f"dimension mismatch: operands {a.shape} and {b.shape} for sigma of shape {sigma.rho.shape}"
+        )
+    return a, b
+
+
+def inner_s(sigma: DensityState, s: float, a: np.ndarray, b: np.ndarray):
+    """Weighted inner product Tr[sigma^s A^* sigma^{1-s} B] for s in [0, 1],
+    computed as <A sigma^s, sigma^{1-s} B>_HS.
+
+    Stacks broadcast as in :func:`qmsflow.linalg.hs_inner`: the last two
+    axes of ``a`` and ``b`` are sigma's, the leading axes broadcast, so
+    ``inner_s(sigma, s, mats[:, None], mats[None])`` is a Gram matrix.  Two
+    matrices give a Python complex.
+    """
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s = {s} outside [0, 1]")
+    a, b = _operands(sigma, a, b)
+    return hs_inner(a @ sigma.power(s), sigma.power(1.0 - s) @ b)
 
 
 def bkm_weight(t: float) -> float:
@@ -313,21 +331,19 @@ def bkm_weight(t: float) -> float:
     return (t - 1.0) / np.log(t)
 
 
-def inner_f(sigma: DensityState, f, a: np.ndarray, b: np.ndarray) -> complex:
+def inner_f(sigma: DensityState, f, a: np.ndarray, b: np.ndarray):
     """Weighted inner product Tr[A^* f(Delta_sigma)(B) sigma].
 
     ``f`` must be positive on the spectrum of Delta_sigma, which consists
-    of the ratios of eigenvalues of sigma.
+    of the ratios of eigenvalues of sigma.  On sigma's eigenvectors, with
+    tilde X = U^* X U, the form is sum_ik conj(tilde A_ik) f(lam_i/lam_k)
+    lam_k tilde B_ik.  Stacks broadcast as in :func:`inner_s`.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _operands(sigma, a, b)
     u = sigma.eigenvectors
-    fvals = sigma.modular_kernel(f)
-    if np.any(fvals <= 0.0):
+    if np.any(sigma.modular_kernel(f) <= 0.0):
         raise ValueError("f is not positive on the spectrum of the modular operator")
-    b_tilde = dag(u) @ b @ u
-    fb = u @ (fvals * b_tilde) @ dag(u)
-    return complex(np.trace(dag(a) @ fb @ sigma.rho))
+    return hs_inner(dag(u) @ a @ u, _weight_kernel_f(sigma, f) * (dag(u) @ b @ u))
 
 
 def weight_superoperator_s(sigma: DensityState, s: float) -> np.ndarray:

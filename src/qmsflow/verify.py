@@ -68,12 +68,12 @@ def check_inner_forms_positive(rng):
     for _ in range(5):
         n = int(rng.integers(2, 5))
         sigma = models.random_density(n, rng)
-        mats = [_rand_matrix(rng, n) for _ in range(n * n)]
-        for form in (
-            lambda a, b: states.inner_s(sigma, 0.3, a, b),
-            lambda a, b: states.inner_f(sigma, states.bkm_weight, a, b),
+        mats = np.array([_rand_matrix(rng, n) for _ in range(n * n)])
+        rows, cols = mats[:, None], mats[None]
+        for gram in (
+            states.inner_s(sigma, 0.3, rows, cols),
+            states.inner_f(sigma, states.bkm_weight, rows, cols),
         ):
-            gram = np.array([[form(a, b) for b in mats] for a in mats])
             gram = 0.5 * (gram + dag(gram))
             try:
                 np.linalg.cholesky(gram)
@@ -101,7 +101,8 @@ def check_modular_roundtrip(rng):
         sigma = models.random_density(n, rng)
         md = states.build_modular_basis(sigma)
         x = _rand_matrix(rng, n)
-        resum = sum(hs_inner(f, x, normalized=True) * f for f in md.basis)
+        basis = np.array(md.basis)
+        resum = (hs_inner(basis, x, normalized=True)[:, None, None] * basis).sum(axis=0)
         worst = max(worst, np.linalg.norm(resum - x) / np.linalg.norm(x))
     return worst < 1e-11, f"worst expansion residual {worst:.3e}"
 
@@ -244,10 +245,8 @@ def check_rho_mult_positive(rng):
         n = int(rng.integers(2, 5))
         rho = models.random_density(n, rng)
         omega = float(rng.uniform(-2, 2))
-        mats = [_rand_matrix(rng, n) for _ in range(n * n)]
-        gram = np.array(
-            [[hs_inner(a, calculus.rho_mult(rho, omega, b)) for b in mats] for a in mats]
-        )
+        mats = np.array([_rand_matrix(rng, n) for _ in range(n * n)])
+        gram = hs_inner(mats[:, None], calculus.rho_mult(rho, omega, mats)[None])
         gram = 0.5 * (gram + dag(gram))
         try:
             np.linalg.cholesky(gram)
@@ -419,12 +418,10 @@ def check_skew_leibniz(rng):
 def check_krawtchouk_orthogonality(rng):
     model = models.fermi_ou(2, 1.1, [1.0, 0.6])
     alphas = [(a, b) for a in [(0, 0), (1, 0), (0, 1), (1, 1)] for b in [(0, 0), (1, 0), (0, 1), (1, 1)]]
-    kmats = [model.krawtchouk(al) for al in alphas]
+    kmats = np.array([model.krawtchouk(al) for al in alphas])
     worst = 0.0
     for s in (0.0, 0.5, 1.0):
-        gram = np.array(
-            [[states.inner_s(model.spec.sigma, s, a, b) for b in kmats] for a in kmats]
-        )
+        gram = states.inner_s(model.spec.sigma, s, kmats[:, None], kmats[None])
         off = gram - np.diag(np.diagonal(gram))
         worst = max(worst, float(np.max(np.abs(off))))
     return worst < 1e-10, f"worst off-diagonal Gram entry {worst:.3e}"

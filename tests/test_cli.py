@@ -189,6 +189,61 @@ class TestInspect:
         assert calls.count(("eig", (16, 16))) <= 6
         assert calls.count(("eig", (15, 15))) == 1
 
+    @pytest.mark.parametrize("name", ["fermi2", "random4", "depolarizing3"])
+    def test_one_modular_basis_per_superoperator_inspect(self, monkeypatch, name):
+        # complete positivity and extraction share sigma's modular basis
+        from qmsflow import states
+
+        spec = {
+            "fermi2": lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+            "random4": lambda: random_dbc_spec(4, np.random.default_rng(3)),
+            "depolarizing3": lambda: depolarizing(3),
+        }[name]()
+        l, sigma = generators.build_generator(spec), spec.sigma
+        builds = []
+        build = states.build_modular_basis
+
+        def counting(s):
+            builds.append(s.dim)
+            return build(s)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("qmsflow") and getattr(mod, "build_modular_basis", None) is build:
+                monkeypatch.setattr(mod, "build_modular_basis", counting)
+        code, report = _inspect_superoperator(l, sigma)
+        assert code == 0 and report["canonical"]["roundtrip_error"] <= 1e-9
+        assert builds == [sigma.dim]
+
+    def test_oversized_block_exits_two_before_allocating(self, tmp_path, capsys):
+        # sigma = I/128 is one Bohr block of 16,384 units, about 25 GB to
+        # build; create refuses it after grouping the frequencies.  The
+        # address-space cap turns a regression into a MemoryError here
+        # instead of exhausting the machine.
+        import resource
+        import tracemalloc
+
+        n = 128
+        path = tmp_path / "big.json"
+        path.write_text(dump_json({
+            "dim": n, "sigma": matrix_to_json(np.eye(n) / n),
+            "jumps": [{"V": matrix_to_json(np.diag(np.linspace(-1.0, 1.0, n))), "omega": 0.0}],
+        }))
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        with open("/proc/self/statm") as fh:
+            mapped = int(fh.read().split()[0]) * resource.getpagesize()
+        cap = mapped + 2**30
+        resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+        tracemalloc.start()
+        try:
+            code = main(["inspect", "--input", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert code == 2
+        assert "largest Bohr block has 16384 units" in capsys.readouterr().err
+        assert peak < 30e6
+
     def test_identity_superoperator_has_no_negative_zero(self):
         # every weighted residual of the identity map is zero, printed as 0.0
         sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
@@ -813,6 +868,26 @@ class TestVerify:
         assert main(["verify", "--seed", "42", "--output", str(out1)]) == 0
         assert main(["verify", "--seed", "42", "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_gram_matrices_are_one_call_each(self, monkeypatch):
+        # every Gram matrix of the suite is one stacked call of the form
+        # under test, not one call per entry
+        from qmsflow import calculus, states, verify
+
+        calls = []
+        for home, name in ((states, "inner_s"), (states, "inner_f"), (calculus, "rho_mult")):
+            fn = getattr(home, name)
+
+            def counting(*args, _fn=fn, **kwargs):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("qmsflow") and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting)
+        for seed in (1, 2, 3, 4):
+            assert verify.run_suite(seed)[0]
+        assert 0 < len(calls) <= 500
 
     def test_null_count_is_scale_free(self):
         # null_matches_commutant counts eigenvalues of L near zero relative

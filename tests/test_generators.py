@@ -481,6 +481,49 @@ class TestCompletePositivity:
             verdicts.append(choi_psd)
         assert verdicts == [True, True, True, False, False]
 
+    def test_any_modular_basis_gives_the_maximally_mixed_verdict(self, rng, fermi_m2):
+        # the reduced block is taken whole over the basis given, so sigma's
+        # basis and the maximally mixed state's give one spectrum
+        from qmsflow.canonical import gks_matrix
+        from qmsflow.states import build_modular_basis
+        from conftest import near_degenerate_spec
+
+        x = random_matrix(rng, 3)
+        flip = commutator_super(x + dag(x))
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        jump = GeneratorSpec(tracial(2), ((lower, 0.0),))  # not detailed balance
+        specs = [random_dbc_spec(3, rng), fermi_m2.spec, near_degenerate_spec(1e-12)]
+        cases = [(build_generator(spec), spec.sigma) for spec in specs] + [
+            (flip @ flip, random_density(3, rng)),
+            (build_generator(fermi_ou(1, 2.0, [1.0]).spec) - 12.0 * build_generator(jump), random_density(2, rng)),
+        ]
+        verdicts = []
+        for l, sigma in cases:
+            n = sigma.dim
+            scale = np.max(np.abs(np.linalg.eigvalsh(gks_matrix(l, build_modular_basis(tracial(n)).basis).reduced())))
+            ok, min_eig = check_complete_positivity(l)
+            ok_sigma, min_eig_sigma = check_complete_positivity(l, modular=build_modular_basis(sigma))
+            assert ok_sigma == ok
+            assert abs(min_eig_sigma - min_eig) <= 1e-13 * scale
+            verdicts.append(ok)
+        assert verdicts == [True, True, True, False, False]
+
+    def test_wrong_size_for_the_basis_named(self, rng):
+        from qmsflow.states import build_modular_basis
+
+        with pytest.raises(ValueError, match=r"superoperator has shape \(16, 16\), expected \(9, 9\)"):
+            check_complete_positivity(np.zeros((16, 16)), modular=build_modular_basis(random_density(3, rng)))
+
+    def test_largest_bohr_block_is_bounded(self, monkeypatch):
+        # a block of more units than MAX_BOHR_BLOCK is refused before it is
+        # built; at the limit the spec loads
+        from qmsflow import generators
+
+        monkeypatch.setattr(generators, "MAX_BOHR_BLOCK", 16)
+        GeneratorSpec.create(tracial(4), [(np.diag([1.0, 0.0, 0.0, -1.0]), 0.0)])  # one 16-unit block
+        with pytest.raises(ValueError, match=r"largest Bohr block has 25 units; at most 16"):
+            GeneratorSpec.create(tracial(5), [(np.diag([1.0, 0.0, 0.0, 0.0, -1.0]), 0.0)])
+
 
 class TestErgodicity:
     def test_fermi_models_ergodic(self, fermi_m1, fermi_m2):

@@ -12,7 +12,11 @@ from qmsflow.states import (
     modular_apply,
     modular_shift,
     modular_superoperator,
+    weight_superoperator_f,
+    weight_superoperator_s,
 )
+from qmsflow.calculus import rho_div, rho_mult
+from qmsflow.linalg import vec
 
 from conftest import random_matrix
 
@@ -260,6 +264,105 @@ class TestWeightedInnerProducts:
         for f in (np.sqrt, bkm_weight, lambda t: (1 + t) / 2, lambda t: t**0.25):
             val = inner_f(sigma, f, np.eye(4), a)
             assert abs(val - np.trace(sigma.rho @ a)) < 1e-12
+
+
+class TestStackedForms:
+    """The forms contract the last two axes and broadcast the leading ones,
+    so one call gives a Gram matrix; it must equal the scalar calls."""
+
+    WEIGHTS = {"sqrt": np.sqrt, "bkm": bkm_weight, "bures": lambda t: (1.0 + t) / 2.0}
+
+    @staticmethod
+    def stack(rng, n, m):
+        return np.array([random_matrix(rng, n) for _ in range(m)])
+
+    @staticmethod
+    def assert_entrywise(gram, form, rows, cols):
+        scalar = np.array([[form(a, b) for b in cols] for a in rows])
+        assert gram.shape == scalar.shape
+        assert np.max(np.abs(gram - scalar)) <= 1e-14 * np.max(np.abs(scalar))
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
+    def test_inner_s_gram_matches_scalar_calls(self, rng, s):
+        sigma = random_density(4, rng)
+        mats = self.stack(rng, 4, 16)
+        gram = inner_s(sigma, s, mats[:, None], mats[None])
+        self.assert_entrywise(gram, lambda a, b: inner_s(sigma, s, a, b), mats, mats)
+
+    @pytest.mark.parametrize("name", ["sqrt", "bkm", "bures"])
+    def test_inner_f_gram_matches_scalar_calls(self, rng, name):
+        sigma, f = random_density(3, rng), self.WEIGHTS[name]
+        mats = self.stack(rng, 3, 9)
+        gram = inner_f(sigma, f, mats[:, None], mats[None])
+        self.assert_entrywise(gram, lambda a, b: inner_f(sigma, f, a, b), mats, mats)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_hs_inner_gram_matches_scalar_calls(self, rng, normalized):
+        rows, cols = self.stack(rng, 3, 5), self.stack(rng, 3, 7)
+        gram = hs_inner(rows[:, None], cols[None], normalized=normalized)
+        self.assert_entrywise(gram, lambda a, b: hs_inner(a, b, normalized=normalized), rows, cols)
+
+    def test_two_matrices_give_a_python_complex(self, rng):
+        sigma = random_density(3, rng)
+        a, b = random_matrix(rng, 3), random_matrix(rng, 3)
+        for val in (hs_inner(a, b), inner_s(sigma, 0.3, a, b), inner_f(sigma, np.sqrt, a, b)):
+            assert type(val) is complex
+
+    def test_leading_axes_broadcast(self, rng):
+        sigma = random_density(2, rng)
+        mats = self.stack(rng, 2, 6).reshape(2, 3, 2, 2)
+        assert inner_s(sigma, 0.5, mats, np.eye(2)).shape == (2, 3)
+        assert inner_f(sigma, np.sqrt, np.eye(2), mats[:, :1]).shape == (2, 1)
+        assert hs_inner(mats[:, None], mats[None]).shape == (2, 2, 3)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.3, 0.8])
+    def test_rho_mult_and_div_act_on_stacks(self, rng, omega):
+        rho = random_density(4, rng)
+        mats = self.stack(rng, 4, 5)
+        for fn in (rho_mult, rho_div):
+            stacked = fn(rho, omega, mats)
+            for a, got in zip(mats, stacked):
+                want = fn(rho, omega, a)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
+    def test_inner_s_gram_is_the_weight_superoperator(self, rng, s):
+        sigma = random_density(3, rng)
+        mats = self.stack(rng, 3, 9)
+        vecs = np.array([vec(a) for a in mats])
+        want = np.conj(vecs) @ weight_superoperator_s(sigma, s) @ vecs.T
+        gram = inner_s(sigma, s, mats[:, None], mats[None])
+        assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["sqrt", "bkm", "bures"])
+    def test_inner_f_gram_is_the_weight_superoperator(self, rng, name):
+        sigma, f = random_density(3, rng), self.WEIGHTS[name]
+        mats = self.stack(rng, 3, 9)
+        vecs = np.array([vec(a) for a in mats])
+        want = np.conj(vecs) @ weight_superoperator_f(sigma, f) @ vecs.T
+        gram = inner_f(sigma, f, mats[:, None], mats[None])
+        assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_mismatched_matrix_shapes_raise(self, rng):
+        sigma = random_density(3, rng)
+        mats = self.stack(rng, 3, 4)
+        wrong = self.stack(rng, 2, 4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            hs_inner(mats[:, None], wrong[None])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            inner_s(sigma, 0.5, mats[:, None], wrong[None])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            inner_f(sigma, np.sqrt, wrong[:, None], mats[None])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            inner_s(sigma, 0.5, wrong, wrong)  # agree with each other, not with sigma
+
+    def test_stacks_keep_the_weight_checks(self, rng):
+        sigma = random_density(3, rng)
+        mats = self.stack(rng, 3, 4)
+        with pytest.raises(ValueError, match="outside"):
+            inner_s(sigma, 1.2, mats[:, None], mats[None])
+        with pytest.raises(ValueError, match="not positive"):
+            inner_f(sigma, lambda t: t - 1.0, mats[:, None], mats[None])
 
 
 def test_bkm_weight_limit():
