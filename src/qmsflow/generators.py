@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     check_finite,
@@ -719,6 +718,8 @@ def semigroup(l: np.ndarray, t: float) -> np.ndarray:
     """exp(tL) for t >= 0 by scaling-and-squaring Pade, for any superoperator L."""
     if t < 0:
         raise ValueError("t must be nonnegative")
+    import scipy.linalg  # deferred: the only scipy use in the package, and costly to import
+
     return scipy.linalg.expm(t * check_finite(l, "superoperator"))
 
 

@@ -240,12 +240,11 @@ def fermi_ou(m: int, beta: float, energies) -> FermiModel:
     n_ops = [0.5 * dag(z) @ z for z in z_ops]
     n_perp = [0.5 * z @ dag(z) for z in z_ops]
 
-    from scipy.linalg import expm
-
+    # Each N_j is diagonal here, so h is too: its diagonal is its spectrum
+    # and e^{-beta h} the exponential of that diagonal.
     h = sum(e * nj for e, nj in zip(energies, n_ops))
-    gibbs = expm(np.asarray(-beta * h))
-    gibbs = gibbs / np.trace(gibbs).real
-    sigma = DensityState.from_matrix(0.5 * (gibbs + dag(gibbs)))
+    gibbs = np.exp(-beta * np.diag(h))
+    sigma = DensityState.from_matrix(np.diag(gibbs / np.sum(gibbs).real))
 
     w = ctx.principal_unitary
     jumps = []

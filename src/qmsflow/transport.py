@@ -178,19 +178,17 @@ class TangentDecomposition:
 
 
 def _solve_metric_system(m: np.ndarray, b: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
-    """Cholesky solve of the (PD on traceless Hermitians) metric system."""
-    import scipy.linalg
+    """Cholesky solve of the (PD on traceless Hermitians) metric system.
 
-    scale = max(float(np.max(np.abs(m))), 1e-300)
+    If the factorisation fails, it is retried once with ``jitter`` times
+    the largest entry of ``m`` added to the diagonal.
+    """
     try:
-        cho = scipy.linalg.cho_factor(m, lower=True)
-        return scipy.linalg.cho_solve(cho, b)
+        low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        pass
-    except scipy.linalg.LinAlgError:
-        pass
-    cho = scipy.linalg.cho_factor(m + jitter * scale * np.eye(m.shape[0]), lower=True)
-    return scipy.linalg.cho_solve(cho, b)
+        scale = max(float(np.max(np.abs(m))), 1e-300)
+        low = np.linalg.cholesky(m + jitter * scale * np.eye(m.shape[0]))
+    return np.linalg.solve(dag(low), np.linalg.solve(low, b))
 
 
 def continuity_solve(

@@ -209,11 +209,12 @@ def check_extraction_uniqueness(rng):
         spec = models.random_dbc_spec(n, rng)
         l = generators.build_generator(spec)
         md = states.build_modular_basis(spec.sigma)
-        ex1, _ = canonical.extract_canonical(l, spec.sigma, modular=md)
+        cert = generators.certify_detailed_balance(l, spec.sigma)
+        ex1, _ = canonical.extract_canonical(l, spec.sigma, modular=md, certification=cert)
         # permuted basis (identity stays first)
         perm = [0] + [1 + int(i) for i in rng.permutation(len(md.basis) - 1)]
         md2 = md.reordered(perm)
-        ex2, _ = canonical.extract_canonical(l, spec.sigma, modular=md2)
+        ex2, _ = canonical.extract_canonical(l, spec.sigma, modular=md2, certification=cert)
         l1 = generators.build_generator(ex1)
         l2 = generators.build_generator(ex2)
         err = np.linalg.norm(l1 - l2, 2) / max(np.linalg.norm(l, 2), 1e-300)

@@ -910,6 +910,53 @@ class TestVerify:
         assert run.returncode == 0, run.stderr
         assert run.stdout == out.read_text()
 
+    def test_cli_paths_do_not_import_scipy_linalg(self, tmp_path):
+        # scipy.linalg costs most of the start-up, so every subcommand runs on
+        # numpy alone; only generators.semigroup imports it.  The pytest
+        # process has it loaded already, so this runs in a fresh interpreter.
+        spec = fermi_ou(1, 1.0, [1.0]).spec
+        (tmp_path / "rho.json").write_text(
+            dump_json(density_to_json(DensityState.from_matrix(np.diag([0.1, 0.2, 0.3, 0.4]))))
+        )
+        (tmp_path / "super.json").write_text(
+            dump_json({"dim": 2, "sigma": matrix_to_json(spec.sigma.rho),
+                       "superoperator": matrix_to_json(generators.build_generator(spec))})
+        )
+        script = """if True:
+            import json, sys
+            import numpy as np
+            from qmsflow.cli import main
+
+            calls = [
+                ["zoo", "--model", "fermi", "--m", "2", "--output", "spec.json"],
+                ["zoo", "--model", "kms-counterexample", "--output", "kms.json"],
+                ["inspect", "--input", "spec.json", "--output", "inspect.json"],
+                ["inspect", "--input", "kms.json", "--output", "inspect_kms.json"],
+                ["inspect", "--input", "super.json", "--output", "inspect_super.json"],
+                ["evolve", "--input", "spec.json", "--grid", "0:1:5", "--output", "evolve.csv"],
+                ["geodesic", "--input", "spec.json", "--rho0", "rho.json", "--segments", "2",
+                 "--output", "geodesic.json"],
+                ["metric", "--input", "spec.json", "--rho", "rho.json", "--output", "metric.json"],
+                ["verify", "--seed", "1", "--output", "verify.txt"],
+            ]
+            codes = [main(argv) for argv in calls]
+            before = "scipy.linalg" in sys.modules
+            from qmsflow.generators import semigroup
+
+            semigroup(np.zeros((4, 4)), 1.0)
+            print(json.dumps({"codes": codes, "before": before,
+                              "after": "scipy.linalg" in sys.modules}))
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout.splitlines()[-1])
+        # the KMS counterexample fails certification (exit 1); everything else succeeds
+        assert result["codes"] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+        assert not result["before"]
+        assert result["after"]
+
     def test_seed_changes_details(self, tmp_path):
         out1 = tmp_path / "v1.txt"
         out2 = tmp_path / "v2.txt"

@@ -180,6 +180,18 @@ class TestFiniteTemperature:
             off = gram - np.diag(np.diagonal(gram))
             assert np.max(np.abs(off)) < 1e-10
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5])
+    def test_gibbs_state_matches_matrix_exponential(self, m, beta):
+        # sigma = e^{-beta h} / Z with h = sum_j e_j N_j, against scipy's Pade expm
+        import scipy.linalg
+
+        model = fermi_ou(m, beta, [1.0, 1.3, 1.7, 2.2][:m])
+        h = sum(e * n for e, n in zip(model.energies, model.number_ops))
+        gibbs = scipy.linalg.expm(-beta * h)
+        expect = gibbs / np.trace(gibbs).real
+        assert np.max(np.abs(model.spec.sigma.rho - expect)) <= 1e-15
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             fermi_ou(5, 1.0, [1.0] * 5)

@@ -23,6 +23,7 @@ from qmsflow.transport import (
     _MetricWorkspace,
     _PathProblem,
     _newton_step,
+    _solve_metric_system,
     classical_transport_distance,
     continuity_solve,
     geodesic_distance,
@@ -147,6 +148,36 @@ class TestContinuitySolve:
         spec = random_dbc_spec(2, rng, ergodic=True)
         with pytest.raises(ValueError, match=match):
             continuity_solve(spec, spec.sigma, rho_dot)
+
+
+class TestSolveMetricSystem:
+    @pytest.mark.parametrize("n", [1, 3, 15, 40])
+    @pytest.mark.parametrize("rhs_cols", [None, 1, 7])
+    def test_matches_scipy_cholesky(self, rng, n, rhs_cols):
+        import scipy.linalg
+
+        a = rng.standard_normal((n, n))
+        m = a @ a.T + 0.1 * np.eye(n)
+        b = rng.standard_normal(n if rhs_cols is None else (n, rhs_cols))
+        expect = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), b)
+        got = _solve_metric_system(m, b)
+        assert got.shape == expect.shape
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    def test_singular_system_takes_jittered_fallback(self):
+        # the ones matrix is PSD of rank 1: its second Cholesky pivot is exactly 0
+        m = np.ones((3, 3))
+        b = np.array([1.0, 1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m)
+        jitter = 1e-12
+        x = _solve_metric_system(m, b, jitter=jitter)
+        assert np.all(np.isfinite(x))
+        assert np.allclose((m + jitter * np.eye(3)) @ x, b, rtol=1e-9, atol=0.0)
+
+    def test_indefinite_system_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_metric_system(np.diag([1.0, -1.0]), np.ones(2))
 
 
 class TestMetricTensor:
