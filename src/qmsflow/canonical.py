@@ -63,12 +63,7 @@ PSD_TOL = 1e-10
 class GKSMatrix:
     """Coefficient matrix of a superoperator over an identity-anchored basis."""
 
-    basis: list
     matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
     def reduced(self) -> np.ndarray:
         return self.matrix[1:, 1:]
@@ -92,7 +87,8 @@ def gks_matrix(k: np.ndarray, basis, check_orthonormal: bool = True) -> GKSMatri
     The basis must be orthonormal in the normalized Hilbert-Schmidt inner
     product with the identity as its first element.  Computed through the
     Choi matrix:  c = X^+ C(K) X / n^2 with X the column matrix of
-    row-major flattenings of F_a^*.
+    row-major flattenings of F_a^*.  A modular basis's elements are
+    ``modular.combine(np.eye(modular.size))``.
     """
     big = np.asarray(k).shape[0]
     n = int(round(np.sqrt(big)))
@@ -112,7 +108,7 @@ def gks_matrix(k: np.ndarray, basis, check_orthonormal: bool = True) -> GKSMatri
             raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
     x = _basis_rowvecs(basis)
     c = dag(x) @ choi(k) @ x / (n * n)
-    return GKSMatrix(list(basis), c)
+    return GKSMatrix(c)
 
 
 @dataclass
@@ -199,21 +195,24 @@ def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
             # give self-adjoint jumps directly
             sub = sub.real
         d, vv = np.linalg.eigh(0.5 * (sub + dag(sub)))
-        count = 0
+        kept = []
         for k in range(len(d) - 1, -1, -1):
             if d[k] * np.exp(omega / 2.0) <= drop_rtol * weighted:
                 if abs(d[k]) > listed_floor:
                     dropped.append(float(d[k]))
-                continue
-            vmat = sum(np.conj(vv[b, k]) * mod.basis[idx[b]] for b in range(len(idx)))
-            scale = np.sqrt(d[k] * np.exp(omega / 2.0) / 2.0)
-            jumps.append((scale * vmat, omega))
-            if g != zero:
-                jumps.append((scale * dag(vmat), -omega))
-            count += 1
-        block_sizes[omega] = count
+            else:
+                kept.append(k)
+        if kept:
+            y = np.zeros((len(kept), mod.size), dtype=complex)
+            y[:, idx] = np.conj(vv[:, kept]).T  # jump k is sum_b conj(vv[b, k]) F_idx[b]
+            vmats = mod.combine(y)
+            for scale, vmat in zip(np.sqrt(d[kept] * np.exp(omega / 2.0) / 2.0), vmats):
+                jumps.append((scale * vmat, omega))
+                if g != zero:
+                    jumps.append((scale * dag(vmat), -omega))
+        block_sizes[omega] = len(kept)
         if g != zero:
-            block_sizes[-omega] = count
+            block_sizes[-omega] = len(kept)
     return jumps, dropped, block_sizes
 
 

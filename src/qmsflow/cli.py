@@ -47,7 +47,6 @@ from .verify import run_suite
 
 DEFAULT_TOLERANCES = {
     "gns_flag": 1e-9,
-    "invariance": 1e-10,
     "psd": 1e-10,
 }
 
@@ -133,6 +132,8 @@ def _parse_tols(pairs):
         if "=" not in item:
             raise InputError(f"tolerance must be name=value, got {item!r}")
         name, val = item.split("=", 1)
+        if name not in DEFAULT_TOLERANCES:
+            raise InputError(f"unknown tolerance {name!r}; known: {', '.join(DEFAULT_TOLERANCES)}")
         try:
             out[name] = float(val)
         except ValueError as exc:
@@ -310,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--output", help="write result to this path (atomic)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE", help="override a tolerance")
 
     p = sub.add_parser("inspect", help="certify detailed balance and extract the canonical form")
     p.add_argument("--input", required=True, help="spec JSON or superoperator+sigma JSON")
+    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
+                   help=f"override a tolerance ({', '.join(DEFAULT_TOLERANCES)})")
     add_common(p)
     p.set_defaults(func=cmd_inspect)
 
@@ -360,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser("verify", help="run every module's invariant suite")
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized checks")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

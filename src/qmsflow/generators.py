@@ -269,19 +269,13 @@ class JumpGKS:
 
 def _hamiltonian_norms(modular: ModularData, row: np.ndarray, col: np.ndarray) -> tuple:
     """Frobenius norms of the Hamiltonian candidates sum_b (c_0b F_b - c_b0 F_b^*)/2i
-    and sum_b (c_0b F_b^* - c_b0 F_b)/2i, from the identity row and column,
-    with each F_b read on sigma's eigenvectors (``ModularData.eigen``)."""
-    n = modular.sigma.dim
-    owner, units, coefs = modular.eigen
-
-    def combine(y):  # U^* (sum_{b > 0} y_b F_b) U
-        out = np.zeros(n * n, dtype=complex)
-        np.add.at(out, units, np.where(owner > 0, y[owner], 0.0) * coefs)
-        return out.reshape(n, n)
-
-    h = combine(row) - dag(combine(np.conj(col)))
-    h_hat = dag(combine(np.conj(row))) - combine(col)
-    return float(np.linalg.norm(h)) / 2.0, float(np.linalg.norm(h_hat)) / 2.0
+    and sum_b (c_0b F_b^* - c_b0 F_b)/2i over b > 0, from the identity row and
+    column: with F_b^* = F_b' and Tr[F_a^* F_b] = n delta_ab, sqrt(n)/2 times
+    the norms of the coefficients c_0b - c_b'0 and c_0b' - c_b0."""
+    pairing, root_n = modular.conj_pairing, np.sqrt(modular.sigma.dim)
+    h = (row - col[pairing])[1:]
+    h_hat = (row[pairing] - col)[1:]
+    return root_n * float(np.linalg.norm(h)) / 2.0, root_n * float(np.linalg.norm(h_hat)) / 2.0
 
 
 def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:

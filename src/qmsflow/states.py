@@ -140,23 +140,41 @@ class ModularData:
     -omega_a), and satisfies Delta_sigma F_a = e^{-omega_a} F_a.
     ``block_labels`` gives each element its Bohr block from
     :func:`bohr_groups`: labels ascend with frequency, and the identity's
-    label is the omega = 0 block.  ``eigen`` = (owner, units, coefs) gives
-    each element on sigma's eigenvectors, U^* F_a U = sum of coefs[k]
+    label is the omega = 0 block.  ``eigen`` = (owner, units, coefs) is the
+    only stored form of the elements: U^* F_a U = sum of coefs[k]
     |eta_i><eta_j| over the k with owner[k] = a and units[k] = i n + j,
-    sorted by owner.  Ordering: the identity first, then ascending Bohr
-    frequency with the originating eigenvector pair (i, j) as tie-breaker.
+    sorted by owner (one unit, a Helmert row of diagonal units or a
+    symmetrized pair); :meth:`combine` forms matrices from it.  Ordering:
+    the identity first, then ascending Bohr frequency with the originating
+    eigenvector pair (i, j) as tie-breaker.
     """
 
     sigma: DensityState
     bohr_frequencies: np.ndarray
-    basis: list = field(repr=False)
     conj_pairing: np.ndarray
     block_labels: np.ndarray
     eigen: tuple = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.bohr_frequencies)
+
+    def combine(self, y) -> np.ndarray:
+        """sum_a y[..., a] F_a as n x n matrices (y's last axis runs over the
+        elements; ``combine(np.eye(size))`` stacks them), from ``eigen``: the
+        elements with some y_a nonzero are scattered onto their units, and
+        only the rows and columns they touch are rotated back by U."""
+        owner, units, coefs = self.eigen
+        y = np.asarray(y)
+        take = np.flatnonzero(np.any(y.reshape(-1, self.size) != 0, axis=0)[owner])
+        u = self.sigma.eigenvectors
+        rows, cols = np.divmod(units[take], u.shape[0])
+        i, at_row = np.unique(rows, return_inverse=True)
+        j, at_col = np.unique(cols, return_inverse=True)
+        values = y[..., owner[take]] * coefs[take]
+        tilde = np.zeros((len(i), len(j)) + values.shape[:-1], dtype=complex)
+        np.add.at(tilde, (at_row, at_col), np.moveaxis(values, -1, 0))
+        return u[:, i] @ np.moveaxis(tilde, (0, 1), (-2, -1)) @ dag(u[:, j])
 
     def reordered(self, perm) -> "ModularData":
         """The same basis with element ``perm[k]`` at position k (the
@@ -168,7 +186,6 @@ class ModularData:
         return ModularData(
             self.sigma,
             self.bohr_frequencies[perm],
-            [self.basis[i] for i in perm],
             inv[self.conj_pairing[perm]],
             self.block_labels[perm],
             (inv[owner][order], units[order], coefs[order]),
@@ -229,10 +246,10 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
     units inside merged eigenspaces are replaced by their real and
     imaginary symmetrizations.  For omega != 0 the units are kept as
     adjoint-conjugate pairs, at the difference of their eigenspaces' mean
-    log-eigenvalues.
+    log-eigenvalues.  Each element is recorded by its units and
+    coefficients alone (``ModularData.eigen``); no n x n matrix is formed.
     """
     n = sigma.dim
-    u = sigma.eigenvectors
     loglam = np.log(sigma.eigenvalues)
 
     label = np.empty(n * n, dtype=int)
@@ -245,21 +262,16 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
     # representative log-eigenvalue per merged eigenspace
     group_log = np.array([np.mean(loglam[group_of == g]) for g in range(group_of[-1] + 1)])
 
-    def unit(i: int, j: int) -> np.ndarray:
-        return np.sqrt(n) * np.outer(u[:, i], np.conj(u[:, j]))
-
-    entries: list[tuple[float, tuple, np.ndarray, tuple, int, tuple]] = []
+    entries: list[tuple[float, tuple, tuple, int, tuple]] = []
     # key = (omega, (i, j)); partner key recorded for adjoint pairing; last,
     # the element's units i n + j and coefficients on sigma's eigenvectors
     root_n, root_half_n = np.sqrt(n), np.sqrt(n / 2.0)
 
     # omega = 0 block, diagonal part: Helmert rotation anchored at identity
     h = _helmert_rows(n)
-    diag_units = [unit(i, i) for i in range(n)]
     for k in range(n):
-        mat = sum(h[k, i] * diag_units[i] for i in range(n))
         d = np.flatnonzero(h[k])
-        entries.append((0.0, (-1, k), mat, (-1, k), zero, (d * (n + 1), root_n * h[k, d])))
+        entries.append((0.0, (-1, k), (-1, k), zero, (d * (n + 1), root_n * h[k, d])))
 
     # off-diagonal units
     for i in range(n):
@@ -269,31 +281,27 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
             if group_of[i] == group_of[j]:
                 # degenerate pair: self-adjoint symmetrizations, omega = 0
                 if i < j:
-                    f = unit(i, j)
-                    fs = (f + dag(f)) / np.sqrt(2.0)
-                    fa = 1j * (f - dag(f)) / np.sqrt(2.0)
                     pair = [i * n + j, j * n + i]
-                    entries.append((0.0, (i, j), fs, (i, j), zero, (pair, (root_half_n, root_half_n))))
-                    entries.append((0.0, (j, i), fa, (j, i), zero, (pair, (1j * root_half_n, -1j * root_half_n))))
+                    entries.append((0.0, (i, j), (i, j), zero, (pair, (root_half_n, root_half_n))))
+                    entries.append((0.0, (j, i), (j, i), zero, (pair, (1j * root_half_n, -1j * root_half_n))))
             else:
                 omega = float(group_log[group_of[j]] - group_log[group_of[i]])
-                entries.append((omega, (i, j), unit(i, j), (j, i), label[j, i], ([i * n + j], [root_n])))
+                entries.append((omega, (i, j), (j, i), label[j, i], ([i * n + j], [root_n])))
 
     entries.sort(key=lambda e: (e[0], e[1]))
     # identity first, then ascending omega with lexicographic tie-break
     first = next(k for k, e in enumerate(entries) if e[1] == (-1, 0))
     entries.insert(0, entries.pop(first))
 
-    basis = [e[2] for e in entries]
     omegas = np.array([e[0] for e in entries])
     keys = {e[1]: pos for pos, e in enumerate(entries)}
-    pairing = np.array([keys[e[3]] for e in entries], dtype=int)
-    labels = np.array([e[4] for e in entries], dtype=int)
-    sizes = [len(e[5][0]) for e in entries]
+    pairing = np.array([keys[e[2]] for e in entries], dtype=int)
+    labels = np.array([e[3] for e in entries], dtype=int)
+    sizes = [len(e[4][0]) for e in entries]
     owner = np.repeat(np.arange(len(entries)), sizes)
-    units = np.concatenate([e[5][0] for e in entries]).astype(int)
-    coefs = np.concatenate([e[5][1] for e in entries]).astype(complex)
-    return ModularData(sigma, omegas, basis, pairing, labels, (owner, units, coefs))
+    units = np.concatenate([e[4][0] for e in entries]).astype(int)
+    coefs = np.concatenate([e[4][1] for e in entries]).astype(complex)
+    return ModularData(sigma, omegas, pairing, labels, (owner, units, coefs))
 
 
 def _operands(sigma: DensityState, a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -77,29 +77,23 @@ class _MetricWorkspace:
         self.spec = spec
         n = spec.dim
         self.n = n
-        self.basis = traceless_hermitian_basis(n)
-        self.nb = len(self.basis)
+        # the traceless Hermitian basis B_a, flattened as rows (nb, n^2)
+        self.flat_basis = np.array(traceless_hermitian_basis(n)).reshape(-1, n * n)
+        self.nb = len(self.flat_basis)
         # derivatives d_j B_a as (J, nb, n, n), their rows stacked
         vs = np.array([v for v, _ in spec.jumps], dtype=complex).reshape(-1, 1, n, n)
-        bs = np.stack(self.basis)[None]
+        bs = self.flat_basis.reshape(1, self.nb, n, n)
         self.stacked_derivs = (vs @ bs - bs @ vs).reshape(-1, n)
         self.omegas = spec.omegas()
         # kernel tilts e^{+omega_j/2}, e^{-omega_j/2}, shaped to broadcast
         # against eigenvalues (B, 1, n)
         self.tilt_up = np.exp(self.omegas / 2.0)[None, :, None]
         self.tilt_down = np.exp(-self.omegas / 2.0)[None, :, None]
-        self.basis_stack = bs[0]
-        self.flat_basis = bs.reshape(self.nb, n * n)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of a (traceless Hermitian) matrix in the basis."""
-        return np.array([np.trace(b @ x).real for b in self.basis])
-
-    def matrix(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for c, b in zip(y, self.basis):
-            out += c * b
-        return out
+        """Coordinates Tr[B_a X] of traceless Hermitian X (the last two axes)."""
+        x = np.asarray(x, dtype=complex)
+        return (x.reshape(*x.shape[:-2], -1) @ np.conj(self.flat_basis).T).real
 
     def spectral_data(self, rhos: np.ndarray):
         """Eigen-data of a batch of states for assembly and its derivative.
@@ -206,7 +200,7 @@ def continuity_solve(
     m = ws.metric_matrices(rho.rho[None])[0]
     b = ws.coords(rho_dot)
     x = _solve_metric_system(m, b)
-    u = ws.matrix(x)
+    u = (x @ ws.flat_basis).reshape(ws.n, ws.n)
     fld = [rho_mult(rho, w, d) for (_, w), d in zip(spec.jumps, grad(spec, u))]
     return TangentDecomposition(
         rho_dot=rho_dot,
@@ -225,7 +219,7 @@ def metric_tensor(spec: GeneratorSpec, rho: DensityState, coord_basis) -> np.nda
     _require_ergodic(spec)
     ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
-    a = np.array([ws.coords(np.asarray(x, dtype=complex)) for x in coord_basis]).T
+    a = ws.coords(np.array(coord_basis)).T
     sol = _solve_metric_system(m, a)
     g = a.T @ sol
     return 0.5 * (g + g.T)
@@ -413,7 +407,8 @@ class _PathProblem:
         kk, nj, n = yt.shape[:3]
         nb = self.ws.nb
         # every basis element in every midpoint's eigenbasis, (K, nb, n, n)
-        hb = np.conj(np.swapaxes(ev.u, -1, -2))[:, None] @ self.ws.basis_stack @ ev.u[:, None]
+        basis = self.ws.flat_basis.reshape(nb, n, n)
+        hb = np.conj(np.swapaxes(ev.u, -1, -2))[:, None] @ basis @ ev.u[:, None]
         # D[m](B_a) Y_j = sum_l left_ilk H_il Y_lk + right_ilk Y_il H_lk, as
         # matrix products batched over (midpoint, i) and (midpoint, k)
         dy = (left * yt[:, :, None]).transpose(0, 2, 3, 1, 4).reshape(kk, n, n, nj * n)

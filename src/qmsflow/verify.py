@@ -101,7 +101,7 @@ def check_modular_roundtrip(rng):
         sigma = models.random_density(n, rng)
         md = states.build_modular_basis(sigma)
         x = _rand_matrix(rng, n)
-        basis = np.array(md.basis)
+        basis = md.combine(np.eye(md.size))
         resum = (hs_inner(basis, x, normalized=True)[:, None, None] * basis).sum(axis=0)
         worst = max(worst, np.linalg.norm(resum - x) / np.linalg.norm(x))
     return worst < 1e-11, f"worst expansion residual {worst:.3e}"
@@ -194,7 +194,7 @@ def check_offblock_vanishing(rng):
         spec = models.random_dbc_spec(n, rng)
         l = generators.build_generator(spec)
         md = states.build_modular_basis(spec.sigma)
-        c = canonical.gks_matrix(l, md.basis, check_orthonormal=False)
+        c = canonical.gks_matrix(l, md.combine(np.eye(md.size)), check_orthonormal=False)
         mask = md.block_labels[:, None] != md.block_labels[None, :]
         if np.any(mask):
             worst = max(worst, float(np.max(np.abs(c.matrix[mask]))) / max(np.max(np.abs(c.matrix)), 1e-300))
@@ -212,7 +212,7 @@ def check_extraction_uniqueness(rng):
         cert = generators.certify_detailed_balance(l, spec.sigma)
         ex1, _ = canonical.extract_canonical(l, spec.sigma, modular=md, certification=cert)
         # permuted basis (identity stays first)
-        perm = [0] + [1 + int(i) for i in rng.permutation(len(md.basis) - 1)]
+        perm = [0] + [1 + int(i) for i in rng.permutation(md.size - 1)]
         md2 = md.reordered(perm)
         ex2, _ = canonical.extract_canonical(l, spec.sigma, modular=md2, certification=cert)
         l1 = generators.build_generator(ex1)

@@ -9,7 +9,7 @@ from qmsflow.linalg import commutator_super, dag, hs_inner, sharp
 from qmsflow.models import fermi_ou, random_dbc_spec, random_density
 from qmsflow.states import DensityState, build_modular_basis
 
-from conftest import kron_sum_generator, near_degenerate_spec, random_matrix
+from conftest import dense_modular_basis, kron_sum_generator, modular_elements, near_degenerate_spec, random_matrix
 
 
 def first_nonorthonormal_pair(basis):
@@ -35,7 +35,7 @@ def _hamiltonian_parts(c: np.ndarray, basis) -> tuple[np.ndarray, np.ndarray]:
 
 def identity_anchored_basis(n):
     """Modular basis of the maximally mixed state: orthonormal, identity first."""
-    return build_modular_basis(DensityState.from_matrix(np.eye(n) / n)).basis
+    return list(modular_elements(build_modular_basis(DensityState.from_matrix(np.eye(n) / n))))
 
 
 class TestGKSMatrix:
@@ -233,7 +233,7 @@ class TestExtraction:
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
         md = build_modular_basis(spec.sigma)
-        c = gks_matrix(l, md.basis, check_orthonormal=False).matrix
+        c = gks_matrix(l, modular_elements(md), check_orthonormal=False).matrix
         om = md.bohr_frequencies
         scale = max(np.max(np.abs(c)), 1e-300)
         mask = np.abs(om[:, None] - om[None, :]) > 1e-8 * max(1.0, np.max(np.abs(om)))
@@ -334,6 +334,32 @@ class TestExtraction:
         assert report.roundtrip_error < 1e-10
 
 
+class TestCanonicalJumps:
+    """Each jump is formed by ``ModularData.combine`` from the block's few
+    units; the sum of dense oracle elements is the reference."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+         lambda: random_dbc_spec(4, np.random.default_rng(7)),
+         lambda: near_degenerate_spec(5e-11)],
+    )
+    def test_matches_dense_sum(self, make, monkeypatch):
+        from qmsflow.canonical import DROP_RTOL, _canonical_jumps
+        from qmsflow.states import ModularData
+
+        spec = make()
+        gks = spec.gks_blocks
+        jumps = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        dense = np.array(dense_modular_basis(spec.sigma))
+        monkeypatch.setattr(ModularData, "combine", lambda self, y: np.tensordot(y, dense, axes=1))
+        ref = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        assert [w for _, w in jumps[0]] == [w for _, w in ref[0]]
+        scale = max(np.max(np.abs(v)) for v, _ in ref[0])
+        for (v, _), (r, _) in zip(jumps[0], ref[0]):
+            assert np.max(np.abs(v - r)) <= 1e-14 * scale
+
+
 def _traceful_spec():
     """Non-GNS jumps with trace parts over the maximally mixed state (degenerate)."""
     w = random_matrix(np.random.default_rng(5), 3)
@@ -354,7 +380,7 @@ class TestJumpGKS:
         spec = make()
         gks = spec.gks_blocks
         md = gks.modular
-        c = gks_matrix(build_generator(spec), md.basis, check_orthonormal=False).matrix
+        c = gks_matrix(build_generator(spec), modular_elements(md), check_orthonormal=False).matrix
         scale = np.max(np.abs(c))
         assert np.allclose(gks.row, c[0], rtol=0, atol=1e-14 * scale)
         assert np.allclose(gks.col, c[:, 0], rtol=0, atol=1e-14 * scale)
@@ -365,7 +391,7 @@ class TestJumpGKS:
             on_blocks[rows, cols] = True
         on_blocks[0, :] = on_blocks[:, 0] = True
         assert np.max(np.abs(c[~on_blocks]), initial=0.0) <= gks.offblock + 1e-14 * scale
-        h, h_hat = _hamiltonian_parts(c, md.basis)
+        h, h_hat = _hamiltonian_parts(c, modular_elements(md))
         assert gks.hamiltonian_norms == pytest.approx(
             (np.linalg.norm(h), np.linalg.norm(h_hat)), rel=1e-9, abs=1e-14 * scale
         )
@@ -386,7 +412,7 @@ class TestJumpGKS:
             sigma, l = spec.sigma, build_generator(spec)
         md = build_modular_basis(sigma)
         gks = _superoperator_gks(_rotated(l, sigma), md)
-        c = gks_matrix(l, md.basis, check_orthonormal=False).matrix
+        c = gks_matrix(l, modular_elements(md), check_orthonormal=False).matrix
         scale = np.max(np.abs(c))
         assert np.allclose(gks.row, c[0], rtol=0, atol=1e-14 * scale)
         assert np.allclose(gks.col, c[:, 0], rtol=0, atol=1e-14 * scale)
@@ -394,7 +420,7 @@ class TestJumpGKS:
             assert np.allclose(blocks, c[members[:, :, None], members[:, None, :]], rtol=0, atol=1e-14 * scale)
         off = md.block_labels[:, None] != md.block_labels[None, :]
         assert gks.offblock == pytest.approx(np.max(np.abs(c[off]), initial=0.0), rel=0, abs=1e-14 * scale)
-        h, h_hat = _hamiltonian_parts(c, md.basis)
+        h, h_hat = _hamiltonian_parts(c, modular_elements(md))
         assert gks.hamiltonian_norms == pytest.approx(
             (np.linalg.norm(h), np.linalg.norm(h_hat)), rel=1e-9, abs=1e-14 * scale
         )

@@ -152,6 +152,30 @@ class TestInspect:
         assert "canonical" not in report
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["gns=1e-3", "invariance=1e-10"])
+    def test_unknown_tolerance_is_an_input_error(self, tmp_path, fermi_spec_file, capsys, tol):
+        # an unknown name would otherwise certify at the default tolerance
+        out = tmp_path / "report.json"
+        assert main(["inspect", "--input", fermi_spec_file, "--tol", tol, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: unknown tolerance {tol.split('=')[0]!r}")
+        assert "gns_flag" in err and "psd" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["inspect", "--input", "x.json", "--seed", "1"],
+         ["evolve", "--input", "x.json", "--tol", "psd=1e-9"],
+         ["geodesic", "--input", "x.json", "--rho0", "r.json", "--seed", "1"],
+         ["verify", "--tol", "psd=1e-9"]],
+    )
+    def test_option_only_on_the_command_that_reads_it(self, argv, capsys):
+        # --seed belongs to verify and --tol to inspect
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_one_norm_of_l_and_one_reduced_eigensolve(self, tmp_path, monkeypatch):
         # on superoperator input certification takes ||L|| once and passes it
         # on; extraction reuses the complete-positivity verdict of the

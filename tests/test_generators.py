@@ -39,7 +39,7 @@ from qmsflow.states import (
     weight_superoperator_s,
 )
 
-from conftest import kron_sum_generator, random_matrix
+from conftest import kron_sum_generator, modular_elements, random_matrix
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -500,7 +500,8 @@ class TestCompletePositivity:
         verdicts = []
         for l, sigma in cases:
             n = sigma.dim
-            scale = np.max(np.abs(np.linalg.eigvalsh(gks_matrix(l, build_modular_basis(tracial(n)).basis).reduced())))
+            tracial_basis = modular_elements(build_modular_basis(tracial(n)))
+            scale = np.max(np.abs(np.linalg.eigvalsh(gks_matrix(l, tracial_basis).reduced())))
             ok, min_eig = check_complete_positivity(l)
             ok_sigma, min_eig_sigma = check_complete_positivity(l, modular=build_modular_basis(sigma))
             assert ok_sigma == ok

@@ -159,7 +159,7 @@ class TestFiniteTemperature:
         model = fermi_ou(2, 1.0, [1.0, np.sqrt(2)])
         md = build_modular_basis(model.spec.sigma)
         zero_modes = [
-            f for f, w in zip(md.basis, md.bohr_frequencies) if abs(w) < 1e-10
+            f for f, w in zip(md.combine(np.eye(md.size)), md.bohr_frequencies) if abs(w) < 1e-10
         ]
         assert len(zero_modes) == 4
         projs = hypercube_projections(model)

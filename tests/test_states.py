@@ -18,7 +18,7 @@ from qmsflow.states import (
 from qmsflow.calculus import rho_div, rho_mult
 from qmsflow.linalg import vec
 
-from conftest import random_matrix
+from conftest import dense_modular_basis, modular_elements, random_matrix
 
 
 class TestDensityState:
@@ -110,7 +110,7 @@ class TestModularOperator:
     def test_adjoint_pairs_inverse_eigenvalues(self, rng):
         sigma = random_density(4, rng)
         md = build_modular_basis(sigma)
-        for f, w in zip(md.basis, md.bohr_frequencies):
+        for f, w in zip(modular_elements(md), md.bohr_frequencies):
             out = modular_apply(sigma, dag(f))
             assert np.linalg.norm(out - np.exp(w) * dag(f)) < 1e-10
 
@@ -127,10 +127,11 @@ class TestModularBasis:
         sigma = DensityState.from_matrix(np.eye(3) / 3)
         md = build_modular_basis(sigma)
         assert np.allclose(md.bohr_frequencies, 0.0)
-        assert np.allclose(md.basis[0], np.eye(3))
+        basis = modular_elements(md)
+        assert np.allclose(basis[0], np.eye(3))
         # orthonormal and star-closed
-        for al, f in enumerate(md.basis):
-            assert np.allclose(md.basis[md.conj_pairing[al]], dag(f))
+        for al, f in enumerate(basis):
+            assert np.allclose(basis[md.conj_pairing[al]], dag(f))
 
     def test_two_level_frequencies(self):
         lam1, lam2 = 0.8, 0.2
@@ -143,15 +144,16 @@ class TestModularBasis:
         sigma = random_density(4, rng)
         md = build_modular_basis(sigma)
         delta = modular_superoperator(sigma)
-        for f, w in zip(md.basis, md.bohr_frequencies):
+        for f, w in zip(modular_elements(md), md.bohr_frequencies):
             resid = np.linalg.norm(apply_super(delta, f) - np.exp(-w) * f)
             assert resid < 1e-11
 
     def test_orthonormal(self, rng):
         sigma = random_density(5, rng)
         md = build_modular_basis(sigma)
+        basis = modular_elements(md)
         gram = np.array(
-            [[hs_inner(a, b, normalized=True) for b in md.basis] for a in md.basis]
+            [[hs_inner(a, b, normalized=True) for b in basis] for a in basis]
         )
         assert np.linalg.norm(gram - np.eye(md.size)) < 1e-11
 
@@ -161,8 +163,9 @@ class TestModularBasis:
         sigma = DensityState.from_matrix((q * [0.4, 0.4, 0.2]) @ dag(q))
         md = build_modular_basis(sigma)
         assert np.sum(np.abs(md.bohr_frequencies) < 1e-12) == 5
-        for al, f in enumerate(md.basis):
-            assert np.allclose(md.basis[md.conj_pairing[al]], dag(f), atol=1e-12)
+        basis = modular_elements(md)
+        for al, f in enumerate(basis):
+            assert np.allclose(basis[md.conj_pairing[al]], dag(f), atol=1e-12)
 
     @pytest.mark.parametrize("spectrum", [[0.1, 0.2, 0.3, 0.4], [0.3, 0.3, 0.3, 0.1], [0.25] * 4])
     def test_eigen_coordinates(self, rng, spectrum):
@@ -172,24 +175,57 @@ class TestModularBasis:
         owner, units, coefs = md.eigen
         assert np.all(np.diff(owner) >= 0)
         u = sigma.eigenvectors
-        for a, f in enumerate(md.basis):
+        for a, f in enumerate(dense_modular_basis(sigma)):
             tilde = np.zeros(16, dtype=complex)
             np.add.at(tilde, units[owner == a], coefs[owner == a])
             assert np.allclose(u @ tilde.reshape(4, 4) @ dag(u), f, rtol=0, atol=1e-13)
         perm = [0, *rng.permutation(np.arange(1, md.size))]
         moved = md.reordered(perm)
         assert np.all(np.diff(moved.eigen[0]) >= 0)
+        basis, moved_basis = modular_elements(md), modular_elements(moved)
         for k, a in enumerate(perm):
-            assert np.array_equal(moved.basis[k], md.basis[a])
+            assert np.array_equal(moved_basis[k], basis[a])
             assert np.array_equal(moved.eigen[2][moved.eigen[0] == k], coefs[owner == a])
-            assert moved.basis[moved.conj_pairing[k]] is md.basis[md.conj_pairing[a]]
+            assert np.array_equal(moved_basis[moved.conj_pairing[k]], basis[md.conj_pairing[a]])
 
     def test_expansion_roundtrip(self, rng):
         sigma = random_density(4, rng)
         md = build_modular_basis(sigma)
         x = random_matrix(rng, 4)
-        resum = sum(hs_inner(f, x, normalized=True) * f for f in md.basis)
+        resum = sum(hs_inner(f, x, normalized=True) * f for f in modular_elements(md))
         assert np.linalg.norm(resum - x) < 1e-11 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [None, [0.1, 0.2, 0.3, 0.4], [0.3, 0.3, 0.3, 0.1], [0.25] * 4, [0.3, 0.3 * (1 + 5e-11), 0.4 - 1.5e-11]],
+    )
+    def test_combine_matches_dense_elements(self, rng, spectrum):
+        if spectrum is None:
+            sigma = random_density(5, rng)
+        else:
+            q, _ = np.linalg.qr(random_matrix(rng, len(spectrum)))
+            sigma = DensityState.from_matrix((q * spectrum) @ dag(q))
+        md = build_modular_basis(sigma)
+        dense = np.array(dense_modular_basis(sigma))
+        assert np.max(np.abs(modular_elements(md) - dense)) <= 1e-14
+        # combinations of two elements, which rotate only the rows and columns they touch
+        y = np.zeros((3, md.size), dtype=complex)
+        y[:, rng.choice(md.size, 2, replace=False)] = random_matrix(rng, 3)[:, :2]
+        expect = np.tensordot(y, dense, axes=1)
+        assert np.max(np.abs(md.combine(y) - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    def test_build_forms_no_dense_elements(self, rng):
+        # n^2 dense n x n elements at dim 32 would hold 16.8 MB
+        import tracemalloc
+
+        sigma = random_density(32, rng)
+        tracemalloc.start()
+        try:
+            build_modular_basis(sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestWeightedInnerProducts:

@@ -465,6 +465,7 @@ class TestMetricAssembly:
         ws = _MetricWorkspace(spec)
         rhos = [random_density(3, rng) for _ in range(3)]
         m = ws.metric_matrices(np.stack([r.rho for r in rhos]))
+        basis = ws.flat_basis.reshape(-1, 3, 3)
         for rho, mb in zip(rhos, m):
             direct = np.array([
                 [
@@ -472,9 +473,9 @@ class TestMetricAssembly:
                         hs_inner(d_a, rho_mult(rho, w, d_c)).real
                         for (_, w), d_a, d_c in zip(spec.jumps, grad(spec, a), grad(spec, c))
                     )
-                    for c in ws.basis
+                    for c in basis
                 ]
-                for a in ws.basis
+                for a in basis
             ])
             assert np.allclose(mb, direct, rtol=1e-12, atol=1e-14)
 
