@@ -159,8 +159,11 @@ def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
 
     ``blocks`` holds, per block size, the element indices of each label's
     reduced elements and their blocks.  The adjoint-pairing symmetry is
-    enforced on each block, and each block is eigensolved once per
-    conjugate pair, on its omega >= 0 member.  Returns (jumps, dropped
+    enforced on each block, and each conjugate pair of blocks is solved
+    once, on its omega >= 0 member: one batched ``eigh`` per block size,
+    and a real one for the block of 0.  One ``ModularData.combine`` call
+    forms every kept jump; the omega < 0 partners are their adjoints.  The
+    loop over labels only orders the output.  Returns (jumps, dropped
     eigenvalues, block sizes).
     """
     omegas, labels = mod.bohr_frequencies, mod.block_labels
@@ -176,43 +179,63 @@ def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
         + [1e-300]
     )
     where = {int(labels[m[0]]): (s, r) for s, (members, _) in enumerate(blocks) for r, m in enumerate(members)}
-    jumps: list[tuple[np.ndarray, float]] = []
-    dropped: list[float] = []
-    block_sizes: dict[float, int] = {}
     zero = labels[0]
     # labels ascend with frequency, so the labels up to the zero block's
-    # meet each conjugate pair of blocks once; a pair is solved on its
-    # omega >= 0 member
-    for g in range(zero + 1):
-        if g not in where:
-            continue
-        s, r = where[g]
-        s, r = where[int(labels[mod.conj_pairing[blocks[s][0][r, 0]]])]  # the partner's block
-        idx, sub = blocks[s][0][r], sym[s][r]
-        omega = float(np.mean(omegas[idx]))
-        if g == zero:
-            # real symmetric in a self-adjoint basis, so real eigenvectors
-            # give self-adjoint jumps directly
-            sub = sub.real
-        d, vv = np.linalg.eigh(0.5 * (sub + dag(sub)))
-        kept = []
-        for k in range(len(d) - 1, -1, -1):
-            if d[k] * np.exp(omega / 2.0) <= drop_rtol * weighted:
-                if abs(d[k]) > listed_floor:
-                    dropped.append(float(d[k]))
-            else:
-                kept.append(k)
-        if kept:
-            y = np.zeros((len(kept), mod.size), dtype=complex)
-            y[:, idx] = np.conj(vv[:, kept]).T  # jump k is sum_b conj(vv[b, k]) F_idx[b]
-            vmats = mod.combine(y)
-            for scale, vmat in zip(np.sqrt(d[kept] * np.exp(omega / 2.0) / 2.0), vmats):
-                jumps.append((scale * vmat, omega))
-                if g != zero:
-                    jumps.append((scale * dag(vmat), -omega))
-        block_sizes[omega] = len(kept)
-        if g != zero:
-            block_sizes[-omega] = len(kept)
+    # meet each conjugate pair of blocks once: the output order.  A pair is
+    # solved on its omega >= 0 member, the partner's block.
+    order = [
+        where[int(labels[mod.conj_pairing[blocks[s][0][r, 0]]])]
+        for s, r in (where[g] for g in range(zero + 1) if g in where)
+    ]
+    zero_pos = len(order) - 1 if zero in where else -1  # the block of 0 comes last
+    solved = []  # per eigensolve: output positions, element indices, eigenpairs
+    for s, (members, _) in enumerate(blocks):
+        at = [p for p, (t, _) in enumerate(order) if t == s and p != zero_pos]
+        if at:
+            rows = [order[p][1] for p in at]
+            solved.append((np.array(at), members[rows], *np.linalg.eigh(sym[s][rows])))
+    if zero_pos >= 0:
+        s, r = where[zero]
+        # real symmetric in a self-adjoint basis, so real eigenvectors give
+        # self-adjoint jumps directly
+        d, vv = np.linalg.eigh(sym[s][r].real)
+        solved.append((np.array([zero_pos]), blocks[s][0][r][None], d[None], vv[None]))
+    if not solved:
+        return [], [], {}
+
+    # every eigenpair in output order: by position, eigenvalues descending
+    freq, counts = np.empty(len(order)), np.empty(len(order), dtype=int)
+    pos, k, d, keep = [], [], [], []
+    for at, idx, vals, _ in solved:
+        freq[at] = np.mean(omegas[idx], axis=1)
+        kept = ~(vals * np.exp(freq[at] / 2.0)[:, None] <= drop_rtol * weighted)
+        counts[at] = kept.sum(axis=1)
+        pos.append(np.repeat(at, vals.shape[1]))
+        k.append(np.tile(np.arange(vals.shape[1]), len(at)))
+        d.append(vals.ravel())
+        keep.append(kept.ravel())
+    first = np.cumsum([0] + [x.size for x in pos])  # each eigensolve's first pair
+    pos, k, d, keep = map(np.concatenate, (pos, k, d, keep))
+    ranked = np.lexsort((-k, pos))
+    dropped = [float(x) for x in d[ranked[~keep[ranked]]] if abs(x) > listed_floor]
+    chosen = ranked[keep[ranked]]  # the kept pairs, one jump each
+    y = np.zeros((chosen.size, mod.size), dtype=complex)
+    for (_, idx, _, vv), lo, hi in zip(solved, first, first[1:]):
+        rows = np.flatnonzero((chosen >= lo) & (chosen < hi))
+        b, kk = np.divmod(chosen[rows] - lo, vv.shape[1])
+        y[rows[:, None], idx[b]] = np.conj(vv[b, :, kk])  # jump k is sum_b conj(vv[b, k]) F_idx[b]
+    omega = freq[pos[chosen]]
+    scales = np.sqrt(d[chosen] * np.exp(omega / 2.0) / 2.0)
+    jumps: list[tuple[np.ndarray, float]] = []
+    for scale, w, p, vmat in zip(scales, omega.tolist(), pos[chosen].tolist(), mod.combine(y)):
+        jumps.append((scale * vmat, w))
+        if p != zero_pos:
+            jumps.append((scale * dag(vmat), -w))
+    block_sizes: dict[float, int] = {}
+    for p, (w, count) in enumerate(zip(freq.tolist(), counts.tolist())):
+        block_sizes[w] = count
+        if p != zero_pos:
+            block_sizes[-w] = count
     return jumps, dropped, block_sizes
 
 

@@ -77,12 +77,13 @@ def _load_spec_or_superop(path: str):
         if "superoperator" in obj:
             if "sigma" not in obj:
                 raise InputError("superoperator input must carry 'sigma'")
-            l = check_finite(matrix_from_json(obj["superoperator"]), "superoperator")
             sigma = density_from_json({"rho": obj["sigma"]})
-            if l.shape[0] != sigma.dim**2:
-                raise InputError(f"superoperator is {l.shape[0]} x {l.shape[0]}, not n^2 x n^2 "
+            rows = obj["superoperator"]
+            # refused before its n^4 cells are converted
+            if isinstance(rows, list) and len(rows) != sigma.dim**2:
+                raise InputError(f"superoperator has {len(rows)} rows, not n^2 = {sigma.dim**2} "
                                  f"for sigma of dim n = {sigma.dim}")
-            return None, l, sigma
+            return None, check_finite(matrix_from_json(rows), "superoperator"), sigma
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     raise InputError("input must carry either 'jumps' or 'superoperator'")

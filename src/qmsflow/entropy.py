@@ -8,7 +8,10 @@ Entropy production is measured with the unnormalized trace,
 with L^+(rho) applied from the jumps (no n^2 x n^2 matrix), so that it
 equals minus the time derivative of D(rho_t || sigma) along
 the dual semigroup, and also the squared transport-metric norm of the
-entropy gradient.  When the superoperator commutators satisfy
+entropy gradient.  Along a trajectory (:func:`entropy_trajectory`)
+L^+(rho_t) is read instead from the Bohr-block factor that gives rho_t,
+as the time derivative of the computed orbit.  When the superoperator
+commutators satisfy
 
     [D_j, L] = -a_j D_j
 
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import commutator_super, dag
-from .states import DensityState
-from .generators import GeneratorSpec, apply_dual, build_generator, dual_orbit
+from .linalg import commutator_super
+from .states import DensityState, _checked_spectra
+from .generators import GeneratorSpec, _flow, _flow_factor, apply_dual, build_generator
 
 __all__ = [
     "relative_entropy",
@@ -40,12 +43,19 @@ __all__ = [
 ]
 
 INTERTWINE_TOL = 1e-9
+# Times per pass of :func:`entropy_trajectory`: the stacks it holds grow
+# with this, not with the length of the grid.
+TRAJECTORY_CHUNK = 64
+
+
+def _clipped(val: float) -> float:
+    """A relative entropy, with round-off below zero (down to -1e-12) set to 0."""
+    return float(max(val, 0.0)) if val > -1e-12 else float(val)
 
 
 def relative_entropy(rho: DensityState, sigma: DensityState) -> float:
     """D(rho || sigma) = Tr[rho (log rho - log sigma)] >= 0."""
-    val = np.trace(rho.rho @ (rho.log() - sigma.log())).real
-    return float(max(val, 0.0)) if val > -1e-12 else float(val)
+    return _clipped(np.trace(rho.rho @ (rho.log() - sigma.log())).real)
 
 
 def entropy_production(spec: GeneratorSpec, rho: DensityState) -> float:
@@ -140,27 +150,47 @@ def entropy_trajectory(
     """Entropy and production along the dual flow, with decay bounds.
 
     Rows carry D(t), production(t) and, when a decay constant is given,
-    the bounds e^{-2 lambda t} D(0) and e^{-2 lambda t} production(0).
+    the bounds e^{-2 lambda t} D(0) and e^{-2 lambda t} production(0), with
+    D(0) and production(0) those of ``rho0`` itself.
+
+    The grid is taken in chunks of ``TRAJECTORY_CHUNK`` times, each one
+    stacked pass: the orbit rho_t and its time derivative L^+(rho_t) come
+    from one Bohr-block factor of L (:func:`qmsflow.generators._flow`), the
+    derivative as w Q (mu e^{t mu}) Q^* (tilde rho_0 / w) on each block, so
+    the production is exactly -dD/dt of the trajectory the rows carry.
+    Both are made Hermitian and divided by Tr rho_t; the states then pass
+    the checks of :meth:`DensityState.from_matrix` (the same ValueError)
+    with one batched ``eigh``, log rho_t is U log(Lambda) U^*, and D and the
+    production are traces against log rho_t - log sigma.
     """
     grid = [float(t) for t in time_grid]
     if any(t < 0 for t in grid) or any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("time grid must be ascending and nonnegative")
     d0 = relative_entropy(rho0, spec.sigma)
     p0 = entropy_production(spec, rho0)
+    factor = _flow_factor(spec, rho0.rho)
+    log_sigma = spec.sigma.log()
     out = []
-    for t, rho_t in zip(grid, dual_orbit(spec, rho0.rho, grid)):
-        rho_t = 0.5 * (rho_t + dag(rho_t))
-        rho_t = DensityState.from_matrix(rho_t / np.trace(rho_t).real)
-        d = relative_entropy(rho_t, spec.sigma)
-        p = entropy_production(spec, rho_t)
-        row = TrajectorySample(
-            t=t,
-            entropy=d,
-            production=p,
-            entropy_bound=None if lam is None else float(np.exp(-2 * lam * t) * d0),
-            production_bound=None if lam is None else float(np.exp(-2 * lam * t) * p0),
-        )
-        out.append(row)
+    for start in range(0, len(grid), TRAJECTORY_CHUNK):
+        times = np.array(grid[start : start + TRAJECTORY_CHUNK])
+        orbit, rate = _flow(factor, times), _flow(factor, times, rate=True)
+        trace = np.trace(orbit, axis1=1, axis2=2).real[:, None, None]
+        orbit = (orbit + np.conj(orbit).transpose(0, 2, 1)) / (2.0 * trace)
+        rate = (rate + np.conj(rate).transpose(0, 2, 1)) / (2.0 * trace)
+        rho, vals, vecs = _checked_spectra(orbit)
+        gap = (vecs * np.log(vals)[:, None, :]) @ np.conj(vecs).transpose(0, 2, 1) - log_sigma
+        entropies = np.einsum("tij,tji->t", rho, gap).real
+        productions = -np.einsum("tij,tji->t", rate, gap).real
+        for t, d, p in zip(times.tolist(), entropies.tolist(), productions.tolist()):
+            out.append(
+                TrajectorySample(
+                    t=t,
+                    entropy=_clipped(d),
+                    production=p,
+                    entropy_bound=None if lam is None else float(np.exp(-2 * lam * t) * d0),
+                    production_bound=None if lam is None else float(np.exp(-2 * lam * t) * p0),
+                )
+            )
     return out
 
 

@@ -21,9 +21,9 @@ import numpy as np
 
 from .linalg import (
     HermitianSpectrum,
+    _fix_phases,
     check_finite,
     dag,
-    hermitian_eig,
     hs_inner,
     sharp,
     vec,
@@ -64,21 +64,11 @@ class DensityState:
 
     @classmethod
     def from_matrix(cls, rho: np.ndarray) -> "DensityState":
-        rho = check_finite(rho, "density matrix")
-        n = rho.shape[0]
-        if rho.shape != (n, n):
-            raise ValueError("density matrix must be square")
-        herm_err = float(np.linalg.norm(rho - dag(rho)))
-        if herm_err > HERMITICITY_TOL * float(np.linalg.norm(rho)):
-            raise ValueError(f"not Hermitian: |rho - rho^*| = {herm_err:.3e}")
-        trace_err = abs(complex(np.trace(rho)) - 1.0)
-        if trace_err > TRACE_TOL:
-            raise ValueError(f"trace differs from one by {trace_err:.3e}")
-        spec = hermitian_eig(rho)
-        lo = float(spec.eigenvalues[0])
-        if lo <= 0.0:
-            raise ValueError(f"not strictly positive: min eigenvalue = {lo:.3e}")
-        return cls(0.5 * (rho + dag(rho)), spec)
+        """The state of ``rho``, after the checks of :func:`_checked_spectra`
+        (ValueError), with eigenvector phases fixed as in
+        :func:`qmsflow.linalg.hermitian_eig`."""
+        sym, vals, vecs = _checked_spectra(np.asarray(rho)[None])
+        return cls(sym[0], HermitianSpectrum(vals[0], _fix_phases(vecs[0])))
 
     @property
     def dim(self) -> int:
@@ -110,6 +100,37 @@ class DensityState:
         """Entries f(lam_i/lam_k): f of the modular operator in the eigenbasis."""
         lam = self.eigenvalues
         return self._cached(("kernel", f), lambda: np.vectorize(f)(lam[:, None] / lam[None, :]))
+
+
+def _checked_spectra(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The density-matrix checks on a stack (T, n, n), each item on its own:
+    finite, square, Hermitian within ``HERMITICITY_TOL`` (Frobenius, relative
+    to the item's norm), trace within ``TRACE_TOL`` of one and, from one
+    batched ``eigh`` of the Hermitian parts, strictly positive.
+
+    A failure raises the ValueError :meth:`DensityState.from_matrix` raises
+    on the first failing item, checks taken in that order.  Returns the
+    Hermitian parts (rho + rho^*)/2 and their eigenvalues (ascending) and
+    eigenvectors.
+    """
+    rho = check_finite(rho, "density matrix")
+    if rho.ndim != 3 or rho.shape[1] != rho.shape[2]:
+        raise ValueError("density matrix must be square")
+    adj = np.conj(rho).transpose(0, 2, 1)
+    herm_err = np.linalg.norm(rho - adj, axis=(1, 2))
+    bad = np.flatnonzero(herm_err > HERMITICITY_TOL * np.linalg.norm(rho, axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"not Hermitian: |rho - rho^*| = {herm_err[bad[0]]:.3e}")
+    trace_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    bad = np.flatnonzero(trace_err > TRACE_TOL)
+    if bad.size:
+        raise ValueError(f"trace differs from one by {trace_err[bad[0]]:.3e}")
+    sym = 0.5 * (rho + adj)
+    vals, vecs = np.linalg.eigh(sym)
+    bad = np.flatnonzero(vals[:, 0] <= 0.0)
+    if bad.size:
+        raise ValueError(f"not strictly positive: min eigenvalue = {vals[bad[0], 0]:.3e}")
+    return sym, vals, vecs
 
 
 def modular_apply(sigma: DensityState, a: np.ndarray) -> np.ndarray:

@@ -210,11 +210,17 @@ def check_extraction_uniqueness(rng):
         l = generators.build_generator(spec)
         md = states.build_modular_basis(spec.sigma)
         cert = generators.certify_detailed_balance(l, spec.sigma)
-        ex1, _ = canonical.extract_canonical(l, spec.sigma, modular=md, certification=cert)
+        # the reduced block's spectrum does not depend on the basis order
+        cp = generators.check_complete_positivity(l, l_norm=cert.l_norm, modular=md)
+        ex1, _ = canonical.extract_canonical(
+            l, spec.sigma, modular=md, certification=cert, complete_positivity=cp
+        )
         # permuted basis (identity stays first)
         perm = [0] + [1 + int(i) for i in rng.permutation(md.size - 1)]
         md2 = md.reordered(perm)
-        ex2, _ = canonical.extract_canonical(l, spec.sigma, modular=md2, certification=cert)
+        ex2, _ = canonical.extract_canonical(
+            l, spec.sigma, modular=md2, certification=cert, complete_positivity=cp
+        )
         l1 = generators.build_generator(ex1)
         l2 = generators.build_generator(ex2)
         err = np.linalg.norm(l1 - l2, 2) / max(np.linalg.norm(l, 2), 1e-300)

@@ -117,3 +117,76 @@ def dense_modular_basis(sigma):
     first = next(k for k, e in enumerate(entries) if e[1] == (-1, 0))
     entries.insert(0, entries.pop(first))
     return [e[2] for e in entries]
+
+
+def per_point_trajectory(spec, rho0, grid, lam=None):
+    """Reference: the trajectory one time at a time, each state through
+    ``DensityState.from_matrix`` and its production through ``apply_dual``."""
+    from qmsflow.entropy import TrajectorySample, entropy_production, relative_entropy
+    from qmsflow.generators import dual_orbit
+    from qmsflow.states import DensityState
+
+    d0 = relative_entropy(rho0, spec.sigma)
+    p0 = entropy_production(spec, rho0)
+    rows = []
+    for t in grid:
+        (rho_t,) = dual_orbit(spec, rho0.rho, [t])
+        rho_t = 0.5 * (rho_t + dag(rho_t))
+        rho_t = DensityState.from_matrix(rho_t / np.trace(rho_t).real)
+        rows.append(TrajectorySample(
+            t=float(t),
+            entropy=relative_entropy(rho_t, spec.sigma),
+            production=entropy_production(spec, rho_t),
+            entropy_bound=None if lam is None else float(np.exp(-2 * lam * t) * d0),
+            production_bound=None if lam is None else float(np.exp(-2 * lam * t) * p0),
+        ))
+    return rows
+
+
+def loop_canonical_jumps(blocks, mod, drop_rtol):
+    """Reference for ``qmsflow.canonical._canonical_jumps``: one eigensolve
+    and one ``combine`` call per conjugate pair of blocks, in label order."""
+    from qmsflow.canonical import _paired_blocks
+
+    omegas, labels = mod.bohr_frequencies, mod.block_labels
+    sym = []
+    for (_, values), image in zip(blocks, _paired_blocks(blocks, mod)):
+        half = 0.5 * (values + image)
+        sym.append(0.5 * (half + np.conj(half).transpose(0, 2, 1)))
+    overall = max([float(np.max(np.abs(b.real))) for b in sym] + [1e-300])
+    listed_floor = mod.size * np.finfo(float).eps * overall
+    weighted = max(
+        [float(np.max(np.abs(np.exp(omegas[m] / 2.0)[:, :, None] * b))) for (m, _), b in zip(blocks, sym)]
+        + [1e-300]
+    )
+    where = {int(labels[m[0]]): (s, r) for s, (members, _) in enumerate(blocks) for r, m in enumerate(members)}
+    jumps, dropped, block_sizes = [], [], {}
+    zero = labels[0]
+    for g in range(zero + 1):
+        if g not in where:
+            continue
+        s, r = where[g]
+        s, r = where[int(labels[mod.conj_pairing[blocks[s][0][r, 0]]])]
+        idx, sub = blocks[s][0][r], sym[s][r]
+        omega = float(np.mean(omegas[idx]))
+        if g == zero:
+            sub = sub.real
+        d, vv = np.linalg.eigh(0.5 * (sub + dag(sub)))
+        kept = []
+        for k in range(len(d) - 1, -1, -1):
+            if d[k] * np.exp(omega / 2.0) <= drop_rtol * weighted:
+                if abs(d[k]) > listed_floor:
+                    dropped.append(float(d[k]))
+            else:
+                kept.append(k)
+        if kept:
+            y = np.zeros((len(kept), mod.size), dtype=complex)
+            y[:, idx] = np.conj(vv[:, kept]).T
+            for scale, vmat in zip(np.sqrt(d[kept] * np.exp(omega / 2.0) / 2.0), mod.combine(y)):
+                jumps.append((scale * vmat, omega))
+                if g != zero:
+                    jumps.append((scale * dag(vmat), -omega))
+        block_sizes[omega] = len(kept)
+        if g != zero:
+            block_sizes[-omega] = len(kept)
+    return jumps, dropped, block_sizes

@@ -6,10 +6,17 @@ import pytest
 from qmsflow.canonical import extract_canonical, gks_matrix
 from qmsflow.generators import GeneratorSpec, build_generator, check_complete_positivity
 from qmsflow.linalg import commutator_super, dag, hs_inner, sharp
-from qmsflow.models import fermi_ou, random_dbc_spec, random_density
+from qmsflow.models import depolarizing, fermi_ou, random_dbc_spec, random_density
 from qmsflow.states import DensityState, build_modular_basis
 
-from conftest import dense_modular_basis, kron_sum_generator, modular_elements, near_degenerate_spec, random_matrix
+from conftest import (
+    dense_modular_basis,
+    kron_sum_generator,
+    loop_canonical_jumps,
+    modular_elements,
+    near_degenerate_spec,
+    random_matrix,
+)
 
 
 def first_nonorthonormal_pair(basis):
@@ -358,6 +365,85 @@ class TestCanonicalJumps:
         scale = max(np.max(np.abs(v)) for v, _ in ref[0])
         for (v, _), (r, _) in zip(jumps[0], ref[0]):
             assert np.max(np.abs(v - r)) <= 1e-14 * scale
+
+
+_JUMP_CASES = {
+    "fermi_m2": lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+    "fermi_m3": lambda: fermi_ou(3, 1.0, [1.0, 1.0, 2.0]).spec,
+    "random4": lambda: random_dbc_spec(4, np.random.default_rng(7)),
+    "random6_zero3": lambda: random_dbc_spec(6, np.random.default_rng(3), n_zero=3),
+    "random16": lambda: random_dbc_spec(16, np.random.default_rng(16), ergodic=True),
+    "near_degenerate": lambda: near_degenerate_spec(5e-11),
+    "depolarizing3": lambda: depolarizing(3),
+}
+
+
+def _gks_of(case, route):
+    from qmsflow.generators import _rotated, _superoperator_gks
+
+    spec = _JUMP_CASES[case]()
+    if route == "spec":
+        return spec.gks_blocks
+    return _superoperator_gks(_rotated(build_generator(spec), spec.sigma), build_modular_basis(spec.sigma))
+
+
+class TestStackedCanonicalJumps:
+    """``_canonical_jumps`` against the per-label loop of conftest: the same
+    jumps in the same order, the same dropped eigenvalues and the same
+    block sizes, in the same order."""
+
+    @pytest.mark.parametrize("route", ["spec", "superoperator"])
+    @pytest.mark.parametrize("case", sorted(_JUMP_CASES))
+    def test_matches_per_label_loop(self, case, route):
+        from qmsflow.canonical import DROP_RTOL, _canonical_jumps
+
+        gks = _gks_of(case, route)
+        jumps, dropped, sizes = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        ref_jumps, ref_dropped, ref_sizes = loop_canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        assert [w for _, w in jumps] == [w for _, w in ref_jumps]
+        scale = max(np.max(np.abs(v)) for v, _ in ref_jumps)
+        for (v, _), (r, _) in zip(jumps, ref_jumps):
+            assert np.max(np.abs(v - r)) <= 1e-15 * scale
+        assert dropped == ref_dropped
+        assert list(sizes.items()) == list(ref_sizes.items())
+
+    @pytest.mark.parametrize("drop_rtol", [0.2, 2.0])
+    def test_dropped_order_matches_per_label_loop(self, drop_rtol):
+        # a coarse drop tolerance drops some eigenvalues of each block
+        from qmsflow.canonical import _canonical_jumps
+
+        gks = _gks_of("random6_zero3", "spec")
+        jumps, dropped, sizes = _canonical_jumps(gks.blocks, gks.modular, drop_rtol)
+        ref_jumps, ref_dropped, ref_sizes = loop_canonical_jumps(gks.blocks, gks.modular, drop_rtol)
+        assert [w for _, w in jumps] == [w for _, w in ref_jumps]
+        assert dropped and dropped == ref_dropped and (drop_rtol < 1.0) == (len(jumps) > 0)
+        assert list(sizes.items()) == list(ref_sizes.items())
+
+    @pytest.mark.parametrize("case", ["fermi_m3", "random16"])
+    def test_two_eigensolves_per_block_size(self, case, monkeypatch):
+        # one batched eigh per block size and a real one for the block of
+        # 0, and one combine call for every jump (the per-label loop made
+        # one eigh per conjugate pair: 121 on random16)
+        from qmsflow.canonical import DROP_RTOL, _canonical_jumps
+        from qmsflow.states import ModularData
+
+        gks = _gks_of(case, "spec")
+        calls = {"eigh": 0, "combine": 0}
+        eigh, combine = np.linalg.eigh, ModularData.combine
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counted_combine(self, y):
+            calls["combine"] += 1
+            return combine(self, y)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(ModularData, "combine", counted_combine)
+        jumps, _, _ = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        assert jumps and calls["eigh"] <= 2 * len(gks.blocks)
+        assert calls["combine"] == 1
 
 
 def _traceful_spec():

@@ -331,6 +331,28 @@ class TestInspect:
         assert err.startswith("input error: ") and len(err) > len("input error: \n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rows", [3, 9, 25])
+    def test_superoperator_row_count_refused_before_conversion(self, tmp_path, capsys, monkeypatch, rows):
+        # sigma is parsed first, and a superoperator whose row count is not
+        # n^2 exits 2 before any of its cells is converted
+        from qmsflow import cli
+
+        converted = []
+        convert = cli.matrix_from_json
+
+        def counting(obj):
+            converted.append(len(obj))
+            return convert(obj)
+
+        monkeypatch.setattr(cli, "matrix_from_json", counting)
+        sigma = matrix_to_json(np.diag([0.3, 0.7]))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "sigma": sigma, "superoperator": [["not a cell"]] * rows}))
+        assert main(["inspect", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"superoperator has {rows} rows, not n^2 = 4 for sigma of dim n = 2" in err
+        assert converted == []
+
     @pytest.mark.parametrize("kind", ["spec", "superoperator"])
     @pytest.mark.parametrize("lam0", [1e-12, 1e-10])
     def test_extreme_sigma_ratio_canonical_form(self, tmp_path, lam0, kind):
@@ -912,6 +934,23 @@ class TestVerify:
         for seed in (1, 2, 3, 4):
             assert verify.run_suite(seed)[0]
         assert 0 < len(calls) <= 500
+
+    def test_extraction_uniqueness_checks_positivity_once_per_generator(self, monkeypatch):
+        # both extractions of each L share one complete-positivity verdict:
+        # the reduced block's spectrum does not depend on the basis order
+        from qmsflow import verify
+
+        calls = []
+        check = generators.check_complete_positivity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(generators, "check_complete_positivity", counting)
+        monkeypatch.setattr(canonical, "check_complete_positivity", counting)
+        ok, _ = verify.check_extraction_uniqueness(np.random.default_rng(1))
+        assert ok and len(calls) == 3
 
     def test_null_count_is_scale_free(self):
         # null_matches_commutant counts eigenvalues of L near zero relative

@@ -1,4 +1,6 @@
 import functools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +18,11 @@ from qmsflow.entropy import (
 from qmsflow import entropy, generators
 from qmsflow.generators import GeneratorSpec, build_generator, dual_orbit
 from qmsflow.linalg import apply_super, dag, hs_inner, traceless_hermitian_basis
-from qmsflow.models import random_dbc_spec, random_density
+from qmsflow.models import fermi_ou, random_dbc_spec, random_density
 from qmsflow.states import DensityState
 from qmsflow.transport import continuity_solve, geodesic_distance, metric_tensor
 
-from conftest import random_matrix
+from conftest import per_point_trajectory, random_matrix
 
 
 def scalar_kl(p, q):
@@ -306,6 +308,128 @@ class TestTrajectory:
     def test_rejects_descending_grid(self, fermi_m1, rng):
         with pytest.raises(ValueError):
             entropy_trajectory(fermi_m1.spec, fermi_m1.spec.sigma, [1.0, 0.5])
+
+
+def _relaxation_grid(spec, points):
+    """``points`` times over two relaxation times of L's slowest mode, so the
+    production stays far above its round-off floor (near sigma both routes
+    to it lose relative accuracy as it decays)."""
+    mu = np.abs(np.concatenate([vals.ravel() for _, _, vals, _ in spec.bohr_factor[1]]))
+    gap = np.min(mu[mu > 1e-9 * np.max(mu)])
+    return np.linspace(0.0, 2.0 / gap, points)
+
+
+@functools.cache
+def _trajectory_case(name):
+    if name == "fermi_m2":
+        model = fermi_ou(2, 1.0, [1.0, 2.0])
+        return model.spec, model.decay_rate()
+    n = int(name.removeprefix("random"))
+    return random_dbc_spec(n, np.random.default_rng(n), ergodic=True), None
+
+
+class TestStackedTrajectory:
+    """entropy_trajectory's stacked passes against the per-point oracle of
+    conftest: from_matrix, relative_entropy and apply_dual at each time."""
+
+    @pytest.mark.parametrize("name", ["fermi_m2", "random3", "random8"])
+    @pytest.mark.parametrize("points", [1, 31, 2 * entropy.TRAJECTORY_CHUNK + 5])
+    def test_matches_per_point_oracle(self, rng, name, points):
+        spec, lam = _trajectory_case(name)
+        rho0 = random_density(spec.dim, rng)
+        grid = [0.7] if points == 1 else _relaxation_grid(spec, points)
+        rows = entropy_trajectory(spec, rho0, grid, lam=lam)
+        ref = per_point_trajectory(spec, rho0, grid, lam=lam)
+        assert len(rows) == len(ref) == points
+        for row, r in zip(rows, ref):
+            assert (row.t, row.entropy_bound, row.production_bound) == (r.t, r.entropy_bound, r.production_bound)
+            assert abs(row.entropy - r.entropy) <= 1e-13
+            assert abs(row.production - r.production) <= 1e-11 * abs(r.production)
+
+    def test_chunks_do_not_change_rows(self, rng, monkeypatch):
+        # each time's state and eigensolve are its own, so the chunk
+        # boundaries move no digit
+        spec, lam = _trajectory_case("random3")
+        rho0 = random_density(3, rng)
+        grid = _relaxation_grid(spec, 40)
+        whole = entropy_trajectory(spec, rho0, grid, lam=lam)
+        monkeypatch.setattr(entropy, "TRAJECTORY_CHUNK", 7)
+        assert entropy_trajectory(spec, rho0, grid, lam=lam) == whole
+
+    def test_empty_grid(self, fermi_m1):
+        assert entropy_trajectory(fermi_m1.spec, fermi_m1.spec.sigma, []) == []
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", ["non_finite", "not_positive"])
+    def test_failing_state_raises_from_matrix_error(self, fermi_m2, rng, monkeypatch, bad):
+        # a state along the orbit that fails a check raises what
+        # DensityState.from_matrix raises on it
+        flow = entropy._flow
+        state = np.diag([np.nan, 0.5, 0.25, 0.25]) if bad == "non_finite" else np.diag([0.6, 0.5, -0.1, 0.0])
+
+        def corrupted(factor, times, rate=False):
+            out = flow(factor, times, rate)
+            if not rate:
+                out[len(times) // 2] = state
+            return out
+
+        monkeypatch.setattr(entropy, "_flow", corrupted)
+        with pytest.raises(ValueError) as expected:
+            DensityState.from_matrix(state)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            entropy_trajectory(fermi_m2.spec, random_density(4, rng), np.linspace(0.0, 1.0, 9))
+
+    def test_rate_is_dual_generator_of_orbit(self, rng):
+        # the production's L^+(rho_t) comes from the Bohr-block factor; it
+        # is L^+ applied from the jumps to the computed orbit
+        spec, _ = _trajectory_case("random8")
+        factor = generators._flow_factor(spec, random_density(8, rng).rho)
+        times = np.linspace(0.0, 2.0, 5)
+        rates = generators._flow(factor, times, rate=True)
+        scale = np.linalg.norm(rates[0])  # apply_dual's round-off is that of L^+(rho_0)
+        for rho_t, rate in zip(generators._flow(factor, times), rates):
+            assert np.linalg.norm(rate - generators.apply_dual(spec, rho_t)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("points", [31, 1001])
+    def test_one_eigensolve_per_chunk(self, rng, monkeypatch, points):
+        # the states of a chunk are eigensolved in one batched call, and
+        # the production reads L^+(rho_t) from the factor: apply_dual runs
+        # once, for the bound's production at rho0
+        spec, _ = _trajectory_case("random8")
+        spec.bohr_factor
+        rho0 = random_density(8, rng)
+        calls = {"eigh": 0, "apply_dual": 0}
+        eigh, apply_dual = np.linalg.eigh, entropy.apply_dual
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        monkeypatch.setattr(entropy, "apply_dual", counted("apply_dual", apply_dual))
+        rows = entropy_trajectory(spec, rho0, np.linspace(0.0, 3.0, points))
+        assert len(rows) == points
+        assert calls["eigh"] <= math.ceil(points / entropy.TRAJECTORY_CHUNK) + 1
+        assert calls["apply_dual"] <= 1
+
+    def test_peak_memory_does_not_grow_with_grid(self):
+        # a 1001-point grid at dim 32: one (T, n, n) array is 16 MB.  The
+        # per-point loop this replaced, holding the orbit as a list, peaked
+        # at 19.99 MB under tracemalloc; an unchunked stack peaks at 115 MB
+        import tracemalloc
+
+        spec = random_dbc_spec(32, np.random.default_rng(5), ergodic=True)
+        rho0 = random_density(32, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            rows = entropy_trajectory(spec, rho0, np.linspace(0.0, 3.0, 1001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 1001
+        assert peak <= 20e6
 
 
 class TestTalagrand:

@@ -655,6 +655,28 @@ class TestDualOrbit:
         expect = [apply_super(scipy.linalg.expm(t * l_adj), x) for t in times]
         _assert_orbits_close(dual_orbit(spec, x, times), expect)
 
+    @pytest.mark.parametrize("name", COVARIANCE_MODELS)
+    def test_stack_matches_per_time_formula(self, rng, name):
+        # the stacked pass against one time at a time: w Q e^{t mu} Q^* (tilde x / w)
+        spec = _covariance_model(name)
+        x = random_matrix(rng, spec.dim)
+        times = [0.0, 0.05, 0.7, 3.0]
+        stack = dual_orbit(spec, x, times)
+        assert stack.shape == (len(times), spec.dim, spec.dim)
+        u, blocks = spec.bohr_factor
+        xt = (dag(u) @ x @ u).ravel()
+        for t, got in zip(times, stack):
+            flat = np.zeros_like(xt)
+            for units, w, mu, q in blocks:
+                y = np.einsum("kqp,kq->kp", np.conj(q), xt[units] / w)
+                flat[units] = w * np.einsum("kpq,kq->kp", q, np.exp(t * mu) * y)
+            expect = u @ flat.reshape(u.shape) @ dag(u)
+            assert np.linalg.norm(got - expect) <= 1e-15 * np.linalg.norm(expect)
+
+    def test_empty_grid(self):
+        spec = _covariance_model("fermi_m2")
+        assert dual_orbit(spec, spec.sigma.rho, []).shape == (0, 4, 4)
+
     @COVARIANCE_SETTINGS
     @given(
         name=st.sampled_from(COVARIANCE_MODELS),

@@ -5,6 +5,7 @@ from qmsflow.linalg import apply_super, dag, hs_inner
 from qmsflow.models import random_density
 from qmsflow.states import (
     DensityState,
+    _checked_spectra,
     bkm_weight,
     build_modular_basis,
     inner_f,
@@ -49,6 +50,41 @@ class TestDensityState:
         DensityState.from_matrix(rho + 1e-13 * unit)
         with pytest.raises(ValueError, match="Hermitian"):
             DensityState.from_matrix(rho + 4e-13 * unit)
+
+
+class TestCheckedSpectra:
+    """The density checks on a stack are from_matrix's, item by item."""
+
+    @pytest.mark.parametrize("bad", ["non_finite", "not_hermitian", "trace", "not_positive"])
+    def test_first_failing_item_raises_from_matrix_error(self, rng, bad):
+        item = {
+            "non_finite": np.diag([np.inf, 0.5, 0.5]),
+            "not_hermitian": random_matrix(rng, 3) / 3,
+            "trace": np.eye(3) / 2,
+            "not_positive": np.diag([0.7, 0.4, -0.1]),
+        }[bad]
+        good = [random_density(3, rng).rho for _ in range(3)]
+        with pytest.raises(ValueError) as expected:
+            DensityState.from_matrix(item)
+        with pytest.raises(ValueError) as got:
+            _checked_spectra(np.array([good[0], item, good[1], np.diag([0.0, 0.0, 1.0]), good[2]]))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3), (4,)])
+    def test_non_square_input(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            DensityState.from_matrix(np.zeros(shape))
+
+    def test_passing_stack_matches_from_matrix(self, rng):
+        stack = np.array([random_density(4, rng).rho for _ in range(5)])
+        sym, vals, vecs = _checked_spectra(stack)
+        for k, rho in enumerate(stack):
+            state = DensityState.from_matrix(rho)
+            assert np.array_equal(sym[k], state.rho)
+            assert np.array_equal(vals[k], state.eigenvalues)
+            # the same eigenvectors up to from_matrix's phase convention
+            phases = np.sum(np.conj(vecs[k]) * state.eigenvectors, axis=0)
+            assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
 
 
 class TestMatrixFunctionCache:
