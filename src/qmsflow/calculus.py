@@ -43,6 +43,7 @@ __all__ = [
     "log_mean_dx",
     "log_mean_dxx",
     "log_mean_dxy",
+    "kernel_tilts",
     "kernel_divided_differences",
     "kernel_second_divided_differences",
     "tilted_kernel",
@@ -134,16 +135,18 @@ def log_mean_dx(x, y):
     when |x - y| <= 1e-2 max(x, y); both branches are accurate to ~1e-12
     relative at the switch.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     close = np.abs(x - y) <= 1e-2 * np.maximum(x, y)
-    s = x + y
-    u = np.where(s > 0, (x - y) / np.where(s > 0, s, 1.0), 0.0)
-    series = 0.5 + u * (-1.0 / 3.0 + u * (1.0 / 6.0 + u * (-8.0 / 45.0 + u * (2.0 / 15.0))))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lg = np.log(x / y)
-        exact = (lg - (x - y) / x) / (lg * lg)
-    return np.where(close, series, exact)
+        out = np.asarray((lg - (x - y) / x) / (lg * lg))
+    if close.any():
+        # the series only where it is used
+        x, y = x[close], y[close]
+        s = x + y
+        u = np.where(s > 0, (x - y) / np.where(s > 0, s, 1.0), 0.0)
+        out[close] = 0.5 + u * (-1.0 / 3.0 + u * (1.0 / 6.0 + u * (-8.0 / 45.0 + u * (2.0 / 15.0))))
+    return out
 
 
 def _log_mean_curvature(x, y):
@@ -156,20 +159,22 @@ def _log_mean_curvature(x, y):
     L = log(x/y) = 2 artanh s (log x - log y where x/y leaves float range),
     whose cancellation leaves ~5e-13 relative error just above the switch.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     close = np.abs(x - y) <= 0.1 * np.maximum(x, y)
-    m = 0.5 * (x + y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        r = ((x - y) / (x + y)) ** 2
-        p = 1 / 3 + r * (1 / 5 + r * (1 / 7 + r * (1 / 9 + r * (1 / 11 + r * (1 / 13 + r / 15)))))
-        q = 1 + r * (1 / 3 + r * (1 / 5 + r * (1 / 7 + r * (1 / 9 + r * (1 / 11 + r / 13)))))
-        series = 0.5 * m * p / q**3
         lg = np.log(x / y)
         if not np.isfinite(lg[~close]).all():
             lg = np.where(np.isfinite(lg), lg, np.log(x) - np.log(y))
-        exact = ((x + y) * lg - 2.0 * (x - y)) / lg**3
-    return np.where(close, series, exact)
+        out = np.asarray(((x + y) * lg - 2.0 * (x - y)) / (lg * lg * lg))
+        if close.any():
+            # the series only where it is used
+            x, y = x[close], y[close]
+            m = 0.5 * (x + y)
+            r = ((x - y) / (x + y)) ** 2
+            p = 1 / 3 + r * (1 / 5 + r * (1 / 7 + r * (1 / 9 + r * (1 / 11 + r * (1 / 13 + r / 15)))))
+            q = 1 + r * (1 / 3 + r * (1 / 5 + r * (1 / 7 + r * (1 / 9 + r * (1 / 11 + r / 13)))))
+            out[close] = 0.5 * m * p / q**3
+    return out
 
 
 def log_mean_dxx(x, y):
@@ -194,41 +199,47 @@ def log_mean_dxy(x, y):
         return _log_mean_curvature(x, y) / (x * y)
 
 
-def _first_difference(x1, x2, y, lm1, lm2):
-    """(LM(x1, y) - LM(x2, y))/(x1 - x2) from lm1 = LM(x1, y), lm2 = LM(x2, y).
-
-    Within a relative gap of 1e-5 the difference quotient cancels, and the
-    derivative at the midpoint (error ~gap^2) replaces it.
-    """
-    close = np.abs(x1 - x2) <= 1e-5 * np.maximum(x1, x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = (lm1 - lm2) / (x1 - x2)
-    return np.where(close, log_mean_dx(0.5 * (x1 + x2), y), quotient)
+def kernel_tilts(omegas) -> np.ndarray:
+    """The tilts e^{omega_j/2} and e^{-omega_j/2} of the kernels
+    LM(e^{omega_j/2} s, e^{-omega_j/2} r), stacked as (2, J)."""
+    half = 0.5 * np.asarray(omegas, dtype=float)
+    return np.exp(np.stack([half, -half]))
 
 
-def kernel_divided_differences(lam, omegas, ker):
+def kernel_divided_differences(lam, tilts, ker):
     """First divided differences of the kernels phi_j(s, r) =
     LM(e^{omega_j/2} s, e^{-omega_j/2} r) of [rho]_{omega_j} over the
     eigenvalues ``lam`` (B, n) of a batch of states, given the kernels
-    ``ker`` (B, J, n, n).  Returns two (B, J, i, l, k) arrays,
+    ``ker`` (B, J, n, n) and the tilts of :func:`kernel_tilts`.  Returns
+    two (B, J, i, l, k) arrays,
 
         left  = (phi(lam_i, lam_k) - phi(lam_l, lam_k))/(lam_i - lam_l),
         right = (phi(lam_i, lam_l) - phi(lam_i, lam_k))/(lam_l - lam_k),
 
     the first-order Daleckii-Krein data of rho |-> [rho]_omega.
+
+    Both are one quotient over the stacked nodes (tilt lam): ``right`` is
+    the quotient of the transposed kernel, read back as a view.  Within a
+    relative gap of 1e-5 the quotient cancels, and the derivative at the
+    nodes' midpoint (error ~gap^2) replaces it; ``log_mean_dx`` is taken
+    only at those confluent entries.
     """
-    up = np.exp(omegas / 2.0)[None, :, None]
-    down = np.exp(-omegas / 2.0)[None, :, None]
-    s, r = up * lam[:, None, :], down * lam[:, None, :]
-    left = up[..., None, None] * _first_difference(
-        s[:, :, :, None, None], s[:, :, None, :, None], r[:, :, None, None, :],
-        ker[:, :, :, None, :], ker[:, :, None, :, :],
+    nodes = tilts[:, None, :, None] * lam[None, :, None, :]
+    kers = np.stack([ker, np.swapaxes(ker, -1, -2)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (kers[..., :, None, :] - kers[..., None, :, :]) / (
+            nodes[..., :, None] - nodes[..., None, :]
+        )[..., None]
+    close = np.abs(nodes[..., :, None] - nodes[..., None, :]) <= 1e-5 * np.maximum(
+        nodes[..., :, None], nodes[..., None, :]
     )
-    right = down[..., None, None] * _first_difference(
-        r[:, :, None, :, None], r[:, :, None, None, :], s[:, :, :, None, None],
-        ker[:, :, :, :, None], ker[:, :, :, None, :],
-    )
-    return left, right
+    w, b, j, a, c = np.nonzero(close)
+    n = lam.shape[1]
+    out[w, b, j, a, c] = log_mean_dx(
+        np.repeat(0.5 * (nodes[w, b, j, a] + nodes[w, b, j, c]), n), nodes[1 - w, b, j].ravel()
+    ).reshape(-1, n)
+    out *= tilts[:, None, :, None, None, None]
+    return out[0], out[1].transpose(0, 1, 4, 2, 3)
 
 
 # relative eigenvalue gap below which a second divided difference is its
@@ -244,26 +255,7 @@ def _sorted_triples(n: int):
     return np.sort(np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij")), axis=0)
 
 
-def _second_difference(lam, first, tilt, other_tilt):
-    """phi[lam_a, lam_b, lam_c; lam_d] over (B, J, a, b, c, d), the second
-    divided difference in s of phi(s, r) = LM(tilt s, other_tilt r), from
-    its first ones ``first`` (B, J, a, b, d) over (lam_a, lam_b) at lam_d.
-    Eigenvalues come sorted, so sorting a triple by index puts its widest
-    gap at the ends, and the quotient divides by it."""
-    n = first.shape[2]
-    lo, mid, hi = _sorted_triples(n)
-    spread = lam[:, hi] - lam[:, lo]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (first[:, :, mid, hi] - first[:, :, lo, mid]) / spread[:, None, ..., None]
-    close = np.nonzero(spread <= CONFLUENT_GAP * lam[:, hi])
-    mean = (lam[:, lo] + lam[:, mid] + lam[:, hi])[close][:, None, None] / 3.0
-    out[close[0], :, close[1], close[2], close[3]] = 0.5 * tilt**2 * log_mean_dxx(
-        tilt * mean, other_tilt * lam[close[0]][:, None, :]
-    )
-    return out
-
-
-def kernel_second_divided_differences(lam, omegas, left, right):
+def kernel_second_divided_differences(lam, tilts, left, right):
     """Second divided differences of the kernels of
     :func:`kernel_divided_differences`, from its output, as three
     (B, J, i, l, p, k) arrays:
@@ -272,26 +264,55 @@ def kernel_second_divided_differences(lam, omegas, left, right):
         phi[lam_i, lam_l; lam_p, lam_k]    (mixed),
         phi[lam_i; lam_l, lam_p, lam_k]    (both in r).
 
-    The mixed one is a quotient across whichever pair is not confluent,
-    and LM_xy at the pairs' means when both are.
+    The first and the last are one quotient of the stacked first
+    differences in s and (transposed) in r.  Eigenvalues come sorted, so
+    sorting a triple by index puts its widest gap at the ends, and the
+    quotient divides by it; within CONFLUENT_GAP it is the confluent limit
+    (tilt^2/2) LM_xx at the triple's mean.  The mixed one is a quotient
+    across (i, l) where (p, k) is confluent and across (p, k) elsewhere,
+    and LM_xy at the pairs' means when both are confluent.  Every
+    confluent value comes from one :func:`_log_mean_curvature` call.
     """
-    up = np.exp(omegas / 2.0)[None, :, None]
-    down = np.exp(-omegas / 2.0)[None, :, None]
-    in_s = _second_difference(lam, left, up, down)
-    in_r = _second_difference(lam, right.transpose(0, 1, 3, 4, 2), down, up)
+    nb, n = lam.shape
+    # the first differences over the pairs (mid, hi) and (lo, mid), taken
+    # along one flattened pair axis
+    first = np.stack([left, right.transpose(0, 1, 3, 4, 2)]).reshape(2, nb, -1, n * n, n)
+    lo, mid, hi = _sorted_triples(n)
+    spread = lam[:, hi] - lam[:, lo]
     gaps = lam[:, :, None] - lam[:, None, :]
-    close = np.abs(gaps) <= CONFLUENT_GAP * np.maximum(lam[:, :, None], lam[:, None, :])
+    # formed in place: at most two arrays of the stack's size are alive
+    both = first.take((mid * n + hi).ravel(), axis=3)
+    both -= first.take((lo * n + mid).ravel(), axis=3)
+    both = both.reshape(2, nb, -1, n, n, n, n)
+    mixed = left[..., :, None] - left[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        across_r = (left[..., :, None] - left[..., None, :]) / gaps[:, None, None, None]
-        across_s = (right[:, :, :, None] - right[:, :, None, :]) / gaps[:, None, :, :, None, None]
-    mixed = np.where(close[:, None, None, None], across_s, across_r)
-    b, i, l, p, k = np.nonzero(close[:, :, :, None, None] & close[:, None, None, :, :])
+        both /= spread[:, None, ..., None]
+        mixed /= gaps[:, None, None, None]
+    close = spread <= CONFLUENT_GAP * lam[:, hi]
+    near = np.abs(gaps) <= CONFLUENT_GAP * np.maximum(lam[:, :, None], lam[:, None, :])
+    b, p, k = np.nonzero(near)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixed[b, :, :, :, p, k] = (
+            right[b, :, :, None, p, k] - right[b, :, None, :, p, k]
+        ) / gaps[b][:, None]
+    # confluent triples, the tilted mean against the tilted fourth node as
+    # (c, 2, J, n), and confluent pairs of pairs as (q, J): their
+    # curvatures in one call
+    tb, ta, tm, tc = np.nonzero(close)
+    mean = (lam[tb, lo[ta, tm, tc]] + lam[tb, mid[ta, tm, tc]] + lam[tb, hi[ta, tm, tc]]) / 3.0
+    x = (tilts[None, :, :, None] * mean[:, None, None, None]).repeat(n, axis=-1)
+    y = tilts[None, ::-1, :, None] * lam[tb][:, None, None, :]
+    mb, i, l, mp, mk = np.nonzero(near[:, :, :, None, None] & near[:, None, None, :, :])
     # the tilts' product is 1, up to round-off
-    mixed[b, :, i, l, p, k] = log_mean_dxy(
-        up[0, :, 0] * 0.5 * (lam[b, i] + lam[b, l])[:, None],
-        down[0, :, 0] * 0.5 * (lam[b, p] + lam[b, k])[:, None],
-    )
-    return in_s, mixed, in_r.transpose(0, 1, 5, 2, 3, 4)
+    xm = tilts[0] * 0.5 * (lam[mb, i] + lam[mb, l])[:, None]
+    ym = tilts[1] * 0.5 * (lam[mb, mp] + lam[mb, mk])[:, None]
+    curvature = _log_mean_curvature(np.concatenate([x.ravel(), xm.ravel()]),
+                                    np.concatenate([y.ravel(), ym.ravel()]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        triples = -curvature[:y.size].reshape(y.shape) / (x * x)
+        both[:, tb, :, ta, tm, tc] = 0.5 * tilts[None, :, :, None] ** 2 * triples
+        mixed[mb, :, i, l, mp, mk] = curvature[y.size:].reshape(xm.shape) / (xm * ym)
+    return both[0], mixed, both[1].transpose(0, 1, 5, 2, 3, 4)
 
 
 def tilted_kernel(rho: DensityState, omega: float) -> np.ndarray:

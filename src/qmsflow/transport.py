@@ -21,7 +21,11 @@ action is convex in the interior states, because (rho, A) |->
 <A, [rho]_omega^{-1} A> is jointly convex, so damped Newton on its exact
 gradient and block-tridiagonal Hessian (first- and second-order
 Daleckii-Krein formulas in each midpoint's eigenbasis) converges in a few
-steps and stops on the Newton decrement.  The minimized action bounds the
+steps and stops on the Newton decrement.  Each evaluated path makes one
+pass over all its midpoints: one eigensolve and one inverse of M per
+midpoint, one stacked pass for the kernels' first divided differences and
+one for their second ones, and the gradient read off the Hessian's
+first-order term.  The minimized action bounds the
 discrete problem from above, but midpoint quadrature of the (jointly
 convex) integrand underestimates, so as K grows it approaches the
 continuum value from below.  The same discretization applied to a
@@ -43,6 +47,7 @@ from .calculus import (
     grad,
     kernel_divided_differences,
     kernel_second_divided_differences,
+    kernel_tilts,
     log_mean,
     log_mean_dx,
     log_mean_dxx,
@@ -77,18 +82,18 @@ class _MetricWorkspace:
         self.spec = spec
         n = spec.dim
         self.n = n
-        # the traceless Hermitian basis B_a, flattened as rows (nb, n^2)
-        self.flat_basis = np.array(traceless_hermitian_basis(n)).reshape(-1, n * n)
+        # the traceless Hermitian basis B_a as (nb, n, n), and flattened as
+        # rows (nb, n^2)
+        self.basis = np.array(traceless_hermitian_basis(n))
+        self.flat_basis = self.basis.reshape(-1, n * n)
         self.nb = len(self.flat_basis)
         # derivatives d_j B_a as (J, nb, n, n), their rows stacked
         vs = np.array([v for v, _ in spec.jumps], dtype=complex).reshape(-1, 1, n, n)
-        bs = self.flat_basis.reshape(1, self.nb, n, n)
+        bs = self.basis[None]
         self.stacked_derivs = (vs @ bs - bs @ vs).reshape(-1, n)
         self.omegas = spec.omegas()
-        # kernel tilts e^{+omega_j/2}, e^{-omega_j/2}, shaped to broadcast
-        # against eigenvalues (B, 1, n)
-        self.tilt_up = np.exp(self.omegas / 2.0)[None, :, None]
-        self.tilt_down = np.exp(-self.omegas / 2.0)[None, :, None]
+        # kernel tilts e^{+omega_j/2}, e^{-omega_j/2}, stacked as (2, J)
+        self.tilts = kernel_tilts(self.omegas)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Coordinates Tr[B_a X] of traceless Hermitian X (the last two axes)."""
@@ -106,16 +111,20 @@ class _MetricWorkspace:
         rhos = np.asarray(rhos, dtype=complex)
         lam, u = np.linalg.eigh(rhos)
         lam = np.maximum(lam, 1e-14)
-        ker = log_mean(
-            (self.tilt_up * lam[:, None, :])[..., None],
-            (self.tilt_down * lam[:, None, :])[..., None, :],
-        )
+        up, down = self.tilts[:, None, :, None] * lam[:, None, :]
+        ker = log_mean(up[..., None], down[..., None, :])
         b, n, nj = len(rhos), self.n, len(self.omegas)
-        # two stacked products: (d_j B_a) U, then U^* from the left
-        right = (self.stacked_derivs @ u).reshape(b, nj * self.nb, n, n)
-        right = right.transpose(0, 2, 1, 3).reshape(b, n, nj * self.nb * n)
-        t = (np.conj(np.swapaxes(u, -1, -2)) @ right).reshape(b, n, nj, self.nb, n)
+        t = self.rotated(self.stacked_derivs, u).reshape(b, n, nj, self.nb, n)
         return lam, u, ker, t.transpose(0, 3, 2, 1, 4).reshape(b, self.nb, nj * n * n)
+
+    @staticmethod
+    def rotated(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """U^* A_m U in each eigenbasis U of ``u`` (B, n, n), for a stack of
+        matrices A_m given by their rows (m n, n), laid out as (B, n, m, n):
+        two stacked products, A_m U and then U^* from the left."""
+        b, n = len(u), u.shape[-1]
+        right = (rows @ u).reshape(b, -1, n, n).transpose(0, 2, 1, 3).reshape(b, n, -1)
+        return (np.conj(np.swapaxes(u, -1, -2)) @ right).reshape(b, n, -1, n)
 
     @staticmethod
     def assemble(ker: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -293,11 +302,12 @@ class GeodesicResult:
 
 @dataclass
 class _PathEvaluation:
-    """Per segment of one path: the increment delta, the metric matrix M at
-    the midpoint, x = M^{-1} delta, and the midpoint's spectral data."""
+    """Per segment of one path: the increment delta, the inverse of the
+    metric matrix M at the midpoint, x = M^{-1} delta, and the midpoint's
+    spectral data."""
 
     deltas: np.ndarray
-    metric: np.ndarray
+    metric_inv: np.ndarray
     sol: np.ndarray
     lam: np.ndarray
     u: np.ndarray
@@ -312,6 +322,14 @@ class _PathProblem:
     Interior states are coordinates in the traceless Hermitian basis
     around the maximally mixed matrix; the action of segment k is
     K * delta_k^T M((rho_k + rho_{k+1})/2)^{-1} delta_k.
+
+    Every quantity is computed for all K midpoints at once, and once per
+    evaluated path: :meth:`evaluate` eigensolves the midpoints and inverts
+    each M, which gives x = M^{-1} delta and the action; the first call of
+    :meth:`gradient` or :meth:`hessian` adds the first divided differences
+    of the kernels and G = (d_a M) x (:meth:`_first_order`), from which the
+    gradient is x^T G; the Hessian adds the second divided differences
+    (:meth:`_second_order`) and reuses M^{-1}.
     """
 
     def __init__(self, ws: _MetricWorkspace, rho0: np.ndarray, rho1: np.ndarray, k: int):
@@ -346,9 +364,10 @@ class _PathProblem:
         mids = 0.5 * (states[:-1] + states[1:])
         deltas = coords[1:] - coords[:-1]
         lam, u, ker, t = self.ws.spectral_data(mids)
-        m = self.ws.assemble(ker, t)
-        sol = np.linalg.solve(m, deltas[..., None])[..., 0]
-        return _PathEvaluation(deltas, m, sol, lam, u, ker, t)
+        # each M is inverted once: x here, M^{-1} and M^{-1} G in the Hessian
+        m_inv = np.linalg.inv(self.ws.assemble(ker, t))
+        sol = (m_inv @ deltas[..., None])[..., 0]
+        return _PathEvaluation(deltas, m_inv, sol, lam, u, ker, t)
 
     def segment_actions(self, evaluation: _PathEvaluation) -> np.ndarray:
         return self.k * np.einsum("ka,ka->k", evaluation.deltas, evaluation.sol)
@@ -357,15 +376,30 @@ class _PathProblem:
         return float(np.sum(self.segment_actions(evaluation)))
 
     def _first_order(self, evaluation: _PathEvaluation):
-        """Y_j = d_j X in each midpoint's eigenbasis, (K, J, n, n), and the
-        first divided differences of the kernels (see
-        :func:`~qmsflow.calculus.kernel_divided_differences`), computed once
-        per evaluation for the gradient and the Hessian."""
+        """First-order data of the midpoints, computed once per evaluation
+        for the gradient and the Hessian: Y_j = d_j X in each midpoint's
+        eigenbasis (K, J, n, n), the first divided differences of the
+        kernels (see :func:`~qmsflow.calculus.kernel_divided_differences`),
+        the basis in each eigenbasis H_a = U^* B_a U (K, nb, n, n), and
+        G (K, nb, nb) with G_{c,a} = (d_a M x)_c.
+
+        G_{c,a} is D[m]_{omega_j}(H_a) Y_j paired with d_j B_c, summed over
+        j: the first-order Daleckii-Krein derivative of [m] in direction B_a,
+        sum_l left_ilk (H_a)_il Y_lk + right_ilk Y_il (H_a)_lk, formed as
+        matrix products batched over (midpoint, i) and (midpoint, k).
+        """
         ev = evaluation
         if ev.first_order is None:
-            kk, nj = ev.ker.shape[:2]
-            yt = (ev.sol[:, None, :] @ ev.t).reshape(kk, nj, self.n, self.n)
-            ev.first_order = (yt, *kernel_divided_differences(ev.lam, self.ws.omegas, ev.ker))
+            kk, nj, n, nb = len(ev.ker), len(self.ws.omegas), self.n, self.ws.nb
+            yt = (ev.sol[:, None, :] @ ev.t).reshape(kk, nj, n, n)
+            left, right = kernel_divided_differences(ev.lam, self.ws.tilts, ev.ker)
+            hb = self.ws.rotated(self.ws.basis.reshape(-1, n), ev.u).transpose(0, 2, 1, 3)
+            dy = (left * yt[:, :, None]).transpose(0, 2, 3, 1, 4).reshape(kk, n, n, nj * n)
+            dy = (hb.transpose(0, 2, 1, 3) @ dy).reshape(kk, n, nb, nj, n).transpose(0, 2, 3, 1, 4)
+            dr = (right * yt[..., None]).transpose(0, 4, 1, 2, 3).reshape(kk, n, nj * n, n)
+            dy = dy + (dr @ hb.transpose(0, 3, 2, 1)).reshape(kk, n, nj, n, nb).transpose(0, 4, 2, 3, 1)
+            g = (np.conj(ev.t) @ np.swapaxes(dy.reshape(kk, nb, -1), -1, -2)).real
+            ev.first_order = (yt, left, right, hb, g)
         return ev.first_order
 
     def gradient(self, evaluation: _PathEvaluation) -> np.ndarray:
@@ -373,21 +407,11 @@ class _PathProblem:
         from the path's :meth:`evaluate`.
 
         Segment k contributes K delta^T M(m)^{-1} delta with x = M^{-1} delta:
-        2K x in delta and -K x^T (dM) x in its midpoint m. The latter is
-        the derivative of sum_j <Y_j, [m]_{omega_j} Y_j>, Y_j = d_j X with
-        X = sum_c x_c B_c, a first divided difference of the kernel in the
-        eigenbasis of m (Daleckii-Krein).
+        2K x in delta and -K x^T (d_a M) x in its midpoint m, which is
+        sum_c x_c G_{c,a} with the G of :meth:`_first_order`.
         """
-        yt, left, right = self._first_order(evaluation)
-        u = evaluation.u
-        kk, n = len(u), self.n
-        yc = np.conj(yt)
-        g = np.einsum("bjilk,bjik,bjlk->bil", left, yc, yt)
-        g += np.einsum("bjilk,bjik,bjil->blk", right, yc, yt)
-        # d/dH of the quadratic form is sum_pq g_pq (U^* H U)_pq; pair it
-        # with each basis element
-        z = (np.conj(u) @ g @ np.swapaxes(u, -1, -2)).reshape(kk, n * n)
-        dmid = -self.k * (z @ self.ws.flat_basis.T).real
+        g = self._first_order(evaluation)[-1]
+        dmid = -self.k * (evaluation.sol[:, None, :] @ g)[:, 0]
         ddelta = 2.0 * self.k * evaluation.sol
         return ddelta[:-1] - ddelta[1:] + 0.5 * (dmid[:-1] + dmid[1:])
 
@@ -396,31 +420,17 @@ class _PathProblem:
         blocks of a block-tridiagonal matrix (see :func:`_node_blocks`).
 
         In (delta, m) segment k's Hessian is 2K [I, -G]^T M^{-1} [I, -G] - K S
-        with G_{c,a} = (d_a M x)_c, the first-order Daleckii-Krein
-        derivative of [m] in direction B_a applied to Y_j and paired with
-        d_j B_c, and S_ab = x^T (d_a d_b M) x, its second-order term.  The
-        map rho |-> [rho]_omega is operator concave, so S <= 0 and the
-        Hessian is positive semidefinite.
+        with G_{c,a} = (d_a M x)_c from :meth:`_first_order`, and
+        S_ab = x^T (d_a d_b M) x, its second-order term.  The map
+        rho |-> [rho]_omega is operator concave, so S <= 0 and the Hessian
+        is positive semidefinite.
         """
         ev = evaluation
-        yt, left, right = self._first_order(ev)
-        kk, nj, n = yt.shape[:3]
-        nb = self.ws.nb
-        # every basis element in every midpoint's eigenbasis, (K, nb, n, n)
-        basis = self.ws.flat_basis.reshape(nb, n, n)
-        hb = np.conj(np.swapaxes(ev.u, -1, -2))[:, None] @ basis @ ev.u[:, None]
-        # D[m](B_a) Y_j = sum_l left_ilk H_il Y_lk + right_ilk Y_il H_lk, as
-        # matrix products batched over (midpoint, i) and (midpoint, k)
-        dy = (left * yt[:, :, None]).transpose(0, 2, 3, 1, 4).reshape(kk, n, n, nj * n)
-        dy = (hb.transpose(0, 2, 1, 3) @ dy).reshape(kk, n, nb, nj, n).transpose(0, 2, 3, 1, 4)
-        dr = (right * yt[..., None]).transpose(0, 4, 1, 2, 3).reshape(kk, n, nj * n, n)
-        dy = dy + (dr @ hb.transpose(0, 3, 2, 1)).reshape(kk, n, nj, n, nb).transpose(0, 4, 2, 3, 1)
-        g = (np.conj(ev.t) @ np.swapaxes(dy.reshape(kk, nb, -1), -1, -2)).real
+        yt, left, right, hb, g = self._first_order(ev)
         s = self._second_order(ev.lam, yt, hb, left, right)
-        inv = np.linalg.solve(ev.metric, np.concatenate([np.broadcast_to(np.eye(nb), g.shape), g], -1))
-        m_inv, m_inv_g = inv[..., :nb], inv[..., nb:]
+        m_inv_g = ev.metric_inv @ g
         mm = 2.0 * np.swapaxes(g, -1, -2) @ m_inv_g - s
-        return _node_blocks(2.0 * self.k * m_inv, -2.0 * self.k * m_inv_g, self.k * mm)
+        return _node_blocks(2.0 * self.k * ev.metric_inv, -2.0 * self.k * m_inv_g, self.k * mm)
 
     def _second_order(self, lam, yt, hb, left, right):
         """S_ab = sum_j <Y_j, D^2[m]_{omega_j}(B_a, B_b) Y_j> per midpoint,
@@ -434,16 +444,21 @@ class _PathProblem:
         kk, nj, n = yt.shape[:3]
         nb = hb.shape[1]
         yc = np.conj(yt)
-        in_s, mixed, in_r = kernel_second_divided_differences(lam, self.ws.omegas, left, right)
-        w_s = np.einsum("bjik,bjilpk,bjpk->bilp", yc, in_s, yt)
+        in_s, mixed, in_r = kernel_second_divided_differences(lam, self.ws.tilts, left, right)
+        # the parts in s and in r both pair as sum_xyz (H_a)_xy W_xyz (H_b)_yz,
+        # with W_xyz = sum_jd A_jxd D_jxyzd conj(A_jzd): A = Y^* and D the
+        # differences in s at (x, y, z; d), then A = Y^T and D those in r at
+        # (d; x, y, z)
+        yt_t = np.swapaxes(yt, -1, -2)
+        w = np.einsum("bjxd,bjxyzd,bjzd->bxyz", yc, in_s, yt)
+        w += np.einsum("bjxd,bjxyzd,bjzd->bxyz", yt_t, in_r.transpose(0, 1, 3, 4, 5, 2), np.conj(yt_t))
         w_mixed = np.einsum("bjik,bjilpk,bjlp->bilpk", yc, mixed, yt)
-        w_r = np.einsum("bjik,bjilpk,bjil->blpk", yc, in_r, yt)
-        # each part as V_{a,xy}, to be paired with (H_b)_xy
-        v = np.einsum("bail,bilp->balp", hb, w_s)
-        v += (hb.reshape(kk, nb, n * n) @ w_mixed.reshape(kk, n * n, n * n)).reshape(kk, nb, n, n)
-        v += np.einsum("balp,blpk->bapk", hb, w_r)
+        # both as V_{a,yz}, to be paired with (H_b)_yz
         flat = hb.reshape(kk, nb, n * n)
-        r = (v.reshape(kk, nb, n * n) @ np.swapaxes(flat, -1, -2)).real
+        v = (hb.transpose(0, 3, 1, 2) @ w.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        v = v.reshape(kk, nb, n * n)
+        v += flat @ w_mixed.reshape(kk, n * n, n * n)
+        r = (v @ np.swapaxes(flat, -1, -2)).real
         return r + np.swapaxes(r, -1, -2)
 
 

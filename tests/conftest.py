@@ -190,3 +190,70 @@ def loop_canonical_jumps(blocks, mod, drop_rtol):
         if g != zero:
             block_sizes[-omega] = len(kept)
     return jumps, dropped, block_sizes
+
+
+def _reference_first_difference(x1, x2, y, lm1, lm2):
+    from qmsflow.calculus import log_mean_dx
+
+    close = np.abs(x1 - x2) <= 1e-5 * np.maximum(x1, x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = (lm1 - lm2) / (x1 - x2)
+    return np.where(close, log_mean_dx(0.5 * (x1 + x2), y), quotient)
+
+
+def reference_kernel_divided_differences(lam, omegas, ker):
+    """Reference for ``qmsflow.calculus.kernel_divided_differences``, taking
+    the frequencies: ``left`` and ``right`` as two separate quotients, each
+    with ``log_mean_dx`` evaluated at every entry."""
+    up = np.exp(omegas / 2.0)[None, :, None]
+    down = np.exp(-omegas / 2.0)[None, :, None]
+    s, r = up * lam[:, None, :], down * lam[:, None, :]
+    left = up[..., None, None] * _reference_first_difference(
+        s[:, :, :, None, None], s[:, :, None, :, None], r[:, :, None, None, :],
+        ker[:, :, :, None, :], ker[:, :, None, :, :],
+    )
+    right = down[..., None, None] * _reference_first_difference(
+        r[:, :, None, :, None], r[:, :, None, None, :], s[:, :, :, None, None],
+        ker[:, :, :, :, None], ker[:, :, :, None, :],
+    )
+    return left, right
+
+
+def _reference_second_difference(lam, first, tilt, other_tilt):
+    from qmsflow.calculus import CONFLUENT_GAP, log_mean_dxx
+
+    n = first.shape[2]
+    lo, mid, hi = np.sort(np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij")), axis=0)
+    spread = lam[:, hi] - lam[:, lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (first[:, :, mid, hi] - first[:, :, lo, mid]) / spread[:, None, ..., None]
+    close = np.nonzero(spread <= CONFLUENT_GAP * lam[:, hi])
+    mean = (lam[:, lo] + lam[:, mid] + lam[:, hi])[close][:, None, None] / 3.0
+    out[close[0], :, close[1], close[2], close[3]] = 0.5 * tilt**2 * log_mean_dxx(
+        tilt * mean, other_tilt * lam[close[0]][:, None, :]
+    )
+    return out
+
+
+def reference_kernel_second_divided_differences(lam, omegas, left, right):
+    """Reference for ``qmsflow.calculus.kernel_second_divided_differences``,
+    taking the frequencies: ``in_s`` and ``in_r`` as two separate quotients,
+    and the mixed term's quotient across (p, k) formed at every entry."""
+    from qmsflow.calculus import CONFLUENT_GAP, log_mean_dxy
+
+    up = np.exp(omegas / 2.0)[None, :, None]
+    down = np.exp(-omegas / 2.0)[None, :, None]
+    in_s = _reference_second_difference(lam, left, up, down)
+    in_r = _reference_second_difference(lam, right.transpose(0, 1, 3, 4, 2), down, up)
+    gaps = lam[:, :, None] - lam[:, None, :]
+    close = np.abs(gaps) <= CONFLUENT_GAP * np.maximum(lam[:, :, None], lam[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        across_r = (left[..., :, None] - left[..., None, :]) / gaps[:, None, None, None]
+        across_s = (right[:, :, :, None] - right[:, :, None, :]) / gaps[:, None, :, :, None, None]
+    mixed = np.where(close[:, None, None, None], across_s, across_r)
+    b, i, l, p, k = np.nonzero(close[:, :, :, None, None] & close[:, None, None, :, :])
+    mixed[b, :, i, l, p, k] = log_mean_dxy(
+        up[0, :, 0] * 0.5 * (lam[b, i] + lam[b, l])[:, None],
+        down[0, :, 0] * 0.5 * (lam[b, p] + lam[b, k])[:, None],
+    )
+    return in_s, mixed, in_r.transpose(0, 1, 5, 2, 3, 4)

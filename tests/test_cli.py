@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmsflow import canonical, entropy, generators
-from qmsflow.cli import main
+from qmsflow.cli import InputError, _load_json, main
 from qmsflow.generators import GeneratorSpec
 from qmsflow.linalg import dag
 from qmsflow.models import depolarizing, fermi_ou, random_dbc_spec
@@ -294,6 +295,34 @@ class TestInspect:
 
     def test_missing_file_exit_two(self):
         assert main(["inspect", "--input", "/nonexistent/x.json"]) == 2
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    @pytest.mark.parametrize("content", ['{"a": [[1, 2], [3, 4]]}', "{ not json", None])
+    def test_json_parses_with_gc_paused(self, tmp_path, monkeypatch, was_enabled, content):
+        # the collector is off while the file parses and as it was before
+        # afterwards, also when the file is malformed or missing
+        seen = []
+        real_load = json.load
+
+        def load(fh):
+            seen.append(gc.isenabled())
+            return real_load(fh)
+
+        monkeypatch.setattr(json, "load", load)
+        path = tmp_path / "x.json"
+        if content is not None:
+            path.write_text(content)
+        (gc.enable if was_enabled else gc.disable)()
+        try:
+            try:
+                _load_json(str(path))
+            except InputError:
+                pass
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == ([] if content is None else [False])
+        assert after == was_enabled
 
     @pytest.mark.parametrize(
         "name",
@@ -988,7 +1017,7 @@ class TestVerify:
         script = """if True:
             import json, sys
             import numpy as np
-            from qmsflow.cli import main
+            from qmsflow.cli import InputError, _load_json, main
 
             calls = [
                 ["zoo", "--model", "fermi", "--m", "2", "--output", "spec.json"],

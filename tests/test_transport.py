@@ -756,6 +756,36 @@ class TestExactHessians:
         assert squared == pytest.approx(-g.ravel() @ expected, rel=1e-10)
 
 
+# (case, iterations, action, decrement): the first 8 geodesic-d4 benchmark
+# inputs (Fermi m=2 from random_density(4, default_rng([1, 2, i])) to sigma,
+# K = 4), Fermi m=1 with K = 16 and a random dim-3 spec with K = 8
+PINNED_SOLVES = [
+    ("d4-0", 3, 0.8256401401975784, 1.0439348997771791e-14),
+    ("d4-1", 3, 0.7074863147431532, 5.775452236718576e-22),
+    ("d4-2", 3, 0.5409512669363711, 4.2428874237237825e-16),
+    ("d4-3", 3, 1.395193293028857, 7.976718472701046e-14),
+    ("d4-4", 3, 0.6466583235921898, 8.349118615794715e-15),
+    ("d4-5", 3, 0.5077656009440181, 6.160814912818436e-17),
+    ("d4-6", 3, 0.5452863292676485, 2.2050600109593516e-16),
+    ("d4-7", 3, 1.0566338545764884, 4.869604618715766e-13),
+    ("m1-k16", 3, 0.6500764405809091, 3.2720823685581567e-21),
+    ("r3-k8", 2, 0.04625414012707383, 4.3629239703801253e-16),
+]
+
+
+def _pinned_case(case):
+    if case.startswith("d4-"):
+        spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
+        rho0 = random_density(4, np.random.default_rng([1, 2, int(case[3:])]))
+        return spec, rho0, spec.sigma, 4
+    if case == "m1-k16":
+        spec = fermi_ou(1, 1.0, [1.0]).spec
+        return spec, random_density(2, np.random.default_rng(3)), spec.sigma, 16
+    rng = np.random.default_rng(4)
+    spec = random_dbc_spec(3, rng, ergodic=True)
+    return spec, random_density(3, rng), random_density(3, rng), 8
+
+
 class TestNewtonSolver:
     def test_benchmark_inputs_take_few_steps(self, fermi_m2):
         # the geodesic-d4 benchmark's first inputs: three steps each when
@@ -798,6 +828,17 @@ class TestNewtonSolver:
         assert not res.converged
         assert res.iterations == 0
         assert res.decrement > 1e-12 * res.action
+
+    @pytest.mark.parametrize("case, iterations, action, decrement", PINNED_SOLVES)
+    def test_pinned_solves(self, case, iterations, action, decrement):
+        # recorded (x86-64, OpenBLAS) before the kernel differences became
+        # stacked passes and each M was inverted once per point
+        spec, rho0, rho1, segments = _pinned_case(case)
+        res = geodesic_distance(spec, rho0, rho1, segments=segments)
+        assert res.converged
+        assert res.iterations == iterations
+        assert res.action == pytest.approx(action, rel=1e-13, abs=0)
+        assert abs(res.decrement - decrement) <= 1e-12 * action
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_quantum_convergence_is_scale_free(self, fermi_m2, scale):
