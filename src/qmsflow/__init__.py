@@ -36,14 +36,12 @@ from .generators import (
     ergodicity,
     modular_subalgebra,
     restrict_to_commutative,
-    semigroup,
 )
 from .canonical import GKSMatrix, extract_canonical, gks_matrix
 from .calculus import (
     dirichlet_form,
     divergence,
     grad,
-    laplacian,
     log_mean,
     partial_deriv,
     rho_div,

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import commutator_super, dag, sharp
+from .linalg import dag
 from .states import DensityState, inner_s
 from .generators import GeneratorSpec
 
@@ -37,7 +37,6 @@ __all__ = [
     "partial_deriv",
     "grad",
     "divergence",
-    "laplacian",
     "dirichlet_form",
     "log_mean",
     "log_mean_dx",
@@ -49,7 +48,6 @@ __all__ = [
     "tilted_kernel",
     "rho_mult",
     "rho_div",
-    "rho_mult_super",
     "chain_rule_residual",
 ]
 
@@ -79,17 +77,6 @@ def divergence(spec: GeneratorSpec, w) -> np.ndarray:
     for (v, _), wj in zip(spec.jumps, w):
         vd = dag(v)
         out = out + (wj @ vd - vd @ wj)
-    return out
-
-
-def laplacian(spec: GeneratorSpec) -> np.ndarray:
-    """Superoperator of L0 = div o grad = - sum_j [V_j^*, [V_j, .]]."""
-    big = spec.dim ** 2
-    out = np.zeros((big, big), dtype=complex)
-    for v, _ in spec.jumps:
-        cj = commutator_super(v)
-        cjd = commutator_super(dag(v))
-        out -= cjd @ cj
     return out
 
 
@@ -339,16 +326,6 @@ def rho_div(rho: DensityState, omega: float, a: np.ndarray) -> np.ndarray:
     u = rho.eigenvectors
     a_tilde = dag(u) @ np.asarray(a, dtype=complex) @ u
     return u @ (a_tilde / tilted_kernel(rho, omega)) @ dag(u)
-
-
-def rho_mult_super(rho: DensityState, omega: float, inverse: bool = False) -> np.ndarray:
-    """Superoperator matrix of [rho]_omega (or its inverse)."""
-    u = rho.eigenvectors
-    kern = tilted_kernel(rho, omega)
-    if inverse:
-        kern = 1.0 / kern
-    w = sharp(dag(u), u)  # X |-> U^* X U
-    return dag(w) @ (kern.reshape(-1, order="F")[:, None] * w)
 
 
 def chain_rule_residual(rho: DensityState, v: np.ndarray, omega: float) -> float:

@@ -145,10 +145,24 @@ def _parse_tols(pairs):
         if name not in DEFAULT_TOLERANCES:
             raise InputError(f"unknown tolerance {name!r}; known: {', '.join(DEFAULT_TOLERANCES)}")
         try:
-            out[name] = float(val)
+            out[name] = _positive(float(val), f"tolerance {name}")
         except ValueError as exc:
             raise InputError(f"bad tolerance value in {item!r}") from exc
     return out
+
+
+def _positive(val: float, what: str) -> float:
+    if not (np.isfinite(val) and val > 0):
+        raise InputError(f"{what} must be finite and positive, got {val!r}")
+    return val
+
+
+def _model(build, *args):
+    """``build(*args)``, with a model argument out of its range an input error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_inspect(args) -> int:
@@ -194,7 +208,7 @@ def cmd_evolve(args) -> int:
         raise InputError("evolve needs a jump specification input")
     rho0 = _load_side_file(args.rho0, spec, density_from_json) if args.rho0 else spec.sigma
     grid = _parse_grid(args.grid)
-    lam = args.decay_rate
+    lam = None if args.decay_rate is None else _positive(args.decay_rate, "--decay-rate")
     rows = entropy_trajectory(spec, rho0, grid, lam=lam)
     _write_output(args, trajectory_to_csv(rows))
     return 0
@@ -255,12 +269,12 @@ def cmd_restrict(args) -> int:
 
 def cmd_zoo(args) -> int:
     if args.model == "fermi":
-        energies = [float(x) for x in args.energies.split(",")] if args.energies else [1.0] * args.m
-        model = fermi_ou(args.m, args.beta, energies)
+        energies = args.energies.split(",") if args.energies else [1.0] * args.m
+        model = _model(fermi_ou, args.m, args.beta, energies)
         out = spec_to_json(model.spec)
         out["model"] = "fermi"
         out["beta"] = args.beta
-        out["energies"] = energies
+        out["energies"] = model.energies.tolist()
         out["krawtchouk_eigenvalues"] = sorted(
             float(model.krawtchouk_eigenvalue(al))
             for al in _all_krawtchouk_indices(args.m)
@@ -271,11 +285,11 @@ def cmd_zoo(args) -> int:
                 rate, extra={"rate_comparison": printed_hypercube_rates(model)}
             )
     elif args.model == "fermi-infinite":
-        spec = fermi_ou_infinite(args.m)
+        spec = _model(fermi_ou_infinite, args.m)
         out = spec_to_json(spec)
         out["model"] = "fermi-infinite"
     elif args.model == "depolarizing":
-        out = spec_to_json(depolarizing(args.m))
+        out = spec_to_json(_model(depolarizing, args.m))
         out["model"] = "depolarizing"
     elif args.model == "kms-counterexample":
         u = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

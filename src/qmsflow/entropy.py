@@ -10,13 +10,15 @@ equals minus the time derivative of D(rho_t || sigma) along
 the dual semigroup, and also the squared transport-metric norm of the
 entropy gradient.  Along a trajectory (:func:`entropy_trajectory`)
 L^+(rho_t) is read instead from the Bohr-block factor that gives rho_t,
-as the time derivative of the computed orbit.  When the superoperator
-commutators satisfy
+as the time derivative of the computed orbit.  When the commutators
+satisfy
 
     [D_j, L] = -a_j D_j
 
-for a family of derivations D_j, the decay constant lambda = min_j a_j
-gives exponential entropy decay D(t) <= e^{-2 lambda t} D(0), the
+for a family of derivations D_j(A) = W_j [V_j, A] (read by
+:func:`intertwining_rates` from the jumps and the factors), the decay
+constant lambda = min_j a_j gives exponential entropy decay
+D(t) <= e^{-2 lambda t} D(0), the
 generalized log-Sobolev inequality D <= production/(2 lambda), and the
 Talagrand bound d(rho, sigma) <= sqrt(2 D / lambda).
 """
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import commutator_super
+from .linalg import check_finite
 from .states import DensityState, _checked_spectra
-from .generators import GeneratorSpec, _flow, _flow_factor, apply_dual, build_generator
+from .generators import GeneratorSpec, _flow, _flow_factor, apply_dual
 
 __all__ = [
     "relative_entropy",
@@ -91,33 +93,52 @@ def intertwining_rates(
 ) -> DecayReport:
     """Least-squares rates a_j with [D_j, L] = -a_j D_j, when they exist.
 
-    Defaults to the plain commutator derivations of the spec's jumps.
-    A derivation whose commutator with L is not proportional to itself
-    (relative residual above ``tol``) voids the decay constant; absence
-    of intertwining is a legitimate report, not an error.
+    Each derivation is a pair (W, V) of n x n matrices, D(A) = W[V, A];
+    the default is the plain commutators (I, V_j) of the spec's jumps.  A
+    residual ||[D, L] + a D||_F / ||D||_F above ``tol`` voids the decay
+    constant; absence of intertwining is a legitimate report, not an error.
+
+    With L_A R_B the map X -> A X B, P = W V, A_k = 2 c_k V_k^* and K as in
+    :mod:`qmsflow.generators`, D = L_P - L_W R_V and
+
+        [D, L] = sum_k (L_{[P,A_k]} R_{V_k} - L_{W A_k} R_{V_k V} + L_{A_k W} R_{V V_k})
+                 - L_{[P,K]} + L_{[W,K]} R_V + L_W R_{[K,V]} .
+
+    Realigned, sum_i L_{X_i} R_{Y_i} is X^T Y with rows vec X_i and vec Y_i,
+    so inner products are Gram products of the factors, and its Frobenius
+    norm is ||R Y||_F with X^T = QR: exact, with no difference of squares.
     """
-    l = build_generator(spec)
+    n, eye = spec.dim, np.eye(spec.dim)
+    c, vs, k = spec.jump_stack
     if derivations is None:
-        derivations = [commutator_super(v) for v in spec.jump_ops()]
-        kind = kind or "plain"
-    kind = kind or "custom"
-    rates = []
-    residuals = []
-    for d in derivations:
-        d = np.asarray(d, dtype=complex)
-        comm = d @ l - l @ d
-        norm2 = float(np.linalg.norm(d) ** 2)
+        derivations, kind = [(eye, v) for v in vs], kind or "plain"
+    a_k = 2.0 * c[:, None, None] * np.conj(vs).transpose(0, 2, 1)
+    rates, residuals = [], []
+    for i, d in enumerate(derivations):
+        got = d.shape if isinstance(d, np.ndarray) else tuple(np.shape(x) for x in d)
+        if got not in ((2, n, n), ((n, n), (n, n))):
+            raise ValueError(f"derivation {i} has shape {got}; a derivation is a (W, V) pair "
+                             f"of {n} x {n} matrices with D(A) = W[V, A]")
+        w, v = (check_finite(x, f"derivation {i}") for x in d)
+        p = w @ v
+        # the factors of D, then of [D, L]
+        left = np.concatenate([[p, -w], p @ a_k - a_k @ p, -(w @ a_k), a_k @ w, [k @ p - p @ k, w @ k - k @ w, w]])
+        right = np.concatenate([[eye, v], vs, vs @ v, v @ vs, [eye, v, k @ v - v @ k]])
+        left, right = left.reshape(len(left), -1), right.reshape(len(right), -1)
+        gram = (np.conj(left[:2]) @ left.T) * (np.conj(right[:2]) @ right.T)
+        norm2 = float(gram[:, :2].sum().real)
         if norm2 < 1e-300:
             rates.append(0.0)
             residuals.append(np.inf)
             continue
-        a = -np.vdot(d, comm).real / norm2
-        resid = float(np.linalg.norm(comm + a * d) / np.sqrt(norm2))
+        a = -gram[:, 2:].sum().real / norm2
+        left[:2] *= a  # [D, L] + a D
+        r = np.linalg.qr(left.T, mode="r")
         rates.append(float(a))
-        residuals.append(resid)
+        residuals.append(float(np.linalg.norm(r @ right) / np.sqrt(norm2)))
     ok = all(r < tol for r in residuals)
     lam = float(min(rates)) if (ok and rates) else None
-    return DecayReport(rates, residuals, lam, kind)
+    return DecayReport(rates, residuals, lam, kind or "custom")
 
 
 def lsi_check(

@@ -67,7 +67,6 @@ __all__ = [
     "certify_detailed_balance",
     "check_complete_positivity",
     "ergodicity",
-    "semigroup",
     "dual_orbit",
     "restrict_to_commutative",
     "modular_subalgebra",
@@ -714,15 +713,6 @@ def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:
     _, blocks = spec.bohr_factor
     mu = np.abs(np.concatenate([vals.ravel() for _, _, vals, _ in blocks]))
     return int(np.sum(mu <= tol * mu.max()))
-
-
-def semigroup(l: np.ndarray, t: float) -> np.ndarray:
-    """exp(tL) for t >= 0 by scaling-and-squaring Pade, for any superoperator L."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    import scipy.linalg  # deferred: the only scipy use in the package, and costly to import
-
-    return scipy.linalg.expm(t * check_finite(l, "superoperator"))
 
 
 def dual_orbit(spec: GeneratorSpec, x: np.ndarray, times) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dag, sharp, super_of_left, traceless_hermitian_basis, vec
+from .linalg import dag, sharp, traceless_hermitian_basis
 from .states import DensityState
 from .generators import GeneratorSpec, RateMatrix, restrict_to_commutative
 
@@ -70,8 +70,7 @@ class CliffordContext:
 
     n: int
     generators: list = field(repr=False)
-    principal_unitary: np.ndarray | None  # W, even n only
-    principal_super: np.ndarray = field(repr=False, default=None)  # Gamma as superoperator
+    principal_unitary: np.ndarray | None  # W, even n only: Gamma(A) = W A W
 
     @property
     def dim(self) -> int:
@@ -105,21 +104,7 @@ def clifford(n: int) -> CliffordContext:
         w = (1j) ** m * np.eye(2**nq, dtype=complex)
         for g in gens:
             w = w @ g
-        w = np.asarray(w)
-
-    # principal automorphism as a superoperator: Gamma(Q^alpha) = (-1)^|alpha| Q^alpha
-    dim = gens[0].shape[0]
-    if w is not None:
-        gamma = sharp(w, w)
-    else:
-        gamma = np.zeros((dim * dim, dim * dim), dtype=complex)
-        ctx_tmp = CliffordContext(n, gens, None, None)
-        for bits in range(2**n):
-            alpha = [(bits >> j) & 1 for j in range(n)]
-            qa = ctx_tmp.monomial(alpha)
-            va = vec(qa) / np.sqrt(dim)
-            gamma += ((-1) ** sum(alpha)) * np.outer(va, np.conj(va))
-    return CliffordContext(n, gens, w, gamma)
+    return CliffordContext(n, gens, w)
 
 
 def fermi_ou_infinite(n: int) -> GeneratorSpec:
@@ -144,17 +129,13 @@ def skew_derivations_infinite(ctx: CliffordContext) -> list:
 
     For an even generator count these equal W [V_j, A] / (2i) with
     V_j = i W Q_j, which ties the skew calculus to the plain commutator
-    calculus of the jump operators.
+    calculus of the jump operators; each is returned as the pair
+    (W / (2i), V_j) of :func:`qmsflow.entropy.intertwining_rates`.
     """
-    from .linalg import commutator_super
-
     if ctx.principal_unitary is None:
         raise ValueError("skew derivations need the inner automorphism (even count)")
     w = ctx.principal_unitary
-    lw = super_of_left(w)
-    return [
-        (1.0 / 2j) * lw @ commutator_super(1j * w @ q) for q in ctx.generators
-    ]
+    return [(w / 2j, 1j * w @ q) for q in ctx.generators]
 
 
 @dataclass(frozen=True)
@@ -201,22 +182,14 @@ class FermiModel:
         )
 
     def skew_derivations(self) -> list:
-        """Superoperators of the degree-lowering skew derivations.
+        """The degree-lowering skew derivations as (W, V) pairs, D(A) = W[V, A].
 
         For each mode both variants are returned, ordered to match the
         spec's jump list:  d_j A = W [V_j, A] / 2 at position 2j and
-        D_j A = -W [V_j^*, A] / 2 at position 2j + 1.
+        D_j A = -W [V_j^*, A] / 2 at position 2j + 1, with V_j = W Z_j.
         """
-        from .linalg import commutator_super
-
         w = self.context.principal_unitary
-        lw = super_of_left(w)
-        out = []
-        for j in range(self.m):
-            v = w @ self.annihilators[j]
-            out.append(0.5 * lw @ commutator_super(v))
-            out.append(-0.5 * lw @ commutator_super(dag(v)))
-        return out
+        return [pair for z in self.annihilators for pair in ((0.5 * w, w @ z), (-0.5 * w, dag(w @ z)))]
 
     def decay_rate(self) -> float:
         """lambda_beta = min_j cosh(beta e_j / 2)."""
@@ -227,11 +200,11 @@ def fermi_ou(m: int, beta: float, energies) -> FermiModel:
     """Finite-temperature Fermi Ornstein-Uhlenbeck model on m modes."""
     if not 1 <= m <= 4:
         raise ValueError("mode count must be between 1 and 4")
-    if beta < 0:
-        raise ValueError("inverse temperature must be nonnegative")
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"inverse temperature must be finite and nonnegative, got {beta!r}")
     energies = np.asarray(energies, dtype=float)
-    if energies.shape != (m,):
-        raise ValueError(f"expected {m} energies")
+    if energies.shape != (m,) or not np.all(np.isfinite(energies)):
+        raise ValueError(f"expected {m} finite energies")
 
     ctx = clifford(2 * m)
     q_ops = [ctx.generators[2 * j] for j in range(m)]

@@ -59,7 +59,6 @@ __all__ = [
     "TangentDecomposition",
     "continuity_solve",
     "metric_tensor",
-    "weighted_laplacian_super",
     "riemannian_gradient_flow_check",
     "GeodesicResult",
     "geodesic_distance",
@@ -150,24 +149,6 @@ def _require_segments(segments: int):
 def _require_ergodic(spec: GeneratorSpec):
     if ergodicity(spec) != 1:
         raise ValueError("specification is not ergodic; the metric is degenerate")
-
-
-def weighted_laplacian_super(spec: GeneratorSpec, rho: DensityState) -> np.ndarray:
-    """Superoperator of A |-> div([rho]_omega grad A).
-
-    Negative semidefinite and Hermitian in the Hilbert-Schmidt inner
-    product; its null space is the commutant of the jump set.
-    """
-    from .linalg import commutator_super
-    from .calculus import rho_mult_super
-
-    big = spec.dim ** 2
-    out = np.zeros((big, big), dtype=complex)
-    for v, w in spec.jumps:
-        cj = commutator_super(v)
-        cjd = commutator_super(dag(v))
-        out -= cjd @ rho_mult_super(rho, w) @ cj
-    return out
 
 
 @dataclass

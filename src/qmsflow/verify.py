@@ -412,12 +412,12 @@ def check_fermi_certifications(rng):
 
 def check_skew_leibniz(rng):
     model = models.fermi_ou(2, 0.9, [1.0, 1.5])
-    gam = model.context.principal_super
+    w = model.context.principal_unitary
     worst = 0.0
-    for d in model.skew_derivations():
+    for dw, v in model.skew_derivations():
         a, b = _rand_matrix(rng, 4), _rand_matrix(rng, 4)
-        lhs = apply_super(d, a @ b)
-        rhs = apply_super(d, a) @ b + apply_super(gam, a) @ apply_super(d, b)
+        lhs = dw @ (v @ a @ b - a @ b @ v)
+        rhs = dw @ (v @ a - a @ v) @ b + w @ a @ w @ dw @ (v @ b - b @ v)
         worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
     return worst < 1e-12, f"worst skew Leibniz residual {worst:.3e}"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmsflow.linalg import dag, sharp
+from qmsflow.linalg import commutator_super, dag, sharp, super_of_left
 from qmsflow.models import fermi_ou, fermi_ou_infinite, depolarizing
 
 
@@ -48,6 +48,73 @@ def kron_sum_generator(spec):
         vv = dag(v) @ v
         out += np.exp(-w / 2.0) * (2.0 * sharp(dag(v), v) - sharp(vv, eye) - sharp(eye, vv))
     return out
+
+
+def laplacian(spec):
+    """Reference: superoperator of L0 = div o grad = - sum_j [V_j^*, [V_j, .]]."""
+    big = spec.dim ** 2
+    out = np.zeros((big, big), dtype=complex)
+    for v, _ in spec.jumps:
+        cj = commutator_super(v)
+        cjd = commutator_super(dag(v))
+        out -= cjd @ cj
+    return out
+
+
+def rho_mult_super(rho, omega, inverse=False):
+    """Reference: superoperator matrix of [rho]_omega (or its inverse)."""
+    from qmsflow.calculus import tilted_kernel
+
+    u = rho.eigenvectors
+    kern = tilted_kernel(rho, omega)
+    if inverse:
+        kern = 1.0 / kern
+    w = sharp(dag(u), u)  # X |-> U^* X U
+    return dag(w) @ (kern.reshape(-1, order="F")[:, None] * w)
+
+
+def weighted_laplacian_super(spec, rho):
+    """Reference: superoperator of A |-> div([rho]_omega grad A).
+
+    Negative semidefinite and Hermitian in the Hilbert-Schmidt inner
+    product; its null space is the commutant of the jump set.
+    """
+    big = spec.dim ** 2
+    out = np.zeros((big, big), dtype=complex)
+    for v, w in spec.jumps:
+        cj = commutator_super(v)
+        cjd = commutator_super(dag(v))
+        out -= cjd @ rho_mult_super(rho, w) @ cj
+    return out
+
+
+def derivation_super(pair):
+    """The superoperator of the derivation D(A) = W[V, A] of a pair (W, V)."""
+    w, v = pair
+    return super_of_left(w) @ commutator_super(v)
+
+
+def dense_intertwining_rates(spec, derivations):
+    """Reference for ``qmsflow.entropy.intertwining_rates``: each derivation
+    as a dense superoperator, [D, L] formed against the dense L.  Returns
+    (rates, residuals)."""
+    from qmsflow.generators import build_generator
+
+    l = build_generator(spec)
+    rates = []
+    residuals = []
+    for d in map(derivation_super, derivations):
+        comm = d @ l - l @ d
+        norm2 = float(np.linalg.norm(d) ** 2)
+        if norm2 < 1e-300:
+            rates.append(0.0)
+            residuals.append(np.inf)
+            continue
+        a = -np.vdot(d, comm).real / norm2
+        resid = float(np.linalg.norm(comm + a * d) / np.sqrt(norm2))
+        rates.append(float(a))
+        residuals.append(resid)
+    return np.array(rates), np.array(residuals)
 
 
 def near_degenerate_spec(gap):

@@ -30,11 +30,10 @@ from qmsflow.transport import (
     geodesic_distance,
     metric_monotonicity_check,
     metric_tensor,
-    weighted_laplacian_super,
 )
 from qmsflow.verify import run_suite
 
-from conftest import random_matrix
+from conftest import random_matrix, weighted_laplacian_super
 
 
 def report(index, passed, detail):

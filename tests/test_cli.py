@@ -731,8 +731,8 @@ class TestEvolve:
             return build(spec)
 
         monkeypatch.setattr(np, "kron", counting_kron)
-        for mod in (entropy, generators):
-            monkeypatch.setattr(mod, "build_generator", counting_build)
+        monkeypatch.setattr(generators, "build_generator", counting_build)
+        assert not hasattr(entropy, "build_generator")
         out = tmp_path / "traj.csv"
         assert main(
             ["evolve", "--input", fermi_spec_file, "--grid", "0:1:5", "--output", str(out)]
@@ -903,6 +903,33 @@ def test_side_file_errors_exit_two(fermi_spec_file, tmp_path, capsys, command, f
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zoo", "--model", "fermi", "--m", "5"],
+        ["zoo", "--model", "fermi", "--m", "2", "--energies", "1"],
+        ["zoo", "--model", "fermi", "--m", "2", "--energies", "a,b"],
+        ["zoo", "--model", "fermi", "--m", "2", "--energies", "1,inf"],
+        ["zoo", "--model", "depolarizing", "--m", "9"],
+        ["zoo", "--model", "fermi-infinite", "--m", "3"],
+        ["zoo", "--model", "fermi", "--beta", "-1"],
+        ["zoo", "--model", "fermi", "--beta", "nan"],
+        ["inspect", "--input", "SPEC", "--tol", "gns_flag=inf"],
+        ["inspect", "--input", "SPEC", "--tol", "gns_flag=nan"],
+        ["inspect", "--input", "SPEC", "--tol", "psd=-1"],
+        ["evolve", "--input", "SPEC", "--decay-rate", "nan"],
+        ["evolve", "--input", "SPEC", "--decay-rate", "0"],
+    ],
+    ids=lambda argv: " ".join(argv).replace("SPEC", "spec"),
+)
+def test_malformed_numeric_argument_exit_two(fermi_spec_file, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [fermi_spec_file if a == "SPEC" else a for a in argv] + ["--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert not out.exists()
+
+
 class TestZoo:
     def test_fermi_json_rates(self, tmp_path):
         out = tmp_path / "zoo.json"
@@ -1003,9 +1030,10 @@ class TestVerify:
         assert run.stdout == out.read_text()
 
     def test_cli_paths_do_not_import_scipy_linalg(self, tmp_path):
-        # scipy.linalg costs most of the start-up, so every subcommand runs on
-        # numpy alone; only generators.semigroup imports it.  The pytest
-        # process has it loaded already, so this runs in a fresh interpreter.
+        # numpy is the only runtime dependency: with scipy made unimportable
+        # (a None entry in sys.modules), the package imports and every
+        # subcommand runs.  The pytest process has scipy loaded already, so
+        # this runs in a fresh interpreter.
         spec = fermi_ou(1, 1.0, [1.0]).spec
         (tmp_path / "rho.json").write_text(
             dump_json(density_to_json(DensityState.from_matrix(np.diag([0.1, 0.2, 0.3, 0.4]))))
@@ -1016,12 +1044,15 @@ class TestVerify:
         )
         script = """if True:
             import json, sys
-            import numpy as np
-            from qmsflow.cli import InputError, _load_json, main
+            sys.modules["scipy"] = None
+            import qmsflow
+            from qmsflow.cli import main
 
             calls = [
                 ["zoo", "--model", "fermi", "--m", "2", "--output", "spec.json"],
                 ["zoo", "--model", "kms-counterexample", "--output", "kms.json"],
+                ["zoo", "--model", "fermi-infinite", "--m", "4", "--output", "infinite.json"],
+                ["zoo", "--model", "fermi", "--m", "2", "--energies", "1,2", "--output", "spec12.json"],
                 ["inspect", "--input", "spec.json", "--output", "inspect.json"],
                 ["inspect", "--input", "kms.json", "--output", "inspect_kms.json"],
                 ["inspect", "--input", "super.json", "--output", "inspect_super.json"],
@@ -1029,15 +1060,11 @@ class TestVerify:
                 ["geodesic", "--input", "spec.json", "--rho0", "rho.json", "--segments", "2",
                  "--output", "geodesic.json"],
                 ["metric", "--input", "spec.json", "--rho", "rho.json", "--output", "metric.json"],
+                ["restrict", "--input", "spec12.json", "--output", "restrict.json"],
                 ["verify", "--seed", "1", "--output", "verify.txt"],
             ]
             codes = [main(argv) for argv in calls]
-            before = "scipy.linalg" in sys.modules
-            from qmsflow.generators import semigroup
-
-            semigroup(np.zeros((4, 4)), 1.0)
-            print(json.dumps({"codes": codes, "before": before,
-                              "after": "scipy.linalg" in sys.modules}))
+            print(json.dumps({"codes": codes}))
         """
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
@@ -1045,9 +1072,9 @@ class TestVerify:
         assert run.returncode == 0, run.stderr
         result = json.loads(run.stdout.splitlines()[-1])
         # the KMS counterexample fails certification (exit 1); everything else succeeds
-        assert result["codes"] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
-        assert not result["before"]
-        assert result["after"]
+        assert result["codes"] == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+        rates = json.loads((tmp_path / "restrict.json").read_text())
+        assert len(rates["rates"]) == 4
 
     def test_seed_changes_details(self, tmp_path):
         out1 = tmp_path / "v1.txt"

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from qmsflow.calculus import partial_deriv, rho_mult
 from qmsflow.entropy import (
+    INTERTWINE_TOL,
     entropy_production,
     entropy_trajectory,
     intertwining_rates,
@@ -18,11 +19,51 @@ from qmsflow.entropy import (
 from qmsflow import entropy, generators
 from qmsflow.generators import GeneratorSpec, build_generator, dual_orbit
 from qmsflow.linalg import apply_super, dag, hs_inner, traceless_hermitian_basis
-from qmsflow.models import fermi_ou, random_dbc_spec, random_density
+from qmsflow.models import (
+    clifford,
+    fermi_ou,
+    fermi_ou_infinite,
+    random_dbc_spec,
+    random_density,
+    skew_derivations_infinite,
+)
 from qmsflow.states import DensityState
 from qmsflow.transport import continuity_solve, geodesic_distance, metric_tensor
 
-from conftest import per_point_trajectory, random_matrix
+from conftest import dense_intertwining_rates, derivation_super, per_point_trajectory, random_matrix
+
+# Fermi models with their skew derivations, and random specs with the plain
+# derivations (I, V_j) of their jumps
+SKEW_CASES = ["fermi1", "fermi2", "fermi4", "fermi-infinite4"]
+PLAIN_CASES = [f"plain{2 + seed % 7}-{seed}" for seed in range(12)]
+
+
+def intertwining_case(name):
+    """(spec, derivation pairs, skew) for a case name."""
+    if name == "fermi-infinite4":
+        return fermi_ou_infinite(4), skew_derivations_infinite(clifford(4)), True
+    if name.startswith("fermi"):
+        m = int(name[5:])
+        model = fermi_ou(m, 1.0, [1.0, 2.0, 1.3, 1.6][:m])
+        return model.spec, model.skew_derivations(), True
+    n, _, seed = name[5:].partition("-")
+    spec = random_dbc_spec(int(n), np.random.default_rng(int(seed or 0)), ergodic=int(seed or 0) % 2 == 1)
+    return spec, [(np.eye(spec.dim), v) for v in spec.jump_ops()], False
+
+
+def assert_same_report(rep, rates, residuals, skew, unit=1.0):
+    """Rates within 1e-12 (relative on skew derivations, whose rates are
+    cosh-sized; the plain rates here are round-off around 0), residuals
+    above 1e-9 within 1e-12 relative and the others below 1e-12, and the
+    same verdict for every derivation; ``unit`` is the scale of L, in
+    which the rates and residuals are measured."""
+    got_rates, got_res = np.array(rep.rates), np.array(rep.intertwine_residuals)
+    scale = np.abs(rates) if skew else max(unit, float(np.max(np.abs(rates))))
+    assert np.all(np.abs(got_rates - rates) <= 1e-12 * scale)
+    big = residuals > 1e-9 * unit
+    assert np.all(np.abs(got_res[big] - residuals[big]) <= 1e-12 * residuals[big])
+    assert np.all(got_res[~big] < 1e-12 * unit)
+    assert np.array_equal(got_res < INTERTWINE_TOL, residuals < INTERTWINE_TOL)
 
 
 def scalar_kl(p, q):
@@ -90,8 +131,10 @@ class TestEntropyProduction:
             assert entropy_production(spec, rho) > -1e-11
 
     def test_no_superoperator_matrix(self, rng, monkeypatch):
-        # L^+(rho) is applied from the jumps: no Kronecker product, no
-        # n^2 x n^2 generator
+        # L^+(rho) and the intertwining rates are read from the jumps: no
+        # Kronecker product, no n^2 x n^2 generator
+        spec = random_dbc_spec(4, rng)
+        model = fermi_ou(2, 1.0, [1.0, 2.0])
         kron, build = np.kron, generators.build_generator
         calls = []
 
@@ -104,10 +147,11 @@ class TestEntropyProduction:
             return build(spec)
 
         monkeypatch.setattr(np, "kron", counting_kron)
-        for mod in (entropy, generators):
-            monkeypatch.setattr(mod, "build_generator", counting_build)
-        spec = random_dbc_spec(4, rng)
+        monkeypatch.setattr(generators, "build_generator", counting_build)
+        assert not hasattr(entropy, "build_generator")
         assert entropy_production(spec, random_density(4, rng)) > 0.0
+        assert intertwining_rates(spec).lam is None
+        assert intertwining_rates(model.spec, model.skew_derivations()).lam > 0.0
         assert calls == []
 
     def test_matches_entropy_slope(self, fermi_m1, rng):
@@ -158,6 +202,76 @@ class TestIntertwining:
         report = intertwining_rates(spec)
         assert report.lam is None
         assert max(report.intertwine_residuals) > 1e-3
+
+    @pytest.mark.parametrize("case", SKEW_CASES + PLAIN_CASES)
+    def test_matches_dense_reference(self, case):
+        spec, pairs, skew = intertwining_case(case)
+        rep = intertwining_rates(spec, pairs)
+        rates, residuals = dense_intertwining_rates(spec, pairs)
+        assert_same_report(rep, rates, residuals, skew)
+        if np.all(residuals < INTERTWINE_TOL):
+            assert rep.lam == pytest.approx(float(min(rates)), rel=1e-12)
+        else:
+            assert rep.lam is None
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    @pytest.mark.parametrize("case", ["fermi2", "fermi-infinite4", "plain3", "plain6"])
+    def test_scaling(self, case, c):
+        # L -> cL scales the rates by c; the residual ||[D, L] + aD|| / ||D||
+        # is in the units of L and scales by c too, and no verdict changes
+        spec, pairs, skew = intertwining_case(case)
+        scaled = GeneratorSpec.create(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
+        base, rep = intertwining_rates(spec, pairs), intertwining_rates(scaled, pairs)
+        assert_same_report(rep, c * np.array(base.rates), c * np.array(base.intertwine_residuals), skew, c)
+        assert [r < INTERTWINE_TOL for r in rep.intertwine_residuals] == [
+            r < INTERTWINE_TOL for r in base.intertwine_residuals
+        ]
+        assert (rep.lam is None) == (base.lam is None)
+        if base.lam is not None:
+            assert rep.lam == pytest.approx(c * base.lam, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", ["fermi2", "fermi-infinite4", "plain3", "plain6"])
+    def test_unitary_conjugation(self, case, seed):
+        spec, pairs, skew = intertwining_case(case)
+        x = random_matrix(np.random.default_rng(seed), spec.dim)
+        u, _ = np.linalg.qr(x)
+        sigma = DensityState.from_matrix(u @ spec.sigma.rho @ dag(u))
+        rotated = GeneratorSpec.create(sigma, [(u @ v @ dag(u), w) for v, w in spec.jumps])
+        moved = [(u @ w @ dag(u), u @ v @ dag(u)) for w, v in pairs]
+        base = intertwining_rates(spec, pairs)
+        assert_same_report(intertwining_rates(rotated, moved), np.array(base.rates),
+                           np.array(base.intertwine_residuals), skew)
+        assert intertwining_rates(rotated, moved).lam == pytest.approx(base.lam, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["fermi2", "fermi-infinite4", "plain3", "plain6"])
+    def test_reordered_jumps(self, case):
+        spec, pairs, skew = intertwining_case(case)
+        order = np.random.default_rng(7).permutation(spec.njumps)
+        shuffled = GeneratorSpec.create(spec.sigma, [spec.jumps[i] for i in order])
+        base = intertwining_rates(spec, pairs)
+        rep = intertwining_rates(shuffled, pairs)
+        assert_same_report(rep, np.array(base.rates), np.array(base.intertwine_residuals), skew)
+        assert rep.lam == pytest.approx(base.lam, rel=1e-12)
+        if not skew:
+            # the default derivations follow the jumps
+            default = intertwining_rates(shuffled)
+            assert default.derivation_kind == "plain"
+            assert_same_report(default, np.array(base.rates)[order],
+                               np.array(base.intertwine_residuals)[order], skew)
+
+    @pytest.mark.parametrize("defect", ["dense", "wrong-dim", "one-factor", "non-finite"])
+    def test_rejects_malformed_derivations(self, fermi_m2, defect):
+        w, v = fermi_m2.skew_derivations()[0]
+        bad = {
+            "dense": derivation_super((w, v)),
+            "wrong-dim": (w[:2, :2], v[:2, :2]),
+            "one-factor": (w,),
+            "non-finite": (w, np.where(v == 0, np.nan, v)),
+        }[defect]
+        message = "non-finite" if defect == "non-finite" else r"\(W, V\) pair of 4 x 4"
+        with pytest.raises(ValueError, match=message):
+            intertwining_rates(fermi_m2.spec, [(w, v), bad])
 
 
 class TestLSI:

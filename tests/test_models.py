@@ -8,7 +8,7 @@ from qmsflow.generators import (
     ergodicity,
 )
 from qmsflow.canonical import extract_canonical
-from qmsflow.linalg import apply_super, commutator_super, dag, super_of_left
+from qmsflow.linalg import apply_super, dag
 from qmsflow.models import (
     clifford,
     fermi_ou,
@@ -21,6 +21,8 @@ from qmsflow.models import (
     skew_derivations_infinite,
 )
 from qmsflow.states import inner_s
+
+from conftest import random_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,10 +63,11 @@ class TestClifford:
             assert abs(np.trace(qa)) < 1e-12
 
     def test_principal_automorphism_flips_generators(self):
-        for n in (3, 4):
-            ctx = clifford(n)
-            for q in ctx.generators:
-                assert np.linalg.norm(apply_super(ctx.principal_super, q) + q) < 1e-12
+        # Gamma(A) = W A W for an even count
+        ctx = clifford(4)
+        w = ctx.principal_unitary
+        for q in ctx.generators:
+            assert np.linalg.norm(w @ q @ w + q) < 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -100,15 +103,16 @@ class TestInfiniteTemperature:
     def test_ergodic(self, fermi_infinite_n2):
         assert ergodicity(fermi_infinite_n2) == 1
 
-    def test_skew_equals_rotated_plain(self):
-        # d-check_j = W [V_j, .] / (2i) with V_j = i W Q_j
+    def test_skew_equals_rotated_plain(self, rng):
+        # the pair (W / (2i), V_j), V_j = i W Q_j, applies
+        # d-check_j A = (Q_j A - Gamma(A) Q_j)/2 with Gamma(A) = W A W
         ctx = clifford(4)
-        skews = skew_derivations_infinite(ctx)
         w = ctx.principal_unitary
-        for q, d in zip(ctx.generators, skews):
-            v = 1j * w @ q
-            expect = (1.0 / 2j) * super_of_left(w) @ commutator_super(v)
-            assert np.linalg.norm(d - expect) < 1e-13
+        for q, (dw, v) in zip(ctx.generators, skew_derivations_infinite(ctx)):
+            assert np.array_equal(dw, w / 2j) and np.array_equal(v, 1j * w @ q)
+            a = random_matrix(rng, 4)
+            expect = 0.5 * (q @ a - w @ a @ w @ q)
+            assert np.linalg.norm(dw @ (v @ a - a @ v) - expect) < 1e-13
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError, match="even"):

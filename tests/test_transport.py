@@ -30,10 +30,9 @@ from qmsflow.transport import (
     metric_monotonicity_check,
     metric_tensor,
     riemannian_gradient_flow_check,
-    weighted_laplacian_super,
 )
 
-from conftest import random_matrix
+from conftest import random_matrix, weighted_laplacian_super
 
 
 def random_traceless_hermitian(rng, n):
