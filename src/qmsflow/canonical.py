@@ -308,11 +308,11 @@ def extract_canonical(
     :func:`qmsflow.generators.check_complete_positivity` when given), and
     the block-structure guard.  The round-trip error is relative to
     ||L||, taken from the certification when there is one, else the
-    largest singular value of L's blocks.  It compares L's blocks with the
-    extracted spec's Bohr blocks (:func:`qmsflow.generators._block_distance`)
-    and is an upper bound, for a superoperator too.
+    largest singular value of L's blocks.  It is ||L - L_extracted||_2 from
+    L's blocks and the extracted spec's Bohr blocks
+    (:func:`qmsflow.generators._block_distance`), for a superoperator too.
     """
-    blocks, eta, gks_over = _input_blocks(l, sigma)
+    blocks, gks_over = _input_blocks(l, sigma)
     if modular is None and not isinstance(l, GeneratorSpec):
         modular = build_modular_basis(sigma)  # one basis for complete positivity and extraction
     cert = certification
@@ -356,6 +356,6 @@ def extract_canonical(
         hamiltonian_hat_norm=h_hat_norm,
         dropped_eigenvalues=dropped,
         block_sizes=block_sizes,
-        roundtrip_error=_block_distance(blocks, eta, spec) / max(l_norm, 1e-300),
+        roundtrip_error=_block_distance(blocks, spec) / max(l_norm, 1e-300),
     )
     return spec, report

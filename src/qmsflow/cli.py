@@ -267,17 +267,28 @@ def cmd_restrict(args) -> int:
     return 0
 
 
+# the zoo flags each model reads; any other flag given is an input error
+ZOO_FLAGS = {"fermi": ("m", "beta", "energies", "rates"), "fermi-infinite": ("m",), "depolarizing": ("m",),
+             "kms-counterexample": ()}
+
+
 def cmd_zoo(args) -> int:
+    unread = [f"--{flag}" for flag in ("m", "beta", "energies", "rates")
+              if getattr(args, flag) is not None and flag not in ZOO_FLAGS[args.model]]
+    if unread:
+        raise InputError(f"--model {args.model} does not read {', '.join(unread)}")
+    m = 1 if args.m is None else args.m
     if args.model == "fermi":
-        energies = args.energies.split(",") if args.energies else [1.0] * args.m
-        model = _model(fermi_ou, args.m, args.beta, energies)
+        beta = 1.0 if args.beta is None else args.beta
+        energies = args.energies.split(",") if args.energies else [1.0] * m
+        model = _model(fermi_ou, m, beta, energies)
         out = spec_to_json(model.spec)
         out["model"] = "fermi"
-        out["beta"] = args.beta
+        out["beta"] = beta
         out["energies"] = model.energies.tolist()
         out["krawtchouk_eigenvalues"] = sorted(
             float(model.krawtchouk_eigenvalue(al))
-            for al in _all_krawtchouk_indices(args.m)
+            for al in _all_krawtchouk_indices(m)
         )
         if args.rates:
             rate = hypercube_restriction(model)
@@ -285,13 +296,12 @@ def cmd_zoo(args) -> int:
                 rate, extra={"rate_comparison": printed_hypercube_rates(model)}
             )
     elif args.model == "fermi-infinite":
-        spec = _model(fermi_ou_infinite, args.m)
-        out = spec_to_json(spec)
+        out = spec_to_json(_model(fermi_ou_infinite, m))
         out["model"] = "fermi-infinite"
     elif args.model == "depolarizing":
-        out = spec_to_json(_model(depolarizing, args.m))
+        out = spec_to_json(_model(depolarizing, m))
         out["model"] = "depolarizing"
-    elif args.model == "kms-counterexample":
+    else:  # kms-counterexample
         u = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         v1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
         v2 = np.array([1.0, 2.0]) / np.sqrt(5.0)
@@ -303,8 +313,6 @@ def cmd_zoo(args) -> int:
             "superoperator": serialize.matrix_to_json(lmat),
             "report": report,
         }
-    else:
-        raise InputError(f"unknown model {args.model!r}")
     _write_output(args, dump_json(out))
     return 0
 
@@ -375,12 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("zoo", help="emit a model specification as JSON")
-    p.add_argument("--model", required=True,
-                   choices=["fermi", "fermi-infinite", "depolarizing", "kms-counterexample"])
-    p.add_argument("--m", type=int, default=1, help="mode count / generator count / dimension")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--energies", help="comma-separated mode energies")
-    p.add_argument("--rates", action="store_true", help="include the hypercube restriction")
+    p.add_argument("--model", required=True, choices=list(ZOO_FLAGS))
+    p.add_argument("--m", type=int, help="mode count / generator count / dimension (default 1)")
+    p.add_argument("--beta", type=float, help="inverse temperature, fermi only (default 1)")
+    p.add_argument("--energies", help="comma-separated mode energies, fermi only")
+    p.add_argument("--rates", action="store_true", default=None, help="include the hypercube restriction, fermi only")
     add_common(p)
     p.set_defaults(func=cmd_zoo)
 

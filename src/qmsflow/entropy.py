@@ -95,8 +95,11 @@ def intertwining_rates(
 
     Each derivation is a pair (W, V) of n x n matrices, D(A) = W[V, A];
     the default is the plain commutators (I, V_j) of the spec's jumps.  A
-    residual ||[D, L] + a D||_F / ||D||_F above ``tol`` voids the decay
-    constant; absence of intertwining is a legitimate report, not an error.
+    residual ||[D, L] + a D||_F / (||D||_F ||K||_F) above ``tol`` voids the
+    decay constant; K = sum_j c_j V_j^* V_j goes with the units of L, as in
+    :func:`qmsflow.generators.restrict_to_commutative`, so the residual and
+    the verdict do not change when L is rescaled.  Absence of intertwining
+    is a legitimate report, not an error.
 
     With L_A R_B the map X -> A X B, P = W V, A_k = 2 c_k V_k^* and K as in
     :mod:`qmsflow.generators`, D = L_P - L_W R_V and
@@ -113,7 +116,7 @@ def intertwining_rates(
     if derivations is None:
         derivations, kind = [(eye, v) for v in vs], kind or "plain"
     a_k = 2.0 * c[:, None, None] * np.conj(vs).transpose(0, 2, 1)
-    rates, residuals = [], []
+    rates, residuals, unit = [], [], max(float(np.linalg.norm(k)), 1e-300)
     for i, d in enumerate(derivations):
         got = d.shape if isinstance(d, np.ndarray) else tuple(np.shape(x) for x in d)
         if got not in ((2, n, n), ((n, n), (n, n))):
@@ -135,7 +138,7 @@ def intertwining_rates(
         left[:2] *= a  # [D, L] + a D
         r = np.linalg.qr(left.T, mode="r")
         rates.append(float(a))
-        residuals.append(float(np.linalg.norm(r @ right) / np.sqrt(norm2)))
+        residuals.append(float(np.linalg.norm(r @ right) / (np.sqrt(norm2) * unit)))
     ok = all(r < tol for r in residuals)
     lam = float(min(rates)) if (ok and rates) else None
     return DecayReport(rates, residuals, lam, kind or "custom")

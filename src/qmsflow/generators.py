@@ -19,8 +19,8 @@ Hilbert-Schmidt adjoint, generating the evolution of states, is
     L^+(rho) = 2 sum_j c_j V_j rho V_j^* - K rho - rho K .
 
 :func:`apply_generator` and :func:`apply_dual` evaluate these from the
-jumps.  :meth:`GeneratorSpec.create` builds L block by block over Bohr
-frequencies from the jumps, once, which checks the spec, and
+jumps.  :meth:`GeneratorSpec.create` snaps the jumps onto their Bohr
+blocks and builds L block by block from them, once, which checks it, and
 :func:`ergodicity` and :func:`dual_orbit` eigensolve those blocks once;
 :func:`dual_orbit` evaluates exp(t L^+)(x) on a whole time grid in one
 stacked pass over the eigensolved blocks and returns it as a (T, n, n)
@@ -100,15 +100,22 @@ class GeneratorSpec:
 
     @classmethod
     def create(cls, sigma: DensityState, jumps) -> "GeneratorSpec":
-        """The spec, checked once (ValueError): jump shapes, finite omegas, :attr:`bohr_blocks`."""
+        """The spec, checked once (ValueError): jump shapes, finite omegas,
+        :attr:`bohr_blocks`.  A jump is stored as V_j - U off(tilde V_j) U^*,
+        its part off its Bohr block taken away, so every stored jump is an
+        exact modular eigenvector, and one that was already is stored as
+        given.  The blocks are built from the same admission (:func:`_admit`)."""
         packed = tuple((check_finite(v, "jump operator"), float(w)) for v, w in jumps)
         for k, (v, w) in enumerate(packed):
             if v.shape != sigma.rho.shape:
                 raise ValueError(f"jump {k} has shape {v.shape}, expected {sigma.rho.shape}")
             if not np.isfinite(w):
                 raise ValueError(f"jump {k} has non-finite omega {w}")
-        spec = cls(sigma, packed)
-        spec.bohr_blocks  # building the blocks is the check
+        units, flat, moved, off = _admit(sigma, packed)
+        u = sigma.eigenvectors
+        back = dict(zip(moved.tolist(), u @ off @ dag(u)))  # the parts taken away
+        spec = cls(sigma, tuple((v - back[j], w) if j in back else (v, w) for j, (v, w) in enumerate(packed)))
+        spec.__dict__["bohr_blocks"] = _bohr_blocks(spec, units, flat)  # the cached_property's slot
         return spec
 
     @property
@@ -141,100 +148,18 @@ class GeneratorSpec:
         return c, vs, k
 
     @cached_property
-    def bohr_blocks(self) -> tuple[np.ndarray, list, float]:
-        """L block by block over Bohr frequencies, built from the jumps.
-
-        With U^* sigma U = diag(lam), tilde X = U^* X U and E_cd = |c><d|,
-
-            L(E_cd)_ab = 2 sum_j c_j conj(tilde V_j[c, a]) tilde V_j[d, b]
-                         - tilde K_ac delta_bd - delta_ac tilde K_db ,
-
-        which vanishes unless E_ab and E_cd share the Bohr frequency
-        log lam_a - log lam_b, because every tilde V_j lives on the units
-        of frequency -omega_j.  The blocks are those of
-        :func:`qmsflow.states.bohr_groups`, the grouping the modular basis
-        uses.  A jump with more than ``JUMP_EIGEN_TOL`` of its Frobenius
-        mass off that block raises ValueError, so no coupling is dropped.
-        Scaling E_ab by (lam_a lam_b)^{1/4} makes each block Hermitian
-        (KMS symmetry); blocks further than ``KMS_SYMMETRY_TOL`` from
-        Hermitian, in Frobenius norm relative to L's, raise ValueError.
-        A block of more than ``MAX_BOHR_BLOCK`` units raises ValueError before
-        any block is allocated.  This is the one structural check of a spec,
-        made by :meth:`create`.
-
-        Returns U; per block size, the stacked blocks' unit indices a n + b,
-        weights and weighted blocks as built (not symmetrised, so a GNS
-        defect of the jumps stays visible), all read-only; and a bound on
-        the part of L off the blocks, in 2-norm and Frobenius norm,
-
-            2 (1 + sqrt(n)) sum_j c_j e_j (2 ||V_j||_F + e_j) ,
-
-        with e_j the Frobenius norm of tilde V_j off its block.  It holds
-        whenever the jumps' parts on their blocks give a block-diagonal L,
-        that is unless ``BOHR_RTOL`` chains frequencies into blocks wider
-        than the gaps between them.
-        """
-        n, lam, u = self.dim, self.sigma.eigenvalues, self.sigma.eigenvectors
-        c, vs, k = self.jump_stack
-        omegas, nn = self.omegas(), n * n
-        # each jump's frequency -omega_j is grouped with the units, so it lands
-        # in the block of units sharing it, or alone when no unit does
-        groups = bohr_groups(self.sigma, -omegas)
-        label = np.empty(nn + omegas.size, dtype=int)
-        by_size: dict[int, list] = {}  # the units of each block, by block size
-        for g, members in enumerate(groups):
-            label[members] = g
-            units = [i for i in members if i < nn]
-            if units:
-                by_size.setdefault(len(units), []).append(units)
-        if max(by_size) > MAX_BOHR_BLOCK:
-            raise ValueError(
-                f"sigma's largest Bohr block has {max(by_size)} units; at most "
-                f"{MAX_BOHR_BLOCK} are built (MAX_BOHR_BLOCK)"
-            )
-        flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
-        off_block = label[None, :nn] != label[nn:, None]
-        off_mass = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
-        mass = np.linalg.norm(flat, axis=1)
-        off = off_mass / np.maximum(mass, 1e-300)
-        if np.any(off > JUMP_EIGEN_TOL):
-            j = int(np.argmax(off))
-            raise ValueError(
-                f"jump {j} is not a modular eigenvector: {off[j]:.3e} of its mass "
-                f"lies off the Bohr block of frequency {-omegas[j]:.6g}"
-            )
-        offblock = float(2.0 * (1.0 + np.sqrt(n)) * np.sum(c * off_mass * (2.0 * mass + off_mass)))
-        kt, weighted_conj = dag(u) @ k @ u, c[:, None] * np.conj(flat)
-        blocks, asym, scale = [], 0.0, 0.0
-        for units in map(np.array, by_size.values()):
-            a, b = np.divmod(units, n)
-            ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
-            ca, db = cq * n + ap, dq * n + bp  # flat positions of [c, a] and [d, b]
-            sandwich = np.zeros(ca.shape, dtype=complex)
-            for cv, v in zip(weighted_conj, flat):
-                sandwich += cv[ca] * v[db]
-            block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
-            weights = (lam[a] * lam[b]) ** 0.25
-            h = weights[:, :, None] * block / weights[:, None, :]
-            asym += np.linalg.norm(h - np.conj(h).transpose(0, 2, 1)) ** 2
-            scale += np.linalg.norm(h) ** 2
-            for arr in (units, weights, h):
-                arr.flags.writeable = False
-            blocks.append((units, weights, h))
-        if asym > KMS_SYMMETRY_TOL**2 * scale:
-            rel = np.sqrt(asym / scale)
-            raise ValueError(
-                f"L is not KMS-symmetric (the jumps are not closed under adjoints): "
-                f"weighted Bohr blocks {rel:.3e} off Hermitian"
-            )
-        return u, blocks, offblock
+    def bohr_blocks(self) -> tuple[np.ndarray, list]:
+        """U and L's Bohr blocks (:func:`_admit`, :func:`_bohr_blocks`), the
+        one structural check of a spec, made by :meth:`create` or, after the
+        plain constructor, at the first read."""
+        return _bohr_blocks(self, *_admit(self.sigma, self.jumps)[:2])
 
     @cached_property
     def bohr_factor(self) -> tuple[np.ndarray, list]:
         """U and, per block size, unit indices, weights and eigenpairs of the
         Hermitian parts of the :attr:`bohr_blocks`, eigensolved on first use
         and kept read-only."""
-        u, blocks, _ = self.bohr_blocks
+        u, blocks = self.bohr_blocks
         factor = [
             (units, w, *np.linalg.eigh(0.5 * (h + np.conj(h).transpose(0, 2, 1))))
             for units, w, h in blocks
@@ -249,6 +174,90 @@ class GeneratorSpec:
         :func:`_jump_gks` on :func:`qmsflow.states.build_modular_basis`, built
         on first use and kept with the spec."""
         return _jump_gks(self, build_modular_basis(self.sigma))
+
+
+def _admit(sigma: DensityState, jumps) -> tuple:
+    """``jumps`` (V_j, omega_j) on sigma's Bohr blocks.  With U^* sigma U =
+    diag(lam), a modular eigenvector's tilde V_j = U^* V_j U lives on the
+    units E_ab of frequency log lam_a - log lam_b = -omega_j, grouped with
+    them by :func:`qmsflow.states.bohr_groups` (the modular basis's
+    grouping): each lands in the block of units sharing it, or alone.  A
+    jump with more than ``JUMP_EIGEN_TOL`` of its Frobenius mass off its
+    block raises ValueError, and so does a block of more than
+    ``MAX_BOHR_BLOCK`` units, before any block is allocated.  Returns the
+    units a n + b of each block, listed per block size, the rows tilde V_j
+    (row-major) with their entries off the block set to 0, and the indices
+    of the jumps that had any there with those entries, (moved, n, n)."""
+    n, u, nn = sigma.dim, sigma.eigenvectors, sigma.dim**2
+    vs, omegas = np.array([v for v, _ in jumps], dtype=complex).reshape(-1, n, n), np.array([w for _, w in jumps])
+    label = np.empty(nn + omegas.size, dtype=int)
+    by_size: dict[int, list] = {}  # the units of each block, by block size
+    for g, members in enumerate(bohr_groups(sigma, -omegas)):
+        label[members] = g
+        units = [i for i in members if i < nn]
+        if units:
+            by_size.setdefault(len(units), []).append(units)
+    if max(by_size) > MAX_BOHR_BLOCK:
+        raise ValueError(
+            f"sigma's largest Bohr block has {max(by_size)} units; at most "
+            f"{MAX_BOHR_BLOCK} are built (MAX_BOHR_BLOCK)"
+        )
+    flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
+    off_block = label[None, :nn] != label[nn:, None]
+    off_mass = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
+    frac = off_mass / np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
+    if np.any(frac > JUMP_EIGEN_TOL):
+        j = int(np.argmax(frac))
+        raise ValueError(
+            f"jump {j} is not a modular eigenvector: {frac[j]:.3e} of its mass "
+            f"lies off the Bohr block of frequency {-omegas[j]:.6g}"
+        )
+    moved = np.flatnonzero(off_mass)
+    off = flat[moved]
+    off[~off_block[moved]] = 0
+    flat[off_block] = 0
+    return list(map(np.array, by_size.values())), flat, moved, off.reshape(-1, n, n)
+
+
+def _bohr_blocks(spec: GeneratorSpec, units_by_size: list, flat: np.ndarray) -> tuple:
+    """L on its Bohr blocks from :func:`_admit`'s units and rows ``flat``
+    of the jumps on their blocks.  With E_cd = |c><d| and tilde K = U^* K U,
+
+        L(E_cd)_ab = 2 sum_j c_j conj(tilde V_j[c, a]) tilde V_j[d, b]
+                     - tilde K_ac delta_bd - delta_ac tilde K_db
+
+    vanishes unless E_ab and E_cd share a block.  Scaling E_ab by
+    (lam_a lam_b)^{1/4} makes each block Hermitian (KMS symmetry); blocks
+    further than ``KMS_SYMMETRY_TOL`` from Hermitian, in Frobenius norm
+    relative to L's, raise ValueError.  Returns U and, per block size, the
+    stacked blocks' unit indices a n + b, weights and weighted blocks as
+    built (not symmetrised, so a GNS defect of the jumps stays visible),
+    all read-only.
+    """
+    n, lam, u, (c, _, k) = spec.dim, spec.sigma.eigenvalues, spec.sigma.eigenvectors, spec.jump_stack
+    kt, weighted_conj, blocks, asym, scale = dag(u) @ k @ u, c[:, None] * np.conj(flat), [], 0.0, 0.0
+    for units in units_by_size:
+        a, b = np.divmod(units, n)
+        ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
+        ca, db = cq * n + ap, dq * n + bp  # flat positions of [c, a] and [d, b]
+        sandwich = np.zeros(ca.shape, dtype=complex)
+        for cv, v in zip(weighted_conj, flat):
+            sandwich += cv[ca] * v[db]
+        block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
+        weights = (lam[a] * lam[b]) ** 0.25
+        h = weights[:, :, None] * block / weights[:, None, :]
+        asym += np.linalg.norm(h - np.conj(h).transpose(0, 2, 1)) ** 2
+        scale += np.linalg.norm(h) ** 2
+        for arr in (units, weights, h):
+            arr.flags.writeable = False
+        blocks.append((units, weights, h))
+    if asym > KMS_SYMMETRY_TOL**2 * scale:
+        rel = np.sqrt(asym / scale)
+        raise ValueError(
+            f"L is not KMS-symmetric (the jumps are not closed under adjoints): "
+            f"weighted Bohr blocks {rel:.3e} off Hermitian"
+        )
+    return u, blocks
 
 
 def _label_stacks(labels: np.ndarray) -> dict:
@@ -450,30 +459,27 @@ def _block_entries(values: list, index: np.ndarray, rows, cols) -> tuple[np.ndar
 
 def _unweighted_blocks(spec: GeneratorSpec) -> list:
     """The Bohr blocks of L itself, per size group: (unit indices, blocks)."""
-    _, blocks, _ = spec.bohr_blocks
+    _, blocks = spec.bohr_blocks
     return [(units, h * w[:, None, :] / w[:, :, None]) for units, w, h in blocks]
 
 
 def _input_blocks(l, sigma: DensityState) -> tuple:
-    """L's blocks over the units of sigma's eigenvectors, the bound eta on
-    the part of L off them, and the producer of its GKS coefficients over a
-    modular basis of sigma (``None``: sigma's own).  A spec, whose own
-    state must be ``sigma`` (ValueError otherwise), gives its Bohr blocks,
-    its off-block bound and :func:`_jump_gks`; a superoperator gives one
-    block of all n^2 units (:func:`_rotated`), eta = 0 and
-    :func:`_superoperator_gks`."""
+    """L's blocks over the units of sigma's eigenvectors, which hold all of
+    L, and the producer of its GKS coefficients over a modular basis of
+    sigma (``None``: sigma's own).  A spec, whose own state must be
+    ``sigma`` (ValueError otherwise), gives its Bohr blocks and
+    :func:`_jump_gks`; a superoperator gives one block of all n^2 units
+    (:func:`_rotated`) and :func:`_superoperator_gks`."""
     if isinstance(l, GeneratorSpec):
         if sigma is not l.sigma:
             raise ValueError("a spec is checked against its own sigma")
         return (
             _unweighted_blocks(l),
-            l.bohr_blocks[2],
             lambda modular: l.gks_blocks if modular is None else _jump_gks(l, modular),
         )
     lt, nn = _rotated(l, sigma), sigma.dim**2
     return (
         [(np.arange(nn).reshape(1, nn), lt[None])],
-        0.0,
         lambda modular: _superoperator_gks(lt, build_modular_basis(sigma) if modular is None else modular),
     )
 
@@ -482,16 +488,12 @@ def _largest_singular_value(stacks) -> float:
     return max((float(np.linalg.svd(x, compute_uv=False).max()) for x in stacks), default=0.0)
 
 
-def _block_distance(blocks: list, eta: float, other: GeneratorSpec) -> float:
-    """Upper bound on ||L - L_other||_2 from the blocks of L
-    (:func:`_input_blocks`), the bound ``eta`` on L off them, and
-    ``other``'s Bohr blocks.
-
-    The blocks of L - L_other on L's blocks, where ``other``'s entries are
-    taken from its own blocks, give the largest singular value of any
-    block; ``eta`` and ``other``'s off-block bound are added.  ``other``'s
-    blocks must each lie inside one of L's (ValueError otherwise), so every
-    entry of L_other left out is off its own blocks.
+def _block_distance(blocks: list, other: GeneratorSpec) -> float:
+    """||L - L_other||_2 from the blocks of L (:func:`_input_blocks`) and
+    ``other``'s Bohr blocks: the largest singular value of any block of
+    L - L_other on L's blocks, where ``other``'s entries are taken from its
+    own blocks.  ``other``'s blocks must each lie inside one of L's
+    (ValueError otherwise), so L - L_other is block diagonal on L's.
     """
     nn = other.dim**2
     theirs = _unweighted_blocks(other)
@@ -505,7 +507,7 @@ def _block_distance(blocks: list, eta: float, other: GeneratorSpec) -> float:
         _block_entries(their_values, their_index, units[:, :, None], units[:, None, :])[0] - x
         for units, x in blocks
     ]
-    return _largest_singular_value(diffs) + eta + other.bohr_blocks[2]
+    return _largest_singular_value(diffs)
 
 
 @dataclass
@@ -522,9 +524,6 @@ class CertificationReport:
     kms_only: bool
     l_norm: float  # 2-norm of the certified blocks of L, the residuals' scale
     tolerance: float = GNS_FLAG_TOL
-    # the bound on ||L - L_0||_2 / ||L_0||_2, L_0 the blocks of L, that makes
-    # every residual an upper bound; 0 for a superoperator, certified whole
-    offblock_bound: float = 0.0
 
     def as_dict(self) -> dict:
         """The fields in declaration order, without ``l_norm``."""
@@ -571,23 +570,22 @@ def certify_detailed_balance(
 
     ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
     is ``sigma``; either way :func:`_certify_blocks` certifies the blocks
-    of :func:`_input_blocks`.  For a spec those are its Bohr blocks and the
-    residuals are upper bounds; a superoperator is one block and its
-    residuals are those of L itself.
+    of :func:`_input_blocks`: a spec's Bohr blocks, or a superoperator as
+    one block.  Either way the residuals are those of L itself.
     """
-    blocks, eta, _ = _input_blocks(l, sigma)
-    return _certify_blocks(sigma, blocks, eta, s_grid, tol)
+    blocks, _ = _input_blocks(l, sigma)
+    return _certify_blocks(sigma, blocks, s_grid, tol)
 
 
-def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: float) -> CertificationReport:
+def _certify_blocks(sigma: DensityState, ls: list, s_grid, tol: float) -> CertificationReport:
     """The certification of L from its blocks L_B over the units of sigma's
-    eigenvectors (``ls``: unit indices and blocks, per block size) and the
-    bound eta on ||L - L_0||_2, L_0 the block-diagonal part.
+    eigenvectors (``ls``: unit indices and blocks, per block size), which
+    hold all of L.
 
     In sigma's eigenbasis every weight is diagonal on the units E_ab
     (Omega_s: lam_a^{1-s} lam_b^s; Omega_BKM: f(lam_a/lam_b) lam_b;
-    Delta_sigma: lam_a/lam_b), so no weight superoperator is formed.  For
-    L_0 each weighted residual is the largest Hermitian spectral radius of
+    Delta_sigma: lam_a/lam_b), so no weight superoperator is formed.  Each
+    weighted residual is the largest Hermitian spectral radius of
     i(D_B L_B - L_B^* D_B) over the blocks, batched by block size, scaled
     by the weight's 2-norm (lam_max for every Omega_s, the largest kernel
     entry for Omega_BKM); the modular commutator is the largest singular
@@ -595,12 +593,8 @@ def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: floa
     to ``BOHR_RTOL``), scaled by lam_max/lam_min; the star residual pairs
     each block with the block of its transposed units (an entry whose
     partner lies off the blocks counts twice); the unital residual is
-    L_0(1) on the block of 0.  The scale is ||L_0||_2, the largest singular
-    value of any block, which is at most ||L||_2.  eta enters each residual
-    as the most it can move it (2 eta for the weighted, modular and star
-    residuals, sqrt(n) eta for the unital one), so every residual is an
-    upper bound on that of L itself.  The report carries eta / ||L_0||_2 as
-    ``offblock_bound``.  Only ||L_0|| and the modular commutator, which is
+    L(1) on the block of 0.  The scale is ||L||_2, the largest singular
+    value of any block.  Only ||L|| and the modular commutator, which is
     not normal, take an SVD.
     """
     n = sigma.dim
@@ -614,7 +608,7 @@ def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: floa
         for units, x in ls:
             dx = kernel.ravel()[units][:, :, None] * x
             worst = max(worst, _hermitian_opnorm(1j * (dx - np.conj(dx).transpose(0, 2, 1))))
-        return worst / (norm * scale) + 2.0 * eta / scale
+        return worst / (norm * scale)
 
     def s_residual(s: float) -> float:
         return weighted(np.outer(lam ** (1.0 - s), lam**s), lam_max)
@@ -625,7 +619,6 @@ def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: floa
     ratio = np.outer(lam, 1.0 / lam).ravel()
     commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, x in ls)
     mod_comm = _largest_singular_value(commutators) / (scale * lam_max / float(lam[0]))
-    mod_comm += 2.0 * eta / scale
     index, values = _unit_positions(ls, n * n), [x for _, x in ls]
     diff2 = norm2 = 0.0
     for units, x in ls:
@@ -633,11 +626,10 @@ def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: floa
         paired, on = _block_entries(values, index, mirror[:, :, None], mirror[:, None, :])
         diff2 += np.linalg.norm(x - np.conj(paired)) ** 2 + np.linalg.norm(x[~on]) ** 2
         norm2 += np.linalg.norm(x) ** 2
-    star = (np.sqrt(diff2) + 2.0 * eta) / max(np.sqrt(norm2), 1e-300)
+    star = np.sqrt(diff2) / max(np.sqrt(norm2), 1e-300)
     g, b = index[:2, 0]  # E_00 lies in the block of 0, with every E_aa
     units, x = ls[g]
-    unital = np.linalg.norm(x[b][:, units[b] % (n + 1) == 0].sum(axis=1))
-    unital = (unital + np.sqrt(n) * eta) / scale
+    unital = np.linalg.norm(x[b][:, units[b] % (n + 1) == 0].sum(axis=1)) / scale
     gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
     kms = s_res[0.5] if 0.5 in s_res else s_residual(0.5)
     return CertificationReport(
@@ -651,7 +643,6 @@ def _certify_blocks(sigma: DensityState, ls: list, eta: float, s_grid, tol: floa
         kms_only=bool(kms < tol and mod_comm > 100 * tol),
         l_norm=l_norm,
         tolerance=tol,
-        offblock_bound=eta / scale,
     )
 
 

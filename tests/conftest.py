@@ -96,11 +96,12 @@ def derivation_super(pair):
 
 def dense_intertwining_rates(spec, derivations):
     """Reference for ``qmsflow.entropy.intertwining_rates``: each derivation
-    as a dense superoperator, [D, L] formed against the dense L.  Returns
-    (rates, residuals)."""
+    as a dense superoperator, [D, L] formed against the dense L, residuals
+    relative to ||D||_F ||K||_F.  Returns (rates, residuals)."""
     from qmsflow.generators import build_generator
 
     l = build_generator(spec)
+    unit = np.linalg.norm(spec.jump_stack[2])
     rates = []
     residuals = []
     for d in map(derivation_super, derivations):
@@ -111,7 +112,7 @@ def dense_intertwining_rates(spec, derivations):
             residuals.append(np.inf)
             continue
         a = -np.vdot(d, comm).real / norm2
-        resid = float(np.linalg.norm(comm + a * d) / np.sqrt(norm2))
+        resid = float(np.linalg.norm(comm + a * d) / (np.sqrt(norm2) * unit))
         rates.append(float(a))
         residuals.append(resid)
     return np.array(rates), np.array(residuals)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qmsflow.generators import (
     GeneratorSpec,
+    _admit,
     _self_adjointness_residual,
     apply_dual,
     apply_generator,
@@ -23,6 +24,7 @@ from qmsflow.linalg import apply_super, choi, commutator_super, dag, unvec, vec
 from qmsflow.models import (
     depolarizing,
     fermi_ou,
+    fermi_ou_infinite,
     hypercube_projections,
     kms_counterexample,
     random_dbc_spec,
@@ -108,6 +110,85 @@ class TestGeneratorSpec:
     def test_self_adjoint_jump_pairs_with_itself(self):
         spec = GeneratorSpec.create(tracial(2), [(PAULI_X, 0.0)])
         assert spec.njumps == 1
+
+
+def _offblock_jumps(spec, rel):
+    """The jumps of ``spec`` (sigma nondegenerate), each with rel ||V_j||
+    of mass added off its Bohr block: a traceless diagonal shift in sigma's
+    eigenbasis at omega != 0, a hop between its extreme eigenvectors at
+    omega = 0."""
+    n, u = spec.dim, spec.sigma.eigenvectors
+    shift, hop = np.zeros((n, n)), np.zeros((n, n))
+    shift[0, 0], shift[1, 1], hop[0, n - 1] = 2**-0.5, -(2**-0.5), 1.0
+    return [(v + rel * np.linalg.norm(v) * (u @ (shift if w != 0 else hop) @ dag(u)), w) for v, w in spec.jumps]
+
+
+def _offblock_fractions(sigma, jumps):
+    """Per jump, the Frobenius norms of tilde V_j off its Bohr block and whole."""
+    _, _, moved, off = _admit(sigma, jumps)
+    off_mass = np.zeros(len(jumps))
+    off_mass[moved] = np.linalg.norm(off, axis=(1, 2))
+    return off_mass, np.array([np.linalg.norm(v) for v, _ in jumps])
+
+
+SNAP_SPECS = [(2, 0), (3, 1), (4, 2), (6, 3), (8, 4)]
+# models whose jumps are exact modular eigenvectors: (build, argument)
+EXACT_MODELS = [
+    *((lambda m: fermi_ou(m, 1.0, [1.0, 2.0, 1.3, 1.6][:m]).spec, m) for m in range(1, 5)),
+    *((depolarizing, n) for n in range(2, 7)),
+    (fermi_ou_infinite, 2),
+    (fermi_ou_infinite, 4),
+]
+
+
+class TestSnap:
+    """create stores each jump with its part off its Bohr block taken away."""
+
+    @pytest.mark.parametrize("build, arg", EXACT_MODELS)
+    def test_exact_eigenvectors_stored_as_given(self, build, arg, monkeypatch):
+        given_jumps, create = [], GeneratorSpec.create.__func__
+
+        def recording(cls, sigma, jumps):
+            given_jumps.append(list(jumps))
+            return create(cls, sigma, given_jumps[-1])
+
+        monkeypatch.setattr(GeneratorSpec, "create", classmethod(recording))
+        spec = build(arg)
+        assert len(given_jumps) == 1
+        assert all(np.array_equal(v, x) for (v, _), (x, _) in zip(spec.jumps, given_jumps[0], strict=True))
+
+    @pytest.mark.parametrize("rel", [1e-12, 1e-11, 0.99e-10])
+    @pytest.mark.parametrize("n, seed", SNAP_SPECS)
+    def test_stored_jumps_lie_on_their_blocks(self, n, seed, rel):
+        base = random_dbc_spec(n, np.random.default_rng(seed))
+        raw = _offblock_jumps(base, rel)
+        spec = GeneratorSpec.create(base.sigma, raw)
+        off, mass = _offblock_fractions(spec.sigma, spec.jumps)
+        assert np.all(off <= 1e-15 * mass)
+        raw_off, raw_mass = _offblock_fractions(spec.sigma, raw)
+        assert np.all(raw_off > 0.5 * rel * raw_mass)
+        for (v, _), (x, _), frac in zip(spec.jumps, raw, raw_off / raw_mass):
+            assert np.linalg.norm(v - x) <= (frac + 1e-15) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n, seed", SNAP_SPECS)
+    def test_snap_commutes_with_conjugation_and_reordering(self, n, seed):
+        base = random_dbc_spec(n, np.random.default_rng(seed))
+        raw = _offblock_jumps(base, 0.99e-10)
+        spec = GeneratorSpec.create(base.sigma, raw)
+        w, _ = np.linalg.qr(random_matrix(np.random.default_rng(seed + 10), n))
+        sigma = DensityState.from_matrix(w @ base.sigma.rho @ dag(w))
+        rotated = GeneratorSpec.create(sigma, [(w @ v @ dag(w), om) for v, om in raw])
+        # up to the round-off of sigma's eigenvectors, eps / (relative gap)
+        lam = base.sigma.eigenvalues
+        tol = 1e-15 * lam[-1] / np.min(np.diff(lam))
+        for (v, om), (x, om_x) in zip(rotated.jumps, spec.jumps):
+            assert om == om_x
+            assert np.linalg.norm(v - w @ x @ dag(w)) <= tol * np.linalg.norm(x)
+        order = np.random.default_rng(seed).permutation(len(raw))
+        shuffled = GeneratorSpec.create(base.sigma, [raw[i] for i in order])
+        for (v, om), i in zip(shuffled.jumps, order):
+            assert om == spec.jumps[i][1]
+            assert np.linalg.norm(v - spec.jumps[i][0]) <= 1e-15 * np.linalg.norm(v)
 
 
 class TestBuildGenerator:
@@ -390,21 +471,21 @@ class TestBlockRoute:
         merged = GeneratorSpec.create(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
         assert len(merged.bohr_blocks[1]) != len(exact.bohr_blocks[1])
         l_gap = np.linalg.norm(build_generator(merged) - build_generator(exact), 2)
-        assert l_gap <= _block_distance(*_input_blocks(merged, sigma)[:2], exact) <= l_gap + 1e-14
+        assert l_gap <= _block_distance(_input_blocks(merged, sigma)[0], exact) <= l_gap + 1e-14
         with pytest.raises(ValueError, match="nest"):
-            _block_distance(*_input_blocks(exact, sigma)[:2], merged)
+            _block_distance(_input_blocks(exact, sigma)[0], merged)
 
     def test_superoperator_distance_bounds_the_dense_one(self, rng):
-        # a superoperator is one block, so the distance is exact up to the
-        # other spec's off-block bound
+        # a superoperator is one block and the other spec's jumps lie on
+        # their blocks, so the distance is exact
         from qmsflow.generators import _block_distance, _input_blocks
 
         spec = random_dbc_spec(3, rng)
         other = GeneratorSpec.create(spec.sigma, [(1.1 * v, w) for v, w in spec.jumps])
         l = build_generator(spec)
         gap = np.linalg.norm(build_generator(other) - l, 2)
-        got = _block_distance(*_input_blocks(l, spec.sigma)[:2], other)
-        assert gap - 1e-14 * gap <= got <= gap + other.bohr_blocks[2] + 1e-14 * gap
+        got = _block_distance(_input_blocks(l, spec.sigma)[0], other)
+        assert gap - 1e-14 * gap <= got <= gap + 1e-14 * gap
 
 
 class TestCompletePositivity:
