@@ -345,7 +345,7 @@ def extract_canonical(
         )
 
     jumps, dropped, block_sizes = _canonical_jumps(gks.blocks, gks.modular, drop_rtol)
-    spec = GeneratorSpec.create(sigma, jumps)
+    spec = GeneratorSpec(sigma, jumps)
     h_norm, h_hat_norm = gks.hamiltonian_norms
     report = ExtractionReport(
         block_residual=block_res,

@@ -86,7 +86,7 @@ def _load_spec_or_superop(path: str):
         if "superoperator" in obj:
             if "sigma" not in obj:
                 raise InputError("superoperator input must carry 'sigma'")
-            sigma = density_from_json({"rho": obj["sigma"]})
+            sigma = density_from_json(obj, "sigma")
             rows = obj["superoperator"]
             # refused before its n^4 cells are converted
             if isinstance(rows, list) and len(rows) != sigma.dim**2:
@@ -96,6 +96,14 @@ def _load_spec_or_superop(path: str):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     raise InputError("input must carry either 'jumps' or 'superoperator'")
+
+
+def _load_spec(path: str, command: str):
+    """The spec of ``path``; a superoperator is an input error for ``command``."""
+    spec, _, _ = _load_spec_or_superop(path)
+    if spec is None:
+        raise InputError(f"{command} needs a jump specification input")
+    return spec
 
 
 def _load_side_file(path: str, spec, parse):
@@ -131,7 +139,7 @@ def _parse_grid(text: str):
         t0, t1, steps = float(t0), float(t1), int(steps)
     except ValueError as exc:
         raise InputError(f"grid must be t0:t1:steps, got {text!r}") from exc
-    if steps < 1 or t1 < t0 or t0 < 0:
+    if steps < 1 or not np.all(np.isfinite([t0, t1])) or t1 < t0 or t0 < 0:
         raise InputError(f"bad grid {text!r}")
     return np.linspace(t0, t1, steps)
 
@@ -203,9 +211,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    spec, _, _ = _load_spec_or_superop(args.input)
-    if spec is None:
-        raise InputError("evolve needs a jump specification input")
+    spec = _load_spec(args.input, "evolve")
     rho0 = _load_side_file(args.rho0, spec, density_from_json) if args.rho0 else spec.sigma
     grid = _parse_grid(args.grid)
     lam = None if args.decay_rate is None else _positive(args.decay_rate, "--decay-rate")
@@ -215,9 +221,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    spec, _, _ = _load_spec_or_superop(args.input)
-    if spec is None:
-        raise InputError("metric needs a jump specification input")
+    spec = _load_spec(args.input, "metric")
     rho = _load_side_file(args.rho, spec, density_from_json) if args.rho else spec.sigma
     basis = traceless_hermitian_basis(spec.dim)
     g = metric_tensor(spec, rho, basis)
@@ -237,9 +241,7 @@ def cmd_geodesic(args) -> int:
         raise InputError(f"--segments must be at least 1, got {args.segments}")
     if args.budget < 0:
         raise InputError(f"--budget must be nonnegative, got {args.budget}")
-    spec, _, _ = _load_spec_or_superop(args.input)
-    if spec is None:
-        raise InputError("geodesic needs a jump specification input")
+    spec = _load_spec(args.input, "geodesic")
     rho0 = _load_side_file(args.rho0, spec, density_from_json)
     rho1 = _load_side_file(args.rho1, spec, density_from_json) if args.rho1 else spec.sigma
     res = geodesic_distance(spec, rho0, rho1, segments=args.segments, max_iter=args.budget)
@@ -250,9 +252,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    spec, _, _ = _load_spec_or_superop(args.input)
-    if spec is None:
-        raise InputError("restrict needs a jump specification input")
+    spec = _load_spec(args.input, "restrict")
     if args.projections:
         projs = _load_side_file(args.projections, spec, _projections_from_json)
     else:

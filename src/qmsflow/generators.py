@@ -19,8 +19,9 @@ Hilbert-Schmidt adjoint, generating the evolution of states, is
     L^+(rho) = 2 sum_j c_j V_j rho V_j^* - K rho - rho K .
 
 :func:`apply_generator` and :func:`apply_dual` evaluate these from the
-jumps.  :meth:`GeneratorSpec.create` snaps the jumps onto their Bohr
-blocks and builds L block by block from them, once, which checks it, and
+jumps.  A :class:`GeneratorSpec` admits its jumps when constructed: one
+rotation into sigma's eigenbasis snaps them onto their Bohr blocks, and
+L is built block by block from the rotated jumps, once, which checks it.
 :func:`ergodicity` and :func:`dual_orbit` eigensolve those blocks once;
 :func:`dual_orbit` evaluates exp(t L^+)(x) on a whole time grid in one
 stacked pass over the eigensolved blocks and returns it as a (T, n, n)
@@ -35,7 +36,7 @@ block of all n^2 units.  The dense matrix of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,8 +78,8 @@ KMS_SYMMETRY_TOL = 1e-8
 GNS_FLAG_TOL = 1e-9
 # Largest Bohr block, in units E_ab, that :attr:`GeneratorSpec.bohr_blocks`
 # builds.  Building a block of |B| units takes about 93 |B|^2 bytes
-# (measured peak RSS of ``create`` on the maximally mixed state, one block
-# of n^2 units: +97 MB at |B| = 1024, +381 MB at |B| = 2025), so this
+# (measured peak RSS of building a spec on the maximally mixed state, one
+# block of n^2 units: +97 MB at |B| = 1024, +381 MB at |B| = 2025), so this
 # limit keeps a spec's load under about 0.4 GB; the maximally mixed state
 # passes up to dim 45.
 MAX_BOHR_BLOCK = 2048
@@ -91,32 +92,42 @@ FLOW_UNDERFLOW = 600.0
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Invariant state plus modular-eigenvector jump data, checked by
-    :meth:`create` or, after the plain constructor, at the first read of
-    :attr:`bohr_blocks`."""
+    """Invariant state plus modular-eigenvector jump data, admitted once, at
+    construction (ValueError): jump shapes, finite omegas, :func:`_admit`,
+    :func:`_bohr_blocks`.  V_j is stored once, as V_j - U off(tilde V_j) U^*
+    (an exact modular eigenvector is stored as given): ``jumps`` holds
+    read-only views of ``jump_stack``'s.  The rows tilde V_j and tilde K
+    that admission computed are kept as well, in sigma's eigenbasis."""
 
     sigma: DensityState
     jumps: tuple  # tuple of (V_j: ndarray, omega_j: float)
+    # weights c_j = e^{-omega_j/2}, the jumps stacked (J, n, n), K = sum_j c_j V_j^* V_j
+    jump_stack: tuple = field(init=False, repr=False, compare=False)
+    # U and L's Bohr blocks (:func:`_bohr_blocks`)
+    bohr_blocks: tuple = field(init=False, repr=False, compare=False)
+    # rows tilde V_j = U^* V_j U, then tilde K = U^* K U, row-major (J + 1, n^2)
+    _eigen_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def create(cls, sigma: DensityState, jumps) -> "GeneratorSpec":
-        """The spec, checked once (ValueError): jump shapes, finite omegas,
-        :attr:`bohr_blocks`.  A jump is stored as V_j - U off(tilde V_j) U^*,
-        its part off its Bohr block taken away, so every stored jump is an
-        exact modular eigenvector, and one that was already is stored as
-        given.  The blocks are built from the same admission (:func:`_admit`)."""
-        packed = tuple((check_finite(v, "jump operator"), float(w)) for v, w in jumps)
-        for k, (v, w) in enumerate(packed):
-            if v.shape != sigma.rho.shape:
-                raise ValueError(f"jump {k} has shape {v.shape}, expected {sigma.rho.shape}")
-            if not np.isfinite(w):
-                raise ValueError(f"jump {k} has non-finite omega {w}")
-        units, flat, moved, off = _admit(sigma, packed)
-        u = sigma.eigenvectors
-        back = dict(zip(moved.tolist(), u @ off @ dag(u)))  # the parts taken away
-        spec = cls(sigma, tuple((v - back[j], w) if j in back else (v, w) for j, (v, w) in enumerate(packed)))
-        spec.__dict__["bohr_blocks"] = _bohr_blocks(spec, units, flat)  # the cached_property's slot
-        return spec
+    def __post_init__(self):
+        n, u = self.sigma.dim, self.sigma.eigenvectors
+        vs, omegas = np.empty((len(self.jumps), n, n), dtype=complex), np.empty(len(self.jumps))
+        for k, (v, w) in enumerate(self.jumps):
+            v, omegas[k] = check_finite(v, "jump operator"), float(w)
+            if v.shape != (n, n):
+                raise ValueError(f"jump {k} has shape {v.shape}, expected {(n, n)}")
+            if not np.isfinite(omegas[k]):
+                raise ValueError(f"jump {k} has non-finite omega {omegas[k]}")
+            vs[k] = v
+        units, flat = _admit(self.sigma, vs, omegas)
+        c = np.exp(-omegas / 2.0)
+        k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
+        rows = np.concatenate([flat, (dag(u) @ k @ u).reshape(1, n * n)])
+        for arr in (c, vs, k, rows):
+            arr.flags.writeable = False
+        object.__setattr__(self, "jumps", tuple(zip(vs, omegas.tolist())))
+        object.__setattr__(self, "jump_stack", (c, vs, k))
+        object.__setattr__(self, "_eigen_rows", rows)
+        object.__setattr__(self, "bohr_blocks", _bohr_blocks(self.sigma, units, rows, c))
 
     @property
     def dim(self) -> int:
@@ -131,28 +142,6 @@ class GeneratorSpec:
 
     def omegas(self) -> np.ndarray:
         return np.array([w for _, w in self.jumps])
-
-    @cached_property
-    def jump_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Weights c_j = e^{-omega_j/2}, jumps stacked as (J, n, n), and K.
-
-        K = sum_j c_j V_j^* V_j.  Built on first use and kept with the
-        spec, read-only, so every application of L or L^+ shares one build.
-        """
-        n = self.dim
-        c = np.exp(-self.omegas() / 2.0)
-        vs = np.array(self.jump_ops(), dtype=complex).reshape(-1, n, n)
-        k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
-        for arr in (c, vs, k):
-            arr.flags.writeable = False
-        return c, vs, k
-
-    @cached_property
-    def bohr_blocks(self) -> tuple[np.ndarray, list]:
-        """U and L's Bohr blocks (:func:`_admit`, :func:`_bohr_blocks`), the
-        one structural check of a spec, made by :meth:`create` or, after the
-        plain constructor, at the first read."""
-        return _bohr_blocks(self, *_admit(self.sigma, self.jumps)[:2])
 
     @cached_property
     def bohr_factor(self) -> tuple[np.ndarray, list]:
@@ -176,20 +165,21 @@ class GeneratorSpec:
         return _jump_gks(self, build_modular_basis(self.sigma))
 
 
-def _admit(sigma: DensityState, jumps) -> tuple:
-    """``jumps`` (V_j, omega_j) on sigma's Bohr blocks.  With U^* sigma U =
-    diag(lam), a modular eigenvector's tilde V_j = U^* V_j U lives on the
-    units E_ab of frequency log lam_a - log lam_b = -omega_j, grouped with
-    them by :func:`qmsflow.states.bohr_groups` (the modular basis's
-    grouping): each lands in the block of units sharing it, or alone.  A
-    jump with more than ``JUMP_EIGEN_TOL`` of its Frobenius mass off its
-    block raises ValueError, and so does a block of more than
-    ``MAX_BOHR_BLOCK`` units, before any block is allocated.  Returns the
-    units a n + b of each block, listed per block size, the rows tilde V_j
-    (row-major) with their entries off the block set to 0, and the indices
-    of the jumps that had any there with those entries, (moved, n, n)."""
+def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
+    """Snaps the jumps ``vs`` (J, n, n) of frequencies ``omegas`` onto
+    sigma's Bohr blocks, in place.  With U^* sigma U = diag(lam), a modular
+    eigenvector's tilde V_j = U^* V_j U lives on the units E_ab of
+    frequency log lam_a - log lam_b = -omega_j, grouped with them by
+    :func:`qmsflow.states.bohr_groups` (the modular basis's grouping): each
+    lands in the block of units sharing it, or alone.  A jump with more
+    than ``JUMP_EIGEN_TOL`` of its Frobenius mass off its block raises
+    ValueError, and so does a block of more than ``MAX_BOHR_BLOCK`` units,
+    before any block is allocated; below that, U off(tilde V_j) U^* is
+    taken from V_j, and a jump with no entry off its block is left as it
+    is.  Returns the units a n + b of each block, listed per block size,
+    and the rows tilde V_j (row-major) with their entries off the block
+    set to 0."""
     n, u, nn = sigma.dim, sigma.eigenvectors, sigma.dim**2
-    vs, omegas = np.array([v for v, _ in jumps], dtype=complex).reshape(-1, n, n), np.array([w for _, w in jumps])
     label = np.empty(nn + omegas.size, dtype=int)
     by_size: dict[int, list] = {}  # the units of each block, by block size
     for g, members in enumerate(bohr_groups(sigma, -omegas)):
@@ -216,12 +206,14 @@ def _admit(sigma: DensityState, jumps) -> tuple:
     off = flat[moved]
     off[~off_block[moved]] = 0
     flat[off_block] = 0
-    return list(map(np.array, by_size.values())), flat, moved, off.reshape(-1, n, n)
+    vs[moved] -= u @ off.reshape(-1, n, n) @ dag(u)  # the parts taken away
+    return list(map(np.array, by_size.values())), flat
 
 
-def _bohr_blocks(spec: GeneratorSpec, units_by_size: list, flat: np.ndarray) -> tuple:
-    """L on its Bohr blocks from :func:`_admit`'s units and rows ``flat``
-    of the jumps on their blocks.  With E_cd = |c><d| and tilde K = U^* K U,
+def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: np.ndarray) -> tuple:
+    """L on its Bohr blocks from :func:`_admit`'s units, the rows of the
+    jumps on their blocks and then tilde K = U^* K U (``rows``), and the
+    weights ``c``.  With E_cd = |c><d|,
 
         L(E_cd)_ab = 2 sum_j c_j conj(tilde V_j[c, a]) tilde V_j[d, b]
                      - tilde K_ac delta_bd - delta_ac tilde K_db
@@ -234,8 +226,8 @@ def _bohr_blocks(spec: GeneratorSpec, units_by_size: list, flat: np.ndarray) -> 
     built (not symmetrised, so a GNS defect of the jumps stays visible),
     all read-only.
     """
-    n, lam, u, (c, _, k) = spec.dim, spec.sigma.eigenvalues, spec.sigma.eigenvectors, spec.jump_stack
-    kt, weighted_conj, blocks, asym, scale = dag(u) @ k @ u, c[:, None] * np.conj(flat), [], 0.0, 0.0
+    n, lam, flat = sigma.dim, sigma.eigenvalues, rows[:-1]
+    kt, weighted_conj, blocks, asym, scale = rows[-1].reshape(n, n), c[:, None] * np.conj(flat), [], 0.0, 0.0
     for units in units_by_size:
         a, b = np.divmod(units, n)
         ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
@@ -257,7 +249,7 @@ def _bohr_blocks(spec: GeneratorSpec, units_by_size: list, flat: np.ndarray) -> 
             f"L is not KMS-symmetric (the jumps are not closed under adjoints): "
             f"weighted Bohr blocks {rel:.3e} off Hermitian"
         )
-    return u, blocks
+    return sigma.eigenvectors, blocks
 
 
 def _label_stacks(labels: np.ndarray) -> dict:
@@ -309,16 +301,18 @@ def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
     basis's ``block_labels``; it is kept per label, blocks of equal size
     stacked in label order.  The coefficients are read on sigma's
     eigenvectors, where each element is a few units
-    (``ModularData.eigen``): x_ja = sum_k conj(coefs_k) tilde V_j[units_k] / n
-    over the element's k.  The identity row and column are exact, and so
-    are the Hamiltonian candidates built from them.  The bound on the
-    entries off the blocks is 2 sum_j c_j |x_j| |x_j off its heaviest
+    (``ModularData.eigen``), from the rows tilde V_j and tilde K that the
+    spec's admission kept: x_ja = sum_k conj(coefs_k) tilde V_j[units_k] / n
+    over the element's k, so ``modular`` must be a basis of the spec's own
+    sigma (ValueError otherwise).  The identity row and column are exact,
+    and so are the Hamiltonian candidates built from them.  The bound on
+    the entries off the blocks is 2 sum_j c_j |x_j| |x_j off its heaviest
     block|, or the largest identity-row or -column entry off the block of
     0, whichever is larger.
     """
-    n, (c, vs, k) = spec.dim, spec.jump_stack
-    u = modular.sigma.eigenvectors
-    targets = (dag(u) @ np.concatenate([vs, k[None]]) @ u).reshape(-1, n * n)  # jumps, then K
+    if modular.sigma is not spec.sigma:
+        raise ValueError("a spec's coefficients are read over a modular basis of its own sigma")
+    n, c, targets = spec.dim, spec.jump_stack[0], spec._eigen_rows  # jumps, then K
     labels, pairing = modular.block_labels, modular.conj_pairing
     owner, units, coefs = modular.eigen
     first = np.flatnonzero(np.diff(owner, prepend=-1))  # each element's first entry

@@ -40,11 +40,6 @@ __all__ = [
     "traceless_hermitian_basis",
 ]
 
-# Eigenvalues closer than this (relative to the largest |eigenvalue|) are
-# treated as degenerate when grouping spectral data.
-DEGENERACY_RTOL = 1e-12
-
-
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):

@@ -121,7 +121,7 @@ def fermi_ou_infinite(n: int) -> GeneratorSpec:
     dim = ctx.dim
     sigma = DensityState.from_matrix(np.eye(dim) / dim)
     jumps = [(0.5j * w @ q, 0.0) for q in ctx.generators]
-    return GeneratorSpec.create(sigma, jumps)
+    return GeneratorSpec(sigma, jumps)
 
 
 def skew_derivations_infinite(ctx: CliffordContext) -> list:
@@ -225,7 +225,7 @@ def fermi_ou(m: int, beta: float, energies) -> FermiModel:
         v = w @ z_ops[j]
         jumps.append((0.5 * v, -float(beta * energies[j])))
         jumps.append((0.5 * dag(v), +float(beta * energies[j])))
-    spec = GeneratorSpec.create(sigma, jumps)
+    spec = GeneratorSpec(sigma, jumps)
     return FermiModel(m, float(beta), energies, ctx, spec, z_ops, n_ops, n_perp)
 
 
@@ -275,7 +275,7 @@ def depolarizing(n: int) -> GeneratorSpec:
         raise ValueError("dimension must be between 2 and 6")
     sigma = DensityState.from_matrix(np.eye(n) / n)
     jumps = [(np.sqrt(n) * b, 0.0) for b in traceless_hermitian_basis(n)]
-    return GeneratorSpec.create(sigma, jumps)
+    return GeneratorSpec(sigma, jumps)
 
 
 def kms_counterexample(u_basis, v1, v2):
@@ -388,4 +388,4 @@ def random_dbc_spec(
         d -= d.mean()
         d *= 0.3 + rng.uniform(0.0, 1.0)
         jumps.append(((u * d) @ dag(u), 0.0))
-    return GeneratorSpec.create(sigma, jumps)
+    return GeneratorSpec(sigma, jumps)

@@ -2,7 +2,9 @@
 
 Matrices serialize as nested row-major arrays of [re, im] pairs; density
 states as {"dim": n, "rho": matrix}; generator specifications as
-{"dim": n, "sigma": matrix, "jumps": [{"V": matrix, "omega": w}, ...]}.
+{"dim": n, "sigma": matrix, "jumps": [{"V": matrix, "omega": w}, ...]},
+read back through the :class:`~qmsflow.generators.GeneratorSpec`
+constructor, which admits the jumps.  A declared "dim" must be the matrices'.
 Trajectory CSV columns: t, entropy, production, exp_bound,
 production_bound.
 """
@@ -66,10 +68,11 @@ def density_to_json(state: DensityState) -> dict:
     return {"dim": state.dim, "rho": matrix_to_json(state.rho)}
 
 
-def density_from_json(obj) -> DensityState:
-    if not isinstance(obj, dict) or "rho" not in obj:
-        raise ValueError("density JSON must be an object carrying a 'rho' field")
-    rho = matrix_from_json(obj["rho"])
+def density_from_json(obj, key: str = "rho") -> DensityState:
+    """The state of the matrix ``obj[key]``; ``obj``'s "dim", if any, must be its dimension."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"density JSON must be an object carrying a '{key}' field")
+    rho = matrix_from_json(obj[key])
     try:
         dim = int(obj.get("dim", rho.shape[0]))
     except (TypeError, ValueError, OverflowError) as exc:  # null, "two", NaN, Infinity
@@ -92,18 +95,19 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
 
 
 def spec_from_json(obj) -> GeneratorSpec:
-    """The spec of ``obj``, checked by :meth:`GeneratorSpec.create`."""
+    """The spec of ``obj``, admitted by :class:`GeneratorSpec`; its "dim",
+    if any, must be sigma's, and each omega a JSON number (not a boolean)."""
     if not isinstance(obj, dict) or "sigma" not in obj or "jumps" not in obj:
         raise ValueError("spec JSON must be an object carrying 'sigma' and 'jumps'")
     if not isinstance(obj["jumps"], list):
         raise ValueError("spec JSON 'jumps' must be a list")
-    sigma = DensityState.from_matrix(matrix_from_json(obj["sigma"]))
+    sigma = density_from_json(obj, "sigma")
     jumps = []
     for k, j in enumerate(obj["jumps"]):
-        if not isinstance(j, dict) or "V" not in j or not isinstance(j.get("omega"), (int, float)):
+        if not isinstance(j, dict) or "V" not in j or type(j.get("omega")) not in (int, float):
             raise ValueError(f"jump {k} must be an object carrying 'V' and a number 'omega'")
         jumps.append((matrix_from_json(j["V"]), float(j["omega"])))
-    return GeneratorSpec.create(sigma, jumps)
+    return GeneratorSpec(sigma, jumps)
 
 
 def rate_matrix_to_json(rate: RateMatrix, extra: dict | None = None) -> dict:

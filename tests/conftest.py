@@ -40,11 +40,13 @@ def random_matrix(rng, n):
 
 
 def kron_sum_generator(spec):
-    """Reference L: the per-jump sum of Kronecker products."""
-    n = spec.dim
+    """Reference L: the per-jump sum of Kronecker products, over a spec's
+    jumps or over a list of raw (V_j, omega_j), which no spec need admit
+    (jumps off their Bohr blocks, or not closed under adjoints)."""
+    jumps, n = (spec, spec[0][0].shape[0]) if isinstance(spec, list) else (spec.jumps, spec.dim)
     out = np.zeros((n * n, n * n), dtype=complex)
     eye = np.eye(n)
-    for v, w in spec.jumps:
+    for v, w in jumps:
         vv = dag(v) @ v
         out += np.exp(-w / 2.0) * (2.0 * sharp(dag(v), v) - sharp(vv, eye) - sharp(eye, vv))
     return out
@@ -137,7 +139,7 @@ def near_degenerate_spec(gap):
     w = float(np.log(lam[2] / lam[0]))
     v = e(0, 1) + 1j * e(1, 0)
     jumps = [(v, 0.0), (dag(v), 0.0), (e(0, 2), w), (e(2, 0), -w), (np.diag([1.0, -1.0, 0.0]), 0.0)]
-    return GeneratorSpec.create(DensityState.from_matrix(np.diag(lam).astype(complex)), jumps)
+    return GeneratorSpec(DensityState.from_matrix(np.diag(lam).astype(complex)), jumps)
 
 
 def modular_elements(md):

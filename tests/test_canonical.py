@@ -220,7 +220,7 @@ class TestExtraction:
             w = float(np.log(lam[2] / lam[i]))
             jumps.append((v, w))
             jumps.append((dag(v), -w))
-        spec = GeneratorSpec.create(sigma, jumps)
+        spec = GeneratorSpec(sigma, jumps)
         l = build_generator(spec)
         extracted, report = extract_canonical(l, sigma)
         assert report.roundtrip_error < 1e-9
@@ -292,7 +292,7 @@ class TestExtraction:
         ls = sigma.eigenvalues
         v = np.sqrt(3) * (0.8 + 0.4j) * np.outer(u[:, 0], np.conj(u[:, 1]))
         w = float(np.log(ls[1]) - np.log(ls[0]))
-        spec = GeneratorSpec.create(sigma, [(v, w), (dag(v), -w)])
+        spec = GeneratorSpec(sigma, [(v, w), (dag(v), -w)])
         extracted, report = extract_canonical(build_generator(spec), sigma)
         assert report.roundtrip_error < 1e-9
         assert extracted.njumps == 2
@@ -322,7 +322,7 @@ class TestExtraction:
         # minus three number-operator dissipators leave a negative
         # eigenvalue in the zero-frequency block
         sigma = fermi_m1.spec.sigma
-        number = GeneratorSpec.create(sigma, [(fermi_m1.number_ops[0], 0.0)])
+        number = GeneratorSpec(sigma, [(fermi_m1.number_ops[0], 0.0)])
         l = build_generator(fermi_m1.spec) - 3.0 * build_generator(number)
         _, report = extract_canonical(l, sigma, require_dbc=False)
         assert min(report.dropped_eigenvalues) < -0.1
@@ -335,7 +335,7 @@ class TestExtraction:
         v = np.sqrt(3) * np.outer(u[:, 0], np.conj(u[:, 1]))
         w = float(np.log(lam[1] / lam[0]))
         jumps = [(v, w), (dag(v), -w), (0.5 * v, w), (0.5 * dag(v), -w)]
-        spec = GeneratorSpec.create(sigma, jumps)
+        spec = GeneratorSpec(sigma, jumps)
         extracted, report = extract_canonical(build_generator(spec), sigma)
         assert extracted.njumps == 2
         assert report.roundtrip_error < 1e-10
@@ -447,9 +447,10 @@ class TestStackedCanonicalJumps:
 
 
 def _traceful_spec():
-    """Non-GNS jumps with trace parts over the maximally mixed state (degenerate)."""
-    w = random_matrix(np.random.default_rng(5), 3)
-    return GeneratorSpec(DensityState.from_matrix(np.eye(3) / 3), ((w, 0.0), (dag(w) + np.eye(3), 0.0)))
+    """Jumps with trace parts over the maximally mixed state (degenerate),
+    closed under adjoints: W + I and W^* + I."""
+    w = random_matrix(np.random.default_rng(5), 3) + np.eye(3)
+    return GeneratorSpec(DensityState.from_matrix(np.eye(3) / 3), ((w, 0.0), (dag(w), 0.0)))
 
 
 class TestJumpGKS:

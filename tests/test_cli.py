@@ -28,7 +28,7 @@ from qmsflow.serialize import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import near_degenerate_spec, random_matrix
+from conftest import kron_sum_generator, near_degenerate_spec, random_matrix
 
 
 @pytest.fixture
@@ -241,7 +241,7 @@ class TestInspect:
 
     def test_oversized_block_exits_two_before_allocating(self, tmp_path, capsys):
         # sigma = I/128 is one Bohr block of 16,384 units, about 25 GB to
-        # build; create refuses it after grouping the frequencies.  The
+        # build; admission refuses it after grouping the frequencies.  The
         # address-space cap turns a regression into a MemoryError here
         # instead of exhausting the machine.
         import resource
@@ -328,7 +328,8 @@ class TestInspect:
         "name",
         ["no_V", "no_omega", "jumps_not_list", "jump_not_object",
          "superoperator_without_sigma", "superoperator_wrong_size", "omega_nan",
-         "cell_three_entries", "cell_out_of_range", "cell_boolean"],
+         "cell_three_entries", "cell_out_of_range", "cell_boolean", "dim_mismatch",
+         "omega_boolean", "superoperator_dim_mismatch"],
     )
     def test_malformed_wire_format_exit_two(self, tmp_path, capsys, name):
         obj = spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
@@ -350,6 +351,12 @@ class TestInspect:
             obj["jumps"][0]["V"][0][1] = [10**400, 0]
         elif name == "cell_boolean":
             obj["sigma"][0][1] = [False, False]
+        elif name == "dim_mismatch":
+            obj["dim"] = 3
+        elif name == "omega_boolean":
+            obj["jumps"][1]["omega"] = True
+        elif name == "superoperator_dim_mismatch":
+            obj = {"dim": 5, "sigma": obj["sigma"], "superoperator": matrix_to_json(np.eye(4))}
         else:
             for jump in obj["jumps"]:
                 jump["omega"] = float("nan")
@@ -462,7 +469,7 @@ class TestInspectCovariance:
     def test_scaling(self, name, c):
         # jumps sqrt(c) V give c L
         spec, expect = _inspect_model(name)
-        scaled = GeneratorSpec.create(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
+        scaled = GeneratorSpec(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
         assert _verdicts(*_inspect(scaled)) == expect
 
     @INSPECT_SETTINGS
@@ -471,7 +478,7 @@ class TestInspectCovariance:
         spec, expect = _inspect_model(name)
         w, _ = np.linalg.qr(random_matrix(np.random.default_rng(seed), spec.dim))
         sigma = DensityState.from_matrix(w @ spec.sigma.rho @ dag(w))
-        rotated = GeneratorSpec.create(sigma, [(w @ v @ dag(w), om) for v, om in spec.jumps])
+        rotated = GeneratorSpec(sigma, [(w @ v @ dag(w), om) for v, om in spec.jumps])
         assert _verdicts(*_inspect(rotated)) == expect
 
     @INSPECT_SETTINGS
@@ -479,7 +486,7 @@ class TestInspectCovariance:
     def test_reordered_jumps(self, name, seed):
         spec, expect = _inspect_model(name)
         order = np.random.default_rng(seed).permutation(spec.njumps)
-        permuted = GeneratorSpec.create(spec.sigma, [spec.jumps[i] for i in order])
+        permuted = GeneratorSpec(spec.sigma, [spec.jumps[i] for i in order])
         assert _verdicts(*_inspect(permuted)) == expect
 
     @pytest.mark.parametrize("name", INSPECT_MODELS)
@@ -491,7 +498,7 @@ class TestInspectCovariance:
         (v, w), rest = spec.jumps[0], list(spec.jumps[1:])
         split_first = [(v / np.sqrt(2.0), w)] * 2 + rest
         for jumps in (split, split_first):
-            assert _verdicts(*_inspect(GeneratorSpec.create(spec.sigma, jumps))) == expect
+            assert _verdicts(*_inspect(GeneratorSpec(spec.sigma, jumps))) == expect
 
 
 class TestInspectCovarianceSuperoperator:
@@ -591,11 +598,11 @@ class TestInspectRoutes:
 
     @pytest.mark.parametrize("eps, gns", [(1e-9, True), (3e-9, False), (5e-9, False)])
     def test_gns_defect_of_the_jumps_seen_on_both_routes(self, eps, gns):
-        # Fermi m=1 with its second jump scaled by 1 + eps passes create's
+        # Fermi m=1 with its second jump scaled by 1 + eps passes admission's
         # KMS check but is not GNS-symmetric; symmetrised blocks would hide it
         jumps = list(fermi_ou(1, 1.0, [1.0]).spec.jumps)
         v, w = jumps[1]
-        spec = GeneratorSpec.create(fermi_ou(1, 1.0, [1.0]).spec.sigma, [jumps[0], ((1 + eps) * v, w)])
+        spec = GeneratorSpec(fermi_ou(1, 1.0, [1.0]).spec.sigma, [jumps[0], ((1 + eps) * v, w)])
         for dense in (False, True):
             report = _inspect(spec, dense=dense)[1]["certification"]
             assert report["gns_dbc"] == gns
@@ -607,17 +614,15 @@ class TestInspectRoutes:
     )
     def test_offblock_mass_is_snapped_at_load(self, name, rel):
         # rel of every jump's mass moved off its Bohr block, adjoints to
-        # match, up to create's limit (JUMP_EIGEN_TOL = 1e-10): the spec
+        # match, up to admission's limit (JUMP_EIGEN_TOL = 1e-10): the spec
         # loads with its jumps snapped back onto their blocks, and its route
         # agrees with the dense route on the raw, unsnapped jumps
         base = ROUTE_SPECS[name]()
         raw = _offblock_jumps(base, rel)
-        spec = GeneratorSpec.create(base.sigma, raw)
+        spec = GeneratorSpec(base.sigma, raw)
         assert any(not np.array_equal(v, x) for (v, _), (x, _) in zip(spec.jumps, raw))
         code, report = _inspect(spec)
-        dense_code, dense = _inspect_superoperator(
-            generators.build_generator(GeneratorSpec(base.sigma, tuple(raw))), base.sigma
-        )
+        dense_code, dense = _inspect_superoperator(kron_sum_generator(raw), base.sigma)
         assert _route_fields(code, report) == _route_fields(dense_code, dense)
         assert (code, report["certification"]["gns_dbc"]) == (0, True)
         assert report["certification"]["s_residuals"]["1.0"] < 1e-15
@@ -913,6 +918,9 @@ def test_side_file_errors_exit_two(fermi_spec_file, tmp_path, capsys, command, f
         ["inspect", "--input", "SPEC", "--tol", "psd=-1"],
         ["evolve", "--input", "SPEC", "--decay-rate", "nan"],
         ["evolve", "--input", "SPEC", "--decay-rate", "0"],
+        ["evolve", "--input", "SPEC", "--grid", "0:inf:3"],
+        ["evolve", "--input", "SPEC", "--grid", "nan:1:3"],
+        ["evolve", "--input", "SPEC", "--grid", "0:nan:3"],
     ],
     ids=lambda argv: " ".join(argv).replace("SPEC", "spec"),
 )

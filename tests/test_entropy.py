@@ -221,7 +221,7 @@ class TestIntertwining:
         # ||[D, L] + aD|| / (||D|| ||K||) is unit-free and stays as it is,
         # and no verdict changes
         spec, pairs, skew = intertwining_case(case)
-        scaled = GeneratorSpec.create(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
+        scaled = GeneratorSpec(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
         base, rep = intertwining_rates(spec, pairs), intertwining_rates(scaled, pairs)
         assert_same_report(rep, c * np.array(base.rates), np.array(base.intertwine_residuals), skew, c)
         assert [r < INTERTWINE_TOL for r in rep.intertwine_residuals] == [
@@ -238,7 +238,7 @@ class TestIntertwining:
         x = random_matrix(np.random.default_rng(seed), spec.dim)
         u, _ = np.linalg.qr(x)
         sigma = DensityState.from_matrix(u @ spec.sigma.rho @ dag(u))
-        rotated = GeneratorSpec.create(sigma, [(u @ v @ dag(u), w) for v, w in spec.jumps])
+        rotated = GeneratorSpec(sigma, [(u @ v @ dag(u), w) for v, w in spec.jumps])
         moved = [(u @ w @ dag(u), u @ v @ dag(u)) for w, v in pairs]
         base = intertwining_rates(spec, pairs)
         assert_same_report(intertwining_rates(rotated, moved), np.array(base.rates),
@@ -249,7 +249,7 @@ class TestIntertwining:
     def test_reordered_jumps(self, case):
         spec, pairs, skew = intertwining_case(case)
         order = np.random.default_rng(7).permutation(spec.njumps)
-        shuffled = GeneratorSpec.create(spec.sigma, [spec.jumps[i] for i in order])
+        shuffled = GeneratorSpec(spec.sigma, [spec.jumps[i] for i in order])
         base = intertwining_rates(spec, pairs)
         rep = intertwining_rates(shuffled, pairs)
         assert_same_report(rep, np.array(base.rates), np.array(base.intertwine_residuals), skew)
@@ -371,11 +371,10 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("points", [1, 5, 31])
     def test_one_superoperator_eigensolve(self, fermi_m2, rng, monkeypatch, points):
-        # create builds the spec's Bohr blocks once, which checks it; the
-        # first spectral routine eigensolves them once, and every spectral
-        # and transport routine reads the eigenpairs from the spec; no block
-        # is the whole n^2 x n^2 superoperator.  create fills the
-        # bohr_blocks cache itself, so the blocks' builder is counted
+        # construction builds the spec's Bohr blocks once, which checks it;
+        # the first spectral routine eigensolves them once, and every
+        # spectral and transport routine reads the eigenpairs from the spec;
+        # no block is the whole n^2 x n^2 superoperator
         builds = {"bohr_blocks": 0, "bohr_factor": 0}
         build_blocks = generators._bohr_blocks
 
@@ -393,7 +392,7 @@ class TestTrajectory:
         wrapped = functools.cached_property(build_factor)
         wrapped.__set_name__(GeneratorSpec, "bohr_factor")
         monkeypatch.setattr(GeneratorSpec, "bohr_factor", wrapped)
-        spec = GeneratorSpec.create(fermi_m2.spec.sigma, fermi_m2.spec.jumps)
+        spec = GeneratorSpec(fermi_m2.spec.sigma, fermi_m2.spec.jumps)
         assert builds == {"bohr_blocks": 1, "bohr_factor": 0}
         rho = random_density(4, rng)
         generators.ergodicity(spec)
@@ -407,21 +406,22 @@ class TestTrajectory:
 
     @pytest.mark.parametrize("points", [1, 5, 31])
     def test_one_jump_stack_build(self, fermi_m2, rng, monkeypatch, points):
-        # the weights, the (J, n, n) jump stack and K are built once per
-        # spec and shared by the Bohr blocks and every production
-        stack = GeneratorSpec.__dict__["jump_stack"]
-        builds = []
+        # the weights, the (J, n, n) jump stack and K are built once, when
+        # the spec is admitted, and shared by the Bohr blocks and every
+        # production: a trajectory admits nothing and keeps the same stack
+        admissions = []
+        admit = generators._admit
 
-        def counting_stack(spec):
-            builds.append(1)
-            return stack.func(spec)
+        def counting_admit(*args):
+            admissions.append(1)
+            return admit(*args)
 
-        counting = functools.cached_property(counting_stack)
-        counting.__set_name__(GeneratorSpec, "jump_stack")
-        monkeypatch.setattr(GeneratorSpec, "jump_stack", counting)
-        spec = GeneratorSpec.create(fermi_m2.spec.sigma, fermi_m2.spec.jumps)
+        monkeypatch.setattr(generators, "_admit", counting_admit)
+        spec = GeneratorSpec(fermi_m2.spec.sigma, fermi_m2.spec.jumps)
+        stack = spec.jump_stack
         entropy_trajectory(spec, random_density(4, rng), np.linspace(0, 2, points))
-        assert len(builds) == 1
+        assert len(admissions) == 1
+        assert spec.jump_stack is stack
 
     def test_rejects_descending_grid(self, fermi_m1, rng):
         with pytest.raises(ValueError):

@@ -97,7 +97,7 @@ class TestGeneratorSpec:
         sigma = random_density(3, rng)
         v = random_matrix(rng, 3)
         with pytest.raises(ValueError, match="eigenvector"):
-            GeneratorSpec.create(sigma, [(v, 0.0), (dag(v), 0.0)])
+            GeneratorSpec(sigma, [(v, 0.0), (dag(v), 0.0)])
 
     def test_rejects_unpaired_jump(self, rng):
         sigma = random_density(2, rng)
@@ -105,11 +105,38 @@ class TestGeneratorSpec:
         v = np.sqrt(2) * np.outer(u[:, 0], np.conj(u[:, 1]))
         w = float(np.log(sigma.eigenvalues[1] / sigma.eigenvalues[0]))
         with pytest.raises(ValueError, match="adjoint"):
-            GeneratorSpec.create(sigma, [(v, w)])
+            GeneratorSpec(sigma, [(v, w)])
 
     def test_self_adjoint_jump_pairs_with_itself(self):
-        spec = GeneratorSpec.create(tracial(2), [(PAULI_X, 0.0)])
+        spec = GeneratorSpec(tracial(2), [(PAULI_X, 0.0)])
         assert spec.njumps == 1
+
+    def test_jumps_are_read_only_views_of_the_stack(self, rng):
+        spec = random_dbc_spec(4, rng)
+        c, vs, k = spec.jump_stack
+        for j, (v, _) in enumerate(spec.jumps):
+            assert np.shares_memory(v, vs) and np.array_equal(v, vs[j])
+            assert not v.flags.writeable
+        assert not any(a.flags.writeable for a in (c, vs, k, spec._eigen_rows))
+
+    def test_gks_reads_the_admitted_rows(self, rng):
+        # the coefficients come from the rows tilde V_j and tilde K kept at
+        # construction, so the jumps are not read, let alone rotated again;
+        # a modular basis of another sigma object is refused
+        from qmsflow.generators import _jump_gks
+        from qmsflow.states import build_modular_basis
+
+        spec = random_dbc_spec(4, rng)
+        md = build_modular_basis(spec.sigma)
+        gks = _jump_gks(spec, md)
+        c, vs, k = spec.jump_stack
+        object.__setattr__(spec, "jump_stack", (c, np.full_like(vs, np.nan), np.full_like(k, np.nan)))
+        again = _jump_gks(spec, md)
+        assert np.array_equal(again.row, gks.row) and np.array_equal(again.col, gks.col)
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(again.blocks, gks.blocks, strict=True))
+        twin = build_modular_basis(DensityState.from_matrix(spec.sigma.rho))
+        with pytest.raises(ValueError, match="own sigma"):
+            _jump_gks(spec, twin)
 
 
 def _offblock_jumps(spec, rel):
@@ -124,11 +151,14 @@ def _offblock_jumps(spec, rel):
 
 
 def _offblock_fractions(sigma, jumps):
-    """Per jump, the Frobenius norms of tilde V_j off its Bohr block and whole."""
-    _, _, moved, off = _admit(sigma, jumps)
-    off_mass = np.zeros(len(jumps))
-    off_mass[moved] = np.linalg.norm(off, axis=(1, 2))
-    return off_mass, np.array([np.linalg.norm(v) for v, _ in jumps])
+    """Per jump, the Frobenius norms of tilde V_j = U^* V_j U off its Bohr
+    block, as its difference from the row :func:`_admit` returns with those
+    entries zeroed (not from the jump :func:`_admit` snaps), and of V_j whole."""
+    n, u = sigma.dim, sigma.eigenvectors
+    vs = np.array([v for v, _ in jumps], dtype=complex)
+    rotated = (dag(u) @ vs @ u).reshape(len(vs), n * n)
+    _, on_block = _admit(sigma, vs.copy(), np.array([w for _, w in jumps]))
+    return np.linalg.norm(rotated - on_block, axis=1), np.linalg.norm(vs, axis=(1, 2))
 
 
 SNAP_SPECS = [(2, 0), (3, 1), (4, 2), (6, 3), (8, 4)]
@@ -142,17 +172,17 @@ EXACT_MODELS = [
 
 
 class TestSnap:
-    """create stores each jump with its part off its Bohr block taken away."""
+    """Construction stores each jump with its part off its Bohr block taken away."""
 
     @pytest.mark.parametrize("build, arg", EXACT_MODELS)
     def test_exact_eigenvectors_stored_as_given(self, build, arg, monkeypatch):
-        given_jumps, create = [], GeneratorSpec.create.__func__
+        given_jumps, admit = [], GeneratorSpec.__post_init__
 
-        def recording(cls, sigma, jumps):
-            given_jumps.append(list(jumps))
-            return create(cls, sigma, given_jumps[-1])
+        def recording(spec):
+            given_jumps.append(list(spec.jumps))
+            admit(spec)
 
-        monkeypatch.setattr(GeneratorSpec, "create", classmethod(recording))
+        monkeypatch.setattr(GeneratorSpec, "__post_init__", recording)
         spec = build(arg)
         assert len(given_jumps) == 1
         assert all(np.array_equal(v, x) for (v, _), (x, _) in zip(spec.jumps, given_jumps[0], strict=True))
@@ -162,7 +192,7 @@ class TestSnap:
     def test_stored_jumps_lie_on_their_blocks(self, n, seed, rel):
         base = random_dbc_spec(n, np.random.default_rng(seed))
         raw = _offblock_jumps(base, rel)
-        spec = GeneratorSpec.create(base.sigma, raw)
+        spec = GeneratorSpec(base.sigma, raw)
         off, mass = _offblock_fractions(spec.sigma, spec.jumps)
         assert np.all(off <= 1e-15 * mass)
         raw_off, raw_mass = _offblock_fractions(spec.sigma, raw)
@@ -171,13 +201,28 @@ class TestSnap:
             assert np.linalg.norm(v - x) <= (frac + 1e-15) * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n, seed", SNAP_SPECS)
+    def test_one_generator_from_raw_jumps(self, n, seed):
+        # raw jumps with 0.99e-10 of their mass off their blocks: the dense
+        # L of the stored jumps, rotated into sigma's eigenbasis, is the
+        # spec's Bohr blocks and nothing else
+        from qmsflow.generators import _rotated, _unweighted_blocks
+
+        base = random_dbc_spec(n, np.random.default_rng(seed))
+        spec = GeneratorSpec(base.sigma, _offblock_jumps(base, 0.99e-10))
+        l = build_generator(spec)
+        blocks = np.zeros((n * n, n * n), dtype=complex)
+        for units, x in _unweighted_blocks(spec):
+            blocks[units[:, :, None], units[:, None, :]] = x
+        assert np.linalg.norm(_rotated(l, spec.sigma) - blocks) <= 1e-14 * np.linalg.norm(l, 2)
+
+    @pytest.mark.parametrize("n, seed", SNAP_SPECS)
     def test_snap_commutes_with_conjugation_and_reordering(self, n, seed):
         base = random_dbc_spec(n, np.random.default_rng(seed))
         raw = _offblock_jumps(base, 0.99e-10)
-        spec = GeneratorSpec.create(base.sigma, raw)
+        spec = GeneratorSpec(base.sigma, raw)
         w, _ = np.linalg.qr(random_matrix(np.random.default_rng(seed + 10), n))
         sigma = DensityState.from_matrix(w @ base.sigma.rho @ dag(w))
-        rotated = GeneratorSpec.create(sigma, [(w @ v @ dag(w), om) for v, om in raw])
+        rotated = GeneratorSpec(sigma, [(w @ v @ dag(w), om) for v, om in raw])
         # up to the round-off of sigma's eigenvectors, eps / (relative gap)
         lam = base.sigma.eigenvalues
         tol = 1e-15 * lam[-1] / np.min(np.diff(lam))
@@ -185,7 +230,7 @@ class TestSnap:
             assert om == om_x
             assert np.linalg.norm(v - w @ x @ dag(w)) <= tol * np.linalg.norm(x)
         order = np.random.default_rng(seed).permutation(len(raw))
-        shuffled = GeneratorSpec.create(base.sigma, [raw[i] for i in order])
+        shuffled = GeneratorSpec(base.sigma, [raw[i] for i in order])
         for (v, om), i in zip(shuffled.jumps, order):
             assert om == spec.jumps[i][1]
             assert np.linalg.norm(v - spec.jumps[i][0]) <= 1e-15 * np.linalg.norm(v)
@@ -193,7 +238,7 @@ class TestSnap:
 
 class TestBuildGenerator:
     def test_empty_jump_list_gives_zero(self, rng):
-        spec = GeneratorSpec.create(random_density(3, rng), [])
+        spec = GeneratorSpec(random_density(3, rng), [])
         assert np.allclose(build_generator(spec), 0.0)
 
     @pytest.mark.parametrize("case", ["fermi_m2", "random_5", "no_jumps"])
@@ -203,13 +248,13 @@ class TestBuildGenerator:
         elif case == "random_5":
             spec = random_dbc_spec(5, rng)
         else:
-            spec = GeneratorSpec.create(random_density(3, rng), [])
+            spec = GeneratorSpec(random_density(3, rng), [])
         l = build_generator(spec)
         ref = kron_sum_generator(spec)
         assert np.linalg.norm(l - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_pauli_x_double_commutator(self):
-        spec = GeneratorSpec.create(tracial(2), [(PAULI_X, 0.0)])
+        spec = GeneratorSpec(tracial(2), [(PAULI_X, 0.0)])
         l = build_generator(spec)
         # L A = 2 (X A X - A)
         for _ in range(3):
@@ -246,7 +291,7 @@ class TestApplyDual:
         elif case == "random_5":
             spec = random_dbc_spec(5, rng)
         else:
-            spec = GeneratorSpec.create(random_density(3, rng), [])
+            spec = GeneratorSpec(random_density(3, rng), [])
         ref = kron_sum_generator(spec)
         for _ in range(3):
             x = random_matrix(rng, spec.dim)
@@ -438,7 +483,7 @@ class TestBlockRoute:
         for _ in range(4):
             spec = random_dbc_spec(int(rng.integers(2, 6)), rng)
             (v, w), rest = spec.jumps[0], list(spec.jumps[1:])
-            spec = GeneratorSpec.create(spec.sigma, [((1 + eps) * v, w)] + rest)
+            spec = GeneratorSpec(spec.sigma, [((1 + eps) * v, w)] + rest)
             blocks = certify_detailed_balance(spec, spec.sigma)
             dense = certify_detailed_balance(build_generator(spec), spec.sigma)
             assert blocks.l_norm <= dense.l_norm * (1 + 1e-12)
@@ -467,8 +512,8 @@ class TestBlockRoute:
         sigma = DensityState.from_matrix(np.diag(lam / lam.sum()).astype(complex))
         e10 = np.zeros((3, 3), dtype=complex)
         e10[1, 0] = 1.0
-        exact = GeneratorSpec.create(sigma, [(e10, -f), (e10.T.copy(), f)])
-        merged = GeneratorSpec.create(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
+        exact = GeneratorSpec(sigma, [(e10, -f), (e10.T.copy(), f)])
+        merged = GeneratorSpec(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
         assert len(merged.bohr_blocks[1]) != len(exact.bohr_blocks[1])
         l_gap = np.linalg.norm(build_generator(merged) - build_generator(exact), 2)
         assert l_gap <= _block_distance(_input_blocks(merged, sigma)[0], exact) <= l_gap + 1e-14
@@ -481,7 +526,7 @@ class TestBlockRoute:
         from qmsflow.generators import _block_distance, _input_blocks
 
         spec = random_dbc_spec(3, rng)
-        other = GeneratorSpec.create(spec.sigma, [(1.1 * v, w) for v, w in spec.jumps])
+        other = GeneratorSpec(spec.sigma, [(1.1 * v, w) for v, w in spec.jumps])
         l = build_generator(spec)
         gap = np.linalg.norm(build_generator(other) - l, 2)
         got = _block_distance(_input_blocks(l, spec.sigma)[0], other)
@@ -524,8 +569,8 @@ class TestCompletePositivity:
         # Fermi m=1 minus 12 times the dissipator 2 V^* A V - {V^* V, A} of
         # the lowering operator: rejected at every scale
         lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        jump = GeneratorSpec(tracial(2), ((lower, 0.0),))  # not detailed balance
-        l = build_generator(fermi_m1.spec) - 12.0 * build_generator(jump)
+        jump = kron_sum_generator([(lower, 0.0)])  # not detailed balance: no spec admits it
+        l = build_generator(fermi_m1.spec) - 12.0 * jump
         for scale in (1.0, 1e-6, 1e-9, 1e-12):
             ok, min_eig = check_complete_positivity(scale * l)
             assert not ok, scale
@@ -548,9 +593,9 @@ class TestCompletePositivity:
         x = random_matrix(rng, 2)
         flip = commutator_super(x + dag(x))
         lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        jump = GeneratorSpec(tracial(2), ((lower, 0.0),))  # not detailed balance
+        jump = kron_sum_generator([(lower, 0.0)])  # not detailed balance: no spec admits it
         cases = [build_generator(random_dbc_spec(n, rng)) for n in (2, 3, 4)]
-        cases += [flip @ flip, build_generator(fermi_m1.spec) - 12.0 * build_generator(jump)]
+        cases += [flip @ flip, build_generator(fermi_m1.spec) - 12.0 * jump]
         verdicts = []
         for l in cases:
             choi_psd = True
@@ -571,11 +616,11 @@ class TestCompletePositivity:
         x = random_matrix(rng, 3)
         flip = commutator_super(x + dag(x))
         lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        jump = GeneratorSpec(tracial(2), ((lower, 0.0),))  # not detailed balance
+        jump = kron_sum_generator([(lower, 0.0)])  # not detailed balance: no spec admits it
         specs = [random_dbc_spec(3, rng), fermi_m2.spec, near_degenerate_spec(1e-12)]
         cases = [(build_generator(spec), spec.sigma) for spec in specs] + [
             (flip @ flip, random_density(3, rng)),
-            (build_generator(fermi_ou(1, 2.0, [1.0]).spec) - 12.0 * build_generator(jump), random_density(2, rng)),
+            (build_generator(fermi_ou(1, 2.0, [1.0]).spec) - 12.0 * jump, random_density(2, rng)),
         ]
         verdicts = []
         for l, sigma in cases:
@@ -601,9 +646,9 @@ class TestCompletePositivity:
         from qmsflow import generators
 
         monkeypatch.setattr(generators, "MAX_BOHR_BLOCK", 16)
-        GeneratorSpec.create(tracial(4), [(np.diag([1.0, 0.0, 0.0, -1.0]), 0.0)])  # one 16-unit block
+        GeneratorSpec(tracial(4), [(np.diag([1.0, 0.0, 0.0, -1.0]), 0.0)])  # one 16-unit block
         with pytest.raises(ValueError, match=r"largest Bohr block has 25 units; at most 16"):
-            GeneratorSpec.create(tracial(5), [(np.diag([1.0, 0.0, 0.0, 0.0, -1.0]), 0.0)])
+            GeneratorSpec(tracial(5), [(np.diag([1.0, 0.0, 0.0, 0.0, -1.0]), 0.0)])
 
 
 class TestErgodicity:
@@ -614,11 +659,11 @@ class TestErgodicity:
     def test_single_diagonal_jump(self):
         e11 = np.diag([1.0, 0.0]).astype(complex)
         sigma = DensityState.from_matrix(np.diag([0.6, 0.4]).astype(complex))
-        spec = GeneratorSpec.create(sigma, [(e11, 0.0)])
+        spec = GeneratorSpec(sigma, [(e11, 0.0)])
         assert ergodicity(spec) == 2
 
     def test_empty_jump_set(self, rng):
-        spec = GeneratorSpec.create(random_density(3, rng), [])
+        spec = GeneratorSpec(random_density(3, rng), [])
         assert ergodicity(spec) == 9
 
     def test_matches_generator_null_space(self, rng):
@@ -754,7 +799,7 @@ class TestDualOrbit:
     def test_scaling(self, name, c, seed):
         # jumps sqrt(c) V give c L: the same orbit at times t / c
         spec = _covariance_model(name)
-        scaled = GeneratorSpec.create(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
+        scaled = GeneratorSpec(spec.sigma, [(np.sqrt(c) * v, w) for v, w in spec.jumps])
         rng = np.random.default_rng(seed)
         x, times = random_matrix(rng, spec.dim), rng.uniform(0.0, 2.0, 3)
         assert ergodicity(scaled) == ergodicity(spec)
@@ -767,7 +812,7 @@ class TestDualOrbit:
         rng = np.random.default_rng(seed)
         w, _ = np.linalg.qr(random_matrix(rng, spec.dim))
         sigma = DensityState.from_matrix(w @ spec.sigma.rho @ dag(w))
-        rotated = GeneratorSpec.create(sigma, [(w @ v @ dag(w), om) for v, om in spec.jumps])
+        rotated = GeneratorSpec(sigma, [(w @ v @ dag(w), om) for v, om in spec.jumps])
         x, times = random_matrix(rng, spec.dim), rng.uniform(0.0, 2.0, 3)
         assert ergodicity(rotated) == ergodicity(spec)
         expect = [w @ y @ dag(w) for y in dual_orbit(spec, x, times)]
@@ -787,7 +832,7 @@ class TestDualOrbit:
         x, times = random_matrix(rng, spec.dim), rng.uniform(0.0, 2.0, 3)
         expect = dual_orbit(spec, x, times)
         for jumps in (permuted, split, split_first):
-            other = GeneratorSpec.create(spec.sigma, jumps)
+            other = GeneratorSpec(spec.sigma, jumps)
             assert ergodicity(other) == ergodicity(spec)
             _assert_orbits_close(dual_orbit(other, x, times), expect)
 
@@ -806,15 +851,10 @@ class TestDualOrbit:
         ],
     )
     def test_rejects_non_eigenvector_jump(self, jumps, match):
+        # construction is the one check: no spec of these jumps exists
         sigma = DensityState.from_matrix(np.diag([0.7, 0.3]).astype(complex))
         with pytest.raises(ValueError, match=match):
-            GeneratorSpec.create(sigma, jumps)
-        # the blocks are the check wherever they are first read
-        spec = GeneratorSpec(sigma, tuple(jumps))
-        with pytest.raises(ValueError, match=match):
-            ergodicity(spec)
-        with pytest.raises(ValueError, match=match):
-            dual_orbit(spec, sigma.rho, [1.0])
+            GeneratorSpec(sigma, jumps)
 
 
 class TestRestriction:
@@ -861,7 +901,7 @@ class TestRestriction:
         # jumps V -> sqrt(c) V scale L by c: the hypercube is accepted with
         # rates scaled by c, projections on a random basis are rejected
         model = fermi_ou(2, 1.0, [1.0, 2.0])
-        spec = GeneratorSpec.create(
+        spec = GeneratorSpec(
             model.spec.sigma, [(np.sqrt(c) * v, w) for v, w in model.spec.jumps]
         )
         base = restrict_to_commutative(model.spec, hypercube_projections(model))
@@ -878,7 +918,7 @@ class TestRestriction:
         # modular subalgebra; in a non-diagonal eigenbasis the images are
         # round-off, which the floor must not read as a residual
         base = random_dbc_spec(4, rng, n_offdiag=0)
-        spec = GeneratorSpec.create(base.sigma, [(np.sqrt(c) * v, w) for v, w in base.jumps])
+        spec = GeneratorSpec(base.sigma, [(np.sqrt(c) * v, w) for v, w in base.jumps])
         rate = restrict_to_commutative(spec, modular_subalgebra(spec.sigma))
         k_norm = c * np.linalg.norm(sum(v @ v for v, _ in base.jumps))
         assert np.max(np.abs(rate.rates)) <= 1e-13 * k_norm

@@ -345,7 +345,7 @@ class TestRandomSpecs:
     def test_validates(self, rng):
         for _ in range(5):
             spec = random_dbc_spec(int(rng.integers(2, 6)), rng)
-            GeneratorSpec.create(spec.sigma, spec.jumps)
+            GeneratorSpec(spec.sigma, spec.jumps)
 
     def test_ergodic_flag(self, rng):
         for _ in range(5):

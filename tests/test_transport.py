@@ -125,7 +125,7 @@ class TestContinuitySolve:
         sigma = random_density(2, rng)
         from qmsflow.generators import GeneratorSpec
 
-        spec = GeneratorSpec.create(sigma, [])
+        spec = GeneratorSpec(sigma, [])
         with pytest.raises(ValueError, match="ergodic"):
             continuity_solve(spec, sigma, np.zeros((2, 2)))
 
@@ -229,7 +229,7 @@ class TestGradientFlowIdentity:
 
     def test_rejects_non_ergodic(self, fermi_m2, rng):
         # one number operator as the only jump leaves a nontrivial commutant
-        spec = GeneratorSpec.create(fermi_m2.spec.sigma, [(fermi_m2.number_ops[0], 0.0)])
+        spec = GeneratorSpec(fermi_m2.spec.sigma, [(fermi_m2.number_ops[0], 0.0)])
         with pytest.raises(ValueError, match="ergodic"):
             riemannian_gradient_flow_check(spec, random_density(4, rng))
 
@@ -845,7 +845,7 @@ class TestNewtonSolver:
         spec = fermi_m2.spec
         rho = random_density(4, np.random.default_rng(3))
         base = geodesic_distance(spec, rho, spec.sigma, segments=4)
-        scaled = GeneratorSpec.create(spec.sigma, [(np.sqrt(scale) * v, w) for v, w in spec.jumps])
+        scaled = GeneratorSpec(spec.sigma, [(np.sqrt(scale) * v, w) for v, w in spec.jumps])
         res = geodesic_distance(scaled, rho, scaled.sigma, segments=4)
         assert base.converged and res.converged
         assert scale * res.action == pytest.approx(base.action, rel=1e-9, abs=0)
