@@ -38,6 +38,7 @@ import numpy as np
 from .linalg import choi, dag
 from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
+    PSD_TOL,
     CertificationReport,
     GeneratorSpec,
     JumpGKS,
@@ -56,7 +57,6 @@ __all__ = [
 ]
 
 DROP_RTOL = 1e-10
-PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,6 @@ def extract_canonical(
     l,
     sigma: DensityState,
     modular: ModularData | None = None,
-    drop_rtol: float = DROP_RTOL,
     require_dbc: bool = True,
     certification: CertificationReport | None = None,
     psd_tol: float = PSD_TOL,
@@ -294,7 +293,7 @@ def extract_canonical(
     is written as the exact adjoint, and the omega = 0 block, real
     symmetric in its self-adjoint elements, gives self-adjoint jumps.  An
     eigenvalue d is dropped together with its vector when d e^{omega/2},
-    the jump's squared norm, is at most ``drop_rtol`` times the largest
+    the jump's squared norm, is at most DROP_RTOL times the largest
     |e^{omega_a/2} c_ab| of the reduced matrix, a scale a block and its
     conjugate partner share; the report lists those above the round-off of
     the blocks, the superoperator dimension n^2 times machine epsilon times
@@ -344,7 +343,7 @@ def extract_canonical(
             f"block {block_res:.3e}, pairing {pair_res:.3e}, off-block {offblock_res:.3e}"
         )
 
-    jumps, dropped, block_sizes = _canonical_jumps(gks.blocks, gks.modular, drop_rtol)
+    jumps, dropped, block_sizes = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
     spec = GeneratorSpec(sigma, jumps)
     h_norm, h_hat_norm = gks.hamiltonian_norms
     report = ExtractionReport(

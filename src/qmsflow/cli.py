@@ -18,6 +18,8 @@ from . import serialize
 from .canonical import extract_canonical
 from .entropy import entropy_trajectory
 from .generators import (
+    GNS_FLAG_TOL,
+    PSD_TOL,
     certify_detailed_balance,
     check_complete_positivity,
     ergodicity,
@@ -47,8 +49,8 @@ from .states import DensityState, build_modular_basis
 from .verify import run_suite
 
 DEFAULT_TOLERANCES = {
-    "gns_flag": 1e-9,
-    "psd": 1e-10,
+    "gns_flag": GNS_FLAG_TOL,
+    "psd": PSD_TOL,
 }
 
 

@@ -76,6 +76,7 @@ __all__ = [
 JUMP_EIGEN_TOL = 1e-10
 KMS_SYMMETRY_TOL = 1e-8
 GNS_FLAG_TOL = 1e-9
+PSD_TOL = 1e-10
 # Largest Bohr block, in units E_ab, that :attr:`GeneratorSpec.bohr_blocks`
 # builds.  Building a block of |B| units takes about 93 |B|^2 bytes
 # (measured peak RSS of building a spec on the maximally mixed state, one
@@ -641,7 +642,7 @@ def _certify_blocks(sigma: DensityState, ls: list, s_grid, tol: float) -> Certif
 
 
 def check_complete_positivity(
-    l, psd_tol: float = 1e-10, l_norm: float | None = None, modular: ModularData | None = None
+    l, psd_tol: float = PSD_TOL, l_norm: float | None = None, modular: ModularData | None = None
 ) -> tuple[bool, float]:
     """Complete positivity of exp(tL) for every t >= 0, for a unital, star-preserving L.
 
@@ -764,14 +765,13 @@ class RateMatrix:
 def restrict_to_commutative(
     spec: GeneratorSpec,
     projections,
-    invariance_tol: float = 1e-10,
 ) -> RateMatrix:
     """Jump rates Q_kl = Tr[E_k L(E_l)] / Tr[E_k] of the restricted chain.
 
     ``projections`` must be nonzero, mutually orthogonal projections
     summing to the identity whose span is invariant under L^+: each
-    residual of L^+(E_k) off the span must be at most ``invariance_tol``
-    times ||K||_F, K = sum_j e^{-omega_j/2} V_j^* V_j.  That scale bounds
+    residual of L^+(E_k) off the span must be at most 1e-10 times
+    ||K||_F, K = sum_j e^{-omega_j/2} V_j^* V_j.  That scale bounds
     the round-off of the terms of L^+(E_k) that cancel and goes with the
     units of L, so neither decides the verdict.  The stationary vector is
     sigma_k = Tr[sigma E_k] and classical detailed balance
@@ -806,7 +806,7 @@ def restrict_to_commutative(
             for m in range(len(projections))
         )
         resid = np.linalg.norm(image - inside)
-        if resid > invariance_tol * scale:
+        if resid > 1e-10 * scale:
             raise ValueError(
                 f"span of projections is not invariant under the dual generator "
                 f"(projection {k}, residual {resid:.3e})"

@@ -175,29 +175,28 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def hermitian_eig(a: np.ndarray, hermiticity_tol: float = 1e-10) -> HermitianSpectrum:
+def hermitian_eig(a: np.ndarray) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.
 
-    The input is symmetrized before the solve; inputs farther than
-    ``hermiticity_tol`` (relative) from Hermitian are rejected.
+    The input is symmetrized before the solve; inputs farther than 1e-10
+    (relative) from Hermitian are rejected.
     """
     a = check_finite(a)
     scale = max(float(np.linalg.norm(a)), 1.0)
-    if np.linalg.norm(a - dag(a)) > hermiticity_tol * scale:
+    if np.linalg.norm(a - dag(a)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
     sym = 0.5 * (a + dag(a))
     vals, vecs = np.linalg.eigh(sym)
     return HermitianSpectrum(vals, _fix_phases(vecs))
 
 
-def spectral_calculus(a: np.ndarray, f, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def spectral_calculus(a: np.ndarray, f) -> np.ndarray:
     """f(A) = U f(Lambda) U^* for Hermitian A.
 
     ``f`` must be defined on the spectrum; for example log and negative
     powers require a positive definite argument.
     """
-    spec = hermitian_eig(a, hermiticity_tol)
-    return spec.apply(f)
+    return hermitian_eig(a).apply(f)
 
 
 def traceless_hermitian_basis(n: int) -> list:

@@ -146,9 +146,9 @@ def modular_shift(sigma: DensityState, t: float, a: np.ndarray) -> np.ndarray:
     return sigma.power(t) @ np.asarray(a, dtype=complex) @ sigma.power(-t)
 
 
-def modular_superoperator(sigma: DensityState, power: float = 1.0) -> np.ndarray:
-    """Matrix of Delta_sigma^power on column-stacked matrices."""
-    return sharp(sigma.power(power), sigma.power(-power))
+def modular_superoperator(sigma: DensityState) -> np.ndarray:
+    """Matrix of Delta_sigma on column-stacked matrices."""
+    return sharp(sigma.rho, sigma.power(-1.0))
 
 
 @dataclass(frozen=True)

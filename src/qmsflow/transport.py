@@ -22,10 +22,10 @@ action is convex in the interior states, because (rho, A) |->
 gradient and block-tridiagonal Hessian (first- and second-order
 Daleckii-Krein formulas in each midpoint's eigenbasis) converges in a few
 steps and stops on the Newton decrement.  Each evaluated path makes one
-pass over all its midpoints: one eigensolve and one inverse of M per
-midpoint, one stacked pass for the kernels' first divided differences and
-one for their second ones, and the gradient read off the Hessian's
-first-order term.  The minimized action bounds the
+eigensolve and one inverse of M per midpoint; each accepted one adds one
+stacked pass over all its midpoints for the kernels' first divided
+differences and one for their second ones, and its gradient is read off
+the Hessian's first-order term.  The minimized action bounds the
 discrete problem from above, but midpoint quadrature of the (jointly
 convex) integrand underestimates, so as K grows it approaches the
 continuum value from below.  The same discretization applied to a
@@ -294,7 +294,6 @@ class _PathEvaluation:
     u: np.ndarray
     ker: np.ndarray
     t: np.ndarray
-    first_order: tuple | None = None
 
 
 class _PathProblem:
@@ -306,11 +305,10 @@ class _PathProblem:
 
     Every quantity is computed for all K midpoints at once, and once per
     evaluated path: :meth:`evaluate` eigensolves the midpoints and inverts
-    each M, which gives x = M^{-1} delta and the action; the first call of
-    :meth:`gradient` or :meth:`hessian` adds the first divided differences
-    of the kernels and G = (d_a M) x (:meth:`_first_order`), from which the
-    gradient is x^T G; the Hessian adds the second divided differences
-    (:meth:`_second_order`) and reuses M^{-1}.
+    each M, which gives x = M^{-1} delta and the action; :meth:`derivatives`
+    adds the first divided differences of the kernels, G = (d_a M) x and
+    the second divided differences (:meth:`_second_order`), from which
+    :func:`_node_derivatives` reads the gradient and the Hessian.
     """
 
     def __init__(self, ws: _MetricWorkspace, rho0: np.ndarray, rho1: np.ndarray, k: int):
@@ -353,65 +351,34 @@ class _PathProblem:
     def segment_actions(self, evaluation: _PathEvaluation) -> np.ndarray:
         return self.k * np.einsum("ka,ka->k", evaluation.deltas, evaluation.sol)
 
-    def action(self, evaluation: _PathEvaluation) -> float:
-        return float(np.sum(self.segment_actions(evaluation)))
+    def derivatives(self, evaluation: _PathEvaluation):
+        """Exact gradient and block-tridiagonal Hessian of the action in the
+        interior coordinates (see :func:`_node_derivatives`), read from the
+        path's :meth:`evaluate`.
 
-    def _first_order(self, evaluation: _PathEvaluation):
-        """First-order data of the midpoints, computed once per evaluation
-        for the gradient and the Hessian: Y_j = d_j X in each midpoint's
-        eigenbasis (K, J, n, n), the first divided differences of the
-        kernels (see :func:`~qmsflow.calculus.kernel_divided_differences`),
-        the basis in each eigenbasis H_a = U^* B_a U (K, nb, n, n), and
-        G (K, nb, nb) with G_{c,a} = (d_a M x)_c.
-
-        G_{c,a} is D[m]_{omega_j}(H_a) Y_j paired with d_j B_c, summed over
-        j: the first-order Daleckii-Krein derivative of [m] in direction B_a,
-        sum_l left_ilk (H_a)_il Y_lk + right_ilk Y_il (H_a)_lk, formed as
-        matrix products batched over (midpoint, i) and (midpoint, k).
+        Y_j = d_j X in each midpoint's eigenbasis (K, J, n, n), the first
+        divided differences of the kernels (see
+        :func:`~qmsflow.calculus.kernel_divided_differences`) and the basis
+        in each eigenbasis H_a = U^* B_a U (K, nb, n, n) give G (K, nb, nb)
+        with G_{c,a} = (d_a M x)_c: D[m]_{omega_j}(H_a) Y_j paired with
+        d_j B_c, summed over j, the first-order Daleckii-Krein derivative of
+        [m] in direction B_a, sum_l left_ilk (H_a)_il Y_lk + right_ilk Y_il
+        (H_a)_lk, formed as matrix products batched over (midpoint, i) and
+        (midpoint, k).  The same data give the second-order term S of
+        :meth:`_second_order`.
         """
         ev = evaluation
-        if ev.first_order is None:
-            kk, nj, n, nb = len(ev.ker), len(self.ws.omegas), self.n, self.ws.nb
-            yt = (ev.sol[:, None, :] @ ev.t).reshape(kk, nj, n, n)
-            left, right = kernel_divided_differences(ev.lam, self.ws.tilts, ev.ker)
-            hb = self.ws.rotated(self.ws.basis.reshape(-1, n), ev.u).transpose(0, 2, 1, 3)
-            dy = (left * yt[:, :, None]).transpose(0, 2, 3, 1, 4).reshape(kk, n, n, nj * n)
-            dy = (hb.transpose(0, 2, 1, 3) @ dy).reshape(kk, n, nb, nj, n).transpose(0, 2, 3, 1, 4)
-            dr = (right * yt[..., None]).transpose(0, 4, 1, 2, 3).reshape(kk, n, nj * n, n)
-            dy = dy + (dr @ hb.transpose(0, 3, 2, 1)).reshape(kk, n, nj, n, nb).transpose(0, 4, 2, 3, 1)
-            g = (np.conj(ev.t) @ np.swapaxes(dy.reshape(kk, nb, -1), -1, -2)).real
-            ev.first_order = (yt, left, right, hb, g)
-        return ev.first_order
-
-    def gradient(self, evaluation: _PathEvaluation) -> np.ndarray:
-        """Exact gradient of the action in the interior coordinates, read
-        from the path's :meth:`evaluate`.
-
-        Segment k contributes K delta^T M(m)^{-1} delta with x = M^{-1} delta:
-        2K x in delta and -K x^T (d_a M) x in its midpoint m, which is
-        sum_c x_c G_{c,a} with the G of :meth:`_first_order`.
-        """
-        g = self._first_order(evaluation)[-1]
-        dmid = -self.k * (evaluation.sol[:, None, :] @ g)[:, 0]
-        ddelta = 2.0 * self.k * evaluation.sol
-        return ddelta[:-1] - ddelta[1:] + 0.5 * (dmid[:-1] + dmid[1:])
-
-    def hessian(self, evaluation: _PathEvaluation):
-        """Exact Hessian of the action in the interior coordinates, as the
-        blocks of a block-tridiagonal matrix (see :func:`_node_blocks`).
-
-        In (delta, m) segment k's Hessian is 2K [I, -G]^T M^{-1} [I, -G] - K S
-        with G_{c,a} = (d_a M x)_c from :meth:`_first_order`, and
-        S_ab = x^T (d_a d_b M) x, its second-order term.  The map
-        rho |-> [rho]_omega is operator concave, so S <= 0 and the Hessian
-        is positive semidefinite.
-        """
-        ev = evaluation
-        yt, left, right, hb, g = self._first_order(ev)
+        kk, nj, n, nb = len(ev.ker), len(self.ws.omegas), self.n, self.ws.nb
+        yt = (ev.sol[:, None, :] @ ev.t).reshape(kk, nj, n, n)
+        left, right = kernel_divided_differences(ev.lam, self.ws.tilts, ev.ker)
+        hb = self.ws.rotated(self.ws.basis.reshape(-1, n), ev.u).transpose(0, 2, 1, 3)
+        dy = (left * yt[:, :, None]).transpose(0, 2, 3, 1, 4).reshape(kk, n, n, nj * n)
+        dy = (hb.transpose(0, 2, 1, 3) @ dy).reshape(kk, n, nb, nj, n).transpose(0, 2, 3, 1, 4)
+        dr = (right * yt[..., None]).transpose(0, 4, 1, 2, 3).reshape(kk, n, nj * n, n)
+        dy = dy + (dr @ hb.transpose(0, 3, 2, 1)).reshape(kk, n, nj, n, nb).transpose(0, 4, 2, 3, 1)
+        g = (np.conj(ev.t) @ np.swapaxes(dy.reshape(kk, nb, -1), -1, -2)).real
         s = self._second_order(ev.lam, yt, hb, left, right)
-        m_inv_g = ev.metric_inv @ g
-        mm = 2.0 * np.swapaxes(g, -1, -2) @ m_inv_g - s
-        return _node_blocks(2.0 * self.k * ev.metric_inv, -2.0 * self.k * m_inv_g, self.k * mm)
+        return _node_derivatives(self.k, ev.sol, ev.metric_inv, ev.metric_inv @ g, g, s)
 
     def _second_order(self, lam, yt, hb, left, right):
         """S_ab = sum_j <Y_j, D^2[m]_{omega_j}(B_a, B_b) Y_j> per midpoint,
@@ -443,20 +410,32 @@ class _PathProblem:
         return r + np.swapaxes(r, -1, -2)
 
 
-def _node_blocks(dd, dm, mm):
-    """Block-tridiagonal Hessian in the interior nodes from each segment's
-    Hessian in (delta, m), blocks ``dd``, ``dm`` and ``mm`` (K, b, b).
+def _node_derivatives(k, sol, p_inv, p_inv_g, g, s):
+    """Gradient and block-tridiagonal Hessian of a K-segment action
+    sum_k K delta_k^T P(m_k)^{-1} delta_k in the interior nodes, from each
+    segment's x = P^{-1} delta (K, b), P^{-1}, P^{-1} G, G and S (K, b, b).
 
-    Node k is the right end of segment k-1 (delta moves with it, m at half
-    speed) and the left end of segment k (delta against it).  Returns the
-    diagonal blocks (K-1, b, b) and the subdiagonal ones (K-2, b, b), block
-    (k+1, k) being the coupling through segment k.
+    In (delta, m) segment k has the gradient 2K x in delta and -K x^T G in
+    m, with G_{c,a} = (d_a P x)_c, and the Hessian
+    2K [I, -G]^T P^{-1} [I, -G] - K S, with S_ab = x^T (d_a d_b P) x.  P is
+    concave in m for both problems (the map rho |-> [rho]_omega is operator
+    concave, the logarithmic mean concave), so S <= 0 and the Hessian is
+    positive semidefinite.  Node k is the right end of segment k-1 (delta
+    moves with it, m at half speed) and the left end of segment k (delta
+    against it).  Returns the gradient (K-1, b), the diagonal blocks
+    (K-1, b, b) and the subdiagonal ones (K-2, b, b), block (k+1, k) being
+    the coupling through segment k.
     """
+    dmid = -k * (sol[:, None, :] @ g)[:, 0]
+    ddelta = 2.0 * k * sol
+    gradient = ddelta[:-1] - ddelta[1:] + 0.5 * (dmid[:-1] + dmid[1:])
+    dd, dm = 2.0 * k * p_inv, -2.0 * k * p_inv_g
+    mm = k * (2.0 * np.swapaxes(g, -1, -2) @ p_inv_g - s)
     sym = 0.5 * (dm + np.swapaxes(dm, -1, -2))
     skew = dm - sym
     diag = (dd + sym + 0.25 * mm)[:-1] + (dd - sym + 0.25 * mm)[1:]
     lower = (0.25 * mm - dd + skew)[1:-1]
-    return 0.5 * (diag + np.swapaxes(diag, -1, -2)), lower
+    return gradient, 0.5 * (diag + np.swapaxes(diag, -1, -2)), lower
 
 
 def _newton_step(diag, lower, g):
@@ -484,7 +463,7 @@ DECREMENT_RTOL = 1e-12
 ARMIJO_SLOPE = 0.25
 
 
-def _minimize_path(problem, max_iter, floor):
+def _minimize_path(problem, max_iter):
     """Damped Newton on the convex discrete action (Boyd-Vandenberghe,
     Convex Optimization, 9.5) from ``problem.initial()``, at most
     ``max_iter`` steps.
@@ -493,25 +472,25 @@ def _minimize_path(problem, max_iter, floor):
     s = -H^{-1} g and the Newton decrement lambda^2 = g^T H^{-1} g.  The
     solve has converged when lambda^2/2 is at most DECREMENT_RTOL times the
     action, a test that does not depend on units.  A Newton step that
-    leaves the positivity floor or fails the Armijo test is damped, as in
-    Levenberg-Marquardt, to -(H + nu h I)^{-1} g with h the mean diagonal
-    entry of H and nu raised 4-fold from 1e-4 until the step is taken; nu
-    falls 8-fold after each step, to 0 below 1e-6.  Between nearly pure
-    endpoints the Newton step can point out of the floor's region while the
-    minimum lies inside it, and halving it stalls at the floor; the damped
-    step turns towards the gradient instead.  Each point is evaluated once.
-    A spent budget, or a step that no damping makes acceptable, is not
+    leaves the positivity floor POSITIVITY_FLOOR or fails the Armijo test
+    is damped, as in Levenberg-Marquardt, to -(H + nu h I)^{-1} g with h
+    the mean diagonal entry of H and nu raised 4-fold from 1e-4 until the
+    step is taken; nu falls 8-fold after each step, to 0 below 1e-6.
+    Between nearly pure endpoints the Newton step can point out of the
+    floor's region while the minimum lies inside it, and halving it stalls
+    at the floor; the damped step turns towards the gradient instead.  Each
+    point is evaluated once, and each accepted one differentiated once.  A
+    spent budget, or a step that no damping makes acceptable, is not
     converged.
 
     Returns the interior points and the result, whose path the caller sets.
     """
     y = problem.initial()
     evaluation = problem.evaluate(y)
-    action = problem.action(evaluation)
+    action = float(np.sum(problem.segment_actions(evaluation)))
     steps, squared, converged, damping = 0, 0.0, True, 0.0
     while y.size:
-        g = problem.gradient(evaluation)
-        diag, lower = problem.hessian(evaluation)
+        g, diag, lower = problem.derivatives(evaluation)
         direction, squared = _newton_step(diag, lower, g)
         converged = 0.5 * squared <= DECREMENT_RTOL * action
         if converged or steps >= max_iter:
@@ -521,9 +500,9 @@ def _minimize_path(problem, max_iter, floor):
                 h = np.trace(diag, axis1=1, axis2=2).mean() / diag.shape[1]
                 direction = _newton_step(diag + damping * h * np.eye(diag.shape[1]), lower, g)[0]
             cand = y + direction
-            if problem.min_eigenvalue(cand) >= floor:
+            if problem.min_eigenvalue(cand) >= POSITIVITY_FLOOR:
                 cand_evaluation = problem.evaluate(cand)
-                cand_action = problem.action(cand_evaluation)
+                cand_action = float(np.sum(problem.segment_actions(cand_evaluation)))
                 if cand_action <= action + ARMIJO_SLOPE * float(g.ravel() @ direction.ravel()):
                     break
             damping = max(4.0 * damping, 1e-4)
@@ -550,15 +529,15 @@ def geodesic_distance(
     rho1: DensityState,
     segments: int = 16,
     max_iter: int = 400,
-    positivity_floor: float = POSITIVITY_FLOOR,
 ) -> GeodesicResult:
     """Transport distance between two faithful states, K = ``segments``.
 
     Returns sqrt of the minimized K-segment midpoint-rule action over
     piecewise-linear paths.  The action is convex in the interior states,
     and damped Newton on its exact gradient and block-tridiagonal Hessian,
-    with a positivity safeguard, minimizes it in a few steps (``max_iter``
-    of them at most).  ``converged`` means the Newton decrement test
+    with a positivity safeguard (every state's eigenvalues at least
+    POSITIVITY_FLOOR), minimizes it in a few steps (``max_iter`` of them at
+    most).  ``converged`` means the Newton decrement test
     passed, and ``decrement`` estimates, without bounding, how far the
     action still is above the discrete minimum.  The action bounds the
     discrete problem's minimum from above; it is not an upper bound on the
@@ -567,10 +546,10 @@ def geodesic_distance(
     _require_segments(segments)
     _require_ergodic(spec)
     for r in (rho0, rho1):
-        if float(r.eigenvalues[0]) < positivity_floor:
+        if float(r.eigenvalues[0]) < POSITIVITY_FLOOR:
             raise ValueError("endpoint is not strictly positive at the working floor")
     problem = _PathProblem(_MetricWorkspace(spec), rho0.rho, rho1.rho, segments)
-    y, result = _minimize_path(problem, max_iter, positivity_floor)
+    y, result = _minimize_path(problem, max_iter)
     result.path = [np.asarray(s) for s in problem.states(problem.full_coords(y))]
     return result
 
@@ -581,13 +560,12 @@ def metric_monotonicity_check(
     a: np.ndarray,
     omega: float,
     t: float,
-    slack: float = 1e-10,
 ) -> tuple[bool, float, float]:
     """Contraction of <A, [rho]_omega^{-1} A> under the dual semigroup.
 
     Passes when the evolved value exceeds the initial one by at most
-    ``slack`` times the initial value, so the verdict does not depend on
-    the scale of A.  Returns (passed, evolved value, initial value).
+    1e-10 times the initial value, so the verdict does not depend on the
+    scale of A.  Returns (passed, evolved value, initial value).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -601,7 +579,7 @@ def metric_monotonicity_check(
     (a_t,) = dual_orbit(spec, a, [t])
     lhs = hs_inner(a_t, rho_div(rho_t, omega, a_t)).real
     rhs = hs_inner(a, rho_div(rho, omega, np.asarray(a, dtype=complex))).real
-    return bool(lhs <= rhs + slack * abs(rhs)), float(lhs), float(rhs)
+    return bool(lhs <= rhs + 1e-10 * abs(rhs)), float(lhs), float(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +592,10 @@ class _ChainProblem:
 
     Edge weights are logarithmic means w_xy(p) = LM(p_x Q_xy, p_y Q_yx);
     the quadratic form on increments solves the weighted graph Laplacian.
-    This is the commutative reduction of the quantum metric.
+    This is the commutative reduction of the quantum metric: :meth:`evaluate`
+    solves the Laplacian at each midpoint, and :meth:`derivatives` forms G
+    and S there, from which :func:`_node_derivatives` reads the gradient
+    and the Hessian as for :class:`_PathProblem`.
     """
 
     def __init__(self, rates: np.ndarray, p0: np.ndarray, p1: np.ndarray, k: int):
@@ -677,39 +658,16 @@ class _ChainProblem:
         dps, *_, u = evaluation
         return self.k * np.einsum("kx,kx->k", dps, u)
 
-    def action(self, evaluation) -> float:
-        return float(np.sum(self.segment_actions(evaluation)))
+    def derivatives(self, evaluation):
+        """Exact gradient and block-tridiagonal Hessian from :meth:`evaluate`
+        on mean-zero directions (see :func:`_node_derivatives`).
 
-    def gradient(self, evaluation) -> np.ndarray:
-        """Exact gradient from :meth:`evaluate`, projected onto mean-zero
-        directions.
-
-        Segment k contributes K dp^T P(mid)^{-1} dp: 2K u in dp and
-        -K sum_xy (u_x - u_y)^2 dw_xy in its midpoint, where
-        w_xy = LM(p_x Q_xy, p_y Q_yx).
-        """
-        _, out_mass, in_mass, _, u = evaluation
-        flux = (u @ self.incidence.T) ** 2
-        d_out = flux * self.q_out * log_mean_dx(out_mass, in_mass)
-        d_in = flux * self.q_in * log_mean_dx(in_mass, out_mass)
-        dmid = np.zeros_like(u)
-        np.add.at(dmid, (slice(None), self.tail), d_out)
-        np.add.at(dmid, (slice(None), self.head), d_in)
-        dmid *= -self.k
-        ddp = 2.0 * self.k * u
-        g = ddp[:-1] - ddp[1:] + 0.5 * (dmid[:-1] + dmid[1:])
-        return g - g.mean(axis=1, keepdims=True)
-
-    def hessian(self, evaluation):
-        """Exact Hessian from :meth:`evaluate` on mean-zero directions, as
-        block-tridiagonal blocks.
-
-        Segment k's Hessian in (dp, mid) is 2K [I, -G]^T P^{-1} [I, -G] - K S
-        with G = D^T diag(f) dw/dmid, f = D u the edge fluxes, and
-        S = sum_e f_e^2 d^2 w_e/dmid^2 <= 0, LM being concave.  Each node
-        block is projected onto mean-zero directions, and (mean diagonal)
-        1 1^T/m stands in on the constant direction, so a mean-zero gradient
-        gives a mean-zero step.
+        With f = D u the edge fluxes and w_xy = LM(p_x Q_xy, p_y Q_yx),
+        G = D^T diag(f) dw/dmid, so the midpoint gradient is
+        -K u^T G = -K sum_e f_e^2 dw_e/dmid, and S = sum_e f_e^2 d^2 w_e/dmid^2.
+        The gradient and each node block are projected onto mean-zero
+        directions, and (mean diagonal) 1 1^T/m stands in on the constant
+        direction, so a mean-zero gradient gives a mean-zero step.
         """
         _, out_mass, in_mass, lap, u = evaluation
         m = self.m
@@ -725,14 +683,12 @@ class _ChainProblem:
              + np.einsum("ex,ke,ey->kxy", head, f2 * self.q_in**2 * log_mean_dxx(in_mass, out_mass), head)
              + cross + np.swapaxes(cross, -1, -2))
         inv = np.linalg.solve(lap, np.concatenate([np.broadcast_to(np.eye(m), g.shape), g], -1))
-        p_inv, p_inv_g = inv[..., :m], inv[..., m:]
-        mm = 2.0 * np.swapaxes(g, -1, -2) @ p_inv_g - s
-        diag, lower = _node_blocks(2.0 * self.k * p_inv, -2.0 * self.k * p_inv_g, self.k * mm)
+        gradient, diag, lower = _node_derivatives(self.k, u, inv[..., :m], inv[..., m:], g, s)
         center = np.eye(m) - 1.0 / m
         diag = center @ diag @ center
         lower = center @ lower @ center
         scale = np.trace(diag, axis1=1, axis2=2).mean() / (m - 1)
-        return diag + scale / m, lower
+        return gradient - gradient.mean(axis=1, keepdims=True), diag + scale / m, lower
 
 
 def classical_transport_distance(
@@ -743,15 +699,23 @@ def classical_transport_distance(
     The minimized K-segment midpoint action, as in
     :func:`geodesic_distance`, but independent of the quantum solver's
     metric assembly: works directly on probability vectors with
-    logarithmic-mean edge weights.
+    logarithmic-mean edge weights.  A chain with no nonzero rate, or one
+    that is reducible, has a degenerate metric and raises ``ValueError``.
     """
     _require_segments(segments)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     for p in (p0, p1):
-        if abs(p.sum() - 1.0) > 1e-12 or np.any(p <= 0):
+        if p.shape != (rates.size,):
+            raise ValueError(f"endpoints must have {rates.size} entries, got shape {p.shape}")
+        if not (abs(p.sum() - 1.0) <= 1e-12 and np.all(p > 0)):  # NaN fails too
             raise ValueError("endpoints must be strictly positive probability vectors")
     problem = _ChainProblem(rates.rates, p0, p1, segments)
-    y, result = _minimize_path(problem, max_iter, POSITIVITY_FLOOR)
+    if problem.rate == 0.0:
+        raise ValueError("chain has no nonzero rate; the metric is degenerate")
+    # the edge-vertex incidence has rank m minus the number of components
+    if np.linalg.matrix_rank(problem.incidence) < problem.m - 1:
+        raise ValueError("chain is reducible; the metric is degenerate")
+    y, result = _minimize_path(problem, max_iter)
     result.path = [row for row in problem.full(y)]
     return result

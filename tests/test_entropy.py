@@ -557,7 +557,7 @@ class TestTalagrand:
             segments=8,
         )
         assert res["passed"]
-        assert res["distance_upper"] == pytest.approx(0.0, abs=1e-8)
+        assert res["distance_estimate"] == pytest.approx(0.0, abs=1e-8)
 
     def test_random_states(self, fermi_m1_unit, rng):
         lam = fermi_m1_unit.decay_rate()
@@ -567,11 +567,20 @@ class TestTalagrand:
             assert res["passed"]
             assert 0.0 < res["tightness"] <= 1.05
             assert res["converged"]
-            assert 0.0 <= res["decrement"] <= 1e-12 * res["distance_upper"] ** 2
+            assert 0.0 <= res["decrement"] <= 1e-12 * res["distance_estimate"] ** 2
 
     def test_rejects_nonpositive_rate(self, fermi_m1_unit, rng):
         with pytest.raises(ValueError):
             talagrand_check(fermi_m1_unit.spec, fermi_m1_unit.spec.sigma, -1.0)
+
+    def test_distance_is_the_midpoint_estimate(self, fermi_m2, rng):
+        # the reported distance is the solver's midpoint estimate, which
+        # approaches the continuum distance from below: not an upper bound
+        rho = random_density(4, rng)
+        res = talagrand_check(fermi_m2.spec, rho, fermi_m2.decay_rate(), segments=4)
+        geo = geodesic_distance(fermi_m2.spec, rho, fermi_m2.spec.sigma, segments=4)
+        assert "distance_upper" not in res
+        assert res["distance_estimate"] == geo.distance
 
 
 def test_production_decays_exponentially(fermi_m2, rng):

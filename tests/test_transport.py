@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from qmsflow import generators, transport
 from qmsflow.calculus import divergence, grad, log_mean, rho_div, rho_mult
-from qmsflow.generators import GeneratorSpec, apply_dual, dual_orbit
+from qmsflow.generators import GeneratorSpec, RateMatrix, apply_dual, dual_orbit
 from qmsflow.linalg import dag, hs_inner, traceless_hermitian_basis, vec
 from qmsflow.models import (
     depolarizing,
@@ -311,7 +311,7 @@ class TestGeodesics:
     def test_one_spectral_evaluation_per_action(self, fermi_m2, rng, monkeypatch):
         # the accepted point's evaluation gives its gradient, its Hessian
         # and, at the end, the segment actions
-        calls = {"spectral_data": 0, "action": 0}
+        calls = {"spectral_data": 0, "evaluate": 0}
 
         def counting(cls, name):
             method = getattr(cls, name)
@@ -323,11 +323,11 @@ class TestGeodesics:
             monkeypatch.setattr(cls, name, wrapper)
 
         counting(_MetricWorkspace, "spectral_data")
-        counting(_PathProblem, "action")
+        counting(_PathProblem, "evaluate")
         res = geodesic_distance(fermi_m2.spec, random_density(4, rng), fermi_m2.spec.sigma,
                                 segments=4)
         assert res.converged and res.iterations > 1
-        assert calls["spectral_data"] == calls["action"] > res.iterations
+        assert calls["spectral_data"] == calls["evaluate"] > res.iterations
 
 
 class TestMonotonicity:
@@ -421,6 +421,30 @@ class TestClassicalOracle:
             expected.append(6 * dp @ np.linalg.solve(lap, dp))
         assert np.allclose(problem.segment_actions(problem.evaluate(y)), expected,
                            rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case, message", [
+        ("reducible", "chain is reducible"),
+        ("no-rate", "chain has no nonzero rate"),
+        ("short-endpoint", "endpoints must have 2 entries"),
+        ("matrix-endpoint", "endpoints must have 2 entries"),
+        ("nan-endpoint", "strictly positive probability vectors"),
+    ])
+    def test_rejects_degenerate_chain(self, case, message):
+        # LinAlgError is a ValueError, so each case is told by its message
+        pair = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        if case == "reducible":
+            # two 2-state blocks with no rate between them
+            q = np.zeros((4, 4))
+            q[:2, :2], q[2:, 2:] = pair, 2.0 * pair
+            rate, p0 = RateMatrix(q, np.full(4, 0.25)), np.array([0.4, 0.1, 0.25, 0.25])
+        elif case == "no-rate":
+            rate, p0 = RateMatrix(np.zeros((1, 1)), np.ones(1)), np.ones(1)
+        else:
+            rate = RateMatrix(pair, np.full(2, 0.5))
+            p0 = {"short-endpoint": np.full(3, 1 / 3), "matrix-endpoint": np.full((2, 2), 0.25),
+                  "nan-endpoint": np.array([np.nan, 0.5])}[case]
+        with pytest.raises(ValueError, match=message):
+            classical_transport_distance(rate, p0, rate.stationary, segments=4)
 
     @pytest.mark.parametrize("segments", [0, -1])
     def test_rejects_segment_count_below_one(self, fermi_m1_unit, segments):
@@ -606,7 +630,7 @@ def _classical_path(name, coefficients):
 
 def _action(problem):
     """The action as a function of the interior coordinates."""
-    return lambda y: problem.action(problem.evaluate(y))
+    return lambda y: float(np.sum(problem.segment_actions(problem.evaluate(y))))
 
 
 def _close(exact, oracle):
@@ -628,7 +652,7 @@ class TestExactGradients:
         problem, _ = _quantum_case(name)
         y = problem.initial()
         oracle = central_difference_gradient(_action(problem), y)
-        assert _close(problem.gradient(problem.evaluate(y)), oracle)
+        assert _close(problem.derivatives(problem.evaluate(y))[0], oracle)
 
     def test_degenerate_case_has_degenerate_midpoints(self):
         # makes sure the confluent branch of the divided differences runs
@@ -642,21 +666,21 @@ class TestExactGradients:
         problem, _ = _classical_case(name)
         y = problem.initial()
         oracle = central_difference_gradient(_action(problem), y, mean_zero=True)
-        assert _close(problem.gradient(problem.evaluate(y)), oracle)
+        assert _close(problem.derivatives(problem.evaluate(y))[0], oracle)
 
     @GRADIENT_SETTINGS
     @given(name=st.sampled_from(CASES), data=st.data())
     def test_quantum_on_random_paths(self, name, data):
         problem, y = _quantum_path(name, _coefficients(data, name, _quantum_case))
         oracle = central_difference_gradient(_action(problem), y)
-        assert _close(problem.gradient(problem.evaluate(y)), oracle)
+        assert _close(problem.derivatives(problem.evaluate(y))[0], oracle)
 
     @GRADIENT_SETTINGS
     @given(name=st.sampled_from(CASES), data=st.data())
     def test_classical_on_random_paths(self, name, data):
         problem, y = _classical_path(name, _coefficients(data, name, _classical_case))
         oracle = central_difference_gradient(_action(problem), y, mean_zero=True)
-        gradient = problem.gradient(problem.evaluate(y))
+        gradient = problem.derivatives(problem.evaluate(y))[0]
         assert _close(gradient, oracle)
         assert np.allclose(gradient.sum(axis=1), 0.0, atol=1e-12 * np.abs(gradient).max())
 
@@ -678,8 +702,8 @@ def central_difference_hessian(problem, y, h=1e-6, mean_zero=False):
         if mean_zero:
             step[idx[0]] -= h / y.shape[1]
         step[idx] += h
-        plus = problem.gradient(problem.evaluate(y + step))
-        minus = problem.gradient(problem.evaluate(y - step))
+        plus = problem.derivatives(problem.evaluate(y + step))[0]
+        minus = problem.derivatives(problem.evaluate(y - step))[0]
         columns.append(((plus - minus) / (2.0 * h)).ravel())
     return np.array(columns).T
 
@@ -713,7 +737,7 @@ class TestExactHessians:
         if perturbed:
             coefficients = np.random.default_rng(5).uniform(-1, 1, (len(y), len(directions)))
             problem, y = _quantum_path(name, coefficients)
-        hessian = _dense(*problem.hessian(problem.evaluate(y)))
+        hessian = _dense(*problem.derivatives(problem.evaluate(y))[1:])
         oracle = central_difference_hessian(problem, y)
         assert np.linalg.norm(hessian - oracle) <= HESSIAN_RTOL * np.linalg.norm(oracle)
         assert np.array_equal(hessian, hessian.T)
@@ -735,7 +759,7 @@ class TestExactHessians:
         if perturbed:
             coefficients = np.random.default_rng(5).uniform(-1, 1, (len(y), len(directions)))
             problem, y = _classical_path(name, coefficients)
-        diag, lower = problem.hessian(problem.evaluate(y))
+        _, diag, lower = problem.derivatives(problem.evaluate(y))
         center = _mean_zero_projector(y)
         hessian = center @ _dense(diag, lower) @ center
         oracle = central_difference_hessian(problem, y, mean_zero=True)
@@ -746,10 +770,9 @@ class TestExactHessians:
     @pytest.mark.parametrize("name", HESSIAN_QUANTUM_CASES)
     def test_newton_step_solves_dense_system(self, name):
         problem, _ = _quantum_case(name)
-        evaluation = problem.evaluate(problem.initial())
-        g = problem.gradient(evaluation)
-        hessian = _dense(*problem.hessian(evaluation))
-        step, squared = _newton_step(*problem.hessian(evaluation), g)
+        g, diag, lower = problem.derivatives(problem.evaluate(problem.initial()))
+        hessian = _dense(diag, lower)
+        step, squared = _newton_step(diag, lower, g)
         expected = np.linalg.solve(hessian, -g.ravel())
         assert np.allclose(step.ravel(), expected, rtol=1e-10, atol=1e-14 * np.abs(expected).max())
         assert squared == pytest.approx(-g.ravel() @ expected, rel=1e-10)
@@ -827,6 +850,56 @@ class TestNewtonSolver:
         assert not res.converged
         assert res.iterations == 0
         assert res.decrement > 1e-12 * res.action
+
+    @pytest.mark.parametrize("case, armijo_slope", [
+        ("d4-0", transport.ARMIJO_SLOPE), ("m1-k16", transport.ARMIJO_SLOPE),
+        ("r3-k8", transport.ARMIJO_SLOPE), ("d4-1", 0.75),
+    ])
+    def test_one_derivative_pass_per_point(self, case, armijo_slope, monkeypatch):
+        # each accepted point, the last one included, gets one pass of each
+        # kernel difference; above 1/2 the Armijo test rejects full Newton
+        # steps near the minimum, so there rejected candidates are
+        # evaluated, and they get no derivative pass
+        calls = {"kernel_divided_differences": 0, "kernel_second_divided_differences": 0,
+                 "evaluate": 0}
+
+        def counting(owner, name):
+            function = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(transport, "kernel_divided_differences")
+        counting(transport, "kernel_second_divided_differences")
+        counting(_PathProblem, "evaluate")
+        monkeypatch.setattr(transport, "ARMIJO_SLOPE", armijo_slope)
+        spec, rho0, rho1, segments = _pinned_case(case)
+        res = geodesic_distance(spec, rho0, rho1, segments=segments)
+        assert res.converged
+        assert calls["kernel_divided_differences"] == res.iterations + 1
+        assert calls["kernel_second_divided_differences"] == res.iterations + 1
+        if armijo_slope > 0.5:
+            assert calls["evaluate"] > 2 * (res.iterations + 1)
+
+    def test_one_chain_derivative_pass_per_point(self, fermi_m2, monkeypatch):
+        # the chain's gradient and Hessian read one G, so each accepted
+        # point evaluates the logarithmic mean's derivative once per side
+        calls = []
+        log_mean_dx = transport.log_mean_dx
+
+        def counting(*args):
+            calls.append(args)
+            return log_mean_dx(*args)
+
+        monkeypatch.setattr(transport, "log_mean_dx", counting)
+        rate = hypercube_restriction(fermi_m2)
+        res = classical_transport_distance(rate, np.array([0.7, 0.1, 0.1, 0.1]),
+                                           rate.stationary, segments=6)
+        assert res.converged
+        assert len(calls) == 2 * (res.iterations + 1)
 
     @pytest.mark.parametrize("case, iterations, action, decrement", PINNED_SOLVES)
     def test_pinned_solves(self, case, iterations, action, decrement):
