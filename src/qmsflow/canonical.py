@@ -284,7 +284,7 @@ def extract_canonical(
     the reduced blocks into jumps.
 
     The blocks are the modular basis's own (``ModularData.block_labels``,
-    from :func:`qmsflow.states.bohr_groups`), so no frequency is compared
+    from :func:`qmsflow.states.bohr_labels`), so no frequency is compared
     here.  The adjoint-pairing symmetry is enforced, and each block is
     eigensolved once per conjugate pair, on its omega >= 0 member (the
     partner found through ``conj_pairing``).  Eigenvalues d of the block at

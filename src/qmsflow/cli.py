@@ -8,6 +8,7 @@ verification did not pass; reports are still written), 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -58,17 +59,24 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str):
-    """Parses a JSON file with the cyclic garbage collector paused: a spec's
-    nested lists make hundreds of thousands of containers, none of them in a
-    cycle, and each collection the allocations trigger would walk them all."""
+def _load_json(path: str, convert=lambda obj: obj):
+    """``convert`` of the JSON in the file ``path``, with the cyclic garbage
+    collector paused until the parsed tree has been converted and dropped: a
+    spec's nested lists make hundreds of thousands of containers, none of
+    them in a cycle, and each collection the allocations trigger would walk
+    them all.  A file that cannot be read, is not UTF-8 or is not JSON is an
+    input error naming ``path``."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return convert(json.load(fh))
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:  # a directory, no permission
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno} column {exc.colno}") from exc
     finally:
@@ -76,9 +84,8 @@ def _load_json(path: str):
             gc.enable()
 
 
-def _load_spec_or_superop(path: str):
-    """Returns (spec, None, sigma) for jump data, (None, superoperator, sigma) otherwise."""
-    obj = _load_json(path)
+def _spec_or_superop(obj):
+    """(spec, None, sigma) for jump data, (None, superoperator, sigma) otherwise."""
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
     try:
@@ -102,7 +109,7 @@ def _load_spec_or_superop(path: str):
 
 def _load_spec(path: str, command: str):
     """The spec of ``path``; a superoperator is an input error for ``command``."""
-    spec, _, _ = _load_spec_or_superop(path)
+    spec, _, _ = _load_json(path, _spec_or_superop)
     if spec is None:
         raise InputError(f"{command} needs a jump specification input")
     return spec
@@ -113,7 +120,7 @@ def _load_side_file(path: str, spec, parse):
     DensityState or a list of matrices; malformed content and a dimension
     other than the spec's are input errors."""
     try:
-        obj = parse(_load_json(path))
+        obj = _load_json(path, parse)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     for m in [obj.rho] if isinstance(obj, DensityState) else obj:
@@ -130,7 +137,10 @@ def _projections_from_json(obj) -> list:
 
 def _write_output(args, text: str):
     if args.output:
-        write_text_atomic(args.output, text)
+        try:
+            write_text_atomic(args.output, text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise InputError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -177,7 +187,7 @@ def _model(build, *args):
 
 def cmd_inspect(args) -> int:
     tols = _parse_tols(args.tol)
-    spec, l, sigma = _load_spec_or_superop(args.input)
+    spec, l, sigma = _load_json(args.input, _spec_or_superop)
     # one route for both input kinds: a spec on its Bohr blocks, a superoperator as one block
     generator = l if spec is None else spec
     cert = certify_detailed_balance(generator, sigma, tol=tols["gns_flag"])
@@ -335,7 +345,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    :func:`main` call in the process."""
     parser = argparse.ArgumentParser(
         prog="qmsflow",
         description="Detailed-balance quantum Markov semigroups: certification, "

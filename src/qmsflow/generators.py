@@ -53,7 +53,7 @@ from .states import (
     ModularData,
     _weight_kernel_f,
     bkm_weight,
-    bohr_groups,
+    bohr_labels,
     build_modular_basis,
 )
 
@@ -113,13 +113,13 @@ class GeneratorSpec:
         n, u = self.sigma.dim, self.sigma.eigenvectors
         vs, omegas = np.empty((len(self.jumps), n, n), dtype=complex), np.empty(len(self.jumps))
         for k, (v, w) in enumerate(self.jumps):
-            v, omegas[k] = check_finite(v, "jump operator"), float(w)
+            v, omegas[k] = np.asarray(v), float(w)
             if v.shape != (n, n):
                 raise ValueError(f"jump {k} has shape {v.shape}, expected {(n, n)}")
             if not np.isfinite(omegas[k]):
                 raise ValueError(f"jump {k} has non-finite omega {omegas[k]}")
             vs[k] = v
-        units, flat = _admit(self.sigma, vs, omegas)
+        units, flat = _admit(self.sigma, check_finite(vs, "jump operator"), omegas)
         c = np.exp(-omegas / 2.0)
         k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
         rows = np.concatenate([flat, (dag(u) @ k @ u).reshape(1, n * n)])
@@ -171,26 +171,22 @@ def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
     sigma's Bohr blocks, in place.  With U^* sigma U = diag(lam), a modular
     eigenvector's tilde V_j = U^* V_j U lives on the units E_ab of
     frequency log lam_a - log lam_b = -omega_j, grouped with them by
-    :func:`qmsflow.states.bohr_groups` (the modular basis's grouping): each
+    :func:`qmsflow.states.bohr_labels` (the modular basis's grouping): each
     lands in the block of units sharing it, or alone.  A jump with more
     than ``JUMP_EIGEN_TOL`` of its Frobenius mass off its block raises
     ValueError, and so does a block of more than ``MAX_BOHR_BLOCK`` units,
     before any block is allocated; below that, U off(tilde V_j) U^* is
     taken from V_j, and a jump with no entry off its block is left as it
-    is.  Returns the units a n + b of each block, listed per block size,
-    and the rows tilde V_j (row-major) with their entries off the block
-    set to 0."""
+    is.  Returns the units a n + b of each block, stacked per block size
+    (:func:`_label_stacks`), and the rows tilde V_j (row-major) with their
+    entries off the block set to 0."""
     n, u, nn = sigma.dim, sigma.eigenvectors, sigma.dim**2
-    label = np.empty(nn + omegas.size, dtype=int)
-    by_size: dict[int, list] = {}  # the units of each block, by block size
-    for g, members in enumerate(bohr_groups(sigma, -omegas)):
-        label[members] = g
-        units = [i for i in members if i < nn]
-        if units:
-            by_size.setdefault(len(units), []).append(units)
-    if max(by_size) > MAX_BOHR_BLOCK:
+    label, order = bohr_labels(sigma, -omegas)
+    units = order[order < nn]  # each block's units in ascending frequency
+    stacks = _label_stacks(label[units])
+    if max(stacks) > MAX_BOHR_BLOCK:
         raise ValueError(
-            f"sigma's largest Bohr block has {max(by_size)} units; at most "
+            f"sigma's largest Bohr block has {max(stacks)} units; at most "
             f"{MAX_BOHR_BLOCK} are built (MAX_BOHR_BLOCK)"
         )
     flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
@@ -208,7 +204,7 @@ def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
     off[~off_block[moved]] = 0
     flat[off_block] = 0
     vs[moved] -= u @ off.reshape(-1, n, n) @ dag(u)  # the parts taken away
-    return list(map(np.array, by_size.values())), flat
+    return [units[m] for m in stacks.values()], flat
 
 
 def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: np.ndarray) -> tuple:
@@ -259,7 +255,8 @@ def _label_stacks(labels: np.ndarray) -> dict:
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
     sizes = np.diff(np.append(starts, labels.size))
-    return {int(m): order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)}
+    # sizes sorted in Python: np.unique would import numpy.ma (about 1 MB)
+    return {m: order[starts[sizes == m][:, None] + np.arange(m)] for m in sorted(set(sizes.tolist()))}
 
 
 @dataclass(frozen=True)
@@ -319,8 +316,9 @@ def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
     first = np.flatnonzero(np.diff(owner, prepend=-1))  # each element's first entry
     x = np.add.reduceat(targets[:, units] * np.conj(coefs), first, axis=1) / n
     xj, kappa, t = x[:-1], x[-1], x[:-1, 0]  # t_j = Tr V_j / n
-    row = 2.0 * (c * np.conj(t)) @ xj - kappa
-    col = 2.0 * (c * t) @ np.conj(xj) - kappa[pairing]
+    # einsums, not BLAS calls, as in apply_dual
+    row = 2.0 * np.einsum("j,ja->a", c * np.conj(t), xj) - kappa
+    col = 2.0 * np.einsum("j,ja->a", c * t, np.conj(xj)) - kappa[pairing]
     row[0] = col[0] = 2.0 * np.sum(c * np.abs(t) ** 2) - kappa[0] - kappa[pairing[0]]
     blocks = []
     for members in _label_stacks(labels[1:]).values():  # the reduced elements
@@ -417,7 +415,9 @@ def apply_dual(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     """
     c, vs, k = spec.jump_stack
     rho = np.asarray(rho, dtype=complex)
-    sandwich = np.tensordot(c, vs @ rho @ np.conj(vs).transpose(0, 2, 1), axes=1)
+    # an einsum, not a BLAS call: at these sizes a second BLAS thread gains
+    # nothing, and waking OpenBLAS's worker leaves it spinning for ~0.1 s
+    sandwich = np.einsum("j,jab->ab", c, vs @ rho @ np.conj(vs).transpose(0, 2, 1))
     return 2.0 * sandwich - k @ rho - rho @ k
 
 
@@ -828,10 +828,10 @@ def modular_subalgebra(sigma: DensityState) -> list:
     Only supports nondegenerate sigma, where the fixed algebra is the span
     of the rank-one spectral projections.  Degenerate input, two
     eigenvalues whose Bohr frequency shares the block of 0 in
-    :func:`qmsflow.states.bohr_groups`, is rejected.
+    :func:`qmsflow.states.bohr_labels`, is rejected.
     """
-    zero = next(g for g in bohr_groups(sigma) if 0 in g)  # position 0: frequency 0
-    if len(zero) > sigma.dim:  # more than the diagonal units
+    label, _ = bohr_labels(sigma)
+    if np.count_nonzero(label == label[0]) > sigma.dim:  # the block of 0 holds more than the diagonal units
         raise ValueError("sigma has (numerically) degenerate eigenvalues")
     u = sigma.eigenvectors
     return [np.outer(u[:, i], np.conj(u[:, i])) for i in range(sigma.dim)]

@@ -35,7 +35,7 @@ __all__ = [
     "modular_apply",
     "modular_shift",
     "modular_superoperator",
-    "bohr_groups",
+    "bohr_labels",
     "build_modular_basis",
     "inner_s",
     "inner_f",
@@ -160,7 +160,7 @@ class ModularData:
     index involution ``conj_pairing`` (F_{a'} = F_a^*, omega_{a'} =
     -omega_a), and satisfies Delta_sigma F_a = e^{-omega_a} F_a.
     ``block_labels`` gives each element its Bohr block from
-    :func:`bohr_groups`: labels ascend with frequency, and the identity's
+    :func:`bohr_labels`: labels ascend with frequency, and the identity's
     label is the omega = 0 block.  ``eigen`` = (owner, units, coefs) is the
     only stored form of the elements: U^* F_a U = sum of coefs[k]
     |eta_i><eta_j| over the k with owner[k] = a and units[k] = i n + j,
@@ -213,33 +213,26 @@ class ModularData:
         )
 
 
-def _group_indices(values: np.ndarray, rtol: float) -> list:
-    """Group sorted positions of ``values`` whose gaps are below tolerance."""
-    order = np.argsort(values)
-    scale = max(float(np.max(np.abs(values))), 1.0) if values.size else 1.0
-    groups: list[list[int]] = []
-    for pos in order:
-        if groups and abs(values[pos] - values[groups[-1][-1]]) <= rtol * scale:
-            groups[-1].append(int(pos))
-        else:
-            groups.append([int(pos)])
-    return groups
-
-
-def bohr_groups(sigma: DensityState, extra=()) -> list:
+def bohr_labels(sigma: DensityState, extra=()) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of sigma's Bohr frequencies: the one grouping of frequencies.
 
     Position a n + b stands for log lam_a - log lam_b, which is -omega for
     the unit |eta_a><eta_b| on sigma's eigenvectors; positions from n^2 on
     stand for the values of ``extra``.  Sorted values whose gaps are at
     most ``BOHR_RTOL`` times the largest |value| (at least 1) share a
-    block.  Blocks come in ascending frequency, their members in ascending
-    value.  Two eigenvalues of sigma count as degenerate when their
-    frequency shares the block of 0.
+    block.  Returns each position's block label, labels ascending with
+    frequency from 0, and the positions in ascending value (one
+    ``argsort``), which lists each block's members in the order the
+    blocks are built on.  Two eigenvalues of sigma count as degenerate
+    when their frequency shares the block of 0.
     """
     loglam = np.log(sigma.eigenvalues)
-    freq = np.subtract.outer(loglam, loglam).ravel()
-    return _group_indices(np.concatenate([freq, np.asarray(extra, dtype=float)]), BOHR_RTOL)
+    values = np.concatenate([np.subtract.outer(loglam, loglam).ravel(), np.asarray(extra, dtype=float)])
+    order = np.argsort(values)
+    scale = max(float(np.max(np.abs(values))), 1.0)
+    label = np.empty(values.size, dtype=int)
+    label[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > BOHR_RTOL * scale)])
+    return label, order
 
 
 def _helmert_rows(m: int) -> np.ndarray:
@@ -258,7 +251,7 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
 
     Starting from the rank-one units sqrt(n) |eta_i><eta_j| on the
     eigenvectors of sigma (eigenvalues ascending), the grouping of
-    :func:`bohr_groups` decides everything that depends on a tolerance:
+    :func:`bohr_labels` decides everything that depends on a tolerance:
     neighbouring eigenvalues whose Bohr frequency shares the block of 0 are
     merged, on log lam at ``BOHR_RTOL``, and each element is labelled with
     its frequency's block.  Within the omega = 0 block every element is made
@@ -272,57 +265,44 @@ def build_modular_basis(sigma: DensityState) -> ModularData:
     """
     n = sigma.dim
     loglam = np.log(sigma.eigenvalues)
-
-    label = np.empty(n * n, dtype=int)
-    for g, members in enumerate(bohr_groups(sigma)):
-        label[members] = g
-    label = label.reshape(n, n)  # label[i, j]: block of log lam_i - log lam_j
+    label = bohr_labels(sigma)[0].reshape(n, n)  # label[i, j]: block of log lam_i - log lam_j
     zero = label[0, 0]
-    steps = label[np.arange(n - 1), np.arange(1, n)] != zero
-    group_of = np.concatenate([[0], np.cumsum(steps)])
+    group_of = np.concatenate([[0], np.cumsum(label[np.arange(n - 1), np.arange(1, n)] != zero)])
     # representative log-eigenvalue per merged eigenspace
-    group_log = np.array([np.mean(loglam[group_of == g]) for g in range(group_of[-1] + 1)])
+    members = group_of == np.arange(group_of[-1] + 1)[:, None]
+    group_log = np.mean(np.broadcast_to(loglam, members.shape), axis=1, where=members)
 
-    entries: list[tuple[float, tuple, tuple, int, tuple]] = []
-    # key = (omega, (i, j)); partner key recorded for adjoint pairing; last,
-    # the element's units i n + j and coefficients on sigma's eigenvectors
-    root_n, root_half_n = np.sqrt(n), np.sqrt(n / 2.0)
-
-    # omega = 0 block, diagonal part: Helmert rotation anchored at identity
-    h = _helmert_rows(n)
-    for k in range(n):
-        d = np.flatnonzero(h[k])
-        entries.append((0.0, (-1, k), (-1, k), zero, (d * (n + 1), root_n * h[k, d])))
-
-    # off-diagonal units
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if group_of[i] == group_of[j]:
-                # degenerate pair: self-adjoint symmetrizations, omega = 0
-                if i < j:
-                    pair = [i * n + j, j * n + i]
-                    entries.append((0.0, (i, j), (i, j), zero, (pair, (root_half_n, root_half_n))))
-                    entries.append((0.0, (j, i), (j, i), zero, (pair, (1j * root_half_n, -1j * root_half_n))))
-            else:
-                omega = float(group_log[group_of[j]] - group_log[group_of[i]])
-                entries.append((omega, (i, j), (j, i), label[j, i], ([i * n + j], [root_n])))
-
-    entries.sort(key=lambda e: (e[0], e[1]))
+    # One element per slot i n + j, sorted on the key (omega, (i, j)): slot
+    # i n + i is Helmert row i of the diagonal units, key (-1, i); slot
+    # i n + j, i != j, is the unit i n + j with its adjoint in slot j n + i,
+    # or, inside a merged eigenspace, the unit's real (i < j) or imaginary
+    # (i > j) symmetrization, self-adjoint at omega = 0.
+    slots = np.arange(n * n)
+    i, j = np.divmod(slots, n)
+    merged = group_of[i] == group_of[j]
+    omegas = group_log[group_of[j]] - group_log[group_of[i]]
+    key_i = np.where(i == j, -1, i)
     # identity first, then ascending omega with lexicographic tie-break
-    first = next(k for k, e in enumerate(entries) if e[1] == (-1, 0))
-    entries.insert(0, entries.pop(first))
+    perm = np.lexsort((j, key_i, omegas, slots != 0))
+    position = np.empty(n * n, dtype=int)
+    position[perm] = slots
+    pairing = position[np.where(merged, slots, j * n + i)][perm]
+    labels = np.where(merged, zero, label.T.ravel())[perm]
 
-    omegas = np.array([e[0] for e in entries])
-    keys = {e[1]: pos for pos, e in enumerate(entries)}
-    pairing = np.array([keys[e[2]] for e in entries], dtype=int)
-    labels = np.array([e[3] for e in entries], dtype=int)
-    sizes = [len(e[4][0]) for e in entries]
-    owner = np.repeat(np.arange(len(entries)), sizes)
-    units = np.concatenate([e[4][0] for e in entries]).astype(int)
-    coefs = np.concatenate([e[4][1] for e in entries]).astype(complex)
-    return ModularData(sigma, omegas, pairing, labels, (owner, units, coefs))
+    # each slot's units and coefficients, then stably sorted by position
+    root_n, root_half_n = np.sqrt(n), np.sqrt(n / 2.0)
+    h = _helmert_rows(n)
+    rows, diag = np.nonzero(h)
+    pair = merged & (i != j)
+    low, high = np.minimum(i, j)[pair], np.maximum(i, j)[pair]
+    sym = np.where((i < j)[pair, None], (root_half_n, root_half_n), (1j * root_half_n, -1j * root_half_n))
+    single = np.flatnonzero(~merged)
+    slot = np.concatenate([rows * (n + 1), np.repeat(np.flatnonzero(pair), 2), single])
+    units = np.concatenate([diag * (n + 1), np.stack([low * n + high, high * n + low], axis=1).ravel(), single])
+    coefs = np.concatenate([root_n * h[rows, diag], sym.ravel(), np.full(single.size, root_n)])
+    owner = position[slot]
+    order = np.argsort(owner, kind="stable")
+    return ModularData(sigma, omegas[perm], pairing, labels, (owner[order], units[order], coefs[order]))
 
 
 def _operands(sigma: DensityState, a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -147,6 +147,24 @@ def modular_elements(md):
     return md.combine(np.eye(md.size))
 
 
+def loop_bohr_groups(sigma, extra=()):
+    """Reference for :func:`qmsflow.states.bohr_labels`: the chained-gap
+    loop over sorted frequencies.  Returns the blocks in ascending
+    frequency, each a list of positions in ascending value."""
+    from qmsflow.states import BOHR_RTOL
+
+    loglam = np.log(sigma.eigenvalues)
+    values = np.concatenate([np.subtract.outer(loglam, loglam).ravel(), np.asarray(extra, dtype=float)])
+    scale = max(float(np.max(np.abs(values))), 1.0)
+    groups = []
+    for pos in np.argsort(values):
+        if groups and abs(values[pos] - values[groups[-1][-1]]) <= BOHR_RTOL * scale:
+            groups[-1].append(int(pos))
+        else:
+            groups.append([int(pos)])
+    return groups
+
+
 def dense_modular_basis(sigma):
     """Reference: the modular basis of ``sigma`` formed densely, in the order
     of :func:`qmsflow.states.build_modular_basis`.
@@ -156,12 +174,12 @@ def dense_modular_basis(sigma):
     imaginary symmetrization of a unit inside a merged eigenspace, or one
     unit sqrt(n) |eta_i><eta_j| at omega != 0.
     """
-    from qmsflow.states import _helmert_rows, bohr_groups
+    from qmsflow.states import _helmert_rows
 
     n, u = sigma.dim, sigma.eigenvectors
     loglam = np.log(sigma.eigenvalues)
     label = np.empty(n * n, dtype=int)
-    for g, members in enumerate(bohr_groups(sigma)):
+    for g, members in enumerate(loop_bohr_groups(sigma)):
         label[members] = g
     label = label.reshape(n, n)
     group_of = np.concatenate([[0], np.cumsum(label[np.arange(n - 1), np.arange(1, n)] != label[0, 0])])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmsflow import canonical, entropy, generators
+from qmsflow import canonical, cli, entropy, generators
 from qmsflow.cli import InputError, _load_json, main
 from qmsflow.generators import GeneratorSpec
 from qmsflow.linalg import dag
@@ -1102,6 +1102,153 @@ class TestVerify:
         assert main(["verify", "--seed", "1", "--output", str(out1)]) == 0
         assert main(["verify", "--seed", "2", "--output", str(out2)]) == 0
         assert out1.read_text() != out2.read_text()
+
+
+class TestInProcessCalls:
+    def test_parser_built_once(self, fermi_spec_file, tmp_path, monkeypatch):
+        # main reuses one parser: later calls construct no ArgumentParser
+        import argparse
+
+        main(["inspect", "--input", fermi_spec_file, "--output", str(tmp_path / "a.json")])
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+        for name in ("b", "c"):
+            assert main(["inspect", "--input", fermi_spec_file, "--output", str(tmp_path / name)]) == 0
+        assert main(["evolve", "--input", fermi_spec_file, "--output", str(tmp_path / "d.csv")]) == 0
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("outcome", ["return", "input_error", "json_error", "argparse_exit"])
+    def test_gc_enabled_after_main(self, fermi_spec_file, tmp_path, capsys, outcome):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{ not json")
+        argv = {
+            "return": ["inspect", "--input", fermi_spec_file, "--output", str(tmp_path / "out.json")],
+            "input_error": ["inspect", "--input", str(tmp_path / "missing.json")],
+            "json_error": ["inspect", "--input", str(bad)],
+            "argparse_exit": ["inspect"],
+        }[outcome]
+        assert gc.isenabled()
+        try:
+            if outcome == "argparse_exit":
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == (0 if outcome == "return" else 2)
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_conversion_runs_with_gc_paused(self, fermi_spec_file):
+        # the parsed tree is converted, and dropped, before the collector resumes
+        assert _load_json(fermi_spec_file, lambda obj: gc.isenabled()) is False
+        assert gc.isenabled()
+
+
+def _unreadable(tmp_path, defect):
+    """A path that is a directory, or a file of bytes that are not UTF-8."""
+    bad = tmp_path / "bad"
+    if defect == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"rho": "\xe9t\xe9"}')
+    return bad
+
+
+UNREADABLE_MESSAGES = {"directory": r"cannot read {path}: Is a directory",
+                       "not_utf8": r"{path} is not UTF-8 text \(byte 9\)"}
+
+
+@pytest.mark.parametrize("defect", ["directory", "not_utf8"])
+def test_unreadable_file_is_input_error(tmp_path, defect):
+    bad = _unreadable(tmp_path, defect)
+    with pytest.raises(InputError, match=UNREADABLE_MESSAGES[defect].format(path=re.escape(str(bad)))):
+        _load_json(str(bad))
+
+
+@pytest.mark.parametrize("command, flag", [("inspect", "--input"), ("evolve", "--rho0"),
+                                           ("restrict", "--projections")])
+@pytest.mark.parametrize("defect", ["directory", "not_utf8"])
+def test_unreadable_input_exit_two(fermi_spec_file, tmp_path, capsys, command, flag, defect):
+    bad = _unreadable(tmp_path, defect)
+    out = tmp_path / "out"
+    argv = [command, "--input", fermi_spec_file, "--output", str(out)]
+    argv = [str(bad) if a == fermi_spec_file and flag == "--input" else a for a in argv]
+    if flag != "--input":
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    message = UNREADABLE_MESSAGES[defect].format(path=re.escape(str(bad)))
+    assert re.fullmatch(rf"input error: {message}\n", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_output_exit_two(fermi_spec_file, tmp_path, capsys, target):
+    # the output path's directory does not exist, or the path is a directory
+    parent = tmp_path / "out"
+    parent.mkdir()
+    out = parent / "missing" / "x.json" if target == "missing_directory" else parent
+    assert main(["inspect", "--input", fermi_spec_file, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    reason = "No such file or directory" if target == "missing_directory" else "Is a directory"
+    assert re.fullmatch(rf"input error: cannot write {re.escape(str(out))}: {reason}\n", err)
+    assert list(parent.iterdir()) == [] and not list(tmp_path.rglob(".qmsflow-*"))  # no temporary file left
+
+
+def _openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _openblas(),
+                    reason="reads OpenBLAS worker threads from /proc")
+def test_dim16_commands_leave_blas_workers_idle(tmp_path):
+    # jump-weighted sums at dim 16 (31 jumps) are too small to gain from a
+    # second BLAS thread; a BLAS call on them wakes OpenBLAS's worker, which
+    # then spins.  The worker threads' CPU time over 5 inspect and 5 evolve
+    # calls, read from /proc after the worker has had time to go idle, stays
+    # at most 2 clock ticks.
+    script = """if True:
+        import json, os, time
+        import numpy as np
+        from qmsflow import cli, models, serialize
+
+        def worker_ticks():
+            total = 0
+            for tid in os.listdir("/proc/self/task"):
+                if int(tid) != os.getpid():
+                    with open(f"/proc/self/task/{tid}/stat") as fh:
+                        fields = fh.read().rsplit(")", 1)[1].split()
+                    total += int(fields[11]) + int(fields[12])  # utime, stime
+            return total
+
+        rng = np.random.default_rng([3, 1])
+        with open("spec.json", "w") as fh:
+            json.dump(serialize.spec_to_json(models.random_dbc_spec(16, rng, ergodic=True)), fh)
+        with open("rho.json", "w") as fh:
+            json.dump(serialize.density_to_json(models.random_density(16, rng)), fh)
+        time.sleep(0.5)
+        before = worker_ticks()
+        for _ in range(5):
+            assert cli.main(["inspect", "--input", "spec.json", "--output", "inspect.json"]) == 0
+            assert cli.main(["evolve", "--input", "spec.json", "--rho0", "rho.json",
+                             "--output", "evolve.csv"]) == 0
+        time.sleep(0.5)
+        print(worker_ticks() - before)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": "2"}
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.splitlines()[-1]) <= 2
 
 
 def test_rate_matrix_json_roundtrip():

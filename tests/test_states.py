@@ -7,6 +7,7 @@ from qmsflow.states import (
     DensityState,
     _checked_spectra,
     bkm_weight,
+    bohr_labels,
     build_modular_basis,
     inner_f,
     inner_s,
@@ -19,7 +20,7 @@ from qmsflow.states import (
 from qmsflow.calculus import rho_div, rho_mult
 from qmsflow.linalg import vec
 
-from conftest import dense_modular_basis, modular_elements, random_matrix
+from conftest import dense_modular_basis, loop_bohr_groups, modular_elements, random_matrix
 
 
 class TestDensityState:
@@ -156,6 +157,40 @@ class TestModularOperator:
         lhs = dag(modular_apply(sigma, a))
         rhs = sigma.power(-1) @ dag(a) @ sigma.rho
         assert np.allclose(lhs, rhs)
+
+
+def _labelled_groups(label, order):
+    """The blocks of :func:`bohr_labels` as lists of positions, in label
+    order, each in the order ``order`` lists them."""
+    ranked = label[order]
+    return [order[ranked == g].tolist() for g in range(ranked[-1] + 1)]
+
+
+class TestBohrLabels:
+    @pytest.mark.parametrize("case", ["random", "maximally_mixed", "fermi_equal_energies", "near_degenerate"])
+    @pytest.mark.parametrize("with_extra", [False, True])
+    def test_matches_chained_gap_loop(self, rng, case, with_extra):
+        # same groups, label numbering and in-group order as the loop over
+        # sorted frequencies, and labels ascend with frequency
+        from qmsflow.models import fermi_ou
+
+        if case == "random":
+            sigma = random_density(6, rng)
+        elif case == "maximally_mixed":
+            sigma = DensityState.from_matrix(np.eye(5) / 5)
+        elif case == "fermi_equal_energies":
+            sigma = fermi_ou(3, 1.0, [1.0, 1.0, 1.0]).spec.sigma
+        else:
+            q, _ = np.linalg.qr(random_matrix(rng, 4))
+            sigma = DensityState.from_matrix((q * [0.3, 0.3 * (1 + 5e-11), 0.2 + 1e-13, 0.2 - 1.5e-11 - 1e-13]) @ dag(q))
+        extra = ()
+        if with_extra:
+            loglam = np.log(sigma.eigenvalues)
+            extra = np.concatenate([loglam[-1:] - loglam[:1], [0.0, 1e-15, 3.7, -3.7]])
+        label, order = bohr_labels(sigma, extra)
+        assert label.shape == order.shape == (sigma.dim**2 + len(extra),)
+        assert _labelled_groups(label, order) == loop_bohr_groups(sigma, extra)
+        assert np.all(np.diff(label[order]) >= 0)
 
 
 class TestModularBasis:
