@@ -44,7 +44,6 @@ from .generators import (
     JumpGKS,
     _block_distance,
     _input_blocks,
-    _largest_singular_value,
     certify_detailed_balance,
     check_complete_positivity,
 )
@@ -267,7 +266,6 @@ def extract_canonical(
     l,
     sigma: DensityState,
     modular: ModularData | None = None,
-    require_dbc: bool = True,
     certification: CertificationReport | None = None,
     psd_tol: float = PSD_TOL,
     complete_positivity: tuple[bool, float] | None = None,
@@ -299,45 +297,38 @@ def extract_canonical(
     the blocks, the superoperator dimension n^2 times machine epsilon times
     the largest |c_ab|.
 
-    With ``require_dbc`` the input must pass GNS certification (the
-    caller's ``certification`` of ``l`` and ``sigma`` when given, so its
-    tolerance holds; else one at the default tolerance), the reduced
-    coefficient positivity check at ``psd_tol`` (the caller's
-    ``complete_positivity`` verdict and minimum eigenvalue from
-    :func:`qmsflow.generators.check_complete_positivity` when given), and
-    the block-structure guard.  The round-trip error is relative to
-    ||L||, taken from the certification when there is one, else the
-    largest singular value of L's blocks.  It is ||L - L_extracted||_2 from
-    L's blocks and the extracted spec's Bohr blocks
-    (:func:`qmsflow.generators._block_distance`), for a superoperator too.
+    The input must pass GNS certification (the caller's ``certification``
+    of ``l`` and ``sigma`` when given, so its tolerance holds; else one at
+    the default tolerance), the reduced coefficient positivity check at
+    ``psd_tol`` (the caller's ``complete_positivity`` verdict and minimum
+    eigenvalue from :func:`qmsflow.generators.check_complete_positivity`
+    when given), and the block-structure guard (ValueError otherwise).  The
+    round-trip error is relative to the certification's ||L||.  It is
+    ||L - L_extracted||_2 from L's blocks and the extracted spec's Bohr
+    blocks (:func:`qmsflow.generators._block_distance`), for a
+    superoperator too.
     """
     blocks, gks_over = _input_blocks(l, sigma)
     if modular is None and not isinstance(l, GeneratorSpec):
         modular = build_modular_basis(sigma)  # one basis for complete positivity and extraction
-    cert = certification
-    if require_dbc and cert is None:
-        cert = certify_detailed_balance(l, sigma)
-    l_norm = cert.l_norm if cert is not None else _largest_singular_value(x for _, x in blocks)
-    if require_dbc:
-        if not cert.gns_dbc:
-            raise ValueError(
-                "generator is not GNS-self-adjoint for sigma "
-                f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
-            )
-        if complete_positivity is None:
-            complete_positivity = check_complete_positivity(
-                l, psd_tol=psd_tol, l_norm=l_norm, modular=modular
-            )
-        cp_ok, min_eig = complete_positivity
-        if not cp_ok:
-            raise ValueError(
-                f"generator is not conditionally completely positive "
-                f"(reduced coefficient matrix has eigenvalue {min_eig:.3e})"
-            )
+    cert = certify_detailed_balance(l, sigma) if certification is None else certification
+    if not cert.gns_dbc:
+        raise ValueError(
+            "generator is not GNS-self-adjoint for sigma "
+            f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
+        )
+    if complete_positivity is None:
+        complete_positivity = check_complete_positivity(l, psd_tol=psd_tol, l_norm=cert.l_norm, modular=modular)
+    cp_ok, min_eig = complete_positivity
+    if not cp_ok:
+        raise ValueError(
+            f"generator is not conditionally completely positive "
+            f"(reduced coefficient matrix has eigenvalue {min_eig:.3e})"
+        )
 
     gks = gks_over(modular)
     herm_res, block_res, pair_res, offblock_res = _jump_gks_residuals(gks)
-    if require_dbc and max(block_res, pair_res, offblock_res) > 1e-6:
+    if max(block_res, pair_res, offblock_res) > 1e-6:
         raise ValueError(
             "coefficient matrix violates the modular block structure: "
             f"block {block_res:.3e}, pairing {pair_res:.3e}, off-block {offblock_res:.3e}"
@@ -355,6 +346,6 @@ def extract_canonical(
         hamiltonian_hat_norm=h_hat_norm,
         dropped_eigenvalues=dropped,
         block_sizes=block_sizes,
-        roundtrip_error=_block_distance(blocks, spec) / max(l_norm, 1e-300),
+        roundtrip_error=_block_distance(blocks, spec) / max(cert.l_norm, 1e-300),
     )
     return spec, report

@@ -59,7 +59,7 @@ class InputError(Exception):
     pass
 
 
-def _load_json(path: str, convert=lambda obj: obj):
+def _load_json(path: str, convert):
     """``convert`` of the JSON in the file ``path``, with the cyclic garbage
     collector paused until the parsed tree has been converted and dropped: a
     spec's nested lists make hundreds of thousands of containers, none of

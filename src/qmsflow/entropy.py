@@ -89,17 +89,16 @@ def intertwining_rates(
     spec: GeneratorSpec,
     derivations=None,
     kind: str | None = None,
-    tol: float = INTERTWINE_TOL,
 ) -> DecayReport:
     """Least-squares rates a_j with [D_j, L] = -a_j D_j, when they exist.
 
     Each derivation is a pair (W, V) of n x n matrices, D(A) = W[V, A];
     the default is the plain commutators (I, V_j) of the spec's jumps.  A
-    residual ||[D, L] + a D||_F / (||D||_F ||K||_F) above ``tol`` voids the
-    decay constant; K = sum_j c_j V_j^* V_j goes with the units of L, as in
-    :func:`qmsflow.generators.restrict_to_commutative`, so the residual and
-    the verdict do not change when L is rescaled.  Absence of intertwining
-    is a legitimate report, not an error.
+    residual ||[D, L] + a D||_F / (||D||_F ||K||_F) above ``INTERTWINE_TOL``
+    voids the decay constant; K = sum_j c_j V_j^* V_j goes with the units
+    of L, as in :func:`qmsflow.generators.restrict_to_commutative`, so the
+    residual and the verdict do not change when L is rescaled.  Absence of
+    intertwining is a legitimate report, not an error.
 
     With L_A R_B the map X -> A X B, P = W V, A_k = 2 c_k V_k^* and K as in
     :mod:`qmsflow.generators`, D = L_P - L_W R_V and
@@ -139,7 +138,7 @@ def intertwining_rates(
         r = np.linalg.qr(left.T, mode="r")
         rates.append(float(a))
         residuals.append(float(np.linalg.norm(r @ right) / (np.sqrt(norm2) * unit)))
-    ok = all(r < tol for r in residuals)
+    ok = all(r < INTERTWINE_TOL for r in residuals)
     lam = float(min(rates)) if (ok and rates) else None
     return DecayReport(rates, residuals, lam, kind or "custom")
 
@@ -222,7 +221,6 @@ def talagrand_check(
     rho: DensityState,
     lam: float,
     segments: int = 32,
-    max_iter: int = 400,
 ) -> dict:
     """Transport-distance bound d(rho, sigma) <= sqrt(2 D / lambda).
 
@@ -243,7 +241,7 @@ def talagrand_check(
         raise ValueError("decay constant must be positive")
     d_entropy = relative_entropy(rho, spec.sigma)
     bound = float(np.sqrt(2.0 * d_entropy / lam))
-    geo = geodesic_distance(spec, rho, spec.sigma, segments=segments, max_iter=max_iter)
+    geo = geodesic_distance(spec, rho, spec.sigma, segments=segments)
     ok = geo.distance <= bound * 1.05 + 1e-12
     return {
         "passed": bool(ok),

@@ -77,6 +77,11 @@ JUMP_EIGEN_TOL = 1e-10
 KMS_SYMMETRY_TOL = 1e-8
 GNS_FLAG_TOL = 1e-9
 PSD_TOL = 1e-10
+# the weights Omega_s, s on this grid, of certify_detailed_balance; s = 1
+# decides the GNS flag and s = 1/2 the KMS one
+S_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+# an eigenvalue of L at most this times its largest |eigenvalue| counts as 0
+NULL_RTOL = 1e-9
 # Largest Bohr block, in units E_ab, that :attr:`GeneratorSpec.bohr_blocks`
 # builds.  Building a block of |B| units takes about 93 |B|^2 bytes
 # (measured peak RSS of building a spec on the maximally mixed state, one
@@ -98,13 +103,14 @@ class GeneratorSpec:
     :func:`_bohr_blocks`.  V_j is stored once, as V_j - U off(tilde V_j) U^*
     (an exact modular eigenvector is stored as given): ``jumps`` holds
     read-only views of ``jump_stack``'s.  The rows tilde V_j and tilde K
-    that admission computed are kept as well, in sigma's eigenbasis."""
+    that admission computed are kept as well, in sigma's eigenbasis, and
+    so are L's own Bohr blocks, with their KMS weights beside them."""
 
     sigma: DensityState
     jumps: tuple  # tuple of (V_j: ndarray, omega_j: float)
     # weights c_j = e^{-omega_j/2}, the jumps stacked (J, n, n), K = sum_j c_j V_j^* V_j
     jump_stack: tuple = field(init=False, repr=False, compare=False)
-    # U and L's Bohr blocks (:func:`_bohr_blocks`)
+    # U and L's own Bohr blocks, with units and weights (:func:`_bohr_blocks`)
     bohr_blocks: tuple = field(init=False, repr=False, compare=False)
     # rows tilde V_j = U^* V_j U, then tilde K = U^* K U, row-major (J + 1, n^2)
     _eigen_rows: np.ndarray = field(init=False, repr=False, compare=False)
@@ -146,14 +152,17 @@ class GeneratorSpec:
 
     @cached_property
     def bohr_factor(self) -> tuple[np.ndarray, list]:
-        """U and, per block size, unit indices, weights and eigenpairs of the
-        Hermitian parts of the :attr:`bohr_blocks`, eigensolved on first use
-        and kept read-only."""
+        """U and, per block size, unit indices, weights w and eigenpairs of
+        the Hermitian parts of the weighted blocks w_a L_ab / w_b of L's
+        :attr:`bohr_blocks` (:func:`_kms_weighted`), eigensolved on first
+        use and kept read-only."""
         u, blocks = self.bohr_blocks
-        factor = [
-            (units, w, *np.linalg.eigh(0.5 * (h + np.conj(h).transpose(0, 2, 1))))
-            for units, w, h in blocks
-        ]
+        factor = []
+        for units, w, x in blocks:
+            h = _kms_weighted(w, x)
+            h += np.conj(h).transpose(0, 2, 1)
+            h *= 0.5
+            factor.append((units, w, *np.linalg.eigh(h)))
         for _, _, vals, vecs in factor:
             vals.flags.writeable = vecs.flags.writeable = False
         return u, factor
@@ -216,12 +225,13 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
                      - tilde K_ac delta_bd - delta_ac tilde K_db
 
     vanishes unless E_ab and E_cd share a block.  Scaling E_ab by
-    (lam_a lam_b)^{1/4} makes each block Hermitian (KMS symmetry); blocks
-    further than ``KMS_SYMMETRY_TOL`` from Hermitian, in Frobenius norm
-    relative to L's, raise ValueError.  Returns U and, per block size, the
-    stacked blocks' unit indices a n + b, weights and weighted blocks as
-    built (not symmetrised, so a GNS defect of the jumps stays visible),
-    all read-only.
+    (lam_a lam_b)^{1/4} makes each block Hermitian (KMS symmetry,
+    :func:`_kms_weighted`); weighted blocks further than
+    ``KMS_SYMMETRY_TOL`` from Hermitian, in Frobenius norm relative to
+    theirs, raise ValueError.  Returns U and, per block size, the stacked
+    blocks' unit indices a n + b, weights and L's own blocks as built (not
+    symmetrised, so a GNS defect of the jumps stays visible), all
+    read-only.
     """
     n, lam, flat = sigma.dim, sigma.eigenvalues, rows[:-1]
     kt, weighted_conj, blocks, asym, scale = rows[-1].reshape(n, n), c[:, None] * np.conj(flat), [], 0.0, 0.0
@@ -234,12 +244,12 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
             sandwich += cv[ca] * v[db]
         block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
         weights = (lam[a] * lam[b]) ** 0.25
-        h = weights[:, :, None] * block / weights[:, None, :]
+        h = _kms_weighted(weights, block)
         asym += np.linalg.norm(h - np.conj(h).transpose(0, 2, 1)) ** 2
         scale += np.linalg.norm(h) ** 2
-        for arr in (units, weights, h):
+        for arr in (units, weights, block):
             arr.flags.writeable = False
-        blocks.append((units, weights, h))
+        blocks.append((units, weights, block))
     if asym > KMS_SYMMETRY_TOL**2 * scale:
         rel = np.sqrt(asym / scale)
         raise ValueError(
@@ -247,6 +257,15 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
             f"weighted Bohr blocks {rel:.3e} off Hermitian"
         )
     return sigma.eigenvectors, blocks
+
+
+def _kms_weighted(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The Bohr blocks ``x`` of L scaled to w_a x_ab / w_b by their weights
+    ``w`` = (lam_a lam_b)^{1/4}, Hermitian for a KMS-symmetric L, formed in
+    one new array."""
+    h = w[:, :, None] * x
+    h /= w[:, None, :]
+    return h
 
 
 def _label_stacks(labels: np.ndarray) -> dict:
@@ -452,12 +471,6 @@ def _block_entries(values: list, index: np.ndarray, rows, cols) -> tuple[np.ndar
     return out, on
 
 
-def _unweighted_blocks(spec: GeneratorSpec) -> list:
-    """The Bohr blocks of L itself, per size group: (unit indices, blocks)."""
-    _, blocks = spec.bohr_blocks
-    return [(units, h * w[:, None, :] / w[:, :, None]) for units, w, h in blocks]
-
-
 def _input_blocks(l, sigma: DensityState) -> tuple:
     """L's blocks over the units of sigma's eigenvectors, which hold all of
     L, and the producer of its GKS coefficients over a modular basis of
@@ -469,7 +482,7 @@ def _input_blocks(l, sigma: DensityState) -> tuple:
         if sigma is not l.sigma:
             raise ValueError("a spec is checked against its own sigma")
         return (
-            _unweighted_blocks(l),
+            [(units, x) for units, _, x in l.bohr_blocks[1]],
             lambda modular: l.gks_blocks if modular is None else _jump_gks(l, modular),
         )
     lt, nn = _rotated(l, sigma), sigma.dim**2
@@ -491,13 +504,13 @@ def _block_distance(blocks: list, other: GeneratorSpec) -> float:
     (ValueError otherwise), so L - L_other is block diagonal on L's.
     """
     nn = other.dim**2
-    theirs = _unweighted_blocks(other)
+    _, theirs = other.bohr_blocks
     index = _unit_positions(blocks, nn)
-    for units, _ in theirs:
+    for units, *_ in theirs:
         where = index[:2, units]
         if np.any(where != where[:, :, :1]):
             raise ValueError("the Bohr blocks of the two generators do not nest")
-    their_index, their_values = _unit_positions(theirs, nn), [x for _, x in theirs]
+    their_index, their_values = _unit_positions(theirs, nn), [x for *_, x in theirs]
     diffs = [
         _block_entries(their_values, their_index, units[:, :, None], units[:, None, :])[0] - x
         for units, x in blocks
@@ -527,37 +540,22 @@ class CertificationReport:
         return out
 
 
-def _self_adjointness_residual(
-    l: np.ndarray,
-    omega_w: np.ndarray,
-    l_norm: float | None = None,
-    omega_norm: float | None = None,
-) -> float:
+def _self_adjointness_residual(l: np.ndarray, omega_w: np.ndarray) -> float:
     """Relative size of Omega L - L^+ Omega, zero iff L is Omega-symmetric.
 
     The weight Omega is Hermitian, so with X = Omega L the residual is the
     anti-Hermitian X - X^*, whose 2-norm is the spectral radius of the
-    Hermitian i(X - X^*).  ``l_norm`` and ``omega_norm`` are the operator
-    2-norms of L and Omega when the caller already has them.
+    Hermitian i(X - X^*), scaled by the operator 2-norms of L and Omega.
     """
-    if l_norm is None:
-        l_norm = np.linalg.norm(l, 2)
-    if omega_norm is None:
-        omega_norm = _hermitian_opnorm(omega_w)
     x = omega_w @ l
-    scale = omega_norm * max(l_norm, 1e-300)
+    scale = _hermitian_opnorm(omega_w) * max(np.linalg.norm(l, 2), 1e-300)
     return _hermitian_opnorm(1j * (x - dag(x))) / max(scale, 1e-300)
 
 
-def certify_detailed_balance(
-    l,
-    sigma: DensityState,
-    s_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
-    tol: float = GNS_FLAG_TOL,
-) -> CertificationReport:
+def certify_detailed_balance(l, sigma: DensityState, tol: float = GNS_FLAG_TOL) -> CertificationReport:
     """Measure self-adjointness of a superoperator in the weighted forms.
 
-    Reports residuals of s-self-adjointness on the given grid, of
+    Reports residuals of s-self-adjointness for each s of ``S_GRID``, of
     BKM-self-adjointness, of commutation with the modular operator, and of
     star preservation.  The GNS flag is set when the s = 1 residual is
     below ``tol``; ``kms_only`` flags maps that are KMS-symmetric without
@@ -569,10 +567,10 @@ def certify_detailed_balance(
     one block.  Either way the residuals are those of L itself.
     """
     blocks, _ = _input_blocks(l, sigma)
-    return _certify_blocks(sigma, blocks, s_grid, tol)
+    return _certify_blocks(sigma, blocks, tol)
 
 
-def _certify_blocks(sigma: DensityState, ls: list, s_grid, tol: float) -> CertificationReport:
+def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationReport:
     """The certification of L from its blocks L_B over the units of sigma's
     eigenvectors (``ls``: unit indices and blocks, per block size), which
     hold all of L.
@@ -605,10 +603,7 @@ def _certify_blocks(sigma: DensityState, ls: list, s_grid, tol: float) -> Certif
             worst = max(worst, _hermitian_opnorm(1j * (dx - np.conj(dx).transpose(0, 2, 1))))
         return worst / (norm * scale)
 
-    def s_residual(s: float) -> float:
-        return weighted(np.outer(lam ** (1.0 - s), lam**s), lam_max)
-
-    s_res = {float(s): s_residual(s) for s in s_grid}
+    s_res = {s: weighted(np.outer(lam ** (1.0 - s), lam**s), lam_max) for s in S_GRID}
     kernel = _weight_kernel_f(sigma, bkm_weight)
     bkm = weighted(kernel, float(np.max(kernel)))
     ratio = np.outer(lam, 1.0 / lam).ravel()
@@ -625,8 +620,6 @@ def _certify_blocks(sigma: DensityState, ls: list, s_grid, tol: float) -> Certif
     g, b = index[:2, 0]  # E_00 lies in the block of 0, with every E_aa
     units, x = ls[g]
     unital = np.linalg.norm(x[b][:, units[b] % (n + 1) == 0].sum(axis=1)) / scale
-    gns = s_res[1.0] if 1.0 in s_res else s_residual(1.0)
-    kms = s_res[0.5] if 0.5 in s_res else s_residual(0.5)
     return CertificationReport(
         dim=n,
         s_residuals=s_res,
@@ -634,8 +627,8 @@ def _certify_blocks(sigma: DensityState, ls: list, s_grid, tol: float) -> Certif
         modular_commutation=mod_comm,
         star_preservation=float(star),
         unital_residual=float(unital),
-        gns_dbc=bool(gns < tol),
-        kms_only=bool(kms < tol and mod_comm > 100 * tol),
+        gns_dbc=bool(s_res[1.0] < tol),
+        kms_only=bool(s_res[0.5] < tol and mod_comm > 100 * tol),
         l_norm=l_norm,
         tolerance=tol,
     )
@@ -689,16 +682,16 @@ def check_complete_positivity(
     return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), float(evals[0])
 
 
-def ergodicity(spec: GeneratorSpec, tol: float = 1e-9) -> int:
+def ergodicity(spec: GeneratorSpec) -> int:
     """Dimension of the null space of L, the commutant of the jumps; 1 means ergodic.
 
     Counts the eigenvalues mu of the weighted Bohr blocks of L with
-    |mu| <= ``tol`` times the largest |mu|: the tolerance measures
+    |mu| <= ``NULL_RTOL`` times the largest |mu|: the tolerance measures
     eigenvalues of L, so the count does not change when L is rescaled.
     """
     _, blocks = spec.bohr_factor
     mu = np.abs(np.concatenate([vals.ravel() for _, _, vals, _ in blocks]))
-    return int(np.sum(mu <= tol * mu.max()))
+    return int(np.sum(mu <= NULL_RTOL * mu.max()))
 
 
 def dual_orbit(spec: GeneratorSpec, x: np.ndarray, times) -> np.ndarray:

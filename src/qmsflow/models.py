@@ -336,9 +336,9 @@ def kms_counterexample(u_basis, v1, v2):
     return l, sigma, report
 
 
-def random_density(n: int, rng, min_eig: float = 5e-3, spread: float = 1.0) -> DensityState:
+def random_density(n: int, rng, min_eig: float = 5e-3) -> DensityState:
     """Haar-rotated random spectrum density matrix, bounded away from zero."""
-    lam = np.exp(spread * rng.standard_normal(n))
+    lam = np.exp(rng.standard_normal(n))
     lam = lam / lam.sum()
     lam = (1.0 - n * min_eig) * lam + min_eig
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -4,7 +4,8 @@ Matrices serialize as nested row-major arrays of [re, im] pairs; density
 states as {"dim": n, "rho": matrix}; generator specifications as
 {"dim": n, "sigma": matrix, "jumps": [{"V": matrix, "omega": w}, ...]},
 read back through the :class:`~qmsflow.generators.GeneratorSpec`
-constructor, which admits the jumps.  A declared "dim" must be the matrices'.
+constructor, which admits the jumps.  A declared "dim" must be a JSON
+integer, the matrices' dimension.
 Trajectory CSV columns: t, entropy, production, exp_bound,
 production_bound.
 """
@@ -69,17 +70,17 @@ def density_to_json(state: DensityState) -> dict:
 
 
 def density_from_json(obj, key: str = "rho") -> DensityState:
-    """The state of the matrix ``obj[key]``; ``obj``'s "dim", if any, must be its dimension."""
+    """The state of the matrix ``obj[key]``; ``obj``'s "dim", if any, must be
+    a JSON integer (not a boolean) and its dimension."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"density JSON must be an object carrying a '{key}' field")
     rho = matrix_from_json(obj[key])
-    try:
-        dim = int(obj.get("dim", rho.shape[0]))
-    except (TypeError, ValueError, OverflowError) as exc:  # null, "two", NaN, Infinity
-        raise ValueError(f"declared dim {obj['dim']!r} is not an integer") from exc
+    dim = obj.get("dim", rho.shape[0])
+    if type(dim) is not int:  # "4", 4.0, true, null
+        raise ValueError(f"declared dim {dim!r} is not an integer")
     if dim != rho.shape[0]:
         raise ValueError(
-            f"declared dim {obj['dim']} does not match matrix dim {rho.shape[0]}"
+            f"declared dim {dim} does not match matrix dim {rho.shape[0]}"
         )
     return DensityState.from_matrix(rho)
 

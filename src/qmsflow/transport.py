@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 POSITIVITY_FLOOR = 1e-8
+# a metric system whose Cholesky factorisation fails is retried with this
+# times its largest entry added to the diagonal
+CHOLESKY_JITTER = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +164,17 @@ class TangentDecomposition:
     metric_value: float
 
 
-def _solve_metric_system(m: np.ndarray, b: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
+def _solve_metric_system(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cholesky solve of the (PD on traceless Hermitians) metric system.
 
-    If the factorisation fails, it is retried once with ``jitter`` times
-    the largest entry of ``m`` added to the diagonal.
+    If the factorisation fails, it is retried once with ``CHOLESKY_JITTER``
+    times the largest entry of ``m`` added to the diagonal.
     """
     try:
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         scale = max(float(np.max(np.abs(m))), 1e-300)
-        low = np.linalg.cholesky(m + jitter * scale * np.eye(m.shape[0]))
+        low = np.linalg.cholesky(m + CHOLESKY_JITTER * scale * np.eye(m.shape[0]))
     return np.linalg.solve(dag(low), np.linalg.solve(low, b))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmsflow.canonical import extract_canonical, gks_matrix
-from qmsflow.generators import GeneratorSpec, build_generator, check_complete_positivity
+from qmsflow.generators import GeneratorSpec, build_generator, certify_detailed_balance, check_complete_positivity
 from qmsflow.linalg import commutator_super, dag, hs_inner, sharp
 from qmsflow.models import depolarizing, fermi_ou, random_dbc_spec, random_density
 from qmsflow.states import DensityState, build_modular_basis
@@ -318,14 +318,16 @@ class TestExtraction:
         ]
         assert reports[0] == reports[1]
 
-    def test_negative_dropped_eigenvalue_listed(self, fermi_m1):
+    def test_not_completely_positive_refused(self, fermi_m1):
         # minus three number-operator dissipators leave a negative
-        # eigenvalue in the zero-frequency block
+        # eigenvalue in the zero-frequency block: L is GNS-symmetric but
+        # not completely positive, so it has no canonical form
         sigma = fermi_m1.spec.sigma
         number = GeneratorSpec(sigma, [(fermi_m1.number_ops[0], 0.0)])
         l = build_generator(fermi_m1.spec) - 3.0 * build_generator(number)
-        _, report = extract_canonical(l, sigma, require_dbc=False)
-        assert min(report.dropped_eigenvalues) < -0.1
+        assert certify_detailed_balance(l, sigma).gns_dbc
+        with pytest.raises(ValueError, match=r"not conditionally completely positive .*eigenvalue -"):
+            extract_canonical(l, sigma)
 
     def test_extraction_of_dropped_rank(self, rng):
         # two linearly dependent jumps in one block collapse to one

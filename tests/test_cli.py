@@ -67,7 +67,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match="trace"):
             density_from_json(bad)
 
-    @pytest.mark.parametrize("dim", [None, [2], 3, "two", float("inf"), float("nan")])
+    @pytest.mark.parametrize("dim", [None, [2], 3, "two", float("inf"), float("nan"), "2", 2.5, 2.0, True])
     def test_density_rejects_bad_dim(self, dim):
         with pytest.raises(ValueError, match="dim"):
             density_from_json({"dim": dim, "rho": matrix_to_json(np.eye(2) / 2)})
@@ -315,7 +315,7 @@ class TestInspect:
         (gc.enable if was_enabled else gc.disable)()
         try:
             try:
-                _load_json(str(path))
+                _load_json(str(path), lambda obj: obj)
             except InputError:
                 pass
             after = gc.isenabled()
@@ -329,7 +329,7 @@ class TestInspect:
         ["no_V", "no_omega", "jumps_not_list", "jump_not_object",
          "superoperator_without_sigma", "superoperator_wrong_size", "omega_nan",
          "cell_three_entries", "cell_out_of_range", "cell_boolean", "dim_mismatch",
-         "omega_boolean", "superoperator_dim_mismatch"],
+         "omega_boolean", "superoperator_dim_mismatch", "dim_string", "dim_float"],
     )
     def test_malformed_wire_format_exit_two(self, tmp_path, capsys, name):
         obj = spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
@@ -353,6 +353,10 @@ class TestInspect:
             obj["sigma"][0][1] = [False, False]
         elif name == "dim_mismatch":
             obj["dim"] = 3
+        elif name == "dim_string":
+            obj["dim"] = "2"
+        elif name == "dim_float":
+            obj["dim"] = 2.0
         elif name == "omega_boolean":
             obj["jumps"][1]["omega"] = True
         elif name == "superoperator_dim_mismatch":
@@ -1169,7 +1173,7 @@ UNREADABLE_MESSAGES = {"directory": r"cannot read {path}: Is a directory",
 def test_unreadable_file_is_input_error(tmp_path, defect):
     bad = _unreadable(tmp_path, defect)
     with pytest.raises(InputError, match=UNREADABLE_MESSAGES[defect].format(path=re.escape(str(bad)))):
-        _load_json(str(bad))
+        _load_json(str(bad), lambda obj: obj)
 
 
 @pytest.mark.parametrize("command, flag", [("inspect", "--input"), ("evolve", "--rho0"),

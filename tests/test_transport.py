@@ -19,6 +19,7 @@ from qmsflow.models import (
 )
 from qmsflow.states import DensityState
 from qmsflow.transport import (
+    CHOLESKY_JITTER,
     _ChainProblem,
     _MetricWorkspace,
     _PathProblem,
@@ -169,10 +170,9 @@ class TestSolveMetricSystem:
         b = np.array([1.0, 1.0, 1.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(m)
-        jitter = 1e-12
-        x = _solve_metric_system(m, b, jitter=jitter)
+        x = _solve_metric_system(m, b)
         assert np.all(np.isfinite(x))
-        assert np.allclose((m + jitter * np.eye(3)) @ x, b, rtol=1e-9, atol=0.0)
+        assert np.allclose((m + CHOLESKY_JITTER * np.eye(3)) @ x, b, rtol=1e-9, atol=0.0)
 
     def test_indefinite_system_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
