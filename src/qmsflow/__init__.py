@@ -22,7 +22,6 @@ from .states import (
     build_modular_basis,
     inner_f,
     inner_s,
-    modular_apply,
 )
 from .generators import (
     CertificationReport,
@@ -37,9 +36,8 @@ from .generators import (
     modular_subalgebra,
     restrict_to_commutative,
 )
-from .canonical import GKSMatrix, extract_canonical, gks_matrix
+from .canonical import extract_canonical, gks_matrix
 from .calculus import (
-    dirichlet_form,
     divergence,
     grad,
     log_mean,

@@ -30,14 +30,13 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import dag
-from .states import DensityState, inner_s
+from .states import DensityState
 from .generators import GeneratorSpec
 
 __all__ = [
     "partial_deriv",
     "grad",
     "divergence",
-    "dirichlet_form",
     "log_mean",
     "log_mean_dx",
     "log_mean_dxx",
@@ -48,7 +47,6 @@ __all__ = [
     "tilted_kernel",
     "rho_mult",
     "rho_div",
-    "chain_rule_residual",
 ]
 
 
@@ -78,19 +76,6 @@ def divergence(spec: GeneratorSpec, w) -> np.ndarray:
         vd = dag(v)
         out = out + (wj @ vd - vd @ wj)
     return out
-
-
-def dirichlet_form(spec: GeneratorSpec, s: float, b: np.ndarray, a: np.ndarray) -> complex:
-    """E_s(B, A) = sum_j e^{(1/2 - s) omega_j} <d_j B, d_j A>_s.
-
-    Equals -<B, L A>_s for the generator built from the same jumps.
-    """
-    total = 0.0 + 0.0j
-    for j, (_, w) in enumerate(spec.jumps):
-        db = partial_deriv(spec, j, b)
-        da = partial_deriv(spec, j, a)
-        total += np.exp((0.5 - s) * w) * inner_s(spec.sigma, s, db, da)
-    return complex(total)
 
 
 def log_mean(x, y):
@@ -327,15 +312,3 @@ def rho_div(rho: DensityState, omega: float, a: np.ndarray) -> np.ndarray:
     a_tilde = dag(u) @ np.asarray(a, dtype=complex) @ u
     return u @ (a_tilde / tilted_kernel(rho, omega)) @ dag(u)
 
-
-def chain_rule_residual(rho: DensityState, v: np.ndarray, omega: float) -> float:
-    """Relative residual of the chain-rule identity for (rho, V, omega)."""
-    logrho = rho.log()
-    em = np.exp(-omega / 2.0)
-    ep = np.exp(+omega / 2.0)
-    arg = v @ (logrho - (omega / 2.0) * np.eye(rho.dim)) - (
-        logrho + (omega / 2.0) * np.eye(rho.dim)
-    ) @ v
-    lhs = rho_mult(rho, omega, arg)
-    rhs = em * (v @ rho.rho) - ep * (rho.rho @ v)
-    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))

@@ -49,7 +49,6 @@ from .generators import (
 )
 
 __all__ = [
-    "GKSMatrix",
     "gks_matrix",
     "ExtractionReport",
     "extract_canonical",
@@ -58,30 +57,14 @@ __all__ = [
 DROP_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GKSMatrix:
-    """Coefficient matrix of a superoperator over an identity-anchored basis."""
-
-    matrix: np.ndarray
-
-    def reduced(self) -> np.ndarray:
-        return self.matrix[1:, 1:]
-
-    def hermiticity_residual(self) -> float:
-        c = self.matrix
-        return float(
-            np.linalg.norm(c - dag(c)) / max(np.linalg.norm(c), 1e-300)
-        )
-
-
 def _basis_rowvecs(basis) -> np.ndarray:
     """Row-major flattenings of F_a^*, stacked as columns."""
     cols = [dag(f).reshape(-1) for f in basis]
     return np.array(cols).T
 
 
-def gks_matrix(k: np.ndarray, basis, check_orthonormal: bool = True) -> GKSMatrix:
-    """Coefficient matrix of the superoperator ``k`` over ``basis``.
+def gks_matrix(k: np.ndarray, basis, check_orthonormal: bool = True) -> np.ndarray:
+    """Coefficient matrix c_ab of the superoperator ``k`` over ``basis``.
 
     The basis must be orthonormal in the normalized Hilbert-Schmidt inner
     product with the identity as its first element.  Computed through the
@@ -106,8 +89,7 @@ def gks_matrix(k: np.ndarray, basis, check_orthonormal: bool = True) -> GKSMatri
             a, b = (int(i) for i in bad[0])
             raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
     x = _basis_rowvecs(basis)
-    c = dag(x) @ choi(k) @ x / (n * n)
-    return GKSMatrix(c)
+    return dag(x) @ choi(k) @ x / (n * n)
 
 
 @dataclass

@@ -76,14 +76,6 @@ class DecayReport:
     lam: float | None
     derivation_kind: str
 
-    def as_dict(self) -> dict:
-        return {
-            "rates": [float(a) for a in self.rates],
-            "intertwine_residuals": [float(r) for r in self.intertwine_residuals],
-            "lambda": None if self.lam is None else float(self.lam),
-            "derivation_kind": self.derivation_kind,
-        }
-
 
 def intertwining_rates(
     spec: GeneratorSpec,

@@ -36,6 +36,7 @@ block of all n^2 units.  The dense matrix of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -100,7 +101,7 @@ FLOW_UNDERFLOW = 600.0
 class GeneratorSpec:
     """Invariant state plus modular-eigenvector jump data, admitted once, at
     construction (ValueError): jump shapes, finite omegas, :func:`_admit`,
-    :func:`_bohr_blocks`.  V_j is stored once, as V_j - U off(tilde V_j) U^*
+    a finite K, :func:`_bohr_blocks`.  V_j is stored once, as V_j - U off(tilde V_j) U^*
     (an exact modular eigenvector is stored as given): ``jumps`` holds
     read-only views of ``jump_stack``'s.  The rows tilde V_j and tilde K
     that admission computed are kept as well, in sigma's eigenbasis, and
@@ -125,16 +126,21 @@ class GeneratorSpec:
             if not np.isfinite(omegas[k]):
                 raise ValueError(f"jump {k} has non-finite omega {omegas[k]}")
             vs[k] = v
-        units, flat = _admit(self.sigma, check_finite(vs, "jump operator"), omegas)
-        c = np.exp(-omegas / 2.0)
-        k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
-        rows = np.concatenate([flat, (dag(u) @ k @ u).reshape(1, n * n)])
+        # an overflow is refused by name, with a ValueError, not reported by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            units, flat = _admit(self.sigma, check_finite(vs, "jump operator"), omegas)
+            c = np.exp(-omegas / 2.0)
+            k = (c[:, None, None] * np.conj(vs).transpose(0, 2, 1) @ vs).sum(axis=0)
+            if not np.all(np.isfinite(k)):
+                raise ValueError("K = sum_j c_j V_j^* V_j is not finite: the jumps overflow double precision")
+            rows = np.concatenate([flat, (dag(u) @ k @ u).reshape(1, n * n)])
+            bohr_blocks = _bohr_blocks(self.sigma, units, rows, c)
         for arr in (c, vs, k, rows):
             arr.flags.writeable = False
         object.__setattr__(self, "jumps", tuple(zip(vs, omegas.tolist())))
         object.__setattr__(self, "jump_stack", (c, vs, k))
         object.__setattr__(self, "_eigen_rows", rows)
-        object.__setattr__(self, "bohr_blocks", _bohr_blocks(self.sigma, units, rows, c))
+        object.__setattr__(self, "bohr_blocks", bohr_blocks)
 
     @property
     def dim(self) -> int:
@@ -155,7 +161,10 @@ class GeneratorSpec:
         """U and, per block size, unit indices, weights w and eigenpairs of
         the Hermitian parts of the weighted blocks w_a L_ab / w_b of L's
         :attr:`bohr_blocks` (:func:`_kms_weighted`), eigensolved on first
-        use and kept read-only."""
+        use and kept read-only.  The null eigenvalues, |mu| at most
+        ``NULL_RTOL`` times the largest |mu|, are set to exactly 0: their
+        round-off grows with the units of L, and e^{t mu} would carry it
+        into the null modes of every orbit."""
         u, blocks = self.bohr_blocks
         factor = []
         for units, w, x in blocks:
@@ -163,7 +172,10 @@ class GeneratorSpec:
             h += np.conj(h).transpose(0, 2, 1)
             h *= 0.5
             factor.append((units, w, *np.linalg.eigh(h)))
-        for _, _, vals, vecs in factor:
+        mags = [np.abs(vals) for _, _, vals, _ in factor]
+        floor = NULL_RTOL * max(float(m.max()) for m in mags)
+        for (_, _, vals, vecs), m in zip(factor, mags):
+            vals[m <= floor] = 0.0
             vals.flags.writeable = vecs.flags.writeable = False
         return u, factor
 
@@ -200,8 +212,11 @@ def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
         )
     flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
     off_block = label[None, :nn] != label[nn:, None]
-    off_mass = np.linalg.norm(np.where(off_block, flat, 0), axis=1)
-    frac = off_mass / np.maximum(np.linalg.norm(flat, axis=1), 1e-300)
+    # the norms square the entries, so each row is scaled by the power of 2
+    # that takes its largest entry into [1/2, 1): an exact scaling
+    scaled = flat * np.ldexp(1.0, -np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1])[:, None]
+    off_mass = np.linalg.norm(np.where(off_block, scaled, 0), axis=1)
+    frac = off_mass / np.maximum(np.linalg.norm(scaled, axis=1), 1e-300)
     if np.any(frac > JUMP_EIGEN_TOL):
         j = int(np.argmax(frac))
         raise ValueError(
@@ -231,10 +246,12 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
     theirs, raise ValueError.  Returns U and, per block size, the stacked
     blocks' unit indices a n + b, weights and L's own blocks as built (not
     symmetrised, so a GNS defect of the jumps stays visible), all
-    read-only.
+    read-only.  A block that is not finite raises ValueError, and so does
+    the KMS check, whose norms are taken of each weighted block scaled by
+    a power of 2 into [1/2, 1), so their squares do not overflow.
     """
     n, lam, flat = sigma.dim, sigma.eigenvalues, rows[:-1]
-    kt, weighted_conj, blocks, asym, scale = rows[-1].reshape(n, n), c[:, None] * np.conj(flat), [], 0.0, 0.0
+    kt, weighted_conj, blocks, norms = rows[-1].reshape(n, n), c[:, None] * np.conj(flat), [], []
     for units in units_by_size:
         a, b = np.divmod(units, n)
         ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
@@ -245,11 +262,19 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
         block = 2.0 * sandwich - kt[ap, cq] * (bp == dq) - (ap == cq) * kt[dq, bp]
         weights = (lam[a] * lam[b]) ** 0.25
         h = _kms_weighted(weights, block)
-        asym += np.linalg.norm(h - np.conj(h).transpose(0, 2, 1)) ** 2
-        scale += np.linalg.norm(h) ** 2
+        peak = float(np.abs(h).max())
+        if not math.isfinite(peak):
+            raise ValueError("L's Bohr blocks are not finite: the jumps overflow double precision")
+        e = math.frexp(peak)[1]  # an exact scaling by 2^-e
+        h *= math.ldexp(1.0, -e)
+        norms.append((e, np.linalg.norm(h - np.conj(h).transpose(0, 2, 1)), np.linalg.norm(h)))
         for arr in (units, weights, block):
             arr.flags.writeable = False
         blocks.append((units, weights, block))
+    # each block's norms on the scale of the largest block, exactly
+    top = max(e for e, _, _ in norms)
+    asym = sum(math.ldexp(off, e - top) ** 2 for e, off, _ in norms)
+    scale = sum(math.ldexp(whole, e - top) ** 2 for e, _, whole in norms)
     if asym > KMS_SYMMETRY_TOL**2 * scale:
         rel = np.sqrt(asym / scale)
         raise ValueError(
@@ -685,13 +710,13 @@ def check_complete_positivity(
 def ergodicity(spec: GeneratorSpec) -> int:
     """Dimension of the null space of L, the commutant of the jumps; 1 means ergodic.
 
-    Counts the eigenvalues mu of the weighted Bohr blocks of L with
-    |mu| <= ``NULL_RTOL`` times the largest |mu|: the tolerance measures
-    eigenvalues of L, so the count does not change when L is rescaled.
+    Counts the null eigenvalues of :attr:`GeneratorSpec.bohr_factor`, those
+    with |mu| <= ``NULL_RTOL`` times the largest |mu|: the tolerance
+    measures eigenvalues of L, so the count does not change when L is
+    rescaled.
     """
     _, blocks = spec.bohr_factor
-    mu = np.abs(np.concatenate([vals.ravel() for _, _, vals, _ in blocks]))
-    return int(np.sum(mu <= NULL_RTOL * mu.max()))
+    return sum(int(np.count_nonzero(vals == 0.0)) for _, _, vals, _ in blocks)
 
 
 def dual_orbit(spec: GeneratorSpec, x: np.ndarray, times) -> np.ndarray:

@@ -28,9 +28,6 @@ __all__ = [
     "hs_inner",
     "sharp",
     "apply_super",
-    "super_of_left",
-    "super_of_right",
-    "commutator_super",
     "choi",
     "HermitianSpectrum",
     "hermitian_eig",
@@ -106,23 +103,6 @@ def apply_super(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return unvec(np.asarray(s) @ vec(x), x.shape[0])
 
 
-def super_of_left(a: np.ndarray) -> np.ndarray:
-    """Superoperator of left multiplication X |-> A X."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def super_of_right(b: np.ndarray) -> np.ndarray:
-    """Superoperator of right multiplication X |-> X B."""
-    b = np.asarray(b, dtype=complex)
-    return np.kron(b.T, np.eye(b.shape[0]))
-
-
-def commutator_super(v: np.ndarray) -> np.ndarray:
-    """Superoperator of X |-> [V, X]."""
-    return super_of_left(v) - super_of_right(v)
-
-
 def choi(s: np.ndarray) -> np.ndarray:
     """Choi matrix sum_ij K(E_ij) (x) E_ij of the superoperator K.
 
@@ -143,10 +123,6 @@ class HermitianSpectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # unitary, columns are eigenvectors
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ dag(u)
 
     def apply(self, f) -> np.ndarray:
         """Matrix function f applied through the eigendecomposition.

@@ -76,14 +76,6 @@ class CliffordContext:
     def dim(self) -> int:
         return self.generators[0].shape[0]
 
-    def monomial(self, alpha) -> np.ndarray:
-        """Ordered product Q^alpha = Q_1^{a_1} ... Q_n^{a_n}."""
-        out = np.eye(self.dim, dtype=complex)
-        for j, a in enumerate(alpha):
-            if a:
-                out = out @ self.generators[j]
-        return out
-
 
 def clifford(n: int) -> CliffordContext:
     """Jordan-Wigner representation of n anticommuting generators."""

@@ -30,9 +30,7 @@ __all__ = [
     "spec_to_json",
     "spec_from_json",
     "rate_matrix_to_json",
-    "rate_matrix_from_json",
     "trajectory_to_csv",
-    "trajectory_from_csv",
     "dump_json",
     "write_text_atomic",
 ]
@@ -124,18 +122,6 @@ def rate_matrix_to_json(rate: RateMatrix, extra: dict | None = None) -> dict:
     return out
 
 
-def rate_matrix_from_json(obj) -> RateMatrix:
-    if "rates" not in obj or "stationary" not in obj:
-        raise ValueError("rate matrix JSON must carry 'rates' and 'stationary'")
-    rates = np.array(obj["rates"], dtype=float)
-    stationary = np.array(obj["stationary"], dtype=float)
-    if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
-        raise ValueError(f"rates must be square, got shape {rates.shape}")
-    if stationary.shape != (rates.shape[0],):
-        raise ValueError("stationary vector length does not match the rate matrix")
-    return RateMatrix(rates, stationary)
-
-
 def trajectory_to_csv(rows) -> str:
     lines = ["t,entropy,production,exp_bound,production_bound"]
     for r in rows:
@@ -143,27 +129,6 @@ def trajectory_to_csv(rows) -> str:
         pb = "" if r.production_bound is None else repr(r.production_bound)
         lines.append(f"{r.t!r},{r.entropy!r},{r.production!r},{eb},{pb}")
     return "\n".join(lines) + "\n"
-
-
-def trajectory_from_csv(text: str) -> list:
-    from .entropy import TrajectorySample
-
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "t,entropy,production,exp_bound,production_bound":
-        raise ValueError("unrecognized trajectory CSV header")
-    out = []
-    for ln in lines[1:]:
-        t, d, p, eb, pb = ln.split(",")
-        out.append(
-            TrajectorySample(
-                t=float(t),
-                entropy=float(d),
-                production=float(p),
-                entropy_bound=float(eb) if eb else None,
-                production_bound=float(pb) if pb else None,
-            )
-        )
-    return out
 
 
 def dump_json(obj) -> str:

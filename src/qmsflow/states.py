@@ -32,15 +32,11 @@ from .linalg import (
 __all__ = [
     "DensityState",
     "ModularData",
-    "modular_apply",
-    "modular_shift",
-    "modular_superoperator",
     "bohr_labels",
     "build_modular_basis",
     "inner_s",
     "inner_f",
     "bkm_weight",
-    "weight_superoperator_s",
     "weight_superoperator_f",
 ]
 
@@ -131,24 +127,6 @@ def _checked_spectra(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if bad.size:
         raise ValueError(f"not strictly positive: min eigenvalue = {vals[bad[0], 0]:.3e}")
     return sym, vals, vecs
-
-
-def modular_apply(sigma: DensityState, a: np.ndarray) -> np.ndarray:
-    """Delta_sigma(A) = sigma A sigma^{-1}."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != sigma.rho.shape:
-        raise ValueError("dimension mismatch")
-    return sigma.rho @ a @ sigma.power(-1.0)
-
-
-def modular_shift(sigma: DensityState, t: float, a: np.ndarray) -> np.ndarray:
-    """Imaginary-time modular flow A |-> sigma^t A sigma^{-t}."""
-    return sigma.power(t) @ np.asarray(a, dtype=complex) @ sigma.power(-t)
-
-
-def modular_superoperator(sigma: DensityState) -> np.ndarray:
-    """Matrix of Delta_sigma on column-stacked matrices."""
-    return sharp(sigma.rho, sigma.power(-1.0))
 
 
 @dataclass(frozen=True)
@@ -353,14 +331,6 @@ def inner_f(sigma: DensityState, f, a: np.ndarray, b: np.ndarray):
     if np.any(sigma.modular_kernel(f) <= 0.0):
         raise ValueError("f is not positive on the spectrum of the modular operator")
     return hs_inner(dag(u) @ a @ u, _weight_kernel_f(sigma, f) * (dag(u) @ b @ u))
-
-
-def weight_superoperator_s(sigma: DensityState, s: float) -> np.ndarray:
-    """Superoperator Omega_s with <A, B>_s = <A, Omega_s B>_HS (unnormalized).
-
-    Omega_s(B) = sigma^{1-s} B sigma^s.
-    """
-    return sharp(sigma.power(1.0 - s), sigma.power(s))
 
 
 def _weight_kernel_f(sigma: DensityState, f) -> np.ndarray:

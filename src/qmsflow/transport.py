@@ -149,18 +149,21 @@ def _require_segments(segments: int):
         raise ValueError(f"segments must be at least 1, got {segments}")
 
 
-def _require_ergodic(spec: GeneratorSpec):
+def _require_metric(spec: GeneratorSpec):
+    """ValueError unless the spec has a transport metric: traceless
+    Hermitian matrices exist (dim >= 2) and L is ergodic."""
+    if spec.dim < 2:
+        raise ValueError(f"the transport metric needs dim >= 2, not dim {spec.dim}")
     if ergodicity(spec) != 1:
         raise ValueError("specification is not ergodic; the metric is degenerate")
 
 
 @dataclass
 class TangentDecomposition:
-    """Continuity-equation solution at a state."""
+    """Continuity-equation solution at a state: the potential U and the
+    squared metric norm Tr[U rho-dot]."""
 
-    rho_dot: np.ndarray
     potential: np.ndarray
-    field: list
     metric_value: float
 
 
@@ -181,26 +184,24 @@ def _solve_metric_system(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 def continuity_solve(
     spec: GeneratorSpec, rho: DensityState, rho_dot: np.ndarray
 ) -> TangentDecomposition:
-    """Solve rho-dot = -div([rho]_omega grad U) for traceless Hermitian U."""
+    """Solve rho-dot = -div([rho]_omega grad U) for traceless Hermitian U.
+
+    Returns U and the squared metric norm Tr[U rho-dot]; the field
+    [rho]_omega grad U, if wanted, is ``rho_mult`` of ``grad(spec, U)``
+    jump by jump.  A spec without a transport metric (dim 1, or not
+    ergodic) raises ValueError."""
     rho_dot = np.asarray(rho_dot, dtype=complex)
     size = np.linalg.norm(rho_dot)
     if np.linalg.norm(rho_dot - dag(rho_dot)) > 1e-9 * size:
         raise ValueError("rho_dot must be Hermitian")
     if abs(np.trace(rho_dot)) > 1e-9 * size:
         raise ValueError("rho_dot must be traceless")
-    _require_ergodic(spec)
+    _require_metric(spec)
     ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
     b = ws.coords(rho_dot)
     x = _solve_metric_system(m, b)
-    u = (x @ ws.flat_basis).reshape(ws.n, ws.n)
-    fld = [rho_mult(rho, w, d) for (_, w), d in zip(spec.jumps, grad(spec, u))]
-    return TangentDecomposition(
-        rho_dot=rho_dot,
-        potential=u,
-        field=fld,
-        metric_value=float(x @ b),
-    )
+    return TangentDecomposition((x @ ws.flat_basis).reshape(ws.n, ws.n), float(x @ b))
 
 
 def metric_tensor(spec: GeneratorSpec, rho: DensityState, coord_basis) -> np.ndarray:
@@ -209,7 +210,7 @@ def metric_tensor(spec: GeneratorSpec, rho: DensityState, coord_basis) -> np.nda
     Entry (k, l) is the metric pairing of the tangent vectors A_k, A_l,
     i.e. a_k^T M^{-1} a_l in an orthonormal traceless-Hermitian basis.
     """
-    _require_ergodic(spec)
+    _require_metric(spec)
     ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
     a = ws.coords(np.array(coord_basis)).T
@@ -547,7 +548,7 @@ def geodesic_distance(
     continuum distance, which it approaches from below as K grows.
     """
     _require_segments(segments)
-    _require_ergodic(spec)
+    _require_metric(spec)
     for r in (rho0, rho1):
         if float(r.eigenvalues[0]) < POSITIVITY_FLOOR:
             raise ValueError("endpoint is not strictly positive at the working floor")

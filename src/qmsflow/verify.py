@@ -142,8 +142,11 @@ def check_dirichlet_positivity(rng):
 
 
 def _svd_commutant_dim(spec):
-    """dim {X : [V, X] = 0 for every jump V}, by an SVD of the stacked commutators."""
-    stacked = np.vstack([linalg.commutator_super(v) for v in spec.jump_ops()])
+    """dim {X : [V, X] = 0 for every jump V}, by an SVD of the stacked
+    superoperators of X |-> [V, X], kron(1, V) - kron(V^T, 1) under column
+    stacking."""
+    eye = np.eye(spec.dim)
+    stacked = np.vstack([np.kron(eye, v) - np.kron(v.T, eye) for v in spec.jump_ops()])
     svals = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(svals <= 1e-9 * svals[0]))
 
@@ -197,7 +200,7 @@ def check_offblock_vanishing(rng):
         c = canonical.gks_matrix(l, md.combine(np.eye(md.size)), check_orthonormal=False)
         mask = md.block_labels[:, None] != md.block_labels[None, :]
         if np.any(mask):
-            worst = max(worst, float(np.max(np.abs(c.matrix[mask]))) / max(np.max(np.abs(c.matrix)), 1e-300))
+            worst = max(worst, float(np.max(np.abs(c[mask]))) / max(np.max(np.abs(c)), 1e-300))
     return worst < 1e-10, f"worst off-block coefficient {worst:.3e}"
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmsflow.linalg import commutator_super, dag, sharp, super_of_left
+from qmsflow.linalg import dag, sharp
 from qmsflow.models import fermi_ou, fermi_ou_infinite, depolarizing
 
 
@@ -37,6 +37,132 @@ def depolarizing_n2():
 
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def super_of_left(a):
+    """Superoperator of left multiplication X |-> A X."""
+    a = np.asarray(a, dtype=complex)
+    return np.kron(np.eye(a.shape[0]), a)
+
+
+def commutator_super(v):
+    """Superoperator of X |-> [V, X]: left minus right multiplication."""
+    v = np.asarray(v, dtype=complex)
+    return super_of_left(v) - np.kron(v.T, np.eye(v.shape[0]))
+
+
+def reconstruct(spectrum):
+    """The matrix U diag(lam) U^* of a ``HermitianSpectrum``."""
+    u = spectrum.eigenvectors
+    return (u * spectrum.eigenvalues) @ dag(u)
+
+
+def modular_apply(sigma, a):
+    """Delta_sigma(A) = sigma A sigma^{-1}."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != sigma.rho.shape:
+        raise ValueError("dimension mismatch")
+    return sigma.rho @ a @ sigma.power(-1.0)
+
+
+def modular_shift(sigma, t, a):
+    """Imaginary-time modular flow A |-> sigma^t A sigma^{-t}."""
+    return sigma.power(t) @ np.asarray(a, dtype=complex) @ sigma.power(-t)
+
+
+def modular_superoperator(sigma):
+    """Matrix of Delta_sigma on column-stacked matrices."""
+    return sharp(sigma.rho, sigma.power(-1.0))
+
+
+def weight_superoperator_s(sigma, s):
+    """Superoperator Omega_s with <A, B>_s = <A, Omega_s B>_HS (unnormalized).
+
+    Omega_s(B) = sigma^{1-s} B sigma^s.
+    """
+    return sharp(sigma.power(1.0 - s), sigma.power(s))
+
+
+def dirichlet_form(spec, s, b, a):
+    """E_s(B, A) = sum_j e^{(1/2 - s) omega_j} <d_j B, d_j A>_s.
+
+    Equals -<B, L A>_s for the generator built from the same jumps.
+    """
+    from qmsflow.calculus import partial_deriv
+    from qmsflow.states import inner_s
+
+    total = 0.0 + 0.0j
+    for j, (_, w) in enumerate(spec.jumps):
+        db = partial_deriv(spec, j, b)
+        da = partial_deriv(spec, j, a)
+        total += np.exp((0.5 - s) * w) * inner_s(spec.sigma, s, db, da)
+    return complex(total)
+
+
+def chain_rule_residual(rho, v, omega):
+    """Relative residual of the chain-rule identity for (rho, V, omega)."""
+    from qmsflow.calculus import rho_mult
+
+    logrho = rho.log()
+    em = np.exp(-omega / 2.0)
+    ep = np.exp(+omega / 2.0)
+    arg = v @ (logrho - (omega / 2.0) * np.eye(rho.dim)) - (
+        logrho + (omega / 2.0) * np.eye(rho.dim)
+    ) @ v
+    lhs = rho_mult(rho, omega, arg)
+    rhs = em * (v @ rho.rho) - ep * (rho.rho @ v)
+    return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300))
+
+
+def monomial(ctx, alpha):
+    """Ordered product Q^alpha = Q_1^{a_1} ... Q_n^{a_n} of a ``CliffordContext``."""
+    out = np.eye(ctx.dim, dtype=complex)
+    for j, a in enumerate(alpha):
+        if a:
+            out = out @ ctx.generators[j]
+    return out
+
+
+def gks_hermiticity_residual(c):
+    """||c - c^*||_F / ||c||_F of a GKS coefficient matrix."""
+    return float(np.linalg.norm(c - dag(c)) / max(np.linalg.norm(c), 1e-300))
+
+
+def rate_matrix_from_json(obj):
+    """The ``RateMatrix`` that ``qmsflow.serialize.rate_matrix_to_json`` wrote."""
+    from qmsflow.generators import RateMatrix
+
+    if "rates" not in obj or "stationary" not in obj:
+        raise ValueError("rate matrix JSON must carry 'rates' and 'stationary'")
+    rates = np.array(obj["rates"], dtype=float)
+    stationary = np.array(obj["stationary"], dtype=float)
+    if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
+        raise ValueError(f"rates must be square, got shape {rates.shape}")
+    if stationary.shape != (rates.shape[0],):
+        raise ValueError("stationary vector length does not match the rate matrix")
+    return RateMatrix(rates, stationary)
+
+
+def trajectory_from_csv(text):
+    """The ``TrajectorySample`` rows of an ``evolve`` CSV."""
+    from qmsflow.entropy import TrajectorySample
+
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines or lines[0] != "t,entropy,production,exp_bound,production_bound":
+        raise ValueError("unrecognized trajectory CSV header")
+    out = []
+    for ln in lines[1:]:
+        t, d, p, eb, pb = ln.split(",")
+        out.append(
+            TrajectorySample(
+                t=float(t),
+                entropy=float(d),
+                production=float(p),
+                entropy_bound=float(eb) if eb else None,
+                production_bound=float(pb) if pb else None,
+            )
+        )
+    return out
 
 
 def kron_sum_generator(spec):

@@ -6,7 +6,7 @@ lines; every tolerance is pinned here and matches the module defaults.
 
 import numpy as np
 
-from qmsflow.calculus import chain_rule_residual, grad, rho_div, rho_mult
+from qmsflow.calculus import grad, rho_div, rho_mult
 from qmsflow.canonical import extract_canonical
 from qmsflow.entropy import (
     entropy_trajectory,
@@ -33,7 +33,7 @@ from qmsflow.transport import (
 )
 from qmsflow.verify import run_suite
 
-from conftest import random_matrix, weighted_laplacian_super
+from conftest import chain_rule_residual, random_matrix, weight_superoperator_s, weighted_laplacian_super
 
 
 def report(index, passed, detail):
@@ -100,7 +100,7 @@ def test_criterion_03_canonical_roundtrip():
 def test_criterion_04_inner_product_equivalences():
     rng = np.random.default_rng(104)
     from qmsflow.generators import _self_adjointness_residual
-    from qmsflow.states import weight_superoperator_f, weight_superoperator_s
+    from qmsflow.states import weight_superoperator_f
 
     worst = 0.0
     specs = [random_dbc_spec(int(rng.integers(2, 6)), rng) for _ in range(10)]

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qmsflow.calculus import (
-    chain_rule_residual,
-    dirichlet_form,
     divergence,
     grad,
     log_mean,
@@ -22,7 +20,7 @@ from qmsflow.linalg import apply_super, dag, hs_inner
 from qmsflow.models import clifford, random_dbc_spec, random_density
 from qmsflow.states import DensityState, inner_s
 
-from conftest import laplacian, random_matrix, rho_mult_super
+from conftest import chain_rule_residual, dirichlet_form, laplacian, monomial, random_matrix, rho_mult_super
 
 
 class TestDerivations:
@@ -105,7 +103,7 @@ class TestLaplacian:
         l0 = laplacian(spec)
         ctx = clifford(2)
         for alpha in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            qa = ctx.monomial(alpha)
+            qa = monomial(ctx, alpha)
             resid = np.linalg.norm(apply_super(l0, qa) + sum(alpha) * qa)
             assert resid < 1e-11
 

@@ -28,7 +28,41 @@ from qmsflow.serialize import (
     spec_from_json,
     spec_to_json,
 )
-from conftest import kron_sum_generator, near_degenerate_spec, random_matrix
+from conftest import (
+    kron_sum_generator,
+    near_degenerate_spec,
+    random_matrix,
+    rate_matrix_from_json,
+    trajectory_from_csv,
+)
+
+
+def scaled_jumps(obj, c):
+    """A spec JSON with every jump's cells times ``c``."""
+    for jump in obj["jumps"]:
+        jump["V"] = [[[c * x for x in cell] for cell in row] for row in jump["V"]]
+    return obj
+
+
+# sigma = diag(0.6, 0.4) with the single jump E_12 at omega = log 0.4 - log 0.6:
+# no adjoint, so L is not KMS-symmetric at any scale
+def one_sided_spec(c):
+    e12 = [[[0.0, 0.0], [c, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    sigma = matrix_to_json(np.diag([0.6, 0.4]))
+    return {"dim": 2, "sigma": sigma, "jumps": [{"V": e12, "omega": float(np.log(0.4) - np.log(0.6))}]}
+
+
+KMS_MESSAGE = ("L is not KMS-symmetric (the jumps are not closed under adjoints): "
+               "weighted Bohr blocks 7.845e-01 off Hermitian")
+# the message each scaled spec of test_malformed_wire_format_exit_two exits
+# with: the verdict of the jumps at scale 1 (KMS_MESSAGE), until K or the
+# blocks overflow double precision
+SCALED_MESSAGES = {
+    "kms_asymmetric_x1e100": KMS_MESSAGE,
+    "kms_asymmetric_x1e150": KMS_MESSAGE,
+    "blocks_overflow_x1e154": "L's Bohr blocks are not finite: the jumps overflow double precision",
+    "k_overflow_x1e200": "K = sum_j c_j V_j^* V_j is not finite: the jumps overflow double precision",
+}
 
 
 @pytest.fixture
@@ -79,7 +113,7 @@ class TestSerialization:
     def test_trajectory_csv_roundtrip(self, fermi_spec_file, rng):
         from qmsflow.entropy import entropy_trajectory
         from qmsflow.models import random_density
-        from qmsflow.serialize import trajectory_from_csv, trajectory_to_csv
+        from qmsflow.serialize import trajectory_to_csv
 
         spec = spec_from_json(json.loads(open(fermi_spec_file).read()))
         rho = random_density(2, rng)
@@ -329,7 +363,8 @@ class TestInspect:
         ["no_V", "no_omega", "jumps_not_list", "jump_not_object",
          "superoperator_without_sigma", "superoperator_wrong_size", "omega_nan",
          "cell_three_entries", "cell_out_of_range", "cell_boolean", "dim_mismatch",
-         "omega_boolean", "superoperator_dim_mismatch", "dim_string", "dim_float"],
+         "omega_boolean", "superoperator_dim_mismatch", "dim_string", "dim_float",
+         *SCALED_MESSAGES],
     )
     def test_malformed_wire_format_exit_two(self, tmp_path, capsys, name):
         obj = spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
@@ -361,6 +396,10 @@ class TestInspect:
             obj["jumps"][1]["omega"] = True
         elif name == "superoperator_dim_mismatch":
             obj = {"dim": 5, "sigma": obj["sigma"], "superoperator": matrix_to_json(np.eye(4))}
+        elif name.startswith(("kms_asymmetric", "blocks_overflow")):
+            obj = one_sided_spec(float(name.split("_x")[1]))
+        elif name == "k_overflow_x1e200":
+            obj = scaled_jumps(obj, 1e200)
         else:
             for jump in obj["jumps"]:
                 jump["omega"] = float("nan")
@@ -370,6 +409,8 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and len(err) > len("input error: \n")
         assert "Traceback" not in err
+        if name in SCALED_MESSAGES:
+            assert err == f"input error: {SCALED_MESSAGES[name]}\n"
 
     @pytest.mark.parametrize("rows", [3, 9, 25])
     def test_superoperator_row_count_refused_before_conversion(self, tmp_path, capsys, monkeypatch, rows):
@@ -716,6 +757,25 @@ class TestEvolve:
         ) == 0
         assert len(out.read_text().strip().splitlines()) == 2
 
+    def test_scaled_jumps_keep_the_null_mode(self, fermi_spec_file, tmp_path, rng):
+        # every jump x1e10: L's null eigenvalue is 0, not its round-off
+        # (+16384, of a largest |mu| of 2.3e20), so e^{t mu} stays finite,
+        # and D(0) is the unscaled spec's
+        from qmsflow.models import random_density
+
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), 1e10)))
+        rho_path = tmp_path / "rho.json"
+        rho_path.write_text(dump_json(density_to_json(random_density(2, rng))))
+        rows = {}
+        for name, path in (("unscaled", fermi_spec_file), ("scaled", str(scaled))):
+            out = tmp_path / f"{name}.csv"
+            assert main(["evolve", "--input", path, "--rho0", str(rho_path), "--grid", "0:3:31",
+                         "--output", str(out)]) == 0
+            rows[name] = trajectory_from_csv(out.read_text())
+        assert abs(rows["scaled"][0].entropy - rows["unscaled"][0].entropy) <= 1e-12
+        assert all(abs(r.entropy) <= 1e-12 for r in rows["scaled"][1:])
+
     def test_bad_grid_exit_two(self, fermi_spec_file):
         assert main(["evolve", "--input", fermi_spec_file, "--grid", "nope"]) == 2
 
@@ -816,6 +876,19 @@ class TestMetricGeodesicRestrict:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metric", "geodesic"])
+    def test_dim_one_spec_has_no_metric(self, tmp_path, capsys, command):
+        # sigma = [[1]] and the jump [[0.5]] at omega = 0: the only traceless
+        # Hermitian matrix is 0, so there is no tangent direction
+        one = [[[1.0, 0.0]]]
+        spec_path, rho_path = tmp_path / "spec.json", tmp_path / "rho.json"
+        spec_path.write_text(json.dumps({"dim": 1, "sigma": one, "jumps": [{"V": [[[0.5, 0.0]]], "omega": 0.0}]}))
+        rho_path.write_text(json.dumps({"dim": 1, "rho": one}))
+        side = ["--rho0", str(rho_path)] if command == "geodesic" else ["--rho", str(rho_path)]
+        assert main([command, "--input", str(spec_path), *side]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the transport metric needs dim >= 2, not dim 1\n"
 
     def test_restrict_rates(self, fermi_spec_file, tmp_path):
         out = tmp_path / "rates.json"
@@ -1257,9 +1330,45 @@ def test_dim16_commands_leave_blas_workers_idle(tmp_path):
 
 def test_rate_matrix_json_roundtrip():
     from qmsflow.models import fermi_ou, hypercube_restriction
-    from qmsflow.serialize import rate_matrix_from_json, rate_matrix_to_json
+    from qmsflow.serialize import rate_matrix_to_json
 
     rate = hypercube_restriction(fermi_ou(2, 0.8, [1.0, 2.0]))
     back = rate_matrix_from_json(rate_matrix_to_json(rate))
     assert np.allclose(back.rates, rate.rates)
     assert np.allclose(back.stationary, rate.stationary)
+
+
+# removed from the package: test-only oracles (now in conftest), the
+# superoperator helpers of verify's commutant dimension, and GKSMatrix
+REMOVED = ["dirichlet_form", "chain_rule_residual", "modular_apply", "modular_shift",
+           "modular_superoperator", "weight_superoperator_s", "rate_matrix_from_json",
+           "trajectory_from_csv", "super_of_left", "super_of_right", "commutator_super", "GKSMatrix"]
+
+
+def _package_modules():
+    import pkgutil
+
+    import qmsflow
+
+    names = [m.name for m in pkgutil.iter_modules(qmsflow.__path__) if m.name != "__main__"]
+    return [qmsflow] + [__import__(f"qmsflow.{name}", fromlist=[name]) for name in names]
+
+
+def test_every_public_name_resolves():
+    for module in _package_modules():
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_removed_names_are_gone():
+    from dataclasses import fields
+
+    from qmsflow.linalg import HermitianSpectrum
+    from qmsflow.models import CliffordContext
+    from qmsflow.transport import TangentDecomposition
+
+    for module in _package_modules():
+        assert not [name for name in REMOVED if hasattr(module, name)], module.__name__
+    assert not hasattr(HermitianSpectrum, "reconstruct")
+    assert not hasattr(CliffordContext, "monomial")
+    assert [f.name for f in fields(TangentDecomposition)] == ["potential", "metric_value"]

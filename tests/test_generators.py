@@ -20,7 +20,7 @@ from qmsflow.generators import (
     modular_subalgebra,
     restrict_to_commutative,
 )
-from qmsflow.linalg import apply_super, choi, commutator_super, dag, unvec, vec
+from qmsflow.linalg import apply_super, choi, dag, unvec, vec
 from qmsflow.models import (
     depolarizing,
     fermi_ou,
@@ -35,12 +35,17 @@ from qmsflow.states import (
     _weight_kernel_f,
     bkm_weight,
     inner_s,
-    modular_superoperator,
     weight_superoperator_f,
-    weight_superoperator_s,
 )
 
-from conftest import kron_sum_generator, modular_elements, random_matrix
+from conftest import (
+    commutator_super,
+    kron_sum_generator,
+    modular_elements,
+    modular_superoperator,
+    random_matrix,
+    weight_superoperator_s,
+)
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -607,7 +612,7 @@ class TestCompletePositivity:
         for l, sigma in cases:
             n = sigma.dim
             tracial_basis = modular_elements(build_modular_basis(tracial(n)))
-            scale = np.max(np.abs(np.linalg.eigvalsh(gks_matrix(l, tracial_basis).reduced())))
+            scale = np.max(np.abs(np.linalg.eigvalsh(gks_matrix(l, tracial_basis)[1:, 1:])))
             ok, min_eig = check_complete_positivity(l)
             ok_sigma, min_eig_sigma = check_complete_positivity(l, modular=build_modular_basis(sigma))
             assert ok_sigma == ok
@@ -770,6 +775,14 @@ class TestDualOrbit:
     def test_empty_grid(self):
         spec = _covariance_model("fermi_m2")
         assert dual_orbit(spec, spec.sigma.rho, []).shape == (0, 4, 4)
+
+    def test_null_mode_is_exact_at_long_times(self):
+        # the null eigenvalue is exactly 0: its round-off, about 1e-16 of
+        # L's largest, would scale sigma by e^{t mu} (trace 0.895 at
+        # t = 1e15, 1.5e-5 at t = 1e17)
+        spec = fermi_ou(1, 1.0, [1.0]).spec
+        (got,) = dual_orbit(spec, spec.sigma.rho, [1e17])
+        assert np.linalg.norm(got - spec.sigma.rho) <= 1e-12
 
     @COVARIANCE_SETTINGS
     @given(

@@ -22,7 +22,7 @@ from qmsflow.models import (
 )
 from qmsflow.states import inner_s
 
-from conftest import random_matrix
+from conftest import monomial, random_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -59,7 +59,7 @@ class TestClifford:
         ctx = clifford(n)
         for bits in range(1, 2**n):
             alpha = [(bits >> j) & 1 for j in range(n)]
-            qa = ctx.monomial(alpha)
+            qa = monomial(ctx, alpha)
             assert abs(np.trace(qa)) < 1e-12
 
     def test_principal_automorphism_flips_generators(self):
@@ -89,7 +89,7 @@ class TestInfiniteTemperature:
         l = build_generator(spec)
         for bits in range(16):
             alpha = [(bits >> j) & 1 for j in range(4)]
-            qa = ctx.monomial(alpha)
+            qa = monomial(ctx, alpha)
             resid = np.linalg.norm(apply_super(l, qa) + sum(alpha) * qa)
             assert resid < 1e-11
 

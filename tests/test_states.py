@@ -11,16 +11,21 @@ from qmsflow.states import (
     build_modular_basis,
     inner_f,
     inner_s,
-    modular_apply,
-    modular_shift,
-    modular_superoperator,
     weight_superoperator_f,
-    weight_superoperator_s,
 )
 from qmsflow.calculus import rho_div, rho_mult
 from qmsflow.linalg import vec
 
-from conftest import dense_modular_basis, loop_bohr_groups, modular_elements, random_matrix
+from conftest import (
+    dense_modular_basis,
+    loop_bohr_groups,
+    modular_apply,
+    modular_elements,
+    modular_shift,
+    modular_superoperator,
+    random_matrix,
+    weight_superoperator_s,
+)
 
 
 class TestDensityState:
