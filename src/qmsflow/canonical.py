@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import choi, dag
+from .linalg import _binary_scale, choi, dag
 from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
     PSD_TOL,
@@ -44,6 +44,7 @@ from .generators import (
     JumpGKS,
     _block_distance,
     _input_blocks,
+    _unit_positions,
     certify_detailed_balance,
     check_complete_positivity,
 )
@@ -63,31 +64,30 @@ def _basis_rowvecs(basis) -> np.ndarray:
     return np.array(cols).T
 
 
-def gks_matrix(k: np.ndarray, basis, check_orthonormal: bool = True) -> np.ndarray:
+def gks_matrix(k: np.ndarray, basis) -> np.ndarray:
     """Coefficient matrix c_ab of the superoperator ``k`` over ``basis``.
 
     The basis must be orthonormal in the normalized Hilbert-Schmidt inner
-    product with the identity as its first element.  Computed through the
-    Choi matrix:  c = X^+ C(K) X / n^2 with X the column matrix of
-    row-major flattenings of F_a^*.  A modular basis's elements are
-    ``modular.combine(np.eye(modular.size))``.
+    product, to 1e-9, with the identity as its first element (ValueError
+    otherwise).  Computed through the Choi matrix:  c = X^+ C(K) X / n^2
+    with X the column matrix of row-major flattenings of F_a^*.  A modular
+    basis's elements are ``modular.combine(np.eye(modular.size))``.
     """
     big = np.asarray(k).shape[0]
     n = int(round(np.sqrt(big)))
     if len(basis) != big:
         raise ValueError(f"basis has {len(basis)} elements, expected {big}")
-    if check_orthonormal:
-        if np.linalg.norm(basis[0] - np.eye(n)) > 1e-9:
-            raise ValueError("first basis element must be the identity")
-        shapes = {np.shape(f) for f in basis}
-        if shapes != {(n, n)}:
-            raise ValueError(f"basis elements must be {n} x {n}, got shapes {sorted(shapes)}")
-        flat = np.array(basis, dtype=complex).reshape(big, big)
-        gram = np.conj(flat) @ flat.T / n  # gram[a, b] = <F_a, F_b>, normalized
-        bad = np.argwhere(np.triu(np.abs(gram - np.eye(big)) > 1e-9))
-        if bad.size:
-            a, b = (int(i) for i in bad[0])
-            raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
+    if np.linalg.norm(basis[0] - np.eye(n)) > 1e-9:
+        raise ValueError("first basis element must be the identity")
+    shapes = {np.shape(f) for f in basis}
+    if shapes != {(n, n)}:
+        raise ValueError(f"basis elements must be {n} x {n}, got shapes {sorted(shapes)}")
+    flat = np.array(basis, dtype=complex).reshape(big, big)
+    gram = np.conj(flat) @ flat.T / n  # gram[a, b] = <F_a, F_b>, normalized
+    bad = np.argwhere(np.triu(np.abs(gram - np.eye(big)) > 1e-9))
+    if bad.size:
+        a, b = (int(i) for i in bad[0])
+        raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
     x = _basis_rowvecs(basis)
     return dag(x) @ choi(k) @ x / (n * n)
 
@@ -123,14 +123,13 @@ class ExtractionReport:
 def _paired_blocks(blocks: list, mod: ModularData) -> list:
     """Per block-size stack, the adjoint-pairing image e^{-omega_a} c_{b',a'}
     of the reduced coefficient blocks (a, b in a block, ' the conjugate
-    element, whose block has the same size)."""
-    out = []
+    element, whose block has the same size and so is in the same stack),
+    read through the blocks' index
+    (:func:`qmsflow.generators._unit_positions`)."""
+    index, out = _unit_positions(blocks, mod.size), []
     for members, values in blocks:
-        which, place = np.empty(mod.size, dtype=int), np.empty(mod.size, dtype=int)
-        which[members] = np.arange(len(members))[:, None]  # the block within the stack
-        place[members] = np.arange(members.shape[1])
-        partner = mod.conj_pairing[members]
-        image = values[which[partner[:, :1, None]], place[partner][:, None, :], place[partner][:, :, None]]
+        _, blk, pos = index[:, mod.conj_pairing[members]]
+        image = values[blk[:, :1, None], pos[:, None, :], pos[:, :, None]]
         out.append(np.exp(-mod.bohr_frequencies[members])[:, :, None] * image)
     return out
 
@@ -225,7 +224,8 @@ def _jump_gks_residuals(gks: JumpGKS) -> tuple:
     coefficients in the :class:`qmsflow.generators.JumpGKS` layout, over
     its identity row and column and reduced blocks; the off-block residual
     is its ``offblock``: an upper bound for a spec, exact for a
-    superoperator."""
+    superoperator.  The Hermiticity residual's norms are of coefficients
+    scaled by a power of 2, whose squares do not overflow."""
     mod, row, col, blocks = gks.modular, gks.row, gks.col, gks.blocks
     omegas, pairing = mod.bohr_frequencies, mod.conj_pairing
     values = [v for _, v in blocks]
@@ -236,6 +236,8 @@ def _jump_gks_residuals(gks: JumpGKS) -> tuple:
     block = max(float(np.max(g)) for g in gaps) / (scale * float(np.max(eo)))
     pair = [np.abs(row - col[pairing]), np.abs(col - np.exp(-omegas) * row[pairing])]
     pair += [np.abs(v - image) for v, image in zip(values, _paired_blocks(blocks, mod))]
+    bits = _binary_scale(scale)
+    row, col, values = bits * row, bits * col, [bits * v for v in values]
     herm2 = 2.0 * np.linalg.norm(row[1:] - np.conj(col[1:])) ** 2 + abs(row[0] - np.conj(row[0])) ** 2
     herm2 += sum(np.linalg.norm(v - np.conj(v).transpose(0, 2, 1)) ** 2 for v in values)
     norm2 = np.linalg.norm(row) ** 2 + np.linalg.norm(col[1:]) ** 2

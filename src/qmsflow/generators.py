@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    _binary_scale,
     check_finite,
     dag,
     sharp,
@@ -212,9 +213,8 @@ def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
         )
     flat = (dag(u) @ vs @ u).reshape(len(vs), nn)  # rows: tilde V_j, row-major
     off_block = label[None, :nn] != label[nn:, None]
-    # the norms square the entries, so each row is scaled by the power of 2
-    # that takes its largest entry into [1/2, 1): an exact scaling
-    scaled = flat * np.ldexp(1.0, -np.frexp(np.abs(flat).max(axis=1, initial=0.0))[1])[:, None]
+    # the norms square the entries, so each row is scaled exactly
+    scaled = flat * _binary_scale(np.abs(flat).max(axis=1, initial=0.0))[:, None]
     off_mass = np.linalg.norm(np.where(off_block, scaled, 0), axis=1)
     frac = off_mass / np.maximum(np.linalg.norm(scaled, axis=1), 1e-300)
     if np.any(frac > JUMP_EIGEN_TOL):
@@ -248,7 +248,10 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
     symmetrised, so a GNS defect of the jumps stays visible), all
     read-only.  A block that is not finite raises ValueError, and so does
     the KMS check, whose norms are taken of each weighted block scaled by
-    a power of 2 into [1/2, 1), so their squares do not overflow.
+    a power of 2 into [1/2, 1), so their squares do not overflow.  So does
+    a spec without headroom: L's entries are at most 4 max_a tilde K_aa,
+    and the commands scale them by up to 2 lam_max/lam_min (a Hermitian
+    part, a modular ratio) and sum up to n^2 of them.
     """
     n, lam, flat = sigma.dim, sigma.eigenvalues, rows[:-1]
     kt, weighted_conj, blocks, norms = rows[-1].reshape(n, n), c[:, None] * np.conj(flat), [], []
@@ -280,6 +283,12 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
         raise ValueError(
             f"L is not KMS-symmetric (the jumps are not closed under adjoints): "
             f"weighted Bohr blocks {rel:.3e} off Hermitian"
+        )
+    k_max, headroom = float(np.max(kt.diagonal().real)), 8.0 * n * n * lam[-1] / lam[0]
+    if not math.isfinite(k_max * headroom):
+        raise ValueError(
+            f"the jumps overflow double precision: max_a tilde K_aa = {k_max:.3e} times "
+            f"8 n^2 lam_max/lam_min = {headroom:.3e}, the headroom the commands need, is not finite"
         )
     return sigma.eigenvectors, blocks
 
@@ -465,13 +474,6 @@ def apply_dual(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     return 2.0 * sandwich - k @ rho - rho @ k
 
 
-def _hermitian_opnorm(h: np.ndarray) -> float:
-    """2-norm of a Hermitian matrix, or the largest of a stack: the spectral
-    radius, by an eigensolve."""
-    evals = np.linalg.eigvalsh(h)
-    return float(np.abs(evals).max()) if evals.size else 0.0
-
-
 def _unit_positions(blocks: list, nn: int) -> np.ndarray:
     """Rows: size group, block and position in the block of each unit a n + b."""
     index = np.empty((3, nn), dtype=int)
@@ -565,16 +567,19 @@ class CertificationReport:
         return out
 
 
-def _self_adjointness_residual(l: np.ndarray, omega_w: np.ndarray) -> float:
-    """Relative size of Omega L - L^+ Omega, zero iff L is Omega-symmetric.
-
-    The weight Omega is Hermitian, so with X = Omega L the residual is the
-    anti-Hermitian X - X^*, whose 2-norm is the spectral radius of the
-    Hermitian i(X - X^*), scaled by the operator 2-norms of L and Omega.
-    """
-    x = omega_w @ l
-    scale = _hermitian_opnorm(omega_w) * max(np.linalg.norm(l, 2), 1e-300)
-    return _hermitian_opnorm(1j * (x - dag(x))) / max(scale, 1e-300)
+def _weighted_residual(ls: list, kernel: np.ndarray, norm: float, scale: float) -> float:
+    """Relative size of Omega L - L^+ Omega for a weight Omega with entries
+    ``kernel`` (n, n) on the units E_ab, from L's blocks ``ls`` (as
+    :func:`_input_blocks` gives them): the largest spectral radius of
+    i(D_B L_B - L_B^* D_B) over the blocks, by an eigensolve, over ``norm``
+    (Omega's 2-norm) times ``scale`` (||L||_2).  Zero iff L is
+    Omega-symmetric."""
+    worst = 0.0
+    for units, x in ls:
+        dx = kernel.ravel()[units][:, :, None] * x
+        evals = np.linalg.eigvalsh(1j * (dx - np.conj(dx).transpose(0, 2, 1)))
+        worst = max(worst, float(np.abs(evals).max()))
+    return worst / (norm * scale)
 
 
 def certify_detailed_balance(l, sigma: DensityState, tol: float = GNS_FLAG_TOL) -> CertificationReport:
@@ -603,14 +608,14 @@ def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationR
     In sigma's eigenbasis every weight is diagonal on the units E_ab
     (Omega_s: lam_a^{1-s} lam_b^s; Omega_BKM: f(lam_a/lam_b) lam_b;
     Delta_sigma: lam_a/lam_b), so no weight superoperator is formed.  Each
-    weighted residual is the largest Hermitian spectral radius of
-    i(D_B L_B - L_B^* D_B) over the blocks, batched by block size, scaled
-    by the weight's 2-norm (lam_max for every Omega_s, the largest kernel
-    entry for Omega_BKM); the modular commutator is the largest singular
+    weighted residual is :func:`_weighted_residual`, scaled by the
+    weight's 2-norm (lam_max for every Omega_s, the largest kernel entry
+    for Omega_BKM); the modular commutator is the largest singular
     value of L_B Delta_B - Delta_B L_B (frequencies in a block differ by up
     to ``BOHR_RTOL``), scaled by lam_max/lam_min; the star residual pairs
     each block with the block of its transposed units (an entry whose
-    partner lies off the blocks counts twice); the unital residual is
+    partner lies off the blocks counts twice; norms of entries scaled by a
+    power of 2, whose squares do not overflow); the unital residual is
     L(1) on the block of 0.  The scale is ||L||_2, the largest singular
     value of any block.  Only ||L|| and the modular commutator, which is
     not normal, take an SVD.
@@ -620,27 +625,20 @@ def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationR
     lam_max = float(lam[-1])
     l_norm = _largest_singular_value(x for _, x in ls)
     scale = max(l_norm, 1e-300)
-
-    def weighted(kernel: np.ndarray, norm: float) -> float:
-        worst = 0.0
-        for units, x in ls:
-            dx = kernel.ravel()[units][:, :, None] * x
-            worst = max(worst, _hermitian_opnorm(1j * (dx - np.conj(dx).transpose(0, 2, 1))))
-        return worst / (norm * scale)
-
-    s_res = {s: weighted(np.outer(lam ** (1.0 - s), lam**s), lam_max) for s in S_GRID}
+    s_res = {s: _weighted_residual(ls, np.outer(lam ** (1.0 - s), lam**s), lam_max, scale) for s in S_GRID}
     kernel = _weight_kernel_f(sigma, bkm_weight)
-    bkm = weighted(kernel, float(np.max(kernel)))
+    bkm = _weighted_residual(ls, kernel, float(np.max(kernel)), scale)
     ratio = np.outer(lam, 1.0 / lam).ravel()
     commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, x in ls)
     mod_comm = _largest_singular_value(commutators) / (scale * lam_max / float(lam[0]))
     index, values = _unit_positions(ls, n * n), [x for _, x in ls]
     diff2 = norm2 = 0.0
+    bits = _binary_scale(scale)  # no entry exceeds ||L||_2
     for units, x in ls:
         mirror = (units % n) * n + units // n  # E_ab -> E_ba, the adjoint
         paired, on = _block_entries(values, index, mirror[:, :, None], mirror[:, None, :])
-        diff2 += np.linalg.norm(x - np.conj(paired)) ** 2 + np.linalg.norm(x[~on]) ** 2
-        norm2 += np.linalg.norm(x) ** 2
+        diff2 += np.linalg.norm(bits * (x - np.conj(paired))) ** 2 + np.linalg.norm(bits * x[~on]) ** 2
+        norm2 += np.linalg.norm(bits * x) ** 2
     star = np.sqrt(diff2) / max(np.sqrt(norm2), 1e-300)
     g, b = index[:2, 0]  # E_00 lies in the block of 0, with every E_aa
     units, x = ls[g]
@@ -791,8 +789,9 @@ def restrict_to_commutative(
     residual of L^+(E_k) off the span must be at most 1e-10 times
     ||K||_F, K = sum_j e^{-omega_j/2} V_j^* V_j.  That scale bounds
     the round-off of the terms of L^+(E_k) that cancel and goes with the
-    units of L, so neither decides the verdict.  The stationary vector is
-    sigma_k = Tr[sigma E_k] and classical detailed balance
+    units of L, so neither decides the verdict; both are norms of entries
+    scaled by a power of 2, whose squares do not overflow.  The stationary
+    vector is sigma_k = Tr[sigma E_k] and classical detailed balance
     sigma_k Q_kl = sigma_l Q_lk is inherited from the quantum detailed
     balance condition.
     """
@@ -817,17 +816,18 @@ def restrict_to_commutative(
 
     # invariance of the span under the dual generator
     images = [apply_dual(spec, e) for e in projections]
-    scale = np.linalg.norm(spec.jump_stack[2])
+    bits = _binary_scale(np.abs(spec.jump_stack[2]).max())
+    scale = np.linalg.norm(bits * spec.jump_stack[2])
     for k, image in enumerate(images):
         inside = sum(
             (np.trace(projections[m] @ image) / traces[m]) * projections[m]
             for m in range(len(projections))
         )
-        resid = np.linalg.norm(image - inside)
+        resid = np.linalg.norm(bits * (image - inside))
         if resid > 1e-10 * scale:
             raise ValueError(
                 f"span of projections is not invariant under the dual generator "
-                f"(projection {k}, residual {resid:.3e})"
+                f"(projection {k}, residual {resid / bits:.3e})"
             )
 
     # Tr[E_k L(E_l)] = Tr[L^+(E_k) E_l]: E_k and L^+(E_k) are Hermitian

@@ -44,6 +44,13 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _binary_scale(peak):
+    """The power of 2 that takes ``peak``, a largest |entry| (or an array of
+    them), into [1/2, 1), and 1 at 0: an exact scaling, so the squares that
+    a norm of the scaled entries sums do not overflow."""
+    return np.ldexp(1.0, -np.frexp(peak)[1])
+
+
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conj(a).T
@@ -205,8 +212,10 @@ def star_swap_residual(s: np.ndarray) -> float:
 
     With column stacking, vec(X^dag) = P conj(vec X) where P swaps the
     (i, k) index pair, so star preservation is exactly P S P = conj(S).
+    Both norms are of S scaled by :func:`_binary_scale`.
     """
     s = np.asarray(s, dtype=complex)
+    s = s * _binary_scale(np.abs(s).max(initial=0.0))
     big = s.shape[0]
     n = int(round(np.sqrt(big)))
     idx = np.arange(big).reshape(n, n, order="F").T.reshape(-1, order="F")

@@ -25,8 +25,6 @@ from .linalg import (
     check_finite,
     dag,
     hs_inner,
-    sharp,
-    vec,
 )
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "inner_s",
     "inner_f",
     "bkm_weight",
-    "weight_superoperator_f",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -340,10 +337,3 @@ def _weight_kernel_f(sigma: DensityState, f) -> np.ndarray:
     """
     lam = sigma.eigenvalues
     return sigma.modular_kernel(f) * lam[None, :]  # right multiplication contributes lam_k
-
-
-def weight_superoperator_f(sigma: DensityState, f) -> np.ndarray:
-    """Superoperator Omega_f = R_sigma f(Delta_sigma) for <A, B>_f."""
-    u = sigma.eigenvectors
-    w = sharp(dag(u), u)  # X |-> U^* X U
-    return dag(w) @ (vec(_weight_kernel_f(sigma, f))[:, None] * w)

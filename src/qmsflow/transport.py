@@ -12,18 +12,18 @@ and the squared metric is
                             = Tr[U rho-dot]                (unnormalized).
 
 On the real space of traceless Hermitian matrices the operator
-A |-> -div([rho] grad A) is a symmetric positive-definite matrix M, so
-the solve is a Cholesky factorization, the metric value is a quadratic
-form in M^{-1}, and the coordinate metric tensor is M^{-1} itself in an
-orthonormal coordinate basis.  Geodesic distances come from minimizing
-the K-segment midpoint-rule action of a piecewise-linear path.  The
-action is convex in the interior states, because (rho, A) |->
-<A, [rho]_omega^{-1} A> is jointly convex, so damped Newton on its exact
-gradient and block-tridiagonal Hessian (first- and second-order
-Daleckii-Krein formulas in each midpoint's eigenbasis) converges in a few
-steps and stops on the Newton decrement.  Each evaluated path makes one
-eigensolve and one inverse of M per midpoint; each accepted one adds one
-stacked pass over all its midpoints for the kernels' first divided
+A |-> -div([rho] grad A) is a symmetric positive-definite matrix M,
+solved by LU (as the path problem inverts it), the metric value is a
+quadratic form in M^{-1}, and the coordinate metric tensor is M^{-1}
+itself in an orthonormal coordinate basis.  Geodesic distances come from
+minimizing the K-segment midpoint-rule action of a piecewise-linear
+path.  The action is convex in the interior states, because (rho, A)
+|-> <A, [rho]_omega^{-1} A> is jointly convex, so damped Newton on its
+exact gradient and block-tridiagonal Hessian (first- and second-order
+Daleckii-Krein formulas in each midpoint's eigenbasis) converges in a
+few steps and stops on the Newton decrement.  Each evaluated path makes
+one eigensolve and one inverse of M per midpoint; each accepted one adds
+one stacked pass over all its midpoints for the kernels' first divided
 differences and one for their second ones, and its gradient is read off
 the Hessian's first-order term.  The minimized action bounds the
 discrete problem from above, but midpoint quadrature of the (jointly
@@ -67,9 +67,6 @@ __all__ = [
 ]
 
 POSITIVITY_FLOOR = 1e-8
-# a metric system whose Cholesky factorisation fails is retried with this
-# times its largest entry added to the diagonal
-CHOLESKY_JITTER = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +164,6 @@ class TangentDecomposition:
     metric_value: float
 
 
-def _solve_metric_system(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve of the (PD on traceless Hermitians) metric system.
-
-    If the factorisation fails, it is retried once with ``CHOLESKY_JITTER``
-    times the largest entry of ``m`` added to the diagonal.
-    """
-    try:
-        low = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        scale = max(float(np.max(np.abs(m))), 1e-300)
-        low = np.linalg.cholesky(m + CHOLESKY_JITTER * scale * np.eye(m.shape[0]))
-    return np.linalg.solve(dag(low), np.linalg.solve(low, b))
-
-
 def continuity_solve(
     spec: GeneratorSpec, rho: DensityState, rho_dot: np.ndarray
 ) -> TangentDecomposition:
@@ -200,7 +183,7 @@ def continuity_solve(
     ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
     b = ws.coords(rho_dot)
-    x = _solve_metric_system(m, b)
+    x = np.linalg.solve(m, b)
     return TangentDecomposition((x @ ws.flat_basis).reshape(ws.n, ws.n), float(x @ b))
 
 
@@ -214,8 +197,7 @@ def metric_tensor(spec: GeneratorSpec, rho: DensityState, coord_basis) -> np.nda
     ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
     a = ws.coords(np.array(coord_basis)).T
-    sol = _solve_metric_system(m, a)
-    g = a.T @ sol
+    g = a.T @ np.linalg.solve(m, a)
     return 0.5 * (g + g.T)
 
 
@@ -597,9 +579,9 @@ class _ChainProblem:
     Edge weights are logarithmic means w_xy(p) = LM(p_x Q_xy, p_y Q_yx);
     the quadratic form on increments solves the weighted graph Laplacian.
     This is the commutative reduction of the quantum metric: :meth:`evaluate`
-    solves the Laplacian at each midpoint, and :meth:`derivatives` forms G
-    and S there, from which :func:`_node_derivatives` reads the gradient
-    and the Hessian as for :class:`_PathProblem`.
+    inverts the Laplacian at each midpoint once, and :meth:`derivatives`
+    forms G and S there, from which :func:`_node_derivatives` reads the
+    gradient and the Hessian as for :class:`_PathProblem`.
     """
 
     def __init__(self, rates: np.ndarray, p0: np.ndarray, p1: np.ndarray, k: int):
@@ -644,7 +626,7 @@ class _ChainProblem:
 
     def evaluate(self, y: np.ndarray):
         """Per segment of the path with interior points ``y``: increments dp,
-        midpoint edge masses, the regularized Laplacian
+        midpoint edge masses, the inverse of the regularized Laplacian
         P = L(mid) + (largest rate) 1 1^T/m, and u = P^{-1} dp."""
         full = self.full(y)
         mids = 0.5 * (full[:-1] + full[1:])
@@ -655,8 +637,9 @@ class _ChainProblem:
         lap = np.einsum("ex,ke,ey->kxy", self.incidence, w, self.incidence)
         # solve on the mean-zero complement
         lap += self.rate / self.m
-        u = np.linalg.solve(lap, dps[..., None])[..., 0]
-        return dps, out_mass, in_mass, lap, u
+        # each P is inverted once: u here, P^{-1} and P^{-1} G in the Hessian
+        lap_inv = np.linalg.inv(lap)
+        return dps, out_mass, in_mass, lap_inv, (lap_inv @ dps[..., None])[..., 0]
 
     def segment_actions(self, evaluation) -> np.ndarray:
         dps, *_, u = evaluation
@@ -673,7 +656,7 @@ class _ChainProblem:
         directions, and (mean diagonal) 1 1^T/m stands in on the constant
         direction, so a mean-zero gradient gives a mean-zero step.
         """
-        _, out_mass, in_mass, lap, u = evaluation
+        _, out_mass, in_mass, lap_inv, u = evaluation
         m = self.m
         tail, head = self.tail_onehot, self.head_onehot
         flux = u @ self.incidence.T
@@ -686,8 +669,7 @@ class _ChainProblem:
         s = (np.einsum("ex,ke,ey->kxy", tail, f2 * self.q_out**2 * log_mean_dxx(out_mass, in_mass), tail)
              + np.einsum("ex,ke,ey->kxy", head, f2 * self.q_in**2 * log_mean_dxx(in_mass, out_mass), head)
              + cross + np.swapaxes(cross, -1, -2))
-        inv = np.linalg.solve(lap, np.concatenate([np.broadcast_to(np.eye(m), g.shape), g], -1))
-        gradient, diag, lower = _node_derivatives(self.k, u, inv[..., :m], inv[..., m:], g, s)
+        gradient, diag, lower = _node_derivatives(self.k, u, lap_inv, lap_inv @ g, g, s)
         center = np.eye(m) - 1.0 / m
         diag = center @ diag @ center
         lower = center @ lower @ center

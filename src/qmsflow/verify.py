@@ -113,9 +113,6 @@ def check_modular_roundtrip(rng):
 
 
 def check_dbc_equivalences(rng):
-    from .generators import _self_adjointness_residual
-    from .states import weight_superoperator_f
-
     worst = 0.0
     for _ in range(6):
         n = int(rng.integers(2, 6))
@@ -123,10 +120,10 @@ def check_dbc_equivalences(rng):
         l = generators.build_generator(spec)
         rep = generators.certify_detailed_balance(l, spec.sigma)
         worst = max(worst, rep.modular_commutation, rep.bkm_residual, *rep.s_residuals.values())
-        bures = _self_adjointness_residual(
-            l, weight_superoperator_f(spec.sigma, lambda t: (1.0 + t) / 2.0)
-        )
-        worst = max(worst, bures)
+        # the Bures weight f(t) = (1 + t)/2, on the blocks certification reads
+        blocks, _ = generators._input_blocks(l, spec.sigma)
+        kernel = states._weight_kernel_f(spec.sigma, lambda t: (1.0 + t) / 2.0)
+        worst = max(worst, generators._weighted_residual(blocks, kernel, float(np.max(kernel)), rep.l_norm))
     return worst < 1e-9, f"worst residual across batteries {worst:.3e}"
 
 
@@ -197,7 +194,7 @@ def check_offblock_vanishing(rng):
         spec = models.random_dbc_spec(n, rng)
         l = generators.build_generator(spec)
         md = states.build_modular_basis(spec.sigma)
-        c = canonical.gks_matrix(l, md.combine(np.eye(md.size)), check_orthonormal=False)
+        c = canonical.gks_matrix(l, md.combine(np.eye(md.size)))
         mask = md.block_labels[:, None] != md.block_labels[None, :]
         if np.any(mask):
             worst = max(worst, float(np.max(np.abs(c[mask]))) / max(np.max(np.abs(c)), 1e-300))

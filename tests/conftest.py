@@ -83,6 +83,31 @@ def weight_superoperator_s(sigma, s):
     return sharp(sigma.power(1.0 - s), sigma.power(s))
 
 
+def weight_superoperator_f(sigma, f):
+    """Superoperator Omega_f = R_sigma f(Delta_sigma) for <A, B>_f."""
+    from qmsflow.linalg import vec
+    from qmsflow.states import _weight_kernel_f
+
+    u = sigma.eigenvectors
+    w = sharp(dag(u), u)  # X |-> U^* X U
+    return dag(w) @ (vec(_weight_kernel_f(sigma, f))[:, None] * w)
+
+
+def self_adjointness_residual(l, omega_w):
+    """Relative size of Omega L - L^+ Omega, zero iff L is Omega-symmetric.
+
+    The weight Omega is Hermitian, so with X = Omega L the residual is the
+    anti-Hermitian X - X^*, whose 2-norm is the spectral radius of the
+    Hermitian i(X - X^*), scaled by the operator 2-norms of L and Omega.
+    """
+    def opnorm(h):  # the spectral radius of a Hermitian h
+        return float(np.abs(np.linalg.eigvalsh(h)).max())
+
+    x = omega_w @ l
+    scale = opnorm(omega_w) * max(np.linalg.norm(l, 2), 1e-300)
+    return opnorm(1j * (x - dag(x))) / max(scale, 1e-300)
+
+
 def dirichlet_form(spec, s, b, a):
     """E_s(B, A) = sum_j e^{(1/2 - s) omega_j} <d_j B, d_j A>_s.
 

@@ -33,7 +33,14 @@ from qmsflow.transport import (
 )
 from qmsflow.verify import run_suite
 
-from conftest import chain_rule_residual, random_matrix, weight_superoperator_s, weighted_laplacian_super
+from conftest import (
+    chain_rule_residual,
+    random_matrix,
+    self_adjointness_residual,
+    weight_superoperator_f,
+    weight_superoperator_s,
+    weighted_laplacian_super,
+)
 
 
 def report(index, passed, detail):
@@ -99,8 +106,6 @@ def test_criterion_03_canonical_roundtrip():
 
 def test_criterion_04_inner_product_equivalences():
     rng = np.random.default_rng(104)
-    from qmsflow.generators import _self_adjointness_residual
-    from qmsflow.states import weight_superoperator_f
 
     worst = 0.0
     specs = [random_dbc_spec(int(rng.integers(2, 6)), rng) for _ in range(10)]
@@ -109,11 +114,11 @@ def test_criterion_04_inner_product_equivalences():
         l = build_generator(spec)
         for s in (0.0, 0.25, 0.5, 0.75):
             worst = max(
-                worst, _self_adjointness_residual(l, weight_superoperator_s(spec.sigma, s))
+                worst, self_adjointness_residual(l, weight_superoperator_s(spec.sigma, s))
             )
         for f in (np.sqrt, bkm_weight, lambda t: (1 + t) / 2):
             worst = max(
-                worst, _self_adjointness_residual(l, weight_superoperator_f(spec.sigma, f))
+                worst, self_adjointness_residual(l, weight_superoperator_f(spec.sigma, f))
             )
     u = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     v1 = np.array([1.0, 1.0]) / np.sqrt(2)

@@ -242,7 +242,7 @@ class TestExtraction:
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
         md = build_modular_basis(spec.sigma)
-        c = gks_matrix(l, modular_elements(md), check_orthonormal=False)
+        c = gks_matrix(l, modular_elements(md))
         om = md.bohr_frequencies
         scale = max(np.max(np.abs(c)), 1e-300)
         mask = np.abs(om[:, None] - om[None, :]) > 1e-8 * max(1.0, np.max(np.abs(om)))
@@ -471,7 +471,7 @@ class TestJumpGKS:
         spec = make()
         gks = spec.gks_blocks
         md = gks.modular
-        c = gks_matrix(build_generator(spec), modular_elements(md), check_orthonormal=False)
+        c = gks_matrix(build_generator(spec), modular_elements(md))
         scale = np.max(np.abs(c))
         assert np.allclose(gks.row, c[0], rtol=0, atol=1e-14 * scale)
         assert np.allclose(gks.col, c[:, 0], rtol=0, atol=1e-14 * scale)
@@ -503,7 +503,7 @@ class TestJumpGKS:
             sigma, l = spec.sigma, build_generator(spec)
         md = build_modular_basis(sigma)
         gks = _superoperator_gks(_rotated(l, sigma), md)
-        c = gks_matrix(l, modular_elements(md), check_orthonormal=False)
+        c = gks_matrix(l, modular_elements(md))
         scale = np.max(np.abs(c))
         assert np.allclose(gks.row, c[0], rtol=0, atol=1e-14 * scale)
         assert np.allclose(gks.col, c[:, 0], rtol=0, atol=1e-14 * scale)

@@ -434,6 +434,31 @@ class TestInspect:
         assert f"superoperator has {rows} rows, not n^2 = 4 for sigma of dim n = 2" in err
         assert converted == []
 
+    @pytest.mark.parametrize("command", ["inspect", "evolve", "metric", "geodesic"])
+    def test_jumps_without_headroom_exit_two(self, fermi_spec_file, tmp_path, capsys, command):
+        # every jump x1e154: K and L's blocks are finite (about 1e308), but
+        # the commands would overflow, so the spec is refused at load
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), 1e154)))
+        rho_path = tmp_path / "rho.json"
+        rho_path.write_text(dump_json(density_to_json(DensityState.from_matrix(np.diag([0.3, 0.7])))))
+        extra = {"evolve": ["--rho0", str(rho_path)], "metric": ["--rho", str(rho_path)],
+                 "geodesic": ["--rho0", str(rho_path), "--segments", "4"]}.get(command, [])
+        assert main([command, "--input", str(scaled), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: the jumps overflow double precision: max_a tilde K_aa = 8.244e+307")
+
+    def test_inspect_at_1e150_raises_no_warning(self, fermi_spec_file, tmp_path):
+        # every norm of the certification and extraction is taken of scaled
+        # entries, so none squares an entry of about 1e300
+        import warnings
+
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), 1e150)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inspect", "--input", str(scaled), "--output", str(tmp_path / "report.json")]) == 0
+
     @pytest.mark.parametrize("kind", ["spec", "superoperator"])
     @pytest.mark.parametrize("lam0", [1e-12, 1e-10])
     def test_extreme_sigma_ratio_canonical_form(self, tmp_path, lam0, kind):
@@ -914,6 +939,20 @@ class TestMetricGeodesicRestrict:
         err = capsys.readouterr().err
         assert "projection 1 is zero" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("c", [1e100, 1e150])
+    def test_restrict_invariance_verdict_at_every_scale(self, fermi_spec_file, tmp_path, capsys, c):
+        # the Hadamard projections (I +- X)/2 are refused at x1 with residual
+        # 7.369e-01; every jump times c scales it by c^2, and the norms do
+        # not overflow, so the verdict is x1's
+        hadamard = [0.5 * np.array([[1.0, s], [s, 1.0]]) for s in (1.0, -1.0)]
+        proj_path, spec_path = tmp_path / "projs.json", tmp_path / "scaled.json"
+        proj_path.write_text(dump_json([matrix_to_json(e) for e in hadamard]))
+        spec_path.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), c)))
+        assert main(["restrict", "--input", str(spec_path), "--projections", str(proj_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("input error: span of projections is not invariant under the dual generator "
+                       f"(projection 0, residual {0.7369 * c * c:.3e})\n")
 
     def test_restrict_without_dense_generator(self, tmp_path, monkeypatch):
         # invariance and rates come from the jumps: no n^2 x n^2 L, no SVD

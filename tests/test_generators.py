@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from qmsflow.generators import (
     GeneratorSpec,
     _admit,
-    _self_adjointness_residual,
+    _input_blocks,
+    _weighted_residual,
     apply_dual,
     apply_generator,
     build_generator,
@@ -20,7 +21,7 @@ from qmsflow.generators import (
     modular_subalgebra,
     restrict_to_commutative,
 )
-from qmsflow.linalg import apply_super, choi, dag, unvec, vec
+from qmsflow.linalg import apply_super, choi, dag, sharp, unvec, vec
 from qmsflow.models import (
     depolarizing,
     fermi_ou,
@@ -35,7 +36,6 @@ from qmsflow.states import (
     _weight_kernel_f,
     bkm_weight,
     inner_s,
-    weight_superoperator_f,
 )
 
 from conftest import (
@@ -44,6 +44,8 @@ from conftest import (
     modular_elements,
     modular_superoperator,
     random_matrix,
+    self_adjointness_residual,
+    weight_superoperator_f,
     weight_superoperator_s,
 )
 
@@ -397,7 +399,7 @@ class TestCertification:
         ref = {s: svd_residual(l, weight_superoperator_s(sigma, s)) for s in got}
         got["bkm"] = rep.bkm_residual
         ref["bkm"] = svd_residual(l, weight_superoperator_f(sigma, bkm_weight))
-        got["direct"] = _self_adjointness_residual(l, weight_superoperator_s(sigma, 0.25))
+        got["direct"] = self_adjointness_residual(l, weight_superoperator_s(sigma, 0.25))
         ref["direct"] = ref[0.25]
         delta = modular_superoperator(sigma)
         got["modular"] = rep.modular_commutation
@@ -426,7 +428,7 @@ class TestCertification:
     def test_zero_residual_is_positive_zero(self):
         # the spectral radius of a zero matrix is +0.0, not -0.0
         sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
-        resid = _self_adjointness_residual(np.eye(4), weight_superoperator_s(sigma, 0.5))
+        resid = self_adjointness_residual(np.eye(4), weight_superoperator_s(sigma, 0.5))
         assert resid == 0.0 and not np.signbit(resid)
 
     def test_two_svds(self, rng, monkeypatch):
@@ -447,17 +449,49 @@ class TestCertification:
 
     def test_f_family_follows_gns(self, rng):
         # GNS self-adjointness propagates to every weighted form, sampled
-        from qmsflow.states import bkm_weight, weight_superoperator_f
-        from qmsflow.generators import _self_adjointness_residual
-
         for _ in range(3):
             spec = random_dbc_spec(int(rng.integers(2, 5)), rng)
             l = build_generator(spec)
             for f in (np.sqrt, bkm_weight, lambda t: (1 + t) / 2):
-                resid = _self_adjointness_residual(
+                resid = self_adjointness_residual(
                     l, weight_superoperator_f(spec.sigma, f)
                 )
                 assert resid < 1e-9
+
+    @pytest.mark.parametrize("kind", ["spec", "superoperator", "random"])
+    def test_block_weighted_residual_matches_dense(self, rng, kind):
+        # the residual read from L's blocks (verify's Bures battery) against
+        # the dense weight superoperator: equal where L is not Omega-symmetric,
+        # round-off where it is
+        if kind == "random":
+            sigma, l = random_density(3, rng), random_matrix(rng, 9)
+        else:
+            spec = random_dbc_spec(4, rng)
+            l, sigma = (spec if kind == "spec" else build_generator(spec)), spec.sigma
+        dense = build_generator(l) if isinstance(l, GeneratorSpec) else l
+        blocks, _ = _input_blocks(l, sigma)
+        l_norm = np.linalg.norm(dense, 2)
+        for f in (np.sqrt, bkm_weight, lambda t: (1 + t) / 2):
+            kernel = _weight_kernel_f(sigma, f)
+            got = _weighted_residual(blocks, kernel, float(np.max(kernel)), l_norm)
+            want = self_adjointness_residual(dense, weight_superoperator_f(sigma, f))
+            if kind == "random":
+                assert want > 1e-2 and got == pytest.approx(want, rel=1e-12)
+            else:
+                assert max(got, want) < 1e-12
+
+    def test_star_residual_free_of_overflow(self):
+        # the kms-counterexample plus 1e-3 sharp(A, B) is not star-preserving;
+        # its residual is the same at x1 and x1e154, where the squares of
+        # its entries overflow
+        u = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        l, sigma, _ = kms_counterexample(u, np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, 2.0]) / np.sqrt(5))
+        rng = np.random.default_rng(0)
+        a, b = random_matrix(rng, 2), random_matrix(rng, 2)
+        l = l + 1e-3 * sharp(a, b)
+        base = certify_detailed_balance(l, sigma).star_preservation
+        assert base == pytest.approx(4.489e-3, rel=1e-3)
+        assert certify_detailed_balance(1e154 * l, sigma).star_preservation == pytest.approx(base, rel=1e-12)
 
 
 class TestBlockRoute:

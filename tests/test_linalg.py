@@ -140,6 +140,17 @@ def test_choi_hermitian_iff_star_preserving(rng):
     assert star_swap_residual(non_star) > 1e-3
 
 
+def test_star_swap_residual_free_of_overflow():
+    # the norms are of scaled entries: the same residual at x1 and x1e154,
+    # where the squares of the entries overflow
+    rng = np.random.default_rng(0)
+    a, b = random_matrix(rng, 2), random_matrix(rng, 2)
+    s = sharp(a, dag(a)) + 1e-3 * sharp(a, b)
+    base = star_swap_residual(s)
+    assert base > 1e-4
+    assert star_swap_residual(1e154 * s) == pytest.approx(base, rel=1e-12)
+
+
 def test_spectral_identity(rng):
     x = random_matrix(rng, 4)
     a = x + dag(x)

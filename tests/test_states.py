@@ -11,7 +11,6 @@ from qmsflow.states import (
     build_modular_basis,
     inner_f,
     inner_s,
-    weight_superoperator_f,
 )
 from qmsflow.calculus import rho_div, rho_mult
 from qmsflow.linalg import vec
@@ -24,6 +23,7 @@ from conftest import (
     modular_shift,
     modular_superoperator,
     random_matrix,
+    weight_superoperator_f,
     weight_superoperator_s,
 )
 

@@ -19,12 +19,10 @@ from qmsflow.models import (
 )
 from qmsflow.states import DensityState
 from qmsflow.transport import (
-    CHOLESKY_JITTER,
     _ChainProblem,
     _MetricWorkspace,
     _PathProblem,
     _newton_step,
-    _solve_metric_system,
     classical_transport_distance,
     continuity_solve,
     geodesic_distance,
@@ -151,33 +149,34 @@ class TestContinuitySolve:
             continuity_solve(spec, spec.sigma, rho_dot)
 
 
+@lru_cache(maxsize=None)
+def _dim7_spec():
+    return random_dbc_spec(7, np.random.default_rng(0), ergodic=True)
+
+
 class TestSolveMetricSystem:
-    @pytest.mark.parametrize("n", [1, 3, 15, 40])
-    @pytest.mark.parametrize("rhs_cols", [None, 1, 7])
-    def test_matches_scipy_cholesky(self, rng, n, rhs_cols):
+    """The point solves, LU on the assembled M (48 x 48 at dim 7), against
+    scipy's Cholesky solve of the same M."""
+
+    @pytest.mark.parametrize("directions", [1, 3, 15, 40])
+    @pytest.mark.parametrize("state_seed", [None, 1, 7])
+    def test_matches_scipy_cholesky(self, rng, directions, state_seed):
         import scipy.linalg
 
-        a = rng.standard_normal((n, n))
-        m = a @ a.T + 0.1 * np.eye(n)
-        b = rng.standard_normal(n if rhs_cols is None else (n, rhs_cols))
-        expect = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), b)
-        got = _solve_metric_system(m, b)
+        # at sigma (None) or at a seeded state, for that many random directions
+        spec = _dim7_spec()
+        rho = spec.sigma if state_seed is None else random_density(7, np.random.default_rng(state_seed))
+        dirs = np.array([random_traceless_hermitian(rng, 7) for _ in range(directions)])
+        ws = _MetricWorkspace(spec)
+        factor = scipy.linalg.cho_factor(ws.metric_matrices(rho.rho[None])[0], lower=True)
+        a = ws.coords(dirs).T
+        expect = a.T @ scipy.linalg.cho_solve(factor, a)
+        got = metric_tensor(spec, rho, dirs)
         assert got.shape == expect.shape
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
-
-    def test_singular_system_takes_jittered_fallback(self):
-        # the ones matrix is PSD of rank 1: its second Cholesky pivot is exactly 0
-        m = np.ones((3, 3))
-        b = np.array([1.0, 1.0, 1.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(m)
-        x = _solve_metric_system(m, b)
-        assert np.all(np.isfinite(x))
-        assert np.allclose((m + CHOLESKY_JITTER * np.eye(3)) @ x, b, rtol=1e-9, atol=0.0)
-
-    def test_indefinite_system_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            _solve_metric_system(np.diag([1.0, -1.0]), np.ones(2))
+        potential = scipy.linalg.cho_solve(factor, a[:, 0]) @ ws.flat_basis
+        dec = continuity_solve(spec, rho, dirs[0])
+        assert np.linalg.norm(dec.potential - potential.reshape(7, 7)) <= 1e-12 * np.linalg.norm(potential)
 
 
 class TestMetricTensor:
@@ -422,6 +421,17 @@ class TestClassicalOracle:
             expected.append(6 * dp @ np.linalg.solve(lap, dp))
         assert np.allclose(problem.segment_actions(problem.evaluate(y)), expected,
                            rtol=1e-12, atol=0)
+
+    def test_one_inverse_per_point(self, fermi_m2, monkeypatch):
+        # evaluate inverts each midpoint's Laplacian once, and derivatives
+        # reads that inverse: no solve in either
+        problem = _ChainProblem(hypercube_restriction(fermi_m2).rates, np.full(4, 0.25),
+                                np.array([0.1, 0.2, 0.3, 0.4]), 6)
+        calls, inv, solve = [], np.linalg.inv, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append("inv") or inv(*a))
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("solve") or solve(*a))
+        problem.derivatives(problem.evaluate(problem.initial()))
+        assert calls == ["inv"]
 
     @pytest.mark.parametrize("case, message", [
         ("reducible", "chain is reducible"),
