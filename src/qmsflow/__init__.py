@@ -36,7 +36,7 @@ from .generators import (
     modular_subalgebra,
     restrict_to_commutative,
 )
-from .canonical import extract_canonical, gks_matrix
+from .canonical import extract_canonical
 from .calculus import (
     divergence,
     grad,

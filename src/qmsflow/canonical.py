@@ -1,5 +1,5 @@
-"""Coefficient (GKS) matrices of superoperators and recovery of the
-canonical jump form from a detailed-balance generator.
+"""Recovery of the canonical jump form from the coefficient (GKS) matrix
+of a detailed-balance generator.
 
 Any superoperator K on n x n matrices expands over an orthonormal basis
 {F_a} of the normalized Hilbert-Schmidt space as
@@ -25,8 +25,9 @@ its jumps the blocks are the jumps' Gram blocks
 (:attr:`qmsflow.generators.GeneratorSpec.gks_blocks`), and no n^2 x n^2
 matrix is formed; a superoperator's are cut from its coefficient matrix
 read on sigma's eigenvectors (:func:`qmsflow.generators._superoperator_gks`).
-:func:`gks_matrix` over dense basis elements is the reference both are
-tested against.
+The tests hold the dense reference both are checked against: the
+coefficient matrix through the Choi matrix, over dense basis elements
+(``gks_matrix`` in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _binary_scale, choi, dag
+from .linalg import _binary_scale, dag
 from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
     PSD_TOL,
@@ -44,52 +45,19 @@ from .generators import (
     JumpGKS,
     _block_distance,
     _input_blocks,
+    _jump_gks,
+    _superoperator_gks,
     _unit_positions,
     certify_detailed_balance,
     check_complete_positivity,
 )
 
 __all__ = [
-    "gks_matrix",
     "ExtractionReport",
     "extract_canonical",
 ]
 
 DROP_RTOL = 1e-10
-
-
-def _basis_rowvecs(basis) -> np.ndarray:
-    """Row-major flattenings of F_a^*, stacked as columns."""
-    cols = [dag(f).reshape(-1) for f in basis]
-    return np.array(cols).T
-
-
-def gks_matrix(k: np.ndarray, basis) -> np.ndarray:
-    """Coefficient matrix c_ab of the superoperator ``k`` over ``basis``.
-
-    The basis must be orthonormal in the normalized Hilbert-Schmidt inner
-    product, to 1e-9, with the identity as its first element (ValueError
-    otherwise).  Computed through the Choi matrix:  c = X^+ C(K) X / n^2
-    with X the column matrix of row-major flattenings of F_a^*.  A modular
-    basis's elements are ``modular.combine(np.eye(modular.size))``.
-    """
-    big = np.asarray(k).shape[0]
-    n = int(round(np.sqrt(big)))
-    if len(basis) != big:
-        raise ValueError(f"basis has {len(basis)} elements, expected {big}")
-    if np.linalg.norm(basis[0] - np.eye(n)) > 1e-9:
-        raise ValueError("first basis element must be the identity")
-    shapes = {np.shape(f) for f in basis}
-    if shapes != {(n, n)}:
-        raise ValueError(f"basis elements must be {n} x {n}, got shapes {sorted(shapes)}")
-    flat = np.array(basis, dtype=complex).reshape(big, big)
-    gram = np.conj(flat) @ flat.T / n  # gram[a, b] = <F_a, F_b>, normalized
-    bad = np.argwhere(np.triu(np.abs(gram - np.eye(big)) > 1e-9))
-    if bad.size:
-        a, b = (int(i) for i in bad[0])
-        raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
-    x = _basis_rowvecs(basis)
-    return dag(x) @ choi(k) @ x / (n * n)
 
 
 @dataclass
@@ -107,17 +75,10 @@ class ExtractionReport:
     roundtrip_error: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "block_residual": self.block_residual,
-            "pairing_residual": self.pairing_residual,
-            "offblock_residual": self.offblock_residual,
-            "hermiticity_residual": self.hermiticity_residual,
-            "hamiltonian_norm": self.hamiltonian_norm,
-            "hamiltonian_hat_norm": self.hamiltonian_hat_norm,
-            "dropped_eigenvalues": list(map(float, self.dropped_eigenvalues)),
-            "block_sizes": {str(k): v for k, v in self.block_sizes.items()},
-            "roundtrip_error": self.roundtrip_error,
-        }
+        """The fields in declaration order, ``block_sizes`` keyed by strings."""
+        out = dict(vars(self))
+        out["block_sizes"] = {str(k): v for k, v in self.block_sizes.items()}
+        return out
 
 
 def _paired_blocks(blocks: list, mod: ModularData) -> list:
@@ -134,11 +95,12 @@ def _paired_blocks(blocks: list, mod: ModularData) -> list:
     return out
 
 
-def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
+def _canonical_jumps(blocks: list, mod: ModularData, images: list, drop_rtol: float) -> tuple:
     """Jumps from the Hermitian reduced coefficient blocks over ``mod``.
 
     ``blocks`` holds, per block size, the element indices of each label's
-    reduced elements and their blocks.  The adjoint-pairing symmetry is
+    reduced elements and their blocks, and ``images`` their adjoint-pairing
+    images (:func:`_paired_blocks`).  The adjoint-pairing symmetry is
     enforced on each block, and each conjugate pair of blocks is solved
     once, on its omega >= 0 member: one batched ``eigh`` per block size,
     and a real one for the block of 0.  One ``ModularData.combine`` call
@@ -148,7 +110,7 @@ def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
     """
     omegas, labels = mod.bohr_frequencies, mod.block_labels
     sym = []
-    for (_, values), image in zip(blocks, _paired_blocks(blocks, mod)):
+    for (_, values), image in zip(blocks, images):
         half = 0.5 * (values + image)
         sym.append(0.5 * (half + np.conj(half).transpose(0, 2, 1)))
     overall = max([float(np.max(np.abs(b.real))) for b in sym] + [1e-300])
@@ -219,10 +181,11 @@ def _canonical_jumps(blocks: list, mod: ModularData, drop_rtol: float) -> tuple:
     return jumps, dropped, block_sizes
 
 
-def _jump_gks_residuals(gks: JumpGKS) -> tuple:
+def _jump_gks_residuals(gks: JumpGKS, images: list) -> tuple:
     """Hermiticity, block, pairing and off-block residuals of GKS
     coefficients in the :class:`qmsflow.generators.JumpGKS` layout, over
-    its identity row and column and reduced blocks; the off-block residual
+    its identity row and column and reduced blocks, whose adjoint-pairing
+    images are ``images`` (:func:`_paired_blocks`); the off-block residual
     is its ``offblock``: an upper bound for a spec, exact for a
     superoperator.  The Hermiticity residual's norms are of coefficients
     scaled by a power of 2, whose squares do not overflow."""
@@ -235,7 +198,7 @@ def _jump_gks_residuals(gks: JumpGKS) -> tuple:
     gaps += [np.abs(eo[m][:, :, None] * v - v * eo[m][:, None, :]) for m, v in blocks]
     block = max(float(np.max(g)) for g in gaps) / (scale * float(np.max(eo)))
     pair = [np.abs(row - col[pairing]), np.abs(col - np.exp(-omegas) * row[pairing])]
-    pair += [np.abs(v - image) for v, image in zip(values, _paired_blocks(blocks, mod))]
+    pair += [np.abs(v - image) for v, image in zip(values, images)]
     bits = _binary_scale(scale)
     row, col, values = bits * row, bits * col, [bits * v for v in values]
     herm2 = 2.0 * np.linalg.norm(row[1:] - np.conj(col[1:])) ** 2 + abs(row[0] - np.conj(row[0])) ** 2
@@ -257,12 +220,13 @@ def extract_canonical(
     """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
 
     ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
-    is ``sigma``.  :func:`qmsflow.generators._input_blocks` gives L's
-    blocks and the producer of its GKS coefficients over ``modular``
-    (default: sigma's own modular basis): a spec's are its jumps' Gram
-    blocks, with no n^2 x n^2 matrix formed; a superoperator's are cut from
-    its coefficient matrix, and its entries outside the Bohr blocks are
-    left out (they are below tolerance for valid input).  One loop turns
+    is ``sigma``; :func:`qmsflow.generators._input_blocks` gives L's blocks.
+    L's GKS coefficients over ``modular`` (default: sigma's own modular
+    basis) are a spec's jumps' Gram blocks, with no n^2 x n^2 matrix
+    formed, or are cut from the coefficient matrix of a superoperator's one
+    block, its entries outside the Bohr blocks left out (they are below
+    tolerance for valid input).  Their adjoint-pairing image is formed
+    once, for the pairing residual and the symmetrisation; one loop turns
     the reduced blocks into jumps.
 
     The blocks are the modular basis's own (``ModularData.block_labels``,
@@ -292,9 +256,12 @@ def extract_canonical(
     blocks (:func:`qmsflow.generators._block_distance`), for a
     superoperator too.
     """
-    blocks, gks_over = _input_blocks(l, sigma)
-    if modular is None and not isinstance(l, GeneratorSpec):
-        modular = build_modular_basis(sigma)  # one basis for complete positivity and extraction
+    blocks = _input_blocks(l, sigma)
+    if isinstance(l, GeneratorSpec):
+        gks = l.gks_blocks if modular is None else _jump_gks(l, modular)
+    else:
+        modular = build_modular_basis(sigma) if modular is None else modular  # also for complete positivity
+        gks = _superoperator_gks(blocks[0][1][0], modular)
     cert = certify_detailed_balance(l, sigma) if certification is None else certification
     if not cert.gns_dbc:
         raise ValueError(
@@ -310,15 +277,15 @@ def extract_canonical(
             f"(reduced coefficient matrix has eigenvalue {min_eig:.3e})"
         )
 
-    gks = gks_over(modular)
-    herm_res, block_res, pair_res, offblock_res = _jump_gks_residuals(gks)
+    images = _paired_blocks(gks.blocks, gks.modular)
+    herm_res, block_res, pair_res, offblock_res = _jump_gks_residuals(gks, images)
     if max(block_res, pair_res, offblock_res) > 1e-6:
         raise ValueError(
             "coefficient matrix violates the modular block structure: "
             f"block {block_res:.3e}, pairing {pair_res:.3e}, off-block {offblock_res:.3e}"
         )
 
-    jumps, dropped, block_sizes = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+    jumps, dropped, block_sizes = _canonical_jumps(gks.blocks, gks.modular, images, DROP_RTOL)
     spec = GeneratorSpec(sigma, jumps)
     h_norm, h_hat_norm = gks.hamiltonian_norms
     report = ExtractionReport(

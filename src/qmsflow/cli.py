@@ -24,6 +24,7 @@ from .generators import (
     certify_detailed_balance,
     check_complete_positivity,
     ergodicity,
+    modular_subalgebra,
     restrict_to_commutative,
 )
 from .models import (
@@ -268,9 +269,10 @@ def cmd_restrict(args) -> int:
     if args.projections:
         projs = _load_side_file(args.projections, spec, _projections_from_json)
     else:
-        from .generators import modular_subalgebra
-
-        projs = modular_subalgebra(spec.sigma)
+        try:
+            projs = modular_subalgebra(spec.sigma)
+        except ValueError as exc:
+            raise InputError(f"{exc}, so it has no default projections: give them with --projections") from exc
     try:
         rate = restrict_to_commutative(spec, projs)
     except ValueError as exc:

@@ -330,11 +330,13 @@ def _hamiltonian_norms(modular: ModularData, row: np.ndarray, col: np.ndarray) -
     """Frobenius norms of the Hamiltonian candidates sum_b (c_0b F_b - c_b0 F_b^*)/2i
     and sum_b (c_0b F_b^* - c_b0 F_b)/2i over b > 0, from the identity row and
     column: with F_b^* = F_b' and Tr[F_a^* F_b] = n delta_ab, sqrt(n)/2 times
-    the norms of the coefficients c_0b - c_b'0 and c_0b' - c_b0."""
+    the norms of the coefficients c_0b - c_b'0 and c_0b' - c_b0, taken of
+    entries scaled by the power of 2 that takes the largest |c_0b|, |c_b0|
+    into [1/2, 1), so their squares do not overflow."""
     pairing, root_n = modular.conj_pairing, np.sqrt(modular.sigma.dim)
-    h = (row - col[pairing])[1:]
-    h_hat = (row[pairing] - col)[1:]
-    return root_n * float(np.linalg.norm(h)) / 2.0, root_n * float(np.linalg.norm(h_hat)) / 2.0
+    bits = _binary_scale(max(np.abs(row).max(), np.abs(col).max()))
+    h, h_hat = bits * (row - col[pairing])[1:], bits * (row[pairing] - col)[1:]
+    return tuple(root_n * (float(np.linalg.norm(x)) / bits) / 2.0 for x in (h, h_hat))
 
 
 def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
@@ -407,9 +409,11 @@ def _rotated(l, sigma: DensityState) -> np.ndarray:
 
 def _superoperator_coefficients(lt: np.ndarray, modular: ModularData) -> np.ndarray:
     """GKS coefficients c_ab over ``modular`` of ``lt``, a superoperator as
-    :func:`_rotated` gives it on ``modular.sigma``: c = X^* C X / n^2
-    (:func:`qmsflow.canonical.gks_matrix`) with C the Choi matrix of ``lt``
-    and column a of X the few units of U^* F_a^* U (``ModularData.eigen``)."""
+    :func:`_rotated` gives it on ``modular.sigma``: c = X^* C X / n^2 with C
+    the Choi matrix of ``lt`` and column a of X the few units of
+    U^* F_a^* U (``ModularData.eigen``).  The one route to a
+    superoperator's coefficients; the dense Choi matrix over dense basis
+    elements (``gks_matrix`` in ``tests/conftest.py``) is its reference."""
     n = modular.sigma.dim
     nn = n * n
     owner, units, coefs = modular.eigen
@@ -492,31 +496,27 @@ def _block_entries(values: list, index: np.ndarray, rows, cols) -> tuple[np.ndar
     rows, cols = np.broadcast_arrays(rows, cols)
     on = (grp[rows] == grp[cols]) & (blk[rows] == blk[cols])
     out = np.zeros(rows.shape, dtype=complex)
-    for g, v in enumerate(values):
-        sel = on & (grp[rows] == g)
-        out[sel] = v[blk[rows[sel]], pos[rows[sel]], pos[cols[sel]]]
+    r, c = rows[on], cols[on]
+    g, picked = grp[r], np.empty(r.size, dtype=complex)
+    # only the size groups the entries fall in (np.unique would import numpy.ma)
+    for k in np.flatnonzero(np.bincount(g, minlength=len(values))):
+        sel = g == k
+        picked[sel] = values[k][blk[r[sel]], pos[r[sel]], pos[c[sel]]]
+    out[on] = picked
     return out, on
 
 
-def _input_blocks(l, sigma: DensityState) -> tuple:
+def _input_blocks(l, sigma: DensityState) -> list:
     """L's blocks over the units of sigma's eigenvectors, which hold all of
-    L, and the producer of its GKS coefficients over a modular basis of
-    sigma (``None``: sigma's own).  A spec, whose own state must be
-    ``sigma`` (ValueError otherwise), gives its Bohr blocks and
-    :func:`_jump_gks`; a superoperator gives one block of all n^2 units
-    (:func:`_rotated`) and :func:`_superoperator_gks`."""
+    L, as (unit indices, blocks) per block size.  A spec, whose own state
+    must be ``sigma`` (ValueError otherwise), gives its Bohr blocks; a
+    superoperator gives one block of all n^2 units (:func:`_rotated`)."""
     if isinstance(l, GeneratorSpec):
         if sigma is not l.sigma:
             raise ValueError("a spec is checked against its own sigma")
-        return (
-            [(units, x) for units, _, x in l.bohr_blocks[1]],
-            lambda modular: l.gks_blocks if modular is None else _jump_gks(l, modular),
-        )
-    lt, nn = _rotated(l, sigma), sigma.dim**2
-    return (
-        [(np.arange(nn).reshape(1, nn), lt[None])],
-        lambda modular: _superoperator_gks(lt, build_modular_basis(sigma) if modular is None else modular),
-    )
+        return [(units, x) for units, _, x in l.bohr_blocks[1]]
+    nn = sigma.dim**2
+    return [(np.arange(nn).reshape(1, nn), _rotated(l, sigma)[None])]
 
 
 def _largest_singular_value(stacks) -> float:
@@ -596,8 +596,7 @@ def certify_detailed_balance(l, sigma: DensityState, tol: float = GNS_FLAG_TOL) 
     of :func:`_input_blocks`: a spec's Bohr blocks, or a superoperator as
     one block.  Either way the residuals are those of L itself.
     """
-    blocks, _ = _input_blocks(l, sigma)
-    return _certify_blocks(sigma, blocks, tol)
+    return _certify_blocks(sigma, _input_blocks(l, sigma), tol)
 
 
 def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationReport:
@@ -642,7 +641,7 @@ def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationR
     star = np.sqrt(diff2) / max(np.sqrt(norm2), 1e-300)
     g, b = index[:2, 0]  # E_00 lies in the block of 0, with every E_aa
     units, x = ls[g]
-    unital = np.linalg.norm(x[b][:, units[b] % (n + 1) == 0].sum(axis=1)) / scale
+    unital = np.linalg.norm(bits * x[b][:, units[b] % (n + 1) == 0].sum(axis=1)) / (bits * scale)
     return CertificationReport(
         dim=n,
         s_residuals=s_res,

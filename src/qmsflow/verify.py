@@ -121,7 +121,7 @@ def check_dbc_equivalences(rng):
         rep = generators.certify_detailed_balance(l, spec.sigma)
         worst = max(worst, rep.modular_commutation, rep.bkm_residual, *rep.s_residuals.values())
         # the Bures weight f(t) = (1 + t)/2, on the blocks certification reads
-        blocks, _ = generators._input_blocks(l, spec.sigma)
+        blocks = generators._input_blocks(l, spec.sigma)
         kernel = states._weight_kernel_f(spec.sigma, lambda t: (1.0 + t) / 2.0)
         worst = max(worst, generators._weighted_residual(blocks, kernel, float(np.max(kernel)), rep.l_norm))
     return worst < 1e-9, f"worst residual across batteries {worst:.3e}"
@@ -194,7 +194,7 @@ def check_offblock_vanishing(rng):
         spec = models.random_dbc_spec(n, rng)
         l = generators.build_generator(spec)
         md = states.build_modular_basis(spec.sigma)
-        c = canonical.gks_matrix(l, md.combine(np.eye(md.size)))
+        c = generators._superoperator_coefficients(generators._rotated(l, spec.sigma), md)
         mask = md.block_labels[:, None] != md.block_labels[None, :]
         if np.any(mask):
             worst = max(worst, float(np.max(np.abs(c[mask]))) / max(np.max(np.abs(c)), 1e-300))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmsflow.linalg import dag, sharp
+from qmsflow.linalg import choi, dag, sharp
 from qmsflow.models import fermi_ou, fermi_ou_infinite, depolarizing
 
 
@@ -146,6 +146,42 @@ def monomial(ctx, alpha):
         if a:
             out = out @ ctx.generators[j]
     return out
+
+
+def _basis_rowvecs(basis) -> np.ndarray:
+    """Row-major flattenings of F_a^*, stacked as columns."""
+    cols = [dag(f).reshape(-1) for f in basis]
+    return np.array(cols).T
+
+
+def gks_matrix(k: np.ndarray, basis) -> np.ndarray:
+    """Coefficient matrix c_ab of the superoperator ``k`` over ``basis``: the
+    dense reference for ``qmsflow.generators._superoperator_coefficients``
+    and the block routes.
+
+    The basis must be orthonormal in the normalized Hilbert-Schmidt inner
+    product, to 1e-9, with the identity as its first element (ValueError
+    otherwise).  Computed through the Choi matrix:  c = X^+ C(K) X / n^2
+    with X the column matrix of row-major flattenings of F_a^*.  A modular
+    basis's elements are ``modular_elements(modular)``.
+    """
+    big = np.asarray(k).shape[0]
+    n = int(round(np.sqrt(big)))
+    if len(basis) != big:
+        raise ValueError(f"basis has {len(basis)} elements, expected {big}")
+    if np.linalg.norm(basis[0] - np.eye(n)) > 1e-9:
+        raise ValueError("first basis element must be the identity")
+    shapes = {np.shape(f) for f in basis}
+    if shapes != {(n, n)}:
+        raise ValueError(f"basis elements must be {n} x {n}, got shapes {sorted(shapes)}")
+    flat = np.array(basis, dtype=complex).reshape(big, big)
+    gram = np.conj(flat) @ flat.T / n  # gram[a, b] = <F_a, F_b>, normalized
+    bad = np.argwhere(np.triu(np.abs(gram - np.eye(big)) > 1e-9))
+    if bad.size:
+        a, b = (int(i) for i in bad[0])
+        raise ValueError(f"basis not orthonormal at pair ({a}, {b})")
+    x = _basis_rowvecs(basis)
+    return dag(x) @ choi(k) @ x / (n * n)
 
 
 def gks_hermiticity_residual(c):

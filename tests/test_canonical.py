@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from qmsflow.canonical import extract_canonical, gks_matrix
+from qmsflow.canonical import extract_canonical
 from qmsflow.generators import GeneratorSpec, build_generator, certify_detailed_balance, check_complete_positivity
 from qmsflow.linalg import dag, hs_inner, sharp
 from qmsflow.models import depolarizing, fermi_ou, random_dbc_spec, random_density
@@ -13,6 +13,7 @@ from conftest import (
     commutator_super,
     dense_modular_basis,
     gks_hermiticity_residual,
+    gks_matrix,
     kron_sum_generator,
     loop_canonical_jumps,
     modular_elements,
@@ -148,6 +149,22 @@ class TestReducedGKS:
 
 
 class TestExtraction:
+    @pytest.mark.parametrize("route", ["spec", "superoperator"])
+    def test_one_pairing_image_per_extraction(self, route, monkeypatch):
+        # the pairing residual and the symmetrisation read one image
+        from qmsflow import canonical
+
+        spec = fermi_ou(4, 1.0, [1.0, 1.3, 1.6, 1.9]).spec
+        paired, calls = canonical._paired_blocks, []
+
+        def counted(*args):
+            calls.append(1)
+            return paired(*args)
+
+        monkeypatch.setattr(canonical, "_paired_blocks", counted)
+        extract_canonical(spec if route == "spec" else build_generator(spec), spec.sigma)
+        assert len(calls) == 1
+
     def test_roundtrip_random_specs(self, rng):
         for _ in range(6):
             n = int(rng.integers(2, 6))
@@ -345,6 +362,13 @@ class TestExtraction:
         assert report.roundtrip_error < 1e-10
 
 
+def _canonical_jumps_of(gks, drop_rtol):
+    """``_canonical_jumps`` on a ``JumpGKS`` and its adjoint-pairing images."""
+    from qmsflow.canonical import _canonical_jumps, _paired_blocks
+
+    return _canonical_jumps(gks.blocks, gks.modular, _paired_blocks(gks.blocks, gks.modular), drop_rtol)
+
+
 class TestCanonicalJumps:
     """Each jump is formed by ``ModularData.combine`` from the block's few
     units; the sum of dense oracle elements is the reference."""
@@ -356,15 +380,15 @@ class TestCanonicalJumps:
          lambda: near_degenerate_spec(5e-11)],
     )
     def test_matches_dense_sum(self, make, monkeypatch):
-        from qmsflow.canonical import DROP_RTOL, _canonical_jumps
+        from qmsflow.canonical import DROP_RTOL
         from qmsflow.states import ModularData
 
         spec = make()
         gks = spec.gks_blocks
-        jumps = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        jumps = _canonical_jumps_of(gks, DROP_RTOL)
         dense = np.array(dense_modular_basis(spec.sigma))
         monkeypatch.setattr(ModularData, "combine", lambda self, y: np.tensordot(y, dense, axes=1))
-        ref = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        ref = _canonical_jumps_of(gks, DROP_RTOL)
         assert [w for _, w in jumps[0]] == [w for _, w in ref[0]]
         scale = max(np.max(np.abs(v)) for v, _ in ref[0])
         for (v, _), (r, _) in zip(jumps[0], ref[0]):
@@ -399,10 +423,10 @@ class TestStackedCanonicalJumps:
     @pytest.mark.parametrize("route", ["spec", "superoperator"])
     @pytest.mark.parametrize("case", sorted(_JUMP_CASES))
     def test_matches_per_label_loop(self, case, route):
-        from qmsflow.canonical import DROP_RTOL, _canonical_jumps
+        from qmsflow.canonical import DROP_RTOL
 
         gks = _gks_of(case, route)
-        jumps, dropped, sizes = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        jumps, dropped, sizes = _canonical_jumps_of(gks, DROP_RTOL)
         ref_jumps, ref_dropped, ref_sizes = loop_canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
         assert [w for _, w in jumps] == [w for _, w in ref_jumps]
         scale = max(np.max(np.abs(v)) for v, _ in ref_jumps)
@@ -414,10 +438,8 @@ class TestStackedCanonicalJumps:
     @pytest.mark.parametrize("drop_rtol", [0.2, 2.0])
     def test_dropped_order_matches_per_label_loop(self, drop_rtol):
         # a coarse drop tolerance drops some eigenvalues of each block
-        from qmsflow.canonical import _canonical_jumps
-
         gks = _gks_of("random6_zero3", "spec")
-        jumps, dropped, sizes = _canonical_jumps(gks.blocks, gks.modular, drop_rtol)
+        jumps, dropped, sizes = _canonical_jumps_of(gks, drop_rtol)
         ref_jumps, ref_dropped, ref_sizes = loop_canonical_jumps(gks.blocks, gks.modular, drop_rtol)
         assert [w for _, w in jumps] == [w for _, w in ref_jumps]
         assert dropped and dropped == ref_dropped and (drop_rtol < 1.0) == (len(jumps) > 0)
@@ -428,7 +450,7 @@ class TestStackedCanonicalJumps:
         # one batched eigh per block size and a real one for the block of
         # 0, and one combine call for every jump (the per-label loop made
         # one eigh per conjugate pair: 121 on random16)
-        from qmsflow.canonical import DROP_RTOL, _canonical_jumps
+        from qmsflow.canonical import DROP_RTOL
         from qmsflow.states import ModularData
 
         gks = _gks_of(case, "spec")
@@ -445,7 +467,7 @@ class TestStackedCanonicalJumps:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(ModularData, "combine", counted_combine)
-        jumps, _, _ = _canonical_jumps(gks.blocks, gks.modular, DROP_RTOL)
+        jumps, _, _ = _canonical_jumps_of(gks, DROP_RTOL)
         assert jumps and calls["eigh"] <= 2 * len(gks.blocks)
         assert calls["combine"] == 1
 

@@ -17,7 +17,7 @@ from qmsflow import canonical, cli, entropy, generators
 from qmsflow.cli import InputError, _load_json, main
 from qmsflow.generators import GeneratorSpec
 from qmsflow.linalg import dag
-from qmsflow.models import depolarizing, fermi_ou, random_dbc_spec
+from qmsflow.models import depolarizing, fermi_ou, fermi_ou_infinite, random_dbc_spec
 from qmsflow.states import DensityState
 from qmsflow.serialize import (
     density_from_json,
@@ -717,11 +717,12 @@ class TestInspectRoutes:
         def dense(x, *args, **kwargs):
             return np.ndim(x) >= 2 and np.shape(x)[-2] >= 256
 
-        assert not hasattr(canonical, "build_generator")
+        # the dense GKS matrix is a test reference, and canonical imports neither
+        assert not any(hasattr(canonical, name) for name in ("build_generator", "gks_matrix", "choi"))
         monkeypatch.setattr(generators, "build_generator", counting("build_generator", generators.build_generator))
-        monkeypatch.setattr(canonical, "gks_matrix", counting("gks_matrix", canonical.gks_matrix))
-        for mod in (canonical, linalg):
-            monkeypatch.setattr(mod, "choi", counting("choi", linalg.choi))
+        coefficients = generators._superoperator_coefficients
+        monkeypatch.setattr(generators, "_superoperator_coefficients", counting("coefficients", coefficients))
+        monkeypatch.setattr(linalg, "choi", counting("choi", linalg.choi))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh, dense))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd, dense))
         norm = np.linalg.norm
@@ -940,6 +941,17 @@ class TestMetricGeodesicRestrict:
         assert "projection 1 is zero" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", [["depolarizing", "--m", "3"], ["fermi-infinite", "--m", "4"]])
+    def test_restrict_degenerate_sigma_exit_two(self, tmp_path, capsys, model):
+        # a degenerate sigma has no default projections: an input error that
+        # names --projections, as every other refusal of restrict's input is
+        spec_path, out = tmp_path / "spec.json", tmp_path / "rates.json"
+        assert main(["zoo", "--model", *model, "--output", str(spec_path)]) == 0
+        assert main(["restrict", "--input", str(spec_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: sigma has (numerically) degenerate eigenvalues")
+        assert "--projections" in err and not out.exists()
+
     @pytest.mark.parametrize("c", [1e100, 1e150])
     def test_restrict_invariance_verdict_at_every_scale(self, fermi_spec_file, tmp_path, capsys, c):
         # the Hadamard projections (I +- X)/2 are refused at x1 with residual
@@ -1046,6 +1058,83 @@ def test_malformed_numeric_argument_exit_two(fermi_spec_file, tmp_path, capsys, 
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error:")
     assert not out.exists()
+
+
+# the units sweep: every spec command on each spec with every jump times c,
+# so L times c^2
+SWEEP_SPECS = {
+    "fermi_m1": lambda: fermi_ou(1, 1.0, [1.0]).spec,
+    "fermi_m2": lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+    "depolarizing_n3": lambda: depolarizing(3),
+    "fermi_infinite_m4": lambda: fermi_ou_infinite(4),
+    "random4": lambda: random_dbc_spec(4, np.random.default_rng(1), ergodic=True),
+    "random6": lambda: random_dbc_spec(6, np.random.default_rng(2), ergodic=True),
+}
+SWEEP_SCALES = (1e-150, 1.0, 1e100, 1e150, 1e154)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _sweep_verdicts(command, code, out):
+    """The exit code and the fields of a command's output that no change of
+    units may move; a JSON output must parse as strict JSON."""
+    if not out.exists():
+        return (code,)
+    text = out.read_text()
+    if command == "evolve":
+        return code, len(trajectory_from_csv(text))
+    report = json.loads(text, parse_constant=_refuse_constant)
+    if command == "inspect":
+        cert, canon = report["certification"], report.get("canonical", {})
+        return (code, cert["gns_dbc"], cert["kms_only"], report["completely_positive"], report["ergodicity"],
+                canon.get("jump_count"), canon.get("omegas"))
+    if command == "metric":
+        return code, report["min_eigenvalue"] > 0
+    if command == "geodesic":
+        return code, report["converged"], report["iterations"]
+    return code, np.shape(report["rates"])
+
+
+class TestUnitsSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+    def test_every_spec_command_at_every_scale(self, tmp_path, name):
+        # inspect, evolve, metric, geodesic and restrict (default
+        # projections) read as at x1 at every scale admission takes, raise
+        # no numpy warning and write strict JSON; a refused scale exits 2
+        import warnings
+
+        from qmsflow.models import random_density
+
+        spec = SWEEP_SPECS[name]()
+        rho = tmp_path / "rho.json"
+        rho.write_text(dump_json(density_to_json(random_density(spec.dim, np.random.default_rng(3)))))
+        commands = {
+            "inspect": [],
+            "evolve": ["--rho0", str(rho), "--grid", "0:1:5"],
+            "metric": ["--rho", str(rho)],
+            "geodesic": ["--rho0", str(rho), "--segments", "4"],
+            "restrict": [],
+        }
+        verdicts, admitted = {}, {}
+        for c in SWEEP_SCALES:
+            path = tmp_path / f"spec_{c:g}.json"
+            path.write_text(json.dumps(scaled_jumps(spec_to_json(spec), c)))
+            try:
+                GeneratorSpec(spec.sigma, [(c * v, w) for v, w in spec.jumps])
+                admitted[c] = True
+            except ValueError:
+                admitted[c] = False
+            for command, extra in commands.items():
+                out = tmp_path / f"{command}_{c:g}.out"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([command, "--input", str(path), *extra, "--output", str(out)])
+                verdicts[c, command] = _sweep_verdicts(command, code, out)
+        assert admitted[1.0] and not admitted[1e154] and verdicts[1.0, "inspect"][0] == 0
+        for (c, command), verdict in verdicts.items():
+            assert verdict == (verdicts[1.0, command] if admitted[c] else (2,)), (c, command)
 
 
 class TestZoo:

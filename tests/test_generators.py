@@ -469,7 +469,7 @@ class TestCertification:
             spec = random_dbc_spec(4, rng)
             l, sigma = (spec if kind == "spec" else build_generator(spec)), spec.sigma
         dense = build_generator(l) if isinstance(l, GeneratorSpec) else l
-        blocks, _ = _input_blocks(l, sigma)
+        blocks = _input_blocks(l, sigma)
         l_norm = np.linalg.norm(dense, 2)
         for f in (np.sqrt, bkm_weight, lambda t: (1 + t) / 2):
             kernel = _weight_kernel_f(sigma, f)
@@ -492,6 +492,17 @@ class TestCertification:
         base = certify_detailed_balance(l, sigma).star_preservation
         assert base == pytest.approx(4.489e-3, rel=1e-3)
         assert certify_detailed_balance(1e154 * l, sigma).star_preservation == pytest.approx(base, rel=1e-12)
+
+
+class _CountedReads:
+    """An array whose reads by index are counted in ``reads``."""
+
+    def __init__(self, x, reads):
+        self.x, self.reads = x, reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return self.x[key]
 
 
 class TestBlockRoute:
@@ -536,9 +547,9 @@ class TestBlockRoute:
         merged = GeneratorSpec(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
         assert len(merged.bohr_blocks[1]) != len(exact.bohr_blocks[1])
         l_gap = np.linalg.norm(build_generator(merged) - build_generator(exact), 2)
-        assert l_gap <= _block_distance(_input_blocks(merged, sigma)[0], exact) <= l_gap + 1e-14
+        assert l_gap <= _block_distance(_input_blocks(merged, sigma), exact) <= l_gap + 1e-14
         with pytest.raises(ValueError, match="nest"):
-            _block_distance(_input_blocks(exact, sigma)[0], merged)
+            _block_distance(_input_blocks(exact, sigma), merged)
 
     def test_superoperator_distance_bounds_the_dense_one(self, rng):
         # a superoperator is one block and the other spec's jumps lie on
@@ -549,8 +560,35 @@ class TestBlockRoute:
         other = GeneratorSpec(spec.sigma, [(1.1 * v, w) for v, w in spec.jumps])
         l = build_generator(spec)
         gap = np.linalg.norm(build_generator(other) - l, 2)
-        got = _block_distance(_input_blocks(l, spec.sigma)[0], other)
+        got = _block_distance(_input_blocks(l, spec.sigma), other)
         assert gap - 1e-14 * gap <= got <= gap + 1e-14 * gap
+
+    @pytest.mark.parametrize("kind", ["mirror", "random"])
+    def test_block_entries_match_the_dense_matrix(self, rng, kind):
+        # the entries read per size group, only from the groups they fall
+        # in, are the dense block-diagonal matrix's, exactly
+        from qmsflow.generators import _block_entries, _unit_positions
+
+        spec = fermi_ou(4, 1.0, [1.0, 1.3, 1.6, 1.9]).spec
+        n, blocks = spec.dim, [(units, x) for units, _, x in spec.bohr_blocks[1]]
+        assert len(blocks) > 2
+        dense = np.zeros((n * n, n * n), dtype=complex)
+        for units, x in blocks:
+            dense[units[:, :, None], units[:, None, :]] = x
+        index, reads = _unit_positions(blocks, n * n), []
+        values = [_CountedReads(x, reads) for _, x in blocks]
+        for units, _ in blocks:
+            if kind == "mirror":
+                rows = cols = (units % n) * n + units // n
+                rows, cols = rows[:, :, None], cols[:, None, :]
+            else:
+                rows, cols = rng.integers(0, n * n, (2, 7, 5))
+            reads.clear()
+            got, on = _block_entries(values, index, rows, cols)
+            assert np.array_equal(got, dense[rows, cols])
+            assert np.array_equal(on, (index[0][rows] == index[0][cols]) & (index[1][rows] == index[1][cols]))
+            # the mirrored units of a block lie in one size group
+            assert len(reads) == len(set(index[0][np.broadcast_arrays(rows, cols)[0][on]].tolist()))
 
 
 class TestCompletePositivity:
@@ -629,9 +667,8 @@ class TestCompletePositivity:
     def test_any_modular_basis_gives_the_maximally_mixed_verdict(self, rng, fermi_m2):
         # the reduced block is taken whole over the basis given, so sigma's
         # basis and the maximally mixed state's give one spectrum
-        from qmsflow.canonical import gks_matrix
         from qmsflow.states import build_modular_basis
-        from conftest import near_degenerate_spec
+        from conftest import gks_matrix, near_degenerate_spec
 
         x = random_matrix(rng, 3)
         flip = commutator_super(x + dag(x))
