@@ -48,7 +48,6 @@ from .calculus import (
 from .transport import (
     GeodesicResult,
     TangentDecomposition,
-    classical_transport_distance,
     continuity_solve,
     geodesic_distance,
     metric_monotonicity_check,

@@ -39,8 +39,6 @@ __all__ = [
     "divergence",
     "log_mean",
     "log_mean_dx",
-    "log_mean_dxx",
-    "log_mean_dxy",
     "kernel_tilts",
     "kernel_divided_differences",
     "kernel_second_divided_differences",
@@ -147,28 +145,6 @@ def _log_mean_curvature(x, y):
             q = 1 + r * (1 / 3 + r * (1 / 5 + r * (1 / 7 + r * (1 / 9 + r * (1 / 11 + r / 13)))))
             out[close] = 0.5 * m * p / q**3
     return out
-
-
-def log_mean_dxx(x, y):
-    """Second partial derivative of LM(x, y) in x, (2(x-y) - (x+y)L)/(x^2 L^3)
-    with L = log(x/y); -1/(6x) at x = y.  Negative: LM is concave.
-
-    LM is 1-homogeneous, so x LM_xx + y LM_xy = 0, and LM_yy(x, y) is
-    ``log_mean_dxx(y, x)``.  Near coincidence the closed form cancels and
-    the series of :func:`_log_mean_curvature` replaces it.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return -_log_mean_curvature(x, y) / (x * x)
-
-
-def log_mean_dxy(x, y):
-    """Mixed second partial of LM(x, y), ((x+y)L - 2(x-y))/(x y L^3) with
-    L = log(x/y); 1/(6x) at x = y.  Equals -(x/y) ``log_mean_dxx(x, y)``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _log_mean_curvature(x, y) / (x * y)
 
 
 def kernel_tilts(omegas) -> np.ndarray:

@@ -39,16 +39,17 @@ import numpy as np
 from .linalg import _binary_scale, dag
 from .states import DensityState, ModularData, build_modular_basis
 from .generators import (
+    GNS_FLAG_TOL,
     PSD_TOL,
     CertificationReport,
     GeneratorSpec,
     JumpGKS,
     _block_distance,
+    _certify_blocks,
     _input_blocks,
     _jump_gks,
     _superoperator_gks,
     _unit_positions,
-    certify_detailed_balance,
     check_complete_positivity,
 )
 
@@ -246,8 +247,9 @@ def extract_canonical(
     the largest |c_ab|.
 
     The input must pass GNS certification (the caller's ``certification``
-    of ``l`` and ``sigma`` when given, so its tolerance holds; else one at
-    the default tolerance), the reduced coefficient positivity check at
+    of ``l`` and ``sigma`` when given, so its tolerance holds; else
+    :func:`qmsflow.generators._certify_blocks` of L's blocks, at the
+    default tolerance), the reduced coefficient positivity check at
     ``psd_tol`` (the caller's ``complete_positivity`` verdict and minimum
     eigenvalue from :func:`qmsflow.generators.check_complete_positivity`
     when given), and the block-structure guard (ValueError otherwise).  The
@@ -262,7 +264,7 @@ def extract_canonical(
     else:
         modular = build_modular_basis(sigma) if modular is None else modular  # also for complete positivity
         gks = _superoperator_gks(blocks[0][1][0], modular)
-    cert = certify_detailed_balance(l, sigma) if certification is None else certification
+    cert = _certify_blocks(sigma, blocks, GNS_FLAG_TOL) if certification is None else certification
     if not cert.gns_dbc:
         raise ValueError(
             "generator is not GNS-self-adjoint for sigma "

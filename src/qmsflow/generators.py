@@ -249,12 +249,16 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
     read-only.  A block that is not finite raises ValueError, and so does
     the KMS check, whose norms are taken of each weighted block scaled by
     a power of 2 into [1/2, 1), so their squares do not overflow.  So does
+    an L that underflows: nonzero jumps whose largest weighted block entry
+    is subnormal, or 0 with K = 0 too, so that L keeps too few digits, or
+    none.  So does
     a spec without headroom: L's entries are at most 4 max_a tilde K_aa,
     and the commands scale them by up to 2 lam_max/lam_min (a Hermitian
     part, a modular ratio) and sum up to n^2 of them.
     """
     n, lam, flat = sigma.dim, sigma.eigenvalues, rows[:-1]
     kt, weighted_conj, blocks, norms = rows[-1].reshape(n, n), c[:, None] * np.conj(flat), [], []
+    top_entry = 0.0
     for units in units_by_size:
         a, b = np.divmod(units, n)
         ap, bp, cq, dq = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
@@ -268,12 +272,21 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
         peak = float(np.abs(h).max())
         if not math.isfinite(peak):
             raise ValueError("L's Bohr blocks are not finite: the jumps overflow double precision")
-        e = math.frexp(peak)[1]  # an exact scaling by 2^-e
+        # an exact scaling by 2^-e, which 2^1023 bounds for a subnormal peak
+        e = max(math.frexp(peak)[1], -1023)
         h *= math.ldexp(1.0, -e)
         norms.append((e, np.linalg.norm(h - np.conj(h).transpose(0, 2, 1)), np.linalg.norm(h)))
+        top_entry = max(top_entry, peak)
         for arr in (units, weights, block):
             arr.flags.writeable = False
         blocks.append((units, weights, block))
+    # L = 0 with K != 0 is a cancellation (jumps that are multiples of 1)
+    normal = np.finfo(float).smallest_normal
+    if 0.0 < top_entry < normal or (top_entry == 0.0 and flat.any() and not kt.any()):
+        raise ValueError(
+            f"L underflows double precision: its largest weighted Bohr block entry is {top_entry:.3e}, "
+            f"below the smallest normal float {normal:.3e}, while the jumps are not 0"
+        )
     # each block's norms on the scale of the largest block, exactly
     top = max(e for e, _, _ in norms)
     asym = sum(math.ldexp(off, e - top) ** 2 for e, off, _ in norms)

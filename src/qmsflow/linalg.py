@@ -47,8 +47,9 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def _binary_scale(peak):
     """The power of 2 that takes ``peak``, a largest |entry| (or an array of
     them), into [1/2, 1), and 1 at 0: an exact scaling, so the squares that
-    a norm of the scaled entries sums do not overflow."""
-    return np.ldexp(1.0, -np.frexp(peak)[1])
+    a norm of the scaled entries sums do not overflow.  A subnormal peak is
+    taken by 2^1023 only, the largest finite power, into [2^-52, 1)."""
+    return np.ldexp(1.0, np.minimum(-np.frexp(peak)[1], 1023))
 
 
 def dag(a: np.ndarray) -> np.ndarray:

@@ -28,9 +28,11 @@ differences and one for their second ones, and its gradient is read off
 the Hessian's first-order term.  The minimized action bounds the
 discrete problem from above, but midpoint quadrature of the (jointly
 convex) integrand underestimates, so as K grows it approaches the
-continuum value from below.  The same discretization applied to a
-reversible Markov chain with logarithmic-mean edge weights, minimized by
-the same driver, serves as the commutative reduction.
+continuum value from below.  The tests pin it to the commutative
+reduction: between diagonal states of the Fermi hypercube, or of a
+reversible chain written as a spec, the path stays diagonal and the
+distance is the restricted chain's discrete-transport distance, which a
+chain solver in the tests computes on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .linalg import dag, traceless_hermitian_basis
 from .states import DensityState
-from .generators import GeneratorSpec, RateMatrix, apply_dual, ergodicity
+from .generators import GeneratorSpec, apply_dual, ergodicity
 from .calculus import (
     divergence,
     grad,
@@ -49,9 +51,6 @@ from .calculus import (
     kernel_second_divided_differences,
     kernel_tilts,
     log_mean,
-    log_mean_dx,
-    log_mean_dxx,
-    log_mean_dxy,
     rho_mult,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "GeodesicResult",
     "geodesic_distance",
     "metric_monotonicity_check",
-    "classical_transport_distance",
 ]
 
 POSITIVITY_FLOOR = 1e-8
@@ -404,11 +402,10 @@ def _node_derivatives(k, sol, p_inv, p_inv_g, g, s):
     In (delta, m) segment k has the gradient 2K x in delta and -K x^T G in
     m, with G_{c,a} = (d_a P x)_c, and the Hessian
     2K [I, -G]^T P^{-1} [I, -G] - K S, with S_ab = x^T (d_a d_b P) x.  P is
-    concave in m for both problems (the map rho |-> [rho]_omega is operator
-    concave, the logarithmic mean concave), so S <= 0 and the Hessian is
-    positive semidefinite.  Node k is the right end of segment k-1 (delta
-    moves with it, m at half speed) and the left end of segment k (delta
-    against it).  Returns the gradient (K-1, b), the diagonal blocks
+    concave in m (for M, because rho |-> [rho]_omega is operator concave),
+    so S <= 0 and the Hessian is positive semidefinite.  Node k is the
+    right end of segment k-1 (delta moves with it, m at half speed) and
+    the left end of segment k (delta against it).  Returns the gradient (K-1, b), the diagonal blocks
     (K-1, b, b) and the subdiagonal ones (K-2, b, b), block (k+1, k) being
     the coupling through segment k.
     """
@@ -566,142 +563,3 @@ def metric_monotonicity_check(
     lhs = hs_inner(a_t, rho_div(rho_t, omega, a_t)).real
     rhs = hs_inner(a, rho_div(rho, omega, np.asarray(a, dtype=complex))).real
     return bool(lhs <= rhs + 1e-10 * abs(rhs)), float(lhs), float(rhs)
-
-
-# ---------------------------------------------------------------------------
-# classical chain oracle
-# ---------------------------------------------------------------------------
-
-
-class _ChainProblem:
-    """Discrete-transport action for a reversible chain.
-
-    Edge weights are logarithmic means w_xy(p) = LM(p_x Q_xy, p_y Q_yx);
-    the quadratic form on increments solves the weighted graph Laplacian.
-    This is the commutative reduction of the quantum metric: :meth:`evaluate`
-    inverts the Laplacian at each midpoint once, and :meth:`derivatives`
-    forms G and S there, from which :func:`_node_derivatives` reads the
-    gradient and the Hessian as for :class:`_PathProblem`.
-    """
-
-    def __init__(self, rates: np.ndarray, p0: np.ndarray, p1: np.ndarray, k: int):
-        self.q = np.asarray(rates, dtype=float)
-        self.m = self.q.shape[0]
-        self.k = k
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
-        # the largest rate sets the scale of the edge cut-off and of the
-        # Laplacian's regularization, so that rates -> c rates is exact
-        self.rate = float(np.max(np.abs(self.q)))
-        edges = [
-            (x, y)
-            for x in range(self.m)
-            for y in range(x + 1, self.m)
-            if max(self.q[x, y], self.q[y, x]) > 1e-14 * self.rate
-        ]
-        self.tail = np.array([x for x, _ in edges], dtype=int)
-        self.head = np.array([y for _, y in edges], dtype=int)
-        self.q_out = self.q[self.tail, self.head]
-        self.q_in = self.q[self.head, self.tail]
-        # signed edge-vertex incidence, so that L(p) = D^T diag(w) D
-        self.incidence = np.zeros((len(edges), self.m))
-        self.incidence[np.arange(len(edges)), self.tail] = 1.0
-        self.incidence[np.arange(len(edges)), self.head] = -1.0
-        self.tail_onehot = np.maximum(self.incidence, 0.0)
-        self.head_onehot = np.maximum(-self.incidence, 0.0)
-
-    def initial(self) -> np.ndarray:
-        ts = np.linspace(0.0, 1.0, self.k + 1)[1:-1]
-        return self.p0[None, :] + ts[:, None] * (self.p1 - self.p0)[None, :]
-
-    def full(self, y: np.ndarray) -> np.ndarray:
-        return np.vstack([self.p0[None, :], y, self.p1[None, :]])
-
-    def min_eigenvalue(self, y: np.ndarray) -> float:
-        # positivity of occupation probabilities plays the role of the
-        # minimum eigenvalue in the matrix case
-        if y.size == 0:
-            return np.inf
-        return float(np.min(y))
-
-    def evaluate(self, y: np.ndarray):
-        """Per segment of the path with interior points ``y``: increments dp,
-        midpoint edge masses, the inverse of the regularized Laplacian
-        P = L(mid) + (largest rate) 1 1^T/m, and u = P^{-1} dp."""
-        full = self.full(y)
-        mids = 0.5 * (full[:-1] + full[1:])
-        dps = full[1:] - full[:-1]
-        out_mass = mids[:, self.tail] * self.q_out
-        in_mass = mids[:, self.head] * self.q_in
-        w = log_mean(out_mass, in_mass)
-        lap = np.einsum("ex,ke,ey->kxy", self.incidence, w, self.incidence)
-        # solve on the mean-zero complement
-        lap += self.rate / self.m
-        # each P is inverted once: u here, P^{-1} and P^{-1} G in the Hessian
-        lap_inv = np.linalg.inv(lap)
-        return dps, out_mass, in_mass, lap_inv, (lap_inv @ dps[..., None])[..., 0]
-
-    def segment_actions(self, evaluation) -> np.ndarray:
-        dps, *_, u = evaluation
-        return self.k * np.einsum("kx,kx->k", dps, u)
-
-    def derivatives(self, evaluation):
-        """Exact gradient and block-tridiagonal Hessian from :meth:`evaluate`
-        on mean-zero directions (see :func:`_node_derivatives`).
-
-        With f = D u the edge fluxes and w_xy = LM(p_x Q_xy, p_y Q_yx),
-        G = D^T diag(f) dw/dmid, so the midpoint gradient is
-        -K u^T G = -K sum_e f_e^2 dw_e/dmid, and S = sum_e f_e^2 d^2 w_e/dmid^2.
-        The gradient and each node block are projected onto mean-zero
-        directions, and (mean diagonal) 1 1^T/m stands in on the constant
-        direction, so a mean-zero gradient gives a mean-zero step.
-        """
-        _, out_mass, in_mass, lap_inv, u = evaluation
-        m = self.m
-        tail, head = self.tail_onehot, self.head_onehot
-        flux = u @ self.incidence.T
-        jac = (tail * (self.q_out * log_mean_dx(out_mass, in_mass))[..., None]
-               + head * (self.q_in * log_mean_dx(in_mass, out_mass))[..., None])
-        g = np.einsum("ex,ke,key->kxy", self.incidence, flux, jac)
-        f2 = flux**2
-        cross = np.einsum("ex,ke,ey->kxy", tail,
-                          f2 * self.q_out * self.q_in * log_mean_dxy(out_mass, in_mass), head)
-        s = (np.einsum("ex,ke,ey->kxy", tail, f2 * self.q_out**2 * log_mean_dxx(out_mass, in_mass), tail)
-             + np.einsum("ex,ke,ey->kxy", head, f2 * self.q_in**2 * log_mean_dxx(in_mass, out_mass), head)
-             + cross + np.swapaxes(cross, -1, -2))
-        gradient, diag, lower = _node_derivatives(self.k, u, lap_inv, lap_inv @ g, g, s)
-        center = np.eye(m) - 1.0 / m
-        diag = center @ diag @ center
-        lower = center @ lower @ center
-        scale = np.trace(diag, axis1=1, axis2=2).mean() / (m - 1)
-        return gradient - gradient.mean(axis=1, keepdims=True), diag + scale / m, lower
-
-
-def classical_transport_distance(
-    rates: RateMatrix, p0, p1, segments: int = 16, max_iter: int = 400
-) -> GeodesicResult:
-    """Discrete transport distance of the restricted chain.
-
-    The minimized K-segment midpoint action, as in
-    :func:`geodesic_distance`, but independent of the quantum solver's
-    metric assembly: works directly on probability vectors with
-    logarithmic-mean edge weights.  A chain with no nonzero rate, or one
-    that is reducible, has a degenerate metric and raises ``ValueError``.
-    """
-    _require_segments(segments)
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    for p in (p0, p1):
-        if p.shape != (rates.size,):
-            raise ValueError(f"endpoints must have {rates.size} entries, got shape {p.shape}")
-        if not (abs(p.sum() - 1.0) <= 1e-12 and np.all(p > 0)):  # NaN fails too
-            raise ValueError("endpoints must be strictly positive probability vectors")
-    problem = _ChainProblem(rates.rates, p0, p1, segments)
-    if problem.rate == 0.0:
-        raise ValueError("chain has no nonzero rate; the metric is degenerate")
-    # the edge-vertex incidence has rank m minus the number of components
-    if np.linalg.matrix_rank(problem.incidence) < problem.m - 1:
-        raise ValueError("chain is reducible; the metric is degenerate")
-    y, result = _minimize_path(problem, max_iter)
-    result.path = [row for row in problem.full(y)]
-    return result

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qmsflow.calculus import _log_mean_curvature, log_mean, log_mean_dx
+from qmsflow.generators import RateMatrix
 from qmsflow.linalg import choi, dag, sharp
 from qmsflow.models import fermi_ou, fermi_ou_infinite, depolarizing
+from qmsflow.transport import GeodesicResult, _minimize_path, _node_derivatives, _require_segments
 
 
 @pytest.fixture
@@ -191,8 +194,6 @@ def gks_hermiticity_residual(c):
 
 def rate_matrix_from_json(obj):
     """The ``RateMatrix`` that ``qmsflow.serialize.rate_matrix_to_json`` wrote."""
-    from qmsflow.generators import RateMatrix
-
     if "rates" not in obj or "stationary" not in obj:
         raise ValueError("rate matrix JSON must carry 'rates' and 'stationary'")
     rates = np.array(obj["rates"], dtype=float)
@@ -467,9 +468,33 @@ def loop_canonical_jumps(blocks, mod, drop_rtol):
     return jumps, dropped, block_sizes
 
 
-def _reference_first_difference(x1, x2, y, lm1, lm2):
-    from qmsflow.calculus import log_mean_dx
+# the second partials of the logarithmic mean: the chain oracle's Hessian
+# and the confluent limits of the second-divided-difference references
 
+
+def log_mean_dxx(x, y):
+    """Second partial derivative of LM(x, y) in x, (2(x-y) - (x+y)L)/(x^2 L^3)
+    with L = log(x/y); -1/(6x) at x = y.  Negative: LM is concave.
+
+    LM is 1-homogeneous, so x LM_xx + y LM_xy = 0, and LM_yy(x, y) is
+    ``log_mean_dxx(y, x)``.  Near coincidence the closed form cancels and
+    the series of :func:`_log_mean_curvature` replaces it.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return -_log_mean_curvature(x, y) / (x * x)
+
+
+def log_mean_dxy(x, y):
+    """Mixed second partial of LM(x, y), ((x+y)L - 2(x-y))/(x y L^3) with
+    L = log(x/y); 1/(6x) at x = y.  Equals -(x/y) ``log_mean_dxx(x, y)``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _log_mean_curvature(x, y) / (x * y)
+
+
+def _reference_first_difference(x1, x2, y, lm1, lm2):
     close = np.abs(x1 - x2) <= 1e-5 * np.maximum(x1, x2)
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = (lm1 - lm2) / (x1 - x2)
@@ -495,7 +520,7 @@ def reference_kernel_divided_differences(lam, omegas, ker):
 
 
 def _reference_second_difference(lam, first, tilt, other_tilt):
-    from qmsflow.calculus import CONFLUENT_GAP, log_mean_dxx
+    from qmsflow.calculus import CONFLUENT_GAP
 
     n = first.shape[2]
     lo, mid, hi = np.sort(np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij")), axis=0)
@@ -514,7 +539,7 @@ def reference_kernel_second_divided_differences(lam, omegas, left, right):
     """Reference for ``qmsflow.calculus.kernel_second_divided_differences``,
     taking the frequencies: ``in_s`` and ``in_r`` as two separate quotients,
     and the mixed term's quotient across (p, k) formed at every entry."""
-    from qmsflow.calculus import CONFLUENT_GAP, log_mean_dxy
+    from qmsflow.calculus import CONFLUENT_GAP
 
     up = np.exp(omegas / 2.0)[None, :, None]
     down = np.exp(-omegas / 2.0)[None, :, None]
@@ -532,3 +557,144 @@ def reference_kernel_second_divided_differences(lam, omegas, left, right):
         down[0, :, 0] * 0.5 * (lam[b, p] + lam[b, k])[:, None],
     )
     return in_s, mixed, in_r.transpose(0, 1, 5, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# classical chain oracle: the commutative reduction of the transport metric,
+# minimized by the damped Newton solver of qmsflow.transport
+# ---------------------------------------------------------------------------
+
+
+class _ChainProblem:
+    """Discrete-transport action for a reversible chain.
+
+    Edge weights are logarithmic means w_xy(p) = LM(p_x Q_xy, p_y Q_yx);
+    the quadratic form on increments solves the weighted graph Laplacian.
+    This is the commutative reduction of the quantum metric: :meth:`evaluate`
+    inverts the Laplacian at each midpoint once, and :meth:`derivatives`
+    forms G and S there, from which
+    :func:`qmsflow.transport._node_derivatives` reads the gradient and the
+    Hessian as for :class:`qmsflow.transport._PathProblem`.
+    """
+
+    def __init__(self, rates: np.ndarray, p0: np.ndarray, p1: np.ndarray, k: int):
+        self.q = np.asarray(rates, dtype=float)
+        self.m = self.q.shape[0]
+        self.k = k
+        self.p0 = np.asarray(p0, dtype=float)
+        self.p1 = np.asarray(p1, dtype=float)
+        # the largest rate sets the scale of the edge cut-off and of the
+        # Laplacian's regularization, so that rates -> c rates is exact
+        self.rate = float(np.max(np.abs(self.q)))
+        edges = [
+            (x, y)
+            for x in range(self.m)
+            for y in range(x + 1, self.m)
+            if max(self.q[x, y], self.q[y, x]) > 1e-14 * self.rate
+        ]
+        self.tail = np.array([x for x, _ in edges], dtype=int)
+        self.head = np.array([y for _, y in edges], dtype=int)
+        self.q_out = self.q[self.tail, self.head]
+        self.q_in = self.q[self.head, self.tail]
+        # signed edge-vertex incidence, so that L(p) = D^T diag(w) D
+        self.incidence = np.zeros((len(edges), self.m))
+        self.incidence[np.arange(len(edges)), self.tail] = 1.0
+        self.incidence[np.arange(len(edges)), self.head] = -1.0
+        self.tail_onehot = np.maximum(self.incidence, 0.0)
+        self.head_onehot = np.maximum(-self.incidence, 0.0)
+
+    def initial(self) -> np.ndarray:
+        ts = np.linspace(0.0, 1.0, self.k + 1)[1:-1]
+        return self.p0[None, :] + ts[:, None] * (self.p1 - self.p0)[None, :]
+
+    def full(self, y: np.ndarray) -> np.ndarray:
+        return np.vstack([self.p0[None, :], y, self.p1[None, :]])
+
+    def min_eigenvalue(self, y: np.ndarray) -> float:
+        # positivity of occupation probabilities plays the role of the
+        # minimum eigenvalue in the matrix case
+        if y.size == 0:
+            return np.inf
+        return float(np.min(y))
+
+    def evaluate(self, y: np.ndarray):
+        """Per segment of the path with interior points ``y``: increments dp,
+        midpoint edge masses, the inverse of the regularized Laplacian
+        P = L(mid) + (largest rate) 1 1^T/m, and u = P^{-1} dp."""
+        full = self.full(y)
+        mids = 0.5 * (full[:-1] + full[1:])
+        dps = full[1:] - full[:-1]
+        out_mass = mids[:, self.tail] * self.q_out
+        in_mass = mids[:, self.head] * self.q_in
+        w = log_mean(out_mass, in_mass)
+        lap = np.einsum("ex,ke,ey->kxy", self.incidence, w, self.incidence)
+        # solve on the mean-zero complement
+        lap += self.rate / self.m
+        # each P is inverted once: u here, P^{-1} and P^{-1} G in the Hessian
+        lap_inv = np.linalg.inv(lap)
+        return dps, out_mass, in_mass, lap_inv, (lap_inv @ dps[..., None])[..., 0]
+
+    def segment_actions(self, evaluation) -> np.ndarray:
+        dps, *_, u = evaluation
+        return self.k * np.einsum("kx,kx->k", dps, u)
+
+    def derivatives(self, evaluation):
+        """Exact gradient and block-tridiagonal Hessian from :meth:`evaluate`
+        on mean-zero directions (see :func:`_node_derivatives`).
+
+        With f = D u the edge fluxes and w_xy = LM(p_x Q_xy, p_y Q_yx),
+        G = D^T diag(f) dw/dmid, so the midpoint gradient is
+        -K u^T G = -K sum_e f_e^2 dw_e/dmid, and S = sum_e f_e^2 d^2 w_e/dmid^2.
+        The gradient and each node block are projected onto mean-zero
+        directions, and (mean diagonal) 1 1^T/m stands in on the constant
+        direction, so a mean-zero gradient gives a mean-zero step.
+        """
+        _, out_mass, in_mass, lap_inv, u = evaluation
+        m = self.m
+        tail, head = self.tail_onehot, self.head_onehot
+        flux = u @ self.incidence.T
+        jac = (tail * (self.q_out * log_mean_dx(out_mass, in_mass))[..., None]
+               + head * (self.q_in * log_mean_dx(in_mass, out_mass))[..., None])
+        g = np.einsum("ex,ke,key->kxy", self.incidence, flux, jac)
+        f2 = flux**2
+        cross = np.einsum("ex,ke,ey->kxy", tail,
+                          f2 * self.q_out * self.q_in * log_mean_dxy(out_mass, in_mass), head)
+        s = (np.einsum("ex,ke,ey->kxy", tail, f2 * self.q_out**2 * log_mean_dxx(out_mass, in_mass), tail)
+             + np.einsum("ex,ke,ey->kxy", head, f2 * self.q_in**2 * log_mean_dxx(in_mass, out_mass), head)
+             + cross + np.swapaxes(cross, -1, -2))
+        gradient, diag, lower = _node_derivatives(self.k, u, lap_inv, lap_inv @ g, g, s)
+        center = np.eye(m) - 1.0 / m
+        diag = center @ diag @ center
+        lower = center @ lower @ center
+        scale = np.trace(diag, axis1=1, axis2=2).mean() / (m - 1)
+        return gradient - gradient.mean(axis=1, keepdims=True), diag + scale / m, lower
+
+
+def classical_transport_distance(
+    rates: RateMatrix, p0, p1, segments: int = 16, max_iter: int = 400
+) -> GeodesicResult:
+    """Discrete transport distance of the restricted chain.
+
+    The minimized K-segment midpoint action, as in
+    :func:`geodesic_distance`, but independent of the quantum solver's
+    metric assembly: works directly on probability vectors with
+    logarithmic-mean edge weights.  A chain with no nonzero rate, or one
+    that is reducible, has a degenerate metric and raises ``ValueError``.
+    """
+    _require_segments(segments)
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    for p in (p0, p1):
+        if p.shape != (rates.size,):
+            raise ValueError(f"endpoints must have {rates.size} entries, got shape {p.shape}")
+        if not (abs(p.sum() - 1.0) <= 1e-12 and np.all(p > 0)):  # NaN fails too
+            raise ValueError("endpoints must be strictly positive probability vectors")
+    problem = _ChainProblem(rates.rates, p0, p1, segments)
+    if problem.rate == 0.0:
+        raise ValueError("chain has no nonzero rate; the metric is degenerate")
+    # the edge-vertex incidence has rank m minus the number of components
+    if np.linalg.matrix_rank(problem.incidence) < problem.m - 1:
+        raise ValueError("chain is reducible; the metric is degenerate")
+    y, result = _minimize_path(problem, max_iter)
+    result.path = [row for row in problem.full(y)]
+    return result

@@ -25,7 +25,6 @@ from qmsflow.models import (
 )
 from qmsflow.states import DensityState, bkm_weight
 from qmsflow.transport import (
-    classical_transport_distance,
     continuity_solve,
     geodesic_distance,
     metric_monotonicity_check,
@@ -35,6 +34,7 @@ from qmsflow.verify import run_suite
 
 from conftest import (
     chain_rule_residual,
+    classical_transport_distance,
     random_matrix,
     self_adjointness_residual,
     weight_superoperator_f,

@@ -8,8 +8,6 @@ from qmsflow.calculus import (
     grad,
     log_mean,
     log_mean_dx,
-    log_mean_dxx,
-    log_mean_dxy,
     partial_deriv,
     rho_div,
     rho_mult,
@@ -20,7 +18,16 @@ from qmsflow.linalg import apply_super, dag, hs_inner
 from qmsflow.models import clifford, random_dbc_spec, random_density
 from qmsflow.states import DensityState, inner_s
 
-from conftest import chain_rule_residual, dirichlet_form, laplacian, monomial, random_matrix, rho_mult_super
+from conftest import (
+    chain_rule_residual,
+    dirichlet_form,
+    laplacian,
+    log_mean_dxx,
+    log_mean_dxy,
+    monomial,
+    random_matrix,
+    rho_mult_super,
+)
 
 
 class TestDerivations:

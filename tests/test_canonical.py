@@ -165,6 +165,27 @@ class TestExtraction:
         extract_canonical(spec if route == "spec" else build_generator(spec), spec.sigma)
         assert len(calls) == 1
 
+    def test_superoperator_rotated_twice(self, monkeypatch):
+        # the certification reads the blocks extraction built, so a
+        # superoperator is rotated for its blocks and for the positivity
+        # check only, and the report is the one certify_detailed_balance gives
+        from qmsflow import generators
+
+        spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
+        l = build_generator(spec)
+        expected = extract_canonical(l, spec.sigma, certification=certify_detailed_balance(l, spec.sigma))
+        rotated, calls = generators._rotated, []
+
+        def counted(*args):
+            calls.append(1)
+            return rotated(*args)
+
+        monkeypatch.setattr(generators, "_rotated", counted)
+        extracted, report = extract_canonical(l, spec.sigma)
+        assert len(calls) == 2
+        assert report.as_dict() == expected[1].as_dict()
+        assert all(np.array_equal(v, w) for (v, _), (w, _) in zip(extracted.jumps, expected[0].jumps, strict=True))
+
     def test_roundtrip_random_specs(self, rng):
         for _ in range(6):
             n = int(rng.integers(2, 6))

@@ -1070,7 +1070,7 @@ SWEEP_SPECS = {
     "random4": lambda: random_dbc_spec(4, np.random.default_rng(1), ergodic=True),
     "random6": lambda: random_dbc_spec(6, np.random.default_rng(2), ergodic=True),
 }
-SWEEP_SCALES = (1e-150, 1.0, 1e100, 1e150, 1e154)
+SWEEP_SCALES = (1e-165, 1e-155, 1e-150, 1.0, 1e100, 1e150, 1e154)
 
 
 def _refuse_constant(name):

@@ -118,6 +118,29 @@ class TestGeneratorSpec:
         spec = GeneratorSpec(tracial(2), [(PAULI_X, 0.0)])
         assert spec.njumps == 1
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-165, 1e-320])
+    def test_rejects_underflowing_generator(self, fermi_m2, scale):
+        # L ~ scale^2 is subnormal at 1e-155 and 0 from 1e-162 on, while the
+        # jumps themselves are nonzero
+        spec = fermi_m2.spec
+        with pytest.raises(ValueError, match="L underflows double precision"):
+            GeneratorSpec(spec.sigma, [(scale * v, w) for v, w in spec.jumps])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-310, 1e-320])
+    def test_rejects_off_block_jump_at_subnormal_scale(self, fermi_m2, scale):
+        # the off-block fraction of a jump with subnormal entries is judged
+        # as at scale 1, not read as nan and let through
+        v = np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="jump 4 is not a modular eigenvector: 9.595e-01"):
+            GeneratorSpec(fermi_m2.spec.sigma, [*fermi_m2.spec.jumps, (scale * v, 0.0), (scale * v.T, 0.0)])
+
+    @pytest.mark.parametrize("jumps", [[], [(np.zeros((4, 4)), 0.0)], [(np.eye(4), 0.0)]])
+    def test_generator_exactly_zero_is_admitted(self, fermi_m2, jumps):
+        # no jumps, a zero jump, and a multiple of 1 (L = 0 but K != 0)
+        # give L = 0 without underflow
+        spec = GeneratorSpec(fermi_m2.spec.sigma, jumps)
+        assert all(not x.any() for *_, x in spec.bohr_blocks[1])
+
     def test_jumps_are_read_only_views_of_the_stack(self, rng):
         spec = random_dbc_spec(4, rng)
         c, vs, k = spec.jump_stack

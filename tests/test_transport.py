@@ -8,22 +8,21 @@ from hypothesis.extra import numpy as hnp
 
 from qmsflow import generators, transport
 from qmsflow.calculus import divergence, grad, log_mean, rho_div, rho_mult
-from qmsflow.generators import GeneratorSpec, RateMatrix, apply_dual, dual_orbit
+from qmsflow.generators import GeneratorSpec, RateMatrix, apply_dual, dual_orbit, restrict_to_commutative
 from qmsflow.linalg import dag, hs_inner, traceless_hermitian_basis, vec
 from qmsflow.models import (
     depolarizing,
     fermi_ou,
+    hypercube_projections,
     hypercube_restriction,
     random_dbc_spec,
     random_density,
 )
 from qmsflow.states import DensityState
 from qmsflow.transport import (
-    _ChainProblem,
     _MetricWorkspace,
     _PathProblem,
     _newton_step,
-    classical_transport_distance,
     continuity_solve,
     geodesic_distance,
     metric_monotonicity_check,
@@ -31,7 +30,8 @@ from qmsflow.transport import (
     riemannian_gradient_flow_check,
 )
 
-from conftest import random_matrix, weighted_laplacian_super
+import conftest
+from conftest import _ChainProblem, classical_transport_distance, random_matrix, weighted_laplacian_super
 
 
 def random_traceless_hermitian(rng, n):
@@ -492,6 +492,62 @@ class TestClassicalOracle:
         assert np.all([np.all(p > 0) for p in res.path])
 
 
+def _embedded_chain(seed, m):
+    """A random reversible chain (Q, pi) on m states and the spec with
+    sigma = diag(pi) and jumps a |y><x| at omega = log(pi_x/pi_y), whose
+    restriction to the diagonal is that chain: |a|^2 = Q_xy sqrt(pi_x/pi_y)/2."""
+    rng = np.random.default_rng(seed)
+    pi = rng.uniform(0.5, 1.5, m)
+    pi /= pi.sum()
+    s = rng.uniform(0.3, 1.5, (m, m))
+    q = (s + s.T) * np.sqrt(pi[None, :] / pi[:, None])
+    np.fill_diagonal(q, 0.0)
+    unit = np.eye(m)
+    jumps = [
+        (np.sqrt(q[x, y] * np.sqrt(pi[x] / pi[y]) / 2.0) * np.outer(unit[y], unit[x]), float(np.log(pi[x] / pi[y])))
+        for x in range(m) for y in range(m) if x != y
+    ]
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return RateMatrix(q, pi), GeneratorSpec(DensityState.from_matrix(np.diag(pi).astype(complex)), jumps)
+
+
+class TestCommutativeReduction:
+    # on a commutative subalgebra the semigroup leaves invariant, the
+    # transport metric is the chain's discrete-transport metric, so the
+    # quantum solver meets the classical oracle at round-off, on a path
+    # that never leaves the subalgebra
+    @pytest.mark.parametrize("energies", [[1.0], [1.0, 2.0], [1.0, 1.3, 1.6]])
+    def test_fermi_chain_on_diagonal_endpoints(self, energies):
+        model = fermi_ou(len(energies), 1.0, energies)
+        rate, projections = hypercube_restriction(model), hypercube_projections(model)
+        rng = np.random.default_rng(len(energies))
+        for _ in range(3):
+            p0, p1 = rng.uniform(0.05, 1.0, (2, rate.size))
+            p0, p1 = p0 / p0.sum(), p1 / p1.sum()
+            rho0, rho1 = (DensityState.from_matrix(sum(x * e for x, e in zip(p, projections)))
+                          for p in (p0, p1))
+            gq = geodesic_distance(model.spec, rho0, rho1, segments=16)
+            gc = classical_transport_distance(rate, p0, p1, segments=16)
+            assert gq.converged and gc.converged
+            assert abs(gq.distance - gc.distance) <= 1e-12 * gc.distance
+            for state in gq.path:
+                assert np.all(state[~np.eye(len(state), dtype=bool)] == 0.0)
+
+    @pytest.mark.parametrize("segments", [4, 16])
+    def test_chain_embedded_as_spec(self, segments):
+        rate, spec = _embedded_chain(7, 4)
+        restricted = restrict_to_commutative(spec, [np.diag(e).astype(complex) for e in np.eye(4)])
+        assert np.allclose(restricted.rates, rate.rates, rtol=0, atol=1e-12 * np.abs(rate.rates).max())
+        assert np.allclose(restricted.stationary, rate.stationary, rtol=1e-12, atol=0)
+        p0, p1 = np.array([0.55, 0.1, 0.15, 0.2]), rate.stationary
+        gq = geodesic_distance(spec, *(DensityState.from_matrix(np.diag(p).astype(complex)) for p in (p0, p1)),
+                               segments=segments)
+        gc = classical_transport_distance(rate, p0, p1, segments=segments)
+        assert gq.converged and gc.converged
+        assert gq.iterations == gc.iterations
+        assert abs(gq.distance - gc.distance) <= 1e-12 * gc.distance
+
+
 class TestMetricAssembly:
     def test_matches_definition(self, rng):
         # M_{a,c} = sum_j <d_j B_a, [rho]_{omega_j} d_j B_c>, entry by entry
@@ -899,13 +955,13 @@ class TestNewtonSolver:
         # the chain's gradient and Hessian read one G, so each accepted
         # point evaluates the logarithmic mean's derivative once per side
         calls = []
-        log_mean_dx = transport.log_mean_dx
+        log_mean_dx = conftest.log_mean_dx
 
         def counting(*args):
             calls.append(args)
             return log_mean_dx(*args)
 
-        monkeypatch.setattr(transport, "log_mean_dx", counting)
+        monkeypatch.setattr(conftest, "log_mean_dx", counting)
         rate = hypercube_restriction(fermi_m2)
         res = classical_transport_distance(rate, np.array([0.7, 0.1, 0.1, 0.1]),
                                            rate.stationary, segments=6)
