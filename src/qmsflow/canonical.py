@@ -23,8 +23,8 @@ blocks yields jumps (V_j, omega_j) with the modular-eigenvector property,
 trace zero, and normalized-trace orthonormality.  For a generator given by
 its jumps the blocks are the jumps' Gram blocks
 (:attr:`qmsflow.generators.GeneratorSpec.gks_blocks`), and no n^2 x n^2
-matrix is formed; a superoperator's are cut from its coefficient matrix
-read on sigma's eigenvectors (:func:`qmsflow.generators._superoperator_gks`).
+matrix is formed; a :class:`qmsflow.generators.Superoperator`'s are cut
+from its coefficient matrix, read once on sigma's eigenvectors.
 The tests hold the dense reference both are checked against: the
 coefficient matrix through the Choi matrix, over dense basis elements
 (``gks_matrix`` in ``tests/conftest.py``).
@@ -37,19 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _binary_scale, dag
-from .states import DensityState, ModularData, build_modular_basis
+from .states import DensityState, ModularData
 from .generators import (
     GNS_FLAG_TOL,
     PSD_TOL,
-    CertificationReport,
     GeneratorSpec,
     JumpGKS,
+    _admitted,
     _block_distance,
-    _certify_blocks,
-    _input_blocks,
-    _jump_gks,
-    _superoperator_gks,
     _unit_positions,
+    certify_detailed_balance,
     check_complete_positivity,
 )
 
@@ -211,24 +208,17 @@ def _jump_gks_residuals(gks: JumpGKS, images: list) -> tuple:
 
 
 def extract_canonical(
-    l,
-    sigma: DensityState,
-    modular: ModularData | None = None,
-    certification: CertificationReport | None = None,
-    psd_tol: float = PSD_TOL,
-    complete_positivity: tuple[bool, float] | None = None,
+    l, sigma: DensityState, modular: ModularData | None = None, psd_tol: float = PSD_TOL, tol: float = GNS_FLAG_TOL
 ) -> tuple[GeneratorSpec, ExtractionReport]:
     """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
 
-    ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
-    is ``sigma``; :func:`qmsflow.generators._input_blocks` gives L's blocks.
+    ``l`` is admitted on ``sigma`` (:func:`qmsflow.generators._admitted`).
     L's GKS coefficients over ``modular`` (default: sigma's own modular
-    basis) are a spec's jumps' Gram blocks, with no n^2 x n^2 matrix
-    formed, or are cut from the coefficient matrix of a superoperator's one
-    block, its entries outside the Bohr blocks left out (they are below
-    tolerance for valid input).  Their adjoint-pairing image is formed
-    once, for the pairing residual and the symmetrisation; one loop turns
-    the reduced blocks into jumps.
+    basis, kept by the admitted L) are a spec's jumps' Gram blocks, or are
+    cut from a superoperator's coefficient matrix, its entries off the
+    blocks left out (below tolerance for valid input).  Their
+    adjoint-pairing image is formed once, for the pairing residual and the
+    symmetrisation; one loop turns the reduced blocks into jumps.
 
     The blocks are the modular basis's own (``ModularData.block_labels``,
     from :func:`qmsflow.states.bohr_labels`), so no frequency is compared
@@ -246,39 +236,27 @@ def extract_canonical(
     the blocks, the superoperator dimension n^2 times machine epsilon times
     the largest |c_ab|.
 
-    The input must pass GNS certification (the caller's ``certification``
-    of ``l`` and ``sigma`` when given, so its tolerance holds; else
-    :func:`qmsflow.generators._certify_blocks` of L's blocks, at the
-    default tolerance), the reduced coefficient positivity check at
-    ``psd_tol`` (the caller's ``complete_positivity`` verdict and minimum
-    eigenvalue from :func:`qmsflow.generators.check_complete_positivity`
-    when given), and the block-structure guard (ValueError otherwise).  The
-    round-trip error is relative to the certification's ||L||.  It is
-    ||L - L_extracted||_2 from L's blocks and the extracted spec's Bohr
-    blocks (:func:`qmsflow.generators._block_distance`), for a
-    superoperator too.
+    The input must pass GNS certification at ``tol``, the positivity check
+    at ``psd_tol`` (both read what the admitted L keeps) and the
+    block-structure guard (ValueError otherwise).  The round-trip error is
+    ||L - L_extracted||_2 from L's blocks and the extracted spec's
+    (:func:`qmsflow.generators._block_distance`), over the certified ||L||.
     """
-    blocks = _input_blocks(l, sigma)
-    if isinstance(l, GeneratorSpec):
-        gks = l.gks_blocks if modular is None else _jump_gks(l, modular)
-    else:
-        modular = build_modular_basis(sigma) if modular is None else modular  # also for complete positivity
-        gks = _superoperator_gks(blocks[0][1][0], modular)
-    cert = _certify_blocks(sigma, blocks, GNS_FLAG_TOL) if certification is None else certification
+    l = _admitted(l, sigma)
+    cert = certify_detailed_balance(l, sigma, tol)
     if not cert.gns_dbc:
         raise ValueError(
             "generator is not GNS-self-adjoint for sigma "
             f"(residual {cert.s_residuals[1.0]:.3e}); no canonical form"
         )
-    if complete_positivity is None:
-        complete_positivity = check_complete_positivity(l, psd_tol=psd_tol, l_norm=cert.l_norm, modular=modular)
-    cp_ok, min_eig = complete_positivity
+    cp_ok, min_eig = check_complete_positivity(l, psd_tol)
     if not cp_ok:
         raise ValueError(
             f"generator is not conditionally completely positive "
             f"(reduced coefficient matrix has eigenvalue {min_eig:.3e})"
         )
 
+    gks = l.gks_blocks if modular is None else l.gks_over(modular)
     images = _paired_blocks(gks.blocks, gks.modular)
     herm_res, block_res, pair_res, offblock_res = _jump_gks_residuals(gks, images)
     if max(block_res, pair_res, offblock_res) > 1e-6:
@@ -299,6 +277,6 @@ def extract_canonical(
         hamiltonian_hat_norm=h_hat_norm,
         dropped_eigenvalues=dropped,
         block_sizes=block_sizes,
-        roundtrip_error=_block_distance(blocks, spec) / max(cert.l_norm, 1e-300),
+        roundtrip_error=_block_distance(l.bohr_blocks[1], spec) / max(cert.l_norm, 1e-300),
     )
     return spec, report

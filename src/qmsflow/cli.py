@@ -21,6 +21,8 @@ from .entropy import entropy_trajectory
 from .generators import (
     GNS_FLAG_TOL,
     PSD_TOL,
+    GeneratorSpec,
+    Superoperator,
     certify_detailed_balance,
     check_complete_positivity,
     ergodicity,
@@ -46,8 +48,8 @@ from .serialize import (
     write_text_atomic,
 )
 from .transport import geodesic_distance, metric_tensor
-from .linalg import check_finite, traceless_hermitian_basis
-from .states import DensityState, build_modular_basis
+from .linalg import traceless_hermitian_basis
+from .states import DensityState
 from .verify import run_suite
 
 DEFAULT_TOLERANCES = {
@@ -86,13 +88,13 @@ def _load_json(path: str, convert):
 
 
 def _spec_or_superop(obj):
-    """(spec, None, sigma) for jump data, (None, superoperator, sigma) otherwise."""
+    """The admitted L of the input: a GeneratorSpec of jump data or a
+    Superoperator; what admission refuses is an input error."""
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
     try:
         if "jumps" in obj:
-            spec = spec_from_json(obj)
-            return spec, None, spec.sigma
+            return spec_from_json(obj)
         if "superoperator" in obj:
             if "sigma" not in obj:
                 raise InputError("superoperator input must carry 'sigma'")
@@ -102,7 +104,7 @@ def _spec_or_superop(obj):
             if isinstance(rows, list) and len(rows) != sigma.dim**2:
                 raise InputError(f"superoperator has {len(rows)} rows, not n^2 = {sigma.dim**2} "
                                  f"for sigma of dim n = {sigma.dim}")
-            return None, check_finite(matrix_from_json(rows), "superoperator"), sigma
+            return Superoperator(sigma, matrix_from_json(rows))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     raise InputError("input must carry either 'jumps' or 'superoperator'")
@@ -110,8 +112,8 @@ def _spec_or_superop(obj):
 
 def _load_spec(path: str, command: str):
     """The spec of ``path``; a superoperator is an input error for ``command``."""
-    spec, _, _ = _load_json(path, _spec_or_superop)
-    if spec is None:
+    spec = _load_json(path, _spec_or_superop)
+    if not isinstance(spec, GeneratorSpec):
         raise InputError(f"{command} needs a jump specification input")
     return spec
 
@@ -188,31 +190,23 @@ def _model(build, *args):
 
 def cmd_inspect(args) -> int:
     tols = _parse_tols(args.tol)
-    spec, l, sigma = _load_json(args.input, _spec_or_superop)
-    # one route for both input kinds: a spec on its Bohr blocks, a superoperator as one block
-    generator = l if spec is None else spec
-    cert = certify_detailed_balance(generator, sigma, tol=tols["gns_flag"])
+    # one admitted L, a spec or a superoperator, whose reads the three checks share
+    l = _load_json(args.input, _spec_or_superop)
+    cert = certify_detailed_balance(l, l.sigma, tol=tols["gns_flag"])
     report = {"certification": cert.as_dict()}
-    # a superoperator's complete positivity and extraction share sigma's modular basis
-    modular = build_modular_basis(sigma) if spec is None else None
     try:
-        cp_ok, min_eig = check_complete_positivity(
-            generator, psd_tol=tols["psd"], l_norm=cert.l_norm, modular=modular
-        )
+        cp_ok, min_eig = check_complete_positivity(l, psd_tol=tols["psd"])
     except ValueError as exc:
         cp_ok, min_eig = False, float("nan")
         report["cp_error"] = str(exc)
     report["completely_positive"] = cp_ok
     report["reduced_min_eigenvalue"] = min_eig
-    if spec is not None:
-        report["ergodicity"] = ergodicity(spec)
+    if isinstance(l, GeneratorSpec):
+        report["ergodicity"] = ergodicity(l)
     ok = cert.gns_dbc and cp_ok
     if ok:
         try:
-            extracted, ext_report = extract_canonical(
-                generator, sigma, modular=modular, certification=cert, psd_tol=tols["psd"],
-                complete_positivity=(cp_ok, min_eig),
-            )
+            extracted, ext_report = extract_canonical(l, l.sigma, psd_tol=tols["psd"], tol=tols["gns_flag"])
             report["canonical"] = ext_report.as_dict()
             report["canonical"]["jump_count"] = extracted.njumps
             report["canonical"]["omegas"] = sorted(float(w) for w in extracted.omegas())

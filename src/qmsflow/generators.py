@@ -25,19 +25,18 @@ L is built block by block from the rotated jumps, once, which checks it.
 :func:`ergodicity` and :func:`dual_orbit` eigensolve those blocks once;
 :func:`dual_orbit` evaluates exp(t L^+)(x) on a whole time grid in one
 stacked pass over the eigensolved blocks and returns it as a (T, n, n)
-array.  :func:`certify_detailed_balance` and
-:func:`check_complete_positivity` take a spec or a superoperator, and
-both go through one set of block routines: a spec on its Bohr blocks
-and its jumps' GKS blocks, with no n^2 x n^2 matrix, and a
-superoperator rotated into sigma's eigenbasis (:func:`_rotated`) as one
-block of all n^2 units.  The dense matrix of
+array.  A :class:`Superoperator` is admitted once too, rotated into
+sigma's eigenbasis as one block of all n^2 units.  Either kind keeps its
+residual battery, GKS coefficients and reduced spectrum, formed on first
+use, for :func:`certify_detailed_balance` and
+:func:`check_complete_positivity`.  The dense matrix of
 :func:`build_generator` is for test oracles and for ``verify``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,8 +46,6 @@ from .linalg import (
     check_finite,
     dag,
     sharp,
-    star_swap_residual,
-    vec,
 )
 from .states import (
     DensityState,
@@ -61,6 +58,7 @@ from .states import (
 
 __all__ = [
     "GeneratorSpec",
+    "Superoperator",
     "RateMatrix",
     "CertificationReport",
     "JumpGKS",
@@ -98,8 +96,17 @@ MAX_BOHR_BLOCK = 2048
 FLOW_UNDERFLOW = 600.0
 
 
+class _Admitted:
+    """The reads an admitted L, spec or superoperator, takes of its ``bohr_blocks`` alike."""
+
+    @cached_property
+    def certification(self) -> "CertificationReport":
+        """||L||_2 and the battery (:func:`_certify_blocks`), verdicts at the default tolerance."""
+        return _certify_blocks(self.sigma, self.bohr_blocks[1])
+
+
 @dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_Admitted):
     """Invariant state plus modular-eigenvector jump data, admitted once, at
     construction (ValueError): jump shapes, finite omegas, :func:`_admit`,
     a finite K, :func:`_bohr_blocks`.  V_j is stored once, as V_j - U off(tilde V_j) U^*
@@ -180,12 +187,19 @@ class GeneratorSpec:
             vals.flags.writeable = vecs.flags.writeable = False
         return u, factor
 
+    def gks_over(self, modular: ModularData) -> "JumpGKS":
+        """L's GKS coefficients over ``modular``, from the jumps (:func:`_jump_gks`)."""
+        return _jump_gks(self, modular)
+
     @cached_property
     def gks_blocks(self) -> "JumpGKS":
-        """L's GKS coefficients over sigma's modular basis, from the jumps:
-        :func:`_jump_gks` on :func:`qmsflow.states.build_modular_basis`, built
-        on first use and kept with the spec."""
-        return _jump_gks(self, build_modular_basis(self.sigma))
+        """L's GKS coefficients over sigma's modular basis, kept with the spec."""
+        return self.gks_over(build_modular_basis(self.sigma))
+
+    @cached_property
+    def reduced_spectrum(self) -> np.ndarray:
+        """The reduced block's spectrum, from :attr:`gks_blocks`, block by block."""
+        return _reduced_spectrum([b for _, b in self.gks_blocks.blocks])
 
 
 def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
@@ -248,13 +262,8 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
     symmetrised, so a GNS defect of the jumps stays visible), all
     read-only.  A block that is not finite raises ValueError, and so does
     the KMS check, whose norms are taken of each weighted block scaled by
-    a power of 2 into [1/2, 1), so their squares do not overflow.  So does
-    an L that underflows: nonzero jumps whose largest weighted block entry
-    is subnormal, or 0 with K = 0 too, so that L keeps too few digits, or
-    none.  So does
-    a spec without headroom: L's entries are at most 4 max_a tilde K_aa,
-    and the commands scale them by up to 2 lam_max/lam_min (a Hermitian
-    part, a modular ratio) and sum up to n^2 of them.
+    a power of 2 into [1/2, 1), so their squares do not overflow, and so
+    does :func:`_refuse_units` (L's entries are at most 4 max_a tilde K_aa).
     """
     n, lam, flat = sigma.dim, sigma.eigenvalues, rows[:-1]
     kt, weighted_conj, blocks, norms = rows[-1].reshape(n, n), c[:, None] * np.conj(flat), [], []
@@ -280,13 +289,9 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
         for arr in (units, weights, block):
             arr.flags.writeable = False
         blocks.append((units, weights, block))
-    # L = 0 with K != 0 is a cancellation (jumps that are multiples of 1)
-    normal = np.finfo(float).smallest_normal
-    if 0.0 < top_entry < normal or (top_entry == 0.0 and flat.any() and not kt.any()):
-        raise ValueError(
-            f"L underflows double precision: its largest weighted Bohr block entry is {top_entry:.3e}, "
-            f"below the smallest normal float {normal:.3e}, while the jumps are not 0"
-        )
+    # L = 0 with K = 0 is an underflow, with K != 0 a cancellation (jumps that are multiples of 1)
+    vanished, k_max = top_entry == 0.0 and flat.any() and not kt.any(), float(np.max(kt.diagonal().real))
+    _refuse_units(sigma, top_entry, vanished, k_max, "the jumps overflow double precision: max_a tilde K_aa")
     # each block's norms on the scale of the largest block, exactly
     top = max(e for e, _, _ in norms)
     asym = sum(math.ldexp(off, e - top) ** 2 for e, off, _ in norms)
@@ -297,13 +302,29 @@ def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: 
             f"L is not KMS-symmetric (the jumps are not closed under adjoints): "
             f"weighted Bohr blocks {rel:.3e} off Hermitian"
         )
-    k_max, headroom = float(np.max(kt.diagonal().real)), 8.0 * n * n * lam[-1] / lam[0]
-    if not math.isfinite(k_max * headroom):
-        raise ValueError(
-            f"the jumps overflow double precision: max_a tilde K_aa = {k_max:.3e} times "
-            f"8 n^2 lam_max/lam_min = {headroom:.3e}, the headroom the commands need, is not finite"
-        )
     return sigma.eigenvectors, blocks
+
+
+def _refuse_units(sigma: DensityState, top_entry: float, vanished: bool, peak: float, peak_name: str) -> None:
+    """Admission's units rule, for a spec and a superoperator alike
+    (ValueError).  The commands scale L's entries by up to 2 n^2
+    lam_max/lam_min (a Hermitian part, a modular ratio, sums of n^2
+    entries); with 4 ``peak`` a bound on L's entries, h = 8 n^2
+    lam_max/lam_min is the headroom.  L overflows when ``peak`` times h is
+    not finite.  L underflows when it ``vanished`` (is 0, its input not) or
+    its largest KMS-weighted block entry ``top_entry`` is subnormal, or
+    when h^2 over it is not finite: the transport metric is about h over
+    L, and the geodesic's Newton system scales it by about h again."""
+    n, lam = sigma.dim, sigma.eigenvalues
+    h = 8.0 * n * n * lam[-1] / lam[0]
+    floor = max(np.finfo(float).smallest_normal, h * h / np.finfo(float).max)
+    if vanished or 0.0 < top_entry < floor:
+        raise ValueError(f"L underflows double precision: its largest weighted Bohr block entry is {top_entry:.3e}, "
+                         f"below {floor:.3e}, the smallest normal float or (8 n^2 lam_max/lam_min)^2 over the "
+                         f"largest, the headroom the transport metric needs, while its input is not 0")
+    if not math.isfinite(peak * h):
+        raise ValueError(f"{peak_name} = {peak:.3e} times 8 n^2 lam_max/lam_min = {h:.3e}, "
+                         f"the headroom the commands need, is not finite")
 
 
 def _kms_weighted(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -329,7 +350,7 @@ def _label_stacks(labels: np.ndarray) -> dict:
 class JumpGKS:
     """L's GKS coefficients c_ab over a modular basis, from the jumps
     (:func:`_jump_gks`), where the entries off the blocks are bounded, not
-    formed, or from a superoperator (:func:`_superoperator_gks`)."""
+    formed, or from a superoperator (:meth:`Superoperator.gks_over`)."""
 
     modular: ModularData
     row: np.ndarray  # c_0b
@@ -407,8 +428,8 @@ def _rotated(l, sigma: DensityState) -> np.ndarray:
     """A superoperator L on the units E_ab = |eta_a><eta_b| of sigma's
     eigenvectors: entry (a n + b, c n + d) is (U^* L(U E_cd U^*) U)_ab, that
     is W^* L W with W = conj(U) (x) U re-indexed from column stacking,
-    formed without a Kronecker product.  ValueError unless L is n^2 x n^2
-    for sigma's n."""
+    formed without a Kronecker product.  ValueError unless L is finite and
+    n^2 x n^2 for sigma's n."""
     l = check_finite(l, "superoperator")
     n, u = sigma.dim, sigma.eigenvectors
     if l.shape != (n * n, n * n):
@@ -437,17 +458,73 @@ def _superoperator_coefficients(lt: np.ndarray, modular: ModularData) -> np.ndar
     return np.add.reduceat(coefs[:, None] * half[adjoint], first, axis=0) / nn
 
 
-def _superoperator_gks(lt: np.ndarray, modular: ModularData) -> JumpGKS:
-    """:func:`_superoperator_coefficients` in the layout of :func:`_jump_gks`,
-    cut by the labels; ``offblock`` is the largest |c_ab| off the labels,
-    exact."""
-    c = _superoperator_coefficients(lt, modular)
-    labels = modular.block_labels
-    blocks = [
-        (m + 1, c[m[:, :, None] + 1, m[:, None, :] + 1]) for m in _label_stacks(labels[1:]).values()
-    ]
-    offblock = float(np.max(np.abs(c[labels[:, None] != labels[None, :]]), initial=0.0))
-    return JumpGKS(modular, c[0], c[:, 0], blocks, offblock, _hamiltonian_norms(modular, c[0], c[:, 0]))
+@dataclass(frozen=True)
+class Superoperator(_Admitted):
+    """A superoperator L (n^2 x n^2, column stacking) and the state sigma it
+    is read against, admitted once, at construction, as a spec is
+    (ValueError): :func:`_rotated`, then :func:`_refuse_units` with
+    max |tilde L_ab| for max_a tilde K_aa.  The rotated L is kept as one
+    block of all n^2 units, in the layout of :attr:`GeneratorSpec.bohr_blocks`."""
+
+    sigma: DensityState
+    matrix: np.ndarray
+    bohr_blocks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lt, lam = _rotated(self.matrix, self.sigma)[None], self.sigma.eigenvalues
+        units, weights = np.arange(lt.shape[1])[None], np.outer(lam, lam).reshape(1, -1) ** 0.25
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+            top_entry, peak = float(np.abs(_kms_weighted(weights, lt)).max()), float(np.abs(lt).max())
+            _refuse_units(self.sigma, top_entry, False, peak, "L overflows double precision: max_ab |tilde L_ab|")
+        units.flags.writeable = weights.flags.writeable = lt.flags.writeable = False
+        object.__setattr__(self, "bohr_blocks", (self.sigma.eigenvectors, [(units, weights, lt)]))
+
+    @cached_property
+    def _coefficients(self) -> tuple:
+        """sigma's modular basis and L's GKS coefficients over it, formed once."""
+        modular = build_modular_basis(self.sigma)
+        return modular, _superoperator_coefficients(self.bohr_blocks[1][0][2][0], modular)
+
+    def gks_over(self, modular: ModularData) -> JumpGKS:
+        """L's GKS coefficients over ``modular``, a modular basis of sigma, in
+        the layout of :func:`_jump_gks`, cut by its labels; ``offblock`` is
+        the largest |c_ab| off them, exact."""
+        own, c = self._coefficients
+        if modular is not own:
+            c = _superoperator_coefficients(self.bohr_blocks[1][0][2][0], modular)
+        labels = modular.block_labels
+        blocks = [(m + 1, c[m[:, :, None] + 1, m[:, None, :] + 1]) for m in _label_stacks(labels[1:]).values()]
+        offblock = float(np.max(np.abs(c[labels[:, None] != labels[None, :]]), initial=0.0))
+        return JumpGKS(modular, c[0], c[:, 0], blocks, offblock, _hamiltonian_norms(modular, c[0], c[:, 0]))
+
+    @cached_property
+    def gks_blocks(self) -> JumpGKS:
+        """L's GKS coefficients over sigma's modular basis, formed once."""
+        return self.gks_over(self._coefficients[0])
+
+    @cached_property
+    def reduced_spectrum(self) -> np.ndarray:
+        """The reduced block's spectrum, the block taken whole."""
+        return _reduced_spectrum([self._coefficients[1][None, 1:, 1:]])
+
+
+def _admitted(l, sigma: DensityState | None):
+    """``l`` if admitted, ``sigma`` (unless None) its own state (ValueError otherwise), else
+    the :class:`Superoperator` of the matrix ``l`` on ``sigma`` or, for None, the maximally mixed state."""
+    if isinstance(l, (GeneratorSpec, Superoperator)):
+        if sigma is not None and sigma is not l.sigma:
+            raise ValueError("an admitted L is checked against its own sigma")
+        return l
+    if sigma is None:
+        n = max(1, round(np.size(l) ** 0.25))  # an n^2 x n^2 matrix has n^4 entries
+        sigma = DensityState.from_matrix(np.eye(n) / n)
+    return Superoperator(sigma, l)
+
+
+def _reduced_spectrum(blocks: list) -> np.ndarray:
+    """The eigenvalues of the Hermitian parts of reduced GKS blocks, ascending."""
+    parts = [np.linalg.eigvalsh(0.5 * (b + np.conj(b).transpose(0, 2, 1))).ravel() for b in blocks]
+    return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
 
 def build_generator(spec: GeneratorSpec) -> np.ndarray:
@@ -519,25 +596,12 @@ def _block_entries(values: list, index: np.ndarray, rows, cols) -> tuple[np.ndar
     return out, on
 
 
-def _input_blocks(l, sigma: DensityState) -> list:
-    """L's blocks over the units of sigma's eigenvectors, which hold all of
-    L, as (unit indices, blocks) per block size.  A spec, whose own state
-    must be ``sigma`` (ValueError otherwise), gives its Bohr blocks; a
-    superoperator gives one block of all n^2 units (:func:`_rotated`)."""
-    if isinstance(l, GeneratorSpec):
-        if sigma is not l.sigma:
-            raise ValueError("a spec is checked against its own sigma")
-        return [(units, x) for units, _, x in l.bohr_blocks[1]]
-    nn = sigma.dim**2
-    return [(np.arange(nn).reshape(1, nn), _rotated(l, sigma)[None])]
-
-
 def _largest_singular_value(stacks) -> float:
     return max((float(np.linalg.svd(x, compute_uv=False).max()) for x in stacks), default=0.0)
 
 
 def _block_distance(blocks: list, other: GeneratorSpec) -> float:
-    """||L - L_other||_2 from the blocks of L (:func:`_input_blocks`) and
+    """||L - L_other||_2 from the blocks of L (an admitted L's ``bohr_blocks``) and
     ``other``'s Bohr blocks: the largest singular value of any block of
     L - L_other on L's blocks, where ``other``'s entries are taken from its
     own blocks.  ``other``'s blocks must each lie inside one of L's
@@ -553,7 +617,7 @@ def _block_distance(blocks: list, other: GeneratorSpec) -> float:
     their_index, their_values = _unit_positions(theirs, nn), [x for *_, x in theirs]
     diffs = [
         _block_entries(their_values, their_index, units[:, :, None], units[:, None, :])[0] - x
-        for units, x in blocks
+        for units, _, x in blocks
     ]
     return _largest_singular_value(diffs)
 
@@ -568,27 +632,31 @@ class CertificationReport:
     modular_commutation: float
     star_preservation: float
     unital_residual: float
-    gns_dbc: bool
-    kms_only: bool
+    gns_dbc: bool = field(init=False)  # the verdicts, at ``tolerance``
+    kms_only: bool = field(init=False)
     l_norm: float  # 2-norm of the certified blocks of L, the residuals' scale
     tolerance: float = GNS_FLAG_TOL
 
+    def __post_init__(self):
+        self.gns_dbc = bool(self.s_residuals[1.0] < self.tolerance)
+        self.kms_only = bool(self.s_residuals[0.5] < self.tolerance and self.modular_commutation > 100 * self.tolerance)
+
     def as_dict(self) -> dict:
         """The fields in declaration order, without ``l_norm``."""
-        out = {k: v for k, v in vars(self).items() if k != "l_norm"}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "l_norm"}
         out["s_residuals"] = {str(k): v for k, v in self.s_residuals.items()}
         return out
 
 
 def _weighted_residual(ls: list, kernel: np.ndarray, norm: float, scale: float) -> float:
     """Relative size of Omega L - L^+ Omega for a weight Omega with entries
-    ``kernel`` (n, n) on the units E_ab, from L's blocks ``ls`` (as
-    :func:`_input_blocks` gives them): the largest spectral radius of
+    ``kernel`` (n, n) on the units E_ab, from L's blocks ``ls`` (an
+    admitted L's ``bohr_blocks``): the largest spectral radius of
     i(D_B L_B - L_B^* D_B) over the blocks, by an eigensolve, over ``norm``
     (Omega's 2-norm) times ``scale`` (||L||_2).  Zero iff L is
     Omega-symmetric."""
     worst = 0.0
-    for units, x in ls:
+    for units, _, x in ls:
         dx = kernel.ravel()[units][:, :, None] * x
         evals = np.linalg.eigvalsh(1j * (dx - np.conj(dx).transpose(0, 2, 1)))
         worst = max(worst, float(np.abs(evals).max()))
@@ -604,18 +672,15 @@ def certify_detailed_balance(l, sigma: DensityState, tol: float = GNS_FLAG_TOL) 
     below ``tol``; ``kms_only`` flags maps that are KMS-symmetric without
     commuting with the modular operator.
 
-    ``l`` is a superoperator, or a :class:`GeneratorSpec` whose own state
-    is ``sigma``; either way :func:`_certify_blocks` certifies the blocks
-    of :func:`_input_blocks`: a spec's Bohr blocks, or a superoperator as
-    one block.  Either way the residuals are those of L itself.
+    The battery is the ``certification`` of ``l`` admitted on ``sigma``
+    (:func:`_admitted`); ``tol`` sets only the verdicts.
     """
-    return _certify_blocks(sigma, _input_blocks(l, sigma), tol)
+    return replace(_admitted(l, sigma).certification, tolerance=tol)
 
 
-def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationReport:
+def _certify_blocks(sigma: DensityState, ls: list) -> CertificationReport:
     """The certification of L from its blocks L_B over the units of sigma's
-    eigenvectors (``ls``: unit indices and blocks, per block size), which
-    hold all of L.
+    eigenvectors, which hold all of L (``ls``, as in ``bohr_blocks``).
 
     In sigma's eigenbasis every weight is diagonal on the units E_ab
     (Omega_s: lam_a^{1-s} lam_b^s; Omega_BKM: f(lam_a/lam_b) lam_b;
@@ -635,25 +700,25 @@ def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationR
     n = sigma.dim
     lam = sigma.eigenvalues
     lam_max = float(lam[-1])
-    l_norm = _largest_singular_value(x for _, x in ls)
+    l_norm = _largest_singular_value(x for *_, x in ls)
     scale = max(l_norm, 1e-300)
     s_res = {s: _weighted_residual(ls, np.outer(lam ** (1.0 - s), lam**s), lam_max, scale) for s in S_GRID}
     kernel = _weight_kernel_f(sigma, bkm_weight)
     bkm = _weighted_residual(ls, kernel, float(np.max(kernel)), scale)
     ratio = np.outer(lam, 1.0 / lam).ravel()
-    commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, x in ls)
+    commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, _, x in ls)
     mod_comm = _largest_singular_value(commutators) / (scale * lam_max / float(lam[0]))
-    index, values = _unit_positions(ls, n * n), [x for _, x in ls]
+    index, values = _unit_positions(ls, n * n), [x for *_, x in ls]
     diff2 = norm2 = 0.0
     bits = _binary_scale(scale)  # no entry exceeds ||L||_2
-    for units, x in ls:
+    for units, _, x in ls:
         mirror = (units % n) * n + units // n  # E_ab -> E_ba, the adjoint
         paired, on = _block_entries(values, index, mirror[:, :, None], mirror[:, None, :])
         diff2 += np.linalg.norm(bits * (x - np.conj(paired))) ** 2 + np.linalg.norm(bits * x[~on]) ** 2
         norm2 += np.linalg.norm(bits * x) ** 2
     star = np.sqrt(diff2) / max(np.sqrt(norm2), 1e-300)
     g, b = index[:2, 0]  # E_00 lies in the block of 0, with every E_aa
-    units, x = ls[g]
+    units, _, x = ls[g]
     unital = np.linalg.norm(bits * x[b][:, units[b] % (n + 1) == 0].sum(axis=1)) / (bits * scale)
     return CertificationReport(
         dim=n,
@@ -662,58 +727,32 @@ def _certify_blocks(sigma: DensityState, ls: list, tol: float) -> CertificationR
         modular_commutation=mod_comm,
         star_preservation=float(star),
         unital_residual=float(unital),
-        gns_dbc=bool(s_res[1.0] < tol),
-        kms_only=bool(s_res[0.5] < tol and mod_comm > 100 * tol),
         l_norm=l_norm,
-        tolerance=tol,
     )
 
 
-def check_complete_positivity(
-    l, psd_tol: float = PSD_TOL, l_norm: float | None = None, modular: ModularData | None = None
-) -> tuple[bool, float]:
+def check_complete_positivity(l, psd_tol: float = PSD_TOL) -> tuple[bool, float]:
     """Complete positivity of exp(tL) for every t >= 0, for a unital, star-preserving L.
 
     The semigroup is completely positive exactly when the reduced
     coefficient block of L (identity row and column removed) is positive
     semidefinite (Gorini-Kossakowski-Sudarshan, Lindblad), so that block
     is the verdict and no propagator exp(tL) is formed.  Every orthonormal
-    basis with the identity first gives the block the same spectrum.  For
-    a :class:`GeneratorSpec` the block is the Gram matrix of the jumps'
-    coefficients over sigma's modular basis, block diagonal over Bohr
-    frequencies (:attr:`GeneratorSpec.gks_blocks`), and is eigensolved
-    block by block; such an L is unital and star-preserving by
-    construction.  A superoperator's block is taken whole, all n^2 - 1
-    elements of ``modular`` as one block (:func:`_superoperator_coefficients`),
-    so the verdict is exact for any L; ``modular`` is the caller's modular
-    basis of some state (a spec's own basis is used for a spec), and
-    without it the maximally mixed state's is built.  The
-    block passes when its smallest eigenvalue is at least ``-psd_tol``
-    times its largest |eigenvalue|, so the verdict does not depend on the
-    units of L.  A superoperator must be n^2 x n^2, annihilate the
-    identity and preserve adjoints (ValueError otherwise); ``l_norm`` is
-    its operator 2-norm when the caller already has it.  Returns (verdict,
-    minimum eigenvalue of the reduced block).
+    basis with the identity first gives the block the same spectrum: ``l``
+    admitted (:func:`_admitted`, a matrix on the maximally mixed state)
+    keeps it, a spec's from its jumps' Gram blocks, a superoperator's
+    from the block taken whole.  Its battery's unital and star residuals
+    must be at most 1e-8 (ValueError otherwise).  The block passes when
+    its smallest eigenvalue is at least ``-psd_tol`` times its largest
+    |eigenvalue|, so the verdict does not depend on the units of L.
+    Returns (verdict, minimum eigenvalue of the reduced block).
     """
-    if isinstance(l, GeneratorSpec):
-        blocks = [b for _, b in l.gks_blocks.blocks]
-    else:
-        l = check_finite(l, "superoperator")
-        if modular is None:
-            n = max(1, round(l.size**0.25))  # an n^2 x n^2 matrix has n^4 entries
-            modular = build_modular_basis(DensityState.from_matrix(np.eye(n) / n))
-        lt = _rotated(l, modular.sigma)
-        n = modular.sigma.dim
-        scale = max(np.linalg.norm(l, 2) if l_norm is None else l_norm, 1e-300)
-        if np.linalg.norm(l @ vec(np.eye(n))) > 1e-8 * scale:
-            raise ValueError("superoperator does not annihilate the identity")
-        if star_swap_residual(l) > 1e-8:
-            raise ValueError("superoperator is not star-preserving")
-        blocks = [_superoperator_coefficients(lt, modular)[None, 1:, 1:]]
-    parts = [np.linalg.eigvalsh(0.5 * (b + np.conj(b).transpose(0, 2, 1))).ravel() for b in blocks]
-    evals = np.sort(np.concatenate(parts)) if parts else np.zeros(0)
-    if evals.size == 0:
-        return True, 0.0
+    l = _admitted(l, None)
+    if l.certification.unital_residual > 1e-8:
+        raise ValueError("superoperator does not annihilate the identity")
+    if l.certification.star_preservation > 1e-8:
+        raise ValueError("superoperator is not star-preserving")
+    evals = l.reduced_spectrum if l.reduced_spectrum.size else np.zeros(1)  # no reduced block: 0
     return bool(evals[0] >= -psd_tol * max(-evals[0], evals[-1])), float(evals[0])
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "hermitian_eig",
     "spectral_calculus",
     "check_finite",
-    "star_swap_residual",
     "traceless_hermitian_basis",
 ]
 
@@ -206,20 +205,3 @@ def traceless_hermitian_basis(n: int) -> list:
         d /= np.linalg.norm(d)
         basis.append(np.diag(d).astype(complex))
     return basis
-
-
-def star_swap_residual(s: np.ndarray) -> float:
-    """Relative deviation of a superoperator from K(X^*) = K(X)^*.
-
-    With column stacking, vec(X^dag) = P conj(vec X) where P swaps the
-    (i, k) index pair, so star preservation is exactly P S P = conj(S).
-    Both norms are of S scaled by :func:`_binary_scale`.
-    """
-    s = np.asarray(s, dtype=complex)
-    s = s * _binary_scale(np.abs(s).max(initial=0.0))
-    big = s.shape[0]
-    n = int(round(np.sqrt(big)))
-    idx = np.arange(big).reshape(n, n, order="F").T.reshape(-1, order="F")
-    resid = np.linalg.norm(s[np.ix_(idx, idx)] - np.conj(s))
-    scale = max(np.linalg.norm(s), 1e-300)
-    return float(resid / scale)

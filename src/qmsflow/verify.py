@@ -117,13 +117,12 @@ def check_dbc_equivalences(rng):
     for _ in range(6):
         n = int(rng.integers(2, 6))
         spec = models.random_dbc_spec(n, rng)
-        l = generators.build_generator(spec)
-        rep = generators.certify_detailed_balance(l, spec.sigma)
+        l = generators.Superoperator(spec.sigma, generators.build_generator(spec))
+        rep = l.certification
         worst = max(worst, rep.modular_commutation, rep.bkm_residual, *rep.s_residuals.values())
-        # the Bures weight f(t) = (1 + t)/2, on the blocks certification reads
-        blocks = generators._input_blocks(l, spec.sigma)
+        # the Bures weight f(t) = (1 + t)/2, on the block certification reads
         kernel = states._weight_kernel_f(spec.sigma, lambda t: (1.0 + t) / 2.0)
-        worst = max(worst, generators._weighted_residual(blocks, kernel, float(np.max(kernel)), rep.l_norm))
+        worst = max(worst, generators._weighted_residual(l.bohr_blocks[1], kernel, float(np.max(kernel)), rep.l_norm))
     return worst < 1e-9, f"worst residual across batteries {worst:.3e}"
 
 
@@ -192,12 +191,10 @@ def check_offblock_vanishing(rng):
     for _ in range(4):
         n = int(rng.integers(2, 5))
         spec = models.random_dbc_spec(n, rng)
-        l = generators.build_generator(spec)
-        md = states.build_modular_basis(spec.sigma)
-        c = generators._superoperator_coefficients(generators._rotated(l, spec.sigma), md)
-        mask = md.block_labels[:, None] != md.block_labels[None, :]
-        if np.any(mask):
-            worst = max(worst, float(np.max(np.abs(c[mask]))) / max(np.max(np.abs(c)), 1e-300))
+        # the largest |c_ab| off the modular basis's blocks, exact for a superoperator
+        gks = generators.Superoperator(spec.sigma, generators.build_generator(spec)).gks_blocks
+        top = max(float(np.max(np.abs(x))) for x in (gks.row, gks.col, gks.offblock, *(b for _, b in gks.blocks)))
+        worst = max(worst, gks.offblock / max(top, 1e-300))
     return worst < 1e-10, f"worst off-block coefficient {worst:.3e}"
 
 
@@ -208,19 +205,14 @@ def check_extraction_uniqueness(rng):
         n = int(rng.integers(2, 5))
         spec = models.random_dbc_spec(n, rng)
         l = generators.build_generator(spec)
-        md = states.build_modular_basis(spec.sigma)
-        cert = generators.certify_detailed_balance(l, spec.sigma)
-        # the reduced block's spectrum does not depend on the basis order
-        cp = generators.check_complete_positivity(l, l_norm=cert.l_norm, modular=md)
-        ex1, _ = canonical.extract_canonical(
-            l, spec.sigma, modular=md, certification=cert, complete_positivity=cp
-        )
+        # both extractions read one certification and one reduced spectrum,
+        # which does not depend on the basis order
+        admitted = generators.Superoperator(spec.sigma, l)
+        ex1, _ = canonical.extract_canonical(admitted, spec.sigma)
         # permuted basis (identity stays first)
+        md = admitted.gks_blocks.modular
         perm = [0] + [1 + int(i) for i in rng.permutation(md.size - 1)]
-        md2 = md.reordered(perm)
-        ex2, _ = canonical.extract_canonical(
-            l, spec.sigma, modular=md2, certification=cert, complete_positivity=cp
-        )
+        ex2, _ = canonical.extract_canonical(admitted, spec.sigma, modular=md.reordered(perm))
         l1 = generators.build_generator(ex1)
         l2 = generators.build_generator(ex2)
         err = np.linalg.norm(l1 - l2, 2) / max(np.linalg.norm(l, 2), 1e-300)

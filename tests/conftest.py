@@ -3,7 +3,7 @@ import pytest
 
 from qmsflow.calculus import _log_mean_curvature, log_mean, log_mean_dx
 from qmsflow.generators import RateMatrix
-from qmsflow.linalg import choi, dag, sharp
+from qmsflow.linalg import _binary_scale, choi, dag, sharp
 from qmsflow.models import fermi_ou, fermi_ou_infinite, depolarizing
 from qmsflow.transport import GeodesicResult, _minimize_path, _node_derivatives, _require_segments
 
@@ -190,6 +190,24 @@ def gks_matrix(k: np.ndarray, basis) -> np.ndarray:
 def gks_hermiticity_residual(c):
     """||c - c^*||_F / ||c||_F of a GKS coefficient matrix."""
     return float(np.linalg.norm(c - dag(c)) / max(np.linalg.norm(c), 1e-300))
+
+
+def star_swap_residual(s: np.ndarray) -> float:
+    """Relative deviation of a superoperator from K(X^*) = K(X)^*: the
+    dense reference for the certification's ``star_preservation``.
+
+    With column stacking, vec(X^dag) = P conj(vec X) where P swaps the
+    (i, k) index pair, so star preservation is exactly P S P = conj(S).
+    Both norms are of S scaled by ``qmsflow.linalg._binary_scale``.
+    """
+    s = np.asarray(s, dtype=complex)
+    s = s * _binary_scale(np.abs(s).max(initial=0.0))
+    big = s.shape[0]
+    n = int(round(np.sqrt(big)))
+    idx = np.arange(big).reshape(n, n, order="F").T.reshape(-1, order="F")
+    resid = np.linalg.norm(s[np.ix_(idx, idx)] - np.conj(s))
+    scale = max(np.linalg.norm(s), 1e-300)
+    return float(resid / scale)
 
 
 def rate_matrix_from_json(obj):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from qmsflow.canonical import extract_canonical
-from qmsflow.generators import GeneratorSpec, build_generator, certify_detailed_balance, check_complete_positivity
+from qmsflow.generators import (
+    GeneratorSpec,
+    Superoperator,
+    build_generator,
+    certify_detailed_balance,
+    check_complete_positivity,
+)
 from qmsflow.linalg import dag, hs_inner, sharp
 from qmsflow.models import depolarizing, fermi_ou, random_dbc_spec, random_density
 from qmsflow.states import DensityState, build_modular_basis
@@ -165,15 +171,17 @@ class TestExtraction:
         extract_canonical(spec if route == "spec" else build_generator(spec), spec.sigma)
         assert len(calls) == 1
 
-    def test_superoperator_rotated_twice(self, monkeypatch):
-        # the certification reads the blocks extraction built, so a
-        # superoperator is rotated for its blocks and for the positivity
-        # check only, and the report is the one certify_detailed_balance gives
+    def test_superoperator_rotated_once(self, monkeypatch):
+        # a bare superoperator is admitted once: certification, the
+        # positivity check and the coefficients read one rotated block, and
+        # the report is the one of the caller's admitted and certified L
         from qmsflow import generators
 
         spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
         l = build_generator(spec)
-        expected = extract_canonical(l, spec.sigma, certification=certify_detailed_balance(l, spec.sigma))
+        admitted = Superoperator(spec.sigma, l)
+        certify_detailed_balance(admitted, spec.sigma)
+        expected = extract_canonical(admitted, spec.sigma)
         rotated, calls = generators._rotated, []
 
         def counted(*args):
@@ -182,7 +190,7 @@ class TestExtraction:
 
         monkeypatch.setattr(generators, "_rotated", counted)
         extracted, report = extract_canonical(l, spec.sigma)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert report.as_dict() == expected[1].as_dict()
         assert all(np.array_equal(v, w) for (v, _), (w, _) in zip(extracted.jumps, expected[0].jumps, strict=True))
 
@@ -428,12 +436,8 @@ _JUMP_CASES = {
 
 
 def _gks_of(case, route):
-    from qmsflow.generators import _rotated, _superoperator_gks
-
     spec = _JUMP_CASES[case]()
-    if route == "spec":
-        return spec.gks_blocks
-    return _superoperator_gks(_rotated(build_generator(spec), spec.sigma), build_modular_basis(spec.sigma))
+    return (spec if route == "spec" else Superoperator(spec.sigma, build_generator(spec))).gks_blocks
 
 
 class TestStackedCanonicalJumps:
@@ -534,8 +538,6 @@ class TestJumpGKS:
     def test_superoperator_coefficients_match_dense(self, case):
         # the one-block route reads a superoperator's coefficients on sigma's
         # eigenvectors; off the labels its bound is the exact largest entry
-        from qmsflow.generators import _rotated, _superoperator_gks
-
         rng = np.random.default_rng(11)
         if case == "random_l":
             sigma, l = random_density(3, rng), random_matrix(rng, 9)
@@ -544,8 +546,8 @@ class TestJumpGKS:
                     "random_dbc": lambda: random_dbc_spec(4, rng),
                     "near_degenerate": lambda: near_degenerate_spec(5e-11)}[case]()
             sigma, l = spec.sigma, build_generator(spec)
-        md = build_modular_basis(sigma)
-        gks = _superoperator_gks(_rotated(l, sigma), md)
+        gks = Superoperator(sigma, l).gks_blocks
+        md = gks.modular
         c = gks_matrix(l, modular_elements(md))
         scale = np.max(np.abs(c))
         assert np.allclose(gks.row, c[0], rtol=0, atol=1e-14 * scale)

@@ -248,6 +248,49 @@ class TestInspect:
         assert calls.count(("eig", (16, 16))) <= 6
         assert calls.count(("eig", (15, 15))) == 1
 
+    def test_one_rotation_and_one_coefficient_matrix_per_superoperator_inspect(self, tmp_path, monkeypatch):
+        # a superoperator is admitted once: certification, complete
+        # positivity and extraction read one rotated block and one
+        # coefficient matrix (three rotations and two matrices before)
+        spec = random_dbc_spec(16, np.random.default_rng(1), ergodic=True)
+        path, out = tmp_path / "superoperator.json", tmp_path / "report.json"
+        path.write_text(dump_json({"dim": 16, "sigma": matrix_to_json(spec.sigma.rho),
+                                   "superoperator": matrix_to_json(generators.build_generator(spec))}))
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for name in ("_rotated", "_superoperator_coefficients"):
+            monkeypatch.setattr(generators, name, counting(name, getattr(generators, name)))
+        assert main(["inspect", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["canonical"]["jump_count"] == spec.njumps
+        assert sorted(calls) == ["_rotated", "_superoperator_coefficients"]
+
+    @pytest.mark.parametrize("c, code", [(1e-320, 2), (1e-310, 2), (1.0, 0), (1e200, 0)])
+    def test_superoperator_refused_like_a_spec(self, tmp_path, capsys, c, code):
+        # the dense L of a random ergodic dim-3 spec: where L times c
+        # underflows, admission refuses it (exit 2), as it refuses the spec's
+        # jumps times sqrt(c); at 1e200 it reads as at x1, with no numpy warning
+        import warnings
+
+        spec = random_dbc_spec(3, np.random.default_rng(0), ergodic=True)
+        l = generators.build_generator(spec)
+        path, out = tmp_path / "superoperator.json", tmp_path / "report.json"
+        path.write_text(dump_json({"dim": 3, "sigma": matrix_to_json(spec.sigma.rho),
+                                   "superoperator": matrix_to_json(c * l)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inspect", "--input", str(path), "--output", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("input error: L underflows double precision")
+            assert not out.exists()
+        else:
+            assert _verdicts(code, json.loads(out.read_text())) == _verdicts(*_inspect_superoperator(l, spec.sigma))
+
     @pytest.mark.parametrize("name", ["fermi2", "random4", "depolarizing3"])
     def test_one_modular_basis_per_superoperator_inspect(self, monkeypatch, name):
         # complete positivity and extraction share sigma's modular basis
@@ -447,6 +490,23 @@ class TestInspect:
         assert main([command, "--input", str(scaled), *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: the jumps overflow double precision: max_a tilde K_aa = 8.244e+307")
+
+    @pytest.mark.parametrize("command", ["metric", "geodesic"])
+    def test_jumps_too_small_for_the_metric_exit_two(self, tmp_path, capsys, command):
+        # Fermi m=2 (energies 1, 2) with every jump x1e-154: L's largest
+        # weighted entry, 4.4e-308, is a normal float, but the metric, about
+        # 2.3 / max_a tilde K_aa, would not fit in double precision; the spec
+        # is refused at load, and so it is at x1e-153, where the metric fits
+        # without the headroom of the geodesic solver
+        rho = tmp_path / "rho.json"
+        rho.write_text(dump_json(density_to_json(DensityState.from_matrix(np.diag([0.4, 0.3, 0.2, 0.1])))))
+        extra = {"metric": ["--rho", str(rho)], "geodesic": ["--rho0", str(rho), "--segments", "4"]}[command]
+        for c in (1e-154, 1e-153):
+            path = tmp_path / f"small_{c:g}.json"
+            path.write_text(json.dumps(scaled_jumps(spec_to_json(fermi_ou(2, 1.0, [1.0, 2.0]).spec), c)))
+            assert main([command, "--input", str(path), *extra]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: L underflows double precision") and "transport metric" in err
 
     def test_inspect_at_1e150_raises_no_warning(self, fermi_spec_file, tmp_path):
         # every norm of the certification and extraction is taken of scaled
@@ -1070,7 +1130,7 @@ SWEEP_SPECS = {
     "random4": lambda: random_dbc_spec(4, np.random.default_rng(1), ergodic=True),
     "random6": lambda: random_dbc_spec(6, np.random.default_rng(2), ergodic=True),
 }
-SWEEP_SCALES = (1e-165, 1e-155, 1e-150, 1.0, 1e100, 1e150, 1e154)
+SWEEP_SCALES = (1e-165, 1e-155, 1e-154, 1e-153, 1e-150, 1.0, 1e100, 1e150, 1e154)
 
 
 def _refuse_constant(name):
@@ -1086,9 +1146,9 @@ def _sweep_verdicts(command, code, out):
     if command == "evolve":
         return code, len(trajectory_from_csv(text))
     report = json.loads(text, parse_constant=_refuse_constant)
-    if command == "inspect":
+    if command == "inspect":  # no ergodicity on superoperator input
         cert, canon = report["certification"], report.get("canonical", {})
-        return (code, cert["gns_dbc"], cert["kms_only"], report["completely_positive"], report["ergodicity"],
+        return (code, cert["gns_dbc"], cert["kms_only"], report["completely_positive"], report.get("ergodicity"),
                 canon.get("jump_count"), canon.get("omegas"))
     if command == "metric":
         return code, report["min_eigenvalue"] > 0
@@ -1135,6 +1195,39 @@ class TestUnitsSweep:
         assert admitted[1.0] and not admitted[1e154] and verdicts[1.0, "inspect"][0] == 0
         for (c, command), verdict in verdicts.items():
             assert verdict == (verdicts[1.0, command] if admitted[c] else (2,)), (c, command)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+    def test_inspect_on_the_superoperator_at_every_scale(self, tmp_path, name):
+        # inspect on the dense L of each spec with every jump times c, so L
+        # times c^2: where Superoperator admits it, it reads as at x1 with no
+        # numpy warning and strict JSON; a refused scale exits 2.  At 1e-165
+        # every entry of c^2 L rounds to 0: that input is the zero map, which
+        # is admitted, certified and has no jumps
+        import warnings
+
+        spec = SWEEP_SPECS[name]()
+        l = generators.build_generator(spec)
+        verdicts, admitted, zero = {}, {}, {}
+        for c in SWEEP_SCALES:
+            with np.errstate(over="ignore"):
+                lc = c * (c * l)
+            try:
+                generators.Superoperator(spec.sigma, lc)
+                admitted[c] = True
+            except ValueError:
+                admitted[c] = False
+            path, out = tmp_path / f"superoperator_{c:g}.json", tmp_path / f"inspect_{c:g}.out"
+            path.write_text(json.dumps({"dim": spec.dim, "sigma": matrix_to_json(spec.sigma.rho),
+                                        "superoperator": matrix_to_json(lc)}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["inspect", "--input", str(path), "--output", str(out)])
+            verdicts[c], zero[c] = _sweep_verdicts("inspect", code, out), not lc.any()
+        assert admitted[1.0] and not admitted[1e154] and verdicts[1.0][0] == 0
+        assert zero == {c: c == 1e-165 for c in SWEEP_SCALES}
+        for c, verdict in verdicts.items():
+            expect = (0, True, False, True, None, 0, []) if zero[c] else verdicts[1.0] if admitted[c] else (2,)
+            assert verdict == expect, c
 
 
 class TestZoo:
@@ -1218,20 +1311,22 @@ class TestVerify:
 
     def test_extraction_uniqueness_checks_positivity_once_per_generator(self, monkeypatch):
         # both extractions of each L share one complete-positivity verdict:
-        # the reduced block's spectrum does not depend on the basis order
+        # the reduced block's spectrum does not depend on the basis order, so
+        # each L is admitted (rotated) once and its reduced block eigensolved once
         from qmsflow import verify
 
         calls = []
-        check = generators.check_complete_positivity
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return check(*args, **kwargs)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(generators, "check_complete_positivity", counting)
-        monkeypatch.setattr(canonical, "check_complete_positivity", counting)
+        for name in ("_reduced_spectrum", "_rotated"):
+            monkeypatch.setattr(generators, name, counting(name, getattr(generators, name)))
         ok, _ = verify.check_extraction_uniqueness(np.random.default_rng(1))
-        assert ok and len(calls) == 3
+        assert ok and calls.count("_reduced_spectrum") == 3 and calls.count("_rotated") == 3
 
     def test_null_count_is_scale_free(self):
         # null_matches_commutant counts eigenvalues of L near zero relative

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qmsflow.generators import (
     GeneratorSpec,
+    Superoperator,
     _admit,
-    _input_blocks,
+    _admitted,
     _weighted_residual,
     apply_dual,
     apply_generator,
@@ -45,6 +46,7 @@ from conftest import (
     modular_superoperator,
     random_matrix,
     self_adjointness_residual,
+    star_swap_residual,
     weight_superoperator_f,
     weight_superoperator_s,
 )
@@ -492,7 +494,7 @@ class TestCertification:
             spec = random_dbc_spec(4, rng)
             l, sigma = (spec if kind == "spec" else build_generator(spec)), spec.sigma
         dense = build_generator(l) if isinstance(l, GeneratorSpec) else l
-        blocks = _input_blocks(l, sigma)
+        blocks = _admitted(l, sigma).bohr_blocks[1]
         l_norm = np.linalg.norm(dense, 2)
         for f in (np.sqrt, bkm_weight, lambda t: (1 + t) / 2):
             kernel = _weight_kernel_f(sigma, f)
@@ -515,6 +517,16 @@ class TestCertification:
         base = certify_detailed_balance(l, sigma).star_preservation
         assert base == pytest.approx(4.489e-3, rel=1e-3)
         assert certify_detailed_balance(1e154 * l, sigma).star_preservation == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    def test_star_and_unital_residuals_match_the_dense_checks(self, rng, scale):
+        # read in sigma's eigenbasis, they are the dense checks of K(X^*) =
+        # K(X)^* and of ||L(1)|| / ||L||_2 that complete positivity relies on
+        sigma, l = random_density(3, rng), scale * random_matrix(rng, 9)
+        rep = certify_detailed_balance(l, sigma)
+        assert rep.star_preservation == pytest.approx(star_swap_residual(l), rel=1e-12)
+        unital = np.linalg.norm(l @ vec(np.eye(3))) / np.linalg.norm(l, 2)
+        assert rep.unital_residual == pytest.approx(unital, rel=1e-12)
 
 
 class _CountedReads:
@@ -559,7 +571,7 @@ class TestBlockRoute:
         # a jump frequency between two Bohr frequencies 1.5e-10 apart merges
         # their blocks, so the exact spec's blocks nest in the merged one's
         # and not the other way round
-        from qmsflow.generators import _block_distance, _input_blocks
+        from qmsflow.generators import _block_distance
 
         f = 0.5
         lam = np.array([1.0, np.exp(f), np.exp(2 * f + 1.5e-10)])
@@ -570,20 +582,20 @@ class TestBlockRoute:
         merged = GeneratorSpec(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
         assert len(merged.bohr_blocks[1]) != len(exact.bohr_blocks[1])
         l_gap = np.linalg.norm(build_generator(merged) - build_generator(exact), 2)
-        assert l_gap <= _block_distance(_input_blocks(merged, sigma), exact) <= l_gap + 1e-14
+        assert l_gap <= _block_distance(merged.bohr_blocks[1], exact) <= l_gap + 1e-14
         with pytest.raises(ValueError, match="nest"):
-            _block_distance(_input_blocks(exact, sigma), merged)
+            _block_distance(exact.bohr_blocks[1], merged)
 
     def test_superoperator_distance_bounds_the_dense_one(self, rng):
         # a superoperator is one block and the other spec's jumps lie on
         # their blocks, so the distance is exact
-        from qmsflow.generators import _block_distance, _input_blocks
+        from qmsflow.generators import _block_distance
 
         spec = random_dbc_spec(3, rng)
         other = GeneratorSpec(spec.sigma, [(1.1 * v, w) for v, w in spec.jumps])
         l = build_generator(spec)
         gap = np.linalg.norm(build_generator(other) - l, 2)
-        got = _block_distance(_input_blocks(l, spec.sigma), other)
+        got = _block_distance(Superoperator(spec.sigma, l).bohr_blocks[1], other)
         assert gap - 1e-14 * gap <= got <= gap + 1e-14 * gap
 
     @pytest.mark.parametrize("kind", ["mirror", "random"])
@@ -658,13 +670,14 @@ class TestCompletePositivity:
             assert min_eig < -scale
 
     def test_one_pade_exponential_and_no_svd(self, rng, monkeypatch):
-        # the reduced block is the verdict: no exponential at all, and
-        # ||L|| comes from the caller
-        l = build_generator(random_dbc_spec(3, rng))
-        l_norm = np.linalg.norm(l, 2)
+        # the reduced block is the verdict: no exponential at all, and after
+        # certification ||L|| and the unital and star residuals are kept
+        spec = random_dbc_spec(3, rng)
+        l = Superoperator(spec.sigma, build_generator(spec))
+        certify_detailed_balance(l, spec.sigma)
         pade = counting_expm(monkeypatch)
         svds = counting_svds(monkeypatch)
-        assert check_complete_positivity(l, l_norm=l_norm)[0]
+        assert check_complete_positivity(l)[0]
         assert pade == []
         assert svds == []
 
@@ -688,8 +701,8 @@ class TestCompletePositivity:
         assert verdicts == [True, True, True, False, False]
 
     def test_any_modular_basis_gives_the_maximally_mixed_verdict(self, rng, fermi_m2):
-        # the reduced block is taken whole over the basis given, so sigma's
-        # basis and the maximally mixed state's give one spectrum
+        # the reduced block is taken whole over the admitted sigma's basis,
+        # so sigma's basis and the maximally mixed state's give one spectrum
         from qmsflow.states import build_modular_basis
         from conftest import gks_matrix, near_degenerate_spec
 
@@ -708,17 +721,15 @@ class TestCompletePositivity:
             tracial_basis = modular_elements(build_modular_basis(tracial(n)))
             scale = np.max(np.abs(np.linalg.eigvalsh(gks_matrix(l, tracial_basis)[1:, 1:])))
             ok, min_eig = check_complete_positivity(l)
-            ok_sigma, min_eig_sigma = check_complete_positivity(l, modular=build_modular_basis(sigma))
+            ok_sigma, min_eig_sigma = check_complete_positivity(Superoperator(sigma, l))
             assert ok_sigma == ok
             assert abs(min_eig_sigma - min_eig) <= 1e-13 * scale
             verdicts.append(ok)
         assert verdicts == [True, True, True, False, False]
 
     def test_wrong_size_for_the_basis_named(self, rng):
-        from qmsflow.states import build_modular_basis
-
         with pytest.raises(ValueError, match=r"superoperator has shape \(16, 16\), expected \(9, 9\)"):
-            check_complete_positivity(np.zeros((16, 16)), modular=build_modular_basis(random_density(3, rng)))
+            check_complete_positivity(Superoperator(random_density(3, rng), np.zeros((16, 16))))
 
     def test_largest_bohr_block_is_bounded(self, monkeypatch):
         # a block of more units than MAX_BOHR_BLOCK is refused before it is

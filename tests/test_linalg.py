@@ -9,13 +9,12 @@ from qmsflow.linalg import (
     hs_inner,
     sharp,
     spectral_calculus,
-    star_swap_residual,
     traceless_hermitian_basis,
     unvec,
     vec,
 )
 
-from conftest import random_matrix, reconstruct
+from conftest import random_matrix, reconstruct, star_swap_residual
 
 
 def test_vec_is_column_stacking():
