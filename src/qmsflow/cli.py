@@ -41,6 +41,7 @@ from .serialize import (
     density_from_json,
     dump_json,
     matrix_from_json,
+    matrix_json_dim,
     rate_matrix_to_json,
     spec_from_json,
     spec_to_json,
@@ -64,11 +65,12 @@ class InputError(Exception):
 
 def _load_json(path: str, convert):
     """``convert`` of the JSON in the file ``path``, with the cyclic garbage
-    collector paused until the parsed tree has been converted and dropped: a
-    spec's nested lists make hundreds of thousands of containers, none of
-    them in a cycle, and each collection the allocations trigger would walk
-    them all.  A file that cannot be read, is not UTF-8 or is not JSON is an
-    input error naming ``path``."""
+    collector paused until the parsed tree has been converted and dropped.
+    That matters only for a file of nested matrices (a packed matrix is one
+    string): its rows and cells make hundreds of thousands of containers,
+    none of them in a cycle, and each collection the allocations trigger
+    would walk them all.  A file that cannot be read, is not UTF-8 or is
+    not JSON is an input error naming ``path``."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -100,9 +102,10 @@ def _spec_or_superop(obj):
                 raise InputError("superoperator input must carry 'sigma'")
             sigma = density_from_json(obj, "sigma")
             rows = obj["superoperator"]
-            # refused before its n^4 cells are converted
-            if isinstance(rows, list) and len(rows) != sigma.dim**2:
-                raise InputError(f"superoperator has {len(rows)} rows, not n^2 = {sigma.dim**2} "
+            # refused before its n^4 cells are converted or decoded
+            count = matrix_json_dim(rows)
+            if count is not None and count != sigma.dim**2:
+                raise InputError(f"superoperator has {count} rows, not n^2 = {sigma.dim**2} "
                                  f"for sigma of dim n = {sigma.dim}")
             return Superoperator(sigma, matrix_from_json(rows))
     except ValueError as exc:

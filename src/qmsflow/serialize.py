@@ -1,7 +1,12 @@
 """JSON/CSV wire formats.
 
-Matrices serialize as nested row-major arrays of [re, im] pairs; density
-states as {"dim": n, "rho": matrix}; generator specifications as
+An n x n matrix is written packed: one JSON string, the standard base64
+(RFC 4648, padded) of its n^2 entries as little-endian complex128 in
+row-major order, so reading it costs its bytes, not a decimal parse per
+entry.  The reader also takes the nested form, n rows of n [re, im]
+pairs, which hand-written and older files use; the JSON type of the
+matrix slot tells the two apart.  Density states serialize as
+{"dim": n, "rho": matrix}; generator specifications as
 {"dim": n, "sigma": matrix, "jumps": [{"V": matrix, "omega": w}, ...]},
 read back through the :class:`~qmsflow.generators.GeneratorSpec`
 constructor, which admits the jumps.  A declared "dim" must be a JSON
@@ -12,7 +17,9 @@ production_bound.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import tempfile
 from itertools import chain
@@ -25,6 +32,7 @@ from .generators import GeneratorSpec, RateMatrix
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
+    "matrix_json_dim",
     "density_to_json",
     "density_from_json",
     "spec_to_json",
@@ -36,15 +44,41 @@ __all__ = [
 ]
 
 
-def matrix_to_json(a: np.ndarray) -> list:
-    a = np.asarray(a, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+def matrix_to_json(a: np.ndarray) -> str:
+    """The packed form of the square matrix ``a``: base64 of its entries as
+    little-endian complex128, row-major."""
+    return base64.b64encode(np.asarray(a, dtype="<c16").tobytes()).decode("ascii")
+
+
+def matrix_json_dim(obj) -> int | None:
+    """The row count of the matrix JSON ``obj``, read without converting its
+    entries: a nested list's length, or n of a packed string's 16 n^2 bytes,
+    known from its length (ValueError if it holds no such n); None for
+    anything else."""
+    if isinstance(obj, list):
+        return len(obj)
+    if not isinstance(obj, str):
+        return None
+    if len(obj) % 4:
+        raise ValueError(f"packed matrix is not base64: length {len(obj)} is not a multiple of 4")
+    size = len(obj) // 4 * 3 - (len(obj) - len(obj.rstrip("=")))
+    n = math.isqrt(size // 16)
+    if n < 1 or size != 16 * n * n:
+        raise ValueError(f"packed matrix holds {size} bytes, not 16 n^2 for an integer n >= 1")
+    return n
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """The n x n complex matrix of n rows of n [re, im] cells; each cell
-    holds exactly two JSON numbers (booleans are not numbers) within double
-    range."""
+    """The n x n complex matrix of ``obj``: a packed string (16 n^2 bytes of
+    valid base64), or n rows of n [re, im] cells, each holding exactly two
+    JSON numbers (booleans are not numbers) within double range."""
+    if isinstance(obj, str):
+        n = matrix_json_dim(obj)
+        try:
+            raw = base64.b64decode(obj, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"packed matrix is not base64: {exc}") from exc
+        return np.frombuffer(raw, "<c16").reshape(n, n).astype(complex)
     try:
         n = len(obj)
         cells = list(chain.from_iterable(obj))

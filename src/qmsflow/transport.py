@@ -38,6 +38,7 @@ chain solver in the tests computes on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
@@ -337,8 +338,8 @@ class _PathProblem:
 
     def derivatives(self, evaluation: _PathEvaluation):
         """Exact gradient and block-tridiagonal Hessian of the action in the
-        interior coordinates (see :func:`_node_derivatives`), read from the
-        path's :meth:`evaluate`.
+        interior coordinates, times 2^-e, and e (see
+        :func:`_node_derivatives`), read from the path's :meth:`evaluate`.
 
         Y_j = d_j X in each midpoint's eigenbasis (K, J, n, n), the first
         divided differences of the kernels (see
@@ -397,7 +398,12 @@ class _PathProblem:
 def _node_derivatives(k, sol, p_inv, p_inv_g, g, s):
     """Gradient and block-tridiagonal Hessian of a K-segment action
     sum_k K delta_k^T P(m_k)^{-1} delta_k in the interior nodes, from each
-    segment's x = P^{-1} delta (K, b), P^{-1}, P^{-1} G, G and S (K, b, b).
+    segment's x = P^{-1} delta (K, b), P^{-1}, P^{-1} G, G and S (K, b, b),
+    all times 2^-e, and e.  Both are linear in x, P^{-1}, P^{-1} G and S at
+    fixed G, so those are scaled by 2^-e first, with e such that 2K P^{-1}
+    has entries at most 1.  The unscaled Hessian, whose blocks are 2K-fold
+    multiples of P^{-1}, need not fit in double precision; the scaling by
+    a power of 2 is exact, and so is the Newton step of the scaled system.
 
     In (delta, m) segment k has the gradient 2K x in delta and -K x^T G in
     m, with G_{c,a} = (d_a P x)_c, and the Hessian
@@ -409,6 +415,8 @@ def _node_derivatives(k, sol, p_inv, p_inv_g, g, s):
     (K-1, b, b) and the subdiagonal ones (K-2, b, b), block (k+1, k) being
     the coupling through segment k.
     """
+    e = int(np.frexp(np.abs(p_inv).max())[1]) + (2 * k).bit_length()
+    sol, p_inv, p_inv_g, s = (np.ldexp(a, -e) for a in (sol, p_inv, p_inv_g, s))
     dmid = -k * (sol[:, None, :] @ g)[:, 0]
     ddelta = 2.0 * k * sol
     gradient = ddelta[:-1] - ddelta[1:] + 0.5 * (dmid[:-1] + dmid[1:])
@@ -418,7 +426,7 @@ def _node_derivatives(k, sol, p_inv, p_inv_g, g, s):
     skew = dm - sym
     diag = (dd + sym + 0.25 * mm)[:-1] + (dd - sym + 0.25 * mm)[1:]
     lower = (0.25 * mm - dd + skew)[1:-1]
-    return gradient, 0.5 * (diag + np.swapaxes(diag, -1, -2)), lower
+    return gradient, 0.5 * (diag + np.swapaxes(diag, -1, -2)), lower, e
 
 
 def _newton_step(diag, lower, g):
@@ -473,8 +481,10 @@ def _minimize_path(problem, max_iter):
     action = float(np.sum(problem.segment_actions(evaluation)))
     steps, squared, converged, damping = 0, 0.0, True, 0.0
     while y.size:
-        g, diag, lower = problem.derivatives(evaluation)
+        # the system is the action's times 2^-e, which leaves the step exact
+        g, diag, lower, e = problem.derivatives(evaluation)
         direction, squared = _newton_step(diag, lower, g)
+        squared = math.ldexp(squared, e)
         converged = 0.5 * squared <= DECREMENT_RTOL * action
         if converged or steps >= max_iter:
             break
@@ -486,7 +496,7 @@ def _minimize_path(problem, max_iter):
             if problem.min_eigenvalue(cand) >= POSITIVITY_FLOOR:
                 cand_evaluation = problem.evaluate(cand)
                 cand_action = float(np.sum(problem.segment_actions(cand_evaluation)))
-                if cand_action <= action + ARMIJO_SLOPE * float(g.ravel() @ direction.ravel()):
+                if cand_action <= action + ARMIJO_SLOPE * math.ldexp(float(g.ravel() @ direction.ravel()), e):
                     break
             damping = max(4.0 * damping, 1e-4)
         else:

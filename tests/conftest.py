@@ -210,6 +210,28 @@ def star_swap_residual(s: np.ndarray) -> float:
     return float(resid / scale)
 
 
+def nested_matrix_to_json(a) -> list:
+    """``a`` in the nested wire form, n rows of n [re, im] pairs, which
+    ``qmsflow.serialize.matrix_from_json`` reads besides the packed form;
+    tests that build malformed or rescaled input edit its cells."""
+    a = np.asarray(a, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+
+def nested_density_to_json(state) -> dict:
+    """``serialize.density_to_json`` with the nested matrix form."""
+    return {"dim": state.dim, "rho": nested_matrix_to_json(state.rho)}
+
+
+def nested_spec_to_json(spec) -> dict:
+    """``serialize.spec_to_json`` with the nested matrix form."""
+    return {
+        "dim": spec.dim,
+        "sigma": nested_matrix_to_json(spec.sigma.rho),
+        "jumps": [{"V": nested_matrix_to_json(v), "omega": float(w)} for v, w in spec.jumps],
+    }
+
+
 def rate_matrix_from_json(obj):
     """The ``RateMatrix`` that ``qmsflow.serialize.rate_matrix_to_json`` wrote."""
     if "rates" not in obj or "stationary" not in obj:
@@ -658,7 +680,8 @@ class _ChainProblem:
 
     def derivatives(self, evaluation):
         """Exact gradient and block-tridiagonal Hessian from :meth:`evaluate`
-        on mean-zero directions (see :func:`_node_derivatives`).
+        on mean-zero directions, times 2^-e, and e (see
+        :func:`_node_derivatives`).
 
         With f = D u the edge fluxes and w_xy = LM(p_x Q_xy, p_y Q_yx),
         G = D^T diag(f) dw/dmid, so the midpoint gradient is
@@ -680,12 +703,12 @@ class _ChainProblem:
         s = (np.einsum("ex,ke,ey->kxy", tail, f2 * self.q_out**2 * log_mean_dxx(out_mass, in_mass), tail)
              + np.einsum("ex,ke,ey->kxy", head, f2 * self.q_in**2 * log_mean_dxx(in_mass, out_mass), head)
              + cross + np.swapaxes(cross, -1, -2))
-        gradient, diag, lower = _node_derivatives(self.k, u, lap_inv, lap_inv @ g, g, s)
+        gradient, diag, lower, e = _node_derivatives(self.k, u, lap_inv, lap_inv @ g, g, s)
         center = np.eye(m) - 1.0 / m
         diag = center @ diag @ center
         lower = center @ lower @ center
         scale = np.trace(diag, axis1=1, axis2=2).mean() / (m - 1)
-        return gradient - gradient.mean(axis=1, keepdims=True), diag + scale / m, lower
+        return gradient - gradient.mean(axis=1, keepdims=True), diag + scale / m, lower, e
 
 
 def classical_transport_distance(

@@ -1,3 +1,4 @@
+import base64
 import functools
 import gc
 import json
@@ -31,6 +32,9 @@ from qmsflow.serialize import (
 from conftest import (
     kron_sum_generator,
     near_degenerate_spec,
+    nested_density_to_json,
+    nested_matrix_to_json,
+    nested_spec_to_json,
     random_matrix,
     rate_matrix_from_json,
     trajectory_from_csv,
@@ -38,7 +42,7 @@ from conftest import (
 
 
 def scaled_jumps(obj, c):
-    """A spec JSON with every jump's cells times ``c``."""
+    """A nested spec JSON with every jump's cells times ``c``."""
     for jump in obj["jumps"]:
         jump["V"] = [[[c * x for x in cell] for cell in row] for row in jump["V"]]
     return obj
@@ -410,7 +414,7 @@ class TestInspect:
          *SCALED_MESSAGES],
     )
     def test_malformed_wire_format_exit_two(self, tmp_path, capsys, name):
-        obj = spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
+        obj = nested_spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
         if name == "no_V":
             del obj["jumps"][0]["V"]
         elif name == "no_omega":
@@ -420,9 +424,9 @@ class TestInspect:
         elif name == "jump_not_object":
             obj["jumps"][0] = [obj["sigma"], 0.0]
         elif name == "superoperator_without_sigma":
-            obj = {"dim": 2, "superoperator": matrix_to_json(np.eye(4))}
+            obj = {"dim": 2, "superoperator": nested_matrix_to_json(np.eye(4))}
         elif name == "superoperator_wrong_size":
-            obj = {"dim": 2, "sigma": obj["sigma"], "superoperator": matrix_to_json(np.eye(3))}
+            obj = {"dim": 2, "sigma": obj["sigma"], "superoperator": nested_matrix_to_json(np.eye(3))}
         elif name == "cell_three_entries":
             obj["sigma"][0][0].append(7)
         elif name == "cell_out_of_range":
@@ -438,7 +442,7 @@ class TestInspect:
         elif name == "omega_boolean":
             obj["jumps"][1]["omega"] = True
         elif name == "superoperator_dim_mismatch":
-            obj = {"dim": 5, "sigma": obj["sigma"], "superoperator": matrix_to_json(np.eye(4))}
+            obj = {"dim": 5, "sigma": obj["sigma"], "superoperator": nested_matrix_to_json(np.eye(4))}
         elif name.startswith(("kms_asymmetric", "blocks_overflow")):
             obj = one_sided_spec(float(name.split("_x")[1]))
         elif name == "k_overflow_x1e200":
@@ -478,11 +482,11 @@ class TestInspect:
         assert converted == []
 
     @pytest.mark.parametrize("command", ["inspect", "evolve", "metric", "geodesic"])
-    def test_jumps_without_headroom_exit_two(self, fermi_spec_file, tmp_path, capsys, command):
+    def test_jumps_without_headroom_exit_two(self, tmp_path, capsys, command):
         # every jump x1e154: K and L's blocks are finite (about 1e308), but
         # the commands would overflow, so the spec is refused at load
         scaled = tmp_path / "scaled.json"
-        scaled.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), 1e154)))
+        scaled.write_text(json.dumps(scaled_jumps(nested_spec_to_json(fermi_ou(1, 1.0, [1.0]).spec), 1e154)))
         rho_path = tmp_path / "rho.json"
         rho_path.write_text(dump_json(density_to_json(DensityState.from_matrix(np.diag([0.3, 0.7])))))
         extra = {"evolve": ["--rho0", str(rho_path)], "metric": ["--rho", str(rho_path)],
@@ -503,18 +507,18 @@ class TestInspect:
         extra = {"metric": ["--rho", str(rho)], "geodesic": ["--rho0", str(rho), "--segments", "4"]}[command]
         for c in (1e-154, 1e-153):
             path = tmp_path / f"small_{c:g}.json"
-            path.write_text(json.dumps(scaled_jumps(spec_to_json(fermi_ou(2, 1.0, [1.0, 2.0]).spec), c)))
+            path.write_text(json.dumps(scaled_jumps(nested_spec_to_json(fermi_ou(2, 1.0, [1.0, 2.0]).spec), c)))
             assert main([command, "--input", str(path), *extra]) == 2
             err = capsys.readouterr().err
             assert err.startswith("input error: L underflows double precision") and "transport metric" in err
 
-    def test_inspect_at_1e150_raises_no_warning(self, fermi_spec_file, tmp_path):
+    def test_inspect_at_1e150_raises_no_warning(self, tmp_path):
         # every norm of the certification and extraction is taken of scaled
         # entries, so none squares an entry of about 1e300
         import warnings
 
         scaled = tmp_path / "scaled.json"
-        scaled.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), 1e150)))
+        scaled.write_text(json.dumps(scaled_jumps(nested_spec_to_json(fermi_ou(1, 1.0, [1.0]).spec), 1e150)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["inspect", "--input", str(scaled), "--output", str(tmp_path / "report.json")]) == 0
@@ -850,7 +854,7 @@ class TestEvolve:
         from qmsflow.models import random_density
 
         scaled = tmp_path / "scaled.json"
-        scaled.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), 1e10)))
+        scaled.write_text(json.dumps(scaled_jumps(nested_spec_to_json(fermi_ou(1, 1.0, [1.0]).spec), 1e10)))
         rho_path = tmp_path / "rho.json"
         rho_path.write_text(dump_json(density_to_json(random_density(2, rng))))
         rows = {}
@@ -1013,14 +1017,14 @@ class TestMetricGeodesicRestrict:
         assert "--projections" in err and not out.exists()
 
     @pytest.mark.parametrize("c", [1e100, 1e150])
-    def test_restrict_invariance_verdict_at_every_scale(self, fermi_spec_file, tmp_path, capsys, c):
+    def test_restrict_invariance_verdict_at_every_scale(self, tmp_path, capsys, c):
         # the Hadamard projections (I +- X)/2 are refused at x1 with residual
         # 7.369e-01; every jump times c scales it by c^2, and the norms do
         # not overflow, so the verdict is x1's
         hadamard = [0.5 * np.array([[1.0, s], [s, 1.0]]) for s in (1.0, -1.0)]
         proj_path, spec_path = tmp_path / "projs.json", tmp_path / "scaled.json"
         proj_path.write_text(dump_json([matrix_to_json(e) for e in hadamard]))
-        spec_path.write_text(json.dumps(scaled_jumps(json.loads(Path(fermi_spec_file).read_text()), c)))
+        spec_path.write_text(json.dumps(scaled_jumps(nested_spec_to_json(fermi_ou(1, 1.0, [1.0]).spec), c)))
         assert main(["restrict", "--input", str(spec_path), "--projections", str(proj_path)]) == 2
         err = capsys.readouterr().err
         assert err == ("input error: span of projections is not invariant under the dual generator "
@@ -1067,10 +1071,10 @@ def test_side_file_errors_exit_two(fermi_spec_file, tmp_path, capsys, command, f
     elif defect.endswith("_cell"):
         cell = {"long_cell": [0.0, 0.0, 7], "huge_cell": [10**400, 0], "bool_cell": [False, False]}
         if flag == "--projections":
-            content = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
+            content = [nested_matrix_to_json(np.diag([1.0, 0.0])), nested_matrix_to_json(np.diag([0.0, 1.0]))]
             content[0][0][1] = cell[defect]
         else:
-            content = density_to_json(DensityState.from_matrix(np.diag([0.4, 0.6])))
+            content = nested_density_to_json(DensityState.from_matrix(np.diag([0.4, 0.6])))
             content["rho"][0][1] = cell[defect]
     elif flag == "--projections":
         content = [[[[1, 0], [0, 0], [0, 0]]]] if defect == "invalid" else [matrix_to_json(np.eye(3))]
@@ -1088,6 +1092,174 @@ def test_side_file_errors_exit_two(fermi_spec_file, tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# the packed wire form: one base64 string of 16 n^2 bytes per matrix
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype="<c16").tobytes()
+
+
+class TestPackedMatrices:
+    def test_matrix_roundtrip_is_bit_exact(self, rng):
+        special = np.empty((4, 4), dtype=complex)
+        special.real = np.resize(SPECIAL_ENTRIES, (4, 4))
+        special.imag = np.roll(special.real, 3)
+        for a in (random_matrix(rng, 1), random_matrix(rng, 5), special, np.diag([0.0, -0.0])):
+            text = matrix_to_json(a)
+            # the decoding the README gives
+            assert _bits(np.frombuffer(base64.b64decode(text), "<c16").reshape(a.shape)) == _bits(a)
+            back = matrix_from_json(json.loads(json.dumps(text)))
+            assert _bits(back) == _bits(a)
+            # an owned, writable, native-endian array
+            assert back.dtype == np.dtype(complex) and back.flags.owndata and back.flags.writeable
+
+    def test_density_and_spec_roundtrip_is_bit_exact(self, rng):
+        from qmsflow.models import random_density
+
+        tiny = np.array([[0.5, complex(5e-324, -0.0)], [complex(5e-324, 0.0), 0.5]])
+        for state in (random_density(4, rng), DensityState.from_matrix(tiny)):
+            obj = json.loads(dump_json(density_to_json(state)))
+            assert isinstance(obj["rho"], str)
+            assert _bits(density_from_json(obj).rho) == _bits(state.rho)
+        # on the maximally mixed sigma every unit is in one Bohr block, so
+        # admission stores the jump as given
+        v = np.array([[1.0, complex(5e-324, -0.0)], [complex(5e-324, 0.0), -0.0]])
+        for spec in (random_dbc_spec(3, rng), GeneratorSpec(DensityState.from_matrix(np.eye(2) / 2), [(v, 0.0)])):
+            obj = json.loads(dump_json(spec_to_json(spec)))
+            back = spec_from_json(obj)
+            assert _bits(matrix_from_json(obj["sigma"])) == _bits(spec.sigma.rho)
+            assert [_bits(matrix_from_json(j["V"])) for j in obj["jumps"]] == [_bits(w) for w, _ in spec.jumps]
+            assert _bits(back.sigma.rho) == _bits(spec.sigma.rho)
+        assert _bits(back.jumps[0][0]) == _bits(v)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "packed matrix holds 0 bytes"),
+        ("AAA", "packed matrix is not base64: length 3"),
+        (matrix_to_json(np.eye(2))[:-4], "packed matrix holds 63 bytes"),
+        (base64.b64encode(bytes(20)).decode(), "packed matrix holds 20 bytes"),
+        ("*" + matrix_to_json(np.eye(2))[1:], "packed matrix is not base64"),
+        ("\u00e9" + matrix_to_json(np.eye(2))[1:], "packed matrix is not base64"),
+        (matrix_to_json(np.eye(2))[:-8] + "A=AA" + matrix_to_json(np.eye(2))[-4:], "packed matrix is not base64"),
+    ], ids=["empty", "short", "truncated", "twenty_bytes", "bad_character", "non_ascii", "inner_padding"])
+    def test_malformed_packed_matrix(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            matrix_from_json(text)
+
+
+PACKED_DEFECTS = ["not_base64", "bad_length", "other_n", "other_dim"]
+
+
+def _packed_spec_defect(defect):
+    """The dim-2 Fermi m=1 spec JSON with one packed defect."""
+    obj = spec_to_json(fermi_ou(1, 1.0, [1.0]).spec)
+    if defect == "not_base64":
+        obj["jumps"][0]["V"] = "!" + obj["jumps"][0]["V"][1:]
+    elif defect == "bad_length":
+        obj["sigma"] = obj["sigma"][:-4]
+    elif defect == "other_n":
+        obj["jumps"][1]["V"] = matrix_to_json(np.zeros((3, 3)))
+    else:
+        obj["dim"] = 3
+    return obj
+
+
+@pytest.mark.parametrize("defect", PACKED_DEFECTS)
+def test_packed_input_defects_exit_two(tmp_path, capsys, defect):
+    path, out = tmp_path / "bad.json", tmp_path / "out"
+    path.write_text(json.dumps(_packed_spec_defect(defect)))
+    assert main(["inspect", "--input", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    expected = {"not_base64": "packed matrix is not base64", "bad_length": "packed matrix holds 63 bytes",
+                "other_n": "jump 1 has shape (3, 3), expected (2, 2)",
+                "other_dim": "declared dim 3 does not match matrix dim 2"}[defect]
+    assert err.startswith("input error: ") and expected in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", SIDE_FILE_FLAGS)
+@pytest.mark.parametrize("defect", PACKED_DEFECTS)
+def test_packed_side_file_defects_exit_two(fermi_spec_file, tmp_path, capsys, command, flag, defect):
+    # a packed state or projection that is not base64, holds no n x n
+    # matrix, or is not of the dim-2 spec's or its declared dimension
+    rho = np.diag([0.4, 0.6])
+    text = {"not_base64": "!" + matrix_to_json(rho)[1:], "bad_length": matrix_to_json(rho)[:-4],
+            "other_n": matrix_to_json(np.eye(3) / 3)}.get(defect, matrix_to_json(rho))
+    if flag == "--projections":
+        content = [text, matrix_to_json(np.diag([0.0, 1.0]))]
+        if defect == "other_dim":  # a projection list declares no dim: a list of one 3 x 3
+            content = [matrix_to_json(np.eye(3))]
+    elif defect == "other_dim":
+        content = {"dim": 3, "rho": text}
+    else:
+        content = {"rho": text}
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(content))
+    good.write_text(dump_json(density_to_json(DensityState.from_matrix(rho))))
+    argv = [command, "--input", fermi_spec_file, flag, str(bad), "--output", str(tmp_path / "out")]
+    if command == "geodesic" and flag == "--rho1":
+        argv += ["--rho0", str(good)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    expected = {"not_base64": "packed matrix is not base64", "bad_length": "packed matrix holds 63 bytes",
+                "other_n": "a 3 x 3 matrix for a spec of dim 2",
+                "other_dim": ("a 3 x 3 matrix for a spec of dim 2" if flag == "--projections"
+                              else "declared dim 3 does not match matrix dim 2")}[defect]
+    assert err.startswith(f"input error: {bad}: ") and expected in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rows", [3, 9, 25])
+def test_packed_superoperator_size_refused_before_decoding(tmp_path, capsys, monkeypatch, rows):
+    # the byte count of a packed superoperator is known from its length: one
+    # of 16 m^2 bytes, m != n^2, exits 2 with the nested row-count message
+    # before it is decoded, although its first character is not base64
+    converted = []
+    convert = cli.matrix_from_json
+    monkeypatch.setattr(cli, "matrix_from_json", lambda obj: converted.append(obj) or convert(obj))
+    text = "!" + matrix_to_json(np.zeros((rows, rows)))[1:]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "sigma": matrix_to_json(np.diag([0.3, 0.7])), "superoperator": text}))
+    assert main(["inspect", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (f"input error: superoperator has {rows} rows, not n^2 = 4 "
+                                       "for sigma of dim n = 2\n")
+    assert converted == []
+
+
+def test_nested_superoperator_input(tmp_path):
+    spec = fermi_ou(1, 1.0, [1.0]).spec
+    path, out = tmp_path / "l.json", tmp_path / "report.json"
+    path.write_text(dump_json({"dim": 2, "sigma": nested_matrix_to_json(spec.sigma.rho),
+                               "superoperator": nested_matrix_to_json(generators.build_generator(spec))}))
+    assert main(["inspect", "--input", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["canonical"]["jump_count"] == 2
+
+
+def test_benchmark_specs_read_alike_in_either_form(tmp_path):
+    # the dense-d16 benchmark's inputs (Fermi OU m=4 and a random ergodic
+    # dim-16 spec, seed 1): nested and packed files give byte-identical
+    # inspect reports and evolve trajectories
+    from qmsflow.models import random_density
+
+    fermi = fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2])
+    cases = [("fermi4", fermi.spec, ["--decay-rate", repr(fermi.decay_rate())]),
+             ("random16", random_dbc_spec(16, np.random.default_rng([1, 1]), ergodic=True), [])]
+    state = random_density(16, np.random.default_rng([1, 2, 0]))
+    for name, spec, extra in cases:
+        outputs = []
+        for form, write, write_rho in (("nested", nested_spec_to_json, nested_density_to_json),
+                                       ("packed", spec_to_json, density_to_json)):
+            path, rho = tmp_path / f"{name}_{form}.json", tmp_path / f"rho_{form}.json"
+            path.write_text(json.dumps(write(spec)))
+            rho.write_text(json.dumps(write_rho(state)))
+            ins, evo = tmp_path / f"{name}_{form}_inspect.json", tmp_path / f"{name}_{form}_evolve.csv"
+            assert main(["inspect", "--input", str(path), "--output", str(ins)]) == 0
+            assert main(["evolve", "--input", str(path), "--rho0", str(rho), "--grid", "0:3:31", *extra,
+                         "--output", str(evo)]) == 0
+            outputs.append((ins.read_bytes(), evo.read_bytes()))
+        assert outputs[0] == outputs[1], name
 
 
 @pytest.mark.parametrize(
@@ -1158,11 +1330,17 @@ def _sweep_verdicts(command, code, out):
 
 
 class TestUnitsSweep:
-    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
-    def test_every_spec_command_at_every_scale(self, tmp_path, name):
+    @pytest.mark.parametrize(
+        "name, nested",
+        [*(pytest.param(name, False, id=name) for name in sorted(SWEEP_SPECS)),
+         pytest.param("fermi_m2", True, id="fermi_m2_nested")],
+    )
+    def test_every_spec_command_at_every_scale(self, tmp_path, name, nested):
         # inspect, evolve, metric, geodesic and restrict (default
         # projections) read as at x1 at every scale admission takes, raise
-        # no numpy warning and write strict JSON; a refused scale exits 2
+        # no numpy warning and write strict JSON; a refused scale exits 2.
+        # The scaled jumps are written packed, and once as nested cells
+        # times c
         import warnings
 
         from qmsflow.models import random_density
@@ -1180,9 +1358,15 @@ class TestUnitsSweep:
         verdicts, admitted = {}, {}
         for c in SWEEP_SCALES:
             path = tmp_path / f"spec_{c:g}.json"
-            path.write_text(json.dumps(scaled_jumps(spec_to_json(spec), c)))
+            jumps = [(c * v, w) for v, w in spec.jumps]
+            if nested:
+                obj = scaled_jumps(nested_spec_to_json(spec), c)
+            else:
+                obj = {"dim": spec.dim, "sigma": matrix_to_json(spec.sigma.rho),
+                       "jumps": [{"V": matrix_to_json(v), "omega": w} for v, w in jumps]}
+            path.write_text(json.dumps(obj))
             try:
-                GeneratorSpec(spec.sigma, [(c * v, w) for v, w in spec.jumps])
+                GeneratorSpec(spec.sigma, jumps)
                 admitted[c] = True
             except ValueError:
                 admitted[c] = False
@@ -1228,6 +1412,41 @@ class TestUnitsSweep:
         for c, verdict in verdicts.items():
             expect = (0, True, False, True, None, 0, []) if zero[c] else verdicts[1.0] if admitted[c] else (2,)
             assert verdict == expect, c
+
+
+@functools.cache
+def _depolarizing_distance(segments):
+    from qmsflow.models import random_density
+    from qmsflow.transport import geodesic_distance
+
+    spec = depolarizing(3)
+    return geodesic_distance(spec, random_density(3, np.random.default_rng(3)), spec.sigma, segments=segments)
+
+
+@pytest.mark.parametrize("segments", [256, 1024])
+@pytest.mark.parametrize("c", [1.3e-153, 2e-153])
+def test_geodesic_many_segments_near_the_admission_floor(tmp_path, c, segments):
+    # depolarizing n=3 with every jump times c is admitted, and 2K M^{-1}
+    # would not fit in double precision: the Newton system is formed on a
+    # power-of-2 scale, so the solve raises no numpy warning and reads the
+    # distance at x1 over c
+    import warnings
+
+    from qmsflow.models import random_density
+
+    spec = depolarizing(3)
+    path, rho, out = tmp_path / "spec.json", tmp_path / "rho.json", tmp_path / "geodesic.json"
+    path.write_text(json.dumps({"dim": 3, "sigma": matrix_to_json(spec.sigma.rho),
+                                "jumps": [{"V": matrix_to_json(c * v), "omega": w} for v, w in spec.jumps]}))
+    rho.write_text(json.dumps(density_to_json(random_density(3, np.random.default_rng(3)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["geodesic", "--input", str(path), "--rho0", str(rho), "--segments", str(segments),
+                     "--output", str(out)])
+    report = json.loads(out.read_text())
+    reference = _depolarizing_distance(segments)
+    assert code == 0 and report["converged"] and report["iterations"] == reference.iterations
+    assert report["distance"] * c == pytest.approx(reference.distance, rel=1e-12)
 
 
 class TestZoo:
