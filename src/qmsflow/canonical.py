@@ -184,9 +184,9 @@ def _jump_gks_residuals(gks: JumpGKS, images: list) -> tuple:
     coefficients in the :class:`qmsflow.generators.JumpGKS` layout, over
     its identity row and column and reduced blocks, whose adjoint-pairing
     images are ``images`` (:func:`_paired_blocks`); the off-block residual
-    is its ``offblock``: an upper bound for a spec, exact for a
-    superoperator.  The Hermiticity residual's norms are of coefficients
-    scaled by a power of 2, whose squares do not overflow."""
+    is its ``offblock``, exact for both kinds.  The Hermiticity residual's
+    norms are of coefficients scaled by a power of 2, whose squares do not
+    overflow."""
     mod, row, col, blocks = gks.modular, gks.row, gks.col, gks.blocks
     omegas, pairing = mod.bohr_frequencies, mod.conj_pairing
     values = [v for _, v in blocks]
@@ -215,10 +215,11 @@ def extract_canonical(
     ``l`` is admitted on ``sigma`` (:func:`qmsflow.generators._admitted`).
     L's GKS coefficients over ``modular`` (default: sigma's own modular
     basis, kept by the admitted L) are a spec's jumps' Gram blocks, or are
-    cut from a superoperator's coefficient matrix, its entries off the
-    blocks left out (below tolerance for valid input).  Their
-    adjoint-pairing image is formed once, for the pairing residual and the
-    symmetrisation; one loop turns the reduced blocks into jumps.
+    cut from a superoperator's coefficient matrix; for either kind the
+    largest entry off the blocks is kept, exact, for the off-block
+    residual.  Their adjoint-pairing image is formed once, for the pairing
+    residual and the symmetrisation; one loop turns the reduced blocks
+    into jumps.
 
     The blocks are the modular basis's own (``ModularData.block_labels``,
     from :func:`qmsflow.states.bohr_labels`), so no frequency is compared
@@ -239,8 +240,9 @@ def extract_canonical(
     The input must pass GNS certification at ``tol``, the positivity check
     at ``psd_tol`` (both read what the admitted L keeps) and the
     block-structure guard (ValueError otherwise).  The round-trip error is
-    ||L - L_extracted||_2 from L's blocks and the extracted spec's
-    (:func:`qmsflow.generators._block_distance`), over the certified ||L||.
+    ||L - L_extracted||_2 from L's blocks and the extracted spec's, which
+    are sigma's (:func:`qmsflow.generators._block_distance`), over the
+    certified ||L||.
     """
     l = _admitted(l, sigma)
     cert = certify_detailed_balance(l, sigma, tol)

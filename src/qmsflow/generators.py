@@ -206,9 +206,10 @@ def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
     """Snaps the jumps ``vs`` (J, n, n) of frequencies ``omegas`` onto
     sigma's Bohr blocks, in place.  With U^* sigma U = diag(lam), a modular
     eigenvector's tilde V_j = U^* V_j U lives on the units E_ab of
-    frequency log lam_a - log lam_b = -omega_j, grouped with them by
-    :func:`qmsflow.states.bohr_labels` (the modular basis's grouping): each
-    lands in the block of units sharing it, or alone.  A jump with more
+    frequency log lam_a - log lam_b = -omega_j.  The blocks are sigma's
+    alone, those of :func:`qmsflow.states.bohr_labels` (the modular basis's
+    grouping), and -omega_j is looked up among them: a jump with no block
+    near its frequency has all its mass off the blocks.  A jump with more
     than ``JUMP_EIGEN_TOL`` of its Frobenius mass off its block raises
     ValueError, and so does a block of more than ``MAX_BOHR_BLOCK`` units,
     before any block is allocated; below that, U off(tilde V_j) U^* is
@@ -217,8 +218,7 @@ def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
     (:func:`_label_stacks`), and the rows tilde V_j (row-major) with their
     entries off the block set to 0."""
     n, u, nn = sigma.dim, sigma.eigenvectors, sigma.dim**2
-    label, order = bohr_labels(sigma, -omegas)
-    units = order[order < nn]  # each block's units in ascending frequency
+    label, units = bohr_labels(sigma, -omegas)  # each block's units in ascending frequency
     stacks = _label_stacks(label[units])
     if max(stacks) > MAX_BOHR_BLOCK:
         raise ValueError(
@@ -246,9 +246,9 @@ def _admit(sigma: DensityState, vs: np.ndarray, omegas: np.ndarray) -> tuple:
 
 
 def _bohr_blocks(sigma: DensityState, units_by_size: list, rows: np.ndarray, c: np.ndarray) -> tuple:
-    """L on its Bohr blocks from :func:`_admit`'s units, the rows of the
-    jumps on their blocks and then tilde K = U^* K U (``rows``), and the
-    weights ``c``.  With E_cd = |c><d|,
+    """L on its Bohr blocks, sigma's (:func:`_admit`'s units), from the rows
+    of the jumps on their blocks and then tilde K = U^* K U (``rows``), and
+    the weights ``c``.  With E_cd = |c><d|,
 
         L(E_cd)_ab = 2 sum_j c_j conj(tilde V_j[c, a]) tilde V_j[d, b]
                      - tilde K_ac delta_bd - delta_ac tilde K_db
@@ -349,14 +349,14 @@ def _label_stacks(labels: np.ndarray) -> dict:
 @dataclass(frozen=True)
 class JumpGKS:
     """L's GKS coefficients c_ab over a modular basis, from the jumps
-    (:func:`_jump_gks`), where the entries off the blocks are bounded, not
-    formed, or from a superoperator (:meth:`Superoperator.gks_over`)."""
+    (:func:`_jump_gks`) or from a superoperator
+    (:meth:`Superoperator.gks_over`); ``offblock`` is exact for both kinds."""
 
     modular: ModularData
     row: np.ndarray  # c_0b
     col: np.ndarray  # c_a0
     blocks: list  # per block size: element indices (blocks, size) and reduced blocks
-    offblock: float  # bound on every |c_ab| off the blocks
+    offblock: float  # the largest |c_ab| off the blocks
     hamiltonian_norms: tuple  # Frobenius norms of the two Hamiltonian candidates
 
 
@@ -384,18 +384,18 @@ def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
 
     (F_a' = F_a^*).  The reduced block (a, b > 0) is the Gram matrix of
     the jumps' traceless coefficients, positive semidefinite and, since
-    each V_j lives on one Bohr block, block diagonal over the modular
-    basis's ``block_labels``; it is kept per label, blocks of equal size
-    stacked in label order.  The coefficients are read on sigma's
-    eigenvectors, where each element is a few units
-    (``ModularData.eigen``), from the rows tilde V_j and tilde K that the
-    spec's admission kept: x_ja = sum_k conj(coefs_k) tilde V_j[units_k] / n
-    over the element's k, so ``modular`` must be a basis of the spec's own
-    sigma (ValueError otherwise).  The identity row and column are exact,
-    and so are the Hamiltonian candidates built from them.  The bound on
-    the entries off the blocks is 2 sum_j c_j |x_j| |x_j off its heaviest
-    block|, or the largest identity-row or -column entry off the block of
-    0, whichever is larger.
+    each V_j lives on one of sigma's Bohr blocks, which are the modular
+    basis's (``block_labels``), exactly block diagonal over them; it is
+    kept per label, blocks of equal size stacked in label order.  The
+    coefficients are read on sigma's eigenvectors, where each element is a
+    few units (``ModularData.eigen``), from the rows tilde V_j and tilde K
+    that the spec's admission kept: x_ja = sum_k conj(coefs_k)
+    tilde V_j[units_k] / n over the element's k, so ``modular`` must be a
+    basis of the spec's own sigma (ValueError otherwise).  The identity row
+    and column are exact, and so are the Hamiltonian candidates built from
+    them.  The reduced block has no entry off the blocks, so ``offblock`` is
+    the largest identity-row or -column entry off the block of 0, exact as
+    a superoperator's is.
     """
     if modular.sigma is not spec.sigma:
         raise ValueError("a spec's coefficients are read over a modular basis of its own sigma")
@@ -413,15 +413,9 @@ def _jump_gks(spec: GeneratorSpec, modular: ModularData) -> JumpGKS:
     for members in _label_stacks(labels[1:]).values():  # the reduced elements
         xg = xj[:, members + 1].transpose(1, 0, 2)  # (blocks, jumps, size)
         blocks.append((members + 1, 2.0 * np.conj(xg).transpose(0, 2, 1) @ (c[:, None] * xg)))
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
-    mass = np.add.reduceat(np.abs(xj[:, order]) ** 2, starts, axis=1)
-    norms = np.sqrt(mass.sum(axis=1))
-    mass[np.arange(len(mass)), np.argmax(mass, axis=1)] = 0.0
-    bound = 2.0 * float(np.sum(c * norms * np.sqrt(mass.sum(axis=1))))
     off_zero = labels != labels[0]  # the identity's label is the block of 0
     edge = max(np.max(np.abs(row[off_zero]), initial=0.0), np.max(np.abs(col[off_zero]), initial=0.0))
-    return JumpGKS(modular, row, col, blocks, max(bound, float(edge)), _hamiltonian_norms(modular, row, col))
+    return JumpGKS(modular, row, col, blocks, float(edge), _hamiltonian_norms(modular, row, col))
 
 
 def _rotated(l, sigma: DensityState) -> np.ndarray:
@@ -578,24 +572,6 @@ def _unit_positions(blocks: list, nn: int) -> np.ndarray:
     return index
 
 
-def _block_entries(values: list, index: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Entries at units (rows, cols) of the block-diagonal matrix stored per
-    size group as ``values`` (blocks located by ``index``), zero off its
-    blocks, and the mask of the entries on them."""
-    grp, blk, pos = index
-    rows, cols = np.broadcast_arrays(rows, cols)
-    on = (grp[rows] == grp[cols]) & (blk[rows] == blk[cols])
-    out = np.zeros(rows.shape, dtype=complex)
-    r, c = rows[on], cols[on]
-    g, picked = grp[r], np.empty(r.size, dtype=complex)
-    # only the size groups the entries fall in (np.unique would import numpy.ma)
-    for k in np.flatnonzero(np.bincount(g, minlength=len(values))):
-        sel = g == k
-        picked[sel] = values[k][blk[r[sel]], pos[r[sel]], pos[c[sel]]]
-    out[on] = picked
-    return out, on
-
-
 def _largest_singular_value(stacks) -> float:
     return max((float(np.linalg.svd(x, compute_uv=False).max()) for x in stacks), default=0.0)
 
@@ -603,22 +579,14 @@ def _largest_singular_value(stacks) -> float:
 def _block_distance(blocks: list, other: GeneratorSpec) -> float:
     """||L - L_other||_2 from the blocks of L (an admitted L's ``bohr_blocks``) and
     ``other``'s Bohr blocks: the largest singular value of any block of
-    L - L_other on L's blocks, where ``other``'s entries are taken from its
-    own blocks.  ``other``'s blocks must each lie inside one of L's
-    (ValueError otherwise), so L - L_other is block diagonal on L's.
+    L - L_other on L's blocks.  ``other``'s blocks are sigma's, so each lies
+    in one of L's (L's blocks are sigma's too, or one block of all units)
+    and is added to it by a direct scatter through :func:`_unit_positions`.
     """
-    nn = other.dim**2
-    _, theirs = other.bohr_blocks
-    index = _unit_positions(blocks, nn)
-    for units, *_ in theirs:
-        where = index[:2, units]
-        if np.any(where != where[:, :, :1]):
-            raise ValueError("the Bohr blocks of the two generators do not nest")
-    their_index, their_values = _unit_positions(theirs, nn), [x for *_, x in theirs]
-    diffs = [
-        _block_entries(their_values, their_index, units[:, :, None], units[:, None, :])[0] - x
-        for units, _, x in blocks
-    ]
+    index, diffs = _unit_positions(blocks, other.dim**2), [-x for *_, x in blocks]
+    for units, _, x in other.bohr_blocks[1]:
+        g, blk, pos = index[:, units]
+        diffs[g[0, 0]][blk[:, :1, None], pos[:, :, None], pos[:, None, :]] += x
     return _largest_singular_value(diffs)
 
 
@@ -690,8 +658,10 @@ def _certify_blocks(sigma: DensityState, ls: list) -> CertificationReport:
     for Omega_BKM); the modular commutator is the largest singular
     value of L_B Delta_B - Delta_B L_B (frequencies in a block differ by up
     to ``BOHR_RTOL``), scaled by lam_max/lam_min; the star residual pairs
-    each block with the block of its transposed units (an entry whose
-    partner lies off the blocks counts twice; norms of entries scaled by a
+    each block with the block of its transposed units, its mirror, which
+    is a block of the same size (sigma's blocks are mirror-symmetric, and
+    a superoperator's one block is its own mirror), read by a direct
+    gather through :func:`_unit_positions` (norms of entries scaled by a
     power of 2, whose squares do not overflow); the unital residual is
     L(1) on the block of 0.  The scale is ||L||_2, the largest singular
     value of any block.  Only ||L|| and the modular commutator, which is
@@ -708,13 +678,14 @@ def _certify_blocks(sigma: DensityState, ls: list) -> CertificationReport:
     ratio = np.outer(lam, 1.0 / lam).ravel()
     commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, _, x in ls)
     mod_comm = _largest_singular_value(commutators) / (scale * lam_max / float(lam[0]))
-    index, values = _unit_positions(ls, n * n), [x for *_, x in ls]
+    index = _unit_positions(ls, n * n)
     diff2 = norm2 = 0.0
     bits = _binary_scale(scale)  # no entry exceeds ||L||_2
     for units, _, x in ls:
-        mirror = (units % n) * n + units // n  # E_ab -> E_ba, the adjoint
-        paired, on = _block_entries(values, index, mirror[:, :, None], mirror[:, None, :])
-        diff2 += np.linalg.norm(bits * (x - np.conj(paired))) ** 2 + np.linalg.norm(bits * x[~on]) ** 2
+        # E_ab -> E_ba, the adjoint, maps each block onto one of the same size
+        _, blk, pos = index[:, (units % n) * n + units // n]
+        paired = x[blk[:, :1, None], pos[:, :, None], pos[:, None, :]]
+        diff2 += np.linalg.norm(bits * (x - np.conj(paired))) ** 2
         norm2 += np.linalg.norm(bits * x) ** 2
     star = np.sqrt(diff2) / max(np.sqrt(norm2), 1e-300)
     g, b = index[:2, 0]  # E_00 lies in the block of 0, with every E_aa

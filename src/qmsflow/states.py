@@ -189,25 +189,39 @@ class ModularData:
 
 
 def bohr_labels(sigma: DensityState, extra=()) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of sigma's Bohr frequencies: the one grouping of frequencies.
+    """Blocks of sigma's Bohr frequencies: the one grouping of frequencies,
+    which sigma alone decides.
 
     Position a n + b stands for log lam_a - log lam_b, which is -omega for
-    the unit |eta_a><eta_b| on sigma's eigenvectors; positions from n^2 on
-    stand for the values of ``extra``.  Sorted values whose gaps are at
-    most ``BOHR_RTOL`` times the largest |value| (at least 1) share a
-    block.  Returns each position's block label, labels ascending with
-    frequency from 0, and the positions in ascending value (one
-    ``argsort``), which lists each block's members in the order the
-    blocks are built on.  Two eigenvalues of sigma count as degenerate
-    when their frequency shares the block of 0.
+    the unit |eta_a><eta_b| on sigma's eigenvectors.  Sorted frequencies
+    whose gaps are at most ``BOHR_RTOL`` times the largest |frequency| (at
+    least 1) share a block.  Positions from n^2 on stand for the values of
+    ``extra``, which are looked up, not grouped: each gets the block of the
+    nearest frequency within that tolerance, a tie going to the smaller
+    |frequency| (so v and -v find mirrored blocks), or -1 when none is that
+    near.  Returns each position's block label, labels ascending with
+    frequency from 0, and sigma's n^2 positions in ascending frequency (one
+    ``argsort``), which lists each block's members in the order the blocks
+    are built on.  The frequencies are exactly antisymmetric, so the
+    mirror E_ab -> E_ba of a block is a block of the same size.  Two
+    eigenvalues of sigma count as degenerate when their frequency shares
+    the block of 0.
     """
     loglam = np.log(sigma.eigenvalues)
-    values = np.concatenate([np.subtract.outer(loglam, loglam).ravel(), np.asarray(extra, dtype=float)])
+    values = np.subtract.outer(loglam, loglam).ravel()
     order = np.argsort(values)
-    scale = max(float(np.max(np.abs(values))), 1.0)
+    ranked, tol = values[order], BOHR_RTOL * max(float(np.max(np.abs(values))), 1.0)
+    sorted_label = np.concatenate([[0], np.cumsum(np.diff(ranked) > tol)])
     label = np.empty(values.size, dtype=int)
-    label[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > BOHR_RTOL * scale)])
-    return label, order
+    label[order] = sorted_label
+    extra = np.asarray(extra, dtype=float)
+    hi = np.minimum(np.searchsorted(ranked, extra), ranked.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    gap_lo, gap_hi = np.abs(extra - ranked[lo]), np.abs(ranked[hi] - extra)
+    # the nearer neighbour, a tie going to the smaller |frequency|
+    up = (gap_hi < gap_lo) | ((gap_hi == gap_lo) & (np.abs(ranked[hi]) < np.abs(ranked[lo])))
+    found = np.where(np.minimum(gap_lo, gap_hi) <= tol, sorted_label[np.where(up, hi, lo)], -1)
+    return np.concatenate([label, found]), order
 
 
 def _helmert_rows(m: int) -> np.ndarray:

@@ -377,20 +377,28 @@ def modular_elements(md):
 
 def loop_bohr_groups(sigma, extra=()):
     """Reference for :func:`qmsflow.states.bohr_labels`: the chained-gap
-    loop over sorted frequencies.  Returns the blocks in ascending
-    frequency, each a list of positions in ascending value."""
+    loop over sigma's sorted frequencies, on the scale of those alone, then
+    a loop over them for each value of ``extra``: the nearest frequency
+    within the tolerance, a tie going to the smaller |frequency|.  Returns
+    the blocks in ascending frequency, each a list of positions in
+    ascending value, and each extra value's block, -1 for none."""
     from qmsflow.states import BOHR_RTOL
 
     loglam = np.log(sigma.eigenvalues)
-    values = np.concatenate([np.subtract.outer(loglam, loglam).ravel(), np.asarray(extra, dtype=float)])
-    scale = max(float(np.max(np.abs(values))), 1.0)
+    values = np.subtract.outer(loglam, loglam).ravel()
+    tol = BOHR_RTOL * max(float(np.max(np.abs(values))), 1.0)
     groups = []
     for pos in np.argsort(values):
-        if groups and abs(values[pos] - values[groups[-1][-1]]) <= BOHR_RTOL * scale:
+        if groups and abs(values[pos] - values[groups[-1][-1]]) <= tol:
             groups[-1].append(int(pos))
         else:
             groups.append([int(pos)])
-    return groups
+    block = {pos: g for g, members in enumerate(groups) for pos in members}
+    found = []
+    for v in extra:
+        near = [(abs(x - v), abs(x), pos) for pos, x in enumerate(values) if abs(x - v) <= tol]
+        found.append(block[min(near)[2]] if near else -1)
+    return groups, found
 
 
 def dense_modular_basis(sigma):
@@ -407,7 +415,7 @@ def dense_modular_basis(sigma):
     n, u = sigma.dim, sigma.eigenvectors
     loglam = np.log(sigma.eigenvalues)
     label = np.empty(n * n, dtype=int)
-    for g, members in enumerate(loop_bohr_groups(sigma)):
+    for g, members in enumerate(loop_bohr_groups(sigma)[0]):
         label[members] = g
     label = label.reshape(n, n)
     group_of = np.concatenate([[0], np.cumsum(label[np.arange(n - 1), np.arange(1, n)] != label[0, 0])])

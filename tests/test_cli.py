@@ -801,6 +801,46 @@ class TestInspectRoutes:
         assert calls == []
 
 
+def _with_far_zero_jump(spec, far):
+    """``spec`` as spec JSON, with a zero jump at omega = 1e12 appended when ``far``."""
+    obj = spec_to_json(spec)
+    if far:
+        obj["jumps"].append({"V": matrix_to_json(np.zeros((spec.dim, spec.dim))), "omega": 1e12})
+    return obj
+
+
+class TestFarJumpFrequency:
+    """sigma alone decides the Bohr blocks: a zero jump at omega = 1e12, far
+    beyond every Bohr frequency, is looked up among them, finds none, and
+    neither merges the blocks nor moves an output."""
+
+    def test_inspect_and_evolve_read_as_without_it(self, tmp_path):
+        from qmsflow.models import random_density
+
+        spec = fermi_ou(2, 1.0, [1.0, 1.3]).spec
+        rho = tmp_path / "rho.json"
+        rho.write_text(dump_json(density_to_json(random_density(4, np.random.default_rng(3)))))
+        texts = []
+        for far in (False, True):
+            path = tmp_path / f"spec_{far}.json"
+            path.write_text(dump_json(_with_far_zero_jump(spec, far)))
+            ins, evo = tmp_path / f"inspect_{far}.json", tmp_path / f"evolve_{far}.csv"
+            assert main(["inspect", "--input", str(path), "--output", str(ins)]) == 0
+            assert main(["evolve", "--input", str(path), "--rho0", str(rho), "--grid", "0:2:9",
+                         "--output", str(evo)]) == 0
+            texts.append((ins.read_text(), evo.read_text()))
+        assert texts[1] == texts[0]
+
+    def test_inspect_at_dim_48_exits_zero(self, tmp_path, capsys):
+        # with the jumps' frequencies grouped in, sigma's 2,304 units became
+        # one block, over MAX_BOHR_BLOCK
+        spec = random_dbc_spec(48, np.random.default_rng(1), ergodic=True)
+        path = tmp_path / "spec.json"
+        path.write_text(dump_json(_with_far_zero_jump(spec, True)))
+        assert main(["inspect", "--input", str(path), "--output", str(tmp_path / "report.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestEvolve:
     def test_invariant_start_zero_column(self, fermi_spec_file, tmp_path):
         out = tmp_path / "traj.csv"
@@ -1294,6 +1334,18 @@ def test_malformed_numeric_argument_exit_two(fermi_spec_file, tmp_path, capsys, 
 
 # the units sweep: every spec command on each spec with every jump times c,
 # so L times c^2
+def _ladder_spec():
+    """sigma = diag(1, 1e2, 1e4, 1e6) normalised, lam_max/lam_min = 1e6, with
+    the jump pairs E_{i,i+1}, E_{i+1,i} between adjacent levels."""
+    lam = 10.0 ** np.arange(0, 7, 2)
+    units = np.eye(4)
+    jumps = []
+    for i in range(3):
+        w = float(np.log(lam[i + 1] / lam[i]))  # E_ab has omega = log lam_b - log lam_a
+        jumps += [(np.outer(units[i], units[i + 1]), w), (np.outer(units[i + 1], units[i]), -w)]
+    return GeneratorSpec(DensityState.from_matrix(np.diag(lam / lam.sum())), jumps)
+
+
 SWEEP_SPECS = {
     "fermi_m1": lambda: fermi_ou(1, 1.0, [1.0]).spec,
     "fermi_m2": lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
@@ -1301,6 +1353,9 @@ SWEEP_SPECS = {
     "fermi_infinite_m4": lambda: fermi_ou_infinite(4),
     "random4": lambda: random_dbc_spec(4, np.random.default_rng(1), ergodic=True),
     "random6": lambda: random_dbc_spec(6, np.random.default_rng(2), ergodic=True),
+    # large J (33 jumps) and sigma near the headroom bound
+    "random6_j33": lambda: random_dbc_spec(6, np.random.default_rng(7), n_offdiag=15, n_zero=3, ergodic=True),
+    "ladder_ratio_1e6": _ladder_spec,
 }
 SWEEP_SCALES = (1e-165, 1e-155, 1e-154, 1e-153, 1e-150, 1.0, 1e100, 1e150, 1e154)
 

@@ -44,6 +44,7 @@ from conftest import (
     kron_sum_generator,
     modular_elements,
     modular_superoperator,
+    near_degenerate_spec,
     random_matrix,
     self_adjointness_residual,
     star_swap_residual,
@@ -529,17 +530,6 @@ class TestCertification:
         assert rep.unital_residual == pytest.approx(unital, rel=1e-12)
 
 
-class _CountedReads:
-    """An array whose reads by index are counted in ``reads``."""
-
-    def __init__(self, x, reads):
-        self.x, self.reads = x, reads
-
-    def __getitem__(self, key):
-        self.reads.append(key)
-        return self.x[key]
-
-
 class TestBlockRoute:
     """A spec's certification and distances from its Bohr blocks; the dense L is the oracle."""
 
@@ -567,10 +557,11 @@ class TestBlockRoute:
         with pytest.raises(ValueError, match="own sigma"):
             certify_detailed_balance(spec, random_density(3, rng))
 
-    def test_distance_needs_nested_blocks(self):
-        # a jump frequency between two Bohr frequencies 1.5e-10 apart merges
-        # their blocks, so the exact spec's blocks nest in the merged one's
-        # and not the other way round
+    def test_midpoint_jump_keeps_sigmas_blocks(self):
+        # a jump frequency midway between two Bohr frequencies 1.5e-10 apart
+        # is looked up, not grouped: the tie goes to the smaller |frequency|,
+        # so the jump and its adjoint land on mirrored blocks, the layout is
+        # the exact spec's, and the distance is the same in both directions
         from qmsflow.generators import _block_distance
 
         f = 0.5
@@ -579,12 +570,12 @@ class TestBlockRoute:
         e10 = np.zeros((3, 3), dtype=complex)
         e10[1, 0] = 1.0
         exact = GeneratorSpec(sigma, [(e10, -f), (e10.T.copy(), f)])
-        merged = GeneratorSpec(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
-        assert len(merged.bohr_blocks[1]) != len(exact.bohr_blocks[1])
-        l_gap = np.linalg.norm(build_generator(merged) - build_generator(exact), 2)
-        assert l_gap <= _block_distance(merged.bohr_blocks[1], exact) <= l_gap + 1e-14
-        with pytest.raises(ValueError, match="nest"):
-            _block_distance(exact.bohr_blocks[1], merged)
+        midpoint = GeneratorSpec(sigma, [(e10, -f - 0.75e-10), (e10.T.copy(), f + 0.75e-10)])
+        assert _layout(midpoint) == _layout(exact)
+        l_gap = np.linalg.norm(build_generator(midpoint) - build_generator(exact), 2)
+        there = _block_distance(midpoint.bohr_blocks[1], exact)
+        assert _block_distance(exact.bohr_blocks[1], midpoint) == pytest.approx(there, rel=1e-15)
+        assert there == pytest.approx(l_gap, rel=1e-14, abs=1e-15)
 
     def test_superoperator_distance_bounds_the_dense_one(self, rng):
         # a superoperator is one block and the other spec's jumps lie on
@@ -598,32 +589,112 @@ class TestBlockRoute:
         got = _block_distance(Superoperator(spec.sigma, l).bohr_blocks[1], other)
         assert gap - 1e-14 * gap <= got <= gap + 1e-14 * gap
 
-    @pytest.mark.parametrize("kind", ["mirror", "random"])
-    def test_block_entries_match_the_dense_matrix(self, rng, kind):
-        # the entries read per size group, only from the groups they fall
-        # in, are the dense block-diagonal matrix's, exactly
-        from qmsflow.generators import _block_entries, _unit_positions
 
-        spec = fermi_ou(4, 1.0, [1.0, 1.3, 1.6, 1.9]).spec
-        n, blocks = spec.dim, [(units, x) for units, _, x in spec.bohr_blocks[1]]
-        assert len(blocks) > 2
-        dense = np.zeros((n * n, n * n), dtype=complex)
-        for units, x in blocks:
-            dense[units[:, :, None], units[:, None, :]] = x
-        index, reads = _unit_positions(blocks, n * n), []
-        values = [_CountedReads(x, reads) for _, x in blocks]
-        for units, _ in blocks:
-            if kind == "mirror":
-                rows = cols = (units % n) * n + units // n
-                rows, cols = rows[:, :, None], cols[:, None, :]
+
+def _layout(spec):
+    """Each size group's units, in order: the layout of a spec's Bohr blocks."""
+    return [units.tolist() for units, *_ in spec.bohr_blocks[1]]
+
+
+def _unrotated(lt, sigma):
+    """The superoperator (column stacking) whose entries on the units E_ab
+    of sigma's eigenvectors are ``lt``: W lt W^* with column a n + b of W
+    the column-stacked U E_ab U^*."""
+    n, u = sigma.dim, sigma.eigenvectors
+    w = np.einsum("ia,jb->jiab", u, np.conj(u)).reshape(n * n, n * n)
+    return w @ lt @ dag(w)
+
+
+FAR = 1e12  # a jump frequency far beyond every Bohr frequency
+
+
+class TestSigmaDecidesTheBlocks:
+    """The Bohr blocks are sigma's alone; the jumps' frequencies are looked up among them."""
+
+    def test_far_zero_jump_keeps_the_blocks(self):
+        # one zero jump at omega = 1e12 neither merges the 9 blocks of Fermi
+        # m=2 nor moves a unit, and the certification is the same
+        spec = fermi_ou(2, 1.0, [1.0, 1.3]).spec
+        far = GeneratorSpec(spec.sigma, [*spec.jumps, (np.zeros((4, 4)), FAR)])
+        assert [units.shape for units, *_ in far.bohr_blocks[1]] == [(4, 1), (4, 2), (1, 4)]
+        assert _layout(far) == _layout(spec)
+        for (_, w, x), (_, w0, x0) in zip(far.bohr_blocks[1], spec.bohr_blocks[1]):
+            assert np.array_equal(w, w0) and np.array_equal(x, x0)
+        assert far.certification.as_dict() == spec.certification.as_dict()
+
+    @pytest.mark.parametrize("change", ["permuted", "times_1e100", "times_1e-100", "zero_jump"])
+    @pytest.mark.parametrize("name", ["fermi_m2", "fermi_m3", "random5"])
+    def test_layout_ignores_the_jumps(self, name, change):
+        spec = {
+            "fermi_m2": lambda: fermi_ou(2, 1.0, [1.0, 1.3]).spec,
+            "fermi_m3": lambda: fermi_ou(3, 1.0, [1.0, 1.3, 1.7]).spec,
+            "random5": lambda: random_dbc_spec(5, np.random.default_rng(4), ergodic=True),
+        }[name]()
+        jumps = list(spec.jumps)
+        if change == "permuted":
+            jumps = [jumps[k] for k in np.random.default_rng(5).permutation(len(jumps))]
+        elif change == "zero_jump":
+            jumps.append((np.zeros_like(jumps[0][0]), 0.37))
+        else:
+            jumps = [(float(change[len("times_"):]) * v, w) for v, w in jumps]
+        assert _layout(GeneratorSpec(spec.sigma, jumps)) == _layout(spec)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fermi_ou(1, 1.0, [1.0]).spec,
+            lambda: fermi_ou(2, 1.0, [1.0, 1.3]).spec,
+            lambda: fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2]).spec,
+            lambda: fermi_ou(3, 1.0, [1.0, 1.0, 1.0]).spec,
+            lambda: fermi_ou_infinite(4),
+            lambda: depolarizing(3),
+            lambda: random_dbc_spec(4, np.random.default_rng(1), ergodic=True),
+            lambda: random_dbc_spec(6, np.random.default_rng(7), n_offdiag=15, n_zero=3, ergodic=True),
+            lambda: near_degenerate_spec(0.0),
+            lambda: near_degenerate_spec(5e-12),
+            lambda: near_degenerate_spec(5e-11),
+        ],
+        ids=["fermi_m1", "fermi_m2", "fermi_m4", "fermi_equal", "fermi_infinite_4", "depolarizing_3",
+             "random4", "random6", "near_degenerate_0", "near_degenerate_5e-12", "near_degenerate_5e-11"],
+    )
+    def test_every_mirror_is_a_block_of_the_same_size(self, build):
+        spec = build()
+        n = spec.dim
+        blocks = {frozenset(b.tolist()) for units, *_ in spec.bohr_blocks[1] for b in units}
+        assert sum(len(b) for b in blocks) == n * n
+        for b in blocks:
+            assert frozenset((u % n) * n + u // n for u in b) in blocks
+
+    def test_star_residual_matches_the_dense_one_on_seven_size_groups(self, rng):
+        # Fermi m=4's blocks, with and without a perturbation that keeps
+        # their layout and breaks star preservation, against the dense check
+        from qmsflow.generators import _certify_blocks
+
+        spec = fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2]).spec
+        sigma, nn = spec.sigma, spec.dim**2
+        assert len(spec.bohr_blocks[1]) == 7
+        for eps in (0.0, 1e-3):
+            blocks = [(u, w, x + eps * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)))
+                      for u, w, x in spec.bohr_blocks[1]]
+            lt = np.zeros((nn, nn), dtype=complex)
+            for units, _, x in blocks:
+                lt[units[:, :, None], units[:, None, :]] = x
+            got = _certify_blocks(sigma, blocks).star_preservation
+            want = star_swap_residual(_unrotated(lt, sigma))
+            if eps:
+                assert want > 1e-4 and got == pytest.approx(want, rel=1e-12)
             else:
-                rows, cols = rng.integers(0, n * n, (2, 7, 5))
-            reads.clear()
-            got, on = _block_entries(values, index, rows, cols)
-            assert np.array_equal(got, dense[rows, cols])
-            assert np.array_equal(on, (index[0][rows] == index[0][cols]) & (index[1][rows] == index[1][cols]))
-            # the mirrored units of a block lie in one size group
-            assert len(reads) == len(set(index[0][np.broadcast_arrays(rows, cols)[0][on]].tolist()))
+                assert max(got, want) < 1e-15
+
+    def test_distance_matches_the_dense_gap_on_seven_size_groups(self):
+        from qmsflow.generators import _block_distance
+
+        # the first jump and its adjoint, jump 1, times 1.1
+        spec = fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2]).spec
+        other = GeneratorSpec(spec.sigma, [(1.1 * v if k < 2 else v, w) for k, (v, w) in enumerate(spec.jumps)])
+        gap = np.linalg.norm(build_generator(other) - build_generator(spec), 2)
+        assert gap > 1e-2
+        assert _block_distance(spec.bohr_blocks[1], other) == pytest.approx(gap, rel=1e-14)
 
 
 class TestCompletePositivity:

@@ -192,9 +192,13 @@ class TestBohrLabels:
         if with_extra:
             loglam = np.log(sigma.eigenvalues)
             extra = np.concatenate([loglam[-1:] - loglam[:1], [0.0, 1e-15, 3.7, -3.7]])
+        # the extra values are looked up: they neither join nor rescale
+        # sigma's groups, and one that matches no frequency gets -1
         label, order = bohr_labels(sigma, extra)
-        assert label.shape == order.shape == (sigma.dim**2 + len(extra),)
-        assert _labelled_groups(label, order) == loop_bohr_groups(sigma, extra)
+        groups, found = loop_bohr_groups(sigma, extra)
+        assert label.shape == (sigma.dim**2 + len(extra),) and order.shape == (sigma.dim**2,)
+        assert _labelled_groups(label, order) == groups
+        assert label[sigma.dim**2:].tolist() == found
         assert np.all(np.diff(label[order]) >= 0)
 
 
