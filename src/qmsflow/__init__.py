@@ -27,6 +27,7 @@ from .generators import (
     CertificationReport,
     GeneratorSpec,
     RateMatrix,
+    Superoperator,
     apply_dual,
     apply_generator,
     build_generator,

@@ -37,13 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _binary_scale, dag
-from .states import DensityState, ModularData
+from .states import ModularData
 from .generators import (
     GNS_FLAG_TOL,
     PSD_TOL,
     GeneratorSpec,
     JumpGKS,
-    _admitted,
     _block_distance,
     _unit_positions,
     certify_detailed_balance,
@@ -208,11 +207,12 @@ def _jump_gks_residuals(gks: JumpGKS, images: list) -> tuple:
 
 
 def extract_canonical(
-    l, sigma: DensityState, modular: ModularData | None = None, psd_tol: float = PSD_TOL, tol: float = GNS_FLAG_TOL
+    l, modular: ModularData | None = None, psd_tol: float = PSD_TOL, tol: float = GNS_FLAG_TOL
 ) -> tuple[GeneratorSpec, ExtractionReport]:
     """Recover canonical jump data {(V_j, omega_j)} from a DBC generator.
 
-    ``l`` is admitted on ``sigma`` (:func:`qmsflow.generators._admitted`).
+    ``l`` is an admitted L, a :class:`qmsflow.generators.GeneratorSpec` or
+    a :class:`qmsflow.generators.Superoperator`, read against its own sigma.
     L's GKS coefficients over ``modular`` (default: sigma's own modular
     basis, kept by the admitted L) are a spec's jumps' Gram blocks, or are
     cut from a superoperator's coefficient matrix; for either kind the
@@ -244,8 +244,7 @@ def extract_canonical(
     are sigma's (:func:`qmsflow.generators._block_distance`), over the
     certified ||L||.
     """
-    l = _admitted(l, sigma)
-    cert = certify_detailed_balance(l, sigma, tol)
+    cert = certify_detailed_balance(l, tol)
     if not cert.gns_dbc:
         raise ValueError(
             "generator is not GNS-self-adjoint for sigma "
@@ -268,7 +267,7 @@ def extract_canonical(
         )
 
     jumps, dropped, block_sizes = _canonical_jumps(gks.blocks, gks.modular, images, DROP_RTOL)
-    spec = GeneratorSpec(sigma, jumps)
+    spec = GeneratorSpec(l.sigma, jumps)
     h_norm, h_hat_norm = gks.hamiltonian_norms
     report = ExtractionReport(
         block_residual=block_res,

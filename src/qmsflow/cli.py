@@ -195,7 +195,7 @@ def cmd_inspect(args) -> int:
     tols = _parse_tols(args.tol)
     # one admitted L, a spec or a superoperator, whose reads the three checks share
     l = _load_json(args.input, _spec_or_superop)
-    cert = certify_detailed_balance(l, l.sigma, tol=tols["gns_flag"])
+    cert = certify_detailed_balance(l, tol=tols["gns_flag"])
     report = {"certification": cert.as_dict()}
     try:
         cp_ok, min_eig = check_complete_positivity(l, psd_tol=tols["psd"])
@@ -209,7 +209,7 @@ def cmd_inspect(args) -> int:
     ok = cert.gns_dbc and cp_ok
     if ok:
         try:
-            extracted, ext_report = extract_canonical(l, l.sigma, psd_tol=tols["psd"], tol=tols["gns_flag"])
+            extracted, ext_report = extract_canonical(l, psd_tol=tols["psd"], tol=tols["gns_flag"])
             report["canonical"] = ext_report.as_dict()
             report["canonical"]["jump_count"] = extracted.njumps
             report["canonical"]["omegas"] = sorted(float(w) for w in extracted.omegas())

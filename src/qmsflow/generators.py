@@ -97,7 +97,9 @@ FLOW_UNDERFLOW = 600.0
 
 
 class _Admitted:
-    """The reads an admitted L, spec or superoperator, takes of its ``bohr_blocks`` alike."""
+    """An admitted L, spec or superoperator, with its ``sigma``: the one input of the verdict
+    functions (:func:`certify_detailed_balance`, :func:`check_complete_positivity`,
+    ``extract_canonical``), which read sigma from it, and the reads of its ``bohr_blocks``."""
 
     @cached_property
     def certification(self) -> "CertificationReport":
@@ -458,7 +460,8 @@ class Superoperator(_Admitted):
     is read against, admitted once, at construction, as a spec is
     (ValueError): :func:`_rotated`, then :func:`_refuse_units` with
     max |tilde L_ab| for max_a tilde K_aa.  The rotated L is kept as one
-    block of all n^2 units, in the layout of :attr:`GeneratorSpec.bohr_blocks`."""
+    block of all n^2 units, in the layout of :attr:`GeneratorSpec.bohr_blocks`.
+    The verdict functions take a dense L only in this form, with its sigma."""
 
     sigma: DensityState
     matrix: np.ndarray
@@ -500,19 +503,6 @@ class Superoperator(_Admitted):
     def reduced_spectrum(self) -> np.ndarray:
         """The reduced block's spectrum, the block taken whole."""
         return _reduced_spectrum([self._coefficients[1][None, 1:, 1:]])
-
-
-def _admitted(l, sigma: DensityState | None):
-    """``l`` if admitted, ``sigma`` (unless None) its own state (ValueError otherwise), else
-    the :class:`Superoperator` of the matrix ``l`` on ``sigma`` or, for None, the maximally mixed state."""
-    if isinstance(l, (GeneratorSpec, Superoperator)):
-        if sigma is not None and sigma is not l.sigma:
-            raise ValueError("an admitted L is checked against its own sigma")
-        return l
-    if sigma is None:
-        n = max(1, round(np.size(l) ** 0.25))  # an n^2 x n^2 matrix has n^4 entries
-        sigma = DensityState.from_matrix(np.eye(n) / n)
-    return Superoperator(sigma, l)
 
 
 def _reduced_spectrum(blocks: list) -> np.ndarray:
@@ -572,10 +562,6 @@ def _unit_positions(blocks: list, nn: int) -> np.ndarray:
     return index
 
 
-def _largest_singular_value(stacks) -> float:
-    return max((float(np.linalg.svd(x, compute_uv=False).max()) for x in stacks), default=0.0)
-
-
 def _block_distance(blocks: list, other: GeneratorSpec) -> float:
     """||L - L_other||_2 from the blocks of L (an admitted L's ``bohr_blocks``) and
     ``other``'s Bohr blocks: the largest singular value of any block of
@@ -587,7 +573,7 @@ def _block_distance(blocks: list, other: GeneratorSpec) -> float:
     for units, _, x in other.bohr_blocks[1]:
         g, blk, pos = index[:, units]
         diffs[g[0, 0]][blk[:, :1, None], pos[:, :, None], pos[:, None, :]] += x
-    return _largest_singular_value(diffs)
+    return max(float(np.linalg.svd(x, compute_uv=False).max()) for x in diffs)
 
 
 @dataclass
@@ -616,23 +602,25 @@ class CertificationReport:
         return out
 
 
-def _weighted_residual(ls: list, kernel: np.ndarray, norm: float, scale: float) -> float:
-    """Relative size of Omega L - L^+ Omega for a weight Omega with entries
-    ``kernel`` (n, n) on the units E_ab, from L's blocks ``ls`` (an
-    admitted L's ``bohr_blocks``): the largest spectral radius of
-    i(D_B L_B - L_B^* D_B) over the blocks, by an eigensolve, over ``norm``
-    (Omega's 2-norm) times ``scale`` (||L||_2).  Zero iff L is
-    Omega-symmetric."""
-    worst = 0.0
+def _weighted_residual(ls: list, kernels: np.ndarray, norms: np.ndarray, scale: float) -> np.ndarray:
+    """Relative sizes of Omega L - L^+ Omega for W weights Omega with entries
+    ``kernels`` (W, n, n) on the units E_ab, from L's blocks ``ls`` (an
+    admitted L's ``bohr_blocks``): per weight, the largest spectral radius
+    of i(D_B L_B - L_B^* D_B) over the blocks, by one eigensolve of all
+    weights per block size, over its ``norms`` entry (Omega's 2-norm) times
+    ``scale`` (||L||_2).  Entry w is zero iff L is Omega_w-symmetric."""
+    worst, flat = np.zeros(len(kernels)), kernels.reshape(len(kernels), -1)
     for units, _, x in ls:
-        dx = kernel.ravel()[units][:, :, None] * x
-        evals = np.linalg.eigvalsh(1j * (dx - np.conj(dx).transpose(0, 2, 1)))
-        worst = max(worst, float(np.abs(evals).max()))
-    return worst / (norm * scale)
+        dx = flat[:, units][..., None] * x
+        h = np.conj(dx).swapaxes(-1, -2)  # overwritten by i(dx - dx^*): two stacks live, not four
+        evals = np.linalg.eigvalsh(np.multiply(1j, np.subtract(dx, h, out=h), out=h))
+        worst = np.maximum(worst, np.abs(evals).max(axis=(1, 2)))
+    return worst / (norms * scale)
 
 
-def certify_detailed_balance(l, sigma: DensityState, tol: float = GNS_FLAG_TOL) -> CertificationReport:
-    """Measure self-adjointness of a superoperator in the weighted forms.
+def certify_detailed_balance(l, tol: float = GNS_FLAG_TOL) -> CertificationReport:
+    """Measure self-adjointness of an admitted L, a :class:`GeneratorSpec`
+    or a :class:`Superoperator`, in the weighted forms of its own sigma.
 
     Reports residuals of s-self-adjointness for each s of ``S_GRID``, of
     BKM-self-adjointness, of commutation with the modular operator, and of
@@ -640,10 +628,10 @@ def certify_detailed_balance(l, sigma: DensityState, tol: float = GNS_FLAG_TOL) 
     below ``tol``; ``kms_only`` flags maps that are KMS-symmetric without
     commuting with the modular operator.
 
-    The battery is the ``certification`` of ``l`` admitted on ``sigma``
-    (:func:`_admitted`); ``tol`` sets only the verdicts.
+    The battery is the ``certification`` that ``l`` keeps; ``tol`` sets
+    only the verdicts.
     """
-    return replace(_admitted(l, sigma).certification, tolerance=tol)
+    return replace(l.certification, tolerance=tol)
 
 
 def _certify_blocks(sigma: DensityState, ls: list) -> CertificationReport:
@@ -652,12 +640,14 @@ def _certify_blocks(sigma: DensityState, ls: list) -> CertificationReport:
 
     In sigma's eigenbasis every weight is diagonal on the units E_ab
     (Omega_s: lam_a^{1-s} lam_b^s; Omega_BKM: f(lam_a/lam_b) lam_b;
-    Delta_sigma: lam_a/lam_b), so no weight superoperator is formed.  Each
-    weighted residual is :func:`_weighted_residual`, scaled by the
-    weight's 2-norm (lam_max for every Omega_s, the largest kernel entry
-    for Omega_BKM); the modular commutator is the largest singular
-    value of L_B Delta_B - Delta_B L_B (frequencies in a block differ by up
-    to ``BOHR_RTOL``), scaled by lam_max/lam_min; the star residual pairs
+    Delta_sigma: lam_a/lam_b), so no weight superoperator is formed.  The
+    weighted residuals are one :func:`_weighted_residual` of the five
+    Omega_s and Omega_BKM, each scaled by its weight's 2-norm (lam_max for
+    every Omega_s, the largest kernel entry for Omega_BKM); the modular
+    commutator is the largest singular value of L_B Delta_B - Delta_B L_B
+    (frequencies in a block differ by up to ``BOHR_RTOL``), scaled by
+    lam_max/lam_min, and shares one SVD per block size with ||L_B||_2, the
+    two stacked; the star residual pairs
     each block with the block of its transposed units, its mirror, which
     is a block of the same size (sigma's blocks are mirror-symmetric, and
     a superoperator's one block is its own mirror), read by a direct
@@ -670,14 +660,18 @@ def _certify_blocks(sigma: DensityState, ls: list) -> CertificationReport:
     n = sigma.dim
     lam = sigma.eigenvalues
     lam_max = float(lam[-1])
-    l_norm = _largest_singular_value(x for *_, x in ls)
-    scale = max(l_norm, 1e-300)
-    s_res = {s: _weighted_residual(ls, np.outer(lam ** (1.0 - s), lam**s), lam_max, scale) for s in S_GRID}
-    kernel = _weight_kernel_f(sigma, bkm_weight)
-    bkm = _weighted_residual(ls, kernel, float(np.max(kernel)), scale)
     ratio = np.outer(lam, 1.0 / lam).ravel()
-    commutators = (x * ratio[u][:, None, :] - ratio[u][:, :, None] * x for u, _, x in ls)
-    mod_comm = _largest_singular_value(commutators) / (scale * lam_max / float(lam[0]))
+    tops = np.zeros(2)  # ||L||_2 and the modular commutator's 2-norm
+    for u, _, x in ls:
+        pair = np.stack([x, x * ratio[u][:, None, :] - ratio[u][:, :, None] * x])
+        tops = np.maximum(tops, np.linalg.svd(pair, compute_uv=False).max(axis=(1, 2)))
+    l_norm = float(tops[0])
+    scale = max(l_norm, 1e-300)
+    bkm_kernel = _weight_kernel_f(sigma, bkm_weight)
+    kernels = np.stack([np.outer(lam ** (1.0 - s), lam**s) for s in S_GRID] + [bkm_kernel])
+    norms = np.array([lam_max] * len(S_GRID) + [float(np.max(bkm_kernel))])
+    *s_res, bkm = _weighted_residual(ls, kernels, norms, scale).tolist()
+    mod_comm = float(tops[1]) / (scale * lam_max / float(lam[0]))
     index = _unit_positions(ls, n * n)
     diff2 = norm2 = 0.0
     bits = _binary_scale(scale)  # no entry exceeds ||L||_2
@@ -693,7 +687,7 @@ def _certify_blocks(sigma: DensityState, ls: list) -> CertificationReport:
     unital = np.linalg.norm(bits * x[b][:, units[b] % (n + 1) == 0].sum(axis=1)) / (bits * scale)
     return CertificationReport(
         dim=n,
-        s_residuals=s_res,
+        s_residuals=dict(zip(S_GRID, s_res)),
         bkm_residual=bkm,
         modular_commutation=mod_comm,
         star_preservation=float(star),
@@ -709,16 +703,15 @@ def check_complete_positivity(l, psd_tol: float = PSD_TOL) -> tuple[bool, float]
     coefficient block of L (identity row and column removed) is positive
     semidefinite (Gorini-Kossakowski-Sudarshan, Lindblad), so that block
     is the verdict and no propagator exp(tL) is formed.  Every orthonormal
-    basis with the identity first gives the block the same spectrum: ``l``
-    admitted (:func:`_admitted`, a matrix on the maximally mixed state)
-    keeps it, a spec's from its jumps' Gram blocks, a superoperator's
-    from the block taken whole.  Its battery's unital and star residuals
-    must be at most 1e-8 (ValueError otherwise).  The block passes when
-    its smallest eigenvalue is at least ``-psd_tol`` times its largest
-    |eigenvalue|, so the verdict does not depend on the units of L.
-    Returns (verdict, minimum eigenvalue of the reduced block).
+    basis with the identity first gives the block the same spectrum: the
+    admitted ``l`` keeps it, a :class:`GeneratorSpec`'s from its jumps'
+    Gram blocks, a :class:`Superoperator`'s from the block taken whole.
+    Its battery's unital and star residuals must be at most 1e-8
+    (ValueError otherwise).  The block passes when its smallest eigenvalue
+    is at least ``-psd_tol`` times its largest |eigenvalue|, so the verdict
+    does not depend on the units of L.  Returns (verdict, minimum
+    eigenvalue of the reduced block).
     """
-    l = _admitted(l, None)
     if l.certification.unital_residual > 1e-8:
         raise ValueError("superoperator does not annihilate the identity")
     if l.certification.star_preservation > 1e-8:

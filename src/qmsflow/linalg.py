@@ -92,16 +92,18 @@ def hs_inner(a: np.ndarray, b: np.ndarray, normalized: bool = False):
 
 
 def sharp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of the two-sided multiplication X |-> A X B.
+    """Superoperator of the two-sided multiplication X |-> A X B (A, B square).
 
-    Column stacking gives the Kronecker factorization kron(B.T, A); the
-    adjoint in the Hilbert-Schmidt sense is sharp(A^*, B^*).
+    Column stacking gives the Kronecker factorization kron(B.T, A), one
+    broadcast product; the adjoint in the Hilbert-Schmidt sense is
+    sharp(A^*, B^*), and kron(P, Q) = sharp(Q, P.T).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.kron(b.T, a)
+    size = a.shape[0] * b.shape[0]
+    return (b.T[:, None, :, None] * a[None, :, None, :]).reshape(size, size)
 
 
 def apply_super(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -162,11 +164,12 @@ def hermitian_eig(a: np.ndarray) -> HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.
 
     The input is symmetrized before the solve; inputs farther than 1e-10
-    (relative) from Hermitian are rejected.
+    from Hermitian, relative to their own Frobenius norm, are rejected at
+    any units: both norms are of entries scaled by :func:`_binary_scale`.
     """
     a = check_finite(a)
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    if np.linalg.norm(a - dag(a)) > 1e-10 * scale:
+    scaled = _binary_scale(np.abs(a).max(initial=0.0)) * a
+    if np.linalg.norm(scaled - dag(scaled)) > 1e-10 * np.linalg.norm(scaled):
         raise ValueError("matrix is not Hermitian")
     sym = 0.5 * (a + dag(a))
     vals, vecs = np.linalg.eigh(sym)

@@ -60,7 +60,7 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def _pauli_string(ops: list) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for o in ops:
-        out = np.kron(out, o)
+        out = sharp(o, out.T)  # kron(out, o)
     return out
 
 
@@ -312,10 +312,10 @@ def kms_counterexample(u_basis, v1, v2):
     kk_hat = sum(sharp(dag(k), k) for k in dual)
     l = kk_hat @ kk - np.eye(n * n)
 
-    from .generators import certify_detailed_balance
+    from .generators import Superoperator, certify_detailed_balance
     from .linalg import apply_super
 
-    cert = certify_detailed_balance(l, sigma)
+    cert = certify_detailed_balance(Superoperator(sigma, l))
     report = {
         "a": a,
         "b": b,

@@ -122,7 +122,7 @@ def check_dbc_equivalences(rng):
         worst = max(worst, rep.modular_commutation, rep.bkm_residual, *rep.s_residuals.values())
         # the Bures weight f(t) = (1 + t)/2, on the block certification reads
         kernel = states._weight_kernel_f(spec.sigma, lambda t: (1.0 + t) / 2.0)
-        worst = max(worst, generators._weighted_residual(l.bohr_blocks[1], kernel, float(np.max(kernel)), rep.l_norm))
+        worst = max(worst, *generators._weighted_residual(l.bohr_blocks[1], kernel[None], np.max(kernel), rep.l_norm))
     return worst < 1e-9, f"worst residual across batteries {worst:.3e}"
 
 
@@ -139,10 +139,9 @@ def check_dirichlet_positivity(rng):
 
 def _svd_commutant_dim(spec):
     """dim {X : [V, X] = 0 for every jump V}, by an SVD of the stacked
-    superoperators of X |-> [V, X], kron(1, V) - kron(V^T, 1) under column
-    stacking."""
+    superoperators of X |-> [V, X], sharp(V, 1) - sharp(1, V)."""
     eye = np.eye(spec.dim)
-    stacked = np.vstack([np.kron(eye, v) - np.kron(v.T, eye) for v in spec.jump_ops()])
+    stacked = np.vstack([sharp(v, eye) - sharp(eye, v) for v in spec.jump_ops()])
     svals = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(svals <= 1e-9 * svals[0]))
 
@@ -208,11 +207,11 @@ def check_extraction_uniqueness(rng):
         # both extractions read one certification and one reduced spectrum,
         # which does not depend on the basis order
         admitted = generators.Superoperator(spec.sigma, l)
-        ex1, _ = canonical.extract_canonical(admitted, spec.sigma)
+        ex1, _ = canonical.extract_canonical(admitted)
         # permuted basis (identity stays first)
         md = admitted.gks_blocks.modular
         perm = [0] + [1 + int(i) for i in rng.permutation(md.size - 1)]
-        ex2, _ = canonical.extract_canonical(admitted, spec.sigma, modular=md.reordered(perm))
+        ex2, _ = canonical.extract_canonical(admitted, modular=md.reordered(perm))
         l1 = generators.build_generator(ex1)
         l2 = generators.build_generator(ex2)
         err = np.linalg.norm(l1 - l2, 2) / max(np.linalg.norm(l, 2), 1e-300)
@@ -227,7 +226,7 @@ def check_jump_count_bound(rng):
         n = int(rng.integers(2, 5))
         spec = models.random_dbc_spec(n, rng)
         l = generators.build_generator(spec)
-        ex, _ = canonical.extract_canonical(l, spec.sigma)
+        ex, _ = canonical.extract_canonical(generators.Superoperator(spec.sigma, l))
         ok = ok and ex.njumps <= n * n - 1
     return ok, "extracted jump counts within n^2 - 1"
 
@@ -394,7 +393,7 @@ def check_fermi_certifications(rng):
     for m, beta, es in ((1, 0.5, [1.0]), (2, 1.0, [1.0, 2.0])):
         model = models.fermi_ou(m, beta, es)
         l = generators.build_generator(model.spec)
-        rep = generators.certify_detailed_balance(l, model.spec.sigma)
+        rep = generators.certify_detailed_balance(generators.Superoperator(model.spec.sigma, l))
         worst = max(worst, rep.s_residuals[1.0], rep.s_residuals[0.5], rep.bkm_residual)
         ok = ok and rep.gns_dbc and generators.ergodicity(model.spec) == 1
     return ok and worst < 1e-9, f"worst certification residual {worst:.3e}"

@@ -38,6 +38,13 @@ def depolarizing_n2():
     return depolarizing(2)
 
 
+def tracial(n):
+    """The maximally mixed state of dimension n."""
+    from qmsflow.states import DensityState
+
+    return DensityState.from_matrix(np.eye(n) / n)
+
+
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 

@@ -14,7 +14,7 @@ from qmsflow.entropy import (
     lsi_check,
     relative_entropy,
 )
-from qmsflow.generators import apply_dual, build_generator, dual_orbit
+from qmsflow.generators import Superoperator, apply_dual, build_generator, dual_orbit
 from qmsflow.linalg import dag, hs_inner, traceless_hermitian_basis, vec, unvec
 from qmsflow.models import (
     fermi_ou,
@@ -85,7 +85,7 @@ def test_criterion_03_canonical_roundtrip():
         n = int(rng.integers(2, 6))
         spec = random_dbc_spec(n, rng)
         l = build_generator(spec)
-        extracted, rep = extract_canonical(l, spec.sigma)
+        extracted, rep = extract_canonical(Superoperator(spec.sigma, l))
         worst_rt = max(worst_rt, rep.roundtrip_error)
         worst_block = max(
             worst_block, rep.block_residual, rep.pairing_residual, rep.offblock_residual

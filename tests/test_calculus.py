@@ -123,13 +123,12 @@ class TestLaplacian:
             assert null_dim == ergodicity(spec)
 
     def test_generates_tracial_dbc_semigroup(self, rng):
-        from qmsflow.generators import certify_detailed_balance, check_complete_positivity
+        from qmsflow.generators import Superoperator, certify_detailed_balance, check_complete_positivity
         from qmsflow.states import DensityState
 
         spec = random_dbc_spec(3, rng)
-        l0 = laplacian(spec)
-        tau = DensityState.from_matrix(np.eye(3) / 3)
-        rep = certify_detailed_balance(l0, tau)
+        l0 = Superoperator(DensityState.from_matrix(np.eye(3) / 3), laplacian(spec))
+        rep = certify_detailed_balance(l0)
         assert rep.gns_dbc
         ok, _ = check_complete_positivity(l0)
         assert ok

@@ -25,6 +25,7 @@ from conftest import (
     modular_elements,
     near_degenerate_spec,
     random_matrix,
+    tracial,
 )
 
 
@@ -135,7 +136,7 @@ class TestReducedGKS:
 
     def test_zoo_generators_psd(self, rng, fermi_m2):
         l = build_generator(fermi_m2.spec)
-        ok, min_eig = check_complete_positivity(l)
+        ok, min_eig = check_complete_positivity(Superoperator(tracial(4), l))
         assert ok
         assert min_eig > -1e-12
 
@@ -143,12 +144,12 @@ class TestReducedGKS:
         x = random_matrix(rng, 2)
         v = x + dag(x)
         c = commutator_super(v)
-        ok, min_eig = check_complete_positivity(c @ c)
+        ok, min_eig = check_complete_positivity(Superoperator(tracial(2), c @ c))
         assert not ok
         assert min_eig < -1e-8
 
     def test_identity_map_zero_reduced_block(self):
-        ok, min_eig = check_complete_positivity(np.zeros((4, 4)))
+        ok, min_eig = check_complete_positivity(Superoperator(tracial(2), np.zeros((4, 4))))
         assert ok
         assert min_eig == pytest.approx(0.0, abs=1e-8)
         assert np.allclose(gks_matrix(np.zeros((4, 4)), identity_anchored_basis(2))[1:, 1:], 0.0)
@@ -168,20 +169,20 @@ class TestExtraction:
             return paired(*args)
 
         monkeypatch.setattr(canonical, "_paired_blocks", counted)
-        extract_canonical(spec if route == "spec" else build_generator(spec), spec.sigma)
+        extract_canonical(spec if route == "spec" else Superoperator(spec.sigma, build_generator(spec)))
         assert len(calls) == 1
 
     def test_superoperator_rotated_once(self, monkeypatch):
-        # a bare superoperator is admitted once: certification, the
-        # positivity check and the coefficients read one rotated block, and
-        # the report is the one of the caller's admitted and certified L
+        # a superoperator is admitted once: certification, the positivity
+        # check and the coefficients read one rotated block, and the report
+        # is the one of the caller's admitted and certified L
         from qmsflow import generators
 
         spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
         l = build_generator(spec)
         admitted = Superoperator(spec.sigma, l)
-        certify_detailed_balance(admitted, spec.sigma)
-        expected = extract_canonical(admitted, spec.sigma)
+        certify_detailed_balance(admitted)
+        expected = extract_canonical(admitted)
         rotated, calls = generators._rotated, []
 
         def counted(*args):
@@ -189,7 +190,7 @@ class TestExtraction:
             return rotated(*args)
 
         monkeypatch.setattr(generators, "_rotated", counted)
-        extracted, report = extract_canonical(l, spec.sigma)
+        extracted, report = extract_canonical(Superoperator(spec.sigma, l))
         assert len(calls) == 1
         assert report.as_dict() == expected[1].as_dict()
         assert all(np.array_equal(v, w) for (v, _), (w, _) in zip(extracted.jumps, expected[0].jumps, strict=True))
@@ -199,7 +200,7 @@ class TestExtraction:
             n = int(rng.integers(2, 6))
             spec = random_dbc_spec(n, rng)
             l = build_generator(spec)
-            extracted, report = extract_canonical(l, spec.sigma)
+            extracted, report = extract_canonical(Superoperator(spec.sigma, l))
             assert report.roundtrip_error < 1e-9
             assert np.allclose(
                 sorted(extracted.omegas()), sorted(spec.omegas()), atol=1e-9
@@ -211,7 +212,7 @@ class TestExtraction:
     def test_jump_properties(self, rng):
         spec = random_dbc_spec(4, rng)
         l = build_generator(spec)
-        extracted, _ = extract_canonical(l, spec.sigma)
+        extracted, _ = extract_canonical(Superoperator(spec.sigma, l))
         n = spec.dim
         sig = spec.sigma
         ops = extracted.jump_ops()
@@ -241,7 +242,7 @@ class TestExtraction:
 
     def test_fermi_two_modes(self, fermi_m2):
         l = build_generator(fermi_m2.spec)
-        extracted, report = extract_canonical(l, fermi_m2.spec.sigma)
+        extracted, report = extract_canonical(Superoperator(fermi_m2.spec.sigma, l))
         assert extracted.njumps == 4
         expect = sorted([-1.0, 1.0, -2.0, 2.0])
         assert np.allclose(sorted(extracted.omegas()), expect, atol=1e-10)
@@ -249,7 +250,7 @@ class TestExtraction:
 
     def test_depolarizing_self_adjoint_jumps(self, depolarizing_n2):
         l = build_generator(depolarizing_n2)
-        extracted, report = extract_canonical(l, depolarizing_n2.sigma)
+        extracted, report = extract_canonical(Superoperator(depolarizing_n2.sigma, l))
         assert extracted.njumps == 3
         assert np.allclose(extracted.omegas(), 0.0)
         for v, _ in extracted.jumps:
@@ -270,7 +271,7 @@ class TestExtraction:
             jumps.append((dag(v), -w))
         spec = GeneratorSpec(sigma, jumps)
         l = build_generator(spec)
-        extracted, report = extract_canonical(l, sigma)
+        extracted, report = extract_canonical(Superoperator(sigma, l))
         assert report.roundtrip_error < 1e-9
         assert extracted.njumps == 4
 
@@ -282,7 +283,7 @@ class TestExtraction:
 
         l, sigma, _ = kms_counterexample(u, v1, v2)
         with pytest.raises(ValueError, match="GNS"):
-            extract_canonical(l, sigma)
+            extract_canonical(Superoperator(sigma, l))
 
     def test_offblock_coefficients_vanish(self, rng):
         spec = random_dbc_spec(3, rng)
@@ -298,20 +299,21 @@ class TestExtraction:
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
         md = build_modular_basis(spec.sigma)
-        ex1, _ = extract_canonical(l, spec.sigma, modular=md)
+        admitted = Superoperator(spec.sigma, l)
+        ex1, _ = extract_canonical(admitted, modular=md)
         perm = [0] + [1 + int(i) for i in rng.permutation(md.size - 1)]
         md2 = md.reordered(perm)
         assert np.array_equal(
             md2.conj_pairing, [perm.index(int(md.conj_pairing[i])) for i in perm]
         )
-        ex2, _ = extract_canonical(l, spec.sigma, modular=md2)
+        ex2, _ = extract_canonical(admitted, modular=md2)
         gap = np.linalg.norm(
             build_generator(ex1) - build_generator(ex2), 2
         ) / np.linalg.norm(l, 2)
         assert gap < 1e-9
         assert ex1.njumps == ex2.njumps
         # a spec's jumps give its coefficients over any modular basis of sigma
-        ex3, _ = extract_canonical(spec, spec.sigma, modular=md2)
+        ex3, _ = extract_canonical(spec, modular=md2)
         gap = np.linalg.norm(build_generator(ex3) - l, 2) / np.linalg.norm(l, 2)
         assert gap < 1e-9
         assert ex3.njumps == ex1.njumps
@@ -320,13 +322,13 @@ class TestExtraction:
     def test_wrong_size_superoperator_named(self, shape):
         sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
         with pytest.raises(ValueError, match=re.escape(f"superoperator has shape {shape}, expected (4, 4)")):
-            extract_canonical(np.zeros(shape), sigma)
+            extract_canonical(Superoperator(sigma, np.zeros(shape)))
 
     def test_jump_count_bound(self, rng):
         for _ in range(4):
             n = int(rng.integers(2, 5))
             spec = random_dbc_spec(n, rng)
-            extracted, _ = extract_canonical(build_generator(spec), spec.sigma)
+            extracted, _ = extract_canonical(Superoperator(spec.sigma, build_generator(spec)))
             assert extracted.njumps <= n * n - 1
 
     def test_near_degenerate_sigma_window(self, rng):
@@ -341,7 +343,7 @@ class TestExtraction:
         v = np.sqrt(3) * (0.8 + 0.4j) * np.outer(u[:, 0], np.conj(u[:, 1]))
         w = float(np.log(ls[1]) - np.log(ls[0]))
         spec = GeneratorSpec(sigma, [(v, w), (dag(v), -w)])
-        extracted, report = extract_canonical(build_generator(spec), sigma)
+        extracted, report = extract_canonical(Superoperator(sigma, build_generator(spec)))
         assert report.roundtrip_error < 1e-9
         assert extracted.njumps == 2
 
@@ -352,7 +354,7 @@ class TestExtraction:
         # complex pair inside the zero block
         spec = near_degenerate_spec(gap)
         l = build_generator(spec)
-        extracted, report = extract_canonical(l, spec.sigma)
+        extracted, report = extract_canonical(Superoperator(spec.sigma, l))
         assert report.roundtrip_error <= 1e-9
         assert extracted.njumps == 4
 
@@ -361,7 +363,7 @@ class TestExtraction:
         # builds of the same L that differ in the last bits report alike
         model = fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2])
         reports = [
-            extract_canonical(build(model.spec), model.spec.sigma)[1].dropped_eigenvalues
+            extract_canonical(Superoperator(model.spec.sigma, build(model.spec)))[1].dropped_eigenvalues
             for build in (build_generator, kron_sum_generator)
         ]
         assert reports[0] == reports[1]
@@ -373,9 +375,10 @@ class TestExtraction:
         sigma = fermi_m1.spec.sigma
         number = GeneratorSpec(sigma, [(fermi_m1.number_ops[0], 0.0)])
         l = build_generator(fermi_m1.spec) - 3.0 * build_generator(number)
-        assert certify_detailed_balance(l, sigma).gns_dbc
+        admitted = Superoperator(sigma, l)
+        assert certify_detailed_balance(admitted).gns_dbc
         with pytest.raises(ValueError, match=r"not conditionally completely positive .*eigenvalue -"):
-            extract_canonical(l, sigma)
+            extract_canonical(admitted)
 
     def test_extraction_of_dropped_rank(self, rng):
         # two linearly dependent jumps in one block collapse to one
@@ -386,7 +389,7 @@ class TestExtraction:
         w = float(np.log(lam[1] / lam[0]))
         jumps = [(v, w), (dag(v), -w), (0.5 * v, w), (0.5 * dag(v), -w)]
         spec = GeneratorSpec(sigma, jumps)
-        extracted, report = extract_canonical(build_generator(spec), sigma)
+        extracted, report = extract_canonical(Superoperator(sigma, build_generator(spec)))
         assert extracted.njumps == 2
         assert report.roundtrip_error < 1e-10
 

@@ -10,7 +10,7 @@ from qmsflow.generators import (
     GeneratorSpec,
     Superoperator,
     _admit,
-    _admitted,
+    _certify_blocks,
     _weighted_residual,
     apply_dual,
     apply_generator,
@@ -22,6 +22,7 @@ from qmsflow.generators import (
     modular_subalgebra,
     restrict_to_commutative,
 )
+from qmsflow.canonical import extract_canonical
 from qmsflow.linalg import apply_super, choi, dag, sharp, unvec, vec
 from qmsflow.models import (
     depolarizing,
@@ -48,16 +49,13 @@ from conftest import (
     random_matrix,
     self_adjointness_residual,
     star_swap_residual,
+    tracial,
     weight_superoperator_f,
     weight_superoperator_s,
 )
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def tracial(n):
-    return DensityState.from_matrix(np.eye(n) / n)
 
 
 def svd_residual(l, omega):
@@ -380,7 +378,7 @@ class TestCertification:
     def test_built_generators_pass_battery(self, rng):
         for _ in range(5):
             spec = random_dbc_spec(int(rng.integers(2, 6)), rng)
-            rep = certify_detailed_balance(build_generator(spec), spec.sigma)
+            rep = certify_detailed_balance(Superoperator(spec.sigma, build_generator(spec)))
             assert rep.gns_dbc
             assert max(rep.s_residuals.values()) < 1e-9
             assert rep.bkm_residual < 1e-9
@@ -392,26 +390,33 @@ class TestCertification:
         v1 = np.array([1.0, 1.0]) / np.sqrt(2)
         v2 = np.array([1.0, 2.0]) / np.sqrt(5)
         l, sigma, _ = kms_counterexample(u, v1, v2)
-        rep = certify_detailed_balance(l, sigma)
+        rep = certify_detailed_balance(Superoperator(sigma, l))
         assert rep.s_residuals[0.5] < 1e-10
         assert rep.s_residuals[1.0] > 1e-3
         assert rep.modular_commutation > 1e-2
         assert rep.kms_only
         assert not rep.gns_dbc
 
+    @pytest.mark.parametrize("verdict", [certify_detailed_balance, check_complete_positivity, extract_canonical])
+    def test_bare_matrix_is_no_input(self, verdict):
+        # a dense L is read only as Superoperator(sigma, matrix): no sigma is guessed for it
+        with pytest.raises(AttributeError):
+            verdict(np.zeros((4, 4)))
+
     def test_wrong_size_superoperator_named(self):
         sigma = DensityState.from_matrix(np.diag([0.3, 0.7]).astype(complex))
         with pytest.raises(ValueError, match=r"superoperator has shape \(9, 9\), expected \(4, 4\)"):
-            certify_detailed_balance(np.zeros((9, 9)), sigma)
+            certify_detailed_balance(Superoperator(sigma, np.zeros((9, 9))))
 
     def test_one_operator_norm_of_l(self, rng, monkeypatch):
         # the 2-norm of L is an SVD; certification takes it once and reuses
-        # it: two SVDs of n^2-row arrays, ||L|| and the modular commutator
+        # it: one SVD of n^2-row arrays, ||L|| and the modular commutator
+        # stacked
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
         calls = counting_svds(monkeypatch, rows=9)
-        certify_detailed_balance(l, spec.sigma)
-        assert len(calls) == 2
+        certify_detailed_balance(Superoperator(spec.sigma, l))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("case", ["kms_only", "random_1e-6", "random_1", "random_1e6"])
     def test_residuals_match_svd_reference(self, rng, case):
@@ -420,7 +425,7 @@ class TestCertification:
             l, sigma, _ = kms_counterexample(u, [1.0, 1.0] / np.sqrt(2), [1.0, 2.0] / np.sqrt(5))
         else:
             l, sigma = float(case.split("_")[1]) * random_matrix(rng, 9), random_density(3, rng)
-        rep = certify_detailed_balance(l, sigma)
+        rep = certify_detailed_balance(Superoperator(sigma, l))
         got = dict(rep.s_residuals)
         ref = {s: svd_residual(l, weight_superoperator_s(sigma, s)) for s in got}
         got["bkm"] = rep.bkm_residual
@@ -463,13 +468,13 @@ class TestCertification:
         spec = random_dbc_spec(3, rng)
         l = build_generator(spec)
         calls = counting_svds(monkeypatch)
-        certify_detailed_balance(l, spec.sigma)
+        certify_detailed_balance(Superoperator(spec.sigma, l))
         assert len(calls) <= 2
 
     def test_modular_operator_self_adjoint_every_s(self, rng):
         sigma = random_density(3, rng)
         delta = modular_superoperator(sigma)
-        rep = certify_detailed_balance(delta, sigma)
+        rep = certify_detailed_balance(Superoperator(sigma, delta))
         assert max(rep.s_residuals.values()) < 1e-11
         assert rep.bkm_residual < 1e-11
 
@@ -486,25 +491,43 @@ class TestCertification:
 
     @pytest.mark.parametrize("kind", ["spec", "superoperator", "random"])
     def test_block_weighted_residual_matches_dense(self, rng, kind):
-        # the residual read from L's blocks (verify's Bures battery) against
-        # the dense weight superoperator: equal where L is not Omega-symmetric,
-        # round-off where it is
+        # the residuals read from L's blocks (verify's Bures battery), three
+        # weights in one call, against the dense weight superoperators:
+        # equal where L is not Omega-symmetric, round-off where it is
         if kind == "random":
-            sigma, l = random_density(3, rng), random_matrix(rng, 9)
+            sigma, dense = random_density(3, rng), random_matrix(rng, 9)
         else:
             spec = random_dbc_spec(4, rng)
-            l, sigma = (spec if kind == "spec" else build_generator(spec)), spec.sigma
-        dense = build_generator(l) if isinstance(l, GeneratorSpec) else l
-        blocks = _admitted(l, sigma).bohr_blocks[1]
-        l_norm = np.linalg.norm(dense, 2)
-        for f in (np.sqrt, bkm_weight, lambda t: (1 + t) / 2):
-            kernel = _weight_kernel_f(sigma, f)
-            got = _weighted_residual(blocks, kernel, float(np.max(kernel)), l_norm)
+            sigma, dense = spec.sigma, build_generator(spec)
+        blocks = (spec if kind == "spec" else Superoperator(sigma, dense)).bohr_blocks[1]
+        weights = (np.sqrt, bkm_weight, lambda t: (1 + t) / 2)
+        kernels = np.stack([_weight_kernel_f(sigma, f) for f in weights])
+        got = _weighted_residual(blocks, kernels, kernels.max(axis=(1, 2)), np.linalg.norm(dense, 2))
+        assert got.shape == (3,)
+        for f, mine in zip(weights, got.tolist()):
             want = self_adjointness_residual(dense, weight_superoperator_f(sigma, f))
             if kind == "random":
-                assert want > 1e-2 and got == pytest.approx(want, rel=1e-12)
+                assert want > 1e-2 and mine == pytest.approx(want, rel=1e-12)
             else:
-                assert max(got, want) < 1e-12
+                assert max(mine, want) < 1e-12
+
+    def test_one_eigensolve_and_one_svd_per_size_group(self, monkeypatch):
+        # Fermi m=4's seven size groups: the five Omega_s and Omega_BKM share
+        # one eigvalsh per group, ||L_B|| and the modular commutator one SVD
+        spec = fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2]).spec
+        assert len(spec.bohr_blocks[1]) == 7
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        _certify_blocks(spec.sigma, spec.bohr_blocks[1])
+        assert calls.count("eigvalsh") == calls.count("svd") == 7
 
     def test_star_residual_free_of_overflow(self):
         # the kms-counterexample plus 1e-3 sharp(A, B) is not star-preserving;
@@ -515,16 +538,17 @@ class TestCertification:
         rng = np.random.default_rng(0)
         a, b = random_matrix(rng, 2), random_matrix(rng, 2)
         l = l + 1e-3 * sharp(a, b)
-        base = certify_detailed_balance(l, sigma).star_preservation
+        base = certify_detailed_balance(Superoperator(sigma, l)).star_preservation
         assert base == pytest.approx(4.489e-3, rel=1e-3)
-        assert certify_detailed_balance(1e154 * l, sigma).star_preservation == pytest.approx(base, rel=1e-12)
+        scaled = certify_detailed_balance(Superoperator(sigma, 1e154 * l)).star_preservation
+        assert scaled == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
     def test_star_and_unital_residuals_match_the_dense_checks(self, rng, scale):
         # read in sigma's eigenbasis, they are the dense checks of K(X^*) =
         # K(X)^* and of ||L(1)|| / ||L||_2 that complete positivity relies on
         sigma, l = random_density(3, rng), scale * random_matrix(rng, 9)
-        rep = certify_detailed_balance(l, sigma)
+        rep = certify_detailed_balance(Superoperator(sigma, l))
         assert rep.star_preservation == pytest.approx(star_swap_residual(l), rel=1e-12)
         unital = np.linalg.norm(l @ vec(np.eye(3))) / np.linalg.norm(l, 2)
         assert rep.unital_residual == pytest.approx(unital, rel=1e-12)
@@ -540,8 +564,8 @@ class TestBlockRoute:
             spec = random_dbc_spec(int(rng.integers(2, 6)), rng)
             (v, w), rest = spec.jumps[0], list(spec.jumps[1:])
             spec = GeneratorSpec(spec.sigma, [((1 + eps) * v, w)] + rest)
-            blocks = certify_detailed_balance(spec, spec.sigma)
-            dense = certify_detailed_balance(build_generator(spec), spec.sigma)
+            blocks = certify_detailed_balance(spec)
+            dense = certify_detailed_balance(Superoperator(spec.sigma, build_generator(spec)))
             assert blocks.l_norm <= dense.l_norm * (1 + 1e-12)
             assert blocks.l_norm == pytest.approx(dense.l_norm, rel=1e-12)
             assert blocks.gns_dbc == dense.gns_dbc and blocks.kms_only == dense.kms_only
@@ -551,11 +575,6 @@ class TestBlockRoute:
             for mine, theirs in pairs:
                 assert mine >= theirs - 1e-14
                 assert mine <= theirs + 1e-12 + 1e-6 * theirs
-
-    def test_spec_needs_its_own_sigma(self, rng):
-        spec = random_dbc_spec(3, rng)
-        with pytest.raises(ValueError, match="own sigma"):
-            certify_detailed_balance(spec, random_density(3, rng))
 
     def test_midpoint_jump_keeps_sigmas_blocks(self):
         # a jump frequency midway between two Bohr frequencies 1.5e-10 apart
@@ -668,8 +687,6 @@ class TestSigmaDecidesTheBlocks:
     def test_star_residual_matches_the_dense_one_on_seven_size_groups(self, rng):
         # Fermi m=4's blocks, with and without a perturbation that keeps
         # their layout and breaks star preservation, against the dense check
-        from qmsflow.generators import _certify_blocks
-
         spec = fermi_ou(4, 1.0, [1.0, 1.3, 1.7, 2.2]).spec
         sigma, nn = spec.sigma, spec.dim**2
         assert len(spec.bohr_blocks[1]) == 7
@@ -700,7 +717,7 @@ class TestSigmaDecidesTheBlocks:
 class TestCompletePositivity:
     def test_built_generators_pass(self, rng):
         spec = random_dbc_spec(3, rng)
-        ok, min_eig = check_complete_positivity(build_generator(spec))
+        ok, min_eig = check_complete_positivity(Superoperator(tracial(3), build_generator(spec)))
         assert ok
         assert min_eig > -1e-10
 
@@ -709,25 +726,19 @@ class TestCompletePositivity:
         v = x + dag(x)
         c = commutator_super(v)
         l_bad = c @ c  # +[V,[V,.]]
-        ok, min_eig = check_complete_positivity(l_bad)
+        ok, min_eig = check_complete_positivity(Superoperator(tracial(2), l_bad))
         assert not ok
         assert min_eig < -1e-6
 
     def test_zero_map(self):
-        ok, min_eig = check_complete_positivity(np.zeros((9, 9)))
+        ok, min_eig = check_complete_positivity(Superoperator(tracial(3), np.zeros((9, 9))))
         assert ok
         assert min_eig == pytest.approx(0.0, abs=1e-14)
-
-    @pytest.mark.parametrize("size", [5, 8])
-    def test_wrong_size_superoperator_named(self, size):
-        # 5 is no square; 8 is, but 8 x 8 is no n^2 x n^2
-        with pytest.raises(ValueError, match=rf"superoperator has shape \({size}, {size}\), expected"):
-            check_complete_positivity(np.zeros((size, size)))
 
     def test_rejects_non_unital(self, rng):
         x = random_matrix(rng, 2)
         with pytest.raises(ValueError):
-            check_complete_positivity(np.eye(4) + 0 * x[0, 0])
+            check_complete_positivity(Superoperator(tracial(2), np.eye(4) + 0 * x[0, 0]))
 
     def test_verdict_independent_of_units(self, fermi_m1):
         # Fermi m=1 minus 12 times the dissipator 2 V^* A V - {V^* V, A} of
@@ -736,7 +747,7 @@ class TestCompletePositivity:
         jump = kron_sum_generator([(lower, 0.0)])  # not detailed balance: no spec admits it
         l = build_generator(fermi_m1.spec) - 12.0 * jump
         for scale in (1.0, 1e-6, 1e-9, 1e-12):
-            ok, min_eig = check_complete_positivity(scale * l)
+            ok, min_eig = check_complete_positivity(Superoperator(tracial(2), scale * l))
             assert not ok, scale
             assert min_eig < -scale
 
@@ -745,7 +756,7 @@ class TestCompletePositivity:
         # certification ||L|| and the unital and star residuals are kept
         spec = random_dbc_spec(3, rng)
         l = Superoperator(spec.sigma, build_generator(spec))
-        certify_detailed_balance(l, spec.sigma)
+        certify_detailed_balance(l)
         pade = counting_expm(monkeypatch)
         svds = counting_svds(monkeypatch)
         assert check_complete_positivity(l)[0]
@@ -759,15 +770,15 @@ class TestCompletePositivity:
         flip = commutator_super(x + dag(x))
         lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         jump = kron_sum_generator([(lower, 0.0)])  # not detailed balance: no spec admits it
-        cases = [build_generator(random_dbc_spec(n, rng)) for n in (2, 3, 4)]
-        cases += [flip @ flip, build_generator(fermi_m1.spec) - 12.0 * jump]
+        cases = [(build_generator(random_dbc_spec(n, rng)), n) for n in (2, 3, 4)]
+        cases += [(flip @ flip, 2), (build_generator(fermi_m1.spec) - 12.0 * jump, 2)]
         verdicts = []
-        for l in cases:
+        for l, n in cases:
             choi_psd = True
             for t in (0.01, 0.1, 1.0):
                 evals = np.linalg.eigvalsh(choi(scipy.linalg.expm(t * l)))
                 choi_psd &= bool(evals[0] >= -1e-8 * max(-evals[0], evals[-1]))
-            assert check_complete_positivity(l)[0] == choi_psd
+            assert check_complete_positivity(Superoperator(tracial(n), l))[0] == choi_psd
             verdicts.append(choi_psd)
         assert verdicts == [True, True, True, False, False]
 
@@ -791,7 +802,7 @@ class TestCompletePositivity:
             n = sigma.dim
             tracial_basis = modular_elements(build_modular_basis(tracial(n)))
             scale = np.max(np.abs(np.linalg.eigvalsh(gks_matrix(l, tracial_basis)[1:, 1:])))
-            ok, min_eig = check_complete_positivity(l)
+            ok, min_eig = check_complete_positivity(Superoperator(tracial(n), l))
             ok_sigma, min_eig_sigma = check_complete_positivity(Superoperator(sigma, l))
             assert ok_sigma == ok
             assert abs(min_eig_sigma - min_eig) <= 1e-13 * scale

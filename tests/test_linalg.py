@@ -58,6 +58,15 @@ def test_sharp_applies_two_sided(rng):
         assert err <= 1e-13 * np.linalg.norm(expect)
 
 
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (2, 8), (5, 3)])
+def test_sharp_is_kron_bit_for_bit(rng, n, m):
+    # the broadcast product against numpy's Kronecker product, the reference,
+    # on square factors of equal and unequal sizes
+    a, b = random_matrix(rng, n), random_matrix(rng, m)
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (sharp(a, b), np.kron(b.T, a))]
+    assert np.array_equal(*bits)
+
+
 def test_sharp_trace_factorizes(rng):
     a, b = random_matrix(rng, 4), random_matrix(rng, 4)
     assert np.trace(sharp(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
@@ -193,6 +202,17 @@ def test_hermitian_eig_reconstruction(rng):
     spec = hermitian_eig(a)
     assert np.linalg.norm(reconstruct(spec) - a) <= 1e-12 * np.linalg.norm(a)
     assert np.all(np.diff(spec.eigenvalues) >= 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e200])
+def test_hermiticity_verdict_independent_of_units(scale):
+    # the floor is relative to ||A||, and the norms square entries scaled
+    # by a power of 2: no overflow at 1e200, no pass for a tiny A
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+    a = scale * np.array([[1.0, 1j], [-1j, 2.0]])
+    assert np.allclose(reconstruct(hermitian_eig(a)), a, rtol=1e-14, atol=0)
 
 
 def test_composition_on_commuting_functions(rng):

@@ -3,6 +3,7 @@ import pytest
 
 from qmsflow.generators import (
     GeneratorSpec,
+    Superoperator,
     build_generator,
     certify_detailed_balance,
     ergodicity,
@@ -150,7 +151,7 @@ class TestFiniteTemperature:
             assert resid < 1e-12
 
     def test_passes_all_certifications(self, fermi_m2):
-        rep = certify_detailed_balance(build_generator(fermi_m2.spec), fermi_m2.spec.sigma)
+        rep = certify_detailed_balance(Superoperator(fermi_m2.spec.sigma, build_generator(fermi_m2.spec)))
         assert rep.gns_dbc
         assert max(rep.s_residuals.values()) < 1e-10
         assert rep.bkm_residual < 1e-10
@@ -208,12 +209,12 @@ class TestFiniteTemperature:
         # beta e = 8 pushes sigma's smallest eigenvalue to ~3e-4 of scale
         model = fermi_ou(1, 8.0, [1.0])
         l = build_generator(model.spec)
-        rep = certify_detailed_balance(l, model.spec.sigma)
+        rep = certify_detailed_balance(Superoperator(model.spec.sigma, l))
         assert rep.gns_dbc
         got = sorted(np.linalg.eigvals(l).real)
         c = np.cosh(4.0)
         assert np.allclose(got, [-2 * c, -c, -c, 0.0], atol=1e-9)
-        extracted, report = extract_canonical(l, model.spec.sigma)
+        extracted, report = extract_canonical(Superoperator(model.spec.sigma, l))
         assert report.roundtrip_error < 1e-9
 
 
@@ -221,9 +222,10 @@ def test_four_mode_scale():
     # dim 16 / superoperator 256x256: the advertised ceiling of the toolkit
     model = fermi_ou(4, 1.0, [1.0, 1.5, 2.0, 2.5])
     l = build_generator(model.spec)
-    rep = certify_detailed_balance(l, model.spec.sigma)
+    admitted = Superoperator(model.spec.sigma, l)
+    rep = certify_detailed_balance(admitted)
     assert rep.gns_dbc
-    extracted, report = extract_canonical(l, model.spec.sigma)
+    extracted, report = extract_canonical(admitted)
     assert extracted.njumps == 8
     assert report.roundtrip_error < 1e-12
     singles = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -293,7 +295,7 @@ class TestDepolarizing:
     def test_ergodic_and_extractable(self, depolarizing_n2):
         assert ergodicity(depolarizing_n2) == 1
         l = build_generator(depolarizing_n2)
-        extracted, report = extract_canonical(l, depolarizing_n2.sigma)
+        extracted, report = extract_canonical(Superoperator(depolarizing_n2.sigma, l))
         assert report.roundtrip_error < 1e-10
 
 
