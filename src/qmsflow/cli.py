@@ -200,7 +200,7 @@ def cmd_inspect(args) -> int:
     try:
         cp_ok, min_eig = check_complete_positivity(l, psd_tol=tols["psd"])
     except ValueError as exc:
-        cp_ok, min_eig = False, float("nan")
+        cp_ok, min_eig = False, None
         report["cp_error"] = str(exc)
     report["completely_positive"] = cp_ok
     report["reduced_min_eigenvalue"] = min_eig

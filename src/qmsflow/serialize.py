@@ -166,7 +166,7 @@ def trajectory_to_csv(rows) -> str:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text_atomic(path: str, text: str):

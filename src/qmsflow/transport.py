@@ -17,15 +17,16 @@ solved by LU (as the path problem inverts it), the metric value is a
 quadratic form in M^{-1}, and the coordinate metric tensor is M^{-1}
 itself in an orthonormal coordinate basis.  Geodesic distances come from
 minimizing the K-segment midpoint-rule action of a piecewise-linear
-path.  The action is convex in the interior states, because (rho, A)
-|-> <A, [rho]_omega^{-1} A> is jointly convex, so damped Newton on its
-exact gradient and block-tridiagonal Hessian (first- and second-order
-Daleckii-Krein formulas in each midpoint's eigenbasis) converges in a
-few steps and stops on the Newton decrement.  Each evaluated path makes
-one eigensolve and one inverse of M per midpoint; each accepted one adds
-one stacked pass over all its midpoints for the kernels' first divided
-differences and one for their second ones, and its gradient is read off
-the Hessian's first-order term.  The minimized action bounds the
+path.  The action is convex in the interior states, because
+(rho, A) |-> <A, [rho]_omega^{-1} A> is jointly convex, so damped Newton
+on its exact gradient and block-tridiagonal Hessian (first- and
+second-order Daleckii-Krein formulas in each midpoint's eigenbasis)
+converges in a few steps and stops on the Newton decrement.  One class,
+``_MetricWorkspace``, forms M, its Jacobian G and its second-order term
+S for a stack of states.  Each evaluated path makes one eigensolve and
+one inverse of M per midpoint; each accepted one adds one stacked pass
+over its midpoints for G and S, and its gradient is read off the
+Hessian's first-order term.  The minimized action bounds the
 discrete problem from above, but midpoint quadrature of the (jointly
 convex) integrand underestimates, so as K grows it approaches the
 continuum value from below.  The tests pin it to the commutative
@@ -42,7 +43,7 @@ import math
 
 import numpy as np
 
-from .linalg import dag, traceless_hermitian_basis
+from .linalg import _binary_scale, check_finite, dag, traceless_hermitian_basis
 from .states import DensityState
 from .generators import GeneratorSpec, apply_dual, ergodicity
 from .calculus import (
@@ -78,8 +79,7 @@ class _MetricWorkspace:
 
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
-        n = spec.dim
-        self.n = n
+        self.n = n = spec.dim
         # the traceless Hermitian basis B_a as (nb, n, n), and flattened as
         # rows (nb, n^2)
         self.basis = np.array(traceless_hermitian_basis(n))
@@ -139,6 +139,45 @@ class _MetricWorkspace:
         _, _, ker, t = self.spectral_data(rhos)
         return self.assemble(ker, t)
 
+    def derivatives(self, spectral, x: np.ndarray):
+        """G_{c,a} = (d_a M x)_c and S_ab = x^T (d_a d_b M) x, each (B, nb, nb),
+        for the :meth:`spectral_data` of B states and x (B, nb).
+
+        With Y_j = d_j X and H_a = U^* B_a U in each eigenbasis, G pairs d_j B_c
+        with sum_l left_ilk (H_a)_il Y_lk + right_ilk Y_il (H_a)_lk, the first
+        Daleckii-Krein derivative of [rho]_{omega_j} in direction B_a.  S_ab =
+        sum_j <Y_j, D^2[rho]_{omega_j}(B_a, B_b) Y_j> has three parts, both
+        derivatives on the left eigenvalues, one on each side and both on the
+        right, each a contraction of Y, Y^* and second divided differences.
+        """
+        lam, u, ker, t = spectral
+        kk, nj, n, nb = len(ker), len(self.omegas), self.n, self.nb
+        yt = (x[:, None, :] @ t).reshape(kk, nj, n, n)
+        left, right = kernel_divided_differences(lam, self.tilts, ker)
+        hb = self.rotated(self.basis.reshape(-1, n), u).transpose(0, 2, 1, 3)
+        dy = (left * yt[:, :, None]).transpose(0, 2, 3, 1, 4).reshape(kk, n, n, nj * n)
+        dy = (hb.transpose(0, 2, 1, 3) @ dy).reshape(kk, n, nb, nj, n).transpose(0, 2, 3, 1, 4)
+        dr = (right * yt[..., None]).transpose(0, 4, 1, 2, 3).reshape(kk, n, nj * n, n)
+        dy = dy + (dr @ hb.transpose(0, 3, 2, 1)).reshape(kk, n, nj, n, nb).transpose(0, 4, 2, 3, 1)
+        g = (np.conj(t) @ np.swapaxes(dy.reshape(kk, nb, -1), -1, -2)).real
+        yc = np.conj(yt)
+        in_s, mixed, in_r = kernel_second_divided_differences(lam, self.tilts, left, right)
+        # the parts in s and in r both pair as sum_xyz (H_a)_xy W_xyz (H_b)_yz,
+        # with W_xyz = sum_jd A_jxd D_jxyzd conj(A_jzd): A = Y^* and D the
+        # differences in s at (x, y, z; d), then A = Y^T and D those in r at
+        # (d; x, y, z)
+        yt_t = np.swapaxes(yt, -1, -2)
+        w = np.einsum("bjxd,bjxyzd,bjzd->bxyz", yc, in_s, yt)
+        w += np.einsum("bjxd,bjxyzd,bjzd->bxyz", yt_t, in_r.transpose(0, 1, 3, 4, 5, 2), np.conj(yt_t))
+        w_mixed = np.einsum("bjik,bjilpk,bjlp->bilpk", yc, mixed, yt)
+        # both as V_{a,yz}, to be paired with (H_b)_yz
+        flat = hb.reshape(kk, nb, n * n)
+        v = (hb.transpose(0, 3, 1, 2) @ w.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        v = v.reshape(kk, nb, n * n)
+        v += flat @ w_mixed.reshape(kk, n * n, n * n)
+        r = (v @ np.swapaxes(flat, -1, -2)).real
+        return g, r + np.swapaxes(r, -1, -2)
+
 
 def _require_segments(segments: int):
     if segments < 1:
@@ -152,6 +191,22 @@ def _require_metric(spec: GeneratorSpec):
         raise ValueError(f"the transport metric needs dim >= 2, not dim {spec.dim}")
     if ergodicity(spec) != 1:
         raise ValueError("specification is not ergodic; the metric is degenerate")
+
+
+def _require_tangent(x, shape: tuple, what: str) -> np.ndarray:
+    """``x`` as a complex array, after ValueError unless it has ``shape`` and
+    each n x n matrix in it is Hermitian and traceless to 1e-9 of its norm,
+    in entries scaled by :func:`~qmsflow.linalg._binary_scale` (any units)."""
+    x = check_finite(x, what)
+    if x.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {x.shape}")
+    s = _binary_scale(np.abs(x).max(axis=(-2, -1), initial=0.0))[..., None, None] * x
+    size = 1e-9 * np.linalg.norm(s, axis=(-2, -1))
+    if np.any(np.linalg.norm(s - np.conj(np.swapaxes(s, -1, -2)), axis=(-2, -1)) > size):
+        raise ValueError(f"{what} must be Hermitian")
+    if np.any(np.abs(np.trace(s, axis1=-2, axis2=-1)) > size):
+        raise ValueError(f"{what} must be traceless")
+    return x
 
 
 @dataclass
@@ -172,12 +227,7 @@ def continuity_solve(
     [rho]_omega grad U, if wanted, is ``rho_mult`` of ``grad(spec, U)``
     jump by jump.  A spec without a transport metric (dim 1, or not
     ergodic) raises ValueError."""
-    rho_dot = np.asarray(rho_dot, dtype=complex)
-    size = np.linalg.norm(rho_dot)
-    if np.linalg.norm(rho_dot - dag(rho_dot)) > 1e-9 * size:
-        raise ValueError("rho_dot must be Hermitian")
-    if abs(np.trace(rho_dot)) > 1e-9 * size:
-        raise ValueError("rho_dot must be traceless")
+    rho_dot = _require_tangent(rho_dot, (spec.dim, spec.dim), "rho_dot")
     _require_metric(spec)
     ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
@@ -191,11 +241,13 @@ def metric_tensor(spec: GeneratorSpec, rho: DensityState, coord_basis) -> np.nda
 
     Entry (k, l) is the metric pairing of the tangent vectors A_k, A_l,
     i.e. a_k^T M^{-1} a_l in an orthonormal traceless-Hermitian basis.
+    Each A_k must be a tangent vector, as ``continuity_solve``'s rho-dot.
     """
     _require_metric(spec)
+    dirs = _require_tangent(coord_basis, (len(coord_basis), spec.dim, spec.dim), "directions")
     ws = _MetricWorkspace(spec)
     m = ws.metric_matrices(rho.rho[None])[0]
-    a = ws.coords(np.array(coord_basis)).T
+    a = ws.coords(dirs).T
     g = a.T @ np.linalg.solve(m, a)
     return 0.5 * (g + g.T)
 
@@ -268,17 +320,13 @@ class GeodesicResult:
 
 @dataclass
 class _PathEvaluation:
-    """Per segment of one path: the increment delta, the inverse of the
-    metric matrix M at the midpoint, x = M^{-1} delta, and the midpoint's
-    spectral data."""
+    """Per segment of one path: the increment delta, M^{-1} at the midpoint,
+    x = M^{-1} delta, and the midpoint's ``_MetricWorkspace.spectral_data``."""
 
     deltas: np.ndarray
     metric_inv: np.ndarray
     sol: np.ndarray
-    lam: np.ndarray
-    u: np.ndarray
-    ker: np.ndarray
-    t: np.ndarray
+    spectral: tuple
 
 
 class _PathProblem:
@@ -289,10 +337,10 @@ class _PathProblem:
     K * delta_k^T M((rho_k + rho_{k+1})/2)^{-1} delta_k.
 
     Every quantity is computed for all K midpoints at once, and once per
-    evaluated path: :meth:`evaluate` eigensolves the midpoints and inverts
-    each M, which gives x = M^{-1} delta and the action; :meth:`derivatives`
-    adds the first divided differences of the kernels, G = (d_a M) x and
-    the second divided differences (:meth:`_second_order`), from which
+    evaluated path.  The workspace forms M, G and S, and this class does
+    not read their layout: :meth:`evaluate` inverts each M, which gives
+    x = M^{-1} delta and the action; :meth:`derivatives` adds G and S from
+    :meth:`_MetricWorkspace.derivatives`, from which
     :func:`_node_derivatives` reads the gradient and the Hessian.
     """
 
@@ -317,8 +365,7 @@ class _PathProblem:
     def min_eigenvalue(self, y: np.ndarray) -> float:
         if y.size == 0:
             return np.inf
-        states = self.states(y)
-        return float(np.min(np.linalg.eigvalsh(states)))
+        return float(np.min(np.linalg.eigvalsh(self.states(y))))
 
     def evaluate(self, y: np.ndarray) -> _PathEvaluation:
         """Segment data of the path with interior coordinates ``y``, from
@@ -327,72 +374,22 @@ class _PathProblem:
         states = self.states(coords)
         mids = 0.5 * (states[:-1] + states[1:])
         deltas = coords[1:] - coords[:-1]
-        lam, u, ker, t = self.ws.spectral_data(mids)
+        spectral = self.ws.spectral_data(mids)
         # each M is inverted once: x here, M^{-1} and M^{-1} G in the Hessian
-        m_inv = np.linalg.inv(self.ws.assemble(ker, t))
+        m_inv = np.linalg.inv(self.ws.assemble(*spectral[2:]))
         sol = (m_inv @ deltas[..., None])[..., 0]
-        return _PathEvaluation(deltas, m_inv, sol, lam, u, ker, t)
+        return _PathEvaluation(deltas, m_inv, sol, spectral)
 
     def segment_actions(self, evaluation: _PathEvaluation) -> np.ndarray:
         return self.k * np.einsum("ka,ka->k", evaluation.deltas, evaluation.sol)
 
     def derivatives(self, evaluation: _PathEvaluation):
         """Exact gradient and block-tridiagonal Hessian of the action in the
-        interior coordinates, times 2^-e, and e (see
-        :func:`_node_derivatives`), read from the path's :meth:`evaluate`.
-
-        Y_j = d_j X in each midpoint's eigenbasis (K, J, n, n), the first
-        divided differences of the kernels (see
-        :func:`~qmsflow.calculus.kernel_divided_differences`) and the basis
-        in each eigenbasis H_a = U^* B_a U (K, nb, n, n) give G (K, nb, nb)
-        with G_{c,a} = (d_a M x)_c: D[m]_{omega_j}(H_a) Y_j paired with
-        d_j B_c, summed over j, the first-order Daleckii-Krein derivative of
-        [m] in direction B_a, sum_l left_ilk (H_a)_il Y_lk + right_ilk Y_il
-        (H_a)_lk, formed as matrix products batched over (midpoint, i) and
-        (midpoint, k).  The same data give the second-order term S of
-        :meth:`_second_order`.
-        """
+        interior coordinates, times 2^-e, and e (see :func:`_node_derivatives`),
+        from the path's :meth:`evaluate` and G and S at x = M^{-1} delta."""
         ev = evaluation
-        kk, nj, n, nb = len(ev.ker), len(self.ws.omegas), self.n, self.ws.nb
-        yt = (ev.sol[:, None, :] @ ev.t).reshape(kk, nj, n, n)
-        left, right = kernel_divided_differences(ev.lam, self.ws.tilts, ev.ker)
-        hb = self.ws.rotated(self.ws.basis.reshape(-1, n), ev.u).transpose(0, 2, 1, 3)
-        dy = (left * yt[:, :, None]).transpose(0, 2, 3, 1, 4).reshape(kk, n, n, nj * n)
-        dy = (hb.transpose(0, 2, 1, 3) @ dy).reshape(kk, n, nb, nj, n).transpose(0, 2, 3, 1, 4)
-        dr = (right * yt[..., None]).transpose(0, 4, 1, 2, 3).reshape(kk, n, nj * n, n)
-        dy = dy + (dr @ hb.transpose(0, 3, 2, 1)).reshape(kk, n, nj, n, nb).transpose(0, 4, 2, 3, 1)
-        g = (np.conj(ev.t) @ np.swapaxes(dy.reshape(kk, nb, -1), -1, -2)).real
-        s = self._second_order(ev.lam, yt, hb, left, right)
+        g, s = self.ws.derivatives(ev.spectral, ev.sol)
         return _node_derivatives(self.k, ev.sol, ev.metric_inv, ev.metric_inv @ g, g, s)
-
-    def _second_order(self, lam, yt, hb, left, right):
-        """S_ab = sum_j <Y_j, D^2[m]_{omega_j}(B_a, B_b) Y_j> per midpoint,
-        with H_a = U^* B_a U the basis in the eigenbasis of m.
-
-        The second derivative of the double operator integral [m]_omega has
-        three parts: both derivatives on the left eigenvalues, one on each
-        side, and both on the right; each is a contraction of Y, Y^* and a
-        second divided difference, paired with H_a and H_b.
-        """
-        kk, nj, n = yt.shape[:3]
-        nb = hb.shape[1]
-        yc = np.conj(yt)
-        in_s, mixed, in_r = kernel_second_divided_differences(lam, self.ws.tilts, left, right)
-        # the parts in s and in r both pair as sum_xyz (H_a)_xy W_xyz (H_b)_yz,
-        # with W_xyz = sum_jd A_jxd D_jxyzd conj(A_jzd): A = Y^* and D the
-        # differences in s at (x, y, z; d), then A = Y^T and D those in r at
-        # (d; x, y, z)
-        yt_t = np.swapaxes(yt, -1, -2)
-        w = np.einsum("bjxd,bjxyzd,bjzd->bxyz", yc, in_s, yt)
-        w += np.einsum("bjxd,bjxyzd,bjzd->bxyz", yt_t, in_r.transpose(0, 1, 3, 4, 5, 2), np.conj(yt_t))
-        w_mixed = np.einsum("bjik,bjilpk,bjlp->bilpk", yc, mixed, yt)
-        # both as V_{a,yz}, to be paired with (H_b)_yz
-        flat = hb.reshape(kk, nb, n * n)
-        v = (hb.transpose(0, 3, 1, 2) @ w.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-        v = v.reshape(kk, nb, n * n)
-        v += flat @ w_mixed.reshape(kk, n * n, n * n)
-        r = (v @ np.swapaxes(flat, -1, -2)).real
-        return r + np.swapaxes(r, -1, -2)
 
 
 def _node_derivatives(k, sol, p_inv, p_inv_g, g, s):
@@ -539,6 +536,8 @@ def geodesic_distance(
     _require_segments(segments)
     _require_metric(spec)
     for r in (rho0, rho1):
+        if r.dim != spec.dim:
+            raise ValueError(f"endpoint is dim {r.dim}, the spec is dim {spec.dim}")
         if float(r.eigenvalues[0]) < POSITIVITY_FLOOR:
             raise ValueError("endpoint is not strictly positive at the working floor")
     problem = _PathProblem(_MetricWorkspace(spec), rho0.rho, rho1.rho, segments)

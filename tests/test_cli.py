@@ -114,6 +114,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             matrix_from_json([[[1, 0]], [[1, 0], [0, 0]]])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_dump_json_refuses_non_finite_floats(self, value):
+        # RFC 8259 has no NaN or Infinity, so no command may write them
+        with pytest.raises(ValueError):
+            dump_json({"x": value})
+
     def test_trajectory_csv_roundtrip(self, fermi_spec_file, rng):
         from qmsflow.entropy import entropy_trajectory
         from qmsflow.models import random_density
@@ -356,6 +362,22 @@ class TestInspect:
         code, report = _inspect_superoperator(np.eye(4), sigma)
         assert code == 1 and report["certification"]["s_residuals"]["1.0"] == 0.0
         assert not re.search(r"-0\.0(?=[,\]}])", json.dumps(report))
+
+    def test_complete_positivity_error_writes_json(self, tmp_path):
+        # the identity map does not annihilate the identity, so complete
+        # positivity has no verdict; its eigenvalue is null, not NaN
+        path, out = tmp_path / "superoperator.json", tmp_path / "report.json"
+        path.write_text(dump_json({"dim": 2, "sigma": matrix_to_json(np.eye(2) / 2),
+                                   "superoperator": matrix_to_json(np.eye(4))}))
+        assert main(["inspect", "--input", str(path), "--output", str(out)]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["cp_error"] == "superoperator does not annihilate the identity"
+        assert report["completely_positive"] is False
+        assert report["reduced_min_eigenvalue"] is None
 
     @pytest.mark.parametrize("gap", [0.0, 1e-13, 5e-12, 2e-11, 5e-11])
     def test_near_degenerate_sigma_canonical_form(self, gap):

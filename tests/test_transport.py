@@ -179,6 +179,48 @@ class TestSolveMetricSystem:
         assert np.linalg.norm(dec.potential - potential.reshape(7, 7)) <= 1e-12 * np.linalg.norm(potential)
 
 
+# (direction, the check it fails): not traceless, anti-Hermitian, and
+# E_01, whose Hermitian part is a tangent vector
+NOT_TANGENT = [
+    (np.eye(2), "traceless"),
+    (1j * np.diag([1.0, -1.0]), "Hermitian"),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+]
+
+
+class TestTangentCheck:
+    """``metric_tensor`` and ``continuity_solve`` refuse what is not a
+    tangent vector, by name and at any units."""
+
+    @pytest.mark.parametrize("scale", [1e-310, 1.0, 1e200])
+    @pytest.mark.parametrize("direction, match", NOT_TANGENT)
+    def test_refuses_non_tangent_directions(self, fermi_m1, rng, direction, match, scale):
+        spec, rho = fermi_m1.spec, random_density(2, rng)
+        with pytest.raises(ValueError, match=f"directions must be {match}"):
+            metric_tensor(spec, rho, [scale * direction])
+        with pytest.raises(ValueError, match=f"rho_dot must be {match}"):
+            continuity_solve(spec, rho, scale * direction)
+
+    def test_one_bad_direction_among_good_ones(self, fermi_m1, rng):
+        basis = traceless_hermitian_basis(2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            metric_tensor(fermi_m1.spec, random_density(2, rng), [*basis, NOT_TANGENT[2][0]])
+
+    def test_refuses_wrong_size(self, fermi_m1, rng):
+        spec, rho = fermi_m1.spec, random_density(2, rng)
+        with pytest.raises(ValueError, match=r"directions must have shape \(1, 2, 2\), got \(1, 3, 3\)"):
+            metric_tensor(spec, rho, [np.zeros((3, 3))])
+        with pytest.raises(ValueError, match=r"rho_dot must have shape \(2, 2\), got \(3, 3\)"):
+            continuity_solve(spec, rho, np.zeros((3, 3)))
+
+    def test_small_tangent_vectors_pass(self, fermi_m1, rng):
+        # a tangent vector is one at any scale, subnormal entries included
+        spec, rho = fermi_m1.spec, random_density(2, rng)
+        x = 1e-310 * np.diag([1.0, -1.0])
+        assert metric_tensor(spec, rho, [x]).shape == (1, 1)
+        assert np.isfinite(continuity_solve(spec, rho, x).metric_value)
+
+
 class TestMetricTensor:
     def test_full_rank_for_ergodic(self, rng):
         spec = random_dbc_spec(3, rng, ergodic=True)
@@ -271,6 +313,13 @@ class TestGeodesics:
         res = geodesic_distance(fermi_m1_unit.spec, rho0, rho1, segments=8)
         for p in res.path:
             assert np.min(np.linalg.eigvalsh(p)) >= 1e-8 - 1e-14
+
+    def test_rejects_endpoint_of_another_dimension(self, fermi_m1_unit):
+        sigma = fermi_m1_unit.spec.sigma
+        other = random_density(3, np.random.default_rng(0))
+        for pair in ((other, sigma), (sigma, other)):
+            with pytest.raises(ValueError, match="endpoint is dim 3, the spec is dim 2"):
+                geodesic_distance(fermi_m1_unit.spec, *pair)
 
     def test_rejects_boundary_endpoint(self, fermi_m1_unit):
         nearly = DensityState.from_matrix(np.diag([1 - 1e-9, 1e-9]).astype(complex))
@@ -568,6 +617,58 @@ class TestMetricAssembly:
                 for a in basis
             ])
             assert np.allclose(mb, direct, rtol=1e-12, atol=1e-14)
+
+
+def _derivative_case(name):
+    """A spec and a state of it; the two sigmas have degenerate spectra."""
+    rng = np.random.default_rng(5)
+    spec = {
+        "fermi-m2": lambda: fermi_ou(2, 1.0, [1.0, 2.0]).spec,
+        "random-3": lambda: random_dbc_spec(3, rng, ergodic=True),
+        "depolarizing-3": lambda: depolarizing(3),
+        "depolarizing-3-sigma": lambda: depolarizing(3),
+        "fermi-m2-equal-sigma": lambda: fermi_ou(2, 1.0, [1.0, 1.0]).spec,
+    }[name]()
+    rho = spec.sigma.rho if name.endswith("sigma") else random_density(spec.dim, rng).rho
+    return spec, rho, rng.standard_normal(len(traceless_hermitian_basis(spec.dim)))
+
+
+class TestMetricDerivatives:
+    """G_{c,a} = (d_a M x)_c and S_ab = x^T (d_a d_b M) x, d_a the
+    derivative along the basis matrix B_a, against central differences of
+    ``metric_matrices``."""
+
+    H = 1e-4
+
+    @pytest.mark.parametrize(
+        "name", ["fermi-m2", "random-3", "depolarizing-3", "depolarizing-3-sigma", "fermi-m2-equal-sigma"]
+    )
+    def test_match_central_differences(self, name):
+        spec, rho, x = _derivative_case(name)
+        ws, h, n, nb = _MetricWorkspace(spec), self.H, spec.dim, len(x)
+        g, s = (d[0] for d in ws.derivatives(ws.spectral_data(rho[None]), x[None]))
+        steps = h * ws.basis
+        m = ws.metric_matrices(np.concatenate([rho + steps, rho - steps]))
+        g_oracle = ((m[:nb] - m[nb:]) @ x).T / (2 * h)
+        # the second central difference of x^T M x along B_a and B_b
+        corners = [rho + sa * steps[:, None] + sb * steps[None, :] for sa in (1, -1) for sb in (1, -1)]
+        m = ws.metric_matrices(np.concatenate(corners).reshape(-1, n, n))
+        f = np.einsum("a,kab,b->k", x, m, x).reshape(4, nb, nb)
+        s_oracle = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
+        assert np.linalg.norm(g - g_oracle) <= 1e-6 * np.linalg.norm(g)
+        assert np.linalg.norm(s - s_oracle) <= 1e-5 * np.linalg.norm(s)
+
+    def test_stack_matches_single_states(self):
+        spec = fermi_ou(2, 1.0, [1.0, 2.0]).spec
+        rng = np.random.default_rng(6)
+        ws = _MetricWorkspace(spec)
+        rhos = np.stack([random_density(4, rng).rho for _ in range(3)])
+        xs = rng.standard_normal((3, ws.nb))
+        stacked = ws.derivatives(ws.spectral_data(rhos), xs)
+        for i in range(3):
+            single = ws.derivatives(ws.spectral_data(rhos[i:i + 1]), xs[i:i + 1])
+            for got, want in zip(stacked, single):
+                assert np.linalg.norm(got[i] - want[0]) <= 1e-14 * np.linalg.norm(want[0])
 
 
 # ---------------------------------------------------------------------------
@@ -930,11 +1031,12 @@ class TestNewtonSolver:
     ])
     def test_one_derivative_pass_per_point(self, case, armijo_slope, monkeypatch):
         # each accepted point, the last one included, gets one pass of each
-        # kernel difference; above 1/2 the Armijo test rejects full Newton
-        # steps near the minimum, so there rejected candidates are
-        # evaluated, and they get no derivative pass
+        # kernel difference, both inside the workspace's one G and S pass;
+        # above 1/2 the Armijo test rejects full Newton steps near the
+        # minimum, so there rejected candidates are evaluated, and they get
+        # no derivative pass
         calls = {"kernel_divided_differences": 0, "kernel_second_divided_differences": 0,
-                 "evaluate": 0}
+                 "derivatives": 0, "evaluate": 0}
 
         def counting(owner, name):
             function = getattr(owner, name)
@@ -947,6 +1049,7 @@ class TestNewtonSolver:
 
         counting(transport, "kernel_divided_differences")
         counting(transport, "kernel_second_divided_differences")
+        counting(_MetricWorkspace, "derivatives")
         counting(_PathProblem, "evaluate")
         monkeypatch.setattr(transport, "ARMIJO_SLOPE", armijo_slope)
         spec, rho0, rho1, segments = _pinned_case(case)
@@ -954,6 +1057,7 @@ class TestNewtonSolver:
         assert res.converged
         assert calls["kernel_divided_differences"] == res.iterations + 1
         assert calls["kernel_second_divided_differences"] == res.iterations + 1
+        assert calls["derivatives"] == res.iterations + 1
         if armijo_slope > 0.5:
             assert calls["evaluate"] > 2 * (res.iterations + 1)
 
